@@ -5,7 +5,12 @@ by y = gamma(x) + H(x) s(xi), H = Y - gamma, with an optional exponential
 stretch s clustering points near the wall.  Discretization: Fourier
 collocation in x, second-order finite differences on a staggered grid in xi
 (velocity at nodes, pressure at midpoints).  The saddle-point system is
-solved directly with a pressure-mean Lagrange multiplier.
+solved directly with a pressure-mean Lagrange multiplier (plus a Nyquist one
+under a Dirichlet top).  Its matrix depends only on the grid and the kind of
+top, so each grid keeps one sparse LU per kind and later solves only build
+the right-hand side.  Under a Dirichlet top the dense multiplier rows and
+columns stay out of the LU: the factored core pins them at single cells, and
+a rank-4 Sherman-Morrison-Woodbury correction restores the bordered system.
 
 The top boundary is either Dirichlet (tall strips for regularity runs) or a
 transparent condition built from the per-mode Dirichlet-to-Neumann map of the
@@ -89,6 +94,9 @@ class StripGrid:
         eye_hat = np.fft.fft(np.eye(nx), axis=0)
         self.Dx = np.real(np.fft.ifft(1j * kv_odd[:, None] * eye_hat, axis=0))
         self.Dxx = np.real(np.fft.ifft(-(kv ** 2)[:, None] * eye_hat, axis=0))
+
+        # saddle-point factorizations on this grid, keyed by top kind
+        self.factors: dict = {}
 
     def _stretch_eval(self, xi):
         if self.stretch == 0.0:
@@ -218,21 +226,14 @@ def _diag(rows_idx, cols_idx, vals, acc):
     acc[2].append(np.asarray(vals, dtype=float))
 
 
-def assemble(problem: CellProblem):
-    """Build the sparse saddle-point matrix and right-hand side.
+def _unknowns(g: StripGrid):
+    """Velocity and pressure counts and the index maps of the unknowns.
 
-    Pressure constraint rows: the weighted mean is always pinned; with a
-    Dirichlet top the x-Nyquist, xi-constant pressure pattern is invisible to
-    every momentum row (the real Fourier derivative annihilates the Nyquist
-    mode), so a second constraint/multiplier pair removes it.
+    Unknowns are ordered u1, u2 (nodes, xi-level major), p (midpoints), then
+    the multipliers; iu(c, j) and ipr(j) index one xi-level.
     """
-    g = problem.grid
     nx, ny = g.nx, g.ny
-    dxi = g.dxi
     nu = nx * (ny + 1)
-    npr = nx * ny
-    nmult = 2 if isinstance(problem.top, DirichletTop) else 1
-    ntot = 2 * nu + npr + nmult
 
     def iu(c, j):
         return c * nu + j * nx + np.arange(nx)
@@ -240,15 +241,46 @@ def assemble(problem: CellProblem):
     def ipr(j):
         return 2 * nu + j * nx + np.arange(nx)
 
+    return nu, nx * ny, iu, ipr
+
+
+def _mode_parts(k: int, nx: int):
+    """Real rows carried by the complex top condition of mode k."""
+    return (np.real, np.imag) if k < nx // 2 else (np.real,)
+
+
+def assemble(grid: StripGrid, top_kind: type):
+    """Sparse saddle-point matrix A = A0 + U V^T of a grid and a kind of top.
+
+    The matrix depends only on the grid and on the kind of top condition
+    (`DirichletTop` or `TransparentTop`); `assemble_rhs` carries the data.
+
+    Pressure constraint rows: the weighted mean is always pinned; with a
+    Dirichlet top the x-Nyquist, xi-constant pressure pattern is invisible to
+    every momentum row (the real Fourier derivative annihilates the Nyquist
+    mode), so a second constraint/multiplier pair removes it.
+
+    The transparent top keeps its multiplier in the sparse core A0, and the
+    border U V^T is empty.  With a Dirichlet top the two dense multiplier
+    columns and constraint rows would dominate the LU fill, so A0 keeps one
+    entry of each, at the top-level pressure cells (0, ny-1) and (1, ny-1)
+    with the border's own value, and the rest forms the rank-4 border.
+    Returns (A0 in CSC form, U, V) with U, V of shape (n, 0) or (n, 4).
+    """
+    if top_kind not in (DirichletTop, TransparentTop):
+        raise TypeError(f"unsupported top condition {top_kind!r}")
+    g = grid
+    nx, ny = g.nx, g.ny
+    dxi = g.dxi
+    nu, npr, iu, ipr = _unknowns(g)
+    dirichlet = top_kind is DirichletTop
     imu = 2 * nu + npr
-    nyq_pattern = (-1.0) ** np.arange(nx)
+    ntot = imu + (2 if dirichlet else 1)
     acc = ([], [], [])
-    rhs = np.zeros(ntot)
 
     # bottom Dirichlet
     for c in range(2):
         _diag(iu(c, 0), iu(c, 0), np.ones(nx), acc)
-        rhs[iu(c, 0)] = problem.bottom[c]
 
     # interior momentum rows
     Dx, Dxx = g.Dx, g.Dxx
@@ -268,9 +300,6 @@ def assemble(problem: CellProblem):
         _block(rowj[0], ipr(j - 1), Dx / 2 - np.diag(g.a_nodes[:, j]) / dxi, acc)
         _diag(rowj[1], ipr(j), g.invHsp_nodes[:, j] / dxi, acc)
         _diag(rowj[1], ipr(j - 1), -g.invHsp_nodes[:, j] / dxi, acc)
-        if problem.source is not None:
-            rhs[rowj[0]] = problem.source[0, :, j]
-            rhs[rowj[1]] = problem.source[1, :, j]
 
     # continuity rows at each pressure cell
     vols = g.mid_volumes()
@@ -280,40 +309,56 @@ def assemble(problem: CellProblem):
         _block(row, iu(0, j + 1), Dx / 2 + np.diag(g.a_mids[:, j]) / dxi, acc)
         _diag(row, iu(1, j), -g.invHsp_mids[:, j] / dxi, acc)
         _diag(row, iu(1, j + 1), g.invHsp_mids[:, j] / dxi, acc)
-        # uniform multiplier column: mu reads as compatibility defect density
-        _diag(row, np.full(nx, imu), np.ones(nx), acc)
-        if nmult == 2:
-            _diag(row, np.full(nx, imu + 1), nyq_pattern, acc)
-        if problem.div_data is not None:
-            rhs[row] = problem.div_data[:, j]
+        if not dirichlet:
+            # uniform multiplier column: mu reads as compatibility defect density
+            _diag(row, np.full(nx, imu), np.ones(nx), acc)
 
-    # pressure constraint rows: mean pin, plus the Nyquist pattern if needed
-    for j in range(ny):
-        _diag(np.full(nx, imu), ipr(j), vols[:, j], acc)
-        if nmult == 2:
-            _diag(np.full(nx, imu + 1), ipr(j), nyq_pattern * vols[:, j], acc)
-
-    # top rows
-    top_rows = [iu(0, ny), iu(1, ny)]
-    slots = np.concatenate(top_rows)
-    if isinstance(problem.top, DirichletTop):
+    # pressure constraint rows and top rows
+    U = np.zeros((ntot, 4 if dirichlet else 0))
+    V = np.zeros_like(U)
+    if dirichlet:
+        # multiplier m's column on the continuity rows and constraint row on
+        # the pressure unknowns: m = 0 the mean, m = 1 the Nyquist pattern
+        nyq = np.tile((-1.0) ** np.arange(nx), ny)
+        weights = vols.T.ravel()
+        columns = (np.ones(npr), nyq)
+        constraints = (weights, nyq * weights)
+        for m in range(2):
+            # A0 keeps the entries at the pin cell (m, ny-1); U V^T adds the rest
+            pin = (ny - 1) * nx + m
+            _diag(np.array([2 * nu + pin]), np.array([imu + m]), columns[m][pin:pin + 1], acc)
+            _diag(np.array([imu + m]), np.array([2 * nu + pin]),
+                  constraints[m][pin:pin + 1], acc)
+            U[2 * nu:imu, m] = columns[m]
+            U[2 * nu + pin, m] = 0.0
+            V[imu + m, m] = 1.0
+            U[imu + m, 2 + m] = 1.0
+            V[2 * nu:imu, 2 + m] = constraints[m]
+            V[2 * nu + pin, 2 + m] = 0.0
         for c in range(2):
             _diag(iu(c, ny), iu(c, ny), np.ones(nx), acc)
-            rhs[iu(c, ny)] = problem.top.values[c]
-    elif isinstance(problem.top, TransparentTop):
-        _assemble_transparent(problem.top, g, iu, ipr, slots, acc, rhs)
     else:
-        raise TypeError(f"unsupported top condition {type(problem.top)!r}")
+        for j in range(ny):
+            _diag(np.full(nx, imu), ipr(j), vols[:, j], acc)
+        slots = np.concatenate([iu(0, ny), iu(1, ny)])
+        for slot, (cols, vals) in zip(slots, _transparent_rows(g, iu, ipr)):
+            acc[0].append(np.full(cols.shape[0], slot))
+            acc[1].append(cols)
+            acc[2].append(np.asarray(vals, dtype=float))
 
     rows = np.concatenate(acc[0])
     cols = np.concatenate(acc[1])
     vals = np.concatenate(acc[2])
-    A = sp.coo_matrix((vals, (rows, cols)), shape=(ntot, ntot)).tocsc()
-    return A, rhs
+    A0 = sp.coo_matrix((vals, (rows, cols)), shape=(ntot, ntot)).tocsc()
+    return A0, U, V
 
 
-def _assemble_transparent(top: TransparentTop, g: StripGrid, iu, ipr, slots, acc, rhs):
-    """Robin/pressure rows of the transparent condition, one mode at a time."""
+def _transparent_rows(g: StripGrid, iu, ipr) -> list:
+    """(cols, vals) of the transparent condition's 2 nx top rows, mode by mode.
+
+    Row order: the zero mode's two Neumann rows, then per mode k > 0 the
+    horizontal Robin row and the pressure trace row, real parts first.
+    """
     nx, ny = g.nx, g.ny
     dxi = g.dxi
     dcoef = g.invHsp_nodes[:, ny] / (2 * dxi)
@@ -324,81 +369,145 @@ def _assemble_transparent(top: TransparentTop, g: StripGrid, iu, ipr, slots, acc
                                weight * dcoef])
         return cols, vals
 
-    rows_built: list[tuple[np.ndarray, np.ndarray, float]] = []
-
     # zero mode: d_y of both components equals the prescribed Neumann data
     w0vec = np.full(nx, 1.0 / nx)
-    for c in range(2):
-        cols, vals = dy_cols_vals(c, w0vec)
-        rows_built.append((cols, vals, float(top.neumann0[c])))
+    rows = [dy_cols_vals(c, w0vec) for c in range(2)]
 
+    trace_cols = [iu(0, ny), iu(1, ny)]
     for k in range(1, nx // 2 + 1):
         wk = np.exp(-1j * k * g.x) / nx
         M = dtn_matrix((k,))
-        data = top.mode_data.get(k, None)
-        w0 = np.zeros(2, dtype=complex) if data is None else np.asarray(data["w0"], dtype=complex)
-        r1 = 0j if data is None else complex(data["r1"])
-        rp = 0j if data is None else complex(data["rp"])
-
-        trace_cols = [iu(0, ny), iu(1, ny)]
         # horizontal Robin: FFT_k[d_y u1] - (M uhat)_1 = r1 - (M w0)_1
         cols_d, vals_d = dy_cols_vals(0, wk)
-        cols = np.concatenate([cols_d, trace_cols[0], trace_cols[1]])
-        vals = np.concatenate([vals_d, -M[0, 0] * wk, -M[0, 1] * wk])
-        rhs_c = r1 - (M @ w0)[0]
-        row_h = (cols, vals, rhs_c)
-
+        row_h = (np.concatenate([cols_d, trace_cols[0], trace_cols[1]]),
+                 np.concatenate([vals_d, -M[0, 0] * wk, -M[0, 1] * wk]))
         # pressure trace: FFT_k[p(top)] + 2 a_k . uhat = rp + 2 a_k . w0
         a_k = np.array([1j * k, -abs(k)], dtype=complex)
-        pcols = np.concatenate([ipr(ny - 1), ipr(ny - 2), trace_cols[0], trace_cols[1]])
-        pvals = np.concatenate([1.5 * wk, -0.5 * wk, 2 * a_k[0] * wk, 2 * a_k[1] * wk])
-        rhs_p = rp + 2 * (a_k @ w0)
-        row_p = (pcols, pvals, rhs_p)
+        row_p = (np.concatenate([ipr(ny - 1), ipr(ny - 2), trace_cols[0], trace_cols[1]]),
+                 np.concatenate([1.5 * wk, -0.5 * wk, 2 * a_k[0] * wk, 2 * a_k[1] * wk]))
+        for part in _mode_parts(k, nx):
+            for cols, vals in (row_h, row_p):
+                rows.append((cols, part(vals)))
+    return rows
 
-        parts = (np.real, np.imag) if k < nx // 2 else (np.real,)
-        for part in parts:
-            for cols_c, vals_c, rhs_cplx in (row_h, row_p):
-                rows_built.append((cols_c, part(vals_c),
-                                   float(part(np.complex128(rhs_cplx)))))
 
-    if len(rows_built) != 2 * nx:
-        raise SolverError(f"top row count {len(rows_built)} != {2 * nx}")
-    for slot, (cols, vals, b) in zip(slots, rows_built):
-        acc[0].append(np.full(cols.shape[0], slot))
-        acc[1].append(np.asarray(cols))
-        acc[2].append(np.asarray(vals, dtype=float))
-        rhs[slot] = b
+def assemble_rhs(problem: CellProblem) -> np.ndarray:
+    """Right-hand side of the saddle-point system that `assemble` builds."""
+    g = problem.grid
+    nx, ny = g.nx, g.ny
+    nu, npr, iu, ipr = _unknowns(g)
+    top = problem.top
+    rhs = np.zeros(2 * nu + npr + (2 if isinstance(top, DirichletTop) else 1))
+    for c in range(2):
+        rhs[iu(c, 0)] = problem.bottom[c]
+        if problem.source is not None:
+            rhs[c * nu + nx:c * nu + ny * nx] = problem.source[c, :, 1:ny].T.ravel()
+    if problem.div_data is not None:
+        rhs[2 * nu:2 * nu + npr] = problem.div_data.T.ravel()
+
+    if isinstance(top, DirichletTop):
+        for c in range(2):
+            rhs[iu(c, ny)] = top.values[c]
+    elif isinstance(top, TransparentTop):
+        slots = np.concatenate([iu(0, ny), iu(1, ny)])
+        rhs[slots[:2]] = [float(top.neumann0[0]), float(top.neumann0[1])]
+        for k in range(1, nx // 2 + 1):
+            data = top.mode_data.get(k)
+            if data is None:
+                continue  # a homogeneous mode's rows keep a zero right-hand side
+            M = dtn_matrix((k,))
+            w0 = np.asarray(data["w0"], dtype=complex)
+            a_k = np.array([1j * k, -abs(k)], dtype=complex)
+            values = (complex(data["r1"]) - (M @ w0)[0],
+                      complex(data["rp"]) + 2 * (a_k @ w0))
+            slot = 2 + 4 * (k - 1)
+            for part in _mode_parts(k, nx):
+                for value in values:
+                    rhs[slots[slot]] = float(part(np.complex128(value)))
+                    slot += 1
+    else:
+        raise TypeError(f"unsupported top condition {type(top)!r}")
+    return rhs
+
+
+class SaddleFactor:
+    """Sparse LU of the core A0 of a saddle-point matrix A = A0 + U V^T.
+
+    With a nonempty border, solves follow the Sherman-Morrison-Woodbury
+    identity A^{-1} b = y - Z C^{-1} V^T y with y = A0^{-1} b, Z = A0^{-1} U
+    and the capacitance C = I + V^T Z: the columns of U cost one extra solve
+    each at factor time, and every solve adds a small dense one.  With an
+    empty border, `solve` and `matvec` are the LU solve and A0 @ x.
+    """
+
+    def __init__(self, core, U: np.ndarray, V: np.ndarray):
+        self.core, self.U, self.V = core, U, V
+        try:
+            self.lu = spla.splu(core)
+        except RuntimeError as exc:  # singular factorization
+            raise SolverError(f"saddle-point factorization failed: {exc}") from exc
+        if U.shape[1]:
+            self.Z = self.lu.solve(U)
+            self.capacitance = np.eye(U.shape[1]) + V.T @ self.Z
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        y = self.lu.solve(b)
+        if not self.U.shape[1]:
+            return y
+        return y - self.Z @ np.linalg.solve(self.capacitance, self.V.T @ y)
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        out = self.core @ x
+        if self.U.shape[1]:
+            out += self.U @ (self.V.T @ x)
+        return out
+
+
+# Largest relative linear residual max|A x - b| / max(1, max|b|) a solve may
+# return.  Refined solves on the CLI's default grids measure below 1e-12, so
+# a miss means a broken factorization, not a hard problem.
+RESIDUAL_BOUND = 1e-8
 
 
 def solve_stokes(problem: CellProblem) -> CellSolution:
-    """Direct solve of the discrete saddle-point system."""
+    """Direct solve of the discrete saddle-point system.
+
+    The matrix depends only on the grid and the kind of top condition, so
+    its factorization is cached on the grid: later solves on the same grid
+    with the same kind of top only assemble the right-hand side.  Iterative
+    refinement runs against the full bordered operator.  Raises SolverError
+    when the factorization fails, the solution is not finite, or the final
+    relative residual exceeds RESIDUAL_BOUND.
+    """
     t0 = time.perf_counter()
     g = problem.grid
     nx, ny = g.nx, g.ny
-    A, rhs = assemble(problem)
-    try:
-        lu = spla.splu(A)
-    except RuntimeError as exc:  # singular factorization
-        raise SolverError(f"saddle-point factorization failed: {exc}") from exc
-    sol = lu.solve(rhs)
+    kind = type(problem.top)
+    rhs = assemble_rhs(problem)
+    factor = g.factors.get(kind)
+    if factor is None:
+        factor = g.factors[kind] = SaddleFactor(*assemble(g, kind))
+    sol = factor.solve(rhs)
     # iterative refinement: tall stretched grids push the condition number
     # high enough that one LU pass loses several digits
     scale = max(1.0, float(np.abs(rhs).max()))
     for _ in range(4):
-        resid = rhs - A @ sol
+        resid = rhs - factor.matvec(sol)
         if float(np.abs(resid).max()) <= 1e-12 * scale:
             break
-        sol = sol + lu.solve(resid)
+        sol = sol + factor.solve(resid)
     if not np.all(np.isfinite(sol)):
         raise SolverError("solver returned non-finite values")
+    linear_residual = float(np.abs(factor.matvec(sol) - rhs).max() / scale)
+    if not linear_residual <= RESIDUAL_BOUND:
+        raise SolverError(f"linear residual {linear_residual:.3e} exceeds "
+                          f"the bound {RESIDUAL_BOUND:.0e}")
 
     nu = nx * (ny + 1)
     u = np.stack([sol[:nu].reshape(ny + 1, nx).T, sol[nu:2 * nu].reshape(ny + 1, nx).T])
     p = sol[2 * nu:2 * nu + nx * ny].reshape(ny, nx).T
     mult = float(sol[2 * nu + nx * ny])
 
-    resid = A @ sol - rhs
-    scale = max(1.0, float(np.abs(rhs).max()))
     spec = fourier_modes(g, u[:, :, ny])
     trace_modes = {k: spec[:, k].copy() for k in range(1, nx // 2 + 1)}
     third = max(1, nx // 6)
@@ -407,7 +516,7 @@ def solve_stokes(problem: CellProblem) -> CellSolution:
 
     div = divergence_residual(g, u, problem.div_data)
     diagnostics = {
-        "linear_residual": float(np.abs(resid).max() / scale),
+        "linear_residual": linear_residual,
         "divergence_residual": float(np.abs(div).max()),
         "multiplier": mult,
         "trailing_mode_energy": float(tail_band),

@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -42,12 +43,28 @@ def _out_root(path: str) -> str:
 
 
 def write_atomic(path: str, text: str) -> str:
+    """Write text to a unique temp file beside path, then move it into place.
+
+    Concurrent writers never share a temp file, so each write lands whole;
+    the temp file is removed if writing or moving it fails.
+    """
     path = _out_root(path)
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=os.path.basename(path) + ".",
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            # mkstemp creates the file private; give it the mode open() would
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
     return path
 
 

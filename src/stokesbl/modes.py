@@ -17,6 +17,7 @@ conditions by the cell solver.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt, sqrt
@@ -418,8 +419,18 @@ def dtn_map(k: tuple[int, ...]):
 
 
 def dtn_matrix(k: tuple[int, ...]) -> np.ndarray:
-    """Floating DtN matrix (complex) for the cell solver."""
-    return np.array([[e.as_complex() for e in row] for row in dtn_map(k)])
+    """Floating DtN matrix (complex) for the cell solver.
+
+    Memoized per k; the returned array is read-only and shared.
+    """
+    return _dtn_matrix_memo(tuple(int(v) for v in k))
+
+
+@functools.lru_cache(maxsize=None)
+def _dtn_matrix_memo(k: tuple[int, ...]) -> np.ndarray:
+    M = np.array([[e.as_complex() for e in row] for row in dtn_map(k)])
+    M.setflags(write=False)
+    return M
 
 
 # ---------------------------------------------------------------------------

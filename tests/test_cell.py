@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from stokesbl.cell import (
     CellProblem,
     DirichletTop,
+    SolverError,
     StripGrid,
     TransparentTop,
+    assemble,
+    assemble_rhs,
     boundary_trace,
     divergence_residual,
     energy_norms,
@@ -228,3 +233,113 @@ def test_boundary_trace_monomial():
     vals = boundary_trace(grid, monomial_data(2, 1))
     assert np.allclose(vals[0], -grid.gamma ** 2)
     assert np.allclose(vals[1], 0.0)
+
+
+def _dirichlet_problem(geometry, stretch=0.0, div=False, seed=0):
+    """Dirichlet data with net top inflow, so the defect mu is O(1)."""
+    rng = np.random.default_rng(seed)
+    grid = StripGrid(geometry, height=12.0, nx=16, ny=40, stretch=stretch)
+    top = rng.standard_normal((2, grid.nx)) + np.array([[0.0], [0.5]])
+    return CellProblem(
+        grid,
+        bottom=rng.standard_normal((2, grid.nx)),
+        top=DirichletTop(top),
+        source=rng.standard_normal((2, grid.nx, grid.ny + 1)),
+        div_data=rng.standard_normal((grid.nx, grid.ny)) if div else None,
+    )
+
+
+@pytest.mark.parametrize("geometry, stretch, div", [
+    (BoundaryGeometry.flat(), 0.0, False),
+    (COS_WALL, 0.0, False),
+    (BoundaryGeometry.from_fourier({0: -0.5, 1: -0.2, 3: 0.05j}), 5.0, False),
+    (COS_WALL, 0.0, True),
+], ids=["flat", "rough", "stretched", "divergence-data"])
+def test_dirichlet_border_matches_bordered_lu(geometry, stretch, div):
+    # oracle: LU of the full bordered matrix A0 + U V^T, built here
+    problem = _dirichlet_problem(geometry, stretch, div)
+    core, U, V = assemble(problem.grid, DirichletTop)
+    assert U.shape[1] == 4
+    full = (core + sp.csc_matrix(U) @ sp.csc_matrix(V.T)).tocsc()
+    # the bordered matrix carries the dense mean and Nyquist multiplier pairs
+    grid = problem.grid
+    nu, npr = grid.nx * (grid.ny + 1), grid.nx * grid.ny
+    nyq = np.tile((-1.0) ** np.arange(grid.nx), grid.ny)
+    vols = grid.mid_volumes().T.ravel()
+    border_cols = full[:, -2:].toarray()
+    border_rows = full[-2:, :].toarray()
+    assert np.array_equal(border_cols[2 * nu:2 * nu + npr], np.stack([np.ones(npr), nyq], 1))
+    assert not border_cols[:2 * nu].any() and not border_cols[-2:].any()
+    assert np.allclose(border_rows[:, 2 * nu:2 * nu + npr], np.stack([vols, nyq * vols]),
+                       rtol=1e-15, atol=0)
+    assert not border_rows[:, :2 * nu].any() and not border_rows[:, -2:].any()
+    rhs = assemble_rhs(problem)
+    ref = spla.splu(full).solve(rhs)
+    sol = solve_stokes(problem)
+
+    nx, ny = problem.grid.nx, problem.grid.ny
+    nu = nx * (ny + 1)
+    u_ref = np.stack([ref[:nu].reshape(ny + 1, nx).T, ref[nu:2 * nu].reshape(ny + 1, nx).T])
+    p_ref = ref[2 * nu:2 * nu + nx * ny].reshape(ny, nx).T
+    mu_ref = ref[2 * nu + nx * ny]
+    assert np.abs(sol.u - u_ref).max() <= 1e-10 * np.abs(u_ref).max()
+    assert np.abs(sol.p - p_ref).max() <= 1e-10 * np.abs(p_ref).max()
+    assert abs(mu_ref) > 1e-3
+    assert abs(sol.multiplier - mu_ref) <= 1e-10 * abs(mu_ref)
+    assert np.abs(full @ ref - rhs).max() < 1e-10 * max(1.0, np.abs(rhs).max())
+
+
+def test_transparent_border_is_empty():
+    grid = StripGrid(COS_WALL, nx=16, ny=20)
+    core, U, V = assemble(grid, TransparentTop)
+    assert core.shape == (2 * 16 * 21 + 16 * 20 + 1,) * 2
+    assert U.shape == V.shape == (core.shape[0], 0)
+    with pytest.raises(TypeError):
+        assemble(grid, object)
+
+
+def test_factor_is_cached_per_grid_and_top_kind(monkeypatch):
+    calls = []
+    splu = spla.splu
+
+    def counting_splu(A, *args, **kwargs):
+        calls.append(A.shape)
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    grid = StripGrid(COS_WALL, height=3.0, nx=16, ny=20)
+    first = solve_stokes(CellProblem(grid, boundary_trace(grid, monomial_data(1, 1)),
+                                     TransparentTop()))
+    bottom = boundary_trace(grid, monomial_data(2, 2))
+    top = TransparentTop(mode_data={1: transparent_mode_entry(1, [[0.3 + 0.1j], [0.2j]])},
+                         neumann0=np.array([0.1, -0.2]))
+    second = solve_stokes(CellProblem(grid, bottom, top))
+    assert len(calls) == 1
+    assert not np.allclose(first.u, second.u)
+
+    fresh = StripGrid(COS_WALL, height=3.0, nx=16, ny=20)
+    again = solve_stokes(CellProblem(fresh, bottom, top))
+    assert len(calls) == 2
+    assert np.array_equal(again.u, second.u)
+    assert np.array_equal(again.p, second.p)
+    assert again.multiplier == second.multiplier
+
+    # a Dirichlet top on the same grid is a second factor, then reused too
+    for seed in (1, 2):
+        values = np.random.default_rng(seed).standard_normal((2, grid.nx))
+        solve_stokes(CellProblem(grid, bottom, DirichletTop(values)))
+    assert len(calls) == 3
+    assert set(grid.factors) == {TransparentTop, DirichletTop}
+
+
+@pytest.mark.parametrize("top", [TransparentTop(), DirichletTop(np.zeros((2, 16)))],
+                         ids=["transparent", "dirichlet"])
+def test_wrong_solve_raises_solver_error(top):
+    grid = StripGrid(COS_WALL, height=3.0, nx=16, ny=20)
+    problem = CellProblem(grid, boundary_trace(grid, monomial_data(1, 1)), top)
+    assert solve_stokes(problem).diagnostics["linear_residual"] < 1e-10
+    factor = grid.factors[type(top)]
+    exact = factor.solve
+    factor.solve = lambda b: exact(b) + 1e-3  # refinement cannot remove the shift
+    with pytest.raises(SolverError, match="linear residual"):
+        solve_stokes(problem)

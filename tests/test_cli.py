@@ -106,3 +106,47 @@ def test_manifest_records_inputs(tmp_path):
     assert "inputs_hash" in manifest and "versions" in manifest
     assert "basis.json" in manifest["artifacts"]
     assert manifest["config"]["order"] == 1
+
+
+def test_write_atomic_interleaved_writers_use_distinct_temp_files(tmp_path, monkeypatch):
+    # a second write to the same path starts and lands while the first one
+    # sits between writing its temp file and moving it into place
+    from stokesbl import cli
+
+    target = str(tmp_path / "out.json")
+    real_replace = os.replace
+    moved = []
+
+    def interleaving_replace(src, dst):
+        if not moved:
+            moved.append(src)
+            cli.write_atomic(target, "second\n")
+        moved.append(src)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(cli.os, "replace", interleaving_replace)
+    assert cli.write_atomic(target, "first\n") == target
+    assert len(moved) == 3 and moved[1] != moved[2]
+    with open(target) as fh:
+        assert fh.read() == "first\n"  # the last move wins, whole
+    assert os.listdir(tmp_path) == ["out.json"]
+
+
+def test_write_atomic_cleans_up_and_keeps_file_mode(tmp_path, monkeypatch):
+    from stokesbl import cli
+
+    plain = tmp_path / "plain.txt"
+    plain.write_text("x")
+    target = str(tmp_path / "out.json")
+    cli.write_atomic(target, "ok\n")
+    assert os.stat(target).st_mode == os.stat(plain).st_mode
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        cli.write_atomic(target, "lost\n")
+    assert sorted(os.listdir(tmp_path)) == ["out.json", "plain.txt"]
+    with open(target) as fh:
+        assert fh.read() == "ok\n"

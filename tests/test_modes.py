@@ -203,3 +203,12 @@ def test_mode_expansion_eval_and_json():
     assert np.allclose(dxvals, -2 * np.sin(x))
     rebuilt = ModeExpansion.from_json_list(exp.to_json_list())
     assert np.allclose(rebuilt.velocity(x, 4.2, comp=0), exp.velocity(x, 4.2, comp=0))
+
+
+def test_dtn_matrix_is_memoized_read_only():
+    M = dtn_matrix((2,))
+    assert dtn_matrix([2]) is M
+    assert np.array_equal(M, np.array([[e.as_complex() for e in row]
+                                       for row in dtn_map((2,))]))
+    with pytest.raises(ValueError):
+        M[0, 0] = 0.0
