@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import BoundaryGeometry
+from .geometry import AliasingError, BoundaryGeometry
 from .modes import ModeExpansion, dtn_matrix, solve_mode_numeric
 from .polynomials import VectorPolynomial
 
@@ -45,6 +45,9 @@ class StripGrid:
             raise ValueError("resolution must be at least (8, 16)")
         if nx % 2 != 0:
             raise ValueError("nx must be even")
+        if 2 * geometry.max_mode >= nx:
+            raise AliasingError(f"geometry mode k = {geometry.max_mode} aliases on nx = {nx};"
+                                f" need nx > {2 * geometry.max_mode}")
         lo, hi = geometry.range()
         if height <= hi:
             raise ValueError("height must sit above the boundary")

@@ -22,6 +22,8 @@ import time
 
 import numpy as np
 
+from .geometry import AliasingError
+
 EXIT_BAD_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_VERIFY = 4
@@ -475,7 +477,7 @@ def main(argv=None) -> int:
     config = {k: v for k, v in vars(args).items() if k != "func" and not callable(v)}
     try:
         code = args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, AliasingError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except FileNotFoundError as exc:

@@ -14,6 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+class AliasingError(ValueError):
+    """The boundary has Fourier modes a grid is too coarse to represent."""
+
+
 @dataclass(frozen=True)
 class BoundaryGeometry:
     """2pi-periodic boundary graph y = gamma(x) stored as Fourier modes.

@@ -10,9 +10,12 @@ identities under the mode-wise operators
 
 The machinery is generic over the coefficient scalars: `SqrtExt` (complex
 rationals extended by sqrt(k.k), so identities hold exactly in any dimension)
-or plain Python complex for the floating pipeline.  The same code path also
-yields the Dirichlet-to-Neumann matrices used as transparent top boundary
-conditions by the cell solver.
+or plain Python complex for the floating pipeline.  A `SqrtExt` keeps four
+Python-int numerators over one positive common denominator in lowest terms,
+so its arithmetic is integer arithmetic plus one gcd per result, and equal
+values have equal representations.  The same code path also yields the
+Dirichlet-to-Neumann matrices used as transparent top boundary conditions
+by the cell solver.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt, sqrt
+from math import gcd, isqrt, lcm, sqrt
 
 import numpy as np
 
@@ -29,33 +32,49 @@ import numpy as np
 # exact scalars: (a) + (b) sqrt(n) with Gaussian-rational a, b
 # ---------------------------------------------------------------------------
 
-def _gmul(p, q):
-    return (p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0])
-
-
 class SqrtExt:
     """Exact complex scalar (ar + i*ai) + (br + i*bi) * sqrt(n).
 
-    Perfect-square radicands fold into the rational part, so for d = 2 the
-    arithmetic collapses to Gaussian rationals automatically.
+    Stored as four integer numerators over one positive common denominator,
+    reduced so that gcd(ar, ai, br, bi, den) == 1.  Perfect-square radicands
+    (0 included) fold into the rational part, and n is 0 exactly when
+    br = bi = 0, so each value has one representation and equality compares
+    the stored integers.  For d = 2 the arithmetic collapses to Gaussian
+    rationals automatically.  The parts read back as Fractions.
     """
 
-    __slots__ = ("ar", "ai", "br", "bi", "n")
+    __slots__ = ("_ar", "_ai", "_br", "_bi", "_den", "n")
 
-    def __init__(self, ar=0, ai=0, br=0, bi=0, n=0):
-        ar, ai, br, bi = Fraction(ar), Fraction(ai), Fraction(br), Fraction(bi)
+    def __new__(cls, ar=0, ai=0, br=0, bi=0, n=0):
+        parts = [Fraction(v) for v in (ar, ai, br, bi)]
         n = int(n)
         if n < 0:
             raise ValueError("radicand must be >= 0")
-        if n:
-            r = isqrt(n)
-            if r * r == n:
-                ar, ai = ar + br * r, ai + bi * r
-                br = bi = Fraction(0)
-                n = 0
-        if br == 0 and bi == 0:
-            n = 0
-        self.ar, self.ai, self.br, self.bi, self.n = ar, ai, br, bi, n
+        den = lcm(*(p.denominator for p in parts))
+        ar, ai, br, bi = (p.numerator * (den // p.denominator) for p in parts)
+        r = isqrt(n)
+        if r * r == n:  # perfect squares, 0 included, fold into the rational part
+            ar, ai = ar + br * r, ai + bi * r
+            br = bi = n = 0
+        return _reduced(ar, ai, br, bi, den, n)
+
+    # -- parts -------------------------------------------------------------
+
+    @property
+    def ar(self) -> Fraction:
+        return Fraction(self._ar, self._den)
+
+    @property
+    def ai(self) -> Fraction:
+        return Fraction(self._ai, self._den)
+
+    @property
+    def br(self) -> Fraction:
+        return Fraction(self._br, self._den)
+
+    @property
+    def bi(self) -> Fraction:
+        return Fraction(self._bi, self._den)
 
     # -- coercion ----------------------------------------------------------
 
@@ -63,8 +82,10 @@ class SqrtExt:
     def _coerce(value):
         if isinstance(value, SqrtExt):
             return value
-        if isinstance(value, (int, Fraction)):
-            return SqrtExt(value)
+        if isinstance(value, int):
+            return _new(int(value), 0, 0, 0, 1, 0)
+        if isinstance(value, Fraction):
+            return _new(value.numerator, 0, 0, 0, value.denominator, 0)
         return None
 
     @classmethod
@@ -87,12 +108,18 @@ class SqrtExt:
         if o is None:
             return NotImplemented
         n = self._common_n(o)
-        return SqrtExt(self.ar + o.ar, self.ai + o.ai, self.br + o.br, self.bi + o.bi, n)
+        d1, d2 = self._den, o._den
+        if d1 == d2:
+            return _reduced(self._ar + o._ar, self._ai + o._ai,
+                            self._br + o._br, self._bi + o._bi, d1, n)
+        return _reduced(self._ar * d2 + o._ar * d1, self._ai * d2 + o._ai * d1,
+                        self._br * d2 + o._br * d1, self._bi * d2 + o._bi * d1,
+                        d1 * d2, n)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SqrtExt(-self.ar, -self.ai, -self.br, -self.bi, self.n)
+        return _new(-self._ar, -self._ai, -self._br, -self._bi, self._den, self.n)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -111,30 +138,40 @@ class SqrtExt:
         if o is None:
             return NotImplemented
         n = self._common_n(o)
-        a1, b1 = (self.ar, self.ai), (self.br, self.bi)
-        a2, b2 = (o.ar, o.ai), (o.br, o.bi)
-        ra = _gmul(a1, a2)
-        rb = _gmul(b1, b2)
-        rat = (ra[0] + n * rb[0], ra[1] + n * rb[1])
-        mix1 = _gmul(a1, b2)
-        mix2 = _gmul(b1, a2)
-        return SqrtExt(rat[0], rat[1], mix1[0] + mix2[0], mix1[1] + mix2[1], n)
+        a1r, a1i, b1r, b1i = self._ar, self._ai, self._br, self._bi
+        a2r, a2i, b2r, b2i = o._ar, o._ai, o._br, o._bi
+        # (a1 + b1 r)(a2 + b2 r) = (a1 a2 + n b1 b2) + (a1 b2 + b1 a2) r
+        rr = a1r * a2r - a1i * a2i
+        ri = a1r * a2i + a1i * a2r
+        if n:
+            rr += n * (b1r * b2r - b1i * b2i)
+            ri += n * (b1r * b2i + b1i * b2r)
+            sr = a1r * b2r - a1i * b2i + b1r * a2r - b1i * a2i
+            si = a1r * b2i + a1i * b2r + b1r * a2i + b1i * a2r
+        else:
+            sr = si = 0
+        return _reduced(rr, ri, sr, si, self._den * o._den, n)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "SqrtExt":
-        a = (self.ar, self.ai)
-        b = (self.br, self.bi)
-        asq = _gmul(a, a)
-        bsq = _gmul(b, b)
-        w = (asq[0] - self.n * bsq[0], asq[1] - self.n * bsq[1])
-        wnorm = w[0] * w[0] + w[1] * w[1]
+        # 1/(a + b r) = (a - b r) / w with w = a^2 - n b^2, and 1/w = conj(w)/|w|^2
+        ar, ai, br, bi, n = self._ar, self._ai, self._br, self._bi, self.n
+        den = self._den
+        if not n:
+            norm = ar * ar + ai * ai
+            if norm == 0:
+                raise ZeroDivisionError("division by zero SqrtExt")
+            return _reduced(den * ar, -den * ai, 0, 0, norm, 0)
+        wr = ar * ar - ai * ai - n * (br * br - bi * bi)
+        wi = 2 * (ar * ai - n * br * bi)
+        wnorm = wr * wr + wi * wi
         if wnorm == 0:
             raise ZeroDivisionError("division by zero SqrtExt")
-        winv = (w[0] / wnorm, -w[1] / wnorm)
-        pa = _gmul(a, winv)
-        pb = _gmul((-b[0], -b[1]), winv)
-        return SqrtExt(pa[0], pa[1], pb[0], pb[1], self.n)
+        # multiply (a - b r) by den * conj(w)
+        cr, ci = den * wr, -den * wi
+        return _reduced(ar * cr - ai * ci, ar * ci + ai * cr,
+                        bi * ci - br * cr, -(br * ci + bi * cr), wnorm, n)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -152,31 +189,58 @@ class SqrtExt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = self.n or o.n
-        if self.n and o.n and self.n != o.n:
-            return False
-        return (self.ar, self.ai, self.br, self.bi) == (o.ar, o.ai, o.br, o.bi)
+        return (self._ar == o._ar and self._ai == o._ai and self._br == o._br
+                and self._bi == o._bi and self._den == o._den and self.n == o.n)
 
     def __hash__(self):
-        return hash((self.ar, self.ai, self.br, self.bi, self.n))
+        if not (self._ai or self.n):
+            return hash(Fraction(self._ar, self._den))  # as the equal int or Fraction
+        return hash((self._ar, self._ai, self._br, self._bi, self._den, self.n))
 
     def conjugate(self) -> "SqrtExt":
-        return SqrtExt(self.ar, -self.ai, self.br, -self.bi, self.n)
+        return _new(self._ar, -self._ai, self._br, -self._bi, self._den, self.n)
 
     def is_zero(self) -> bool:
-        return self.ar == 0 and self.ai == 0 and self.br == 0 and self.bi == 0
+        return not (self._ar or self._ai or self._br or self._bi)
 
     def as_complex(self) -> complex:
+        # int / int true division rounds correctly, as float(Fraction) does
         root = sqrt(self.n) if self.n else 0.0
+        den = self._den
         return complex(
-            float(self.ar) + float(self.br) * root,
-            float(self.ai) + float(self.bi) * root,
+            self._ar / den + self._br / den * root,
+            self._ai / den + self._bi / den * root,
         )
 
     def __repr__(self):
         if self.n:
             return f"({self.ar}+{self.ai}i) + ({self.br}+{self.bi}i)*sqrt({self.n})"
         return f"({self.ar}+{self.ai}i)"
+
+
+def _reduced(ar, ai, br, bi, den, n) -> SqrtExt:
+    """SqrtExt from int numerators over den > 0, brought to lowest terms.
+
+    Results of exact arithmetic come here, skipping coercion and isqrt: n must
+    not be a perfect square > 0, and is dropped when the sqrt part vanishes.
+    """
+    if not (br or bi):
+        n = 0
+    g = gcd(ar, ai, br, bi, den)
+    if g != 1:
+        ar //= g
+        ai //= g
+        br //= g
+        bi //= g
+        den //= g
+    return _new(ar, ai, br, bi, den, n)
+
+
+def _new(ar, ai, br, bi, den, n) -> SqrtExt:
+    """Wrap parts that are already in lowest terms."""
+    out = object.__new__(SqrtExt)
+    out._ar, out._ai, out._br, out._bi, out._den, out.n = ar, ai, br, bi, den, n
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,6 @@ from .modes import (
 )
 from .polynomials import ExactPolynomial, VectorPolynomial
 
-from scipy.interpolate import CubicSpline
-
 
 def _pad2(rows) -> np.ndarray:
     """Stack 1-D coefficient arrays into one (2, n) array."""
@@ -582,6 +580,8 @@ class LevelSampler:
     """
 
     def __init__(self, level: LevelSolution, stack: CorrectorStack, grid: StripGrid):
+        from scipy.interpolate import CubicSpline  # only regularity runs need it
+
         if grid.nx != stack.grid.nx:
             raise ValueError("evaluation grid must share the x collocation points")
         self.level = level

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
-from scipy.optimize import nnls
 
 from .cell import CellProblem, CellSolution, DirichletTop, StripGrid, solve_stokes
 from .recursion import (
@@ -539,6 +538,8 @@ def pointwise_check(workspace: RegularityWorkspace, solution,
     shape fact (e^{-y/2} <= (r/R)^m once y >= 2 m ln R).  Samples cover
     {y_min <= y <= R/2, |x| <= R/2}.
     """
+    from scipy.optimize import nnls  # only regularity runs need it
+
     g = solution.grid
     R = g.height
     # effective polynomial of the fitted combination

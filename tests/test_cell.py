@@ -22,7 +22,7 @@ from stokesbl.cell import (
     trace_expansion,
     transparent_mode_entry,
 )
-from stokesbl.geometry import BoundaryGeometry
+from stokesbl.geometry import AliasingError, BoundaryGeometry
 from stokesbl.modes import ModeExpansion, solve_mode_numeric
 
 COS_WALL = BoundaryGeometry.from_fourier({0: -0.5, 1: -0.25})
@@ -226,6 +226,16 @@ def test_geometry_validation():
         StripGrid(COS_WALL, nx=6, ny=20)  # resolution too small
     with pytest.raises(ValueError):
         solve_cell(COS_WALL, l=0, comp=1)
+
+
+def test_grid_rejects_aliased_geometry():
+    aliased = BoundaryGeometry.from_fourier({0: -0.5, 13: -0.2})
+    with pytest.raises(ValueError, match="aliases"):
+        StripGrid(aliased, nx=24, ny=20)
+    with pytest.raises(AliasingError):
+        StripGrid(BoundaryGeometry.from_fourier({0: -0.5, 12: -0.2}), nx=24, ny=20)
+    StripGrid(BoundaryGeometry.from_fourier({0: -0.5, 11: -0.2}), nx=24, ny=20)
+    StripGrid(aliased, nx=28, ny=20)
 
 
 def test_boundary_trace_monomial():

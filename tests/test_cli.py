@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +49,29 @@ def test_cell_subcommand_flat_tail(tmp_path, geometry_file):
 
 def test_cell_missing_geometry(tmp_path):
     assert main(["cell", "--geometry", str(tmp_path / "nope.json")]) == 2
+
+
+def test_cell_rejects_aliased_geometry(tmp_path, capsys):
+    wall = tmp_path / "aliased.json"
+    wall.write_text(json.dumps(
+        {"fourier": [{"k": 0, "re": -0.5, "im": 0.0}, {"k": 13, "re": -0.2, "im": 0.0}]}
+    ))
+    assert main(["cell", "--geometry", str(wall), "--nx", "24",
+                 "--out-prefix", str(tmp_path / "cellrun")]) == 2
+    assert "invalid configuration" in capsys.readouterr().err
+    assert not (tmp_path / "cellrun.json").exists()
+
+
+def test_cli_import_leaves_regularity_only_scipy_unloaded():
+    code = ("import sys, stokesbl.cli; "
+            "print(sorted(m for m in ('scipy.interpolate', 'scipy.optimize') "
+            "if m in sys.modules))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_corrector_and_wall_law(tmp_path, geometry_file):
@@ -93,8 +119,8 @@ def test_reproducible_artifacts(tmp_path, geometry_file):
         prefix = str(tmp_path / f"run_{run}")
         assert main(["cell", "--geometry", geometry_file, "--l", "1", "--i", "1",
                      "--nx", "16", "--ny", "20", "--out-prefix", prefix]) == 0
-        outs.append((open(prefix + ".json", "rb").read(),
-                     open(prefix + ".csv", "rb").read()))
+        outs.append((Path(prefix + ".json").read_bytes(),
+                     Path(prefix + ".csv").read_bytes()))
     assert outs[0][0] == outs[1][0]
     assert outs[0][1] == outs[1][1]
 

@@ -1,11 +1,16 @@
 """Exact per-mode Stokes solutions and the residual oracle."""
 
+import operator
 import random
 from fractions import Fraction
+from math import isqrt, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from stokesbl import modes
 from stokesbl.modes import (
     ModeData,
     ModeExpansion,
@@ -29,18 +34,18 @@ def S(re, im=0):
 I = S(0, 1)
 
 
-def random_mode_case(rng, d):
+def random_mode_case(rng, d, of=SqrtExt.of):
     k = tuple(rng.choice([v for v in range(-8, 9) if v != 0] + [0] * 3) for _ in range(d - 1))
     if all(v == 0 for v in k):
         k = (rng.choice([1, -1, 2, -3]),) + k[1:]
     deg = rng.randrange(0, 7)
     F = [
-        [S(Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)),
-           Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))) for _ in range(deg + 1)]
+        [of(Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)),
+            Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))) for _ in range(deg + 1)]
         for _ in range(d)
     ]
-    b = [S(Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)),
-           Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))) for _ in range(d)]
+    b = [of(Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)),
+            Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))) for _ in range(d)]
     return ModeData(k, F, b)
 
 
@@ -212,3 +217,225 @@ def test_dtn_matrix_is_memoized_read_only():
                                        for row in dtn_map((2,))]))
     with pytest.raises(ValueError):
         M[0, 0] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# SqrtExt against a Fraction-field reference
+# ---------------------------------------------------------------------------
+
+def _gmul(p, q):
+    return (p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0])
+
+
+class RefSqrtExt:
+    """Reference scalar: the same field with four Fraction parts, no reduction."""
+
+    def __init__(self, ar=0, ai=0, br=0, bi=0, n=0):
+        ar, ai, br, bi = Fraction(ar), Fraction(ai), Fraction(br), Fraction(bi)
+        n = int(n)
+        if n < 0:
+            raise ValueError("radicand must be >= 0")
+        if n:
+            r = isqrt(n)
+            if r * r == n:
+                ar, ai = ar + br * r, ai + bi * r
+                br = bi = Fraction(0)
+                n = 0
+        if br == 0 and bi == 0:
+            n = 0
+        self.ar, self.ai, self.br, self.bi, self.n = ar, ai, br, bi, n
+
+    @staticmethod
+    def _coerce(value):
+        if isinstance(value, RefSqrtExt):
+            return value
+        if isinstance(value, (int, Fraction)):
+            return RefSqrtExt(value)
+        return None
+
+    @classmethod
+    def of(cls, re, im=0):
+        return cls(re, im)
+
+    @classmethod
+    def sqrt_of(cls, n):
+        return cls(0, 0, 1, 0, n)
+
+    def _common_n(self, other):
+        if self.n and other.n and self.n != other.n:
+            raise ValueError(f"incompatible radicands {self.n} and {other.n}")
+        return self.n or other.n
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        n = self._common_n(o)
+        return RefSqrtExt(self.ar + o.ar, self.ai + o.ai, self.br + o.br, self.bi + o.bi, n)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return RefSqrtExt(-self.ar, -self.ai, -self.br, -self.bi, self.n)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else o + (-self)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        n = self._common_n(o)
+        a1, b1 = (self.ar, self.ai), (self.br, self.bi)
+        a2, b2 = (o.ar, o.ai), (o.br, o.bi)
+        ra, rb = _gmul(a1, a2), _gmul(b1, b2)
+        mix1, mix2 = _gmul(a1, b2), _gmul(b1, a2)
+        return RefSqrtExt(ra[0] + n * rb[0], ra[1] + n * rb[1],
+                          mix1[0] + mix2[0], mix1[1] + mix2[1], n)
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        a, b = (self.ar, self.ai), (self.br, self.bi)
+        asq, bsq = _gmul(a, a), _gmul(b, b)
+        w = (asq[0] - self.n * bsq[0], asq[1] - self.n * bsq[1])
+        wnorm = w[0] * w[0] + w[1] * w[1]
+        if wnorm == 0:
+            raise ZeroDivisionError("division by zero SqrtExt")
+        winv = (w[0] / wnorm, -w[1] / wnorm)
+        pa, pb = _gmul(a, winv), _gmul((-b[0], -b[1]), winv)
+        return RefSqrtExt(pa[0], pa[1], pb[0], pb[1], self.n)
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self * o.inverse()
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else o * self.inverse()
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        if self.n and o.n and self.n != o.n:
+            return False
+        return (self.ar, self.ai, self.br, self.bi) == (o.ar, o.ai, o.br, o.bi)
+
+    def conjugate(self):
+        return RefSqrtExt(self.ar, -self.ai, self.br, -self.bi, self.n)
+
+    def is_zero(self):
+        return self.ar == 0 and self.ai == 0 and self.br == 0 and self.bi == 0
+
+    def as_complex(self):
+        root = sqrt(self.n) if self.n else 0.0
+        return complex(float(self.ar) + float(self.br) * root,
+                       float(self.ai) + float(self.bi) * root)
+
+
+def parts(x):
+    return (x.ar, x.ai, x.br, x.bi, x.n)
+
+
+rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+radicands = st.sampled_from([0, 2, 3, 5, 9])
+raw_parts = st.tuples(rationals, rationals, rationals, rationals)
+
+
+def both(raw, n):
+    if n == 0:  # the reference keeps a sqrt(0) part; SqrtExt folds it away
+        raw = raw[:2] + (0, 0)
+    return SqrtExt(*raw, n), RefSqrtExt(*raw, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_parts, raw_parts, radicands)
+def test_sqrtext_ops_match_reference(px, py, n):
+    x, rx = both(px, n)
+    y, ry = both(py, n)
+    for op in (operator.add, operator.sub, operator.mul):
+        assert parts(op(x, y)) == parts(op(rx, ry))
+    assert parts(-x) == parts(-rx)
+    assert parts(x.conjugate()) == parts(rx.conjugate())
+    assert x.is_zero() == rx.is_zero()
+    assert (x == y) == (rx == ry)
+    if ry.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            y.inverse()
+    else:
+        assert parts(y.inverse()) == parts(ry.inverse())
+        assert parts(x / y) == parts(rx / ry)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_parts, radicands, rationals, st.integers(-50, 50))
+def test_sqrtext_mixed_operands_match_reference(px, n, q, m):
+    x, rx = both(px, n)
+    for c in (q, m):
+        assert parts(x + c) == parts(rx + c) and parts(c + x) == parts(c + rx)
+        assert parts(x - c) == parts(rx - c) and parts(c - x) == parts(c - rx)
+        assert parts(x * c) == parts(rx * c) and parts(c * x) == parts(c * rx)
+        if c != 0:
+            assert parts(x / c) == parts(rx / c)
+        if not rx.is_zero():
+            assert parts(c / x) == parts(c / rx)
+        assert (x == c) == (rx == c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_parts, raw_parts, radicands)
+def test_sqrtext_canonical_form(px, py, n):
+    (x, rx), (y, _) = both(px, n), both(py, n)
+    assume(not y.is_zero())
+    back = (x * y) / y
+    assert back == x and hash(back) == hash(x)
+    again = x - y + y
+    assert again == x and hash(again) == hash(x)
+    assert x.as_complex() == rx.as_complex()
+
+
+def test_sqrtext_equal_values_hash_equal():
+    assert SqrtExt(Fraction(6, 2)) == SqrtExt(3)
+    assert hash(SqrtExt(Fraction(6, 2))) == hash(SqrtExt(3)) == hash(3)
+    assert SqrtExt("1/2", "-3/4") == SqrtExt(Fraction(2, 4), Fraction(-6, 8))
+    assert hash(SqrtExt("1/2")) == hash(Fraction(1, 2))
+    assert SqrtExt(0, 0, 2, 0, 4) == SqrtExt(4)  # perfect square folds
+    r2 = SqrtExt.sqrt_of(2)
+    assert (r2 * r2).n == 0 and r2 * r2 == 2
+    assert r2 * Fraction(1, 2) == SqrtExt(0, 0, "1/2", 0, 2)
+    assert hash(r2 / 2) == hash(SqrtExt(0, 0, Fraction(1, 2), 0, 2))
+    assert SqrtExt(0, 0, 0, 0, 7).n == 0  # vanishing sqrt part drops n
+    assert SqrtExt(1, 0, 5, 0, 0) == 1  # sqrt(0) folds like any perfect square
+    assert r2 != SqrtExt.sqrt_of(3)
+    assert repr(SqrtExt(Fraction(2, 4), 1, 3, 0, 5)) == "(1/2+1i) + (3+0i)*sqrt(5)"
+    with pytest.raises(AttributeError):
+        r2.br = Fraction(2)
+
+
+def test_dtn_matrix_bytes_match_reference(monkeypatch):
+    ks = [(k,) for k in range(1, 33)] + [(k, j) for k in range(1, 33) for j in (1, 3)]
+    with monkeypatch.context() as m:
+        m.setattr(modes, "SqrtExt", RefSqrtExt)
+        want = {k: np.array([[e.as_complex() for e in row] for row in modes.dtn_map(k)])
+                for k in ks}
+    for k in ks:
+        assert dtn_matrix(k).tobytes() == want[k].tobytes(), k
+
+
+def test_solve_mode_matches_reference(monkeypatch):
+    for seed in range(20):
+        d = 2 + seed % 2
+        sol = solve_mode(random_mode_case(random.Random(seed), d))
+        with monkeypatch.context() as m:
+            m.setattr(modes, "SqrtExt", RefSqrtExt)
+            ref = modes.solve_mode(random_mode_case(random.Random(seed), d, RefSqrtExt.of))
+        assert isinstance(ref.c, RefSqrtExt)
+        assert [[parts(c) for c in v] for v in sol.V] == [[parts(c) for c in v] for v in ref.V]
+        assert [parts(c) for c in sol.Q] == [parts(c) for c in ref.Q]
+        assert parts(sol.c) == parts(ref.c)
