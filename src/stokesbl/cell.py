@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import AliasingError, BoundaryGeometry
+from .geometry import AliasingError, BoundaryGeometry, InputError
 from .modes import ModeExpansion, dtn_matrix, solve_mode_numeric
 from .polynomials import VectorPolynomial
 
@@ -42,15 +42,15 @@ class StripGrid:
     def __init__(self, geometry: BoundaryGeometry, height: float = 3.0,
                  nx: int = 32, ny: int = 40, stretch: float = 0.0):
         if nx < 8 or ny < 16:
-            raise ValueError("resolution must be at least (8, 16)")
+            raise InputError("resolution must be at least (8, 16)")
         if nx % 2 != 0:
-            raise ValueError("nx must be even")
+            raise InputError("nx must be even")
         if 2 * geometry.max_mode >= nx:
             raise AliasingError(f"geometry mode k = {geometry.max_mode} aliases on nx = {nx};"
                                 f" need nx > {2 * geometry.max_mode}")
         lo, hi = geometry.range()
         if height <= hi:
-            raise ValueError("height must sit above the boundary")
+            raise InputError("height must sit above the boundary")
         self.geometry = geometry
         self.height = float(height)
         self.nx, self.ny = int(nx), int(ny)
@@ -116,8 +116,9 @@ class StripGrid:
 
     # -- helpers used by the recursion and the regularity harness ----------
 
-    def xi_of_y(self, column: int, yvals):
-        """Invert the vertical map on one x-column."""
+    def xi_of_y(self, column, yvals):
+        """Invert the vertical map on one x-column, or pointwise on an array
+        of column indices that broadcasts against yvals."""
         svals = (np.asarray(yvals, dtype=float) - self.gamma[column]) / self.H[column]
         if self.stretch == 0.0:
             return svals

@@ -22,15 +22,15 @@ import time
 
 import numpy as np
 
-from .geometry import AliasingError
+from .geometry import InputError
 
 EXIT_BAD_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_VERIFY = 4
 
 
-class ConfigError(ValueError):
-    pass
+class ConfigError(InputError):
+    """An invalid command-line setting."""
 
 
 # ---------------------------------------------------------------------------
@@ -477,10 +477,7 @@ def main(argv=None) -> int:
     config = {k: v for k, v in vars(args).items() if k != "func" and not callable(v)}
     try:
         code = args.func(args)
-    except (ConfigError, AliasingError) as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    except FileNotFoundError as exc:
+    except (InputError, FileNotFoundError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     if code == 0 and args.command != "verify":

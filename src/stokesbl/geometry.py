@@ -14,7 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-class AliasingError(ValueError):
+class InputError(ValueError):
+    """An input the numerics cannot represent; the CLI exits 2 on it."""
+
+
+class AliasingError(InputError):
     """The boundary has Fourier modes a grid is too coarse to represent."""
 
 
@@ -33,13 +37,13 @@ class BoundaryGeometry:
         seen = set()
         for k, re, im in self.coeffs:
             if k < 0 or k in seen:
-                raise ValueError("modes must have unique wavenumbers k >= 0")
+                raise InputError("modes must have unique wavenumbers k >= 0")
             seen.add(k)
             if k == 0 and im != 0.0:
-                raise ValueError("mean mode must be real")
+                raise InputError("mean mode must be real")
         lo, hi = self.range()
         if lo < -1.0 - 1e-12 or hi > 1e-12:
-            raise ValueError(f"gamma range [{lo:.3g}, {hi:.3g}] violates -1 <= gamma <= 0")
+            raise InputError(f"gamma range [{lo:.3g}, {hi:.3g}] violates -1 <= gamma <= 0")
 
     # -- constructors --------------------------------------------------------
 
@@ -75,12 +79,14 @@ class BoundaryGeometry:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BoundaryGeometry":
+        if not isinstance(data, dict):
+            raise InputError("geometry JSON must be an object")
         if "fourier" in data:
             modes = {int(t["k"]): complex(t["re"], t.get("im", 0.0)) for t in data["fourier"]}
             return cls.from_fourier(modes)
         if "samples" in data:
             return cls.from_samples(data["samples"])
-        raise ValueError("geometry JSON needs a 'fourier' or 'samples' key")
+        raise InputError("geometry JSON needs a 'fourier' or 'samples' key")
 
     # -- evaluation -----------------------------------------------------------
 

@@ -544,28 +544,44 @@ class ModeExpansion:
     def wavenumbers(self) -> list[int]:
         return sorted(self.modes)
 
-    def _accumulate(self, x, y, select, dx=0, dy=0):
+    def _accumulate(self, x, y, selects, dx=0, dy=0) -> list:
+        """Complex mode sums of each selected profile at (x, y).
+
+        e^{-|k|z} and e^{ikx} are formed once per k and shared by the
+        selected profiles.
+        """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         z = y - self.L
-        out = np.zeros(np.broadcast(x, y).shape, dtype=complex)
+        outs = [np.zeros(np.broadcast(x, y).shape, dtype=complex) for _ in selects]
         for k, data in self.modes.items():
             kn = abs(k)
-            poly = np.asarray(select(data), dtype=complex)
-            for _ in range(dy):
-                # d/dy of P(z)e^{-|k|z} -> (P' - |k|P)(z) e^{-|k|z}
-                dp = np.polynomial.polynomial.polyder(poly) if poly.size > 1 else np.zeros(1, complex)
-                poly = np.polynomial.polynomial.polyadd(dp, -kn * poly)
-            vals = np.polynomial.polynomial.polyval(z, poly)
-            out += (1j * k) ** dx * vals * np.exp(-kn * z) * np.exp(1j * k * x)
-        return out
+            factor = (1j * k) ** dx
+            decay = np.exp(-kn * z)
+            wave = np.exp(1j * k * x)
+            for out, select in zip(outs, selects):
+                poly = np.asarray(select(data), dtype=complex)
+                for _ in range(dy):
+                    # d/dy of P(z)e^{-|k|z} -> (P' - |k|P)(z) e^{-|k|z}
+                    dp = np.polynomial.polynomial.polyder(poly) if poly.size > 1 else np.zeros(1, complex)
+                    poly = np.polynomial.polynomial.polyadd(dp, -kn * poly)
+                vals = np.polynomial.polynomial.polyval(z, poly)
+                out += factor * vals * decay * wave
+        return outs
 
     def velocity(self, x, y, comp: int, dx: int = 0, dy: int = 0) -> np.ndarray:
         """Real velocity component (optionally with d/dx, d/dy applied)."""
-        return self._accumulate(x, y, lambda data: data["V"][comp], dx=dx, dy=dy).real
+        return self._accumulate(x, y, [lambda data: data["V"][comp]], dx=dx, dy=dy)[0].real
 
     def pressure(self, x, y, dx: int = 0, dy: int = 0) -> np.ndarray:
-        return self._accumulate(x, y, lambda data: data["Q"], dx=dx, dy=dy).real
+        return self._accumulate(x, y, [lambda data: data["Q"]], dx=dx, dy=dy)[0].real
+
+    def fields(self, x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Real (u1, u2, p) at (x, y) in one sweep over the modes."""
+        sums = self._accumulate(x, y, [lambda data: data["V"][0],
+                                       lambda data: data["V"][1],
+                                       lambda data: data["Q"]])
+        return tuple(v.real for v in sums)
 
     def to_json_list(self) -> list:
         out = []

@@ -28,7 +28,7 @@ from .cell import (
     solve_stokes,
     transparent_mode_entry,
 )
-from .geometry import BoundaryGeometry
+from .geometry import BoundaryGeometry, InputError
 from .modes import (
     ModeExpansion,
     poly_add,
@@ -551,16 +551,53 @@ def stack_to_json(stack: CorrectorStack) -> dict:
     }
 
 
+_STACK_KEYS = ("geometry", "geometry_hash", "height", "nx", "ny", "levels")
+_LEVEL_KEYS = ("beta", "l", "comp", "u", "p_nodes", "v_poly", "q_poly", "modes",
+               "diagnostics")
+
+
+def _missing(data, keys, where: str) -> None:
+    if not isinstance(data, dict):
+        raise InputError(f"{where} must be a JSON object")
+    missing = [k for k in keys if k not in data]
+    if missing:
+        raise InputError(f"{where} lacks {', '.join(missing)}")
+
+
+def _level_array(lv: dict, key: str, shape: tuple, where: str) -> np.ndarray:
+    """lv[key] as a float array of the given shape; None matches any length."""
+    try:
+        arr = np.array(lv[key], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{where}: {key} is not a numeric array") from exc
+    if arr.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, arr.shape)):
+        expected = "(" + ", ".join("n" if n is None else str(n) for n in shape) + ")"
+        raise InputError(f"{where}: {key} has shape {arr.shape}, expected {expected}")
+    return arr
+
+
 def stack_from_json(data: dict) -> CorrectorStack:
+    """Rebuild a stack written by stack_to_json, checking it on the way.
+
+    Raises InputError when a key is missing, a level array has the wrong
+    shape for the stored grid, or geometry_hash is not the digest of the
+    stored geometry.
+    """
+    _missing(data, _STACK_KEYS, "stack")
     geometry = BoundaryGeometry.from_json_dict(data["geometry"])
+    if data["geometry_hash"] != geometry.digest():
+        raise InputError("stack geometry_hash does not match its geometry")
     stack = CorrectorStack(geometry, height=data["height"], nx=data["nx"], ny=data["ny"])
-    for lv in data["levels"]:
+    nx, ny = stack.grid.nx, stack.grid.ny
+    for index, lv in enumerate(data["levels"]):
+        where = f"stack level {index}"
+        _missing(lv, _LEVEL_KEYS, where)
         level = LevelSolution(
             beta=int(lv["beta"]), l=int(lv["l"]), comp=int(lv["comp"]),
-            u=np.array(lv["u"]),
-            p_nodes=np.array(lv["p_nodes"]),
-            v_poly=np.array(lv["v_poly"]),
-            q_poly=np.array(lv["q_poly"]),
+            u=_level_array(lv, "u", (2, nx, ny + 1), where),
+            p_nodes=_level_array(lv, "p_nodes", (nx, ny + 1), where),
+            v_poly=_level_array(lv, "v_poly", (2, None), where),
+            q_poly=_level_array(lv, "q_poly", (None,), where),
             modes=ModeExpansion.from_json_list(lv["modes"], L=data["height"]),
             diagnostics=dict(lv["diagnostics"]),
         )
@@ -572,11 +609,14 @@ class LevelSampler:
     """V^beta, Q^beta and their first derivatives sampled on another grid.
 
     The evaluation grid shares the x collocation points (same nx, same
-    geometry); below the stack lid values come from cubic interpolation of
-    the stored cell fields in xi, above from the mode expansion plus the
-    polynomial part.  Derivatives are formed with the evaluation grid's own
-    discrete operators, so comparisons against fields solved on that grid
-    carry matching discretization bias.
+    geometry).  Below the stack lid the values come from one not-a-knot
+    cubic spline in xi per level, fitted through every column of u1, u2 and
+    p at once, and each column's piecewise cubic is evaluated at that
+    column's own xi points.  Above the lid they are the polynomial part plus
+    one sweep of the mode expansion over all the above-lid nodes.
+    Derivatives are formed with the evaluation grid's own discrete
+    operators, so comparisons against fields solved on that grid carry
+    matching discretization bias.
     """
 
     def __init__(self, level: LevelSolution, stack: CorrectorStack, grid: StripGrid):
@@ -585,27 +625,38 @@ class LevelSampler:
         if grid.nx != stack.grid.nx:
             raise ValueError("evaluation grid must share the x collocation points")
         self.level = level
-        self.values = np.zeros((2, grid.nx, grid.ny + 1))
-        self.pressure = np.zeros((grid.nx, grid.ny + 1))
         sg = stack.grid
-        L = sg.height
-        u = level.u
-        for i in range(grid.nx):
-            y_col = grid.y_nodes[i]
-            below = y_col <= L + 1e-12
-            xi_lo = np.clip(sg.xi_of_y(i, y_col[below]), 0.0, 1.0)
-            for c in range(2):
-                spline = CubicSpline(sg.xi_nodes, u[c][i])
-                self.values[c, i, below] = spline(xi_lo)
-            self.pressure[i, below] = CubicSpline(sg.xi_nodes, level.p_nodes[i])(xi_lo)
-            above = ~below
-            if np.any(above):
-                ya = y_col[above]
-                vp = level.v_poly_at(ya)
-                for c in range(2):
-                    self.values[c, i, above] = vp[c] + level.modes.velocity(
-                        grid.x[i], ya, comp=c)
-                self.pressure[i, above] = level.q_poly_at(ya) + level.modes.pressure(
-                    grid.x[i], ya)
+        fields = np.zeros((3, grid.nx, grid.ny + 1))
+        columns = np.broadcast_to(np.arange(grid.nx)[:, None], grid.y_nodes.shape)
+        below = grid.y_nodes <= sg.height + 1e-12
+
+        spline = CubicSpline(sg.xi_nodes, np.stack([level.u[0], level.u[1], level.p_nodes]),
+                             axis=2)
+        cols = columns[below]
+        xi = np.clip(sg.xi_of_y(cols, grid.y_nodes[below]), 0.0, 1.0)
+        piece = np.clip(np.searchsorted(spline.x, xi, side="right") - 1, 0, sg.ny - 1)
+        s = xi - spline.x[piece]
+        coef = spline.c.transpose(0, 2, 3, 1)[:, :, cols, piece]  # (4, 3, points)
+        # PPoly's sum order (constant term first, then rising powers of s),
+        # so the values are bit-identical to calling the spline
+        power = s
+        acc = 0.0 + coef[3]
+        acc = acc + coef[2] * power
+        power = power * s
+        acc = acc + coef[1] * power
+        power = power * s
+        fields[:, below] = acc + coef[0] * power
+
+        above = ~below
+        if np.any(above):
+            xa = grid.x[columns[above]]
+            ya = grid.y_nodes[above]
+            vp = level.v_poly_at(ya)
+            u1, u2, p = level.modes.fields(xa, ya)
+            fields[0, above] = vp[0] + u1
+            fields[1, above] = vp[1] + u2
+            fields[2, above] = level.q_poly_at(ya) + p
+        self.values = fields[:2]
+        self.pressure = fields[2]
         self.dx = np.stack([grid.dx_nodes(self.values[c]) for c in range(2)])
         self.dy = np.stack([grid.dy_nodes(self.values[c]) for c in range(2)])

@@ -70,6 +70,7 @@ class RegularityWorkspace:
         self._q_coeffs = {i: poly_to_coeff2d(el.Q)
                           for i, el in enumerate(self.elements)}
         self._grad_cache: dict = {}
+        self._column_norms: dict = {}
 
     def _flat_terms(self, el: HeterogeneousElement):
         for a, fld in el.corrector.parts:
@@ -133,6 +134,33 @@ class RegularityWorkspace:
         X = g.x[:, None] + shift
         return (np.abs(X) <= r) & (g.y_nodes <= r)
 
+    def window_pieces(self, r: float):
+        """(shift, mask, quadrature weights) of each period the window meets."""
+        wq = self.grid.node_quad_weights()
+        for shift in self.window_shifts(r):
+            mask = self.window_mask(r, shift)
+            if mask.any():
+                yield shift, mask, wq[mask]
+
+    @staticmethod
+    def _rows(grad: np.ndarray, mask: np.ndarray, sw: np.ndarray) -> np.ndarray:
+        """Quadrature-weighted least-squares rows of (4, nx, ny+1) gradient samples."""
+        return (grad[:, mask] * sw).reshape(4, -1).T.reshape(-1)
+
+    def column_norms(self, r: float) -> np.ndarray:
+        """Windowed gradient norms of the basis columns, stored per radius."""
+        norms = self._column_norms.get(r)
+        if norms is None:
+            norms = np.zeros(len(self.column_indices))
+            for shift, mask, w in self.window_pieces(r):
+                sw = np.sqrt(w)
+                cols = [self._rows(self.element_grad(idx, shift), mask, sw)
+                        for idx in self.column_indices]
+                norms += np.sum(np.column_stack(cols) ** 2, axis=0)
+            norms = np.sqrt(np.maximum(norms, 1e-300))
+            self._column_norms[r] = norms
+        return norms
+
     def excess(self, u_grad, r: float) -> dict:
         """Least-squares distance of grad u from the basis span over B_{r,+}.
 
@@ -141,38 +169,26 @@ class RegularityWorkspace:
         minimizer coefficients (indexed like self.elements, zero-velocity
         elements excluded), the Gram condition estimate and the windowed
         gradient norm of u.
+
+        The basis columns are scaled by their windowed norms, which depend
+        only on the workspace and r and are stored per radius
+        (column_norms).  Each call then makes one pass over the window: it
+        builds each period's rows once and streams them through the QR,
+        accumulating the norm of u and the window weight on the way.
         """
-        g = self.grid
-        wq = g.node_quad_weights()
         ncols = len(self.column_indices)
-        shifts = self.window_shifts(r)
-
-        def blocks(scale):
-            for shift in shifts:
-                mask = self.window_mask(r, shift)
-                if not mask.any():
-                    continue
-                sw = np.sqrt(wq[mask])
-                cols = []
-                for j, idx in enumerate(self.column_indices):
-                    gb = self.element_grad(idx, shift)
-                    cols.append((gb[:, mask] * sw).reshape(4, -1).T.reshape(-1) / scale[j])
-                ub = u_grad(shift)
-                target = (ub[:, mask] * sw).reshape(4, -1).T.reshape(-1)
-                yield np.column_stack(cols + [target]), float(np.sum(wq[mask]))
-
-        norms = np.zeros(ncols)
+        norms = self.column_norms(r)
         total_w = 0.0
         unorm2 = 0.0
-        for blk, wsum in blocks(np.ones(ncols)):
-            norms += np.sum(blk[:, :ncols] ** 2, axis=0)
-            unorm2 += float(np.sum(blk[:, -1] ** 2))
-            total_w += wsum
-        norms = np.sqrt(np.maximum(norms, 1e-300))
-
         R = np.zeros((0, ncols + 1))
-        for blk, _ in blocks(norms):
-            R = np.linalg.qr(np.vstack([R, blk]), mode="r")
+        for shift, mask, w in self.window_pieces(r):
+            sw = np.sqrt(w)
+            cols = [self._rows(self.element_grad(idx, shift), mask, sw) / norms[j]
+                    for j, idx in enumerate(self.column_indices)]
+            target = self._rows(u_grad(shift), mask, sw)
+            unorm2 += float(np.sum(target ** 2))
+            total_w += float(np.sum(w))
+            R = np.linalg.qr(np.vstack([R, np.column_stack(cols + [target])]), mode="r")
         R11 = R[:ncols, :ncols]
         rb = R[:ncols, -1]
         rho = abs(float(R[ncols, ncols])) if R.shape[0] > ncols else 0.0
@@ -344,17 +360,12 @@ class OuterSolution:
         return self._rg
 
     def grad_norm(self, r: float) -> float:
-        g = self.grid
-        wq = g.node_quad_weights()
         total = 0.0
         weight = 0.0
-        for shift in self.lift_ws.window_shifts(r):
-            mask = self.lift_ws.window_mask(r, shift)
-            if not mask.any():
-                continue
+        for shift, mask, w in self.lift_ws.window_pieces(r):
             gb = self.grad(shift)
-            total += float(np.sum(wq[mask] * np.sum(gb[:, mask] ** 2, axis=0)))
-            weight += float(np.sum(wq[mask]))
+            total += float(np.sum(w * np.sum(gb[:, mask] ** 2, axis=0)))
+            weight += float(np.sum(w))
         return float(np.sqrt(total / weight))
 
 
@@ -458,13 +469,10 @@ def pressure_decay(workspace: RegularityWorkspace, solution: "OuterSolution",
     values = []
     for r in radii:
         total, weight = 0.0, 0.0
-        for shift in workspace.window_shifts(r):
-            mask = workspace.window_mask(r, shift)
-            if not mask.any():
-                continue
+        for shift, mask, w in workspace.window_pieces(r):
             res = residual_field(shift)
-            total += float(np.sum(wq[mask] * (res[mask] - c_p) ** 2))
-            weight += float(np.sum(wq[mask]))
+            total += float(np.sum(w * (res[mask] - c_p) ** 2))
+            weight += float(np.sum(w))
         values.append(float(np.sqrt(total / weight)))
     return values
 

@@ -79,19 +79,6 @@ def trace_derivative(coeff2d: np.ndarray, beta: int, k: int) -> np.ndarray:
 # effective parts
 # ---------------------------------------------------------------------------
 
-@dataclass
-class EffectivePair:
-    """Polynomial part (w_poly, pi_poly) of a heterogeneous pair."""
-
-    w_poly_xy: np.ndarray
-    pi_poly_xy: np.ndarray
-    source: HeterogeneousElement
-
-
-def effective_part(element: HeterogeneousElement) -> EffectivePair:
-    return EffectivePair(element.w_poly_xy, element.pi_poly_xy, element)
-
-
 def het_part_velocity(corr, x, y, comp: int, dx: int = 0, dy: int = 0) -> np.ndarray:
     """Decaying remainder of a corrector above the lid (mode expansions).
 

@@ -62,6 +62,63 @@ def test_cell_rejects_aliased_geometry(tmp_path, capsys):
     assert not (tmp_path / "cellrun.json").exists()
 
 
+def test_cell_rejects_odd_nx(tmp_path, geometry_file, capsys):
+    assert main(["cell", "--geometry", geometry_file, "--nx", "9",
+                 "--out-prefix", str(tmp_path / "cellrun")]) == 2
+    assert "nx must be even" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload", [
+    {"fourier": [{"k": 0, "re": 0.5}]},
+    {"modes": []},
+], ids=["gamma-above-zero", "no-geometry-key"])
+def test_cell_rejects_unrepresentable_geometry(tmp_path, payload, capsys):
+    wall = tmp_path / "wall.json"
+    wall.write_text(json.dumps(payload))
+    assert main(["cell", "--geometry", str(wall),
+                 "--out-prefix", str(tmp_path / "cellrun")]) == 2
+    assert "invalid configuration" in capsys.readouterr().err
+
+
+def _break_first_level(data):
+    data["levels"][0]["u"] = [[1.0]]
+
+
+def _drop_p_nodes(data):
+    del data["levels"][0]["p_nodes"]
+
+
+def _flatten_p_nodes(data):
+    data["levels"][0]["p_nodes"] = data["levels"][0]["p_nodes"][0]
+
+
+def _three_row_v_poly(data):
+    data["levels"][0]["v_poly"].append(data["levels"][0]["v_poly"][0])
+
+
+def _wrong_hash(data):
+    data["geometry_hash"] = "0" * 16
+
+
+@pytest.mark.parametrize("corrupt", [
+    _break_first_level, _drop_p_nodes, _flatten_p_nodes, _three_row_v_poly, _wrong_hash,
+])
+def test_malformed_stack_exits_2(tmp_path, geometry_file, corrupt, capsys):
+    stack_out = tmp_path / "stack.json"
+    assert main(["corrector", "--geometry", geometry_file, "--alpha", "0",
+                 "--nx", "16", "--ny", "20", "--out", str(stack_out)]) == 0
+    data = json.loads(stack_out.read_text())
+    corrupt(data)
+    stack_out.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["wall-law", "--stack", str(stack_out), "--order", "2",
+                 "--out", str(tmp_path / "law.json")]) == 2
+    assert main(["corrector", "--geometry", geometry_file, "--alpha", "1",
+                 "--nx", "16", "--ny", "20", "--out", str(stack_out)]) == 2
+    assert capsys.readouterr().err.count("invalid configuration") == 2
+    assert not (tmp_path / "law.json").exists()
+
+
 def test_cli_import_leaves_regularity_only_scipy_unloaded():
     code = ("import sys, stokesbl.cli; "
             "print(sorted(m for m in ('scipy.interpolate', 'scipy.optimize') "

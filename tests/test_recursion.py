@@ -1,14 +1,22 @@
 """Corrector hierarchy: recursion identities, assembly, route equivalence."""
 
+import json
+
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.interpolate import CubicSpline
 
+from stokesbl.cell import StripGrid
 from stokesbl.geometry import BoundaryGeometry
 from stokesbl.modes import ModeExpansion, poly_add, poly_derive, poly_scale
 from stokesbl.polynomials import ExactPolynomial, VectorPolynomial
 from stokesbl.recursion import (
     CorrectorStack,
+    LevelSampler,
     LevelSolution,
     assemble_alpha,
     assemble_source,
@@ -260,3 +268,98 @@ def test_stack_roundtrip(stack):
     x = np.linspace(-np.pi, np.pi, 7)
     assert np.allclose(lv.modes.velocity(x, 4.0, comp=0),
                        ref.modes.velocity(x, 4.0, comp=0))
+
+
+# -- LevelSampler against the per-column construction ------------------------
+
+def _column_sampler_oracle(level, stack, grid):
+    """Per-column resampling: three splines and three mode sums per column."""
+    values = np.zeros((2, grid.nx, grid.ny + 1))
+    pressure = np.zeros((grid.nx, grid.ny + 1))
+    sg = stack.grid
+    for i in range(grid.nx):
+        y_col = grid.y_nodes[i]
+        below = y_col <= sg.height + 1e-12
+        xi_lo = np.clip(sg.xi_of_y(i, y_col[below]), 0.0, 1.0)
+        for c in range(2):
+            values[c, i, below] = CubicSpline(sg.xi_nodes, level.u[c][i])(xi_lo)
+        pressure[i, below] = CubicSpline(sg.xi_nodes, level.p_nodes[i])(xi_lo)
+        above = ~below
+        if np.any(above):
+            ya = y_col[above]
+            vp = level.v_poly_at(ya)
+            for c in range(2):
+                values[c, i, above] = vp[c] + level.modes.velocity(grid.x[i], ya, comp=c)
+            pressure[i, above] = level.q_poly_at(ya) + level.modes.pressure(grid.x[i], ya)
+    return values, pressure
+
+
+@pytest.mark.parametrize("height, ny, stretch", [(40.0, 200, 4.0), (6.0, 48, 0.0)],
+                         ids=["tall-stretched", "unstretched"])
+def test_level_sampler_matches_column_oracle(stack, height, ny, stretch):
+    grid = StripGrid(COS_WALL, height=height, nx=stack.grid.nx, ny=ny, stretch=stretch)
+    assert (grid.y_nodes > stack.height).any() and (grid.y_nodes <= stack.height).any()
+    heterogeneous_basis(stack, 2)
+    for key in sorted(stack.levels):
+        level = stack.levels[key]
+        smp = LevelSampler(level, stack, grid)
+        values, pressure = _column_sampler_oracle(level, stack, grid)
+        assert smp.values.tobytes() == values.tobytes(), key
+        assert smp.pressure.tobytes() == pressure.tobytes(), key
+        assert np.array_equal(smp.dx, np.stack([grid.dx_nodes(v) for v in values]))
+        assert np.array_equal(smp.dy, np.stack([grid.dy_nodes(v) for v in values]))
+
+
+# -- stack persistence ---------------------------------------------------------
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_COMPLEX = st.complex_numbers(allow_nan=False, allow_infinity=False)
+_ROUNDTRIP_GRID = (8, 16)
+
+
+@st.composite
+def _levels(draw):
+    nx, ny = _ROUNDTRIP_GRID
+    out = []
+    for beta in range(draw(st.integers(1, 3))):
+        modes = {}
+        for k in draw(st.sets(st.integers(1, nx // 2), max_size=3)):
+            n = draw(st.integers(1, 4))
+            V = [draw(arrays(complex, n, elements=_COMPLEX)) for _ in range(2)]
+            Q = draw(arrays(complex, draw(st.integers(1, 3)), elements=_COMPLEX))
+            c = draw(_COMPLEX)
+            modes[k] = {"V": V, "Q": Q, "c": c}
+            modes[-k] = {"V": [np.conj(v) for v in V], "Q": np.conj(Q), "c": np.conj(c)}
+        out.append(LevelSolution(
+            beta=beta, l=1, comp=draw(st.sampled_from([1, 2])),
+            u=draw(arrays(float, (2, nx, ny + 1), elements=_FINITE)),
+            p_nodes=draw(arrays(float, (nx, ny + 1), elements=_FINITE)),
+            v_poly=draw(arrays(float, (2, beta + 1), elements=_FINITE)),
+            q_poly=draw(arrays(float, max(beta, 1), elements=_FINITE)),
+            modes=ModeExpansion(3.0, modes),
+            diagnostics={"multiplier": draw(_FINITE)},
+        ))
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(levels=_levels())
+def test_stack_json_roundtrip_preserves_level_arrays(levels):
+    nx, ny = _ROUNDTRIP_GRID
+    stack = CorrectorStack(COS_WALL, nx=nx, ny=ny)
+    for lv in levels:
+        stack.levels[(lv.beta, lv.l, lv.comp)] = lv
+    rebuilt = stack_from_json(json.loads(json.dumps(stack_to_json(stack))))
+    assert sorted(rebuilt.levels) == sorted(stack.levels)
+    for key, ref in stack.levels.items():
+        got = rebuilt.levels[key]
+        for name in ("u", "p_nodes", "v_poly", "q_poly"):
+            assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert sorted(got.modes.modes) == sorted(ref.modes.modes)
+        for k, data in ref.modes.modes.items():
+            back = got.modes.modes[k]
+            for c in range(2):
+                assert np.asarray(back["V"][c]).tobytes() == np.asarray(data["V"][c]).tobytes()
+            assert np.asarray(back["Q"]).tobytes() == np.asarray(data["Q"]).tobytes()
+            assert back["c"] == data["c"]
+        assert got.diagnostics == ref.diagnostics

@@ -59,6 +59,77 @@ def test_excess_zero_field(ws2):
     assert ws2.excess(zero, 4.0)["H"] == 0.0
 
 
+def _two_pass_excess(ws, u_grad, r):
+    """Excess with the column norms and the QR each in their own window pass."""
+    wq = ws.grid.node_quad_weights()
+    ncols = len(ws.column_indices)
+
+    def blocks(scale):
+        for shift in ws.window_shifts(r):
+            mask = ws.window_mask(r, shift)
+            if not mask.any():
+                continue
+            sw = np.sqrt(wq[mask])
+            cols = [(ws.element_grad(idx, shift)[:, mask] * sw).reshape(4, -1).T.reshape(-1)
+                    / scale[j] for j, idx in enumerate(ws.column_indices)]
+            target = (u_grad(shift)[:, mask] * sw).reshape(4, -1).T.reshape(-1)
+            yield np.column_stack(cols + [target]), float(np.sum(wq[mask]))
+
+    norms = np.zeros(ncols)
+    total_w = 0.0
+    unorm2 = 0.0
+    for blk, wsum in blocks(np.ones(ncols)):
+        norms += np.sum(blk[:, :ncols] ** 2, axis=0)
+        unorm2 += float(np.sum(blk[:, -1] ** 2))
+        total_w += wsum
+    norms = np.sqrt(np.maximum(norms, 1e-300))
+    R = np.zeros((0, ncols + 1))
+    for blk, _ in blocks(norms):
+        R = np.linalg.qr(np.vstack([R, blk]), mode="r")
+    R11 = R[:ncols, :ncols]
+    rb = R[:ncols, -1]
+    rho = abs(float(R[ncols, ncols])) if R.shape[0] > ncols else 0.0
+    diag = np.abs(np.diag(R11))
+    rank_ok = bool(diag.min() > 1e-13 * diag.max())
+    coef_scaled = np.linalg.solve(R11, rb) if rank_ok \
+        else np.linalg.lstsq(R11, rb, rcond=None)[0]
+    return {
+        "H": rho / np.sqrt(total_w),
+        "coefficients": coef_scaled / norms,
+        "column_indices": list(ws.column_indices),
+        "cond": float(diag.max() / max(diag.min(), 1e-300)),
+        "grad_norm": np.sqrt(unorm2 / total_w),
+        "weight": total_w,
+        "rank_ok": rank_ok,
+    }
+
+
+def _assert_same_excess(got, want):
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        if isinstance(value, np.ndarray):
+            assert got[key].tobytes() == value.tobytes(), key
+        else:
+            assert got[key] == value, key
+
+
+def test_excess_matches_two_pass_oracle(ws2, ws3):
+    r = 5.0
+    assert r not in ws2._column_norms
+    fields = {
+        "basis element": lambda shift: ws2.element_grad(ws2.column_indices[1], shift),
+        "zero": lambda shift: np.zeros((4, ws2.grid.nx, ws2.grid.ny + 1)),
+        "growth probe": lambda shift: ws3.element_grad(ws3.column_indices[-1], shift),
+    }
+    for name, u_grad in fields.items():
+        _assert_same_excess(ws2.excess(u_grad, r), _two_pass_excess(ws2, u_grad, r))
+    # the norms at r were formed by the first call and reused since
+    norms = ws2._column_norms[r]
+    again = ws2.excess(fields["growth probe"], r)
+    assert ws2._column_norms[r] is norms
+    _assert_same_excess(again, _two_pass_excess(ws2, fields["growth probe"], r))
+
+
 def test_excess_scales_linearly(ws2, ws3):
     idx = ws3.column_indices[-1]
     base = lambda shift: ws3.element_grad(idx, shift)

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from stokesbl.geometry import BoundaryGeometry
-from stokesbl.recursion import CorrectorStack, heterogeneous_basis, script_S
+from stokesbl.recursion import CorrectorStack, heterogeneous_basis, poly_to_coeff2d, script_S
 from stokesbl.walllaw import (
     WallLawAccuracyError,
     basis_identity_residuals,
-    effective_part,
     het_part_velocity,
     phi_table,
     second_order_2d,
@@ -88,8 +87,15 @@ def test_second_order_flat_is_zero():
 def test_effective_part_and_het_decay(stack):
     els = heterogeneous_basis(stack, 1)
     el = next(e for e in els if not e.P.is_zero())
-    eff = effective_part(el)
-    assert eff.w_poly_xy is el.w_poly_xy
+    # the effective part is P plus the corrector's polynomial part
+    w = el.w_poly_xy
+    corr = el.corrector.v_poly_xy
+    for c in range(2):
+        pc = poly_to_coeff2d(el.P[c])
+        expect = np.zeros_like(w[c])
+        expect[: pc.shape[0], : pc.shape[1]] += pc
+        expect[: corr.shape[1], : corr.shape[2]] += corr[c]
+        assert np.array_equal(w[c], expect)
 
     # sup_x |w - w_poly| decays with the lowest-mode rate e^{-2} per two units
     # of height; the linear-in-z mode profile inflates the near ratios slightly
