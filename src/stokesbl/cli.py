@@ -29,6 +29,14 @@ EXIT_SOLVER = 3
 EXIT_VERIFY = 4
 
 
+#: BLAS/OpenMP thread settings when this module was imported.  numpy is
+#: loaded by then, so these are the settings in effect for the whole run.
+THREADS_IN_EFFECT = {
+    var: os.environ.get(var, "")
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+}
+
+
 class ConfigError(InputError):
     """An invalid command-line setting."""
 
@@ -99,10 +107,9 @@ def write_manifest(base: str, config: dict, artifacts: list[str], started: float
             "python": sys.version.split()[0],
         },
         "wall_clock_s": time.time() - started,
-        "threads": {
-            var: os.environ.get(var, "")
-            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-        },
+        "threads": THREADS_IN_EFFECT,
+        "threads_requested": config.get("threads"),
+        "affinity": sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
     }
     return write_atomic(base + ".manifest.json", dump_json(manifest))
 
@@ -412,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "diagnostics for Stokes flow over rough periodic walls.",
     )
     parser.add_argument("--threads", type=int, default=None,
-                        help="cap BLAS/OpenMP threads (recorded in the manifest)")
+                        help="requested BLAS/OpenMP thread cap, recorded in the manifest; "
+                             "only the *_NUM_THREADS variables set at start-up take effect")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("basis", help="exact Stokes polynomial basis")
@@ -471,9 +479,6 @@ def main(argv=None) -> int:
     started = time.time()
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
     config = {k: v for k, v in vars(args).items() if k != "func" and not callable(v)}
     try:
         code = args.func(args)

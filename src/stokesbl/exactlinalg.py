@@ -1,8 +1,10 @@
 """Small exact linear algebra helpers over the rationals.
 
 Used for basis generation (nullspaces of divergence/Laplace coefficient maps)
-and for certifying the dimension formulas.  Matrices are lists of rows of
-Fraction; everything is deterministic (no pivoting heuristics beyond first
+and for certifying the dimension formulas.  The exact routines take lists of
+rows of Fraction; the rank certificate works on an int64 matrix mod a prime,
+filled from sparse (row, col, Fraction) entries, which need no dense Fraction
+rows.  Everything is deterministic (no pivoting heuristics beyond first
 nonzero column, so bases come out in a reproducible order).
 """
 
@@ -67,39 +69,45 @@ def nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
 
 
 def rank_mod_p(rows: list[list[Fraction]], p: int = RANK_PRIME) -> int:
-    """Rank of the matrix reduced mod p.
+    """Rank mod p of a matrix of Fraction rows; see `sparse_rank_mod_p`."""
+    entries = ((i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row) if v)
+    return sparse_rank_mod_p(entries, (len(rows), len(rows[0]) if rows else 0), p)
 
-    Denominators are inverted mod p; every prime factor of a denominator must
-    be < p (true here: they come from small factorials).  rank_mod_p <= exact
-    rank always, and rank_mod_p == nrows certifies full row rank over Q.
+
+def sparse_rank_mod_p(entries, shape: tuple[int, int], p: int = RANK_PRIME) -> int:
+    """Rank mod p of the matrix with these (row, col, Fraction) entries, 0 elsewhere.
+
+    Fills an int64 matrix with one modular inverse per distinct denominator;
+    every prime factor of a denominator must be < p (true here: they come
+    from small factorials).  The rank mod p is <= the rank over Q, so rank
+    == nrows certifies full row rank over Q.  Each pivot step touches only
+    the rows with a nonzero entry in the pivot column, and only the columns
+    from the pivot column on.
     """
-    if not rows:
-        return 0
-    nrows, ncols = len(rows), len(rows[0])
-    mat = np.zeros((nrows, ncols), dtype=np.int64)
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            if v == 0:
-                continue
-            den = v.denominator % p
-            if den == 0 or gcd(v.denominator, p) != 1:
+    mat = np.zeros(shape, dtype=np.int64)
+    inverses: dict[int, int] = {}
+    for i, j, v in entries:
+        inv = inverses.get(v.denominator)
+        if inv is None:
+            if gcd(v.denominator, p) != 1:
                 raise ValueError("denominator not invertible mod p")
-            mat[i, j] = (v.numerator % p) * pow(den, p - 2, p) % p
+            inv = inverses[v.denominator] = pow(v.denominator, -1, p)
+        mat[i, j] = v.numerator * inv % p
+    nrows, ncols = shape
     rank = 0
     for c in range(ncols):
         if rank == nrows:
             break
-        col = mat[rank:, c]
-        nz = np.nonzero(col)[0]
+        nz = np.flatnonzero(mat[rank:, c])
         if nz.size == 0:
             continue
         piv = rank + int(nz[0])
         if piv != rank:
-            mat[[rank, piv]] = mat[[piv, rank]]
-        inv = pow(int(mat[rank, c]), p - 2, p)
-        mat[rank] = (mat[rank] * inv) % p
-        below = mat[rank + 1 :, c].copy()
-        if below.any():
-            mat[rank + 1 :] = (mat[rank + 1 :] - below[:, None] * mat[rank][None, :]) % p
+            mat[[rank, piv], c:] = mat[[piv, rank], c:]
+        row = mat[rank, c:] * pow(int(mat[rank, c]), -1, p) % p
+        # rows below the pivot's old position; the swapped-down row is 0 in c
+        below = rank + nz[1:]
+        if below.size:
+            mat[below, c:] = (mat[below, c:] - mat[below, c, None] * row) % p
         rank += 1
     return rank

@@ -20,11 +20,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
 
-from .exactlinalg import exact_rank, nullspace, rank_mod_p
+from .exactlinalg import exact_rank, nullspace, sparse_rank_mod_p
 from .polynomials import (
     ExactPolynomial,
     VectorPolynomial,
-    grlex_key,
+    add_terms,
     monomial_exponents,
 )
 
@@ -84,16 +84,18 @@ def harmonic_extension(q1: ExactPolynomial, q2: ExactPolynomial) -> ExactPolynom
     """
     if q1.dim != q2.dim:
         raise ValueError("dimension mismatch")
-    out = ExactPolynomial.zero(q1.dim)
+    out: dict = {}
     for parity, seed in ((0, q1), (1, q2)):
         term = seed
         j = 0
         while not term.is_zero():
             power = 2 * j + parity
-            out = out + term.scale(Fraction((-1) ** j, factorial(power))).shift_y(power)
+            factor = Fraction((-1) ** j, factorial(power))
+            add_terms(out, ((e[:-1] + (e[-1] + power,), factor * c)
+                            for e, c in term._terms.items()))
             term = term.horizontal_laplacian()
             j += 1
-    return out
+    return ExactPolynomial._trusted(q1.dim, out)
 
 
 def trace_split(q: ExactPolynomial) -> tuple[ExactPolynomial, ExactPolynomial]:
@@ -135,19 +137,20 @@ def delta_D_inv(f: ExactPolynomial) -> ExactPolynomial:
     For a single monomial x^a y^l:
         sum_j (-1)^j l! / (l+2j+2)! (Lap'^j x^a) y^{l+2j+2}.
     """
-    out = ExactPolynomial.zero(f.dim)
-    for exp, coeff in f.terms.items():
+    out: dict = {}
+    for exp, coeff in f._terms.items():
         l = exp[-1]
-        term = ExactPolynomial.monomial(exp[:-1] + (0,), coeff, f.dim)
+        term = ExactPolynomial._trusted(f.dim, {exp[:-1] + (0,): coeff})
         j = 0
         while not term.is_zero():
             power = l + 2 * j + 2
-            out = out + term.scale(
-                Fraction((-1) ** j * factorial(l), factorial(power))
-            ).shift_y(power)
+            factor = Fraction((-1) ** j * factorial(l), factorial(power))
+            # term has y-degree 0, so the shift by y^power sets the last slot
+            add_terms(out, ((e[:-1] + (power,), factor * c)
+                            for e, c in term._terms.items()))
             term = term.horizontal_laplacian()
             j += 1
-    return out
+    return ExactPolynomial._trusted(f.dim, out)
 
 
 def _pressure_lift_any(p: ExactPolynomial) -> VectorPolynomial:
@@ -290,34 +293,40 @@ class SpaceBasis:
     def __len__(self) -> int:
         return len(self.elements)
 
+    def _slots(self) -> list:
+        """Monomial slots of each component: exponents of degree <= order, graded-lex."""
+        return [e for deg in range(self.order + 1) for e in monomial_exponents(self.dim, deg)]
+
     def coefficient_matrix(self) -> list[list[Fraction]]:
         """Rows = elements, columns = all velocity/pressure monomial slots."""
-        d = self.dim
-        vel_slots = []
-        for deg in range(self.order + 1):
-            vel_slots.extend(monomial_exponents(d, deg))
-        vel_slots.sort(key=grlex_key)
-        rows = []
-        for el in self.elements:
-            row = []
-            for comp in range(d):
-                terms = el.velocity[comp].terms
-                row.extend(terms.get(exp, Fraction(0)) for exp in vel_slots)
-            pterms = el.pressure.terms
-            row.extend(pterms.get(exp, Fraction(0)) for exp in vel_slots)
-            rows.append(row)
-        return rows
+        slots = self._slots()
+        zero = Fraction(0)
+        return [
+            [poly._terms.get(exp, zero)
+             for poly in (*el.velocity.components, el.pressure) for exp in slots]
+            for el in self.elements
+        ]
 
     def certify_rank(self, exact: bool = False) -> bool:
         """True iff the elements are linearly independent over Q.
 
-        Full rank mod p certifies full rank over Q; `exact=True` forces the
-        Fraction elimination (slow for the large bases).
+        Full rank mod p certifies full rank over Q.  The mod-p matrix is
+        filled straight from the term maps; `exact=True` builds the dense
+        Fraction matrix and eliminates over Q instead (slow for large bases).
         """
-        rows = self.coefficient_matrix()
         if exact:
+            rows = self.coefficient_matrix()
             return exact_rank(rows) == len(rows)
-        return rank_mod_p(rows) == len(rows)
+        slots = self._slots()
+        index = {exp: j for j, exp in enumerate(slots)}
+        entries = (
+            (i, comp * len(slots) + index[exp], c)
+            for i, el in enumerate(self.elements)
+            for comp, poly in enumerate((*el.velocity.components, el.pressure))
+            for exp, c in poly._terms.items() if exp in index
+        )
+        shape = (len(self.elements), (self.dim + 1) * len(slots))
+        return sparse_rank_mod_p(entries, shape) == len(self.elements)
 
 
 def homogeneous_stokes_basis(m: int, d: int) -> tuple[list[StokesPair], list[str]]:

@@ -6,7 +6,10 @@ last axis is always the vertical coordinate.  Zero coefficients are never
 stored, so equality of term maps is equality of polynomials.
 
 All values are immutable after construction and every operation returns a new
-object, so they are safe to share across threads.
+object, so they are safe to share across threads.  The public constructor
+validates and canonicalizes its input; internal operations build term maps
+that are canonical by construction and return them through the private
+``ExactPolynomial._trusted`` without re-validating them.
 """
 
 from __future__ import annotations
@@ -93,6 +96,21 @@ def validate_multi_index(alpha: Sequence[int]) -> Exponent:
     return tup
 
 
+def add_terms(out: dict[Exponent, Fraction], terms: Iterable[tuple[Exponent, Fraction]]) -> None:
+    """Add (exponent, nonzero coefficient) pairs into a canonical term map in
+    place.  A sum that cancels is popped, so the key order is that of ``+``."""
+    for e, c in terms:
+        prev = out.get(e)
+        if prev is None:
+            out[e] = c
+        else:
+            s = prev + c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+
+
 # ---------------------------------------------------------------------------
 # ExactPolynomial
 # ---------------------------------------------------------------------------
@@ -127,6 +145,15 @@ class ExactPolynomial:
                     else:
                         clean[exp] = c
         self._terms = clean
+
+    @classmethod
+    def _trusted(cls, dim: int, terms: dict[Exponent, Fraction]) -> "ExactPolynomial":
+        """Wrap a canonical term map (int-tuple keys of length dim, nonzero
+        Fraction values) without copying or re-checking it."""
+        out = object.__new__(cls)
+        out.dim = dim
+        out._terms = terms
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -177,7 +204,7 @@ class ExactPolynomial:
         return self._terms.get(tuple(exp), Fraction(0))
 
     def homogeneous_part(self, degree: int) -> "ExactPolynomial":
-        return ExactPolynomial(
+        return ExactPolynomial._trusted(
             self.dim, {e: c for e, c in self._terms.items() if sum(e) == degree}
         )
 
@@ -196,16 +223,11 @@ class ExactPolynomial:
     def __add__(self, other: "ExactPolynomial") -> "ExactPolynomial":
         self._check_dim(other)
         out = dict(self._terms)
-        for e, c in other._terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return ExactPolynomial(self.dim, out)
+        add_terms(out, other._terms.items())
+        return ExactPolynomial._trusted(self.dim, out)
 
     def __neg__(self) -> "ExactPolynomial":
-        return ExactPolynomial(self.dim, {e: -c for e, c in self._terms.items()})
+        return ExactPolynomial._trusted(self.dim, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "ExactPolynomial") -> "ExactPolynomial":
         return self + (-other)
@@ -215,14 +237,9 @@ class ExactPolynomial:
             self._check_dim(other)
             out: dict[Exponent, Fraction] = {}
             for e1, c1 in self._terms.items():
-                for e2, c2 in other._terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    s = out.get(e, Fraction(0)) + c1 * c2
-                    if s == 0:
-                        out.pop(e, None)
-                    else:
-                        out[e] = s
-            return ExactPolynomial(self.dim, out)
+                add_terms(out, ((tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+                                for e2, c2 in other._terms.items()))
+            return ExactPolynomial._trusted(self.dim, out)
         return self.scale(other)
 
     __rmul__ = __mul__
@@ -231,7 +248,7 @@ class ExactPolynomial:
         f = Fraction(factor)
         if f == 0:
             return ExactPolynomial.zero(self.dim)
-        return ExactPolynomial(self.dim, {e: f * c for e, c in self._terms.items()})
+        return ExactPolynomial._trusted(self.dim, {e: f * c for e, c in self._terms.items()})
 
     def __pow__(self, n: int) -> "ExactPolynomial":
         if n < 0:
@@ -265,7 +282,7 @@ class ExactPolynomial:
             ne = list(e)
             ne[axis] = k - 1
             out[tuple(ne)] = c * k
-        return ExactPolynomial(self.dim, out)
+        return ExactPolynomial._trusted(self.dim, out)
 
     def antiderive(self, axis: int) -> "ExactPolynomial":
         """Antiderivative along `axis` vanishing where that coordinate is 0."""
@@ -276,20 +293,24 @@ class ExactPolynomial:
             ne = list(e)
             ne[axis] = e[axis] + 1
             out[tuple(ne)] = c / (e[axis] + 1)
-        return ExactPolynomial(self.dim, out)
+        return ExactPolynomial._trusted(self.dim, out)
 
     def laplacian(self) -> "ExactPolynomial":
-        out = ExactPolynomial.zero(self.dim)
-        for axis in range(self.dim):
-            out = out + self.derive(axis).derive(axis)
-        return out
+        return self._second_derivative_sum(self.dim)
 
     def horizontal_laplacian(self) -> "ExactPolynomial":
         """Laplacian in the x variables only (all axes but the last)."""
-        out = ExactPolynomial.zero(self.dim)
-        for axis in range(self.dim - 1):
-            out = out + self.derive(axis).derive(axis)
-        return out
+        return self._second_derivative_sum(self.dim - 1)
+
+    def _second_derivative_sum(self, naxes: int) -> "ExactPolynomial":
+        """sum over axes < naxes of d^2/d(axis)^2, added in axis order."""
+        out: dict[Exponent, Fraction] = {}
+        for axis in range(naxes):
+            add_terms(out, (
+                (e[:axis] + (e[axis] - 2,) + e[axis + 1:], c * (e[axis] * (e[axis] - 1)))
+                for e, c in self._terms.items() if e[axis] >= 2
+            ))
+        return ExactPolynomial._trusted(self.dim, out)
 
     def gradient(self) -> "VectorPolynomial":
         return VectorPolynomial([self.derive(axis) for axis in range(self.dim)])
@@ -324,7 +345,7 @@ class ExactPolynomial:
 
     def trace_at_zero(self) -> "ExactPolynomial":
         """Substitute y = 0 (keep only terms with zero y-exponent)."""
-        return ExactPolynomial(
+        return ExactPolynomial._trusted(
             self.dim, {e: c for e, c in self._terms.items() if e[-1] == 0}
         )
 
@@ -337,7 +358,7 @@ class ExactPolynomial:
             ne = list(e)
             ne[-1] += power
             out[tuple(ne)] = c
-        return ExactPolynomial(self.dim, out)
+        return ExactPolynomial._trusted(self.dim, out)
 
     # -- serialization ---------------------------------------------------------
 
@@ -450,10 +471,10 @@ class VectorPolynomial:
         """sum_i d(component_i)/d(axis_i); requires len == dim."""
         if len(self.components) != self.dim:
             raise ValueError("divergence needs a d-vector in d variables")
-        out = ExactPolynomial.zero(self.dim)
+        out: dict[Exponent, Fraction] = {}
         for axis, comp in enumerate(self.components):
-            out = out + comp.derive(axis)
-        return out
+            add_terms(out, comp.derive(axis)._terms.items())
+        return ExactPolynomial._trusted(self.dim, out)
 
     def laplacian(self) -> "VectorPolynomial":
         return VectorPolynomial([c.laplacian() for c in self.components])

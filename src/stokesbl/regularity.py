@@ -359,15 +359,6 @@ class OuterSolution:
             ])
         return self._rg
 
-    def grad_norm(self, r: float) -> float:
-        total = 0.0
-        weight = 0.0
-        for shift, mask, w in self.lift_ws.window_pieces(r):
-            gb = self.grad(shift)
-            total += float(np.sum(w * np.sum(gb[:, mask] ** 2, axis=0)))
-            weight += float(np.sum(w))
-        return float(np.sqrt(total / weight))
-
 
 def build_outer_solution(lift_ws: RegularityWorkspace, kind: str,
                          seed: int = 0) -> OuterSolution:

@@ -191,6 +191,22 @@ def test_manifest_records_inputs(tmp_path):
     assert manifest["config"]["order"] == 1
 
 
+def test_manifest_records_threads_in_effect(tmp_path):
+    from stokesbl import cli
+
+    env_before = dict(os.environ)
+    out = tmp_path / "basis.json"
+    assert main(["--threads", "3", "basis", "--dim", "2", "--order", "1",
+                 "--out", str(out)]) == 0
+    assert dict(os.environ) == env_before
+    manifest = json.loads((tmp_path / "basis.manifest.json").read_text())
+    assert manifest["threads"] == cli.THREADS_IN_EFFECT
+    assert set(manifest["threads"]) == {
+        "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"}
+    assert manifest["threads_requested"] == 3
+    assert manifest["affinity"] == sorted(os.sched_getaffinity(0))
+
+
 def test_write_atomic_interleaved_writers_use_distinct_temp_files(tmp_path, monkeypatch):
     # a second write to the same path starts and lands while the first one
     # sits between writing its temp file and moving it into place

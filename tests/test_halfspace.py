@@ -2,11 +2,14 @@
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
+from hypothesis import given, settings
 
 from stokesbl.exactlinalg import exact_rank, rank_mod_p
 from stokesbl.halfspace import (
+    SpaceBasis,
     StokesPair,
     delta_D_inv,
     dim_harmonic,
@@ -23,7 +26,14 @@ from stokesbl.halfspace import (
 )
 from stokesbl.polynomials import ExactPolynomial, VectorPolynomial
 
-from test_polynomials import random_poly
+from test_polynomials import (
+    assert_canonical,
+    dim_and_polys,
+    random_poly,
+    ref_add,
+    ref_laplacian,
+    same_terms,
+)
 
 
 def mono(dim, *exp):
@@ -253,3 +263,67 @@ def test_rank_mod_p_matches_exact_rank():
         basis = stokes_basis(m, d)
         rows = basis.coefficient_matrix()
         assert exact_rank(rows) == rank_mod_p(rows) == len(basis)
+
+
+def test_certify_rank_agrees_with_exact_rank():
+    for d, m in ((2, 4), (3, 3), (4, 2)):
+        basis = stokes_basis(m, d)
+        full = exact_rank(basis.coefficient_matrix()) == len(basis)
+        assert full and basis.certify_rank() == full == basis.certify_rank(exact=True)
+
+
+@pytest.mark.parametrize("d, m", [(2, 4), (3, 3), (4, 2)])
+def test_certify_rank_rejects_dependent_elements(d, m):
+    basis = stokes_basis(m, d)
+    els = basis.elements
+    a, b = els[1], els[-1]
+    planted = StokesPair(a.velocity + b.velocity, a.pressure + b.pressure)
+    for extra in (els[len(els) // 2], planted):
+        dependent = SpaceBasis(els + [extra], m, d, basis.tags + ["V1"],
+                               basis.grades + [m])
+        assert not dependent.certify_rank()
+        assert not dependent.certify_rank(exact=True)
+
+
+# ---------------------------------------------------------------------------
+# delta_D_inv and harmonic_extension against the old copying sums
+# ---------------------------------------------------------------------------
+
+def ref_delta_D_inv(f):
+    out = ExactPolynomial.zero(f.dim)
+    for exp, coeff in f.terms.items():
+        l = exp[-1]
+        term = ExactPolynomial.monomial(exp[:-1] + (0,), coeff, f.dim)
+        j = 0
+        while not term.is_zero():
+            power = l + 2 * j + 2
+            factor = Fraction((-1) ** j * factorial(l), factorial(power))
+            out = ref_add(out, term.scale(factor).shift_y(power))
+            term = ref_laplacian(term, f.dim - 1)
+            j += 1
+    return out
+
+
+def ref_harmonic_extension(q1, q2):
+    out = ExactPolynomial.zero(q1.dim)
+    for parity, seed in ((0, q1), (1, q2)):
+        term = seed
+        j = 0
+        while not term.is_zero():
+            power = 2 * j + parity
+            out = ref_add(out, term.scale(Fraction((-1) ** j, factorial(power))).shift_y(power))
+            term = ref_laplacian(term, q1.dim - 1)
+            j += 1
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(dim_and_polys)
+def test_delta_D_inv_and_extension_match_old_sums(case):
+    d, (f, g, *_) = case
+    u = delta_D_inv(f)
+    assert_canonical(u, d)
+    assert same_terms(u, ref_delta_D_inv(f))
+    h = harmonic_extension(f, g)
+    assert_canonical(h, d)
+    assert same_terms(h, ref_harmonic_extension(f, g))

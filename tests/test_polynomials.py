@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stokesbl.polynomials import (
     ExactPolynomial,
@@ -154,3 +156,92 @@ def test_monomial_exponents_counts():
     for nvars in (1, 2, 3):
         for deg in range(5):
             assert len(monomial_exponents(nvars, deg)) == comb(deg + nvars - 1, nvars - 1)
+
+
+# ---------------------------------------------------------------------------
+# canonical results of the internal (unvalidated) constructor, and the
+# accumulation order of the in-place sums against the old copying sums
+# ---------------------------------------------------------------------------
+
+def ref_add(a, b):
+    """`+` as it was before in-place accumulation: copy, add, re-validate."""
+    out = a.terms
+    for e, c in b.terms.items():
+        s = out.get(e, Fraction(0)) + c
+        if s == 0:
+            out.pop(e, None)
+        else:
+            out[e] = s
+    return ExactPolynomial(a.dim, out)
+
+
+def ref_laplacian(p, naxes=None):
+    out = ExactPolynomial.zero(p.dim)
+    for axis in range(p.dim if naxes is None else naxes):
+        out = ref_add(out, p.derive(axis).derive(axis))
+    return out
+
+
+def ref_divergence(v):
+    out = ExactPolynomial.zero(v.dim)
+    for axis, comp in enumerate(v.components):
+        out = ref_add(out, comp.derive(axis))
+    return out
+
+
+def assert_canonical(p, dim):
+    assert p.dim == dim
+    for e, c in p._terms.items():
+        assert type(e) is tuple and len(e) == dim
+        assert all(type(k) is int and k >= 0 for k in e)
+        assert type(c) is Fraction and c != 0
+    assert p == ExactPolynomial(dim, p.terms)
+
+
+def same_terms(p, q):
+    """Equal term maps with equal key order."""
+    return list(p.terms.items()) == list(q.terms.items())
+
+
+# few distinct exponents and coefficients, so sums often cancel
+small_fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def exact_polys(draw, dim, count):
+    exps = st.tuples(*[st.integers(0, 4)] * dim)
+    return [ExactPolynomial(dim, draw(st.dictionaries(exps, small_fractions, max_size=8)))
+            for _ in range(count)]
+
+
+dim_and_polys = st.integers(2, 4).flatmap(
+    lambda d: st.tuples(st.just(d), exact_polys(d, count=d)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(dim_and_polys, small_fractions)
+def test_internal_ops_return_canonical_polynomials(case, factor):
+    d, (a, b, *rest) = case
+    v = VectorPolynomial([a, b, *rest])
+    results = [a + b, a - b, a - a + b, -a, a * b, a.scale(factor), a.shift_y(2),
+               a.trace_at_zero(), a.homogeneous_part(3), a.laplacian(),
+               a.horizontal_laplacian(), v.divergence()]
+    results += [a.derive(axis) for axis in range(d)]
+    results += [a.antiderive(axis) for axis in range(d)]
+    for r in results:
+        assert_canonical(r, d)
+    assert a + b == ref_add(a, b) and same_terms(a + b, ref_add(a, b))
+    assert same_terms(a.laplacian(), ref_laplacian(a))
+    assert same_terms(a.horizontal_laplacian(), ref_laplacian(a, d - 1))
+    assert same_terms(v.divergence(), ref_divergence(v))
+
+
+def test_public_constructor_still_validates():
+    with pytest.raises(ValueError):
+        ExactPolynomial(2, {(1,): 1})
+    with pytest.raises(ValueError):
+        ExactPolynomial(2, {(1, -1): 1})
+    p = ExactPolynomial(2, {(1.0, 0): 2, (0, 1): 0, (0, 2): "-1/2"})
+    assert list(p._terms.items()) == [((1, 0), Fraction(2)), ((0, 2), Fraction(-1, 2))]
+    assert type(next(iter(p._terms))[0]) is int
+    assert all(type(c) is Fraction for c in p._terms.values())
