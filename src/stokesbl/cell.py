@@ -217,17 +217,31 @@ class CellSolution:
         return self.grid.pressure_at_nodes(self.p)
 
 
-def _block(rows_idx, cols_idx, mat, acc):
-    nxr = rows_idx.size
-    acc[0].append(np.repeat(rows_idx, cols_idx.size))
-    acc[1].append(np.tile(cols_idx, nxr))
-    acc[2].append(np.asarray(mat, dtype=float).ravel())
+def _diags(vals: np.ndarray) -> np.ndarray:
+    """np.diag of each row of vals: (levels, nx) -> (levels, nx, nx)."""
+    out = np.zeros(vals.shape + vals.shape[-1:])
+    out[:, np.arange(vals.shape[1]), np.arange(vals.shape[1])] = vals
+    return out
 
 
 def _diag(rows_idx, cols_idx, vals, acc):
-    acc[0].append(rows_idx)
-    acc[1].append(cols_idx)
-    acc[2].append(np.asarray(vals, dtype=float))
+    acc.append((rows_idx[:, None], [(cols_idx[:, None], np.asarray(vals, dtype=float)[:, None])]))
+
+
+def _entries(acc):
+    """Row and column (int32, scipy's index type at these sizes) and value arrays
+    of the queued (rows, parts) blocks; a row's entries are its parts' side by side."""
+    sizes = [rows.size * sum(v.shape[-1] for _, v in parts) for rows, parts in acc]
+    out = (np.empty(sum(sizes), np.int32), np.empty(sum(sizes), np.int32), np.empty(sum(sizes)))
+    start = 0
+    for (rows, parts), n in zip(acc, sizes):
+        r, c, v = (a[start:start + n].reshape(rows.shape[:-1] + (-1,)) for a in out)
+        r[...] = rows
+        edges = np.cumsum([0] + [vals.shape[-1] for _, vals in parts])
+        for (cols, vals), lo, hi in zip(parts, edges, edges[1:]):
+            c[..., lo:hi], v[..., lo:hi] = cols, vals
+        start += n
+    return out
 
 
 def _unknowns(g: StripGrid):
@@ -270,6 +284,11 @@ def assemble(grid: StripGrid, top_kind: type):
     entry of each, at the top-level pressure cells (0, ny-1) and (1, ny-1)
     with the border's own value, and the rest forms the rank-4 border.
     Returns (A0 in CSC form, U, V) with U, V of shape (n, 0) or (n, 4).
+
+    One pass broadcasts the blocks over all xi-levels and queues rows in
+    ascending order with no repeated entry, so the CSC conversion neither
+    sorts nor sums; A0 (explicit zeros included), U and V are bit-identical
+    to the per-level loop kept in the tests as the oracle.
     """
     if top_kind not in (DirichletTop, TransparentTop):
         raise TypeError(f"unsupported top condition {top_kind!r}")
@@ -280,44 +299,47 @@ def assemble(grid: StripGrid, top_kind: type):
     dirichlet = top_kind is DirichletTop
     imu = 2 * nu + npr
     ntot = imu + (2 if dirichlet else 1)
-    acc = ([], [], [])
+    acc = []
 
-    # bottom Dirichlet
-    for c in range(2):
-        _diag(iu(c, 0), iu(c, 0), np.ones(nx), acc)
+    # queued (rows, [(cols, vals), ...]) blocks; in xi-level t a dense block
+    # has columns t nx + (0..nx-1), a diagonal one column t nx + i in row i
+    lev = nx * np.arange(ny)[:, None, None]
+    dense, diagonal = lev + np.arange(nx), lev + np.arange(nx)[:, None]
 
-    # interior momentum rows
+    # interior momentum rows of levels j = 1..ny-1
     Dx, Dxx = g.Dx, g.Dxx
-    for j in range(1, ny):
-        rowj = {0: iu(0, j), 1: iu(1, j)}
-        B0 = -Dxx + np.diag(2.0 * g.cxixi[:, j] / dxi ** 2)
-        Bp = -np.diag(g.cxixi[:, j]) / dxi ** 2 - g.a_nodes[:, j, None] * Dx / dxi \
-            - np.diag(g.cxi[:, j]) / (2 * dxi)
-        Bm = -np.diag(g.cxixi[:, j]) / dxi ** 2 + g.a_nodes[:, j, None] * Dx / dxi \
-            + np.diag(g.cxi[:, j]) / (2 * dxi)
-        for c in range(2):
-            _block(rowj[c], iu(c, j), B0, acc)
-            _block(rowj[c], iu(c, j + 1), Bp, acc)
-            _block(rowj[c], iu(c, j - 1), Bm, acc)
-        # pressure gradient: d_x p in u1 rows, d_y p in u2 rows
-        _block(rowj[0], ipr(j), Dx / 2 + np.diag(g.a_nodes[:, j]) / dxi, acc)
-        _block(rowj[0], ipr(j - 1), Dx / 2 - np.diag(g.a_nodes[:, j]) / dxi, acc)
-        _diag(rowj[1], ipr(j), g.invHsp_nodes[:, j] / dxi, acc)
-        _diag(rowj[1], ipr(j - 1), -g.invHsp_nodes[:, j] / dxi, acc)
+    cxixi, cxi, a, ih = (f[:, 1:ny].T for f in (g.cxixi, g.cxi, g.a_nodes, g.invHsp_nodes))
+    B0 = -Dxx + _diags(2.0 * cxixi / dxi ** 2)
+    Bp = -_diags(cxixi) / dxi ** 2 - a[..., None] * Dx / dxi - _diags(cxi) / (2 * dxi)
+    Bm = -_diags(cxixi) / dxi ** 2 + a[..., None] * Dx / dxi + _diags(cxi) / (2 * dxi)
+    # pressure gradient: d_x p in u1 rows, d_y p in u2 rows
+    grad_p = ([(2 * nu + dense[:-1], Dx / 2 - _diags(a) / dxi),
+               (2 * nu + nx + dense[:-1], Dx / 2 + _diags(a) / dxi)],
+              [(2 * nu + diagonal[:-1], -ih[..., None] / dxi),
+               (2 * nu + nx + diagonal[:-1], ih[..., None] / dxi)])
+    top_rows = None if dirichlet else _transparent_rows(g, iu, ipr)
+    for c in range(2):
+        # bottom Dirichlet, interior momentum rows, top rows
+        _diag(iu(c, 0), iu(c, 0), np.ones(nx), acc)
+        acc.append((c * nu + nx + diagonal[:-1], [(c * nu + t * nx + dense[:-1], B)
+                    for t, B in enumerate((Bm, B0, Bp))] + grad_p[c]))
+        if dirichlet:
+            _diag(iu(c, ny), iu(c, ny), np.ones(nx), acc)
+        else:
+            for slot, (cols, vals) in zip(iu(c, ny), top_rows[c * nx:(c + 1) * nx]):
+                _diag(np.full(cols.shape[0], slot), cols, vals, acc)
 
     # continuity rows at each pressure cell
     vols = g.mid_volumes()
-    for j in range(ny):
-        row = ipr(j)
-        _block(row, iu(0, j), Dx / 2 - np.diag(g.a_mids[:, j]) / dxi, acc)
-        _block(row, iu(0, j + 1), Dx / 2 + np.diag(g.a_mids[:, j]) / dxi, acc)
-        _diag(row, iu(1, j), -g.invHsp_mids[:, j] / dxi, acc)
-        _diag(row, iu(1, j + 1), g.invHsp_mids[:, j] / dxi, acc)
-        if not dirichlet:
-            # uniform multiplier column: mu reads as compatibility defect density
-            _diag(row, np.full(nx, imu), np.ones(nx), acc)
+    a, ih = g.a_mids.T, g.invHsp_mids.T[..., None]
+    parts = [(dense, Dx / 2 - _diags(a) / dxi), (nx + dense, Dx / 2 + _diags(a) / dxi),
+             (nu + diagonal, -ih / dxi), (nu + nx + diagonal, ih / dxi)]
+    if not dirichlet:
+        # uniform multiplier column: mu reads as compatibility defect density
+        parts.append((imu, np.ones((ny, nx, 1))))
+    acc.append((2 * nu + diagonal, parts))
 
-    # pressure constraint rows and top rows
+    # pressure constraint rows
     U = np.zeros((ntot, 4 if dirichlet else 0))
     V = np.zeros_like(U)
     if dirichlet:
@@ -339,20 +361,10 @@ def assemble(grid: StripGrid, top_kind: type):
             U[imu + m, 2 + m] = 1.0
             V[2 * nu:imu, 2 + m] = constraints[m]
             V[2 * nu + pin, 2 + m] = 0.0
-        for c in range(2):
-            _diag(iu(c, ny), iu(c, ny), np.ones(nx), acc)
     else:
-        for j in range(ny):
-            _diag(np.full(nx, imu), ipr(j), vols[:, j], acc)
-        slots = np.concatenate([iu(0, ny), iu(1, ny)])
-        for slot, (cols, vals) in zip(slots, _transparent_rows(g, iu, ipr)):
-            acc[0].append(np.full(cols.shape[0], slot))
-            acc[1].append(cols)
-            acc[2].append(np.asarray(vals, dtype=float))
+        _diag(np.full(npr, imu), 2 * nu + np.arange(npr), vols.T.ravel(), acc)
 
-    rows = np.concatenate(acc[0])
-    cols = np.concatenate(acc[1])
-    vals = np.concatenate(acc[2])
+    rows, cols, vals = _entries(acc)
     A0 = sp.coo_matrix((vals, (rows, cols)), shape=(ntot, ntot)).tocsc()
     return A0, U, V
 
@@ -383,8 +395,9 @@ def _transparent_rows(g: StripGrid, iu, ipr) -> list:
         M = dtn_matrix((k,))
         # horizontal Robin: FFT_k[d_y u1] - (M uhat)_1 = r1 - (M w0)_1
         cols_d, vals_d = dy_cols_vals(0, wk)
-        row_h = (np.concatenate([cols_d, trace_cols[0], trace_cols[1]]),
-                 np.concatenate([vals_d, -M[0, 0] * wk, -M[0, 1] * wk]))
+        # (the trace of u1 shares its columns with d_y u1: one entry each)
+        row_h = (np.concatenate([cols_d, trace_cols[1]]),
+                 np.concatenate([vals_d[:nx] + -M[0, 0] * wk, vals_d[nx:], -M[0, 1] * wk]))
         # pressure trace: FFT_k[p(top)] + 2 a_k . uhat = rp + 2 a_k . w0
         a_k = np.array([1j * k, -abs(k)], dtype=complex)
         row_p = (np.concatenate([ipr(ny - 1), ipr(ny - 2), trace_cols[0], trace_cols[1]]),

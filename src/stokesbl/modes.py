@@ -27,6 +27,8 @@ from math import gcd, isqrt, lcm, sqrt
 
 import numpy as np
 
+from .geometry import InputError
+
 
 # ---------------------------------------------------------------------------
 # exact scalars: (a) + (b) sqrt(n) with Gaussian-rational a, b
@@ -600,13 +602,19 @@ class ModeExpansion:
 
     @classmethod
     def from_json_list(cls, items: list, L: float | None = None) -> "ModeExpansion":
-        modes = {}
-        level = L
-        for item in items:
-            level = item["L"] if level is None else level
-            modes[int(item["k"])] = {
-                "V": np.array([[complex(re, im) for re, im in comp] for comp in item["V_coeffs"]]),
-                "Q": np.array([complex(re, im) for re, im in item["Q_coeffs"]]),
-                "c": complex(item["c"][0], item["c"][1]),
-            }
+        """Inverse of to_json_list, bit for bit; InputError on a malformed entry."""
+        modes, level = {}, L
+        try:
+            for item in items:
+                k, V, Q, c = item["k"], *(np.array(item[key], dtype=float)
+                                          for key in ("V_coeffs", "Q_coeffs", "c"))
+                if type(k) is not int or k == 0 or V.ndim != 3 or V.shape[::2] != (2, 2) \
+                        or Q.ndim != 2 or Q.shape[1] != 2 or c.shape != (2,):
+                    raise ValueError(f"k = {k!r} needs V_coeffs (2, n, 2), Q_coeffs (m, 2), c (2,)")
+                level = item["L"] if level is None else level
+                # (re, im) pairs viewed as complex128
+                modes[k] = {"V": V.view(complex)[..., 0], "Q": Q.view(complex)[:, 0],
+                            "c": complex(c.view(complex)[0])}
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"malformed mode entry: {exc!r}") from exc
         return cls(3.0 if level is None else float(level), modes)

@@ -13,12 +13,14 @@ Numerics are two-dimensional, so multi-indices are plain integers here.
 
 from __future__ import annotations
 
+import base64
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
+from . import __version__
 from .cell import (
     CellProblem,
     StripGrid,
@@ -533,8 +535,10 @@ def stack_to_json(stack: CorrectorStack) -> dict:
     for (beta, l, comp), lv in sorted(stack.levels.items()):
         levels.append({
             "beta": beta, "l": l, "comp": comp,
-            "u": lv.u.tolist(),
-            "p_nodes": lv.p_nodes.tolist(),
+            # shape plus base64 of the little-endian float64 bytes
+            **{key: {"shape": list(arr.shape),
+                     "f8": base64.b64encode(np.asarray(arr, dtype="<f8").tobytes()).decode()}
+               for key, arr in (("u", lv.u), ("p_nodes", lv.p_nodes))},
             "v_poly": lv.v_poly.tolist(),
             "q_poly": np.atleast_1d(lv.q_poly).tolist(),
             "modes": lv.modes.to_json_list(),
@@ -542,6 +546,8 @@ def stack_to_json(stack: CorrectorStack) -> dict:
                             for k, v in lv.diagnostics.items()},
         })
     return {
+        "schema": 2,
+        "stokesbl": __version__,
         "geometry": stack.geometry.to_json_dict(),
         "geometry_hash": stack.geometry.digest(),
         "height": stack.height,
@@ -564,12 +570,19 @@ def _missing(data, keys, where: str) -> None:
         raise InputError(f"{where} lacks {', '.join(missing)}")
 
 
-def _level_array(lv: dict, key: str, shape: tuple, where: str) -> np.ndarray:
-    """lv[key] as a float array of the given shape; None matches any length."""
+def _level_array(lv: dict, key: str, shape: tuple, where: str, f8=False) -> np.ndarray:
+    """lv[key] as a float array of the given shape; None matches any length.
+    With f8, lv[key] is a {shape, f8} object from stack_to_json, else nested lists."""
     try:
-        arr = np.array(lv[key], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{where}: {key} is not a numeric array") from exc
+        if f8:
+            n, raw = lv[key]["shape"], base64.b64decode(lv[key]["f8"], validate=True)
+            if type(n) is not list or not all(type(m) is int for m in n) or len(raw) != 8 * prod(n):
+                raise ValueError(f"{len(raw)} bytes do not fill the int shape {n!r}")
+            arr = np.frombuffer(raw, dtype="<f8").astype(float).reshape(n)
+        else:
+            arr = np.array(lv[key], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise InputError(f"{where}: {key} is not a valid numeric array: {exc}") from exc
     if arr.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, arr.shape)):
         expected = "(" + ", ".join("n" if n is None else str(n) for n in shape) + ")"
         raise InputError(f"{where}: {key} has shape {arr.shape}, expected {expected}")
@@ -579,10 +592,12 @@ def _level_array(lv: dict, key: str, shape: tuple, where: str) -> np.ndarray:
 def stack_from_json(data: dict) -> CorrectorStack:
     """Rebuild a stack written by stack_to_json, checking it on the way.
 
-    Raises InputError when a key is missing, a level array has the wrong
-    shape for the stored grid, or geometry_hash is not the digest of the
-    stored geometry.
+    Raises InputError when the file is not schema 2, a key is missing, a
+    level array, mode entry or diagnostics is malformed or misfits the grid,
+    a level repeats, or geometry_hash is not the stored geometry's digest.
     """
+    if not isinstance(data, dict) or data.get("schema") != 2:
+        raise InputError("stack is not schema 2: remove it and rebuild with stokesbl corrector")
     _missing(data, _STACK_KEYS, "stack")
     geometry = BoundaryGeometry.from_json_dict(data["geometry"])
     if data["geometry_hash"] != geometry.digest():
@@ -592,15 +607,19 @@ def stack_from_json(data: dict) -> CorrectorStack:
     for index, lv in enumerate(data["levels"]):
         where = f"stack level {index}"
         _missing(lv, _LEVEL_KEYS, where)
+        if not isinstance(lv["diagnostics"], dict):
+            raise InputError(f"{where}: diagnostics must be a JSON object")
         level = LevelSolution(
             beta=int(lv["beta"]), l=int(lv["l"]), comp=int(lv["comp"]),
-            u=_level_array(lv, "u", (2, nx, ny + 1), where),
-            p_nodes=_level_array(lv, "p_nodes", (nx, ny + 1), where),
+            u=_level_array(lv, "u", (2, nx, ny + 1), where, f8=True),
+            p_nodes=_level_array(lv, "p_nodes", (nx, ny + 1), where, f8=True),
             v_poly=_level_array(lv, "v_poly", (2, None), where),
             q_poly=_level_array(lv, "q_poly", (None,), where),
             modes=ModeExpansion.from_json_list(lv["modes"], L=data["height"]),
             diagnostics=dict(lv["diagnostics"]),
         )
+        if (level.beta, level.l, level.comp) in stack.levels:
+            raise InputError(f"{where} repeats level {(level.beta, level.l, level.comp)}")
         stack.levels[(level.beta, level.l, level.comp)] = level
     return stack
 

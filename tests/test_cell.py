@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from stokesbl import cell
 from stokesbl.cell import (
     CellProblem,
     DirichletTop,
@@ -306,6 +307,128 @@ def test_transparent_border_is_empty():
     assert U.shape == V.shape == (core.shape[0], 0)
     with pytest.raises(TypeError):
         assemble(grid, object)
+
+
+# -- assembly ------------------------------------------------------------------
+
+def _loop_block(rows_idx, cols_idx, mat, acc):
+    nxr = rows_idx.size
+    acc[0].append(np.repeat(rows_idx, cols_idx.size))
+    acc[1].append(np.tile(cols_idx, nxr))
+    acc[2].append(np.asarray(mat, dtype=float).ravel())
+
+
+def _loop_diag(rows_idx, cols_idx, vals, acc):
+    acc[0].append(rows_idx)
+    acc[1].append(cols_idx)
+    acc[2].append(np.asarray(vals, dtype=float))
+
+
+def _loop_assemble(grid, top_kind):
+    """The per-level assembler `assemble` replaced: one Python pass per
+    xi-level over dense np.diag blocks, in COO order, converted by sorting."""
+    g = grid
+    nx, ny = g.nx, g.ny
+    dxi = g.dxi
+    nu, npr, iu, ipr = cell._unknowns(g)
+    dirichlet = top_kind is DirichletTop
+    imu = 2 * nu + npr
+    ntot = imu + (2 if dirichlet else 1)
+    acc = ([], [], [])
+
+    for c in range(2):
+        _loop_diag(iu(c, 0), iu(c, 0), np.ones(nx), acc)
+
+    Dx, Dxx = g.Dx, g.Dxx
+    for j in range(1, ny):
+        rowj = {0: iu(0, j), 1: iu(1, j)}
+        B0 = -Dxx + np.diag(2.0 * g.cxixi[:, j] / dxi ** 2)
+        Bp = -np.diag(g.cxixi[:, j]) / dxi ** 2 - g.a_nodes[:, j, None] * Dx / dxi \
+            - np.diag(g.cxi[:, j]) / (2 * dxi)
+        Bm = -np.diag(g.cxixi[:, j]) / dxi ** 2 + g.a_nodes[:, j, None] * Dx / dxi \
+            + np.diag(g.cxi[:, j]) / (2 * dxi)
+        for c in range(2):
+            _loop_block(rowj[c], iu(c, j), B0, acc)
+            _loop_block(rowj[c], iu(c, j + 1), Bp, acc)
+            _loop_block(rowj[c], iu(c, j - 1), Bm, acc)
+        _loop_block(rowj[0], ipr(j), Dx / 2 + np.diag(g.a_nodes[:, j]) / dxi, acc)
+        _loop_block(rowj[0], ipr(j - 1), Dx / 2 - np.diag(g.a_nodes[:, j]) / dxi, acc)
+        _loop_diag(rowj[1], ipr(j), g.invHsp_nodes[:, j] / dxi, acc)
+        _loop_diag(rowj[1], ipr(j - 1), -g.invHsp_nodes[:, j] / dxi, acc)
+
+    vols = g.mid_volumes()
+    for j in range(ny):
+        row = ipr(j)
+        _loop_block(row, iu(0, j), Dx / 2 - np.diag(g.a_mids[:, j]) / dxi, acc)
+        _loop_block(row, iu(0, j + 1), Dx / 2 + np.diag(g.a_mids[:, j]) / dxi, acc)
+        _loop_diag(row, iu(1, j), -g.invHsp_mids[:, j] / dxi, acc)
+        _loop_diag(row, iu(1, j + 1), g.invHsp_mids[:, j] / dxi, acc)
+        if not dirichlet:
+            _loop_diag(row, np.full(nx, imu), np.ones(nx), acc)
+
+    U = np.zeros((ntot, 4 if dirichlet else 0))
+    V = np.zeros_like(U)
+    if dirichlet:
+        nyq = np.tile((-1.0) ** np.arange(nx), ny)
+        weights = vols.T.ravel()
+        columns = (np.ones(npr), nyq)
+        constraints = (weights, nyq * weights)
+        for m in range(2):
+            pin = (ny - 1) * nx + m
+            _loop_diag(np.array([2 * nu + pin]), np.array([imu + m]),
+                       columns[m][pin:pin + 1], acc)
+            _loop_diag(np.array([imu + m]), np.array([2 * nu + pin]),
+                       constraints[m][pin:pin + 1], acc)
+            U[2 * nu:imu, m] = columns[m]
+            U[2 * nu + pin, m] = 0.0
+            V[imu + m, m] = 1.0
+            U[imu + m, 2 + m] = 1.0
+            V[2 * nu:imu, 2 + m] = constraints[m]
+            V[2 * nu + pin, 2 + m] = 0.0
+        for c in range(2):
+            _loop_diag(iu(c, ny), iu(c, ny), np.ones(nx), acc)
+    else:
+        for j in range(ny):
+            _loop_diag(np.full(nx, imu), ipr(j), vols[:, j], acc)
+        slots = np.concatenate([iu(0, ny), iu(1, ny)])
+        for slot, (cols, vals) in zip(slots, cell._transparent_rows(g, iu, ipr)):
+            acc[0].append(np.full(cols.shape[0], slot))
+            acc[1].append(cols)
+            acc[2].append(np.asarray(vals, dtype=float))
+
+    rows, cols, vals = (np.concatenate(a) for a in acc)
+    return sp.coo_matrix((vals, (rows, cols)), shape=(ntot, ntot)).tocsc(), U, V
+
+
+# the five walls of the acceptance suite, which seed 0 of the benchmark uses
+_BENCH_WALLS = [
+    {0: -0.5, 1: -0.25},
+    {0: -0.5, 1: -0.1, 2: -0.08},
+    {0: -0.4, 2: -0.125},
+    {0: -0.5, 1: complex(-0.08, 0.1), 3: -0.05},
+    {0: -0.35, 1: complex(0.0, -0.14)},
+]
+_ASSEMBLY_CASES = (
+    [pytest.param(0, 3.0, nx, ny, 0.0, id=f"wall0-{nx}x{ny}")
+     for nx, ny in ((12, 16), (24, 32), (48, 64))]
+    + [pytest.param(0, 64 * np.pi, 24, 320, 5.0, id="wall0-24x320-stretch5")]
+    + [pytest.param(i, 3.0, 48, 64, 0.0, id=f"wall{i}-48x64") for i in range(1, 5)]
+)
+
+
+@pytest.mark.parametrize("wall, height, nx, ny, stretch", _ASSEMBLY_CASES)
+def test_assemble_is_bit_identical_to_loop_oracle(wall, height, nx, ny, stretch):
+    grid = StripGrid(BoundaryGeometry.from_fourier(_BENCH_WALLS[wall]), height=height,
+                     nx=nx, ny=ny, stretch=stretch)
+    for top_kind in (DirichletTop, TransparentTop):
+        core, U, V = assemble(grid, top_kind)
+        ref, U_ref, V_ref = _loop_assemble(grid, top_kind)
+        assert core.format == "csc" and core.shape == ref.shape
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(core, name), getattr(ref, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        assert U.tobytes() == U_ref.tobytes() and V.tobytes() == V_ref.tobytes()
+        assert U.shape == U_ref.shape and V.shape == V_ref.shape
 
 
 def test_factor_is_cached_per_grid_and_top_kind(monkeypatch):

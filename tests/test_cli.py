@@ -1,5 +1,6 @@
 """CLI: artifact formats, exit codes, reproducibility."""
 
+import base64
 import json
 import os
 import subprocess
@@ -81,7 +82,9 @@ def test_cell_rejects_unrepresentable_geometry(tmp_path, payload, capsys):
 
 
 def _break_first_level(data):
-    data["levels"][0]["u"] = [[1.0]]
+    # a 1-element u
+    data["levels"][0]["u"] = {"shape": [1],
+                              "f8": base64.b64encode(np.ones(1).tobytes()).decode()}
 
 
 def _drop_p_nodes(data):
@@ -89,7 +92,9 @@ def _drop_p_nodes(data):
 
 
 def _flatten_p_nodes(data):
-    data["levels"][0]["p_nodes"] = data["levels"][0]["p_nodes"][0]
+    # 1-D over the same bytes
+    p_nodes = data["levels"][0]["p_nodes"]
+    p_nodes["shape"] = [int(np.prod(p_nodes["shape"]))]
 
 
 def _three_row_v_poly(data):
@@ -100,8 +105,50 @@ def _wrong_hash(data):
     data["geometry_hash"] = "0" * 16
 
 
+def _invalid_base64(data):
+    # a lenient decoder would skip the four characters and read the same bytes
+    f8 = data["levels"][0]["u"]["f8"]
+    data["levels"][0]["u"]["f8"] = f8[:8] + "!!!!" + f8[8:]
+
+
+def _short_byte_count(data):
+    u = data["levels"][0]["u"]
+    u["f8"] = base64.b64encode(base64.b64decode(u["f8"])[:-8]).decode()
+
+
+def _text_arrays_without_schema(data):
+    # the layout of the earlier text stacks: no schema, arrays as float lists
+    del data["schema"], data["stokesbl"]
+    for lv in data["levels"]:
+        for key in ("u", "p_nodes"):
+            raw = base64.b64decode(lv[key]["f8"])
+            lv[key] = np.frombuffer(raw, "<f8").reshape(lv[key]["shape"]).tolist()
+
+
+def _schema_1(data):
+    data["schema"] = 1
+
+
+def _text_mode_coeffs(data):
+    data["levels"][0]["modes"][0]["V_coeffs"] = "x"
+
+
+def _mode_without_k(data):
+    del data["levels"][0]["modes"][0]["k"]
+
+
+def _diagnostics_list(data):
+    data["levels"][0]["diagnostics"] = [1]
+
+
+def _duplicate_level(data):
+    data["levels"].append(data["levels"][0])
+
+
 @pytest.mark.parametrize("corrupt", [
     _break_first_level, _drop_p_nodes, _flatten_p_nodes, _three_row_v_poly, _wrong_hash,
+    _invalid_base64, _short_byte_count, _text_arrays_without_schema, _schema_1,
+    _text_mode_coeffs, _mode_without_k, _diagnostics_list, _duplicate_level,
 ])
 def test_malformed_stack_exits_2(tmp_path, geometry_file, corrupt, capsys):
     stack_out = tmp_path / "stack.json"
@@ -117,6 +164,14 @@ def test_malformed_stack_exits_2(tmp_path, geometry_file, corrupt, capsys):
                  "--nx", "16", "--ny", "20", "--out", str(stack_out)]) == 2
     assert capsys.readouterr().err.count("invalid configuration") == 2
     assert not (tmp_path / "law.json").exists()
+
+
+def test_stack_without_schema_2_asks_for_a_rebuild(tmp_path, capsys):
+    stack = tmp_path / "stack.json"
+    stack.write_text(json.dumps({"geometry": {"fourier": []}, "levels": []}))
+    assert main(["wall-law", "--stack", str(stack), "--out", str(tmp_path / "law.json")]) == 2
+    err = capsys.readouterr().err
+    assert "not schema 2" in err and "rebuild" in err
 
 
 def test_cli_import_leaves_regularity_only_scipy_unloaded():
