@@ -28,7 +28,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .geometry import AliasingError, BoundaryGeometry, InputError
-from .modes import ModeExpansion, dtn_matrix, solve_mode_numeric
+from .modes import (ModeExpansion, dtn_matrix, halfline_integrals, poly_add, poly_derive,
+                    poly_eval0, solve_mode_numeric)
 from .polynomials import VectorPolynomial
 
 
@@ -619,8 +620,6 @@ def transparent_mode_entry(k: int, F_coeffs, w0=(0j, 0j), w0_prime=(0j, 0j)) -> 
 
     with g_k = (1/|k|) a_k (Vbar')_2(0) + Vbar'(0).
     """
-    from .modes import halfline_integrals, poly_derive, poly_eval0
-
     kn = float(abs(k))
     F = [list(map(complex, comp)) for comp in F_coeffs]
     qbar, vbar = halfline_integrals((k,), F, knorm=kn)
@@ -639,24 +638,23 @@ def transparent_mode_entry(k: int, F_coeffs, w0=(0j, 0j), w0_prime=(0j, 0j)) -> 
 def trace_expansion(solution: CellSolution, mode_sources: dict | None = None) -> ModeExpansion:
     """Mode expansion of the decaying part above the top of the grid.
 
-    mode_sources optionally maps k > 0 to dict(F=(2, n) complex coefficients,
-    w0=(2,) complex) describing the reduced exterior source and the mode part
-    of the divergence corrector; used by the recursion.
+    mode_sources optionally maps k > 0 to (F, W): the reduced exterior source
+    and the mode profiles of the divergence corrector, two coefficient lists
+    each (used by the recursion).  Each mode solves with trace - W(0) and
+    stores V + W as one (2, n >= 1) array, with its conjugate at -k.
     """
-    g = solution.grid
     modes = {}
     for k, trace in solution.trace_modes.items():
-        src = mode_sources.get(k) if mode_sources else None
-        Fk = [[], []] if src is None else [list(src["F"][0]), list(src["F"][1])]
-        shift = np.zeros(2, complex) if src is None else np.asarray(src["w0"])
-        V, Q, c = solve_mode_numeric((k,), Fk, trace - shift, L=g.height)
-        modes[k] = {"V": [np.asarray(v) for v in V], "Q": np.asarray(Q), "c": c}
-        modes[-k] = {
-            "V": [np.conj(v) for v in modes[k]["V"]],
-            "Q": np.conj(modes[k]["Q"]),
-            "c": np.conj(c),
-        }
-    return ModeExpansion(g.height, modes)
+        F, W = (mode_sources or {}).get(k, ([[], []], [[], []]))
+        w0 = np.array([poly_eval0(w, 0j) for w in W], dtype=complex)
+        V, Q, c = solve_mode_numeric((k,), F, trace - w0)
+        rows = [poly_add(list(map(complex, v)), w) or [0j] for v, w in zip(V, W)]
+        Vk = np.zeros((2, max(map(len, rows))), dtype=complex)
+        for i, row in enumerate(rows):
+            Vk[i, : len(row)] = row
+        modes[k] = {"V": Vk, "Q": Q, "c": c}
+        modes[-k] = {"V": np.conj(Vk), "Q": np.conj(Q), "c": np.conj(c)}
+    return ModeExpansion(solution.grid.height, modes)
 
 
 def energy_norms(solution: CellSolution, window: float | None = None) -> dict:

@@ -116,10 +116,6 @@ class BoundaryGeometry:
         return float(vals.min()), float(vals.max())
 
     @property
-    def is_flat(self) -> bool:
-        return all(re == 0.0 and im == 0.0 for _, re, im in self.coeffs)
-
-    @property
     def max_mode(self) -> int:
         active = [k for k, re, im in self.coeffs if re or im]
         return max(active, default=0)

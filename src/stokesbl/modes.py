@@ -380,26 +380,35 @@ def halfline_integrals(k: tuple[int, ...], F_poly: list[list], knorm=None):
     return qbar, vbar
 
 
-def solve_mode(data: ModeData) -> ModeSolution:
-    """Decaying mode solution with trace b_hat, per the closed formulas."""
-    knorm = knorm_exact(data.k)
-    d = len(data.k) + 1
-    a = _symbol_vector(data.k, knorm)
+def _closed_form(k: tuple[int, ...], F_poly: list[list], b_hat: list, knorm):
+    """(V, Q, c) of the decaying mode solution, over knorm's scalar type.
+
+    V_j(z) = b_j + (c/|k|) a_j z + vbar_j(z) - vbar_j(0) and
+    Q(z) = -2c + qbar(z), with c = a . b + (vbar_d)'(0).
+    """
+    d = len(k) + 1
+    a = _symbol_vector(k, knorm)
     zero = knorm - knorm
-    qbar, vbar = halfline_integrals(data.k, data.F_poly, knorm)
+    qbar, vbar = halfline_integrals(k, F_poly, knorm)
 
     c = zero
     for j in range(d):
-        c = c + a[j] * data.b_hat[j]
+        c = c + a[j] * b_hat[j]
     c = c + poly_eval0(poly_derive(vbar[d - 1]), zero)
 
-    # V_j(z) = b_j + (c/|k|) a_j z + vbar_j(z) - vbar_j(0)
     c_over_k = c / knorm
     V = []
     for j in range(d):
-        head = [data.b_hat[j] - poly_eval0(vbar[j], zero), c_over_k * a[j]]
+        head = [b_hat[j] - poly_eval0(vbar[j], zero), c_over_k * a[j]]
         V.append(poly_add(head, vbar[j]))
-    Q = poly_add([-(c + c)], qbar)
+    Q = poly_add([-2 * c], qbar)
+    return V, Q, c
+
+
+def solve_mode(data: ModeData) -> ModeSolution:
+    """Decaying mode solution with trace b_hat, per the closed formulas."""
+    knorm = knorm_exact(data.k)
+    V, Q, c = _closed_form(data.k, data.F_poly, data.b_hat, knorm)
     return ModeSolution(data.k, V, Q, c, knorm, data.L)
 
 
@@ -503,23 +512,14 @@ def _dtn_matrix_memo(k: tuple[int, ...]) -> np.ndarray:
 # floating path used by the corrector pipeline
 # ---------------------------------------------------------------------------
 
-def solve_mode_numeric(k: tuple[int, ...], F_poly, b_hat, L: float = 3.0):
+def solve_mode_numeric(k: tuple[int, ...], F_poly, b_hat):
     """solve_mode over complex floats; returns (V, Q, c) coefficient arrays."""
     k = tuple(int(v) for v in k)
     knorm = float(np.sqrt(sum(v * v for v in k)))
     if knorm == 0:
         raise ValueError("k must be nonzero")
-    d = len(k) + 1
-    a = _symbol_vector(k, knorm)
     F = [list(map(complex, comp)) for comp in F_poly]
-    b = [complex(v) for v in b_hat]
-    qbar, vbar = halfline_integrals(k, F, knorm)
-    c = sum(a[j] * b[j] for j in range(d)) + poly_eval0(poly_derive(vbar[d - 1]), 0j)
-    V = []
-    for j in range(d):
-        head = [b[j] - poly_eval0(vbar[j], 0j), (c / knorm) * a[j]]
-        V.append(poly_add(head, vbar[j]))
-    Q = poly_add([-2 * c], qbar)
+    V, Q, c = _closed_form(k, F, [complex(v) for v in b_hat], knorm)
     return (
         [np.array(v, dtype=complex) if v else np.zeros(1, dtype=complex) for v in V],
         np.array(Q, dtype=complex) if Q else np.zeros(1, dtype=complex),
@@ -536,7 +536,7 @@ class ModeExpansion:
     """Finite sum of decaying Fourier modes above y = L (d = 2 layout).
 
     modes maps the integer wavenumber k != 0 to dict(V=(2, n) complex coeff
-    array, Q=(nq,) array, c=complex).  Fields are real: modes come in
+    array, Q=(nq,) array, c=complex), n >= 1.  Fields are real: modes come in
     conjugate pairs.
     """
 
@@ -602,7 +602,7 @@ class ModeExpansion:
 
     @classmethod
     def from_json_list(cls, items: list, L: float | None = None) -> "ModeExpansion":
-        """Inverse of to_json_list, bit for bit; InputError on a malformed entry."""
+        """Inverse of to_json_list, bit for bit; InputError on a malformed or repeated entry."""
         modes, level = {}, L
         try:
             for item in items:
@@ -611,6 +611,8 @@ class ModeExpansion:
                 if type(k) is not int or k == 0 or V.ndim != 3 or V.shape[::2] != (2, 2) \
                         or Q.ndim != 2 or Q.shape[1] != 2 or c.shape != (2,):
                     raise ValueError(f"k = {k!r} needs V_coeffs (2, n, 2), Q_coeffs (m, 2), c (2,)")
+                if k in modes:
+                    raise ValueError(f"k = {k} repeats")
                 level = item["L"] if level is None else level
                 # (re, im) pairs viewed as complex128
                 modes[k] = {"V": V.view(complex)[..., 0], "Q": Q.view(complex)[:, 0],

@@ -28,11 +28,6 @@ NEG_INF = float("-inf")
 # multi-index helpers (horizontal multi-indices live in Z_{>=0}^{d-1})
 # ---------------------------------------------------------------------------
 
-def multi_length(alpha: Sequence[int]) -> int:
-    """|alpha| = sum of the entries."""
-    return sum(alpha)
-
-
 def multi_factorial(alpha: Sequence[int]) -> int:
     """alpha! = product of entrywise factorials."""
     out = 1
@@ -58,13 +53,6 @@ def multi_binom(alpha: Sequence[int], beta: Sequence[int]) -> int:
     return out
 
 
-def multi_sub(alpha: Sequence[int], beta: Sequence[int]) -> Exponent:
-    """alpha - beta for beta <= alpha."""
-    if not multi_leq(beta, alpha):
-        raise ValueError(f"{beta} is not <= {alpha}")
-    return tuple(a - b for a, b in zip(alpha, beta))
-
-
 def multi_range(alpha: Sequence[int]) -> Iterator[Exponent]:
     """All beta with 0 <= beta <= alpha, graded-lex order."""
     betas: list[Exponent] = [()]
@@ -86,14 +74,6 @@ def monomial_exponents(nvars: int, degree: int) -> list[Exponent]:
 def grlex_key(exp: Sequence[int]) -> tuple:
     """Sort key for graded lexicographic term order."""
     return (sum(exp), tuple(exp))
-
-
-def validate_multi_index(alpha: Sequence[int]) -> Exponent:
-    """Check the entries are non-negative integers and return them as a tuple."""
-    tup = tuple(int(a) for a in alpha)
-    if any(a < 0 for a in tup):
-        raise ValueError(f"multi-index entries must be >= 0, got {alpha}")
-    return tup
 
 
 def add_terms(out: dict[Exponent, Fraction], terms: Iterable[tuple[Exponent, Fraction]]) -> None:
@@ -194,11 +174,6 @@ class ExactPolynomial:
         if not self._terms:
             return NEG_INF
         return max(sum(e) for e in self._terms)
-
-    def degree_in(self, axis: int):
-        if not self._terms:
-            return NEG_INF
-        return max(e[axis] for e in self._terms)
 
     def coefficient(self, exp: Sequence[int]) -> Fraction:
         return self._terms.get(tuple(exp), Fraction(0))
@@ -326,18 +301,6 @@ class ExactPolynomial:
         for e, c in self._terms.items():
             term = c
             for v, k in zip(pt, e):
-                if k:
-                    term *= v ** k
-            total += term
-        return total
-
-    def eval_float(self, point: Sequence[float]) -> float:
-        if len(point) != self.dim:
-            raise ValueError(f"point length {len(point)} != dim {self.dim}")
-        total = 0.0
-        for e, c in self._terms.items():
-            term = float(c)
-            for v, k in zip(point, e):
                 if k:
                     term *= v ** k
             total += term

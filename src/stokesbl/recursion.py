@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import base64
 from dataclasses import dataclass
-from math import comb, factorial, prod
+from math import comb, factorial, isfinite, prod
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -28,6 +28,7 @@ from .cell import (
     boundary_trace,
     monomial_data,
     solve_stokes,
+    trace_expansion,
     transparent_mode_entry,
 )
 from .geometry import BoundaryGeometry, InputError
@@ -37,7 +38,6 @@ from .modes import (
     poly_derive,
     poly_eval0,
     poly_scale,
-    solve_mode_numeric,
 )
 from .polynomials import ExactPolynomial, VectorPolynomial
 
@@ -215,6 +215,7 @@ class CorrectorStack:
 
     def _solve_level(self, beta: int, l: int, comp: int) -> LevelSolution:
         g = self.grid
+        mode_sources = {}  # k -> (reduced source F, divergence corrector W)
         if beta == 0:
             problem = CellProblem(
                 grid=g,
@@ -224,8 +225,6 @@ class CorrectorStack:
             sol = solve_stokes(problem)
             v_poly = _pad2([np.array([sol.tail[0]]), np.array([sol.tail[1]])])
             q_poly = np.zeros(1)
-            w_shift = {}
-            src_modes = {}
         else:
             src = assemble_source(self, beta, l, comp)
             wcorr = divergence_corrector(self, beta, l, comp)
@@ -239,8 +238,6 @@ class CorrectorStack:
             ])
 
             mode_data = {}
-            src_modes = {}
-            w_shift = {}
             for k, Fk in src["modes"].items():
                 wk = wcorr["modes"].get(k, [[], []])
                 kn = float(abs(k))
@@ -254,8 +251,7 @@ class CorrectorStack:
                 w0p = np.array([poly_eval0(poly_derive(wk[0]), 0j),
                                 poly_eval0(poly_derive(wk[1]), 0j)])
                 mode_data[k] = transparent_mode_entry(k, Ftil, w0, w0p)
-                src_modes[k] = Ftil
-                w_shift[k] = (wk, w0)
+                mode_sources[k] = (Ftil, wk)
 
             problem = CellProblem(
                 grid=g,
@@ -287,22 +283,14 @@ class CorrectorStack:
         sol.p = p
         sol.p_top_zero += p_shift
 
-        modes = {}
-        for k, trace in sol.trace_modes.items():
-            Ftil = src_modes.get(k, [[], []])
-            wk, w0 = w_shift.get(k, ([[], []], np.zeros(2, complex)))
-            V, Q, c = solve_mode_numeric((k,), Ftil, trace - w0, L=g.height)
-            Vfull = [np.array(poly_add(_cpoly(V[i]), wk[i]), dtype=complex) for i in range(2)]
-            if max((len(v) for v in Vfull), default=1) > 2 * beta + 2:
-                raise AssertionError("mode profile degree exceeds 2|beta| + 1")
-            modes[k] = {"V": Vfull, "Q": np.asarray(Q), "c": c}
-            modes[-k] = {"V": [np.conj(v) for v in Vfull], "Q": np.conj(np.asarray(Q)),
-                         "c": np.conj(c)}
+        modes = trace_expansion(sol, mode_sources)
+        if max((m["V"].shape[1] for m in modes.modes.values()), default=1) > 2 * beta + 2:
+            raise AssertionError("mode profile degree exceeds 2|beta| + 1")
         return LevelSolution(
             beta=beta, l=l, comp=comp,
             u=sol.u, p_nodes=sol.pressure_nodes(),
             v_poly=v_poly, q_poly=q_poly,
-            modes=ModeExpansion(g.height, modes),
+            modes=modes,
             diagnostics=dict(sol.diagnostics),
         )
 
@@ -589,12 +577,22 @@ def _level_array(lv: dict, key: str, shape: tuple, where: str, f8=False) -> np.n
     return arr
 
 
+def _field(data: dict, key: str, where: str, kind, valid, need: str):
+    """data[key] if it is a `kind` (never a bool) that passes `valid`."""
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, kind) or not valid(value):
+        raise InputError(f"{where}: {key} = {value!r} must be {need}")
+    return value
+
+
 def stack_from_json(data: dict) -> CorrectorStack:
     """Rebuild a stack written by stack_to_json, checking it on the way.
 
-    Raises InputError when the file is not schema 2, a key is missing, a
-    level array, mode entry or diagnostics is malformed or misfits the grid,
-    a level repeats, or geometry_hash is not the stored geometry's digest.
+    Raises InputError when the file is not schema 2, a key is missing, the
+    grid fields or a level's (beta, l, comp) are not in range ints (height a
+    finite number), a level array, mode entry or diagnostics is malformed or
+    misfits the grid, a level repeats, or geometry_hash is not the stored
+    geometry's digest.
     """
     if not isinstance(data, dict) or data.get("schema") != 2:
         raise InputError("stack is not schema 2: remove it and rebuild with stokesbl corrector")
@@ -602,25 +600,31 @@ def stack_from_json(data: dict) -> CorrectorStack:
     geometry = BoundaryGeometry.from_json_dict(data["geometry"])
     if data["geometry_hash"] != geometry.digest():
         raise InputError("stack geometry_hash does not match its geometry")
-    stack = CorrectorStack(geometry, height=data["height"], nx=data["nx"], ny=data["ny"])
-    nx, ny = stack.grid.nx, stack.grid.ny
+    height = _field(data, "height", "stack", (int, float), isfinite, "a finite number")
+    nx, ny = (_field(data, key, "stack", int, lambda v: v > 0, "a positive int")
+              for key in ("nx", "ny"))
+    if not isinstance(data["levels"], list):
+        raise InputError("stack levels must be a list")
+    stack = CorrectorStack(geometry, height=height, nx=nx, ny=ny)
     for index, lv in enumerate(data["levels"]):
         where = f"stack level {index}"
         _missing(lv, _LEVEL_KEYS, where)
         if not isinstance(lv["diagnostics"], dict):
             raise InputError(f"{where}: diagnostics must be a JSON object")
-        level = LevelSolution(
-            beta=int(lv["beta"]), l=int(lv["l"]), comp=int(lv["comp"]),
+        key = (_field(lv, "beta", where, int, lambda v: v >= 0, "an int >= 0"),
+               _field(lv, "l", where, int, lambda v: v >= 1, "an int >= 1"),
+               _field(lv, "comp", where, int, lambda v: v in (1, 2), "1 or 2"))
+        if key in stack.levels:
+            raise InputError(f"{where} repeats level {key}")
+        stack.levels[key] = LevelSolution(
+            *key,
             u=_level_array(lv, "u", (2, nx, ny + 1), where, f8=True),
             p_nodes=_level_array(lv, "p_nodes", (nx, ny + 1), where, f8=True),
             v_poly=_level_array(lv, "v_poly", (2, None), where),
             q_poly=_level_array(lv, "q_poly", (None,), where),
-            modes=ModeExpansion.from_json_list(lv["modes"], L=data["height"]),
+            modes=ModeExpansion.from_json_list(lv["modes"], L=height),
             diagnostics=dict(lv["diagnostics"]),
         )
-        if (level.beta, level.l, level.comp) in stack.levels:
-            raise InputError(f"{where} repeats level {(level.beta, level.l, level.comp)}")
-        stack.levels[(level.beta, level.l, level.comp)] = level
     return stack
 
 

@@ -118,9 +118,6 @@ class WallLawTable:
     tails: dict        # horizontal comp -> (2,) first-order tail T_(comp)
     slip_length: float
 
-    def phi_matrix(self, alpha: int, l: int) -> np.ndarray:
-        return self.phi[(alpha, l)]
-
     def to_json_dict(self) -> dict:
         return {
             "order": self.order,

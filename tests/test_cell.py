@@ -58,7 +58,7 @@ def test_shifted_flat_wall_constant_corrector():
 def test_manufactured_transparent_homogeneous():
     # exact decaying mode solution, rough wall, no source
     k, b = 1, np.array([1.0, 0.0], dtype=complex)
-    V, Q, c = solve_mode_numeric((k,), [[], []], b, L=3.0)
+    V, Q, c = solve_mode_numeric((k,), [[], []], b)
     errs = []
     for nx, ny in ((16, 20), (32, 40)):
         grid = StripGrid(COS_WALL, height=3.0, nx=nx, ny=ny)
@@ -82,7 +82,7 @@ def test_manufactured_transparent_with_mode_source():
     k = 1
     F = [np.array([0.8 + 0.2j, -0.3j]), np.array([0.1 - 0.4j])]
     b = np.array([0.25 - 0.1j, 0.05 + 0.3j])
-    V, Q, c = solve_mode_numeric((k,), [list(F[0]), list(F[1])], b, L=3.0)
+    V, Q, c = solve_mode_numeric((k,), [list(F[0]), list(F[1])], b)
     exact = mode_field(k, V, Q, c, 3.0)
     fsrc = mode_field(k, F, np.array([0j]), 0j, 3.0)
     errs = []

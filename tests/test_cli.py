@@ -145,10 +145,54 @@ def _duplicate_level(data):
     data["levels"].append(data["levels"][0])
 
 
+def _text_beta(data):
+    data["levels"][0]["beta"] = "x"
+
+
+def _negative_beta(data):
+    data["levels"][0]["beta"] = -1
+
+
+def _fractional_beta(data):
+    # int() would truncate it to 1
+    data["levels"][0]["beta"] = 1.7
+
+
+def _zero_l(data):
+    data["levels"][0]["l"] = 0
+
+
+def _comp_3(data):
+    data["levels"][0]["comp"] = 3
+
+
+def _bool_comp(data):
+    data["levels"][0]["comp"] = True
+
+
+def _levels_not_a_list(data):
+    data["levels"] = 5
+
+
+def _text_height(data):
+    data["height"] = "x"
+
+
+def _float_nx(data):
+    data["nx"] = float(data["nx"])
+
+
+def _repeated_wavenumber(data):
+    modes = data["levels"][0]["modes"]
+    modes.append(dict(modes[0]))
+
+
 @pytest.mark.parametrize("corrupt", [
     _break_first_level, _drop_p_nodes, _flatten_p_nodes, _three_row_v_poly, _wrong_hash,
     _invalid_base64, _short_byte_count, _text_arrays_without_schema, _schema_1,
     _text_mode_coeffs, _mode_without_k, _diagnostics_list, _duplicate_level,
+    _text_beta, _negative_beta, _fractional_beta, _zero_l, _comp_3, _bool_comp,
+    _levels_not_a_list, _text_height, _float_nx, _repeated_wavenumber,
 ])
 def test_malformed_stack_exits_2(tmp_path, geometry_file, corrupt, capsys):
     stack_out = tmp_path / "stack.json"

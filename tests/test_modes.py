@@ -134,6 +134,22 @@ def test_conjugate_symmetry():
         assert [c.conjugate() for c in sol.Q] == conj_sol.Q
 
 
+def test_solve_mode_numeric_matches_exact():
+    # the float closed form against the exact one, mapped through as_complex
+    for seed in range(20):
+        data = random_mode_case(random.Random(seed), 2)
+        exact = solve_mode(data)
+        V, Q, c = solve_mode_numeric(
+            data.k, [[e.as_complex() for e in comp] for comp in data.F_poly],
+            [e.as_complex() for e in data.b_hat],
+        )
+        for got, want in [*zip(V, exact.V), (Q, exact.Q)]:
+            want = np.array([e.as_complex() for e in want] or [0j])
+            assert got.shape == want.shape, seed
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), seed
+        assert abs(c - exact.c.as_complex()) <= 1e-12 * abs(exact.c.as_complex()), seed
+
+
 def test_dtn_map_example():
     M = dtn_map((1,))
     b = [S(1), S(0)]

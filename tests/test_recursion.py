@@ -256,19 +256,23 @@ def test_heterogeneous_basis_counts(stack, flat_stack):
             assert np.abs(got2).max() < 1e-10
 
 
-def test_stack_roundtrip(stack):
-    stack.level(1, 1, 1)
-    data = stack_to_json(stack)
-    rebuilt = stack_from_json(data)
-    lv = rebuilt.levels[(1, 1, 1)]
-    ref = stack.level(1, 1, 1)
-    assert np.allclose(lv.u, ref.u)
-    assert np.allclose(lv.v_poly, ref.v_poly)
-    ks = sorted(lv.modes.modes)
-    assert ks == sorted(ref.modes.modes)
-    x = np.linspace(-np.pi, np.pi, 7)
-    assert np.allclose(lv.modes.velocity(x, 4.0, comp=0),
-                       ref.modes.velocity(x, 4.0, comp=0))
+def test_stack_roundtrip(stack, flat_stack):
+    for work in (stack, flat_stack):
+        work.level(1, 1, 1)
+        data = stack_to_json(work)
+        rebuilt = stack_from_json(data)
+        lv = rebuilt.levels[(1, 1, 1)]
+        ref = work.level(1, 1, 1)
+        for mode in [*lv.modes.modes.values(), *ref.modes.modes.values()]:
+            assert isinstance(mode["V"], np.ndarray)
+            assert mode["V"].ndim == 2 and mode["V"].shape[0] == 2 and mode["V"].shape[1] >= 1
+        assert np.allclose(lv.u, ref.u)
+        assert np.allclose(lv.v_poly, ref.v_poly)
+        ks = sorted(lv.modes.modes)
+        assert ks == sorted(ref.modes.modes)
+        x = np.linspace(-np.pi, np.pi, 7)
+        assert np.allclose(lv.modes.velocity(x, 4.0, comp=0),
+                           ref.modes.velocity(x, 4.0, comp=0))
 
 
 # -- LevelSampler against the per-column construction ------------------------
@@ -374,19 +378,27 @@ def test_stack_json_roundtrip_preserves_level_arrays(levels):
 
 
 def test_cli_stack_sequence_is_byte_reproducible(tmp_path):
-    wall = tmp_path / "wall.json"
-    wall.write_text(json.dumps(COS_WALL.to_json_dict()))
-    grid = ["--nx", "16", "--ny", "20"]
-    outs = []
-    for run in ("a", "b"):
-        root = tmp_path / run
-        stack = str(root / "stack.json")
-        for comp in ("1", "2"):
-            assert main(["corrector", "--geometry", str(wall), "--alpha", "1", "--l", "1",
-                         "--i", comp, *grid, "--out", stack]) == 0
-        assert main(["wall-law", "--stack", stack, "--order", "2",
-                     "--out", str(root / "walllaw.json")]) == 0
-        outs.append([(root / name).read_bytes()
-                     for name in ("stack.json", "walllaw.json", "walllaw.csv")])
-    assert json.loads(outs[0][0])["schema"] == 2
-    assert outs[0] == outs[1]
+    # the flat wall's all-zero mode profiles must round-trip through the stack
+    for kind, wall_json in (("cos", COS_WALL.to_json_dict()),
+                            ("flat", {"fourier": [{"k": 0, "re": 0.0, "im": 0.0}]})):
+        wall = tmp_path / f"{kind}.json"
+        wall.write_text(json.dumps(wall_json))
+        grid = ["--nx", "16", "--ny", "20"]
+        outs = []
+        for run in ("a", "b"):
+            root = tmp_path / kind / run
+            stack = str(root / "stack.json")
+            for comp in ("1", "2"):
+                assert main(["corrector", "--geometry", str(wall), "--alpha", "1", "--l", "1",
+                             "--i", comp, *grid, "--out", stack]) == 0
+            assert main(["wall-law", "--stack", stack, "--order", "2",
+                         "--out", str(root / "walllaw.json")]) == 0
+            outs.append([(root / name).read_bytes()
+                         for name in ("stack.json", "walllaw.json", "walllaw.csv")])
+        data = json.loads(outs[0][0])
+        assert data["schema"] == 2
+        assert outs[0] == outs[1]
+        for lv in data["levels"]:
+            for mode in lv["modes"]:
+                V = np.array(mode["V_coeffs"])
+                assert V.ndim == 3 and V.shape[0] == 2 and V.shape[1] >= 1 and V.shape[2] == 2
