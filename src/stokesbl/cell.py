@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import AliasingError, BoundaryGeometry, InputError
+from .geometry import AliasingError, BoundaryGeometry, InputError, SolverError
 from .modes import (ModeExpansion, dtn_matrix, halfline_integrals, poly_add, poly_derive,
                     poly_eval0, solve_mode_numeric)
 from .polynomials import VectorPolynomial
@@ -183,10 +183,6 @@ class TransparentTop:
 
     mode_data: dict = field(default_factory=dict)
     neumann0: np.ndarray = field(default_factory=lambda: np.zeros(2))
-
-
-class SolverError(RuntimeError):
-    pass
 
 
 # ---------------------------------------------------------------------------

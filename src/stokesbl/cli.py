@@ -22,7 +22,7 @@ import time
 
 import numpy as np
 
-from .geometry import InputError
+from .geometry import InputError, SolverError
 
 EXIT_BAD_CONFIG = 2
 EXIT_SOLVER = 3
@@ -153,19 +153,15 @@ def cmd_basis(args) -> int:
 
 
 def cmd_cell(args) -> int:
-    from .cell import SolverError, solve_cell
+    from .cell import solve_cell
 
     geometry = load_geometry(args.geometry)
     if args.l < 1 or args.i not in (1, 2):
         raise ConfigError("need --l >= 1 and --i in {1, 2}")
     if args.height < 1:
         raise ConfigError("--height must be >= 1")
-    try:
-        sol = solve_cell(geometry, l=args.l, comp=args.i,
-                         height=args.height, nx=args.nx, ny=args.ny)
-    except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    sol = solve_cell(geometry, l=args.l, comp=args.i,
+                     height=args.height, nx=args.nx, ny=args.ny)
     grid = sol.grid
     lines = ["x,y,u1,u2,p"]
     p_nodes = sol.pressure_nodes()
@@ -194,7 +190,6 @@ def cmd_cell(args) -> int:
 
 
 def cmd_corrector(args) -> int:
-    from .cell import SolverError
     from .recursion import CorrectorStack, stack_from_json, stack_to_json
 
     geometry = load_geometry(args.geometry)
@@ -205,24 +200,20 @@ def cmd_corrector(args) -> int:
         raise ConfigError("need alpha >= 0, --l >= 1 and --i in {1, 2}")
     if args.order_cap and alpha[0] + args.l > args.order_cap:
         raise ConfigError("|alpha| + l exceeds --order-cap")
-    try:
-        out_path = _out_root(args.out)
-        if os.path.exists(out_path):
-            # extend an existing stack so successive runs share one artifact
-            with open(out_path) as fh:
-                stack = stack_from_json(json.load(fh))
-            if stack.geometry.digest() != geometry.digest():
-                raise ConfigError("existing stack was built for another geometry")
-            if (stack.grid.nx, stack.grid.ny) != (args.nx, args.ny) \
-                    or stack.height != args.height:
-                raise ConfigError("existing stack has a different resolution")
-        else:
-            stack = CorrectorStack(geometry, height=args.height, nx=args.nx, ny=args.ny)
-        for beta in range(alpha[0] + 1):
-            stack.level(beta, args.l, args.i)
-    except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    out_path = _out_root(args.out)
+    if os.path.exists(out_path):
+        # extend an existing stack so successive runs share one artifact
+        with open(out_path) as fh:
+            stack = stack_from_json(json.load(fh))
+        if stack.geometry.digest() != geometry.digest():
+            raise ConfigError("existing stack was built for another geometry")
+        if (stack.grid.nx, stack.grid.ny) != (args.nx, args.ny) \
+                or stack.height != args.height:
+            raise ConfigError("existing stack has a different resolution")
+    else:
+        stack = CorrectorStack(geometry, height=args.height, nx=args.nx, ny=args.ny)
+    for beta in range(alpha[0] + 1):
+        stack.level(beta, args.l, args.i)
     out = write_atomic(args.out, dump_json(stack_to_json(stack)))
     tail = stack.level(alpha[0], args.l, args.i).const
     print(f"corrector: {len(stack.levels)} levels, top tail = "
@@ -231,7 +222,6 @@ def cmd_corrector(args) -> int:
 
 
 def cmd_wall_law(args) -> int:
-    from .cell import SolverError
     from .recursion import stack_from_json
     from .walllaw import phi_table
 
@@ -239,11 +229,7 @@ def cmd_wall_law(args) -> int:
         stack = stack_from_json(json.load(fh))
     if args.order < 1:
         raise ConfigError("--order must be >= 1")
-    try:
-        table = phi_table(stack, args.order)
-    except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    table = phi_table(stack, args.order)
     out = write_atomic(args.out, dump_json(table.to_json_dict()))
     lines = ["order,alpha,l,row,col,x_power,value"]
     for (alpha, l), mat in sorted(table.phi.items()):
@@ -258,7 +244,7 @@ def cmd_wall_law(args) -> int:
 
 
 def cmd_regularity(args) -> int:
-    from .cell import SolverError, StripGrid
+    from .cell import StripGrid
     from .recursion import CorrectorStack
     from .regularity import (
         RegularityWorkspace,
@@ -274,31 +260,27 @@ def cmd_regularity(args) -> int:
         raise ConfigError("--order must be >= 1")
     if args.R < 32 * np.pi:
         raise ConfigError("--R must be >= 32*pi so dyadic windows span a factor 16")
-    try:
-        stack = CorrectorStack(geometry, nx=args.nx, ny=args.stack_ny)
-        grid = StripGrid(geometry, height=args.R, nx=args.nx, ny=args.ny,
-                         stretch=args.stretch)
-        lift_ws = RegularityWorkspace(stack, max(args.order + 1, 3), grid)
-        ws = RegularityWorkspace(stack, args.order, grid)
-        results = {}
-        for kind in ("shear", "quadratic", "random"):
-            solution = build_outer_solution(lift_ws, kind, seed=args.seed)
-            rep = decay_experiment(ws, solution)
-            coeffs = projected_fit(ws, lift_ws, solution_grad_sampler(solution),
-                                   4 * np.pi)
-            ptw = pointwise_check(ws, solution, coeffs, args.order)
-            results[kind] = {
-                "radii": rep.radii,
-                "H": rep.H_values,
-                "fitted_exponent": rep.fitted_exponent,
-                "floored": rep.floored,
-                "grad_norm": rep.grad_norm,
-                "pressure_residuals": rep.meta.get("pressure"),
-                "pointwise": ptw,
-            }
-    except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    stack = CorrectorStack(geometry, nx=args.nx, ny=args.stack_ny)
+    grid = StripGrid(geometry, height=args.R, nx=args.nx, ny=args.ny,
+                     stretch=args.stretch)
+    lift_ws = RegularityWorkspace(stack, max(args.order + 1, 3), grid)
+    ws = RegularityWorkspace(stack, args.order, grid)
+    results = {}
+    for kind in ("shear", "quadratic", "random"):
+        solution = build_outer_solution(lift_ws, kind, seed=args.seed)
+        rep = decay_experiment(ws, solution)
+        coeffs = projected_fit(ws, lift_ws, solution_grad_sampler(solution),
+                               4 * np.pi)
+        ptw = pointwise_check(ws, solution, coeffs, args.order)
+        results[kind] = {
+            "radii": rep.radii,
+            "H": rep.H_values,
+            "fitted_exponent": rep.fitted_exponent,
+            "floored": rep.floored,
+            "grad_norm": rep.grad_norm,
+            "pressure_residuals": rep.meta.get("pressure"),
+            "pointwise": ptw,
+        }
     payload = {
         "order": args.order,
         "R": args.R,
@@ -485,6 +467,9 @@ def main(argv=None) -> int:
     except (InputError, FileNotFoundError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
+    except SolverError as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     if code == 0 and args.command != "verify":
         base = None
         for attr in ("out", "out_prefix"):

@@ -22,6 +22,10 @@ class AliasingError(InputError):
     """The boundary has Fourier modes a grid is too coarse to represent."""
 
 
+class SolverError(RuntimeError):
+    """A solve that failed or missed its residual bound; the CLI exits 3 on it."""
+
+
 @dataclass(frozen=True)
 class BoundaryGeometry:
     """2pi-periodic boundary graph y = gamma(x) stored as Fourier modes.

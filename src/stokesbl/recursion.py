@@ -42,13 +42,65 @@ from .modes import (
 from .polynomials import ExactPolynomial, VectorPolynomial
 
 
-def _pad2(rows) -> np.ndarray:
-    """Stack 1-D coefficient arrays into one (2, n) array."""
-    n = max(len(r) for r in rows)
-    out = np.zeros((len(rows), max(n, 1)))
-    for i, r in enumerate(rows):
-        out[i, : len(r)] = r
+# ---------------------------------------------------------------------------
+# dense coefficient arrays: c[..., i, j] is the coefficient of x^i y^j
+# ---------------------------------------------------------------------------
+
+def pad_stack(arrays) -> np.ndarray:
+    """Stack arrays that share their leading shape, zero-padding the last axis."""
+    n = max(a.shape[-1] for a in arrays)
+    out = np.zeros((len(arrays),) + arrays[0].shape[:-1] + (max(n, 1),))
+    for i, a in enumerate(arrays):
+        out[i, ..., : a.shape[-1]] = a
     return out
+
+
+def padded_sum(terms, shape=()) -> np.ndarray:
+    """Sum of scale * block over (scale, block) terms, each block at the origin.
+
+    The zero array it accumulates into holds every block and is at least
+    `shape`; accumulating into zeros writes +0.0 where a block has -0.0.
+    """
+    terms = list(terms)
+    dims = [block.shape for _, block in terms] + ([shape] if shape else [])
+    out = np.zeros(tuple(map(max, zip(*dims))))
+    for scale, block in terms:
+        out[tuple(map(slice, block.shape))] += scale * block
+    return out
+
+
+def coeff_derivative(c: np.ndarray, bx: int, by: int) -> np.ndarray:
+    """d_x^bx d_y^by of (..., nx, ny) coefficient arrays.
+
+    Each coefficient is multiplied once by its exact integer factor
+    m!/(m-bx)! * j!/(j-by)! (a chain of single derivatives would round
+    differently) and added into zeros, as padded_sum does.  An annihilated
+    axis gives the zero array (..., 1, 1).
+    """
+    nx, ny = c.shape[-2:]
+    if bx >= nx or by >= ny:
+        return np.zeros(c.shape[:-2] + (1, 1))
+    factor = np.outer([factorial(m) // factorial(m - bx) for m in range(bx, nx)],
+                      [factorial(j) // factorial(j - by) for j in range(by, ny)])
+    out = np.zeros(c.shape[:-2] + factor.shape)
+    out += c[..., bx:, by:] * factor
+    return out
+
+
+def poly_to_coeff2d(p: ExactPolynomial | VectorPolynomial) -> np.ndarray:
+    """Dense float coefficients of a 2-D polynomial, (deg_x+1, deg_y+1).
+
+    A VectorPolynomial gives (components, deg_x+1, deg_y+1), each component
+    zero-padded to the largest degrees.
+    """
+    comps = p.components if isinstance(p, VectorPolynomial) else [p]
+    exps = [exp for q in comps for exp in q.terms]
+    out = np.zeros((len(comps), max([e[0] for e in exps], default=0) + 1,
+                    max([e[1] for e in exps], default=0) + 1))
+    for i, q in enumerate(comps):
+        for exp, c in q.terms.items():
+            out[i, exp[0], exp[1]] = float(c)
+    return out if isinstance(p, VectorPolynomial) else out[0]
 
 
 def _cpoly(arr) -> list[complex]:
@@ -139,7 +191,7 @@ def assemble_source(stack: "CorrectorStack", beta: int, l: int, comp: int) -> di
     return {
         "F": F,
         "G": G,
-        "F_poly": _pad2(F_poly),
+        "F_poly": pad_stack(F_poly),
         "G_poly": np.atleast_1d(G_poly),
         "modes": mode_sources,
     }
@@ -185,7 +237,7 @@ def source_corrector(stack: "CorrectorStack", beta: int, l: int, comp: int) -> d
         integrand = npoly.polyadd(integrand, -2 * c2 * low2.v_poly[0])
         pi_poly = npoly.polyadd(pi_poly, npoly.polyint(2 * c2 * low2.v_poly[1]))
     lam1 = npoly.polyint(npoly.polyint(integrand))
-    return {"lambda_poly": _pad2([lam1, np.zeros(1)]), "pi_poly": np.atleast_1d(pi_poly)}
+    return {"lambda_poly": pad_stack([lam1, np.zeros(1)]), "pi_poly": np.atleast_1d(pi_poly)}
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +275,7 @@ class CorrectorStack:
                 top=TransparentTop(),
             )
             sol = solve_stokes(problem)
-            v_poly = _pad2([np.array([sol.tail[0]]), np.array([sol.tail[1]])])
+            v_poly = pad_stack([np.array([sol.tail[0]]), np.array([sol.tail[1]])])
             q_poly = np.zeros(1)
         else:
             src = assemble_source(self, beta, l, comp)
@@ -231,7 +283,7 @@ class CorrectorStack:
             lcorr = source_corrector(self, beta, l, comp)
 
             # growth part P(y) = Lambda_poly + W_poly; top Neumann = P'(height)
-            growth = _pad2([lcorr["lambda_poly"][0], wcorr["poly_e2"]])
+            growth = pad_stack([lcorr["lambda_poly"][0], wcorr["poly_e2"]])
             neumann0 = np.array([
                 npoly.polyval(g.height, _polyder_safe(growth[0])),
                 npoly.polyval(g.height, _polyder_safe(growth[1])),
@@ -266,7 +318,7 @@ class CorrectorStack:
                 npoly.polyval(g.height, growth[0]),
                 npoly.polyval(g.height, growth[1]),
             ])
-            v_poly = _pad2([
+            v_poly = pad_stack([
                 npoly.polyadd(growth[0], np.array([shift[0]])),
                 npoly.polyadd(growth[1], np.array([shift[1]])),
             ])
@@ -299,14 +351,6 @@ class CorrectorStack:
 # assembled correctors (v^alpha, q^alpha) and S[P]
 # ---------------------------------------------------------------------------
 
-def _poly2d_from_terms(terms, ny_len: int, nx_len: int) -> np.ndarray:
-    out = np.zeros((2, nx_len, ny_len))
-    for coef, power, level in terms:
-        arr = level.v_poly
-        out[:, power, : arr.shape[1]] += coef * arr
-    return out
-
-
 @dataclass
 class CorrectorField:
     """Assembled corrector for one driving monomial x^alpha y^l e_comp."""
@@ -328,16 +372,14 @@ def assemble_alpha(stack: CorrectorStack, alpha: int, l: int, comp: int) -> Corr
     """Corrector field v^alpha = sum_beta C(alpha,beta) x^{alpha-beta} V^beta."""
     if alpha < 0 or l < 1:
         raise ValueError("need alpha >= 0 and l >= 1")
-    terms = []
+    terms, v_terms, q_terms = [], [], []
     for beta in range(alpha + 1):
-        terms.append((float(comb(alpha, beta)), alpha - beta, stack.level(beta, l, comp)))
-    ny_len = max(t[2].v_poly.shape[1] for t in terms)
-    v_poly_xy = _poly2d_from_terms(terms, ny_len, alpha + 1)
-    nq_len = max(len(t[2].q_poly) for t in terms)
-    q_poly_xy = np.zeros((alpha + 1, nq_len))
-    for coef, power, level in terms:
-        q_poly_xy[power, : len(level.q_poly)] += coef * level.q_poly
-    return CorrectorField(stack, alpha, l, comp, terms, v_poly_xy, q_poly_xy)
+        coef, level = float(comb(alpha, beta)), stack.level(beta, l, comp)
+        terms.append((coef, alpha - beta, level))
+        x_power = np.eye(alpha + 1)[alpha - beta]  # x-coefficients of x^(alpha-beta)
+        v_terms.append((coef, np.einsum("i,cj->cij", x_power, level.v_poly)))
+        q_terms.append((coef, np.outer(x_power, level.q_poly)))
+    return CorrectorField(stack, alpha, l, comp, terms, padded_sum(v_terms), padded_sum(q_terms))
 
 
 def monomial_coefficients(P: VectorPolynomial) -> list[tuple[int, int, int, float]]:
@@ -365,24 +407,12 @@ class BoundaryCorrector:
     q_poly_xy: np.ndarray
 
 
-def _accumulate_2d(target: np.ndarray, block: np.ndarray, scale: float) -> None:
-    target[..., : block.shape[-2], : block.shape[-1]] += scale * block
-
-
 def script_S(stack: CorrectorStack, P: VectorPolynomial) -> BoundaryCorrector:
     """The corrector pair for boundary data P (linear in P)."""
-    parts = []
-    shapes_v = [1, 1]
-    for alpha, l, comp, coeff in monomial_coefficients(P):
-        fld = assemble_alpha(stack, alpha, l, comp)
-        parts.append((coeff, fld))
-        shapes_v[0] = max(shapes_v[0], fld.v_poly_xy.shape[1])
-        shapes_v[1] = max(shapes_v[1], fld.v_poly_xy.shape[2])
-    v = np.zeros((2, shapes_v[0], shapes_v[1]))
-    q = np.zeros((shapes_v[0], max(1, max((f.q_poly_xy.shape[1] for _, f in parts), default=1))))
-    for coeff, fld in parts:
-        _accumulate_2d(v, fld.v_poly_xy, coeff)
-        _accumulate_2d(q, fld.q_poly_xy, coeff)
+    parts = [(coeff, assemble_alpha(stack, alpha, l, comp))
+             for alpha, l, comp, coeff in monomial_coefficients(P)]
+    v = padded_sum([(coeff, fld.v_poly_xy) for coeff, fld in parts], shape=(2, 1, 1))
+    q = padded_sum([(coeff, fld.q_poly_xy) for coeff, fld in parts], shape=(1, 1))
     return BoundaryCorrector(parts, v, q)
 
 
@@ -392,7 +422,7 @@ def script_S_via_trace_formula(stack: CorrectorStack, P: VectorPolynomial,
 
     Independent assembly route used as a cross-check of script_S.
     """
-    out = np.zeros((2, order + 1, order + 1))
+    blocks = []
     for beta in range(order):
         for k in range(1, order - beta + 1):
             for i in range(2):
@@ -409,24 +439,13 @@ def script_S_via_trace_formula(stack: CorrectorStack, P: VectorPolynomial,
                     xcoef[exp[0]] = float(c)
                 level = stack.level(beta, k, i + 1)
                 scale = 1.0 / (factorial(beta) * factorial(k))
-                block = scale * np.einsum("i,cj->cij", xcoef, level.v_poly)
-                _accumulate_2d(out, block, 1.0)
-    return out
+                blocks.append((1.0, scale * np.einsum("i,cj->cij", xcoef, level.v_poly)))
+    return padded_sum(blocks, shape=(2, order + 1, order + 1))
 
 
 # ---------------------------------------------------------------------------
 # heterogeneous basis elements
 # ---------------------------------------------------------------------------
-
-def poly_to_coeff2d(p: ExactPolynomial) -> np.ndarray:
-    """Dense (deg_x+1, deg_y+1) float coefficient array of a 2-D polynomial."""
-    nx_len = int(max([e[0] for e in p.terms], default=0)) + 1
-    ny_len = int(max([e[1] for e in p.terms], default=0)) + 1
-    out = np.zeros((nx_len, ny_len))
-    for exp, c in p.terms.items():
-        out[exp[0], exp[1]] = float(c)
-    return out
-
 
 @dataclass
 class HeterogeneousElement:
@@ -448,15 +467,10 @@ def heterogeneous_basis(stack: CorrectorStack, order: int) -> list[Heterogeneous
     out = []
     for idx, pair in enumerate(basis.elements):
         corr = script_S(stack, pair.velocity)
-        nxp = max(corr.v_poly_xy.shape[1], order + 1)
-        nyp = max(corr.v_poly_xy.shape[2], order + 1)
-        w = np.zeros((2, nxp, nyp))
-        for c in range(2):
-            _accumulate_2d(w[c], poly_to_coeff2d(pair.velocity[c]), 1.0)
-        _accumulate_2d(w, corr.v_poly_xy, 1.0)
-        pi = np.zeros((nxp, nyp))
-        _accumulate_2d(pi, poly_to_coeff2d(pair.pressure), 1.0)
-        _accumulate_2d(pi, corr.q_poly_xy, 1.0)
+        w = padded_sum([(1.0, poly_to_coeff2d(pair.velocity)), (1.0, corr.v_poly_xy)],
+                       shape=(2, order + 1, order + 1))
+        pi = padded_sum([(1.0, poly_to_coeff2d(pair.pressure)), (1.0, corr.q_poly_xy)],
+                        shape=w.shape[1:])
         out.append(HeterogeneousElement(idx, pair.velocity, pair.pressure, corr, w, pi))
     return out
 

@@ -24,21 +24,11 @@ from .recursion import (
     CorrectorStack,
     HeterogeneousElement,
     LevelSampler,
+    coeff_derivative,
     heterogeneous_basis,
+    padded_sum,
     poly_to_coeff2d,
 )
-
-
-def _poly2d_dx(c: np.ndarray) -> np.ndarray:
-    if c.shape[0] <= 1:
-        return np.zeros((1, c.shape[1]))
-    return c[1:, :] * np.arange(1, c.shape[0])[:, None]
-
-
-def _poly2d_dy(c: np.ndarray) -> np.ndarray:
-    if c.shape[1] <= 1:
-        return np.zeros((c.shape[0], 1))
-    return c[:, 1:] * np.arange(1, c.shape[1])[None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -89,8 +79,8 @@ class RegularityWorkspace:
         out = np.zeros((4, g.nx, g.ny + 1))
         for c in range(2):
             pc = self._p_coeffs[idx][c]
-            out[2 * c] = npoly.polyval2d(X, Y, _poly2d_dx(pc))
-            out[2 * c + 1] = npoly.polyval2d(X, Y, _poly2d_dy(pc))
+            out[2 * c] = npoly.polyval2d(X, Y, coeff_derivative(pc, 1, 0))
+            out[2 * c + 1] = npoly.polyval2d(X, Y, coeff_derivative(pc, 0, 1))
         for coef, power, smp in self._flat_terms(self.elements[idx]):
             xp = X ** power
             dxp = power * X ** (power - 1) if power >= 1 else np.zeros_like(X)
@@ -542,12 +532,9 @@ def pointwise_check(workspace: RegularityWorkspace, solution,
     g = solution.grid
     R = g.height
     # effective polynomial of the fitted combination
-    nxp = max(workspace.elements[i].w_poly_xy.shape[1] for i in workspace.column_indices)
-    nyp = max(workspace.elements[i].w_poly_xy.shape[2] for i in workspace.column_indices)
-    wpoly = np.zeros((2, nxp, nyp))
-    for c_val, idx in zip(coefficients, workspace.column_indices):
-        w = workspace.elements[idx].w_poly_xy
-        wpoly[:, : w.shape[1], : w.shape[2]] += c_val * w
+    wpoly = padded_sum((c_val, workspace.elements[idx].w_poly_xy)
+                       for c_val, idx in zip(coefficients, workspace.column_indices))
+    dx_wpoly, dy_wpoly = coeff_derivative(wpoly, 1, 0), coeff_derivative(wpoly, 0, 1)
 
     u_grad = solution_grad_sampler(solution)
     u_vals = solution_value_sampler(solution)
@@ -564,8 +551,8 @@ def pointwise_check(workspace: RegularityWorkspace, solution,
         err = np.zeros_like(X)
         err_val = np.zeros_like(X)
         for c in range(2):
-            dxw = npoly.polyval2d(X, Y, _poly2d_dx(wpoly[c]))
-            dyw = npoly.polyval2d(X, Y, _poly2d_dy(wpoly[c]))
+            dxw = npoly.polyval2d(X, Y, dx_wpoly[c])
+            dyw = npoly.polyval2d(X, Y, dy_wpoly[c])
             err += (ugrad[2 * c][mask] - dxw) ** 2 + (ugrad[2 * c + 1][mask] - dyw) ** 2
             err_val += (uval[c][mask] - npoly.polyval2d(X, Y, wpoly[c])) ** 2
         Xs.append(X)

@@ -26,7 +26,10 @@ from .recursion import (
     CorrectorStack,
     HeterogeneousElement,
     assemble_alpha,
+    coeff_derivative,
     heterogeneous_basis,
+    pad_stack,
+    padded_sum,
 )
 
 
@@ -35,22 +38,8 @@ class WallLawAccuracyError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# small polynomial-matrix helpers (coefficients ascending in x)
+# polynomial matrices (coefficients ascending in x)
 # ---------------------------------------------------------------------------
-
-def _trim(c: np.ndarray) -> np.ndarray:
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    nz = np.nonzero(np.abs(c) > 0)[0]
-    return c[: nz[-1] + 1] if nz.size else np.zeros(1)
-
-
-def _padcat(mats: list[np.ndarray]) -> np.ndarray:
-    deg = max(m.shape[-1] for m in mats)
-    out = np.zeros((len(mats),) + mats[0].shape[:-1] + (deg,))
-    for i, m in enumerate(mats):
-        out[i, ..., : m.shape[-1]] = m
-    return out
-
 
 def matpoly_apply(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """(2,2,degM) polynomial matrix times (2,degV) polynomial vector."""
@@ -60,19 +49,7 @@ def matpoly_apply(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
         for j in range(2):
             acc = npoly.polyadd(acc, npoly.polymul(mat[i, j], vec[j]))
         rows.append(np.atleast_1d(acc))
-    return _padcat(rows)
-
-
-def trace_derivative(coeff2d: np.ndarray, beta: int, k: int) -> np.ndarray:
-    """x-polynomial of d_x^beta d_y^k applied to a 2-D coefficient array at y=0."""
-    nxp, nyp = coeff2d.shape
-    if k >= nyp:
-        return np.zeros(1)
-    out = np.zeros(max(nxp - beta, 1))
-    for m in range(beta, nxp):
-        factor = factorial(m) // factorial(m - beta) * factorial(k)
-        out[m - beta] += coeff2d[m, k] * factor
-    return out
+    return pad_stack(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -139,14 +116,10 @@ def monomial_effective(stack: CorrectorStack, alpha: int, l: int) -> np.ndarray:
     cols = []
     for comp in (1, 2):
         fld = assemble_alpha(stack, alpha, l, comp)
-        v = fld.v_poly_xy
-        nxp = max(v.shape[1], alpha + 1)
-        nyp = max(v.shape[2], l + 1)
-        w = np.zeros((2, nxp, nyp))
-        w[:, : v.shape[1], : v.shape[2]] = v
+        w = padded_sum([(1.0, fld.v_poly_xy)], shape=(2, alpha + 1, l + 1))
         w[comp - 1, alpha, l] += 1.0
         cols.append(w)
-    return _padcat(cols)
+    return pad_stack(cols)
 
 
 def phi_table(stack: CorrectorStack, order: int) -> WallLawTable:
@@ -175,17 +148,14 @@ def phi_table(stack: CorrectorStack, order: int) -> WallLawTable:
             W = effective[(alpha, l)]
             cols = []
             for i in range(2):
-                acc = _padcat([trace_derivative(W[i, c], 0, 0) for c in range(2)])
+                # x-polynomials d^b d^k W(x, 0) are the y^0 coefficients
+                acc = coeff_derivative(W[i], 0, 0)[..., 0]
                 for (b, k), phimat in lower.items():
-                    dW = _padcat([trace_derivative(W[i, c], b, k) for c in range(2)])
-                    corr = matpoly_apply(phimat, dW)
-                    acc = _padcat([npoly.polysub(acc[c], corr[c]) for c in range(2)])
+                    corr = matpoly_apply(phimat, coeff_derivative(W[i], b, k)[..., 0])
+                    acc = pad_stack([npoly.polysub(acc[c], corr[c]) for c in range(2)])
                 cols.append(acc / (factorial(alpha) * factorial(l)))
-            deg = max(c.shape[-1] for c in cols)
-            mat = np.zeros((2, 2, deg))
-            for i in range(2):
-                mat[:, i, : cols[i].shape[-1]] = cols[i]
-            phi[(alpha, l)] = mat
+            # column i of Phi^{alpha,l} is cols[i]
+            phi[(alpha, l)] = pad_stack(cols).swapaxes(0, 1)
 
     lam = float(seed[0, 0, 0])
     return WallLawTable(order=order, phi=phi, tails=tails, slip_length=lam)
@@ -194,13 +164,12 @@ def phi_table(stack: CorrectorStack, order: int) -> WallLawTable:
 def wall_law_identity_residual(table: WallLawTable, element: HeterogeneousElement) -> float:
     """Relative residual of w_poly(x,0) = sum Phi^{alpha,l} d^alpha d^l w_poly(x,0)."""
     w = element.w_poly_xy
-    lhs = _padcat([trace_derivative(w[c], 0, 0) for c in range(2)])
+    lhs = coeff_derivative(w, 0, 0)[..., 0]
     rhs = np.zeros_like(lhs)
     for (alpha, l), mat in table.phi.items():
-        dvec = _padcat([trace_derivative(w[c], alpha, l) for c in range(2)])
-        term = matpoly_apply(mat, dvec)
-        rhs = _padcat([npoly.polyadd(rhs[c], term[c]) for c in range(2)])
-    resid = _padcat([npoly.polysub(lhs[c], rhs[c]) for c in range(2)])
+        term = matpoly_apply(mat, coeff_derivative(w, alpha, l)[..., 0])
+        rhs = pad_stack([npoly.polyadd(rhs[c], term[c]) for c in range(2)])
+    resid = pad_stack([npoly.polysub(lhs[c], rhs[c]) for c in range(2)])
     scale = max(np.abs(w).max(), 1e-300)
     return float(np.abs(resid).max() / scale)
 
@@ -263,13 +232,9 @@ def basis_identity_residuals(stack: CorrectorStack, order: int,
             A = rng.integers(-2, 3, size=(n, n)).astype(float)
             if abs(np.linalg.det(A)) > 0.5:
                 break
-        combos = []
-        for row in A:
-            nxp = max(el.w_poly_xy.shape[1] for el in elements)
-            nyp = max(el.w_poly_xy.shape[2] for el in elements)
-            w = np.zeros((2, nxp, nyp))
-            for coef, el in zip(row, elements):
-                w[:, : el.w_poly_xy.shape[1], : el.w_poly_xy.shape[2]] += coef * el.w_poly_xy
-            combos.append(HeterogeneousElement(-1, elements[0].P, elements[0].Q, None, w, None))
-        elements = combos
+        elements = [
+            HeterogeneousElement(-1, elements[0].P, elements[0].Q, None,
+                                 padded_sum(zip(row, (el.w_poly_xy for el in elements))), None)
+            for row in A
+        ]
     return [wall_law_identity_residual(table, el) for el in elements]

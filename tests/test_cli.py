@@ -348,3 +348,31 @@ def test_write_atomic_cleans_up_and_keeps_file_mode(tmp_path, monkeypatch):
     assert sorted(os.listdir(tmp_path)) == ["out.json", "plain.txt"]
     with open(target) as fh:
         assert fh.read() == "ok\n"
+
+
+def test_solver_failure_exits_3_without_artifacts(tmp_path, geometry_file, monkeypatch, capsys):
+    import stokesbl.cell
+
+    stack = str(tmp_path / "stack.json")
+    assert main(["corrector", "--geometry", geometry_file, "--nx", "16", "--ny", "20",
+                 "--out", stack]) == 0
+    before = sorted(os.listdir(tmp_path))
+    monkeypatch.setattr(stokesbl.cell, "RESIDUAL_BOUND", -1.0)  # every solve misses it
+    runs = {
+        "cell": ["cell", "--geometry", geometry_file, "--nx", "16", "--ny", "20",
+                 "--out-prefix", str(tmp_path / "c")],
+        "corrector": ["corrector", "--geometry", geometry_file, "--nx", "16", "--ny", "20",
+                      "--out", str(tmp_path / "s2.json")],
+        "corrector (extending)": ["corrector", "--geometry", geometry_file, "--alpha", "1",
+                                  "--nx", "16", "--ny", "20", "--out", stack],
+        "wall-law (missing levels)": ["wall-law", "--stack", stack, "--order", "2",
+                                      "--out", str(tmp_path / "w.json")],
+        "regularity": ["regularity", "--geometry", geometry_file,
+                       "--out", str(tmp_path / "r.json")],
+        "verify": ["verify", "--suite", "numeric"],
+    }
+    for name, argv in runs.items():
+        capsys.readouterr()
+        assert main(argv) == 3, name
+        assert "solver failure" in capsys.readouterr().err, name
+        assert sorted(os.listdir(tmp_path)) == before, name  # no manifest, no artifact
