@@ -108,7 +108,6 @@ def write_manifest(base: str, config: dict, artifacts: list[str], started: float
         },
         "wall_clock_s": time.time() - started,
         "threads": THREADS_IN_EFFECT,
-        "threads_requested": config.get("threads"),
         "affinity": sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
     }
     return write_atomic(base + ".manifest.json", dump_json(manifest))
@@ -263,11 +262,17 @@ def cmd_regularity(args) -> int:
     stack = CorrectorStack(geometry, nx=args.nx, ny=args.stack_ny)
     grid = StripGrid(geometry, height=args.R, nx=args.nx, ny=args.ny,
                      stretch=args.stretch)
+    # phase 1, every solve: the workspaces solve the stack levels they
+    # sample, and each outer datum is one tall-strip solve
     lift_ws = RegularityWorkspace(stack, max(args.order + 1, 3), grid)
     ws = RegularityWorkspace(stack, args.order, grid)
+    solutions = {kind: build_outer_solution(lift_ws, kind, seed=args.seed)
+                 for kind in ("shear", "quadratic", "random")}
+    # phase 2 only samples the solutions, so the factors can go before it
+    stack.grid.factors.clear()
+    grid.factors.clear()
     results = {}
-    for kind in ("shear", "quadratic", "random"):
-        solution = build_outer_solution(lift_ws, kind, seed=args.seed)
+    for kind, solution in solutions.items():
         rep = decay_experiment(ws, solution)
         coeffs = projected_fit(ws, lift_ws, solution_grad_sampler(solution),
                                4 * np.pi)
@@ -400,9 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Boundary-layer correctors, wall laws and regularity "
                     "diagnostics for Stokes flow over rough periodic walls.",
     )
-    parser.add_argument("--threads", type=int, default=None,
-                        help="requested BLAS/OpenMP thread cap, recorded in the manifest; "
-                             "only the *_NUM_THREADS variables set at start-up take effect")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("basis", help="exact Stokes polynomial basis")

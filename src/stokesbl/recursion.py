@@ -19,6 +19,7 @@ from math import comb, factorial, isfinite, prod
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
+from scipy.linalg import solve_banded
 
 from . import __version__
 from .cell import (
@@ -485,18 +486,28 @@ def corrector_trace_residual(field: CorrectorField, refine: int = 4) -> float:
     At collocation points the Dirichlet rows make this exactly zero; the
     refined evaluation probes between them.
     """
-    from scipy.signal import resample
-
     g = field.stack.grid
     nfine = refine * g.nx
     xf = -np.pi + 2 * np.pi * np.arange(nfine) / nfine
     gf = field.stack.geometry.gamma(xf)
     total = np.zeros((2, nfine))
     for coef, power, level in field.terms:
-        for c in range(2):
-            total[c] += coef * xf ** power * resample(level.u[c][:, 0], nfine)
+        total += coef * xf ** power * _trig_interpolate(level.u[:, :, 0], nfine)
     total[field.comp - 1] += xf ** field.alpha * gf ** field.l
     return float(np.abs(total).max())
+
+
+def _trig_interpolate(samples: np.ndarray, n: int) -> np.ndarray:
+    """Periodic samples (last axis, m of them) at n >= m points, by zero-padding the FFT.
+
+    When n > m and m is even, the Nyquist coefficient is split evenly between
+    +-m/2, as scipy.signal.resample does, so the interpolant is real.
+    """
+    m = samples.shape[-1]
+    spec = np.fft.rfft(samples)
+    if m % 2 == 0 and n > m:
+        spec[..., m // 2] *= 0.5
+    return np.fft.irfft(spec / (m / n), n=n)
 
 
 def corrector_divergence_residual(field: CorrectorField, x_shift: float = 0.0,
@@ -642,6 +653,39 @@ def stack_from_json(data: dict) -> CorrectorStack:
     return stack
 
 
+def not_a_knot_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients (4, n-1, ...) of the not-a-knot cubic spline through y(x).
+
+    y holds the values at the n >= 4 knots x on its first axis; c[m, i] is
+    the coefficient of (t - x[i])**(3 - m) on [x[i], x[i+1]].  The slopes
+    solve the tridiagonal system of scipy's CubicSpline with the same
+    banded solver, and the coefficients follow its Hermite formulas in the
+    same order of operations, so the result equals CubicSpline(x, y).c bit
+    for bit.
+    """
+    n = len(x)
+    dx = np.diff(x)
+    dxr = dx.reshape((n - 1,) + (1,) * (y.ndim - 1))
+    slope = np.diff(y, axis=0) / dxr
+    band = np.zeros((3, n))
+    b = np.empty(y.shape)
+    band[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    band[0, 2:] = dx[:-1]
+    band[-1, :-2] = dx[1:]
+    b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    # not-a-knot: the third derivative is continuous at x[1] and x[-2]
+    d = x[2] - x[0]
+    band[1, 0], band[0, 1] = dx[1], d
+    b[0] = ((dxr[0] + 2 * d) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    band[1, -1], band[-1, -2] = dx[-2], d
+    b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
+    s = solve_banded((1, 1), band, b.reshape(n, -1), overwrite_ab=True,
+                     overwrite_b=True, check_finite=False).reshape(y.shape)
+    t = (s[:-1] + s[1:] - 2 * slope) / dxr
+    return np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
+
+
 class LevelSampler:
     """V^beta, Q^beta and their first derivatives sampled on another grid.
 
@@ -657,8 +701,6 @@ class LevelSampler:
     """
 
     def __init__(self, level: LevelSolution, stack: CorrectorStack, grid: StripGrid):
-        from scipy.interpolate import CubicSpline  # only regularity runs need it
-
         if grid.nx != stack.grid.nx:
             raise ValueError("evaluation grid must share the x collocation points")
         self.level = level
@@ -667,15 +709,16 @@ class LevelSampler:
         columns = np.broadcast_to(np.arange(grid.nx)[:, None], grid.y_nodes.shape)
         below = grid.y_nodes <= sg.height + 1e-12
 
-        spline = CubicSpline(sg.xi_nodes, np.stack([level.u[0], level.u[1], level.p_nodes]),
-                             axis=2)
+        knots = sg.xi_nodes
+        c = not_a_knot_coefficients(
+            knots, np.moveaxis(np.stack([level.u[0], level.u[1], level.p_nodes]), 2, 0))
         cols = columns[below]
         xi = np.clip(sg.xi_of_y(cols, grid.y_nodes[below]), 0.0, 1.0)
-        piece = np.clip(np.searchsorted(spline.x, xi, side="right") - 1, 0, sg.ny - 1)
-        s = xi - spline.x[piece]
-        coef = spline.c.transpose(0, 2, 3, 1)[:, :, cols, piece]  # (4, 3, points)
+        piece = np.clip(np.searchsorted(knots, xi, side="right") - 1, 0, sg.ny - 1)
+        s = xi - knots[piece]
+        coef = c.transpose(0, 2, 3, 1)[:, :, cols, piece]  # (4, 3, points)
         # PPoly's sum order (constant term first, then rising powers of s),
-        # so the values are bit-identical to calling the spline
+        # so the values are bit-identical to calling scipy's CubicSpline
         power = s
         acc = 0.0 + coef[3]
         acc = acc + coef[2] * power

@@ -436,13 +436,16 @@ def pressure_decay(workspace: RegularityWorkspace, solution: "OuterSolution",
     """
     g = workspace.grid
     wq = g.node_quad_weights()
+    fields = {}  # shift -> residual field; the radii meet the same periods again
 
     def residual_field(shift):
-        out = solution.pressure(shift)
-        for c_val, idx in zip(coefficients, workspace.column_indices):
-            if c_val != 0.0:
-                out = out - c_val * workspace.element_pressure(idx, shift)
-        return out
+        if shift not in fields:
+            out = solution.pressure(shift)
+            for c_val, idx in zip(coefficients, workspace.column_indices):
+                if c_val != 0.0:
+                    out = out - c_val * workspace.element_pressure(idx, shift)
+            fields[shift] = out
+        return fields[shift]
 
     mask1 = workspace.window_mask(1.0, 0.0)
     base = residual_field(0.0)
@@ -516,6 +519,24 @@ def projected_fit(ws_low: RegularityWorkspace, ws_high: RegularityWorkspace,
     return res["coefficients"][:n_low]
 
 
+def nnls_2col(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """argmin |A c - b| over c >= 0 for a two-column A, in closed form.
+
+    The unconstrained least-squares solution is optimal when both entries
+    are >= 0.  Otherwise the constrained optimum has a zero entry, so it is
+    the better of the two one-column fits, each clipped at zero.
+    """
+    c = np.linalg.lstsq(A, b, rcond=None)[0]
+    if np.all(c >= 0):
+        return c
+    fits = []
+    for j in range(2):
+        fit = np.zeros(2)
+        fit[j] = max(0.0, float(A[:, j] @ b) / float(A[:, j] @ A[:, j]))
+        fits.append(fit)
+    return min(fits, key=lambda fit: float(np.linalg.norm(A @ fit - b)))
+
+
 def pointwise_check(workspace: RegularityWorkspace, solution,
                     coefficients: np.ndarray, order: int,
                     y_min: float = 4.0, factor: float = 3.0) -> dict:
@@ -527,8 +548,6 @@ def pointwise_check(workspace: RegularityWorkspace, solution,
     shape fact (e^{-y/2} <= (r/R)^m once y >= 2 m ln R).  Samples cover
     {y_min <= y <= R/2, |x| <= R/2}.
     """
-    from scipy.optimize import nnls  # only regularity runs need it
-
     g = solution.grid
     R = g.height
     # effective polynomial of the fitted combination
@@ -571,7 +590,7 @@ def pointwise_check(workspace: RegularityWorkspace, solution,
     # scale-free fit: weight rows by the envelope shape so near-wall samples
     # count as much as the bulk, then inflate by the fixed factor
     wrow = 1.0 / (term_power + term_exp)
-    C, _ = nnls(A * wrow[:, None], err * wrow)
+    C = nnls_2col(A * wrow[:, None], err * wrow)
     envelope = factor * (A @ C)
     dominated = float(np.mean(err <= envelope + 1e-300))
 

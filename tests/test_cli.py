@@ -230,6 +230,41 @@ def test_cli_import_leaves_regularity_only_scipy_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+SMALL_REGULARITY = ["regularity", "--nx", "12", "--ny", "160", "--stack-ny", "16",
+                    "--R", "101"]
+
+
+def test_regularity_factors_each_grid_once_and_frees_it(tmp_path, geometry_file, monkeypatch):
+    from stokesbl import cell
+
+    built = []  # (grid, kind) of every factorization
+    assemble = cell.assemble
+
+    def recording_assemble(grid, kind):
+        built.append((grid, kind))
+        return assemble(grid, kind)
+
+    monkeypatch.setattr(cell, "assemble", recording_assemble)
+    assert main(SMALL_REGULARITY + ["--geometry", geometry_file,
+                                    "--out", str(tmp_path / "report.json")]) == 0
+    grids = [grid for grid, _ in built]
+    assert len(grids) == len(set(map(id, grids))) == 2  # stack grid and tall strip
+    assert all(grid.factors == {} for grid in grids)
+
+
+def test_regularity_run_leaves_interpolate_and_optimize_unloaded(tmp_path, geometry_file):
+    code = ("import sys; from stokesbl.cli import main; "
+            f"assert main({SMALL_REGULARITY + ['--geometry', geometry_file]!r} + sys.argv[1:]) == 0; "
+            "print(sorted(m for m in ('scipy.interpolate', 'scipy.optimize') "
+            "if m in sys.modules))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code, "--out", str(tmp_path / "report.json")],
+                         env=env, capture_output=True, text=True, check=True, timeout=300)
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
 def test_corrector_and_wall_law(tmp_path, geometry_file):
     stack_out = tmp_path / "stack.json"
     assert main(["corrector", "--geometry", geometry_file, "--alpha", "1",
@@ -295,14 +330,14 @@ def test_manifest_records_threads_in_effect(tmp_path):
 
     env_before = dict(os.environ)
     out = tmp_path / "basis.json"
-    assert main(["--threads", "3", "basis", "--dim", "2", "--order", "1",
-                 "--out", str(out)]) == 0
+    assert main(["basis", "--dim", "2", "--order", "1", "--out", str(out)]) == 0
     assert dict(os.environ) == env_before
     manifest = json.loads((tmp_path / "basis.manifest.json").read_text())
     assert manifest["threads"] == cli.THREADS_IN_EFFECT
     assert set(manifest["threads"]) == {
         "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"}
-    assert manifest["threads_requested"] == 3
+    assert "threads_requested" not in manifest
+    assert "threads" not in manifest["config"]
     assert manifest["affinity"] == sorted(os.sched_getaffinity(0))
 
 

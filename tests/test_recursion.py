@@ -24,8 +24,10 @@ from stokesbl.recursion import (
     corrector_divergence_residual,
     corrector_trace_residual,
     divergence_corrector,
+    _trig_interpolate,
     heterogeneous_basis,
     monomial_coefficients,
+    not_a_knot_coefficients,
     script_S,
     script_S_via_trace_formula,
     source_corrector,
@@ -313,6 +315,31 @@ def test_level_sampler_matches_column_oracle(stack, height, ny, stretch):
         assert smp.pressure.tobytes() == pressure.tobytes(), key
         assert np.array_equal(smp.dx, np.stack([grid.dx_nodes(v) for v in values]))
         assert np.array_equal(smp.dy, np.stack([grid.dy_nodes(v) for v in values]))
+
+
+@pytest.mark.parametrize("wall", [COS_WALL, BoundaryGeometry.from_fourier({0: -0.4, 2: -0.125})],
+                         ids=["cosine", "k2"])
+def test_not_a_knot_coefficients_equal_cubic_spline(wall):
+    work = CorrectorStack(wall, nx=24, ny=32)
+    heterogeneous_basis(work, 2)
+    knots = work.grid.xi_nodes
+    for key, level in sorted(work.levels.items()):
+        y = np.stack([level.u[0], level.u[1], level.p_nodes])
+        want = CubicSpline(knots, y, axis=2).c
+        got = not_a_knot_coefficients(knots, np.moveaxis(y, 2, 0))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), key
+
+
+@pytest.mark.parametrize("m", [8, 9, 16])
+def test_trig_interpolate_reproduces_band_limited_samples(m):
+    # even m: the Nyquist term cos(m x / 2) must come back whole, not doubled
+    f = lambda x: (1.0 + 0.3 * np.cos(x) - 0.2 * np.sin(2 * x)
+                   + 0.5 * (m % 2 == 0) * np.cos(m * x / 2))
+    x = 2 * np.pi * np.arange(m) / m
+    for n in (m, 4 * m, 3 * m + 1):
+        xf = 2 * np.pi * np.arange(n) / n
+        got = _trig_interpolate(np.stack([f(x), -f(x)]), n)
+        assert np.abs(got - np.stack([f(xf), -f(xf)])).max() < 1e-13
 
 
 # -- stack persistence ---------------------------------------------------------

@@ -15,6 +15,7 @@ from stokesbl.regularity import (
     growth_experiment,
     lift_coefficients,
     liouville_fit,
+    nnls_2col,
     outer_data,
     pointwise_check,
     solution_grad_sampler,
@@ -251,6 +252,25 @@ def test_pointwise_check_envelope(tall_ws, tall_solution):
     assert out["fraction_dominated"] >= 0.99
     assert out["crossover_ok"]
     assert out["n_samples"] > 1000
+
+
+def test_nnls_2col_matches_scipy_nnls():
+    from scipy.optimize import nnls
+
+    rng = np.random.default_rng(7)
+    negatives = set()
+    for trial in range(600):
+        m = int(rng.integers(2, 30))
+        A = rng.standard_normal((m, 2))
+        if trial % 3 == 0:  # nearly parallel columns push both entries negative
+            A[:, 1] = A[:, 0] + 0.1 * rng.standard_normal(m)
+        b = rng.standard_normal(m)
+        negatives.add(int(np.sum(np.linalg.lstsq(A, b, rcond=None)[0] < 0)))
+        want = nnls(A, b)[0]
+        got = nnls_2col(A, b)
+        assert np.all(got >= 0)
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    assert negatives == {0, 1, 2}
 
 
 def test_outer_data_flux_free():
