@@ -49,6 +49,8 @@ class StripGrid:
         if 2 * geometry.max_mode >= nx:
             raise AliasingError(f"geometry mode k = {geometry.max_mode} aliases on nx = {nx};"
                                 f" need nx > {2 * geometry.max_mode}")
+        if not (np.isfinite(height) and np.isfinite(stretch)):
+            raise InputError(f"height and stretch must be finite (got {height}, {stretch})")
         lo, hi = geometry.range()
         if height <= hi:
             raise InputError("height must sit above the boundary")

@@ -248,9 +248,9 @@ def cmd_regularity(args) -> int:
     from .regularity import (
         RegularityWorkspace,
         build_outer_solution,
-        decay_experiment,
+        decay_experiments,
         pointwise_check,
-        projected_fit,
+        projected_fits,
         solution_grad_sampler,
     )
 
@@ -259,6 +259,8 @@ def cmd_regularity(args) -> int:
         raise ConfigError("--order must be >= 1")
     if args.R < 32 * np.pi:
         raise ConfigError("--R must be >= 32*pi so dyadic windows span a factor 16")
+    if args.seed < 0:
+        raise ConfigError("--seed must be >= 0")
     stack = CorrectorStack(geometry, nx=args.nx, ny=args.stack_ny)
     grid = StripGrid(geometry, height=args.R, nx=args.nx, ny=args.ny,
                      stretch=args.stretch)
@@ -266,17 +268,18 @@ def cmd_regularity(args) -> int:
     # sample, and each outer datum is one tall-strip solve
     lift_ws = RegularityWorkspace(stack, max(args.order + 1, 3), grid)
     ws = RegularityWorkspace(stack, args.order, grid)
-    solutions = {kind: build_outer_solution(lift_ws, kind, seed=args.seed)
-                 for kind in ("shear", "quadratic", "random")}
-    # phase 2 only samples the solutions, so the factors can go before it
+    kinds = ("shear", "quadratic", "random")
+    solutions = [build_outer_solution(lift_ws, kind, seed=args.seed) for kind in kinds]
+    # phase 2 only samples the solutions, so the factors can go before it;
+    # the workspaces build their coefficient arrays only now, and each
+    # window pass fits all three data at once
     stack.grid.factors.clear()
     grid.factors.clear()
+    reports = decay_experiments(ws, solutions)
+    fits = projected_fits(ws, lift_ws, [solution_grad_sampler(s) for s in solutions],
+                          4 * np.pi)
     results = {}
-    for kind, solution in solutions.items():
-        rep = decay_experiment(ws, solution)
-        coeffs = projected_fit(ws, lift_ws, solution_grad_sampler(solution),
-                               4 * np.pi)
-        ptw = pointwise_check(ws, solution, coeffs, args.order)
+    for kind, solution, rep, coeffs in zip(kinds, solutions, reports, fits):
         results[kind] = {
             "radii": rep.radii,
             "H": rep.H_values,
@@ -284,7 +287,7 @@ def cmd_regularity(args) -> int:
             "floored": rep.floored,
             "grad_norm": rep.grad_norm,
             "pressure_residuals": rep.meta.get("pressure"),
-            "pointwise": ptw,
+            "pointwise": pointwise_check(ws, solution, coeffs, args.order),
         }
     payload = {
         "order": args.order,

@@ -10,11 +10,19 @@ Fields and basis elements are sampled on a shared evaluation grid (one
 periodicity cell, extended over as many periods as the window needs) and
 differentiated with the same discrete operators, so membership tests are
 exact up to rounding rather than discretization.
+
+Each basis field, and each outer solution, is a polynomial in the period
+shift: at x + s it is sum_i (x + s)^i f_i with coefficient arrays f_i that
+repeat in every period.  The arrays are built once, after the solves, and
+any period is one Horner evaluation.  The excess takes several fields at
+once: one pass per radius builds the basis rows once and carries every
+field as an extra QR column, so the outer data share their windows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -35,8 +43,25 @@ from .recursion import (
 # sampled basis on an evaluation grid
 # ---------------------------------------------------------------------------
 
+def horner(coeffs: np.ndarray, X) -> np.ndarray:
+    """sum_i X**i coeffs[i] by Horner's rule; X broadcasts against coeffs[i]."""
+    out = coeffs[-1].copy()
+    for c in coeffs[-2::-1]:
+        out *= X
+        out += c
+    return out
+
+
 class RegularityWorkspace:
-    """Heterogeneous basis sampled on an evaluation grid for window fits."""
+    """Heterogeneous basis sampled on an evaluation grid for window fits.
+
+    Each basis column's velocity, gradient and pressure at x + s is a
+    polynomial in the shifted abscissa X = x + s whose coefficients are
+    periodic arrays over the grid: the x-powers of the flat-space pair and
+    of the corrector terms, times samples that repeat in every period.  The
+    coefficient arrays of all columns are built together on first use and
+    every period is then one Horner evaluation.
+    """
 
     def __init__(self, stack: CorrectorStack, order: int, grid: StripGrid):
         self.stack = stack
@@ -53,13 +78,7 @@ class RegularityWorkspace:
         # velocity columns: drop elements with identically zero velocity
         self.column_indices = [i for i, el in enumerate(self.elements)
                                if not el.P.is_zero()]
-        self._p_coeffs = {}
-        for i in self.column_indices:
-            el = self.elements[i]
-            self._p_coeffs[i] = [poly_to_coeff2d(el.P[c]) for c in range(2)]
-        self._q_coeffs = {i: poly_to_coeff2d(el.Q)
-                          for i, el in enumerate(self.elements)}
-        self._grad_cache: dict = {}
+        self._column_of = {idx: j for j, idx in enumerate(self.column_indices)}
         self._column_norms: dict = {}
 
     def _flat_terms(self, el: HeterogeneousElement):
@@ -67,50 +86,93 @@ class RegularityWorkspace:
             for c, p, level in fld.terms:
                 yield a * c, p, self._samplers[(level.beta, level.l, level.comp)]
 
-    def element_grad(self, idx: int, shift: float) -> np.ndarray:
-        """(4, nx, ny+1) gradient samples [d1u1, d2u1, d1u2, d2u2] at x+shift."""
-        key = (idx, round(shift / (2 * np.pi)))
-        cached = self._grad_cache.get(key)
-        if cached is not None:
-            return cached
-        g = self.grid
-        X = np.broadcast_to(g.x[:, None] + shift, g.y_nodes.shape)
-        Y = g.y_nodes
-        out = np.zeros((4, g.nx, g.ny + 1))
-        for c in range(2):
-            pc = self._p_coeffs[idx][c]
-            out[2 * c] = npoly.polyval2d(X, Y, coeff_derivative(pc, 1, 0))
-            out[2 * c + 1] = npoly.polyval2d(X, Y, coeff_derivative(pc, 0, 1))
-        for coef, power, smp in self._flat_terms(self.elements[idx]):
-            xp = X ** power
-            dxp = power * X ** (power - 1) if power >= 1 else np.zeros_like(X)
+    def _x_series(self) -> dict:
+        """X-power coefficient arrays of every column.
+
+        Returns {"velocity": (D+1, ncols, 2, nx, ny+1), "grad": (D+1, ncols,
+        4, nx, ny+1), "pressure": (D+1, ncols, nx, ny+1)}, entry i the
+        coefficient of X**i.  The flat-space pair contributes its
+        y-polynomials at the nodes, a corrector term coef * X**power * V its
+        samples at i = power.  The x-derivative at fixed y is (i+1) times the
+        next velocity coefficient plus the samples' own x-derivative.
+        """
+        Y = self.grid.y_nodes
+        cols = [self.elements[idx] for idx in self.column_indices]
+        P = [poly_to_coeff2d(el.P) for el in cols]
+        Q = [poly_to_coeff2d(el.Q) for el in cols]
+        terms = [list(self._flat_terms(el)) for el in cols]
+        D = max([p.shape[1] - 1 for p in P] + [q.shape[0] - 1 for q in Q]
+                + [power for t in terms for _, power, _ in t])
+        vel = np.zeros((D + 1, len(cols), 2) + Y.shape)
+        grad = np.zeros((D + 1, len(cols), 4) + Y.shape)
+        pres = np.zeros((D + 1, len(cols)) + Y.shape)
+        dx, dy = grad[:, :, 0::2], grad[:, :, 1::2]  # views, one entry per component
+        for j, (pc, qc) in enumerate(zip(P, Q)):
+            dyc = coeff_derivative(pc, 0, 1)
             for c in range(2):
-                out[2 * c] += coef * (dxp * smp.values[c] + xp * smp.dx[c])
-                out[2 * c + 1] += coef * xp * smp.dy[c]
-        self._grad_cache[key] = out
-        return out
+                for i in range(pc.shape[1]):
+                    vel[i, j, c] = npoly.polyval(Y, pc[c, i])
+                for i in range(dyc.shape[1]):
+                    dy[i, j, c] = npoly.polyval(Y, dyc[c, i])
+            for i in range(qc.shape[0]):
+                pres[i, j] = npoly.polyval(Y, qc[i])
+            for coef, power, smp in terms[j]:
+                vel[power, j] += coef * smp.values
+                dx[power, j] += coef * smp.dx
+                dy[power, j] += coef * smp.dy
+                pres[power, j] += coef * smp.pressure
+        dx[:-1] += np.arange(1, D + 1)[:, None, None, None, None] * vel[1:]
+        return {"velocity": vel, "grad": grad, "pressure": pres}
+
+    @cached_property
+    def series(self) -> dict:
+        """The X-power coefficient arrays (_x_series), built on first use."""
+        return self._x_series()
+
+    def abscissa(self, shift: float) -> np.ndarray:
+        """The shifted abscissa x + shift as an (nx, 1) column."""
+        return self.grid.x[:, None] + shift
+
+    def grads(self, shift: float) -> np.ndarray:
+        """(ncols, 4, nx, ny+1) gradient samples [d1u1, d2u1, d1u2, d2u2] at x+shift."""
+        return horner(self.series["grad"], self.abscissa(shift))
+
+    def pressures(self, shift: float) -> np.ndarray:
+        """(ncols, nx, ny+1) pressure samples of every column at x+shift."""
+        return horner(self.series["pressure"], self.abscissa(shift))
+
+    def element_grad(self, idx: int, shift: float) -> np.ndarray:
+        """(4, nx, ny+1) gradient samples of element idx; equals grads(shift)[j]."""
+        return horner(self.series["grad"][:, self._column_of[idx]], self.abscissa(shift))
 
     def element_velocity(self, idx: int, shift: float) -> np.ndarray:
-        g = self.grid
-        X = np.broadcast_to(g.x[:, None] + shift, g.y_nodes.shape)
-        Y = g.y_nodes
-        out = np.zeros((2, g.nx, g.ny + 1))
-        for c in range(2):
-            out[c] = npoly.polyval2d(X, Y, self._p_coeffs[idx][c])
-        for coef, power, smp in self._flat_terms(self.elements[idx]):
-            xp = X ** power
-            for c in range(2):
-                out[c] += coef * xp * smp.values[c]
-        return out
+        return horner(self.series["velocity"][:, self._column_of[idx]], self.abscissa(shift))
 
     def element_pressure(self, idx: int, shift: float) -> np.ndarray:
+        return horner(self.series["pressure"][:, self._column_of[idx]], self.abscissa(shift))
+
+    def boundary_velocity(self) -> np.ndarray:
+        """(ncols, 2, nx, 2) column velocities on the wall and top rows at shift 0.
+
+        Evaluated directly, polynomial part plus corrector samples, without
+        building the coefficient arrays: the lift traces are taken while the
+        solves' factors are still alive.  The outer solves' top data are the
+        outer trace minus a lift trace orders of magnitude larger, so they
+        amplify any change in how these traces round; this arithmetic is the
+        one the recorded reports were made with.
+        """
         g = self.grid
-        X = np.broadcast_to(g.x[:, None] + shift, g.y_nodes.shape)
-        Y = g.y_nodes
-        out = npoly.polyval2d(X, Y, self._q_coeffs[idx])
-        el = self.elements[idx]
-        for coef, power, smp in self._flat_terms(el):
-            out += coef * X ** power * smp.pressure
+        X = np.broadcast_to(g.x[:, None], (g.nx, 2))
+        Y = g.y_nodes[:, [0, -1]]
+        out = np.zeros((len(self.column_indices), 2, g.nx, 2))
+        for j, idx in enumerate(self.column_indices):
+            el = self.elements[idx]
+            for c in range(2):
+                out[j, c] = npoly.polyval2d(X, Y, poly_to_coeff2d(el.P[c]))
+            for coef, power, smp in self._flat_terms(el):
+                xp = X ** power
+                for c in range(2):
+                    out[j, c] += coef * xp * smp.values[c][:, [0, -1]]
         return out
 
     # -- window machinery ----------------------------------------------------
@@ -125,33 +187,38 @@ class RegularityWorkspace:
         return (np.abs(X) <= r) & (g.y_nodes <= r)
 
     def window_pieces(self, r: float):
-        """(shift, mask, quadrature weights) of each period the window meets."""
+        """(shift, nodes, quadrature weights) of each period the window meets.
+
+        nodes are the flat (row-major) indices of the window's grid nodes.
+        """
         wq = self.grid.node_quad_weights()
         for shift in self.window_shifts(r):
-            mask = self.window_mask(r, shift)
-            if mask.any():
-                yield shift, mask, wq[mask]
+            nodes = np.flatnonzero(self.window_mask(r, shift))
+            if nodes.size:
+                yield shift, nodes, np.take(wq, nodes)
 
     @staticmethod
-    def _rows(grad: np.ndarray, mask: np.ndarray, sw: np.ndarray) -> np.ndarray:
-        """Quadrature-weighted least-squares rows of (4, nx, ny+1) gradient samples."""
-        return (grad[:, mask] * sw).reshape(4, -1).T.reshape(-1)
+    def _rows(grad: np.ndarray, nodes: np.ndarray, sw: np.ndarray) -> np.ndarray:
+        """Quadrature-weighted least-squares rows of (..., 4, nx, ny+1) gradient samples.
+
+        Rows run sample-major, component-minor; a leading axis (one entry per
+        basis column) becomes the columns of the result.
+        """
+        flat = grad.reshape(grad.shape[:-2] + (-1,))
+        return (np.take(flat, nodes, axis=-1) * sw).T.reshape((-1,) + grad.shape[:-3])
 
     def column_norms(self, r: float) -> np.ndarray:
         """Windowed gradient norms of the basis columns, stored per radius."""
         norms = self._column_norms.get(r)
         if norms is None:
             norms = np.zeros(len(self.column_indices))
-            for shift, mask, w in self.window_pieces(r):
-                sw = np.sqrt(w)
-                cols = [self._rows(self.element_grad(idx, shift), mask, sw)
-                        for idx in self.column_indices]
-                norms += np.sum(np.column_stack(cols) ** 2, axis=0)
+            for shift, nodes, w in self.window_pieces(r):
+                norms += np.sum(self._rows(self.grads(shift), nodes, np.sqrt(w)) ** 2, axis=0)
             norms = np.sqrt(np.maximum(norms, 1e-300))
             self._column_norms[r] = norms
         return norms
 
-    def excess(self, u_grad, r: float) -> dict:
+    def excess(self, u_grad, r: float):
         """Least-squares distance of grad u from the basis span over B_{r,+}.
 
         u_grad maps shift -> (4, nx, ny+1) gradient samples (constant in
@@ -160,42 +227,51 @@ class RegularityWorkspace:
         elements excluded), the Gram condition estimate and the windowed
         gradient norm of u.
 
-        The basis columns are scaled by their windowed norms, which depend
-        only on the workspace and r and are stored per radius
-        (column_norms).  Each call then makes one pass over the window: it
-        builds each period's rows once and streams them through the QR,
-        accumulating the norm of u and the window weight on the way.
+        u_grad may also be a sequence of samplers; the result is then a list
+        with one such dict per sampler, all from the same pass over the
+        window.  The basis columns are scaled by their windowed norms, which
+        depend only on the workspace and r and are stored per radius
+        (column_norms).  Each period's basis rows are built once and streamed
+        through one QR with every target as an extra column, accumulating the
+        targets' norms and the window weight on the way.  Target t's residual
+        is rows ncols..ncols+t of R's column ncols+t; for the first (or only)
+        target that is the single diagonal entry, so a one-target call does
+        the arithmetic of the one-target stream.
         """
+        samplers = [u_grad] if callable(u_grad) else list(u_grad)
         ncols = len(self.column_indices)
         norms = self.column_norms(r)
         total_w = 0.0
-        unorm2 = 0.0
-        R = np.zeros((0, ncols + 1))
-        for shift, mask, w in self.window_pieces(r):
+        unorm2 = np.zeros(len(samplers))
+        R = np.zeros((0, ncols + len(samplers)))
+        for shift, nodes, w in self.window_pieces(r):
             sw = np.sqrt(w)
-            cols = [self._rows(self.element_grad(idx, shift), mask, sw) / norms[j]
-                    for j, idx in enumerate(self.column_indices)]
-            target = self._rows(u_grad(shift), mask, sw)
-            unorm2 += float(np.sum(target ** 2))
+            targets = [self._rows(fn(shift), nodes, sw) for fn in samplers]
+            unorm2 += [float(np.sum(t ** 2)) for t in targets]
             total_w += float(np.sum(w))
-            R = np.linalg.qr(np.vstack([R, np.column_stack(cols + [target])]), mode="r")
+            block = np.column_stack([self._rows(self.grads(shift), nodes, sw) / norms] + targets)
+            R = np.linalg.qr(np.vstack([R, block]), mode="r")
         R11 = R[:ncols, :ncols]
-        rb = R[:ncols, -1]
-        rho = abs(float(R[ncols, ncols])) if R.shape[0] > ncols else 0.0
         diag = np.abs(np.diag(R11))
+        rank_ok = bool(diag.min() > 1e-13 * diag.max())
         cond = float(diag.max() / max(diag.min(), 1e-300))
-        coef_scaled = np.linalg.solve(R11, rb) if diag.min() > 1e-13 * diag.max() \
-            else np.linalg.lstsq(R11, rb, rcond=None)[0]
-        coeffs = coef_scaled / norms
-        return {
-            "H": rho / np.sqrt(total_w),
-            "coefficients": coeffs,
-            "column_indices": list(self.column_indices),
-            "cond": cond,
-            "grad_norm": np.sqrt(unorm2 / total_w),
-            "weight": total_w,
-            "rank_ok": bool(diag.min() > 1e-13 * diag.max()),
-        }
+        results = []
+        for t in range(len(samplers)):
+            rb = R[:ncols, ncols + t]
+            below = R[ncols:ncols + t + 1, ncols + t]
+            rho = abs(float(below[0])) if below.size == 1 else float(np.linalg.norm(below))
+            coef_scaled = np.linalg.solve(R11, rb) if rank_ok \
+                else np.linalg.lstsq(R11, rb, rcond=None)[0]
+            results.append({
+                "H": rho / np.sqrt(total_w),
+                "coefficients": coef_scaled / norms,
+                "column_indices": list(self.column_indices),
+                "cond": cond,
+                "grad_norm": np.sqrt(unorm2[t] / total_w),
+                "weight": total_w,
+                "rank_ok": rank_ok,
+            })
+        return results[0] if callable(u_grad) else results
 
 
 # ---------------------------------------------------------------------------
@@ -288,10 +364,7 @@ def lift_coefficients(ws: RegularityWorkspace, kind: str, seed: int = 0) -> np.n
             coeffs[j] = draw * R * (R / 4.0) ** (1 - deg)
     else:
         raise ValueError(f"unknown outer data kind {kind!r}")
-    fluxes = np.array([
-        float(np.mean(ws.element_velocity(idx, 0.0)[1, :, -1]))
-        for idx in ws.column_indices
-    ])
+    fluxes = np.array([float(np.mean(v[1, :, 1])) for v in ws.boundary_velocity()])
     net = float(coeffs @ fluxes)
     if abs(net) > 1e-12 * max(1.0, np.abs(coeffs).max()):
         pivot = int(np.argmax(np.abs(fluxes)))
@@ -306,6 +379,11 @@ class OuterSolution:
     u = sum_j c_j w*_j + v_per solves the homogeneous system in the strip,
     vanishes on the wall (to stack tolerance) and matches the prescribed
     outer trace at the top exactly.
+
+    Like the lift workspace's columns, each field is a polynomial in the
+    shifted abscissa X = x + s: its coefficient arrays are the lift
+    columns' arrays combined with the lift coefficients, with the periodic
+    remainder added to the X**0 term.  They are built on first use.
     """
 
     lift_ws: RegularityWorkspace
@@ -319,35 +397,33 @@ class OuterSolution:
     def grid(self) -> StripGrid:
         return self.remainder.grid
 
-    def grad(self, shift: float) -> np.ndarray:
-        out = self._remainder_grad().copy()
-        for c_val, idx in zip(self.lift, self.lift_ws.column_indices):
-            if c_val != 0.0:
-                out += c_val * self.lift_ws.element_grad(idx, shift)
+    def _series(self, name: str, periodic: np.ndarray) -> np.ndarray:
+        out = np.tensordot(self.lift, self.lift_ws.series[name], axes=([0], [1]))
+        out[0] += periodic
         return out
+
+    @cached_property
+    def _grad_series(self) -> np.ndarray:
+        g, u = self.grid, self.remainder.u
+        return self._series("grad", np.stack([g.dx_nodes(u[0]), g.dy_nodes(u[0]),
+                                              g.dx_nodes(u[1]), g.dy_nodes(u[1])]))
+
+    @cached_property
+    def _velocity_series(self) -> np.ndarray:
+        return self._series("velocity", self.remainder.u)
+
+    @cached_property
+    def _pressure_series(self) -> np.ndarray:
+        return self._series("pressure", self.remainder.pressure_nodes())
+
+    def grad(self, shift: float) -> np.ndarray:
+        return horner(self._grad_series, self.lift_ws.abscissa(shift))
 
     def values(self, shift: float) -> np.ndarray:
-        out = self.remainder.u.copy()
-        for c_val, idx in zip(self.lift, self.lift_ws.column_indices):
-            if c_val != 0.0:
-                out += c_val * self.lift_ws.element_velocity(idx, shift)
-        return out
+        return horner(self._velocity_series, self.lift_ws.abscissa(shift))
 
     def pressure(self, shift: float) -> np.ndarray:
-        out = self.remainder.pressure_nodes().copy()
-        for c_val, idx in zip(self.lift, self.lift_ws.column_indices):
-            if c_val != 0.0:
-                out += c_val * self.lift_ws.element_pressure(idx, shift)
-        return out
-
-    def _remainder_grad(self) -> np.ndarray:
-        if not hasattr(self, "_rg"):
-            g = self.grid
-            self._rg = np.stack([
-                g.dx_nodes(self.remainder.u[0]), g.dy_nodes(self.remainder.u[0]),
-                g.dx_nodes(self.remainder.u[1]), g.dy_nodes(self.remainder.u[1]),
-            ])
-        return self._rg
+        return horner(self._pressure_series, self.lift_ws.abscissa(shift))
 
 
 def build_outer_solution(lift_ws: RegularityWorkspace, kind: str,
@@ -356,23 +432,20 @@ def build_outer_solution(lift_ws: RegularityWorkspace, kind: str,
     grid = lift_ws.grid
     target = outer_data(kind, grid, seed=seed)
     coeffs = lift_coefficients(lift_ws, kind, seed=seed)
-    lift_top = np.zeros((2, grid.nx))
-    lift_bottom = np.zeros((2, grid.nx))
-    for c_val, idx in zip(coeffs, lift_ws.column_indices):
+    lift = np.zeros((2, grid.nx, 2))  # wall and top rows
+    for c_val, vals in zip(coeffs, lift_ws.boundary_velocity()):
         if c_val != 0.0:
-            vals = lift_ws.element_velocity(idx, 0.0)
-            lift_top += c_val * vals[:, :, -1]
-            lift_bottom += c_val * vals[:, :, 0]
+            lift += c_val * vals
     problem = CellProblem(
         grid=grid,
         bottom=np.zeros((2, grid.nx)),
-        top=DirichletTop(target - lift_top),
+        top=DirichletTop(target - lift[:, :, 1]),
     )
     remainder = solve_stokes(problem)
     return OuterSolution(
         lift_ws=lift_ws, lift=coeffs, remainder=remainder,
         kind=kind, seed=seed,
-        trace_defect=float(np.abs(lift_bottom).max()),
+        trace_defect=float(np.abs(lift[:, :, 0]).max()),
     )
 
 
@@ -397,33 +470,45 @@ def dyadic_radii(r0: float, rmax: float) -> list[float]:
 
 def decay_experiment(workspace: RegularityWorkspace, solution,
                      r0: float = np.pi / 2, floor_rel: float = 1e-3) -> ExcessReport:
-    """Excess decay of a genuine solve over dyadic windows up to R/4.
+    """Excess decay of one solve; see decay_experiments."""
+    return decay_experiments(workspace, [solution], r0=r0, floor_rel=floor_rel)[0]
 
-    floor_rel is the pipeline consistency tolerance: when every fitted H sits
-    below floor_rel * ||grad u||_R the field is classified as in-space (the
-    decay bound holds with a negligible constant) and the exponent is +inf.
+
+def decay_experiments(workspace: RegularityWorkspace, solutions,
+                      r0: float = np.pi / 2, floor_rel: float = 1e-3) -> list[ExcessReport]:
+    """Excess decay of genuine solves over dyadic windows up to R/4.
+
+    The solves share one strip height R, and every radius is one excess
+    pass with each solve as a target.  floor_rel is the pipeline
+    consistency tolerance: when every fitted H sits below floor_rel *
+    ||grad u||_R the field is classified as in-space (the decay bound holds
+    with a negligible constant) and the exponent is +inf.
     """
-    R = solution.grid.height
+    heights = {solution.grid.height for solution in solutions}
+    if len(heights) != 1:
+        raise ValueError("decay experiments need solves on one strip height")
+    R = heights.pop()
     radii = dyadic_radii(r0, R / 4)
     if radii[-1] / radii[0] < 16:
         raise ValueError("insufficient scale separation: need R/(4 r0) >= 16")
-    u_grad = solution_grad_sampler(solution)
-    H, coefs = [], []
-    for r in radii:
-        res = workspace.excess(u_grad, r)
-        H.append(res["H"])
-        coefs.append(res["coefficients"])
-    full = workspace.excess(u_grad, min(R / 2, radii[-1] * 2))
-    grad_norm_R = full["grad_norm"]
-    fit = fit_exponent(radii, H, drop=2, floor=floor_rel * grad_norm_R)
-    pressure = pressure_decay(workspace, solution, coefs[-1], radii) \
-        if isinstance(solution, OuterSolution) else None
-    return ExcessReport(
-        radii=radii, H_values=H,
-        fitted_exponent=fit["exponent"], fit_residual=fit["residual"],
-        floored=fit["floored"], coefficients=coefs, grad_norm=grad_norm_R,
-        meta={"R": R, "order": workspace.order, "pressure": pressure},
-    )
+    u_grads = [solution_grad_sampler(solution) for solution in solutions]
+    per_radius = [workspace.excess(u_grads, r) for r in radii]
+    full = workspace.excess(u_grads, min(R / 2, radii[-1] * 2))
+    reports = []
+    for t, solution in enumerate(solutions):
+        H = [res[t]["H"] for res in per_radius]
+        coefs = [res[t]["coefficients"] for res in per_radius]
+        grad_norm_R = full[t]["grad_norm"]
+        fit = fit_exponent(radii, H, drop=2, floor=floor_rel * grad_norm_R)
+        pressure = pressure_decay(workspace, solution, coefs[-1], radii) \
+            if isinstance(solution, OuterSolution) else None
+        reports.append(ExcessReport(
+            radii=radii, H_values=H,
+            fitted_exponent=fit["exponent"], fit_residual=fit["residual"],
+            floored=fit["floored"], coefficients=coefs, grad_norm=grad_norm_R,
+            meta={"R": R, "order": workspace.order, "pressure": pressure},
+        ))
+    return reports
 
 
 def pressure_decay(workspace: RegularityWorkspace, solution: "OuterSolution",
@@ -440,11 +525,8 @@ def pressure_decay(workspace: RegularityWorkspace, solution: "OuterSolution",
 
     def residual_field(shift):
         if shift not in fields:
-            out = solution.pressure(shift)
-            for c_val, idx in zip(coefficients, workspace.column_indices):
-                if c_val != 0.0:
-                    out = out - c_val * workspace.element_pressure(idx, shift)
-            fields[shift] = out
+            fields[shift] = solution.pressure(shift) - np.tensordot(
+                coefficients, workspace.pressures(shift), axes=1)
         return fields[shift]
 
     mask1 = workspace.window_mask(1.0, 0.0)
@@ -453,9 +535,9 @@ def pressure_decay(workspace: RegularityWorkspace, solution: "OuterSolution",
     values = []
     for r in radii:
         total, weight = 0.0, 0.0
-        for shift, mask, w in workspace.window_pieces(r):
+        for shift, nodes, w in workspace.window_pieces(r):
             res = residual_field(shift)
-            total += float(np.sum(w * (res[mask] - c_p) ** 2))
+            total += float(np.sum(w * (np.take(res, nodes) - c_p) ** 2))
             weight += float(np.sum(w))
         values.append(float(np.sqrt(total / weight)))
     return values
@@ -504,19 +586,25 @@ def liouville_fit(workspace: RegularityWorkspace, u_grad, radii: list[float],
 
 def projected_fit(ws_low: RegularityWorkspace, ws_high: RegularityWorkspace,
                   u_grad, r: float) -> np.ndarray:
+    """Order-m coefficients of one field; see projected_fits."""
+    return projected_fits(ws_low, ws_high, [u_grad], r)[0]
+
+
+def projected_fits(ws_low: RegularityWorkspace, ws_high: RegularityWorkspace,
+                   u_grads, r: float) -> list[np.ndarray]:
     """Order-m coefficients via the order-(m+1) fit projected into S_m.
 
     Fitting one order higher gives the top-degree content its own columns
     instead of letting it bias the low-order coefficients; dropping those
     columns afterwards gives a fixed approximant free of that bias.  The graded
     bases share their leading columns, so the projection is a truncation.
+    All fields are fitted in one excess pass.
     """
-    res = ws_high.excess(u_grad, r)
-    n_low = len(ws_low.column_indices)
     for i_low, i_high in zip(ws_low.column_indices, ws_high.column_indices):
         if not (ws_low.elements[i_low].P == ws_high.elements[i_high].P):
             raise AssertionError("graded bases do not share leading columns")
-    return res["coefficients"][:n_low]
+    n_low = len(ws_low.column_indices)
+    return [res["coefficients"][:n_low] for res in ws_high.excess(list(u_grads), r)]
 
 
 def nnls_2col(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -557,31 +645,30 @@ def pointwise_check(workspace: RegularityWorkspace, solution,
 
     u_grad = solution_grad_sampler(solution)
     u_vals = solution_value_sampler(solution)
-    Xs, Ys, errs, val_errs = [], [], [], []
+    Xs, Ys, grads, vals = [], [], [], []
     for shift in workspace.window_shifts(R / 2):
         mask = (g.y_nodes >= y_min) & (g.y_nodes <= R / 2) \
             & (np.abs(g.x[:, None] + shift) <= R / 2)
-        if not mask.any():
+        nodes = np.flatnonzero(mask)
+        if not nodes.size:
             continue
-        X = np.broadcast_to(g.x[:, None] + shift, g.y_nodes.shape)[mask]
-        Y = g.y_nodes[mask]
-        ugrad = u_grad(shift)
-        uval = u_vals(shift)
-        err = np.zeros_like(X)
-        err_val = np.zeros_like(X)
-        for c in range(2):
-            dxw = npoly.polyval2d(X, Y, dx_wpoly[c])
-            dyw = npoly.polyval2d(X, Y, dy_wpoly[c])
-            err += (ugrad[2 * c][mask] - dxw) ** 2 + (ugrad[2 * c + 1][mask] - dyw) ** 2
-            err_val += (uval[c][mask] - npoly.polyval2d(X, Y, wpoly[c])) ** 2
-        Xs.append(X)
-        Ys.append(Y)
-        errs.append(np.sqrt(err))
-        val_errs.append(np.sqrt(err_val))
+        Xs.append(g.x[nodes // (g.ny + 1)] + shift)
+        Ys.append(np.take(g.y_nodes, nodes))
+        grads.append(np.take(u_grad(shift).reshape(4, -1), nodes, axis=1))
+        vals.append(np.take(u_vals(shift).reshape(2, -1), nodes, axis=1))
     X = np.concatenate(Xs)
     Y = np.concatenate(Ys)
-    err = np.concatenate(errs)
-    err_val = np.concatenate(val_errs)
+    ugrad = np.concatenate(grads, axis=1)
+    uval = np.concatenate(vals, axis=1)
+    err = np.zeros_like(X)
+    err_val = np.zeros_like(X)
+    for c in range(2):
+        dxw = npoly.polyval2d(X, Y, dx_wpoly[c])
+        dyw = npoly.polyval2d(X, Y, dy_wpoly[c])
+        err += (ugrad[2 * c] - dxw) ** 2 + (ugrad[2 * c + 1] - dyw) ** 2
+        err_val += (uval[c] - npoly.polyval2d(X, Y, wpoly[c])) ** 2
+    err = np.sqrt(err)
+    err_val = np.sqrt(err_val)
 
     rr = np.hypot(X, Y)
     term_power = (rr / R) ** order

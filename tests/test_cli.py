@@ -81,6 +81,24 @@ def test_cell_rejects_unrepresentable_geometry(tmp_path, payload, capsys):
     assert "invalid configuration" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["cell", "--height", "nan"],
+    ["cell", "--height", "inf"],
+    ["corrector", "--height", "nan"],
+    ["corrector", "--height", "inf"],
+    ["regularity", "--R", "nan"],
+    ["regularity", "--R", "inf"],
+    ["regularity", "--stretch", "nan"],
+    ["regularity", "--seed", "-1"],
+], ids=lambda argv: " ".join(argv))
+def test_unrepresentable_sizes_exit_2(tmp_path, geometry_file, argv, capsys):
+    out = ["--out-prefix", str(tmp_path / "run")] if argv[0] == "cell" \
+        else ["--out", str(tmp_path / "run.json")]
+    assert main(argv[:1] + ["--geometry", geometry_file] + argv[1:] + out) == 2
+    assert "invalid configuration" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["wall.json"]
+
+
 def _break_first_level(data):
     # a 1-element u
     data["levels"][0]["u"] = {"shape": [1],
@@ -250,6 +268,23 @@ def test_regularity_factors_each_grid_once_and_frees_it(tmp_path, geometry_file,
     grids = [grid for grid, _ in built]
     assert len(grids) == len(set(map(id, grids))) == 2  # stack grid and tall strip
     assert all(grid.factors == {} for grid in grids)
+
+
+def test_regularity_builds_coefficient_arrays_after_freeing_factors(tmp_path, geometry_file,
+                                                                   monkeypatch):
+    from stokesbl.regularity import RegularityWorkspace
+
+    alive = []  # factors alive at each coefficient-array build?
+    x_series = RegularityWorkspace._x_series
+
+    def recording_x_series(self):
+        alive.append(bool(self.grid.factors) or bool(self.stack.grid.factors))
+        return x_series(self)
+
+    monkeypatch.setattr(RegularityWorkspace, "_x_series", recording_x_series)
+    assert main(SMALL_REGULARITY + ["--geometry", geometry_file,
+                                    "--out", str(tmp_path / "report.json")]) == 0
+    assert alive == [False, False]  # once per workspace, after the factors went
 
 
 def test_regularity_run_leaves_interpolate_and_optimize_unloaded(tmp_path, geometry_file):

@@ -1,15 +1,17 @@
 """Excess, decay/growth exponents, Liouville fits, pointwise envelopes."""
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
 
 from stokesbl.cell import StripGrid
 from stokesbl.geometry import BoundaryGeometry
-from stokesbl.recursion import CorrectorStack
+from stokesbl.recursion import CorrectorStack, coeff_derivative, poly_to_coeff2d
 from stokesbl.regularity import (
     RegularityWorkspace,
     build_outer_solution,
     decay_experiment,
+    decay_experiments,
     dyadic_radii,
     fit_exponent,
     growth_experiment,
@@ -18,6 +20,8 @@ from stokesbl.regularity import (
     nnls_2col,
     outer_data,
     pointwise_check,
+    projected_fit,
+    projected_fits,
     solution_grad_sampler,
 )
 
@@ -42,6 +46,83 @@ def ws2(stack, eval_grid):
 @pytest.fixture(scope="module")
 def ws3(stack, eval_grid):
     return RegularityWorkspace(stack, 3, eval_grid)
+
+
+# ---------------------------------------------------------------------------
+# direct evaluation of the basis fields at x + shift: the oracles for the
+# workspace's shift polynomials
+# ---------------------------------------------------------------------------
+
+def _grid_points(ws, shift):
+    g = ws.grid
+    return np.broadcast_to(g.x[:, None] + shift, g.y_nodes.shape), g.y_nodes
+
+
+def direct_grad(ws, idx, shift):
+    """(4, nx, ny+1) samples [d1u1, d2u1, d1u2, d2u2] of element idx at x + shift."""
+    X, Y = _grid_points(ws, shift)
+    el = ws.elements[idx]
+    out = np.zeros((4,) + X.shape)
+    for c in range(2):
+        pc = poly_to_coeff2d(el.P[c])
+        out[2 * c] = npoly.polyval2d(X, Y, coeff_derivative(pc, 1, 0))
+        out[2 * c + 1] = npoly.polyval2d(X, Y, coeff_derivative(pc, 0, 1))
+    for coef, power, smp in ws._flat_terms(el):
+        xp = X ** power
+        dxp = power * X ** (power - 1) if power >= 1 else np.zeros_like(X)
+        for c in range(2):
+            out[2 * c] += coef * (dxp * smp.values[c] + xp * smp.dx[c])
+            out[2 * c + 1] += coef * xp * smp.dy[c]
+    return out
+
+
+def direct_velocity(ws, idx, shift):
+    X, Y = _grid_points(ws, shift)
+    el = ws.elements[idx]
+    out = np.zeros((2,) + X.shape)
+    for c in range(2):
+        out[c] = npoly.polyval2d(X, Y, poly_to_coeff2d(el.P[c]))
+    for coef, power, smp in ws._flat_terms(el):
+        for c in range(2):
+            out[c] += coef * X ** power * smp.values[c]
+    return out
+
+
+def direct_pressure(ws, idx, shift):
+    X, Y = _grid_points(ws, shift)
+    el = ws.elements[idx]
+    out = npoly.polyval2d(X, Y, poly_to_coeff2d(el.Q))
+    for coef, power, smp in ws._flat_terms(el):
+        out += coef * X ** power * smp.pressure
+    return out
+
+
+DIRECT = {"grad": direct_grad, "velocity": direct_velocity, "pressure": direct_pressure}
+
+
+def _assert_fields_close(got, want, rel, what):
+    scale = np.abs(want).max()
+    assert np.abs(got - want).max() <= rel * scale, what
+
+
+def test_shift_polynomials_match_direct_evaluation(stack):
+    # the regularity command's default tall strip and lift order
+    grid = StripGrid(COS_WALL, height=64 * np.pi, nx=24, ny=320, stretch=5.0)
+    ws = RegularityWorkspace(stack, 3, grid)
+    horner = {"grad": ws.element_grad, "velocity": ws.element_velocity,
+              "pressure": ws.element_pressure}
+    for j, idx in enumerate(ws.column_indices):
+        for k in range(-17, 18):
+            shift = 2 * np.pi * k
+            for name, direct in DIRECT.items():
+                _assert_fields_close(horner[name](idx, shift), direct(ws, idx, shift),
+                                     1e-13, (idx, k, name))
+            # the all-column evaluations are the same arithmetic, column by column
+            assert np.array_equal(ws.grads(shift)[j], ws.element_grad(idx, shift))
+            assert np.array_equal(ws.pressures(shift)[j], ws.element_pressure(idx, shift))
+    traces = ws.boundary_velocity()
+    for j, idx in enumerate(ws.column_indices):
+        assert np.array_equal(traces[j], direct_velocity(ws, idx, 0.0)[:, :, [0, -1]])
 
 
 def test_excess_of_basis_element_is_zero(ws2):
@@ -197,6 +278,74 @@ def test_outer_solution_satisfies_data(tall_solution):
     assert tall_solution.trace_defect / scale < 1e-5
 
 
+@pytest.fixture(scope="module")
+def outer_solutions(lift_ws, tall_solution):
+    return {"shear": build_outer_solution(lift_ws, "shear"),
+            "quadratic": tall_solution,
+            "random": build_outer_solution(lift_ws, "random")}
+
+
+def test_outer_solution_fields_are_lift_plus_remainder(outer_solutions, lift_ws):
+    for kind, sol in outer_solutions.items():
+        g, u = sol.grid, sol.remainder.u
+        periodic = {
+            "grad": np.stack([g.dx_nodes(u[0]), g.dy_nodes(u[0]),
+                              g.dx_nodes(u[1]), g.dy_nodes(u[1])]),
+            "velocity": u,
+            "pressure": sol.remainder.pressure_nodes(),
+        }
+        fields = {"grad": sol.grad, "velocity": sol.values, "pressure": sol.pressure}
+        for k in (-17, -4, 0, 1, 9):
+            shift = 2 * np.pi * k
+            for name, direct in DIRECT.items():
+                want = periodic[name] + sum(c * direct(lift_ws, idx, shift)
+                                            for c, idx in zip(sol.lift, lift_ws.column_indices))
+                _assert_fields_close(fields[name](shift), want, 1e-13, (kind, k, name))
+
+
+def test_multi_target_excess_matches_one_target_calls(tall_ws, lift_ws, outer_solutions):
+    grid = tall_ws.grid
+    targets = {
+        "basis element": lambda shift: tall_ws.element_grad(tall_ws.column_indices[0], shift),
+        "zero": lambda shift: np.zeros((4, grid.nx, grid.ny + 1)),
+        "growth probe": lambda shift: lift_ws.element_grad(lift_ws.column_indices[-1], shift),
+    }
+    targets.update({kind: sol.grad for kind, sol in outer_solutions.items()})
+    for ws, r in [(tall_ws, np.pi / 2), (tall_ws, 4 * np.pi), (tall_ws, 16 * np.pi),
+                  (lift_ws, 4 * np.pi)]:
+        together = ws.excess(list(targets.values()), r)
+        assert len(together) == len(targets)
+        for (name, u_grad), got in zip(targets.items(), together):
+            want = ws.excess(u_grad, r)
+            what = (ws.order, r, name)
+            assert got["grad_norm"] == pytest.approx(want["grad_norm"], rel=1e-12), what
+            # H of a field in the span is rounding noise: below the pipeline's
+            # in-space floor it is compared on the scale of the field itself
+            scale = want["H"] if want["H"] > 1e-3 * want["grad_norm"] else want["grad_norm"]
+            assert abs(got["H"] - want["H"]) <= 1e-12 * scale, what
+            coef_scale = np.abs(want["coefficients"]).max()
+            assert np.abs(got["coefficients"] - want["coefficients"]).max() \
+                <= 1e-12 * coef_scale, what
+            assert got["column_indices"] == want["column_indices"]
+            assert got["rank_ok"] == want["rank_ok"] and got["weight"] == want["weight"]
+
+
+def test_shared_passes_match_single_datum_entry_points(tall_ws, lift_ws, outer_solutions):
+    sols = list(outer_solutions.values())
+    reports = decay_experiments(tall_ws, sols)
+    grads = [solution_grad_sampler(sol) for sol in sols]
+    fits = projected_fits(tall_ws, lift_ws, grads, 4 * np.pi)
+    for sol, u_grad, rep, fit in zip(sols, grads, reports, fits):
+        alone = decay_experiment(tall_ws, sol)
+        assert rep.radii == alone.radii and rep.floored == alone.floored
+        assert rep.grad_norm == pytest.approx(alone.grad_norm, rel=1e-12)
+        assert np.allclose(rep.H_values, alone.H_values, rtol=1e-12, atol=1e-12 * rep.grad_norm)
+        if not rep.floored:
+            assert rep.fitted_exponent == pytest.approx(alone.fitted_exponent, rel=1e-12)
+        one = projected_fit(tall_ws, lift_ws, u_grad, 4 * np.pi)
+        assert np.abs(fit - one).max() <= 1e-12 * np.abs(one).max()
+
+
 def test_decay_experiment_quadratic_order1(tall_ws, tall_solution):
     rep = decay_experiment(tall_ws, tall_solution, r0=np.pi / 2)
     # degree-2 content decays against the order-1 space with exponent ~ 1
@@ -209,9 +358,8 @@ def test_decay_experiment_quadratic_order1(tall_ws, tall_solution):
     assert all(np.isfinite(v) for v in rep.meta["pressure"])
 
 
-def test_decay_experiment_shear_is_in_space(tall_ws, lift_ws):
-    shear = build_outer_solution(lift_ws, "shear")
-    rep = decay_experiment(tall_ws, shear, r0=np.pi / 2)
+def test_decay_experiment_shear_is_in_space(tall_ws, outer_solutions):
+    rep = decay_experiment(tall_ws, outer_solutions["shear"], r0=np.pi / 2)
     # shear data reproduces the first-order element: excess sits at the
     # consistency floor at every radius
     assert rep.floored and rep.fitted_exponent == float("inf")
