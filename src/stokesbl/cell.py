@@ -93,6 +93,7 @@ class StripGrid:
         self.cxi = ax + self.a_nodes * axi - (
             self.spp_nodes[None, :] / (self.H[:, None] ** 2 * self.sp_nodes[None, :] ** 3)
         )
+        self._check_representable()
 
         kv = np.fft.fftfreq(nx, d=1.0 / nx)
         kv_odd = kv.copy()
@@ -116,6 +117,25 @@ class StripGrid:
 
     def _metric_a(self, s, spr):
         return self.dgam[:, None] * (s[None, :] - 1.0) / (self.H[:, None] * spr[None, :])
+
+    def _check_representable(self):
+        """Raise InputError when float64 cannot hold the mapped grid.
+
+        Finite sizes can still overflow (a huge stretch) or underflow (a
+        huge height squares the inverse metric to zero); the solve would
+        then fail on a singular or non-finite system.
+        """
+        names = ("y_nodes", "y_mids", "a_nodes", "a_mids", "invHsp_nodes", "invHsp_mids",
+                 "cxixi", "cxi")
+        bad = [f"{name} not finite" for name in names
+               if not np.all(np.isfinite(getattr(self, name)))]
+        if not np.all(np.diff(self.y_nodes, axis=1) > 0):
+            bad.append("y_nodes not increasing")
+        if not np.all(self.cxixi > 0):
+            bad.append("cxixi not positive")
+        if bad:
+            raise InputError(f"grid not representable at height {self.height!r}, stretch "
+                             f"{self.stretch!r}: {', '.join(bad)}")
 
     # -- helpers used by the recursion and the regularity harness ----------
 
@@ -654,20 +674,3 @@ def trace_expansion(solution: CellSolution, mode_sources: dict | None = None) ->
         modes[-k] = {"V": np.conj(Vk), "Q": np.conj(Q), "c": np.conj(c)}
     return ModeExpansion(solution.grid.height, modes)
 
-
-def energy_norms(solution: CellSolution, window: float | None = None) -> dict:
-    """Quadrature-consistent norms of the gradient and pressure fields."""
-    g = solution.grid
-    w = g.node_quad_weights()
-    if window is not None:
-        w = w * (np.abs(g.y_nodes) <= window) * (np.abs(g.x[:, None]) <= window)
-    area = float(w.sum())
-    grad_sq = np.zeros_like(w)
-    for c in range(2):
-        grad_sq += g.dx_nodes(solution.u[c]) ** 2 + g.dy_nodes(solution.u[c]) ** 2
-    p_nodes = solution.pressure_nodes()
-    return {
-        "grad_velocity": float(np.sqrt((w * grad_sq).sum())),
-        "pressure": float(np.sqrt((w * p_nodes ** 2).sum())),
-        "area": area,
-    }

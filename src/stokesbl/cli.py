@@ -251,7 +251,6 @@ def cmd_regularity(args) -> int:
         decay_experiments,
         pointwise_check,
         projected_fits,
-        solution_grad_sampler,
     )
 
     geometry = load_geometry(args.geometry)
@@ -276,8 +275,7 @@ def cmd_regularity(args) -> int:
     stack.grid.factors.clear()
     grid.factors.clear()
     reports = decay_experiments(ws, solutions)
-    fits = projected_fits(ws, lift_ws, [solution_grad_sampler(s) for s in solutions],
-                          4 * np.pi)
+    fits = projected_fits(ws, lift_ws, [s.grad for s in solutions], 4 * np.pi)
     results = {}
     for kind, solution, rep, coeffs in zip(kinds, solutions, reports, fits):
         results[kind] = {
@@ -311,91 +309,13 @@ def cmd_regularity(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    checks = []
-    if args.suite in ("symbolic", "all"):
-        checks.extend(_verify_symbolic())
-    if args.suite in ("numeric", "all"):
-        checks.extend(_verify_numeric())
-    failed = [name for name, ok in checks if not ok]
-    for name, ok in checks:
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
+    from . import verify
+
+    failed = verify.run(args.suite)
     if failed:
-        print(f"{len(failed)} verification check(s) failed", file=sys.stderr)
+        print(f"{failed} verification check(s) failed", file=sys.stderr)
         return EXIT_VERIFY
     return 0
-
-
-def _verify_symbolic() -> list[tuple[str, bool]]:
-    import random
-    from fractions import Fraction
-
-    from .halfspace import (
-        delta_D_inv,
-        dim_stokes_space,
-        stokes_basis,
-        verify_stokes_pair,
-    )
-    from .modes import ModeData, SqrtExt, residual_check, solve_mode
-    from .polynomials import ExactPolynomial
-
-    rng = random.Random(0)
-    out = []
-
-    ok = True
-    for _ in range(60):
-        d = rng.choice([2, 3])
-        terms = {}
-        for _ in range(6):
-            exp = [0] * d
-            for _ in range(rng.randrange(9)):
-                exp[rng.randrange(d)] += 1
-            terms[tuple(exp)] = Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
-        f = ExactPolynomial(d, terms)
-        u = delta_D_inv(f)
-        ok &= u.laplacian() == f and u.trace_at_zero().is_zero()
-    out.append(("delta_D_inv contract (random polynomials)", ok))
-
-    ok = True
-    for d in (2, 3):
-        for m in (1, 2, 3, 4):
-            basis = stokes_basis(m, d)
-            ok &= len(basis) == dim_stokes_space(m, d)
-            ok &= basis.certify_rank()
-            ok &= all(verify_stokes_pair(p).ok for p in basis.elements)
-    out.append(("Stokes basis dimensions and exact residuals", ok))
-
-    ok = True
-    for _ in range(30):
-        d = rng.choice([2, 3])
-        k = tuple(rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(d - 1))
-        F = [[SqrtExt.of(Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)),
-                         Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)))
-              for _ in range(rng.randrange(1, 5))] for _ in range(d)]
-        b = [SqrtExt.of(rng.randrange(-3, 4), rng.randrange(-3, 4)) for _ in range(d)]
-        data = ModeData(k, F, b)
-        ok &= residual_check(k, F, solve_mode(data), b).ok
-    out.append(("mode residual oracle (random sources)", ok))
-    return out
-
-
-def _verify_numeric() -> list[tuple[str, bool]]:
-    from .cell import solve_cell
-    from .geometry import BoundaryGeometry
-
-    out = []
-    flat = solve_cell(BoundaryGeometry.flat(), l=1, comp=1, nx=16, ny=20)
-    out.append(("flat-wall annihilation", float(np.abs(flat.u).max()) < 1e-10))
-    shifted = solve_cell(BoundaryGeometry.flat(0.25), l=1, comp=1, nx=16, ny=20)
-    out.append((
-        "shifted-flat wall exact tail",
-        abs(shifted.tail[0] - 0.25) < 1e-10 and abs(shifted.tail[1]) < 1e-10,
-    ))
-    rough = solve_cell(BoundaryGeometry.from_fourier({0: -0.5, 1: -0.25}),
-                       l=1, comp=1, nx=24, ny=32)
-    out.append(("positive slip length on cosine wall", rough.tail[0] > 0))
-    out.append(("divergence residual at solver precision",
-                rough.diagnostics["divergence_residual"] < 1e-9))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="report.json")
     p.set_defaults(func=cmd_regularity)
 
-    p = sub.add_parser("verify", help="run invariant suites")
+    p = sub.add_parser("verify", help="run the acceptance criteria")
     p.add_argument("--suite", choices=("symbolic", "numeric", "all"), default="all")
     p.set_defaults(func=cmd_verify)
     return parser

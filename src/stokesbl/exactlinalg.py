@@ -68,12 +68,6 @@ def nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
     return basis
 
 
-def rank_mod_p(rows: list[list[Fraction]], p: int = RANK_PRIME) -> int:
-    """Rank mod p of a matrix of Fraction rows; see `sparse_rank_mod_p`."""
-    entries = ((i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row) if v)
-    return sparse_rank_mod_p(entries, (len(rows), len(rows[0]) if rows else 0), p)
-
-
 def sparse_rank_mod_p(entries, shape: tuple[int, int], p: int = RANK_PRIME) -> int:
     """Rank mod p of the matrix with these (row, col, Fraction) entries, 0 elsewhere.
 

@@ -98,17 +98,6 @@ def harmonic_extension(q1: ExactPolynomial, q2: ExactPolynomial) -> ExactPolynom
     return ExactPolynomial._trusted(q1.dim, out)
 
 
-def trace_split(q: ExactPolynomial) -> tuple[ExactPolynomial, ExactPolynomial]:
-    """Recover (q1, q2) with q = harmonic_extension(q1, q2); q must be harmonic."""
-    if not q.laplacian().is_zero():
-        raise ValueError("input is not harmonic")
-    q1 = q.trace_at_zero()
-    q2 = q.derive(q.dim - 1).trace_at_zero()
-    if harmonic_extension(q1, q2) != q:
-        raise ValueError("harmonic trace expansion failed to reconstruct input")
-    return q1, q2
-
-
 def harmonic_basis(m: int, d: int) -> list[ExactPolynomial]:
     """Basis of homogeneous harmonic polynomials of degree m in d variables.
 
@@ -367,31 +356,3 @@ def stokes_basis(m: int, d: int) -> SpaceBasis:
         raise AssertionError(f"basis size {len(basis)} != {expected}")
     return basis
 
-
-def pressure_from_velocity(u: VectorPolynomial) -> ExactPolynomial:
-    """Recover the pressure of a Stokes velocity, normalized to p(0) = 0.
-
-    Raises ValueError if u is not the velocity of any polynomial Stokes pair.
-    """
-    d = u.dim
-    if len(u) != d:
-        raise ValueError("velocity must have d components in d variables")
-    g = VectorPolynomial([u[i].laplacian() for i in range(d)])
-    for i in range(d):
-        for j in range(i + 1, d):
-            if g[i].derive(j) != g[j].derive(i):
-                raise ValueError("Lap u is not a gradient: not a Stokes velocity")
-    # grad p = g; p = sum over homogeneous parts of (1/(k+1)) sum_j x_j g_j^{(k)}
-    p = ExactPolynomial.zero(d)
-    degrees = sorted({deg for i in range(d) for deg in g[i].homogeneous_degrees()})
-    for k in degrees:
-        part = ExactPolynomial.zero(d)
-        for j in range(d):
-            part = part + ExactPolynomial.variable(j, d) * g[j].homogeneous_part(k)
-        p = p + part.scale(Fraction(1, k + 1))
-    if VectorPolynomial([p.derive(i) for i in range(d)]) != g:
-        raise ValueError("gradient reconstruction failed: not a Stokes velocity")
-    report = verify_stokes_pair(StokesPair(u, p))
-    if not report.ok:
-        raise ValueError("no polynomial pressure completes this velocity")
-    return p

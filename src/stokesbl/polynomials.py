@@ -15,8 +15,7 @@ that are canonical by construction and return them through the private
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Exponent = tuple[int, ...]
 
@@ -27,39 +26,6 @@ NEG_INF = float("-inf")
 # ---------------------------------------------------------------------------
 # multi-index helpers (horizontal multi-indices live in Z_{>=0}^{d-1})
 # ---------------------------------------------------------------------------
-
-def multi_factorial(alpha: Sequence[int]) -> int:
-    """alpha! = product of entrywise factorials."""
-    out = 1
-    for a in alpha:
-        out *= factorial(a)
-    return out
-
-
-def multi_leq(beta: Sequence[int], alpha: Sequence[int]) -> bool:
-    """Componentwise partial order beta <= alpha."""
-    if len(beta) != len(alpha):
-        raise ValueError("multi-index lengths differ")
-    return all(b <= a for b, a in zip(beta, alpha))
-
-
-def multi_binom(alpha: Sequence[int], beta: Sequence[int]) -> int:
-    """Product of componentwise binomial coefficients; requires beta <= alpha."""
-    if not multi_leq(beta, alpha):
-        raise ValueError(f"{beta} is not <= {alpha}")
-    out = 1
-    for a, b in zip(alpha, beta):
-        out *= comb(a, b)
-    return out
-
-
-def multi_range(alpha: Sequence[int]) -> Iterator[Exponent]:
-    """All beta with 0 <= beta <= alpha, graded-lex order."""
-    betas: list[Exponent] = [()]
-    for a in alpha:
-        betas = [b + (j,) for b in betas for j in range(a + 1)]
-    return iter(sorted(betas, key=grlex_key))
-
 
 def monomial_exponents(nvars: int, degree: int) -> list[Exponent]:
     """All exponent tuples in nvars variables of total degree == degree, graded-lex."""
@@ -311,17 +277,6 @@ class ExactPolynomial:
         return ExactPolynomial._trusted(
             self.dim, {e: c for e, c in self._terms.items() if e[-1] == 0}
         )
-
-    def shift_y(self, power: int) -> "ExactPolynomial":
-        """Multiply by y**power."""
-        if power < 0:
-            raise ValueError("negative power")
-        out = {}
-        for e, c in self._terms.items():
-            ne = list(e)
-            ne[-1] += power
-            out[tuple(ne)] = c
-        return ExactPolynomial._trusted(self.dim, out)
 
     # -- serialization ---------------------------------------------------------
 

@@ -417,33 +417,6 @@ def script_S(stack: CorrectorStack, P: VectorPolynomial) -> BoundaryCorrector:
     return BoundaryCorrector(parts, v, q)
 
 
-def script_S_via_trace_formula(stack: CorrectorStack, P: VectorPolynomial,
-                               order: int) -> np.ndarray:
-    """v_P_poly by the intrinsic formula sum (1/beta! k!) V^{beta,k} d^beta d^k P(x,0).
-
-    Independent assembly route used as a cross-check of script_S.
-    """
-    blocks = []
-    for beta in range(order):
-        for k in range(1, order - beta + 1):
-            for i in range(2):
-                dP = P[i]
-                for _ in range(beta):
-                    dP = dP.derive(0)
-                for _ in range(k):
-                    dP = dP.derive(1)
-                tr = dP.trace_at_zero()
-                if tr.is_zero():
-                    continue
-                xcoef = np.zeros(order + 1)
-                for exp, c in tr.terms.items():
-                    xcoef[exp[0]] = float(c)
-                level = stack.level(beta, k, i + 1)
-                scale = 1.0 / (factorial(beta) * factorial(k))
-                blocks.append((1.0, scale * np.einsum("i,cj->cij", xcoef, level.v_poly)))
-    return padded_sum(blocks, shape=(2, order + 1, order + 1))
-
-
 # ---------------------------------------------------------------------------
 # heterogeneous basis elements
 # ---------------------------------------------------------------------------
@@ -474,69 +447,6 @@ def heterogeneous_basis(stack: CorrectorStack, order: int) -> list[Heterogeneous
                         shape=w.shape[1:])
         out.append(HeterogeneousElement(idx, pair.velocity, pair.pressure, corr, w, pi))
     return out
-
-
-# ---------------------------------------------------------------------------
-# evaluation of stack fields on an evaluation grid
-# ---------------------------------------------------------------------------
-
-def corrector_trace_residual(field: CorrectorField, refine: int = 4) -> float:
-    """sup over the wall of |v^alpha + x^alpha y^l e_comp|, trig-interpolated.
-
-    At collocation points the Dirichlet rows make this exactly zero; the
-    refined evaluation probes between them.
-    """
-    g = field.stack.grid
-    nfine = refine * g.nx
-    xf = -np.pi + 2 * np.pi * np.arange(nfine) / nfine
-    gf = field.stack.geometry.gamma(xf)
-    total = np.zeros((2, nfine))
-    for coef, power, level in field.terms:
-        total += coef * xf ** power * _trig_interpolate(level.u[:, :, 0], nfine)
-    total[field.comp - 1] += xf ** field.alpha * gf ** field.l
-    return float(np.abs(total).max())
-
-
-def _trig_interpolate(samples: np.ndarray, n: int) -> np.ndarray:
-    """Periodic samples (last axis, m of them) at n >= m points, by zero-padding the FFT.
-
-    When n > m and m is even, the Nyquist coefficient is split evenly between
-    +-m/2, as scipy.signal.resample does, so the interpolant is real.
-    """
-    m = samples.shape[-1]
-    spec = np.fft.rfft(samples)
-    if m % 2 == 0 and n > m:
-        spec[..., m // 2] *= 0.5
-    return np.fft.irfft(spec / (m / n), n=n)
-
-
-def corrector_divergence_residual(field: CorrectorField, x_shift: float = 0.0,
-                                  remove_defect: bool = False) -> float:
-    """Discrete divergence of the assembled v^alpha at the pressure cells.
-
-    The per-level solves satisfy div_h V^beta = G^beta - mu^beta with mu^beta
-    the reported compatibility defect (O(h^2)), so the raw residual telescopes
-    to -sum C(alpha,beta) x^{alpha-beta} mu^beta.  With remove_defect=True
-    that known uniform defect is subtracted, isolating the recursion algebra,
-    which must cancel to solver precision.  x_shift moves the evaluation
-    window across periods.
-    """
-    from .cell import divergence_residual
-
-    g = field.stack.grid
-    X = g.x[:, None] + x_shift
-    res = np.zeros((g.nx, g.ny))
-    scale = 0.0
-    for coef, power, level in field.terms:
-        div = divergence_residual(g, level.u)
-        if remove_defect:
-            div = div + level.diagnostics.get("multiplier", 0.0)
-        mid1 = 0.5 * (level.u[0][:, 1:] + level.u[0][:, :-1])
-        res += coef * X ** power * div
-        if power >= 1:
-            res += coef * power * X ** (power - 1) * mid1
-        scale = max(scale, float(np.abs(level.u).max()))
-    return float(np.abs(res).max() / max(scale, 1e-300))
 
 
 # ---------------------------------------------------------------------------

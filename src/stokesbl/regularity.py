@@ -1,4 +1,4 @@
-"""Large-scale regularity diagnostics: excess, decay, Liouville, pointwise.
+"""Large-scale regularity diagnostics: excess, decay, projected fits, pointwise.
 
 The excess of a field u at radius r is the normalized L2 distance of grad u
 from the span of the heterogeneous basis gradients over the window B_{r,+}.
@@ -218,27 +218,25 @@ class RegularityWorkspace:
             self._column_norms[r] = norms
         return norms
 
-    def excess(self, u_grad, r: float):
-        """Least-squares distance of grad u from the basis span over B_{r,+}.
+    def excess(self, samplers, r: float) -> list[dict]:
+        """Least-squares distance of each grad u from the basis span over B_{r,+}.
 
-        u_grad maps shift -> (4, nx, ny+1) gradient samples (constant in
-        shift for periodic fields).  Returns the normalized excess H, the
+        Each sampler maps shift -> (4, nx, ny+1) gradient samples (constant
+        in shift for periodic fields).  Returns one dict per sampler, all
+        from the same pass over the window: the normalized excess H, the
         minimizer coefficients (indexed like self.elements, zero-velocity
         elements excluded), the Gram condition estimate and the windowed
         gradient norm of u.
 
-        u_grad may also be a sequence of samplers; the result is then a list
-        with one such dict per sampler, all from the same pass over the
-        window.  The basis columns are scaled by their windowed norms, which
-        depend only on the workspace and r and are stored per radius
-        (column_norms).  Each period's basis rows are built once and streamed
-        through one QR with every target as an extra column, accumulating the
-        targets' norms and the window weight on the way.  Target t's residual
-        is rows ncols..ncols+t of R's column ncols+t; for the first (or only)
-        target that is the single diagonal entry, so a one-target call does
-        the arithmetic of the one-target stream.
+        The basis columns are scaled by their windowed norms, which depend
+        only on the workspace and r and are stored per radius
+        (column_norms).  Each period's basis rows are built once and
+        streamed through one QR with every target as an extra column,
+        accumulating the targets' norms and the window weight on the way.
+        Target t's residual is rows ncols..ncols+t of R's column ncols+t;
+        for the first (or only) target that is the single diagonal entry, so
+        a one-target call does the arithmetic of the one-target stream.
         """
-        samplers = [u_grad] if callable(u_grad) else list(u_grad)
         ncols = len(self.column_indices)
         norms = self.column_norms(r)
         total_w = 0.0
@@ -271,7 +269,21 @@ class RegularityWorkspace:
                 "weight": total_w,
                 "rank_ok": rank_ok,
             })
-        return results[0] if callable(u_grad) else results
+        return results
+
+    def grad_norms(self, samplers, r: float) -> np.ndarray:
+        """Windowed gradient norms of the samplers over B_{r,+}.
+
+        The arithmetic of excess's "grad_norm", without the basis rows or
+        the QR, so the two agree bit for bit.
+        """
+        total_w = 0.0
+        unorm2 = np.zeros(len(samplers))
+        for shift, nodes, w in self.window_pieces(r):
+            sw = np.sqrt(w)
+            unorm2 += [float(np.sum(self._rows(fn(shift), nodes, sw) ** 2)) for fn in samplers]
+            total_w += float(np.sum(w))
+        return np.sqrt(unorm2 / total_w)
 
 
 # ---------------------------------------------------------------------------
@@ -449,18 +461,6 @@ def build_outer_solution(lift_ws: RegularityWorkspace, kind: str,
     )
 
 
-def solution_grad_sampler(solution) -> object:
-    """Gradient sampler for a plain periodic solve or an OuterSolution."""
-    if isinstance(solution, OuterSolution):
-        return solution.grad
-    g = solution.grid
-    block = np.stack([
-        g.dx_nodes(solution.u[0]), g.dy_nodes(solution.u[0]),
-        g.dx_nodes(solution.u[1]), g.dy_nodes(solution.u[1]),
-    ])
-    return lambda shift: block
-
-
 def dyadic_radii(r0: float, rmax: float) -> list[float]:
     out = [r0]
     while out[-1] * 2 <= rmax + 1e-9:
@@ -468,13 +468,7 @@ def dyadic_radii(r0: float, rmax: float) -> list[float]:
     return out
 
 
-def decay_experiment(workspace: RegularityWorkspace, solution,
-                     r0: float = np.pi / 2, floor_rel: float = 1e-3) -> ExcessReport:
-    """Excess decay of one solve; see decay_experiments."""
-    return decay_experiments(workspace, [solution], r0=r0, floor_rel=floor_rel)[0]
-
-
-def decay_experiments(workspace: RegularityWorkspace, solutions,
+def decay_experiments(workspace: RegularityWorkspace, solutions: list[OuterSolution],
                       r0: float = np.pi / 2, floor_rel: float = 1e-3) -> list[ExcessReport]:
     """Excess decay of genuine solves over dyadic windows up to R/4.
 
@@ -491,17 +485,16 @@ def decay_experiments(workspace: RegularityWorkspace, solutions,
     radii = dyadic_radii(r0, R / 4)
     if radii[-1] / radii[0] < 16:
         raise ValueError("insufficient scale separation: need R/(4 r0) >= 16")
-    u_grads = [solution_grad_sampler(solution) for solution in solutions]
+    u_grads = [solution.grad for solution in solutions]
     per_radius = [workspace.excess(u_grads, r) for r in radii]
-    full = workspace.excess(u_grads, min(R / 2, radii[-1] * 2))
+    grad_norms = workspace.grad_norms(u_grads, min(R / 2, radii[-1] * 2))
     reports = []
     for t, solution in enumerate(solutions):
         H = [res[t]["H"] for res in per_radius]
         coefs = [res[t]["coefficients"] for res in per_radius]
-        grad_norm_R = full[t]["grad_norm"]
+        grad_norm_R = grad_norms[t]
         fit = fit_exponent(radii, H, drop=2, floor=floor_rel * grad_norm_R)
-        pressure = pressure_decay(workspace, solution, coefs[-1], radii) \
-            if isinstance(solution, OuterSolution) else None
+        pressure = pressure_decay(workspace, solution, coefs[-1], radii)
         reports.append(ExcessReport(
             radii=radii, H_values=H,
             fitted_exponent=fit["exponent"], fit_residual=fit["residual"],
@@ -511,7 +504,7 @@ def decay_experiments(workspace: RegularityWorkspace, solutions,
     return reports
 
 
-def pressure_decay(workspace: RegularityWorkspace, solution: "OuterSolution",
+def pressure_decay(workspace: RegularityWorkspace, solution: OuterSolution,
                    coefficients: np.ndarray, radii: list[float]) -> list[float]:
     """Windowed pressure residuals ||p - pi - c_p|| with c_p the B_1 mean.
 
@@ -541,53 +534,6 @@ def pressure_decay(workspace: RegularityWorkspace, solution: "OuterSolution",
             weight += float(np.sum(w))
         values.append(float(np.sqrt(total / weight)))
     return values
-
-
-def growth_experiment(workspace: RegularityWorkspace, probe_workspace: "RegularityWorkspace",
-                      probe_idx: int, radii: list[float]) -> ExcessReport:
-    """Excess growth of a degree-(order+1) element against the order-m basis.
-
-    `workspace` carries the order-m basis; `probe_workspace` (order m+1, same
-    evaluation grid) supplies the probe element's gradient samples.
-    """
-    u_grad = lambda shift: probe_workspace.element_grad(probe_idx, shift)
-    H, coefs = [], []
-    for r in radii:
-        res = workspace.excess(u_grad, r)
-        H.append(res["H"])
-        coefs.append(res["coefficients"])
-    fit = fit_exponent(radii, H, drop=0)
-    return ExcessReport(
-        radii=list(radii), H_values=H,
-        fitted_exponent=fit["exponent"], fit_residual=fit["residual"],
-        floored=fit["floored"], coefficients=coefs,
-        grad_norm=H[-1], meta={"probe": probe_idx, "order": workspace.order},
-    )
-
-
-def liouville_fit(workspace: RegularityWorkspace, u_grad, radii: list[float],
-                  tol: float = 1e-6) -> dict:
-    """Coefficients of a subpolynomial-growth solution in the basis span.
-
-    Fits on every window and checks the residuals stay below tol relative to
-    the windowed gradient norm; otherwise flags non-membership.
-    """
-    results = [workspace.excess(u_grad, r) for r in radii]
-    rel = [res["H"] / max(res["grad_norm"], 1e-300) for res in results]
-    member = all(v <= tol for v in rel)
-    return {
-        "member": member,
-        "coefficients": results[-1]["coefficients"],
-        "column_indices": results[-1]["column_indices"],
-        "relative_residuals": rel,
-        "radii": list(radii),
-    }
-
-
-def projected_fit(ws_low: RegularityWorkspace, ws_high: RegularityWorkspace,
-                  u_grad, r: float) -> np.ndarray:
-    """Order-m coefficients of one field; see projected_fits."""
-    return projected_fits(ws_low, ws_high, [u_grad], r)[0]
 
 
 def projected_fits(ws_low: RegularityWorkspace, ws_high: RegularityWorkspace,
@@ -625,7 +571,7 @@ def nnls_2col(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return min(fits, key=lambda fit: float(np.linalg.norm(A @ fit - b)))
 
 
-def pointwise_check(workspace: RegularityWorkspace, solution,
+def pointwise_check(workspace: RegularityWorkspace, solution: OuterSolution,
                     coefficients: np.ndarray, order: int,
                     y_min: float = 4.0, factor: float = 3.0) -> dict:
     """Pointwise |grad u - grad w_poly| against the two-term envelope.
@@ -643,8 +589,6 @@ def pointwise_check(workspace: RegularityWorkspace, solution,
                        for c_val, idx in zip(coefficients, workspace.column_indices))
     dx_wpoly, dy_wpoly = coeff_derivative(wpoly, 1, 0), coeff_derivative(wpoly, 0, 1)
 
-    u_grad = solution_grad_sampler(solution)
-    u_vals = solution_value_sampler(solution)
     Xs, Ys, grads, vals = [], [], [], []
     for shift in workspace.window_shifts(R / 2):
         mask = (g.y_nodes >= y_min) & (g.y_nodes <= R / 2) \
@@ -654,8 +598,8 @@ def pointwise_check(workspace: RegularityWorkspace, solution,
             continue
         Xs.append(g.x[nodes // (g.ny + 1)] + shift)
         Ys.append(np.take(g.y_nodes, nodes))
-        grads.append(np.take(u_grad(shift).reshape(4, -1), nodes, axis=1))
-        vals.append(np.take(u_vals(shift).reshape(2, -1), nodes, axis=1))
+        grads.append(np.take(solution.grad(shift).reshape(4, -1), nodes, axis=1))
+        vals.append(np.take(solution.values(shift).reshape(2, -1), nodes, axis=1))
     X = np.concatenate(Xs)
     Y = np.concatenate(Ys)
     ugrad = np.concatenate(grads, axis=1)
@@ -694,10 +638,3 @@ def pointwise_check(workspace: RegularityWorkspace, solution,
         "max_value_error": float(err_val.max()),
         "crossover_ok": crossover_ok,
     }
-
-
-def solution_value_sampler(solution):
-    """Velocity value sampler matching solution_grad_sampler."""
-    if isinstance(solution, OuterSolution):
-        return solution.values
-    return lambda shift: solution.u

@@ -1,0 +1,450 @@
+"""The acceptance suite: the paper's 13 criteria plus three solver checks.
+
+Every check is written here once; `stokesbl verify` and
+`tests/test_acceptance.py` both run this list.  A check has a criterion
+number (None for the three checks no criterion covers), a name, a suite
+(`symbolic`: criteria 01-04 and the basis residuals; `numeric`: criteria
+05-13, the shifted flat wall and the divergence residual) and a function of
+the shared objects returning `(ok, detail)`.  The heavy objects several
+criteria share are built on first use, once per run.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
+from math import factorial
+from typing import Callable
+
+import numpy as np
+
+from .cell import StripGrid, solve_cell
+from .geometry import BoundaryGeometry
+from .halfspace import (delta_D_inv, dim_homogeneous_stokes, dim_stokes_space,
+                        homogeneous_stokes_basis, stokes_basis, verify_stokes_pair)
+from .modes import ModeData, SqrtExt, residual_check, solve_mode
+from .polynomials import ExactPolynomial, VectorPolynomial
+from .recursion import CorrectorStack, heterogeneous_basis, padded_sum, script_S
+from .regularity import (RegularityWorkspace, build_outer_solution, decay_experiments,
+                         dyadic_radii, fit_exponent, pointwise_check, projected_fits)
+from .walllaw import phi_table, second_order_2d, wall_law_identity_residual
+
+COS_WALL = BoundaryGeometry.from_fourier({0: -0.5, 1: -0.25})
+
+# gamma(x) = c0 + 2 Re sum_{k>0} c_k e^{ikx}; first entry is -(1+cos x)/2
+GEOMETRIES = [
+    BoundaryGeometry.from_fourier({0: -0.5, 1: -0.25}),
+    BoundaryGeometry.from_fourier({0: -0.5, 1: -0.1, 2: -0.08}),
+    BoundaryGeometry.from_fourier({0: -0.4, 2: -0.125}),
+    BoundaryGeometry.from_fourier({0: -0.5, 1: complex(-0.08, 0.1), 3: -0.05}),
+    BoundaryGeometry.from_fourier({0: -0.35, 1: complex(0.0, -0.14)}),
+]
+
+
+@dataclass(frozen=True)
+class Check:
+    number: int | None  # acceptance criterion, None for the extra checks
+    name: str
+    suite: str
+    description: str
+    run: Callable[["Shared"], tuple[bool, str]]
+
+    def line(self, ok: bool, detail: str) -> str:
+        head = f"CHECK {self.name}" if self.number is None else f"ACCEPTANCE {self.number:02d}"
+        tail = f" [{detail}]" if detail else ""
+        return f"{head} {'PASS' if ok else 'FAIL'} - {self.description}{tail}"
+
+
+CHECKS: list[Check] = []
+
+
+def check(number: int | None, name: str, suite: str, description: str):
+    """Register the decorated function as a check, in definition order."""
+    def register(fn):
+        CHECKS.append(Check(number, name, suite, description, fn))
+        return fn
+    return register
+
+
+class Shared:
+    """The heavy objects several checks use, each built on first use."""
+
+    @cached_property
+    def stack(self) -> CorrectorStack:
+        st = CorrectorStack(COS_WALL, nx=24, ny=32)
+        for l in (1, 2, 3):
+            for comp in (1, 2):
+                for beta in range(4 - l):
+                    st.level(beta, l, comp)
+        return st
+
+    @cached_property
+    def growth_ws(self) -> dict[int, RegularityWorkspace]:
+        """Order-1 to -3 workspaces on the height-40 growth strip."""
+        grid = StripGrid(COS_WALL, height=40.0, nx=24, ny=220, stretch=4.0)
+        return {m: RegularityWorkspace(self.stack, m, grid) for m in (1, 2, 3)}
+
+    @cached_property
+    def tall_grid(self) -> StripGrid:
+        return StripGrid(COS_WALL, height=64 * np.pi, nx=24, ny=340, stretch=5.5)
+
+    @cached_property
+    def lift_ws(self) -> RegularityWorkspace:
+        return RegularityWorkspace(self.stack, 3, self.tall_grid)
+
+    @cached_property
+    def decay_runs(self) -> tuple[dict, dict]:
+        """Order-1 and -2 tall workspaces, and per outer datum its solution
+        and excess-decay report for each order (one pass per order)."""
+        workspaces = {m: RegularityWorkspace(self.stack, m, self.tall_grid) for m in (1, 2)}
+        kinds = ("shear", "quadratic", "random")
+        solutions = [build_outer_solution(self.lift_ws, kind, seed=0) for kind in kinds]
+        reports = {m: decay_experiments(workspaces[m], solutions) for m in (1, 2)}
+        runs = {kind: {"solution": solution, "reports": {m: reports[m][t] for m in (1, 2)}}
+                for t, (kind, solution) in enumerate(zip(kinds, solutions))}
+        return workspaces, runs
+
+
+def run(suite: str) -> int:
+    """Run the checks of suite ("symbolic", "numeric" or "all") in list
+    order, printing one line each; returns the number that failed.
+
+    A solve that misses its residual bound raises `SolverError` out of
+    here, as in every other command.
+    """
+    shared = Shared()
+    failed = 0
+    for chk in CHECKS:
+        if suite in ("all", chk.suite):
+            ok, detail = chk.run(shared)
+            print(chk.line(ok, detail))
+            failed += not ok
+    return failed
+
+
+# ---------------------------------------------------------------------------
+# helpers that implement a paper check
+# ---------------------------------------------------------------------------
+
+def script_S_via_trace_formula(stack: CorrectorStack, P: VectorPolynomial,
+                               order: int) -> np.ndarray:
+    """v_P_poly by the intrinsic formula sum (1/beta! k!) V^{beta,k} d^beta d^k P(x,0).
+
+    Independent assembly route used as a cross-check of script_S.
+    """
+    blocks = []
+    for beta in range(order):
+        for k in range(1, order - beta + 1):
+            for i in range(2):
+                dP = P[i]
+                for _ in range(beta):
+                    dP = dP.derive(0)
+                for _ in range(k):
+                    dP = dP.derive(1)
+                tr = dP.trace_at_zero()
+                if tr.is_zero():
+                    continue
+                xcoef = np.zeros(order + 1)
+                for exp, c in tr.terms.items():
+                    xcoef[exp[0]] = float(c)
+                level = stack.level(beta, k, i + 1)
+                scale = 1.0 / (factorial(beta) * factorial(k))
+                blocks.append((1.0, scale * np.einsum("i,cj->cij", xcoef, level.v_poly)))
+    return padded_sum(blocks, shape=(2, order + 1, order + 1))
+
+
+def growth_experiment(workspace: RegularityWorkspace, probe_workspace: RegularityWorkspace,
+                      probe_idx: int, radii: list[float]) -> float:
+    """Excess growth exponent of a degree-(order+1) element against the order-m basis.
+
+    `workspace` carries the order-m basis; `probe_workspace` (order m+1, same
+    evaluation grid) supplies the probe element's gradient samples.
+    """
+    u_grad = lambda shift: probe_workspace.element_grad(probe_idx, shift)
+    H = [workspace.excess([u_grad], r)[0]["H"] for r in radii]
+    return fit_exponent(radii, H, drop=0)["exponent"]
+
+
+def liouville_fit(workspace: RegularityWorkspace, u_grad, radii: list[float],
+                  tol: float = 1e-6) -> dict:
+    """Coefficients of a subpolynomial-growth solution in the basis span.
+
+    Fits on every window and checks the residuals stay below tol relative to
+    the windowed gradient norm; otherwise flags non-membership.
+    """
+    results = [workspace.excess([u_grad], r)[0] for r in radii]
+    return {
+        "member": all(res["H"] / max(res["grad_norm"], 1e-300) <= tol for res in results),
+        "coefficients": results[-1]["coefficients"],
+    }
+
+
+def _tail_ladder(geometry: BoundaryGeometry) -> list[float]:
+    """Slip lengths of the first-order cell on the 12x16, 24x32, 48x64 ladder."""
+    return [solve_cell(geometry, l=1, comp=1, nx=nx, ny=ny).tail[0]
+            for nx, ny in ((12, 16), (24, 32), (48, 64))]
+
+
+# ---------------------------------------------------------------------------
+# acceptance criteria
+# ---------------------------------------------------------------------------
+
+@check(1, "dimension_formulas", "symbolic",
+       "dimension formulas and exact rank, d in {2,3,4}, m <= 6")
+def dimension_formulas(shared: Shared):
+    ok = True
+    detail = []
+    for d in (2, 3, 4):
+        for m in range(1, 7):
+            block, _ = homogeneous_stokes_basis(m, d)
+            ok &= len(block) == dim_homogeneous_stokes(m, d)
+            basis = stokes_basis(m, d)
+            ok &= len(basis) == dim_stokes_space(m, d)
+            ok &= basis.certify_rank()
+        detail.append(f"d={d}: dim S_6={dim_stokes_space(6, d)}")
+    return ok, "; ".join(detail)
+
+
+@check(2, "listed_basis_reproduction", "symbolic",
+       "degree-2 basis matches the four listed pairs up to scalars")
+def listed_basis_reproduction(shared: Shared):
+    basis = stokes_basis(2, 2)
+    listed = [
+        (VectorPolynomial.zero(2, 2), ExactPolynomial.constant(1, 2)),
+        (VectorPolynomial.unit_monomial((0, 1), 0, 2), ExactPolynomial.zero(2)),
+        (VectorPolynomial.unit_monomial((0, 2), 0, 2),
+         ExactPolynomial.monomial((1, 0), 2)),
+        (VectorPolynomial([ExactPolynomial(2, {(1, 1): -2}),
+                           ExactPolynomial.monomial((0, 2))]),
+         ExactPolynomial.monomial((0, 1), 2)),
+    ]
+    scalars = [Fraction(n, d) for n in (-4, -2, -1, 1, 2, 4) for d in (1, 2, 4)]
+    ok = len(basis) == 4
+    for vel, press in listed:
+        ok &= any(
+            el.velocity.scale(s) == vel and el.pressure.scale(s) == press
+            for el in basis.elements for s in scalars
+        )
+    return ok, ""
+
+
+@check(3, "mode_residual_oracle", "symbolic",
+       "mode residuals identically zero on 200 random exact cases")
+def mode_residual_oracle(shared: Shared):
+    rng = random.Random(2024)
+    count = 0
+    ok = True
+    while count < 200:
+        d = rng.choice([2, 3])
+        k = tuple(rng.randint(-8, 8) for _ in range(d - 1))
+        if all(v == 0 for v in k):
+            continue
+        deg = rng.randrange(0, 7)
+        F = [[SqrtExt.of(Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)),
+                         Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)))
+              for _ in range(deg + 1)] for _ in range(d)]
+        b = [SqrtExt.of(Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)),
+                        Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)))
+             for _ in range(d)]
+        data = ModeData(k, F, b)
+        res = residual_check(k, F, solve_mode(data), b)
+        ok &= res.ok
+        count += 1
+    return ok, "momentum, divergence and trace all exact"
+
+
+@check(4, "dirichlet_inverse_contract", "symbolic",
+       "Dirichlet inverse Laplacian contract on 500 random polynomials")
+def dirichlet_inverse_contract(shared: Shared):
+    rng = random.Random(99)
+    ok = True
+    for _ in range(500):
+        d = rng.choice([2, 3])
+        terms = {}
+        for _ in range(6):
+            exp = [0] * d
+            for _ in range(rng.randrange(9)):
+                exp[rng.randrange(d)] += 1
+            terms[tuple(exp)] = Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+        f = ExactPolynomial(d, terms)
+        u = delta_D_inv(f)
+        ok &= u.laplacian() == f
+        ok &= u.trace_at_zero().is_zero()
+        for i in range(d - 1):
+            ok &= delta_D_inv(f).derive(i) == delta_D_inv(f.derive(i))
+        y = d - 1
+        ok &= delta_D_inv(f).derive(y) == (
+            delta_D_inv(f.derive(y)) + delta_D_inv(f.trace_at_zero()).derive(y)
+        )
+    return ok, ""
+
+
+@check(5, "flat_boundary_annihilation", "numeric",
+       "flat wall: cells, tails, correctors and Phi vanish (m <= 3)")
+def flat_boundary_annihilation(shared: Shared):
+    flat = CorrectorStack(BoundaryGeometry.flat(), nx=16, ny=20)
+    worst = 0.0
+    for l in (1, 2, 3):
+        for comp in (1, 2):
+            for beta in range(4 - l):
+                lv = flat.level(beta, l, comp)
+                worst = max(worst, float(np.abs(lv.u).max()),
+                            float(np.abs(lv.v_poly).max()),
+                            float(np.abs(lv.q_poly).max()))
+    table = phi_table(flat, 3)
+    worst = max(worst, max(float(np.abs(m).max()) for m in table.phi.values()))
+    return worst <= 1e-10, f"max magnitude {worst:.2e}"
+
+
+@check(6, "slip_length_sign", "numeric",
+       "slip length positive with converged error bar on 5 geometries")
+def slip_length_sign(shared: Shared):
+    ok = True
+    details = []
+    for geo in GEOMETRIES:
+        lams = _tail_ladder(geo)
+        e1, e2 = abs(lams[1] - lams[0]), abs(lams[2] - lams[1])
+        order = np.log2(e1 / e2) if e2 > 0 else 2.0
+        err_bar = e2 / max(2 ** order - 1.0, 1.0)
+        ok &= lams[2] - 3 * err_bar > 0
+        details.append(f"{lams[2]:.4f}+-{err_bar:.1e}")
+    return ok, ", ".join(details)
+
+
+@check(7, "grid_convergence_order", "numeric", "observed tail convergence order >= 1.5")
+def grid_convergence_order(shared: Shared):
+    lams = _tail_ladder(COS_WALL)
+    e1, e2 = abs(lams[1] - lams[0]), abs(lams[2] - lams[1])
+    order = float(np.log2(e1 / e2))
+    return order >= 1.5, f"order {order:.2f}"
+
+
+@check(8, "wall_law_identity_and_pattern", "numeric",
+       "wall-law identity <= 1e-6 and closed-form coefficient pattern")
+def wall_law_identity_and_pattern(shared: Shared):
+    stack = shared.stack
+    table = phi_table(stack, 2)
+    residuals = [wall_law_identity_residual(table, el)
+                 for el in heterogeneous_basis(stack, 2)]
+    ok = max(residuals) <= 1e-6
+    rep = second_order_2d(stack)
+    lam = stack.level(0, 1, 1).const[0]
+    c_yy = stack.level(0, 2, 1).const[0] / 2.0
+    c_xy = -0.5 * (-2.0 * stack.level(1, 1, 1).const + stack.level(0, 2, 2).const)
+    ok &= abs(rep["lambda"] - lam) <= 1e-10 * max(1.0, abs(lam))
+    ok &= abs(rep["c_yy"] - c_yy) <= 1e-8 * max(1.0, abs(c_yy))
+    ok &= np.allclose(rep["c_xy_vector"], c_xy, rtol=1e-8, atol=1e-10)
+    return ok, f"max residual {max(residuals):.2e}"
+
+
+@check(9, "route_equivalence", "numeric",
+       "monomial and intrinsic-formula assembly agree (|alpha|+l <= 3)")
+def route_equivalence(shared: Shared):
+    worst = 0.0
+    for alpha in range(0, 3):
+        for l in range(1, 4 - alpha):
+            for comp in (1, 2):
+                P = VectorPolynomial.unit_monomial((alpha, l), comp - 1, 2)
+                direct = script_S(shared.stack, P)
+                formula = script_S_via_trace_formula(shared.stack, P, alpha + l)
+                a = np.zeros_like(formula)
+                v = direct.v_poly_xy
+                a[:, : v.shape[1], : v.shape[2]] = v
+                worst = max(worst, float(np.abs(a - formula).max()))
+    return worst <= 1e-10, f"max coefficient gap {worst:.2e}"
+
+
+@check(10, "excess_growth", "numeric",
+       "excess growth exponent m +- 0.3 for degree-(m+1) probes")
+def excess_growth(shared: Shared):
+    ok = True
+    details = []
+    radii = dyadic_radii(2.0, 32.0)
+    workspaces = shared.growth_ws
+    for m in (1, 2):
+        probe_ws = workspaces[m + 1]
+        degrees = [int(probe_ws.elements[i].P.degree) for i in probe_ws.column_indices]
+        probe = probe_ws.column_indices[degrees.index(m + 1)]
+        exponent = growth_experiment(workspaces[m], probe_ws, probe, radii)
+        ok &= abs(exponent - m) <= 0.3
+        details.append(f"m={m}: {exponent:.2f}")
+    return ok, ", ".join(details)
+
+
+@check(11, "excess_decay", "numeric", "excess decay exponent >= m - 0.3 on R = 64pi strips")
+def excess_decay(shared: Shared):
+    _, runs = shared.decay_runs
+    ok = True
+    details = []
+    for kind, entry in runs.items():
+        for m in (1, 2):
+            rep = entry["reports"][m]
+            ok &= rep.fitted_exponent >= m - 0.3
+            tag = "inf" if rep.floored else f"{rep.fitted_exponent:.2f}"
+            details.append(f"{kind}/m={m}: {tag}")
+    return ok, ", ".join(details)
+
+
+@check(12, "pointwise_envelope", "numeric",
+       "pointwise error dominated by the two-term envelope (>= 99%)")
+def pointwise_envelope(shared: Shared):
+    workspaces, runs = shared.decay_runs
+    ok = True
+    details = []
+    for kind, m in (("quadratic", 1), ("random", 2)):
+        solution = runs[kind]["solution"]
+        ws_high = workspaces[2] if m == 1 else shared.lift_ws
+        coeffs = projected_fits(workspaces[m], ws_high, [solution.grad], 4 * np.pi)[0]
+        out = pointwise_check(workspaces[m], solution, coeffs, order=m)
+        ok &= out["fraction_dominated"] >= 0.99
+        ok &= out["crossover_ok"]
+        details.append(f"{kind}/m={m}: {100 * out['fraction_dominated']:.1f}%")
+    return ok, ", ".join(details)
+
+
+@check(13, "liouville_fit", "numeric", "Liouville fit: exact recovery and flagged contamination")
+def liouville_recovery(shared: Shared):
+    ws2, ws3 = shared.growth_ws[2], shared.growth_ws[3]
+    radii = [4.0, 8.0, 16.0, 32.0]
+    idx = ws2.column_indices[1]
+    fit = liouville_fit(ws2, lambda s: ws2.element_grad(idx, s), radii, tol=1e-8)
+    expect = np.zeros(len(ws2.column_indices))
+    expect[1] = 1.0
+    error = np.abs(fit["coefficients"] - expect).max()
+    ok = fit["member"] and error <= 1e-8
+    degrees = [int(ws3.elements[i].P.degree) for i in ws3.column_indices]
+    probe = ws3.column_indices[degrees.index(3)]
+    contaminated = lambda s: (ws2.element_grad(idx, s)
+                              + 1e-2 * ws3.element_grad(probe, s))
+    ok &= not liouville_fit(ws2, contaminated, radii, tol=1e-5)["member"]
+    return ok, f"max coefficient error {error:.1e}"
+
+
+# ---------------------------------------------------------------------------
+# checks no criterion covers
+# ---------------------------------------------------------------------------
+
+@check(None, "basis_residuals", "symbolic",
+       "exact Stokes residuals of every basis pair, d in {2,3}, m <= 4")
+def basis_residuals(shared: Shared):
+    pairs = [pair for d in (2, 3) for m in (1, 2, 3, 4) for pair in stokes_basis(m, d).elements]
+    ok = all(verify_stokes_pair(pair).ok for pair in pairs)
+    return ok, f"{len(pairs)} pairs"
+
+
+@check(None, "shifted_flat_tail", "numeric",
+       "flat wall at y = 0.25: first-order tail exactly (0.25, 0)")
+def shifted_flat_tail(shared: Shared):
+    tail = solve_cell(BoundaryGeometry.flat(0.25), l=1, comp=1, nx=16, ny=20).tail
+    error = max(abs(tail[0] - 0.25), abs(tail[1]))
+    return error < 1e-10, f"tail error {error:.1e}"
+
+
+@check(None, "divergence_residual", "numeric",
+       "divergence residual at solver precision (< 1e-9) on the cosine wall")
+def divergence_residual(shared: Shared):
+    rough = solve_cell(COS_WALL, l=1, comp=1, nx=24, ny=32)
+    residual = rough.diagnostics["divergence_residual"]
+    return residual < 1e-9, f"residual {residual:.1e}"

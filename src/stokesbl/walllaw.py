@@ -21,13 +21,10 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 from .recursion import (
-    BoundaryCorrector,
-    CorrectorField,
     CorrectorStack,
     HeterogeneousElement,
     assemble_alpha,
     coeff_derivative,
-    heterogeneous_basis,
     pad_stack,
     padded_sum,
 )
@@ -50,38 +47,6 @@ def matpoly_apply(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
             acc = npoly.polyadd(acc, npoly.polymul(mat[i, j], vec[j]))
         rows.append(np.atleast_1d(acc))
     return pad_stack(rows)
-
-
-# ---------------------------------------------------------------------------
-# effective parts
-# ---------------------------------------------------------------------------
-
-def het_part_velocity(corr, x, y, comp: int, dx: int = 0, dy: int = 0) -> np.ndarray:
-    """Decaying remainder of a corrector above the lid (mode expansions).
-
-    Accepts a CorrectorField or a BoundaryCorrector; valid for y >= lid only.
-    """
-    if isinstance(corr, CorrectorField):
-        flat_terms = [(c, p, lv) for c, p, lv in corr.terms]
-    elif isinstance(corr, BoundaryCorrector):
-        flat_terms = [(a * c, p, lv) for a, fld in corr.parts for c, p, lv in fld.terms]
-    else:
-        raise TypeError("expected CorrectorField or BoundaryCorrector")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    out = np.zeros(np.broadcast(x, y).shape)
-    for coef, power, level in flat_terms:
-        if np.any(y < level.modes.L - 1e-9):
-            raise ValueError("het evaluation is mode-based: needs y >= lid height")
-        base = level.modes.velocity(x, y, comp=comp, dx=0, dy=dy)
-        if dx == 0:
-            out = out + coef * x ** power * base
-        elif dx == 1:
-            out = out + coef * (x ** power * level.modes.velocity(x, y, comp=comp, dx=1, dy=dy)
-                                + (power * x ** (power - 1) * base if power else 0.0))
-        else:
-            raise ValueError("dx must be 0 or 1")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -215,26 +180,3 @@ def second_order_2d(stack: CorrectorStack) -> dict:
     }
     return report
 
-
-def basis_identity_residuals(stack: CorrectorStack, order: int,
-                             recombine_seed: int | None = None) -> list[float]:
-    """Wall-law identity residual on every effective basis element.
-
-    With recombine_seed set, tests a different (random invertible) basis of
-    the same space instead.
-    """
-    table = phi_table(stack, order)
-    elements = heterogeneous_basis(stack, order)
-    if recombine_seed is not None:
-        rng = np.random.default_rng(recombine_seed)
-        n = len(elements)
-        while True:
-            A = rng.integers(-2, 3, size=(n, n)).astype(float)
-            if abs(np.linalg.det(A)) > 0.5:
-                break
-        elements = [
-            HeterogeneousElement(-1, elements[0].P, elements[0].Q, None,
-                                 padded_sum(zip(row, (el.w_poly_xy for el in elements))), None)
-            for row in A
-        ]
-    return [wall_law_identity_residual(table, el) for el in elements]

@@ -1,338 +1,33 @@
-"""Acceptance suite: one test per criterion, printing a pass/fail line each.
+"""Acceptance suite: one test per check in `stokesbl.verify`, printing its line.
 
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
-Tolerances are pinned here and match the stated contracts; nothing is
-deferred to later calibration.
+The criteria, their inputs and their tolerances live in `stokesbl.verify`,
+which `stokesbl verify` runs too; the tests of this module share one set of
+the heavy objects, as a `stokesbl verify` run does.
 """
 
-import random
-from fractions import Fraction
-
-import numpy as np
 import pytest
 
-from stokesbl.cell import StripGrid, solve_cell
-from stokesbl.geometry import BoundaryGeometry
-from stokesbl.halfspace import (
-    delta_D_inv,
-    dim_homogeneous_stokes,
-    dim_stokes_space,
-    homogeneous_stokes_basis,
-    stokes_basis,
-)
-from stokesbl.modes import ModeData, SqrtExt, residual_check, solve_mode
-from stokesbl.polynomials import ExactPolynomial, VectorPolynomial
-from stokesbl.recursion import (
-    CorrectorStack,
-    assemble_alpha,
-    script_S,
-    script_S_via_trace_formula,
-)
-from stokesbl.regularity import (
-    RegularityWorkspace,
-    build_outer_solution,
-    decay_experiment,
-    dyadic_radii,
-    growth_experiment,
-    liouville_fit,
-    pointwise_check,
-    projected_fit,
-)
-from stokesbl.walllaw import phi_table, second_order_2d, wall_law_identity_residual
-from stokesbl.recursion import heterogeneous_basis
-
-COS_WALL = BoundaryGeometry.from_fourier({0: -0.5, 1: -0.25})
-
-# gamma(x) = c0 + 2 Re sum_{k>0} c_k e^{ikx}; first entry is -(1+cos x)/2
-GEOMETRIES = [
-    BoundaryGeometry.from_fourier({0: -0.5, 1: -0.25}),
-    BoundaryGeometry.from_fourier({0: -0.5, 1: -0.1, 2: -0.08}),
-    BoundaryGeometry.from_fourier({0: -0.4, 2: -0.125}),
-    BoundaryGeometry.from_fourier({0: -0.5, 1: complex(-0.08, 0.1), 3: -0.05}),
-    BoundaryGeometry.from_fourier({0: -0.35, 1: complex(0.0, -0.14)}),
-]
-
-
-def report(number: int, description: str, passed: bool, detail: str = ""):
-    status = "PASS" if passed else "FAIL"
-    tail = f" [{detail}]" if detail else ""
-    print(f"\nACCEPTANCE {number:02d} {status} - {description}{tail}")
-    assert passed, f"criterion {number}: {description}{tail}"
-
-
-# ---------------------------------------------------------------------------
-# shared fixtures
-# ---------------------------------------------------------------------------
-
-@pytest.fixture(scope="module")
-def stack():
-    st = CorrectorStack(COS_WALL, nx=24, ny=32)
-    for l in (1, 2, 3):
-        for comp in (1, 2):
-            for beta in range(4 - l):
-                st.level(beta, l, comp)
-    return st
+from stokesbl import verify
+from stokesbl.verify import COS_WALL, GEOMETRIES  # noqa: F401  (bench/tests compare its walls)
 
 
 @pytest.fixture(scope="module")
-def growth_grid():
-    return StripGrid(COS_WALL, height=40.0, nx=24, ny=220, stretch=4.0)
+def shared():
+    return verify.Shared()
 
 
-@pytest.fixture(scope="module")
-def tall_grid():
-    return StripGrid(COS_WALL, height=64 * np.pi, nx=24, ny=340, stretch=5.5)
+def _check_test(check: verify.Check):
+    def test(shared):
+        ok, detail = check.run(shared)
+        print("\n" + check.line(ok, detail))
+        assert ok, check.line(ok, detail)
+    return test
 
 
-@pytest.fixture(scope="module")
-def lift_ws(stack, tall_grid):
-    return RegularityWorkspace(stack, 3, tall_grid)
-
-
-@pytest.fixture(scope="module")
-def decay_runs(stack, tall_grid, lift_ws):
-    workspaces = {m: RegularityWorkspace(stack, m, tall_grid) for m in (1, 2)}
-    runs = {}
-    for kind in ("shear", "quadratic", "random"):
-        solution = build_outer_solution(lift_ws, kind, seed=0)
-        runs[kind] = {
-            "solution": solution,
-            "reports": {m: decay_experiment(workspaces[m], solution) for m in (1, 2)},
-        }
-    return workspaces, runs
-
-
-# ---------------------------------------------------------------------------
-# criteria
-# ---------------------------------------------------------------------------
-
-def test_criterion_01_dimension_formulas():
-    ok = True
-    detail = []
-    for d in (2, 3, 4):
-        for m in range(1, 7):
-            block, _ = homogeneous_stokes_basis(m, d)
-            ok &= len(block) == dim_homogeneous_stokes(m, d)
-            basis = stokes_basis(m, d)
-            ok &= len(basis) == dim_stokes_space(m, d)
-            ok &= basis.certify_rank()
-        detail.append(f"d={d}: dim S_6={dim_stokes_space(6, d)}")
-    report(1, "dimension formulas and exact rank, d in {2,3,4}, m <= 6",
-           ok, "; ".join(detail))
-
-
-def test_criterion_02_listed_basis_reproduction():
-    basis = stokes_basis(2, 2)
-    listed = [
-        (VectorPolynomial.zero(2, 2), ExactPolynomial.constant(1, 2)),
-        (VectorPolynomial.unit_monomial((0, 1), 0, 2), ExactPolynomial.zero(2)),
-        (VectorPolynomial.unit_monomial((0, 2), 0, 2),
-         ExactPolynomial.monomial((1, 0), 2)),
-        (VectorPolynomial([ExactPolynomial(2, {(1, 1): -2}),
-                           ExactPolynomial.monomial((0, 2))]),
-         ExactPolynomial.monomial((0, 1), 2)),
-    ]
-    scalars = [Fraction(n, d) for n in (-4, -2, -1, 1, 2, 4) for d in (1, 2, 4)]
-    ok = len(basis) == 4
-    for vel, press in listed:
-        ok &= any(
-            el.velocity.scale(s) == vel and el.pressure.scale(s) == press
-            for el in basis.elements for s in scalars
-        )
-    report(2, "degree-2 basis matches the four listed pairs up to scalars", ok)
-
-
-def test_criterion_03_mode_residual_oracle():
-    rng = random.Random(2024)
-    count = 0
-    ok = True
-    while count < 200:
-        d = rng.choice([2, 3])
-        k = tuple(rng.randint(-8, 8) for _ in range(d - 1))
-        if all(v == 0 for v in k):
-            continue
-        deg = rng.randrange(0, 7)
-        F = [[SqrtExt.of(Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)),
-                         Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)))
-              for _ in range(deg + 1)] for _ in range(d)]
-        b = [SqrtExt.of(Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)),
-                        Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)))
-             for _ in range(d)]
-        data = ModeData(k, F, b)
-        res = residual_check(k, F, solve_mode(data), b)
-        ok &= res.ok
-        count += 1
-    report(3, "mode residuals identically zero on 200 random exact cases", ok,
-           "momentum, divergence and trace all exact")
-
-
-def test_criterion_04_dirichlet_inverse_contract():
-    rng = random.Random(99)
-    ok = True
-    for _ in range(500):
-        d = rng.choice([2, 3])
-        terms = {}
-        for _ in range(6):
-            exp = [0] * d
-            for _ in range(rng.randrange(9)):
-                exp[rng.randrange(d)] += 1
-            terms[tuple(exp)] = Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
-        f = ExactPolynomial(d, terms)
-        u = delta_D_inv(f)
-        ok &= u.laplacian() == f
-        ok &= u.trace_at_zero().is_zero()
-        for i in range(d - 1):
-            ok &= delta_D_inv(f).derive(i) == delta_D_inv(f.derive(i))
-        y = d - 1
-        ok &= delta_D_inv(f).derive(y) == (
-            delta_D_inv(f.derive(y)) + delta_D_inv(f.trace_at_zero()).derive(y)
-        )
-    report(4, "Dirichlet inverse Laplacian contract on 500 random polynomials", ok)
-
-
-def test_criterion_05_flat_boundary_annihilation():
-    flat = CorrectorStack(BoundaryGeometry.flat(), nx=16, ny=20)
-    worst = 0.0
-    for l in (1, 2, 3):
-        for comp in (1, 2):
-            for beta in range(4 - l):
-                lv = flat.level(beta, l, comp)
-                worst = max(worst, float(np.abs(lv.u).max()),
-                            float(np.abs(lv.v_poly).max()),
-                            float(np.abs(lv.q_poly).max()))
-    table = phi_table(flat, 3)
-    worst = max(worst, max(float(np.abs(m).max()) for m in table.phi.values()))
-    report(5, "flat wall: cells, tails, correctors and Phi vanish (m <= 3)",
-           worst <= 1e-10, f"max magnitude {worst:.2e}")
-
-
-def test_criterion_06_slip_length_sign():
-    ok = True
-    details = []
-    for geo in GEOMETRIES:
-        lams = []
-        for nx, ny in ((12, 16), (24, 32), (48, 64)):
-            lams.append(solve_cell(geo, l=1, comp=1, nx=nx, ny=ny).tail[0])
-        e1, e2 = abs(lams[1] - lams[0]), abs(lams[2] - lams[1])
-        order = np.log2(e1 / e2) if e2 > 0 else 2.0
-        err_bar = e2 / max(2 ** order - 1.0, 1.0)
-        ok &= lams[2] - 3 * err_bar > 0
-        details.append(f"{lams[2]:.4f}+-{err_bar:.1e}")
-    report(6, "slip length positive with converged error bar on 5 geometries",
-           ok, ", ".join(details))
-
-
-def test_criterion_07_grid_convergence_order():
-    lams = []
-    for nx, ny in ((12, 16), (24, 32), (48, 64)):
-        lams.append(solve_cell(COS_WALL, l=1, comp=1, nx=nx, ny=ny).tail[0])
-    e1, e2 = abs(lams[1] - lams[0]), abs(lams[2] - lams[1])
-    order = float(np.log2(e1 / e2))
-    report(7, "observed tail convergence order >= 1.5", order >= 1.5,
-           f"order {order:.2f}")
-
-
-def test_criterion_08_wall_law_identity_and_pattern(stack):
-    table = phi_table(stack, 2)
-    residuals = [wall_law_identity_residual(table, el)
-                 for el in heterogeneous_basis(stack, 2)]
-    ok = max(residuals) <= 1e-6
-    rep = second_order_2d(stack)
-    lam = stack.level(0, 1, 1).const[0]
-    c_yy = stack.level(0, 2, 1).const[0] / 2.0
-    c_xy = -0.5 * (-2.0 * stack.level(1, 1, 1).const + stack.level(0, 2, 2).const)
-    ok &= abs(rep["lambda"] - lam) <= 1e-10 * max(1.0, abs(lam))
-    ok &= abs(rep["c_yy"] - c_yy) <= 1e-8 * max(1.0, abs(c_yy))
-    ok &= np.allclose(rep["c_xy_vector"], c_xy, rtol=1e-8, atol=1e-10)
-    report(8, "wall-law identity <= 1e-6 and closed-form coefficient pattern",
-           ok, f"max residual {max(residuals):.2e}")
-
-
-def test_criterion_09_route_equivalence(stack):
-    worst = 0.0
-    for alpha in range(0, 3):
-        for l in range(1, 4 - alpha):
-            for comp in (1, 2):
-                P = VectorPolynomial.unit_monomial((alpha, l), comp - 1, 2)
-                direct = script_S(stack, P)
-                formula = script_S_via_trace_formula(stack, P, alpha + l)
-                a = np.zeros_like(formula)
-                v = direct.v_poly_xy
-                a[:, : v.shape[1], : v.shape[2]] = v
-                worst = max(worst, float(np.abs(a - formula).max()))
-    report(9, "monomial and intrinsic-formula assembly agree (|alpha|+l <= 3)",
-           worst <= 1e-10, f"max coefficient gap {worst:.2e}")
-
-
-def test_criterion_10_excess_growth(stack, growth_grid):
-    ok = True
-    details = []
-    radii = dyadic_radii(2.0, 32.0)
-    workspaces = {m: RegularityWorkspace(stack, m, growth_grid) for m in (1, 2, 3)}
-    for m in (1, 2):
-        probe_ws = workspaces[m + 1]
-        degrees = [int(probe_ws.elements[i].P.degree) for i in probe_ws.column_indices]
-        probe_pos = degrees.index(m + 1)
-        probe = probe_ws.column_indices[probe_pos]
-        rep = growth_experiment(workspaces[m], probe_ws, probe, radii)
-        ok &= abs(rep.fitted_exponent - m) <= 0.3
-        details.append(f"m={m}: {rep.fitted_exponent:.2f}")
-    report(10, "excess growth exponent m +- 0.3 for degree-(m+1) probes",
-           ok, ", ".join(details))
-
-
-def test_criterion_11_excess_decay(decay_runs):
-    _, runs = decay_runs
-    ok = True
-    details = []
-    for kind, run in runs.items():
-        for m in (1, 2):
-            rep = run["reports"][m]
-            exponent = rep.fitted_exponent
-            ok &= exponent >= m - 0.3
-            tag = "inf" if rep.floored else f"{exponent:.2f}"
-            details.append(f"{kind}/m={m}: {tag}")
-    report(11, "excess decay exponent >= m - 0.3 on R = 64pi strips",
-           ok, ", ".join(details))
-
-
-def test_criterion_12_pointwise_envelope(decay_runs, stack, tall_grid, lift_ws):
-    workspaces, runs = decay_runs
-    ws3 = lift_ws
-    ok = True
-    details = []
-    for kind, m in (("quadratic", 1), ("random", 2)):
-        solution = runs[kind]["solution"]
-        ws_high = workspaces[2] if m == 1 else ws3
-        coeffs = projected_fit(workspaces[m], ws_high,
-                               solution_grad_sampler_for(solution), 4 * np.pi)
-        out = pointwise_check(workspaces[m], solution, coeffs, order=m)
-        ok &= out["fraction_dominated"] >= 0.99
-        ok &= out["crossover_ok"]
-        details.append(f"{kind}/m={m}: {100 * out['fraction_dominated']:.1f}%")
-    report(12, "pointwise error dominated by the two-term envelope (>= 99%)",
-           ok, ", ".join(details))
-
-
-def solution_grad_sampler_for(solution):
-    from stokesbl.regularity import solution_grad_sampler
-    return solution_grad_sampler(solution)
-
-
-def test_criterion_13_liouville_fit(stack, growth_grid):
-    ws2 = RegularityWorkspace(stack, 2, growth_grid)
-    ws3 = RegularityWorkspace(stack, 3, growth_grid)
-    radii = [4.0, 8.0, 16.0, 32.0]
-    idx = ws2.column_indices[1]
-    fit = liouville_fit(ws2, lambda s: ws2.element_grad(idx, s), radii, tol=1e-8)
-    expect = np.zeros(len(ws2.column_indices))
-    expect[1] = 1.0
-    ok = fit["member"] and np.abs(fit["coefficients"] - expect).max() <= 1e-8
-    degrees = [int(ws3.elements[i].P.degree) for i in ws3.column_indices]
-    probe = ws3.column_indices[degrees.index(3)]
-    contaminated = lambda s: (ws2.element_grad(idx, s)
-                              + 1e-2 * ws3.element_grad(probe, s))
-    fit_bad = liouville_fit(ws2, contaminated, radii, tol=1e-5)
-    ok &= not fit_bad["member"]
-    report(13, "Liouville fit: exact recovery and flagged contamination", ok,
-           f"max coefficient error {np.abs(fit['coefficients'] - expect).max():.1e}")
+# one named test per check, test_criterion_NN_<name> or test_check_<name>, so
+# that each criterion keeps the test id it had when it was written out here
+for _check in verify.CHECKS:
+    _name = (f"test_check_{_check.name}" if _check.number is None
+             else f"test_criterion_{_check.number:02d}_{_check.name}")
+    globals()[_name] = _check_test(_check)

