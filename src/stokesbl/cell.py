@@ -40,6 +40,9 @@ from .polynomials import VectorPolynomial
 class StripGrid:
     """Boundary-fitted tensor grid with metric coefficients precomputed."""
 
+    # float64 cannot hold every grid of finite size; the metric of one that
+    # overflows is rejected by _check_representable, without numpy warnings
+    @np.errstate(all="ignore")
     def __init__(self, geometry: BoundaryGeometry, height: float = 3.0,
                  nx: int = 32, ny: int = 40, stretch: float = 0.0):
         if nx < 8 or ny < 16:
@@ -198,12 +201,16 @@ class DirichletTop:
 class TransparentTop:
     """Per-mode transparent condition at y = height.
 
-    mode_data maps k > 0 to dict(w0=(2,) complex trace shift, r1=complex
-    horizontal Robin rhs, rp=complex pressure rhs); missing modes are
-    homogeneous.  neumann0 holds the d_y value of the zero mode.
+    sources maps 0 < k <= nx/2 to (F, W), two coefficient lists each: the
+    reduced (divergence-free) exterior source profile of mode k and the mode
+    profile of the divergence corrector, zero for solenoidal problems.  A
+    missing mode is homogeneous.  Each mode k < nx/2 sets the real and
+    imaginary parts of its rows; the Nyquist mode k = nx/2, a real mode on
+    the grid, only the real parts, so it counts once.  neumann0 holds the d_y
+    value of the zero mode.
     """
 
-    mode_data: dict = field(default_factory=dict)
+    sources: dict = field(default_factory=dict)
     neumann0: np.ndarray = field(default_factory=lambda: np.zeros(2))
 
 
@@ -227,6 +234,7 @@ class CellSolution:
     p: np.ndarray                         # (nx, ny)
     tail: np.ndarray                      # zero Fourier mode of u at the top
     trace_modes: dict                     # k > 0 -> (2,) complex trace at top
+    sources: dict                         # k > 0 -> (F, W) of a transparent top
     p_top_zero: float
     multiplier: float
     diagnostics: dict
@@ -448,14 +456,9 @@ def assemble_rhs(problem: CellProblem) -> np.ndarray:
         slots = np.concatenate([iu(0, ny), iu(1, ny)])
         rhs[slots[:2]] = [float(top.neumann0[0]), float(top.neumann0[1])]
         for k in range(1, nx // 2 + 1):
-            data = top.mode_data.get(k)
-            if data is None:
+            if k not in top.sources:
                 continue  # a homogeneous mode's rows keep a zero right-hand side
-            M = dtn_matrix((k,))
-            w0 = np.asarray(data["w0"], dtype=complex)
-            a_k = np.array([1j * k, -abs(k)], dtype=complex)
-            values = (complex(data["r1"]) - (M @ w0)[0],
-                      complex(data["rp"]) + 2 * (a_k @ w0))
+            values = _transparent_values(k, *top.sources[k])
             slot = 2 + 4 * (k - 1)
             for part in _mode_parts(k, nx):
                 for value in values:
@@ -565,6 +568,7 @@ def solve_stokes(problem: CellProblem) -> CellSolution:
         p=p,
         tail=np.real(spec[:, 0]),
         trace_modes=trace_modes,
+        sources=problem.top.sources if isinstance(problem.top, TransparentTop) else {},
         p_top_zero=float(np.mean(1.5 * p[:, ny - 1] - 0.5 * p[:, ny - 2])),
         multiplier=mult,
         diagnostics=diagnostics,
@@ -625,18 +629,19 @@ def solve_cell(geometry: BoundaryGeometry, l: int, comp: int, height: float = 3.
     return solve_stokes(problem)
 
 
-def transparent_mode_entry(k: int, F_coeffs, w0=(0j, 0j), w0_prime=(0j, 0j)) -> dict:
-    """Robin/pressure data for one mode of the transparent top condition.
+def _transparent_values(k: int, F_coeffs, W_coeffs) -> tuple[complex, complex]:
+    """Right-hand sides of the Robin and pressure trace rows of mode k > 0.
 
-    F_coeffs is the reduced (divergence-free) exterior source profile for
-    mode k > 0; w0 and w0_prime are the value and slope at z = 0 of the mode
-    part of the divergence corrector, both zero for solenoidal problems.
-    The exterior solution with trace (uhat - w0) then satisfies
+    F_coeffs is the reduced (divergence-free) exterior source profile of
+    mode k, and w0, w0' are the value and slope at z = 0 of W_coeffs, the
+    mode part of the divergence corrector.  The exterior solution with trace
+    (uhat - w0) satisfies
 
         d_y uhat - M_k (uhat - w0) = g_k + (w0' - |k| w0)   (horizontal rows)
         phat + 2 a_k . (uhat - w0) = Qbar(0) - 2 (Vbar')_2(0)   (pressure row)
 
-    with g_k = (1/|k|) a_k (Vbar')_2(0) + Vbar'(0).
+    with g_k = (1/|k|) a_k (Vbar')_2(0) + Vbar'(0).  The rows carry uhat on
+    the left, so their right-hand sides are r1 - (M_k w0)_1 and rp + 2 a_k . w0.
     """
     kn = float(abs(k))
     F = [list(map(complex, comp)) for comp in F_coeffs]
@@ -644,26 +649,24 @@ def transparent_mode_entry(k: int, F_coeffs, w0=(0j, 0j), w0_prime=(0j, 0j)) -> 
     dv0 = [poly_eval0(poly_derive(vb), 0j) for vb in vbar]
     a_k = np.array([1j * k, -kn], dtype=complex)
     g = (a_k / kn) * dv0[1] + np.array(dv0)
-    w0 = np.asarray(w0, dtype=complex)
-    w0p = np.asarray(w0_prime, dtype=complex)
-    return {
-        "w0": w0,
-        "r1": complex(g[0] + (w0p - kn * w0)[0]),
-        "rp": complex(poly_eval0(qbar, 0j) - 2 * dv0[1]),
-    }
+    w0 = np.array([poly_eval0(w, 0j) for w in W_coeffs], dtype=complex)
+    w0p = np.array([poly_eval0(poly_derive(w), 0j) for w in W_coeffs], dtype=complex)
+    r1 = complex(g[0] + (w0p - kn * w0)[0])
+    rp = complex(poly_eval0(qbar, 0j) - 2 * dv0[1])
+    return r1 - (dtn_matrix((k,)) @ w0)[0], rp + 2 * (a_k @ w0)
 
 
-def trace_expansion(solution: CellSolution, mode_sources: dict | None = None) -> ModeExpansion:
+def trace_expansion(solution: CellSolution) -> ModeExpansion:
     """Mode expansion of the decaying part above the top of the grid.
 
-    mode_sources optionally maps k > 0 to (F, W): the reduced exterior source
-    and the mode profiles of the divergence corrector, two coefficient lists
-    each (used by the recursion).  Each mode solves with trace - W(0) and
-    stores V + W as one (2, n >= 1) array, with its conjugate at -k.
+    Each mode k of the top trace solves the exterior problem with the
+    solution's source (F, W) for that mode, if any, and trace - W(0), and
+    stores V + W as one (2, n >= 1) array.  Modes 0 < k <= nx/2 are stored
+    once each; ModeExpansion weights them.
     """
     modes = {}
     for k, trace in solution.trace_modes.items():
-        F, W = (mode_sources or {}).get(k, ([[], []], [[], []]))
+        F, W = solution.sources.get(k, ([[], []], [[], []]))
         w0 = np.array([poly_eval0(w, 0j) for w in W], dtype=complex)
         V, Q, c = solve_mode_numeric((k,), F, trace - w0)
         rows = [poly_add(list(map(complex, v)), w) or [0j] for v, w in zip(V, W)]
@@ -671,6 +674,4 @@ def trace_expansion(solution: CellSolution, mode_sources: dict | None = None) ->
         for i, row in enumerate(rows):
             Vk[i, : len(row)] = row
         modes[k] = {"V": Vk, "Q": Q, "c": c}
-        modes[-k] = {"V": np.conj(Vk), "Q": np.conj(Q), "c": np.conj(c)}
-    return ModeExpansion(solution.grid.height, modes)
-
+    return ModeExpansion(solution.grid.height, solution.grid.nx // 2, modes)

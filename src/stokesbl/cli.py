@@ -197,8 +197,6 @@ def cmd_corrector(args) -> int:
         raise ConfigError("d = 2 numerics: --alpha takes one entry")
     if alpha[0] < 0 or args.l < 1 or args.i not in (1, 2):
         raise ConfigError("need alpha >= 0, --l >= 1 and --i in {1, 2}")
-    if args.order_cap and alpha[0] + args.l > args.order_cap:
-        raise ConfigError("|alpha| + l exceeds --order-cap")
     out_path = _out_root(args.out)
     if os.path.exists(out_path):
         # extend an existing stack so successive runs share one artifact
@@ -351,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", default="0", help="horizontal multi-index (one entry for d=2)")
     p.add_argument("--l", type=int, default=1)
     p.add_argument("--i", type=int, default=1)
-    p.add_argument("--order-cap", type=int, default=0)
     p.add_argument("--height", type=float, default=3.0)
     p.add_argument("--nx", type=int, default=32)
     p.add_argument("--ny", type=int, default=40)

@@ -21,7 +21,7 @@ by the cell solver.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm, sqrt
 
@@ -535,55 +535,39 @@ def solve_mode_numeric(k: tuple[int, ...], F_poly, b_hat):
 class ModeExpansion:
     """Finite sum of decaying Fourier modes above y = L (d = 2 layout).
 
-    modes maps the integer wavenumber k != 0 to dict(V=(2, n) complex coeff
-    array, Q=(nq,) array, c=complex), n >= 1.  Fields are real: modes come in
-    conjugate pairs.
+    modes maps each wavenumber 0 < k <= nyquist to dict(V=(2, n) complex
+    coefficient array, Q=(nq,) array, c=complex), n >= 1, and the real field
+    is the sum over the stored modes of w_k Re[P_k(y - L) e^{-k(y-L)} e^{ikx}].
+    Each real mode is stored once: w_k = 2 stands for the conjugate mode at
+    -k, and the Nyquist mode k = nyquist (nx/2 of the grid it came from) has
+    w_k = 1, since on the grid it is its own conjugate, as in the cell
+    solver's top rows.
     """
 
     L: float
-    modes: dict = field(default_factory=dict)
+    nyquist: int
+    modes: dict
 
     def wavenumbers(self) -> list[int]:
         return sorted(self.modes)
 
-    def _accumulate(self, x, y, selects, dx=0, dy=0) -> list:
-        """Complex mode sums of each selected profile at (x, y).
+    def fields(self, x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Real (u1, u2, p) at (x, y) in one sweep over the modes.
 
-        e^{-|k|z} and e^{ikx} are formed once per k and shared by the
-        selected profiles.
+        e^{-kz} and e^{ikx} are formed once per mode and shared by the three
+        profiles.
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         z = y - self.L
-        outs = [np.zeros(np.broadcast(x, y).shape, dtype=complex) for _ in selects]
+        outs = np.zeros((3,) + np.broadcast(x, y).shape, dtype=complex)
         for k, data in self.modes.items():
-            kn = abs(k)
-            factor = (1j * k) ** dx
-            decay = np.exp(-kn * z)
+            weight = 2.0 if k < self.nyquist else 1.0
+            decay = np.exp(-k * z)
             wave = np.exp(1j * k * x)
-            for out, select in zip(outs, selects):
-                poly = np.asarray(select(data), dtype=complex)
-                for _ in range(dy):
-                    # d/dy of P(z)e^{-|k|z} -> (P' - |k|P)(z) e^{-|k|z}
-                    dp = np.polynomial.polynomial.polyder(poly) if poly.size > 1 else np.zeros(1, complex)
-                    poly = np.polynomial.polynomial.polyadd(dp, -kn * poly)
-                vals = np.polynomial.polynomial.polyval(z, poly)
-                out += factor * vals * decay * wave
-        return outs
-
-    def velocity(self, x, y, comp: int, dx: int = 0, dy: int = 0) -> np.ndarray:
-        """Real velocity component (optionally with d/dx, d/dy applied)."""
-        return self._accumulate(x, y, [lambda data: data["V"][comp]], dx=dx, dy=dy)[0].real
-
-    def pressure(self, x, y, dx: int = 0, dy: int = 0) -> np.ndarray:
-        return self._accumulate(x, y, [lambda data: data["Q"]], dx=dx, dy=dy)[0].real
-
-    def fields(self, x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Real (u1, u2, p) at (x, y) in one sweep over the modes."""
-        sums = self._accumulate(x, y, [lambda data: data["V"][0],
-                                       lambda data: data["V"][1],
-                                       lambda data: data["Q"]])
-        return tuple(v.real for v in sums)
+            for out, poly in zip(outs, (*data["V"], data["Q"])):
+                out += weight * (np.polynomial.polynomial.polyval(z, poly) * decay * wave)
+        return tuple(outs.real)
 
     def to_json_list(self) -> list:
         out = []
@@ -592,7 +576,6 @@ class ModeExpansion:
             out.append(
                 {
                     "k": int(k),
-                    "L": self.L,
                     "V_coeffs": [[[float(c.real), float(c.imag)] for c in comp] for comp in data["V"]],
                     "Q_coeffs": [[float(c.real), float(c.imag)] for c in data["Q"]],
                     "c": [float(data["c"].real), float(data["c"].imag)],
@@ -601,22 +584,27 @@ class ModeExpansion:
         return out
 
     @classmethod
-    def from_json_list(cls, items: list, L: float | None = None) -> "ModeExpansion":
-        """Inverse of to_json_list, bit for bit; InputError on a malformed or repeated entry."""
-        modes, level = {}, L
+    def from_json_list(cls, items: list, L: float, nyquist: int) -> "ModeExpansion":
+        """Inverse of to_json_list, bit for bit.
+
+        InputError on a malformed or repeated entry, or a wavenumber outside
+        0 < k <= nyquist.
+        """
+        modes = {}
         try:
             for item in items:
                 k, V, Q, c = item["k"], *(np.array(item[key], dtype=float)
                                           for key in ("V_coeffs", "Q_coeffs", "c"))
-                if type(k) is not int or k == 0 or V.ndim != 3 or V.shape[::2] != (2, 2) \
+                if type(k) is not int or not 0 < k <= nyquist:
+                    raise ValueError(f"k = {k!r} is not an int in 1..{nyquist}")
+                if V.ndim != 3 or V.shape[::2] != (2, 2) \
                         or Q.ndim != 2 or Q.shape[1] != 2 or c.shape != (2,):
-                    raise ValueError(f"k = {k!r} needs V_coeffs (2, n, 2), Q_coeffs (m, 2), c (2,)")
+                    raise ValueError(f"k = {k} needs V_coeffs (2, n, 2), Q_coeffs (m, 2), c (2,)")
                 if k in modes:
                     raise ValueError(f"k = {k} repeats")
-                level = item["L"] if level is None else level
                 # (re, im) pairs viewed as complex128
                 modes[k] = {"V": V.view(complex)[..., 0], "Q": Q.view(complex)[:, 0],
                             "c": complex(c.view(complex)[0])}
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed mode entry: {exc!r}") from exc
-        return cls(3.0 if level is None else float(level), modes)
+        return cls(float(L), nyquist, modes)

@@ -116,15 +116,6 @@ class ExactPolynomial:
         exp = tuple(int(e) for e in exp)
         return cls(len(exp) if dim is None else dim, {exp: Fraction(coeff)})
 
-    @classmethod
-    def variable(cls, axis: int, dim: int) -> "ExactPolynomial":
-        """The coordinate polynomial for `axis` (0-based; axis dim-1 is y)."""
-        if not 0 <= axis < dim:
-            raise ValueError(f"axis {axis} out of range for dim {dim}")
-        exp = [0] * dim
-        exp[axis] = 1
-        return cls(dim, {tuple(exp): Fraction(1)})
-
     # -- inspection --------------------------------------------------------
 
     @property
@@ -143,11 +134,6 @@ class ExactPolynomial:
 
     def coefficient(self, exp: Sequence[int]) -> Fraction:
         return self._terms.get(tuple(exp), Fraction(0))
-
-    def homogeneous_part(self, degree: int) -> "ExactPolynomial":
-        return ExactPolynomial._trusted(
-            self.dim, {e: c for e, c in self._terms.items() if sum(e) == degree}
-        )
 
     def homogeneous_degrees(self) -> list[int]:
         return sorted({sum(e) for e in self._terms})

@@ -30,14 +30,12 @@ from .cell import (
     monomial_data,
     solve_stokes,
     trace_expansion,
-    transparent_mode_entry,
 )
 from .geometry import BoundaryGeometry, InputError
 from .modes import (
     ModeExpansion,
     poly_add,
     poly_derive,
-    poly_eval0,
     poly_scale,
 )
 from .polynomials import ExactPolynomial, VectorPolynomial
@@ -202,7 +200,7 @@ def divergence_corrector(stack: "CorrectorStack", beta: int, l: int, comp: int) 
     """Corrector W^beta with div W^beta = G^beta away from the wall region.
 
     Polynomial part: W_poly(y) = -C(beta,1) (int_0^y (V^{beta-1}_poly)_1) e_2
-    (constants are irrelevant downstream and omitted).  Mode part for k != 0:
+    (constants are irrelevant downstream and omitted).  Mode part for k > 0:
     W_k = -C(beta,1) (V^{beta-1}_k)_1 / (ik) e_1.  The wall-region remainder is
     not formed here; the discrete solve absorbs it as divergence data.
     """
@@ -213,8 +211,6 @@ def divergence_corrector(stack: "CorrectorStack", beta: int, l: int, comp: int) 
     w_poly_e2 = npoly.polyint(-c1 * low1.v_poly[0])
     wmodes = {}
     for k in low1.modes.wavenumbers():
-        if k <= 0:
-            continue
         V1, _ = _mode_profile(low1.modes, k)
         wmodes[k] = [poly_scale(-c1 / (1j * k), _cpoly(V1[0])), []]
     return {"poly_e2": np.atleast_1d(w_poly_e2), "modes": wmodes}
@@ -268,7 +264,6 @@ class CorrectorStack:
 
     def _solve_level(self, beta: int, l: int, comp: int) -> LevelSolution:
         g = self.grid
-        mode_sources = {}  # k -> (reduced source F, divergence corrector W)
         if beta == 0:
             problem = CellProblem(
                 grid=g,
@@ -290,7 +285,7 @@ class CorrectorStack:
                 npoly.polyval(g.height, _polyder_safe(growth[1])),
             ])
 
-            mode_data = {}
+            sources = {}  # k -> (reduced source F, divergence corrector W)
             for k, Fk in src["modes"].items():
                 wk = wcorr["modes"].get(k, [[], []])
                 kn = float(abs(k))
@@ -299,17 +294,12 @@ class CorrectorStack:
                 for i in range(2):
                     dd = poly_derive(poly_derive(wk[i]))
                     gk.append(poly_add(dd, poly_scale(-2 * kn, poly_derive(wk[i]))))
-                Ftil = [poly_add(Fk[i], gk[i]) for i in range(2)]
-                w0 = np.array([poly_eval0(wk[0], 0j), poly_eval0(wk[1], 0j)])
-                w0p = np.array([poly_eval0(poly_derive(wk[0]), 0j),
-                                poly_eval0(poly_derive(wk[1]), 0j)])
-                mode_data[k] = transparent_mode_entry(k, Ftil, w0, w0p)
-                mode_sources[k] = (Ftil, wk)
+                sources[k] = ([poly_add(Fk[i], gk[i]) for i in range(2)], wk)
 
             problem = CellProblem(
                 grid=g,
                 bottom=np.zeros((2, g.nx)),
-                top=TransparentTop(mode_data=mode_data, neumann0=neumann0),
+                top=TransparentTop(sources=sources, neumann0=neumann0),
                 source=src["F"],
                 div_data=src["G"],
             )
@@ -336,7 +326,7 @@ class CorrectorStack:
         sol.p = p
         sol.p_top_zero += p_shift
 
-        modes = trace_expansion(sol, mode_sources)
+        modes = trace_expansion(sol)
         if max((m["V"].shape[1] for m in modes.modes.values()), default=1) > 2 * beta + 2:
             raise AssertionError("mode profile degree exceeds 2|beta| + 1")
         return LevelSolution(
@@ -469,7 +459,7 @@ def stack_to_json(stack: CorrectorStack) -> dict:
                             for k, v in lv.diagnostics.items()},
         })
     return {
-        "schema": 2,
+        "schema": 3,
         "stokesbl": __version__,
         "geometry": stack.geometry.to_json_dict(),
         "geometry_hash": stack.geometry.digest(),
@@ -523,14 +513,14 @@ def _field(data: dict, key: str, where: str, kind, valid, need: str):
 def stack_from_json(data: dict) -> CorrectorStack:
     """Rebuild a stack written by stack_to_json, checking it on the way.
 
-    Raises InputError when the file is not schema 2, a key is missing, the
+    Raises InputError when the file is not schema 3, a key is missing, the
     grid fields or a level's (beta, l, comp) are not in range ints (height a
     finite number), a level array, mode entry or diagnostics is malformed or
     misfits the grid, a level repeats, or geometry_hash is not the stored
     geometry's digest.
     """
-    if not isinstance(data, dict) or data.get("schema") != 2:
-        raise InputError("stack is not schema 2: remove it and rebuild with stokesbl corrector")
+    if not isinstance(data, dict) or data.get("schema") != 3:
+        raise InputError("stack is not schema 3: remove it and rebuild with stokesbl corrector")
     _missing(data, _STACK_KEYS, "stack")
     geometry = BoundaryGeometry.from_json_dict(data["geometry"])
     if data["geometry_hash"] != geometry.digest():
@@ -557,7 +547,7 @@ def stack_from_json(data: dict) -> CorrectorStack:
             p_nodes=_level_array(lv, "p_nodes", (nx, ny + 1), where, f8=True),
             v_poly=_level_array(lv, "v_poly", (2, None), where),
             q_poly=_level_array(lv, "q_poly", (None,), where),
-            modes=ModeExpansion.from_json_list(lv["modes"], L=height),
+            modes=ModeExpansion.from_json_list(lv["modes"], height, nx // 2),
             diagnostics=dict(lv["diagnostics"]),
         )
     return stack

@@ -145,12 +145,6 @@ class RegularityWorkspace:
         """(4, nx, ny+1) gradient samples of element idx; equals grads(shift)[j]."""
         return horner(self.series["grad"][:, self._column_of[idx]], self.abscissa(shift))
 
-    def element_velocity(self, idx: int, shift: float) -> np.ndarray:
-        return horner(self.series["velocity"][:, self._column_of[idx]], self.abscissa(shift))
-
-    def element_pressure(self, idx: int, shift: float) -> np.ndarray:
-        return horner(self.series["pressure"][:, self._column_of[idx]], self.abscissa(shift))
-
     def boundary_velocity(self) -> np.ndarray:
         """(ncols, 2, nx, 2) column velocities on the wall and top rows at shift 0.
 

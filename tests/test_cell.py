@@ -21,21 +21,24 @@ from stokesbl.cell import (
     solve_cell,
     solve_stokes,
     trace_expansion,
-    transparent_mode_entry,
 )
 from stokesbl.geometry import AliasingError, BoundaryGeometry
 from stokesbl.modes import ModeExpansion, solve_mode_numeric
 
 COS_WALL = BoundaryGeometry.from_fourier({0: -0.5, 1: -0.25})
+NO_SOURCE = [[], []]
 
 
-def mode_field(k, V, Q, c, L):
-    mexp = ModeExpansion(L, {
+def mode_field(k, V, Q, c, L, nx):
+    """The real field of one decaying mode 0 < k < nx/2 above y = L."""
+    return ModeExpansion(L, nx // 2, {
         k: {"V": [np.atleast_1d(v) for v in V], "Q": np.atleast_1d(Q), "c": c},
-        -k: {"V": [np.conj(np.atleast_1d(v)) for v in V], "Q": np.conj(np.atleast_1d(Q)),
-             "c": np.conj(c)},
     })
-    return mexp
+
+
+def velocity(expansion, x, y):
+    """(2, ...) velocity of a mode expansion at (x, y)."""
+    return np.stack(expansion.fields(x, y)[:2])
 
 
 def test_flat_wall_zero_data_gives_zero():
@@ -62,16 +65,10 @@ def test_manufactured_transparent_homogeneous():
     errs = []
     for nx, ny in ((16, 20), (32, 40)):
         grid = StripGrid(COS_WALL, height=3.0, nx=nx, ny=ny)
-        exact = mode_field(k, V, Q, c, 3.0)
-        bottom = np.stack([
-            exact.velocity(grid.x, grid.gamma, comp=0),
-            exact.velocity(grid.x, grid.gamma, comp=1),
-        ])
+        exact = mode_field(k, V, Q, c, 3.0, nx)
+        bottom = velocity(exact, grid.x, grid.gamma)
         sol = solve_stokes(CellProblem(grid, bottom, TransparentTop()))
-        u_exact = np.stack([
-            exact.velocity(grid.x[:, None], grid.y_nodes, comp=0),
-            exact.velocity(grid.x[:, None], grid.y_nodes, comp=1),
-        ])
+        u_exact = velocity(exact, grid.x[:, None], grid.y_nodes)
         errs.append(np.abs(sol.u - u_exact).max() / np.abs(u_exact).max())
     assert errs[1] < errs[0] / 3.0  # near second order
     assert errs[1] < 2e-3
@@ -83,25 +80,16 @@ def test_manufactured_transparent_with_mode_source():
     F = [np.array([0.8 + 0.2j, -0.3j]), np.array([0.1 - 0.4j])]
     b = np.array([0.25 - 0.1j, 0.05 + 0.3j])
     V, Q, c = solve_mode_numeric((k,), [list(F[0]), list(F[1])], b)
-    exact = mode_field(k, V, Q, c, 3.0)
-    fsrc = mode_field(k, F, np.array([0j]), 0j, 3.0)
     errs = []
     for nx, ny in ((16, 20), (32, 40)):
         grid = StripGrid(COS_WALL, height=3.0, nx=nx, ny=ny)
-        bottom = np.stack([
-            exact.velocity(grid.x, grid.gamma, comp=0),
-            exact.velocity(grid.x, grid.gamma, comp=1),
-        ])
-        source = np.stack([
-            fsrc.velocity(grid.x[:, None], grid.y_nodes, comp=0),
-            fsrc.velocity(grid.x[:, None], grid.y_nodes, comp=1),
-        ])
-        top = TransparentTop(mode_data={k: transparent_mode_entry(k, F)})
+        exact = mode_field(k, V, Q, c, 3.0, nx)
+        fsrc = mode_field(k, F, np.array([0j]), 0j, 3.0, nx)
+        bottom = velocity(exact, grid.x, grid.gamma)
+        source = velocity(fsrc, grid.x[:, None], grid.y_nodes)
+        top = TransparentTop(sources={k: (F, NO_SOURCE)})
         sol = solve_stokes(CellProblem(grid, bottom, top, source=source))
-        u_exact = np.stack([
-            exact.velocity(grid.x[:, None], grid.y_nodes, comp=0),
-            exact.velocity(grid.x[:, None], grid.y_nodes, comp=1),
-        ])
+        u_exact = velocity(exact, grid.x[:, None], grid.y_nodes)
         errs.append(np.abs(sol.u - u_exact).max() / np.abs(u_exact).max())
     assert errs[1] < errs[0] / 3.0
     assert errs[1] < 5e-3
@@ -182,13 +170,21 @@ def test_trace_expansion_matches_taller_solve():
     tall = solve_cell(geo, l=1, comp=1, height=5.0, nx=24, ny=60)
     expansion = trace_expansion(low)
     probe_y = 4.0
-    vals = expansion.velocity(tall.grid.x, probe_y, comp=0) + low.tail[0]
+    vals = expansion.fields(tall.grid.x, probe_y)[0] + low.tail[0]
     cols = [int(np.argmin(np.abs(tall.grid.y_nodes[i] - probe_y))) for i in range(tall.grid.nx)]
     tall_vals = np.array([
         np.interp(probe_y, tall.grid.y_nodes[i], tall.u[0][i]) for i in range(tall.grid.nx)
     ])
     scale = max(1.0, np.abs(tall.u[0]).max())
     assert np.abs(vals - tall_vals).max() / scale < 5e-3
+
+
+def test_trace_expansion_reproduces_the_top_row():
+    # the Nyquist mode k = nx/2 is real on the grid: the expansion counts it once
+    wall = BoundaryGeometry.from_fourier({0: -0.5, 1: -0.2, 3: 0.1 - 0.05j})
+    sol = solve_cell(wall, l=1, comp=1, nx=16, ny=20)
+    top = velocity(trace_expansion(sol), sol.grid.x, sol.grid.height) + sol.tail[:, None]
+    assert np.abs(top - sol.u[:, :, -1]).max() < 1e-13
 
 
 def energy_norms(solution: CellSolution, window: float | None = None) -> dict:
@@ -228,7 +224,7 @@ def test_mode_amplitude_decay_slope():
         ys = np.linspace(lo, hi, 9)
         amps = []
         for y in ys:
-            v = np.stack([expansion.velocity(sol.grid.x, y, comp=c) for c in range(2)])
+            v = velocity(expansion, sol.grid.x, y)
             amps.append(np.sqrt(np.mean(v ** 2)))
         return np.polyfit(ys, np.log(np.maximum(amps, 1e-300)), 1)[0]
 
@@ -462,7 +458,7 @@ def test_factor_is_cached_per_grid_and_top_kind(monkeypatch):
     first = solve_stokes(CellProblem(grid, boundary_trace(grid, monomial_data(1, 1)),
                                      TransparentTop()))
     bottom = boundary_trace(grid, monomial_data(2, 2))
-    top = TransparentTop(mode_data={1: transparent_mode_entry(1, [[0.3 + 0.1j], [0.2j]])},
+    top = TransparentTop(sources={1: ([[0.3 + 0.1j], [0.2j]], NO_SOURCE)},
                          neumann0=np.array([0.1, -0.2]))
     second = solve_stokes(CellProblem(grid, bottom, top))
     assert len(calls) == 1

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -97,7 +98,9 @@ def test_cell_rejects_unrepresentable_geometry(tmp_path, payload, capsys):
 def test_unrepresentable_sizes_exit_2(tmp_path, geometry_file, argv, capsys):
     out = ["--out-prefix", str(tmp_path / "run")] if argv[0] == "cell" \
         else ["--out", str(tmp_path / "run.json")]
-    assert main(argv[:1] + ["--geometry", geometry_file] + argv[1:] + out) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the message comes without a numpy warning first
+        assert main(argv[:1] + ["--geometry", geometry_file] + argv[1:] + out) == 2
     assert "invalid configuration" in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path)) == ["wall.json"]
 
@@ -148,6 +151,13 @@ def _text_arrays_without_schema(data):
 
 def _schema_1(data):
     data["schema"] = 1
+
+
+def _schema_2(data):
+    # the layout before schema 3: each mode also stored at -k
+    data["schema"] = 2
+    for lv in data["levels"]:
+        lv["modes"] += [dict(mode, k=-mode["k"]) for mode in lv["modes"]]
 
 
 def _text_mode_coeffs(data):
@@ -210,7 +220,7 @@ def _repeated_wavenumber(data):
 
 @pytest.mark.parametrize("corrupt", [
     _break_first_level, _drop_p_nodes, _flatten_p_nodes, _three_row_v_poly, _wrong_hash,
-    _invalid_base64, _short_byte_count, _text_arrays_without_schema, _schema_1,
+    _invalid_base64, _short_byte_count, _text_arrays_without_schema, _schema_1, _schema_2,
     _text_mode_coeffs, _mode_without_k, _diagnostics_list, _duplicate_level,
     _text_beta, _negative_beta, _fractional_beta, _zero_l, _comp_3, _bool_comp,
     _levels_not_a_list, _text_height, _float_nx, _repeated_wavenumber,
@@ -231,12 +241,12 @@ def test_malformed_stack_exits_2(tmp_path, geometry_file, corrupt, capsys):
     assert not (tmp_path / "law.json").exists()
 
 
-def test_stack_without_schema_2_asks_for_a_rebuild(tmp_path, capsys):
+def test_stack_without_schema_3_asks_for_a_rebuild(tmp_path, capsys):
     stack = tmp_path / "stack.json"
     stack.write_text(json.dumps({"geometry": {"fourier": []}, "levels": []}))
     assert main(["wall-law", "--stack", str(stack), "--out", str(tmp_path / "law.json")]) == 2
     err = capsys.readouterr().err
-    assert "not schema 2" in err and "rebuild" in err
+    assert "not schema 3" in err and "rebuild" in err
 
 
 def test_cli_import_leaves_regularity_only_scipy_unloaded():

@@ -268,7 +268,8 @@ def pressure_from_velocity(u: VectorPolynomial) -> ExactPolynomial:
     for k in degrees:
         part = ExactPolynomial.zero(d)
         for j in range(d):
-            part = part + ExactPolynomial.variable(j, d) * g[j].homogeneous_part(k)
+            g_jk = ExactPolynomial(d, {e: c for e, c in g[j].terms.items() if sum(e) == k})
+            part = part + ExactPolynomial.monomial([int(i == j) for i in range(d)]) * g_jk
         p = p + part.scale(Fraction(1, k + 1))
     if VectorPolynomial([p.derive(i) for i in range(d)]) != g:
         raise ValueError("gradient reconstruction failed: not a Stokes velocity")

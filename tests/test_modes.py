@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stokesbl import modes
+from stokesbl.geometry import InputError
 from stokesbl.modes import (
     ModeData,
     ModeExpansion,
@@ -211,19 +212,31 @@ def test_zero_mode_rejected():
 
 
 def test_mode_expansion_eval_and_json():
-    exp = ModeExpansion(3.0, {
-        1: {"V": np.array([[1.0 + 0j], [0j]]), "Q": np.array([0j]), "c": 0j},
-        -1: {"V": np.array([[1.0 + 0j], [0j]]), "Q": np.array([0j]), "c": 0j},
+    # a stored mode k < nyquist stands for itself and its conjugate at -k;
+    # the Nyquist mode counts once
+    exp = ModeExpansion(3.0, 4, {
+        1: {"V": np.array([[1.0 + 0j, 0.5 + 0j], [0.5j, 0j]]), "Q": np.array([2.0 + 0j]),
+            "c": 0j},
+        4: {"V": np.array([[1.0 + 0j], [0j]]), "Q": np.array([0j]), "c": 0j},
     })
     x = np.linspace(-np.pi, np.pi, 9)
-    vals = exp.velocity(x, 3.0, comp=0)
-    assert np.allclose(vals, 2 * np.cos(x))
-    dyvals = exp.velocity(x, 3.0, comp=0, dy=1)
-    assert np.allclose(dyvals, -2 * np.cos(x))  # constant profile: d_y = -|k| field
-    dxvals = exp.velocity(x, 3.0, comp=0, dx=1)
-    assert np.allclose(dxvals, -2 * np.sin(x))
-    rebuilt = ModeExpansion.from_json_list(exp.to_json_list())
-    assert np.allclose(rebuilt.velocity(x, 4.2, comp=0), exp.velocity(x, 4.2, comp=0))
+    u1, u2, p = exp.fields(x, 3.0)
+    assert np.allclose(u1, 2 * np.cos(x) + np.cos(4 * x))
+    assert np.allclose(u2, -np.sin(x))
+    assert np.allclose(p, 4 * np.cos(x))
+    u1, _, _ = exp.fields(x, 4.2)
+    assert np.allclose(u1, 2 * 1.6 * np.exp(-1.2) * np.cos(x) + np.exp(-4.8) * np.cos(4 * x))
+    rebuilt = ModeExpansion.from_json_list(exp.to_json_list(), 3.0, 4)
+    assert np.array_equal(rebuilt.fields(x, 4.2), exp.fields(x, 4.2))
+
+
+@pytest.mark.parametrize("k", [0, -1, 5])
+def test_mode_list_rejects_wavenumbers_outside_one_to_nyquist(k):
+    item = {"k": k, "V_coeffs": [[[1.0, 0.0]], [[0.0, 0.0]]], "Q_coeffs": [[0.0, 0.0]],
+            "c": [0.0, 0.0]}
+    assert ModeExpansion.from_json_list([dict(item, k=4)], 3.0, 4).wavenumbers() == [4]
+    with pytest.raises(InputError, match="not an int in 1..4"):
+        ModeExpansion.from_json_list([item], 3.0, 4)
 
 
 def test_dtn_matrix_is_memoized_read_only():

@@ -54,14 +54,13 @@ def _plant_fake_level(stack, beta, l, comp, v_poly, q_poly, rng):
         V = [rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(2)]
         Q = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         modes[k] = {"V": V, "Q": Q, "c": 0j}
-        modes[-k] = {"V": [np.conj(v) for v in V], "Q": np.conj(Q), "c": 0j}
     level = LevelSolution(
         beta=beta, l=l, comp=comp,
         u=rng.standard_normal((2, nx, ny + 1)),
         p_nodes=rng.standard_normal((nx, ny + 1)),
         v_poly=np.array(v_poly, dtype=float),
         q_poly=np.array(q_poly, dtype=float),
-        modes=ModeExpansion(stack.height, modes),
+        modes=ModeExpansion(stack.height, nx // 2, modes),
         diagnostics={},
     )
     stack.levels[(beta, l, comp)] = level
@@ -328,8 +327,7 @@ def test_stack_roundtrip(stack, flat_stack):
         ks = sorted(lv.modes.modes)
         assert ks == sorted(ref.modes.modes)
         x = np.linspace(-np.pi, np.pi, 7)
-        assert np.allclose(lv.modes.velocity(x, 4.0, comp=0),
-                           ref.modes.velocity(x, 4.0, comp=0))
+        assert np.allclose(lv.modes.fields(x, 4.0), ref.modes.fields(x, 4.0))
 
 
 # -- LevelSampler against the per-column construction ------------------------
@@ -350,9 +348,9 @@ def _column_sampler_oracle(level, stack, grid):
         if np.any(above):
             ya = y_col[above]
             vp = level.v_poly_at(ya)
-            for c in range(2):
-                values[c, i, above] = vp[c] + level.modes.velocity(grid.x[i], ya, comp=c)
-            pressure[i, above] = level.q_poly_at(ya) + level.modes.pressure(grid.x[i], ya)
+            u1, u2, p = level.modes.fields(grid.x[i], ya)
+            values[:, i, above] = vp + np.stack([u1, u2])
+            pressure[i, above] = level.q_poly_at(ya) + p
     return values, pressure
 
 
@@ -416,14 +414,13 @@ def _levels(draw):
             Q = draw(arrays(complex, draw(st.integers(1, 3)), elements=_COMPLEX))
             c = draw(_COMPLEX)
             modes[k] = {"V": V, "Q": Q, "c": c}
-            modes[-k] = {"V": [np.conj(v) for v in V], "Q": np.conj(Q), "c": np.conj(c)}
         out.append(LevelSolution(
             beta=beta, l=1, comp=draw(st.sampled_from([1, 2])),
             u=draw(arrays(float, (2, nx, ny + 1), elements=_FINITE)),
             p_nodes=draw(arrays(float, (nx, ny + 1), elements=_FINITE)),
             v_poly=draw(arrays(float, (2, beta + 1), elements=_FINITE)),
             q_poly=draw(arrays(float, max(beta, 1), elements=_FINITE)),
-            modes=ModeExpansion(3.0, modes),
+            modes=ModeExpansion(3.0, nx // 2, modes),
             diagnostics={"multiplier": draw(_FINITE)},
         ))
     return out
@@ -478,9 +475,10 @@ def test_cli_stack_sequence_is_byte_reproducible(tmp_path):
             outs.append([(root / name).read_bytes()
                          for name in ("stack.json", "walllaw.json", "walllaw.csv")])
         data = json.loads(outs[0][0])
-        assert data["schema"] == 2
+        assert data["schema"] == 3
         assert outs[0] == outs[1]
         for lv in data["levels"]:
             for mode in lv["modes"]:
                 V = np.array(mode["V_coeffs"])
+                assert 0 < mode["k"] <= 8
                 assert V.ndim == 3 and V.shape[0] == 2 and V.shape[1] >= 1 and V.shape[2] == 2

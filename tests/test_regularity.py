@@ -13,6 +13,7 @@ from stokesbl.regularity import (
     decay_experiments,
     dyadic_radii,
     fit_exponent,
+    horner,
     lift_coefficients,
     nnls_2col,
     outer_data,
@@ -96,6 +97,11 @@ def direct_pressure(ws, idx, shift):
 DIRECT = {"grad": direct_grad, "velocity": direct_velocity, "pressure": direct_pressure}
 
 
+def element_series(ws, name, idx, shift):
+    """Samples of one column's `name` series at x + shift, as element_grad has them."""
+    return horner(ws.series[name][:, ws._column_of[idx]], ws.abscissa(shift))
+
+
 def _assert_fields_close(got, want, rel, what):
     scale = np.abs(want).max()
     assert np.abs(got - want).max() <= rel * scale, what
@@ -105,17 +111,16 @@ def test_shift_polynomials_match_direct_evaluation(stack):
     # the regularity command's default tall strip and lift order
     grid = StripGrid(COS_WALL, height=64 * np.pi, nx=24, ny=320, stretch=5.0)
     ws = RegularityWorkspace(stack, 3, grid)
-    horner = {"grad": ws.element_grad, "velocity": ws.element_velocity,
-              "pressure": ws.element_pressure}
     for j, idx in enumerate(ws.column_indices):
         for k in range(-17, 18):
             shift = 2 * np.pi * k
             for name, direct in DIRECT.items():
-                _assert_fields_close(horner[name](idx, shift), direct(ws, idx, shift),
-                                     1e-13, (idx, k, name))
+                _assert_fields_close(element_series(ws, name, idx, shift),
+                                     direct(ws, idx, shift), 1e-13, (idx, k, name))
             # the all-column evaluations are the same arithmetic, column by column
             assert np.array_equal(ws.grads(shift)[j], ws.element_grad(idx, shift))
-            assert np.array_equal(ws.pressures(shift)[j], ws.element_pressure(idx, shift))
+            assert np.array_equal(ws.pressures(shift)[j],
+                                  element_series(ws, "pressure", idx, shift))
     traces = ws.boundary_velocity()
     for j, idx in enumerate(ws.column_indices):
         assert np.array_equal(traces[j], direct_velocity(ws, idx, 0.0)[:, :, [0, -1]])

@@ -115,7 +115,7 @@ def test_second_order_flat_is_zero():
         second_order_2d(flat)  # lambda == 0 must be flagged, not accepted
 
 
-def het_part_velocity(corr, x, y, comp: int, dx: int = 0, dy: int = 0) -> np.ndarray:
+def het_part_velocity(corr, x, y, comp: int) -> np.ndarray:
     """Decaying remainder of a corrector above the lid (mode expansions).
 
     Accepts a CorrectorField or a BoundaryCorrector; valid for y >= lid only.
@@ -132,14 +132,7 @@ def het_part_velocity(corr, x, y, comp: int, dx: int = 0, dy: int = 0) -> np.nda
     for coef, power, level in flat_terms:
         if np.any(y < level.modes.L - 1e-9):
             raise ValueError("het evaluation is mode-based: needs y >= lid height")
-        base = level.modes.velocity(x, y, comp=comp, dx=0, dy=dy)
-        if dx == 0:
-            out = out + coef * x ** power * base
-        elif dx == 1:
-            out = out + coef * (x ** power * level.modes.velocity(x, y, comp=comp, dx=1, dy=dy)
-                                + (power * x ** (power - 1) * base if power else 0.0))
-        else:
-            raise ValueError("dx must be 0 or 1")
+        out = out + coef * x ** power * level.modes.fields(x, y)[comp]
     return out
 
 
