@@ -20,8 +20,7 @@ trace row per Fourier mode, with the zero mode closed by Neumann data.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -207,11 +206,21 @@ class TransparentTop:
     missing mode is homogeneous.  Each mode k < nx/2 sets the real and
     imaginary parts of its rows; the Nyquist mode k = nx/2, a real mode on
     the grid, only the real parts, so it counts once.  neumann0 holds the d_y
-    value of the zero mode.
+    value of the zero mode.  exterior keeps (qbar, vbar, W) per sourced mode,
+    with F's half-line integrals computed once for the top rows and for
+    trace_expansion.
     """
 
-    sources: dict = field(default_factory=dict)
+    sources: InitVar[dict | None] = None
     neumann0: np.ndarray = field(default_factory=lambda: np.zeros(2))
+    exterior: dict = field(init=False)
+
+    def __post_init__(self, sources):
+        self.exterior = {
+            k: (*halfline_integrals((k,), [list(map(complex, comp)) for comp in F],
+                                    knorm=float(k)), W)
+            for k, (F, W) in (sources or {}).items()
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +243,10 @@ class CellSolution:
     p: np.ndarray                         # (nx, ny)
     tail: np.ndarray                      # zero Fourier mode of u at the top
     trace_modes: dict                     # k > 0 -> (2,) complex trace at top
-    sources: dict                         # k > 0 -> (F, W) of a transparent top
+    exterior: dict                        # k > 0 -> (qbar, vbar, W) of a transparent top
     p_top_zero: float
     multiplier: float
     diagnostics: dict
-    runtime: float
 
     def pressure_nodes(self) -> np.ndarray:
         return self.grid.pressure_at_nodes(self.p)
@@ -456,9 +464,9 @@ def assemble_rhs(problem: CellProblem) -> np.ndarray:
         slots = np.concatenate([iu(0, ny), iu(1, ny)])
         rhs[slots[:2]] = [float(top.neumann0[0]), float(top.neumann0[1])]
         for k in range(1, nx // 2 + 1):
-            if k not in top.sources:
+            if k not in top.exterior:
                 continue  # a homogeneous mode's rows keep a zero right-hand side
-            values = _transparent_values(k, *top.sources[k])
+            values = _transparent_values(k, *top.exterior[k])
             slot = 2 + 4 * (k - 1)
             for part in _mode_parts(k, nx):
                 for value in values:
@@ -518,7 +526,6 @@ def solve_stokes(problem: CellProblem) -> CellSolution:
     when the factorization fails, the solution is not finite, or the final
     relative residual exceeds RESIDUAL_BOUND.
     """
-    t0 = time.perf_counter()
     g = problem.grid
     nx, ny = g.nx, g.ny
     kind = type(problem.top)
@@ -568,11 +575,10 @@ def solve_stokes(problem: CellProblem) -> CellSolution:
         p=p,
         tail=np.real(spec[:, 0]),
         trace_modes=trace_modes,
-        sources=problem.top.sources if isinstance(problem.top, TransparentTop) else {},
+        exterior=problem.top.exterior if isinstance(problem.top, TransparentTop) else {},
         p_top_zero=float(np.mean(1.5 * p[:, ny - 1] - 0.5 * p[:, ny - 2])),
         multiplier=mult,
         diagnostics=diagnostics,
-        runtime=time.perf_counter() - t0,
     )
 
 
@@ -629,13 +635,13 @@ def solve_cell(geometry: BoundaryGeometry, l: int, comp: int, height: float = 3.
     return solve_stokes(problem)
 
 
-def _transparent_values(k: int, F_coeffs, W_coeffs) -> tuple[complex, complex]:
+def _transparent_values(k: int, qbar, vbar, W_coeffs) -> tuple[complex, complex]:
     """Right-hand sides of the Robin and pressure trace rows of mode k > 0.
 
-    F_coeffs is the reduced (divergence-free) exterior source profile of
-    mode k, and w0, w0' are the value and slope at z = 0 of W_coeffs, the
-    mode part of the divergence corrector.  The exterior solution with trace
-    (uhat - w0) satisfies
+    (qbar, vbar) are the half-line integrals of the reduced (divergence-free)
+    exterior source profile of mode k, and w0, w0' are the value and slope
+    at z = 0 of W_coeffs, the mode part of the divergence corrector.  The
+    exterior solution with trace (uhat - w0) satisfies
 
         d_y uhat - M_k (uhat - w0) = g_k + (w0' - |k| w0)   (horizontal rows)
         phat + 2 a_k . (uhat - w0) = Qbar(0) - 2 (Vbar')_2(0)   (pressure row)
@@ -643,9 +649,7 @@ def _transparent_values(k: int, F_coeffs, W_coeffs) -> tuple[complex, complex]:
     with g_k = (1/|k|) a_k (Vbar')_2(0) + Vbar'(0).  The rows carry uhat on
     the left, so their right-hand sides are r1 - (M_k w0)_1 and rp + 2 a_k . w0.
     """
-    kn = float(abs(k))
-    F = [list(map(complex, comp)) for comp in F_coeffs]
-    qbar, vbar = halfline_integrals((k,), F, knorm=kn)
+    kn = float(k)
     dv0 = [poly_eval0(poly_derive(vb), 0j) for vb in vbar]
     a_k = np.array([1j * k, -kn], dtype=complex)
     g = (a_k / kn) * dv0[1] + np.array(dv0)
@@ -659,19 +663,20 @@ def _transparent_values(k: int, F_coeffs, W_coeffs) -> tuple[complex, complex]:
 def trace_expansion(solution: CellSolution) -> ModeExpansion:
     """Mode expansion of the decaying part above the top of the grid.
 
-    Each mode k of the top trace solves the exterior problem with the
-    solution's source (F, W) for that mode, if any, and trace - W(0), and
-    stores V + W as one (2, n >= 1) array.  Modes 0 < k <= nx/2 are stored
-    once each; ModeExpansion weights them.
+    Each mode k of the top trace closes the exterior problem with trace
+    - W(0) from the half-line integrals and divergence corrector W that the
+    solution's transparent top holds for that mode, zero for a homogeneous
+    one, and stores V + W as one (2, n >= 1) array.  Modes 0 < k <= nx/2 are
+    stored once each; ModeExpansion weights them.
     """
     modes = {}
     for k, trace in solution.trace_modes.items():
-        F, W = solution.sources.get(k, ([[], []], [[], []]))
+        qbar, vbar, W = solution.exterior.get(k, ([], [[], []], [[], []]))
         w0 = np.array([poly_eval0(w, 0j) for w in W], dtype=complex)
-        V, Q, c = solve_mode_numeric((k,), F, trace - w0)
-        rows = [poly_add(list(map(complex, v)), w) or [0j] for v, w in zip(V, W)]
+        V, Q = solve_mode_numeric((k,), (qbar, vbar), trace - w0)
+        rows = [poly_add(v or [0j], w) or [0j] for v, w in zip(V, W)]
         Vk = np.zeros((2, max(map(len, rows))), dtype=complex)
         for i, row in enumerate(rows):
             Vk[i, : len(row)] = row
-        modes[k] = {"V": Vk, "Q": Q, "c": c}
+        modes[k] = {"V": Vk, "Q": np.array(Q or [0j], dtype=complex)}
     return ModeExpansion(solution.grid.height, solution.grid.nx // 2, modes)

@@ -1,10 +1,10 @@
 """Command-line pipeline: basis, cell, corrector, wall-law, regularity, verify.
 
-Artifacts are JSON (structured results) and CSV (grids and tables), written
-atomically; every run also writes a manifest recording the input hash,
-package versions, wall clock and thread settings.  Identical configuration
-produces byte-identical result artifacts (the manifest carries the volatile
-runtime metadata).
+Artifacts are JSON (structured results) and CSV (grids and tables of plain
+numbers), written atomically; every run also writes a manifest listing the
+artifacts it wrote and recording the input hash, package versions, wall
+clock and thread settings.  Identical configuration produces byte-identical
+result artifacts (the manifest carries the volatile runtime metadata).
 
 Exit codes: 0 success, 2 invalid configuration, 3 solver failure, 4 failed
 verification.
@@ -39,6 +39,10 @@ THREADS_IN_EFFECT = {
 
 class ConfigError(InputError):
     """An invalid command-line setting."""
+
+
+class VerificationFailed(Exception):
+    """Acceptance checks failed."""
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +86,23 @@ def dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=1) + "\n"
 
 
+def write_csv(path: str, header: str, rows) -> str:
+    """Write a header and rows atomically; a cell that is no str or int is
+    written as repr(float(v)), a number that round-trips."""
+    lines = [header] + [",".join(str(v) if isinstance(v, (str, int)) else repr(float(v))
+                                 for v in row) for row in rows]
+    return write_atomic(path, "\n".join(lines) + "\n")
+
+
+def load_json(path: str):
+    """The JSON document at path; InputError if it is missing, unreadable or not JSON."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise InputError(f"cannot read {path} as JSON: {exc}") from exc
+
+
 def file_digest(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -116,15 +137,14 @@ def write_manifest(base: str, config: dict, artifacts: list[str], started: float
 def load_geometry(path: str):
     from .geometry import BoundaryGeometry
 
-    with open(path) as fh:
-        return BoundaryGeometry.from_json_dict(json.load(fh))
+    return BoundaryGeometry.from_json_dict(load_json(path))
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns the paths of the artifacts it wrote
 # ---------------------------------------------------------------------------
 
-def cmd_basis(args) -> int:
+def cmd_basis(args) -> list[str]:
     from .halfspace import stokes_basis
 
     if args.dim < 2:
@@ -148,10 +168,10 @@ def cmd_basis(args) -> int:
     }
     out = write_atomic(args.out, dump_json(payload))
     print(f"basis: {len(basis)} elements -> {out}")
-    return 0
+    return [out]
 
 
-def cmd_cell(args) -> int:
+def cmd_cell(args) -> list[str]:
     from .cell import solve_cell
 
     geometry = load_geometry(args.geometry)
@@ -162,15 +182,10 @@ def cmd_cell(args) -> int:
     sol = solve_cell(geometry, l=args.l, comp=args.i,
                      height=args.height, nx=args.nx, ny=args.ny)
     grid = sol.grid
-    lines = ["x,y,u1,u2,p"]
     p_nodes = sol.pressure_nodes()
-    for i in range(grid.nx):
-        for j in range(grid.ny + 1):
-            lines.append(
-                f"{grid.x[i]!r},{grid.y_nodes[i, j]!r},{sol.u[0][i, j]!r},"
-                f"{sol.u[1][i, j]!r},{p_nodes[i, j]!r}"
-            )
-    csv_path = write_atomic(args.out_prefix + ".csv", "\n".join(lines) + "\n")
+    csv_path = write_csv(args.out_prefix + ".csv", "x,y,u1,u2,p", (
+        (grid.x[i], grid.y_nodes[i, j], sol.u[0][i, j], sol.u[1][i, j], p_nodes[i, j])
+        for i in range(grid.nx) for j in range(grid.ny + 1)))
     # wall-clock stays out of the result payload so artifacts are
     # byte-reproducible; the manifest records it
     summary = {
@@ -185,10 +200,10 @@ def cmd_cell(args) -> int:
     }
     json_path = write_atomic(args.out_prefix + ".json", dump_json(summary))
     print(f"cell: tail = ({sol.tail[0]:.6g}, {sol.tail[1]:.6g}) -> {json_path}, {csv_path}")
-    return 0
+    return [csv_path, json_path]
 
 
-def cmd_corrector(args) -> int:
+def cmd_corrector(args) -> list[str]:
     from .recursion import CorrectorStack, stack_from_json, stack_to_json
 
     geometry = load_geometry(args.geometry)
@@ -200,8 +215,7 @@ def cmd_corrector(args) -> int:
     out_path = _out_root(args.out)
     if os.path.exists(out_path):
         # extend an existing stack so successive runs share one artifact
-        with open(out_path) as fh:
-            stack = stack_from_json(json.load(fh))
+        stack = stack_from_json(load_json(out_path))
         if stack.geometry.digest() != geometry.digest():
             raise ConfigError("existing stack was built for another geometry")
         if (stack.grid.nx, stack.grid.ny) != (args.nx, args.ny) \
@@ -215,32 +229,28 @@ def cmd_corrector(args) -> int:
     tail = stack.level(alpha[0], args.l, args.i).const
     print(f"corrector: {len(stack.levels)} levels, top tail = "
           f"({tail[0]:.6g}, {tail[1]:.6g}) -> {out}")
-    return 0
+    return [out]
 
 
-def cmd_wall_law(args) -> int:
+def cmd_wall_law(args) -> list[str]:
     from .recursion import stack_from_json
     from .walllaw import phi_table
 
-    with open(args.stack) as fh:
-        stack = stack_from_json(json.load(fh))
+    stack = stack_from_json(load_json(args.stack))
     if args.order < 1:
         raise ConfigError("--order must be >= 1")
     table = phi_table(stack, args.order)
     out = write_atomic(args.out, dump_json(table.to_json_dict()))
-    lines = ["order,alpha,l,row,col,x_power,value"]
-    for (alpha, l), mat in sorted(table.phi.items()):
-        for r in range(2):
-            for c in range(2):
-                for p, v in enumerate(mat[r, c]):
-                    lines.append(f"{alpha + l},{alpha},{l},{r + 1},{c + 1},{p},{v!r}")
-    csv_path = write_atomic(os.path.splitext(args.out)[0] + ".csv",
-                            "\n".join(lines) + "\n")
+    csv_path = write_csv(os.path.splitext(args.out)[0] + ".csv",
+                         "order,alpha,l,row,col,x_power,value", (
+        (alpha + l, alpha, l, r + 1, c + 1, p, v)
+        for (alpha, l), mat in sorted(table.phi.items())
+        for r in range(2) for c in range(2) for p, v in enumerate(mat[r, c])))
     print(f"wall-law: slip length = {table.slip_length:.6g} -> {out}, {csv_path}")
-    return 0
+    return [out, csv_path]
 
 
-def cmd_regularity(args) -> int:
+def cmd_regularity(args) -> list[str]:
     from .cell import StripGrid
     from .recursion import CorrectorStack
     from .regularity import (
@@ -293,27 +303,23 @@ def cmd_regularity(args) -> int:
         "data": results,
     }
     out = write_atomic(args.out, dump_json(payload))
-    lines = ["data,r,H,fitted_exponent"]
-    for kind, res in results.items():
-        for r, h in zip(res["radii"], res["H"]):
-            lines.append(f"{kind},{r!r},{h!r},{res['fitted_exponent']!r}")
-    csv_path = write_atomic(os.path.splitext(args.out)[0] + ".csv",
-                            "\n".join(lines) + "\n")
+    csv_path = write_csv(os.path.splitext(args.out)[0] + ".csv", "data,r,H,fitted_exponent", (
+        (kind, r, h, res["fitted_exponent"])
+        for kind, res in results.items() for r, h in zip(res["radii"], res["H"])))
     for kind, res in results.items():
         print(f"regularity[{kind}]: exponent = {res['fitted_exponent']}"
               f"{' (in-space)' if res['floored'] else ''}")
     print(f"-> {out}, {csv_path}")
-    return 0
+    return [out, csv_path]
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> list[str]:
     from . import verify
 
     failed = verify.run(args.suite)
     if failed:
-        print(f"{failed} verification check(s) failed", file=sys.stderr)
-        return EXIT_VERIFY
-    return 0
+        raise VerificationFailed(f"{failed} verification check(s) failed")
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -385,26 +391,21 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     config = {k: v for k, v in vars(args).items() if k != "func" and not callable(v)}
     try:
-        code = args.func(args)
-    except (InputError, FileNotFoundError) as exc:
+        written = args.func(args)
+    except InputError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    if code == 0 and args.command != "verify":
-        base = None
-        for attr in ("out", "out_prefix"):
-            if hasattr(args, attr):
-                base = _out_root(getattr(args, attr))
-                break
-        artifacts = []
-        root = os.path.splitext(base)[0]
-        for cand in (base, root + ".json", root + ".csv"):
-            if cand and os.path.exists(cand) and not cand.endswith(".manifest.json"):
-                artifacts.append(cand)
-        write_manifest(root, config, sorted(set(artifacts)), started)
-    return code
+    except VerificationFailed as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_VERIFY
+    if written:
+        # write_atomic puts the manifest under STOKESBL_OUTPUT_ROOT, as it did the artifacts
+        base = args.out_prefix if args.command == "cell" else args.out
+        write_manifest(os.path.splitext(base)[0], config, written, started)
+    return 0
 
 
 if __name__ == "__main__":

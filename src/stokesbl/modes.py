@@ -319,13 +319,12 @@ class ModeData:
     """One mode's source amplitude and trace value.
 
     F_poly[i] is the coefficient list (in z) of source component i; b_hat is
-    the velocity trace at y = L.  The reference height L is metadata only.
+    the velocity trace at the reference height.
     """
 
     k: tuple[int, ...]
     F_poly: list[list]
     b_hat: list
-    L: Fraction = Fraction(3)
 
     def __post_init__(self):
         self.k = tuple(int(v) for v in self.k)
@@ -345,7 +344,6 @@ class ModeSolution:
     Q: list
     c: object
     knorm: object
-    L: Fraction = Fraction(3)
 
 
 def halfline_integrals(k: tuple[int, ...], F_poly: list[list], knorm=None):
@@ -380,16 +378,16 @@ def halfline_integrals(k: tuple[int, ...], F_poly: list[list], knorm=None):
     return qbar, vbar
 
 
-def _closed_form(k: tuple[int, ...], F_poly: list[list], b_hat: list, knorm):
+def _closed_form(k: tuple[int, ...], qbar: list, vbar: list[list], b_hat: list, knorm):
     """(V, Q, c) of the decaying mode solution, over knorm's scalar type.
 
+    (qbar, vbar) are the half-line integrals of the mode's source, and
     V_j(z) = b_j + (c/|k|) a_j z + vbar_j(z) - vbar_j(0) and
     Q(z) = -2c + qbar(z), with c = a . b + (vbar_d)'(0).
     """
     d = len(k) + 1
     a = _symbol_vector(k, knorm)
     zero = knorm - knorm
-    qbar, vbar = halfline_integrals(k, F_poly, knorm)
 
     c = zero
     for j in range(d):
@@ -408,8 +406,9 @@ def _closed_form(k: tuple[int, ...], F_poly: list[list], b_hat: list, knorm):
 def solve_mode(data: ModeData) -> ModeSolution:
     """Decaying mode solution with trace b_hat, per the closed formulas."""
     knorm = knorm_exact(data.k)
-    V, Q, c = _closed_form(data.k, data.F_poly, data.b_hat, knorm)
-    return ModeSolution(data.k, V, Q, c, knorm, data.L)
+    qbar, vbar = halfline_integrals(data.k, data.F_poly, knorm)
+    V, Q, c = _closed_form(data.k, qbar, vbar, data.b_hat, knorm)
+    return ModeSolution(data.k, V, Q, c, knorm)
 
 
 @dataclass
@@ -512,19 +511,15 @@ def _dtn_matrix_memo(k: tuple[int, ...]) -> np.ndarray:
 # floating path used by the corrector pipeline
 # ---------------------------------------------------------------------------
 
-def solve_mode_numeric(k: tuple[int, ...], F_poly, b_hat):
-    """solve_mode over complex floats; returns (V, Q, c) coefficient arrays."""
+def solve_mode_numeric(k: tuple[int, ...], integrals, b_hat):
+    """solve_mode over complex floats from the integrals (qbar, vbar) that
+    halfline_integrals gives for the float knorm |k|; returns lists (V, Q)."""
     k = tuple(int(v) for v in k)
     knorm = float(np.sqrt(sum(v * v for v in k)))
     if knorm == 0:
         raise ValueError("k must be nonzero")
-    F = [list(map(complex, comp)) for comp in F_poly]
-    V, Q, c = _closed_form(k, F, [complex(v) for v in b_hat], knorm)
-    return (
-        [np.array(v, dtype=complex) if v else np.zeros(1, dtype=complex) for v in V],
-        np.array(Q, dtype=complex) if Q else np.zeros(1, dtype=complex),
-        complex(c),
-    )
+    V, Q, _ = _closed_form(k, *integrals, [complex(v) for v in b_hat], knorm)
+    return V, Q
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +531,7 @@ class ModeExpansion:
     """Finite sum of decaying Fourier modes above y = L (d = 2 layout).
 
     modes maps each wavenumber 0 < k <= nyquist to dict(V=(2, n) complex
-    coefficient array, Q=(nq,) array, c=complex), n >= 1, and the real field
+    coefficient array, Q=(nq,) array), n >= 1, and the real field
     is the sum over the stored modes of w_k Re[P_k(y - L) e^{-k(y-L)} e^{ikx}].
     Each real mode is stored once: w_k = 2 stands for the conjugate mode at
     -k, and the Nyquist mode k = nyquist (nx/2 of the grid it came from) has
@@ -578,7 +573,6 @@ class ModeExpansion:
                     "k": int(k),
                     "V_coeffs": [[[float(c.real), float(c.imag)] for c in comp] for comp in data["V"]],
                     "Q_coeffs": [[float(c.real), float(c.imag)] for c in data["Q"]],
-                    "c": [float(data["c"].real), float(data["c"].imag)],
                 }
             )
         return out
@@ -593,18 +587,16 @@ class ModeExpansion:
         modes = {}
         try:
             for item in items:
-                k, V, Q, c = item["k"], *(np.array(item[key], dtype=float)
-                                          for key in ("V_coeffs", "Q_coeffs", "c"))
+                k, V, Q = item["k"], *(np.array(item[key], dtype=float)
+                                       for key in ("V_coeffs", "Q_coeffs"))
                 if type(k) is not int or not 0 < k <= nyquist:
                     raise ValueError(f"k = {k!r} is not an int in 1..{nyquist}")
-                if V.ndim != 3 or V.shape[::2] != (2, 2) \
-                        or Q.ndim != 2 or Q.shape[1] != 2 or c.shape != (2,):
-                    raise ValueError(f"k = {k} needs V_coeffs (2, n, 2), Q_coeffs (m, 2), c (2,)")
+                if V.ndim != 3 or V.shape[::2] != (2, 2) or Q.ndim != 2 or Q.shape[1] != 2:
+                    raise ValueError(f"k = {k} needs V_coeffs (2, n, 2), Q_coeffs (m, 2)")
                 if k in modes:
                     raise ValueError(f"k = {k} repeats")
                 # (re, im) pairs viewed as complex128
-                modes[k] = {"V": V.view(complex)[..., 0], "Q": Q.view(complex)[:, 0],
-                            "c": complex(c.view(complex)[0])}
+                modes[k] = {"V": V.view(complex)[..., 0], "Q": Q.view(complex)[:, 0]}
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed mode entry: {exc!r}") from exc
         return cls(float(L), nyquist, modes)

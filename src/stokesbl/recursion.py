@@ -459,7 +459,7 @@ def stack_to_json(stack: CorrectorStack) -> dict:
                             for k, v in lv.diagnostics.items()},
         })
     return {
-        "schema": 3,
+        "schema": 4,
         "stokesbl": __version__,
         "geometry": stack.geometry.to_json_dict(),
         "geometry_hash": stack.geometry.digest(),
@@ -513,14 +513,14 @@ def _field(data: dict, key: str, where: str, kind, valid, need: str):
 def stack_from_json(data: dict) -> CorrectorStack:
     """Rebuild a stack written by stack_to_json, checking it on the way.
 
-    Raises InputError when the file is not schema 3, a key is missing, the
+    Raises InputError when the file is not schema 4, a key is missing, the
     grid fields or a level's (beta, l, comp) are not in range ints (height a
     finite number), a level array, mode entry or diagnostics is malformed or
     misfits the grid, a level repeats, or geometry_hash is not the stored
     geometry's digest.
     """
-    if not isinstance(data, dict) or data.get("schema") != 3:
-        raise InputError("stack is not schema 3: remove it and rebuild with stokesbl corrector")
+    if not isinstance(data, dict) or data.get("schema") != 4:
+        raise InputError("stack is not schema 4: remove it and rebuild with stokesbl corrector")
     _missing(data, _STACK_KEYS, "stack")
     geometry = BoundaryGeometry.from_json_dict(data["geometry"])
     if data["geometry_hash"] != geometry.digest():

@@ -1,6 +1,7 @@
 """CLI: artifact formats, exit codes, reproducibility."""
 
 import base64
+import csv
 import dataclasses
 import json
 import os
@@ -160,6 +161,19 @@ def _schema_2(data):
         lv["modes"] += [dict(mode, k=-mode["k"]) for mode in lv["modes"]]
 
 
+def _schema_3(data):
+    # the layout before schema 4: each mode also stored its closing scalar c
+    data["schema"] = 3
+    for lv in data["levels"]:
+        for mode in lv["modes"]:
+            mode["c"] = [0.0, 0.0]
+
+
+def _truncated(data):
+    # not JSON at all: the file is cut short
+    return json.dumps(data)[:-100]
+
+
 def _text_mode_coeffs(data):
     data["levels"][0]["modes"][0]["V_coeffs"] = "x"
 
@@ -221,17 +235,18 @@ def _repeated_wavenumber(data):
 @pytest.mark.parametrize("corrupt", [
     _break_first_level, _drop_p_nodes, _flatten_p_nodes, _three_row_v_poly, _wrong_hash,
     _invalid_base64, _short_byte_count, _text_arrays_without_schema, _schema_1, _schema_2,
-    _text_mode_coeffs, _mode_without_k, _diagnostics_list, _duplicate_level,
-    _text_beta, _negative_beta, _fractional_beta, _zero_l, _comp_3, _bool_comp,
-    _levels_not_a_list, _text_height, _float_nx, _repeated_wavenumber,
+    _schema_3, _truncated, _text_mode_coeffs, _mode_without_k, _diagnostics_list,
+    _duplicate_level, _text_beta, _negative_beta, _fractional_beta, _zero_l, _comp_3,
+    _bool_comp, _levels_not_a_list, _text_height, _float_nx, _repeated_wavenumber,
 ])
 def test_malformed_stack_exits_2(tmp_path, geometry_file, corrupt, capsys):
     stack_out = tmp_path / "stack.json"
     assert main(["corrector", "--geometry", geometry_file, "--alpha", "0",
                  "--nx", "16", "--ny", "20", "--out", str(stack_out)]) == 0
     data = json.loads(stack_out.read_text())
-    corrupt(data)
-    stack_out.write_text(json.dumps(data))
+    # a corruption either edits the data or returns the text to write
+    stack_out.write_text(corrupt(data) or json.dumps(data))
+    written = stack_out.read_bytes()
     capsys.readouterr()
     assert main(["wall-law", "--stack", str(stack_out), "--order", "2",
                  "--out", str(tmp_path / "law.json")]) == 2
@@ -239,14 +254,95 @@ def test_malformed_stack_exits_2(tmp_path, geometry_file, corrupt, capsys):
                  "--nx", "16", "--ny", "20", "--out", str(stack_out)]) == 2
     assert capsys.readouterr().err.count("invalid configuration") == 2
     assert not (tmp_path / "law.json").exists()
+    assert stack_out.read_bytes() == written  # the failed extension left it alone
 
 
-def test_stack_without_schema_3_asks_for_a_rebuild(tmp_path, capsys):
+def test_stack_without_schema_4_asks_for_a_rebuild(tmp_path, capsys):
     stack = tmp_path / "stack.json"
     stack.write_text(json.dumps({"geometry": {"fourier": []}, "levels": []}))
     assert main(["wall-law", "--stack", str(stack), "--out", str(tmp_path / "law.json")]) == 2
     err = capsys.readouterr().err
-    assert "not schema 3" in err and "rebuild" in err
+    assert "not schema 4" in err and "rebuild" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["cell", "--geometry", "{dir}/text.json", "--out-prefix", "{dir}/c"],
+    ["corrector", "--geometry", "{dir}/text.json", "--out", "{dir}/stack.json"],
+    ["regularity", "--geometry", "{dir}/text.json", "--out", "{dir}/report.json"],
+    ["cell", "--geometry", "{dir}/folder", "--out-prefix", "{dir}/c"],
+    ["wall-law", "--stack", "{dir}/folder", "--out", "{dir}/law.json"],
+    ["wall-law", "--stack", "{dir}/text.json", "--out", "{dir}/law.json"],
+    ["corrector", "--geometry", "{dir}/wall.json", "--out", "{dir}/folder"],
+], ids=lambda argv: " ".join(argv).replace("{dir}/", ""))
+def test_unreadable_json_input_exits_2(tmp_path, geometry_file, argv, capsys):
+    (tmp_path / "text.json").write_text("not json\n")
+    (tmp_path / "folder").mkdir()
+    before = sorted(os.listdir(tmp_path))
+    assert main([arg.format(dir=tmp_path) for arg in argv]) == 2
+    assert "invalid configuration: cannot read" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_csv_artifacts_hold_plain_numbers(tmp_path, geometry_file):
+    assert main(["cell", "--geometry", geometry_file, "--nx", "16", "--ny", "20",
+                 "--out-prefix", str(tmp_path / "c")]) == 0
+    assert main(["corrector", "--geometry", geometry_file, "--alpha", "1", "--nx", "16",
+                 "--ny", "20", "--out", str(tmp_path / "stack.json")]) == 0
+    assert main(["wall-law", "--stack", str(tmp_path / "stack.json"), "--order", "2",
+                 "--out", str(tmp_path / "law.json")]) == 0
+    assert main(SMALL_REGULARITY + ["--geometry", geometry_file,
+                                    "--out", str(tmp_path / "report.json")]) == 0
+    # header, first numeric column, rows at least
+    for name, header, first, rows in (("c.csv", "x,y,u1,u2,p", 0, 16 * 21),
+                                      ("law.csv", "order,alpha,l,row,col,x_power,value", 0, 4),
+                                      ("report.csv", "data,r,H,fitted_exponent", 1, 3)):
+        with open(tmp_path / name, newline="") as fh:
+            head, *body = csv.reader(fh)
+        assert ",".join(head) == header and len(body) >= rows, name
+        for row in body:
+            assert len(row) == len(head), name
+            for cell in row[first:]:
+                float(cell)  # ValueError on "np.float64(...)"; a floored exponent reads inf
+        if name == "law.csv":
+            assert all(cell.isdigit() for row in body for cell in row[:-1])
+        if name == "report.csv":
+            assert {row[0] for row in body} == {"shear", "quadratic", "random"}
+
+
+def _manifest_artifacts(path):
+    return sorted(json.loads(path.read_text())["artifacts"])
+
+
+def test_manifest_lists_exactly_the_written_artifacts(tmp_path, geometry_file):
+    # stale siblings that a run does not write stay out of its manifest
+    for stale in ("stack.csv", "c", "law"):
+        (tmp_path / stale).write_text("stale\n")
+    assert main(["corrector", "--geometry", geometry_file, "--nx", "16", "--ny", "20",
+                 "--out", str(tmp_path / "stack.json")]) == 0
+    assert _manifest_artifacts(tmp_path / "stack.manifest.json") == ["stack.json"]
+    assert main(["wall-law", "--stack", str(tmp_path / "stack.json"), "--order", "1",
+                 "--out", str(tmp_path / "law.json")]) == 0
+    assert _manifest_artifacts(tmp_path / "law.manifest.json") == ["law.csv", "law.json"]
+    assert main(["cell", "--geometry", geometry_file, "--nx", "16", "--ny", "20",
+                 "--out-prefix", str(tmp_path / "c")]) == 0
+    assert _manifest_artifacts(tmp_path / "c.manifest.json") == ["c.csv", "c.json"]
+
+
+def test_manifest_lands_beside_its_artifacts_under_a_relative_output_root(tmp_path,
+                                                                         monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("STOKESBL_OUTPUT_ROOT", "runs")
+    assert main(["basis", "--order", "1", "--out", "b.json"]) == 0
+    assert sorted(os.listdir(tmp_path / "runs")) == ["b.json", "b.manifest.json"]
+    assert _manifest_artifacts(tmp_path / "runs" / "b.manifest.json") == ["b.json"]
+
+
+def test_cell_beside_a_directory_named_like_its_prefix(tmp_path, geometry_file):
+    (tmp_path / "cell").mkdir()
+    assert main(["cell", "--geometry", geometry_file, "--nx", "16", "--ny", "20",
+                 "--out-prefix", str(tmp_path / "cell")]) == 0
+    assert _manifest_artifacts(tmp_path / "cell.manifest.json") == ["cell.csv", "cell.json"]
+    assert os.listdir(tmp_path / "cell") == []
 
 
 def test_cli_import_leaves_regularity_only_scipy_unloaded():

@@ -53,7 +53,7 @@ def _plant_fake_level(stack, beta, l, comp, v_poly, q_poly, rng):
     for k in (1, 2):
         V = [rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(2)]
         Q = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        modes[k] = {"V": V, "Q": Q, "c": 0j}
+        modes[k] = {"V": V, "Q": Q}
     level = LevelSolution(
         beta=beta, l=l, comp=comp,
         u=rng.standard_normal((2, nx, ny + 1)),
@@ -65,6 +65,27 @@ def _plant_fake_level(stack, beta, l, comp, v_poly, q_poly, rng):
     )
     stack.levels[(beta, l, comp)] = level
     return level
+
+
+def test_transparent_level_integrates_each_sourced_mode_once(monkeypatch):
+    # the top rows' right-hand side and the trace expansion share one set
+    # of half-line integrals per sourced mode; homogeneous modes need none
+    from stokesbl import cell, modes
+
+    calls = []
+    integrals = modes.halfline_integrals
+
+    def counting(k, *args, **kwargs):
+        calls.append(k)
+        return integrals(k, *args, **kwargs)
+
+    monkeypatch.setattr(cell, "halfline_integrals", counting)
+    monkeypatch.setattr(modes, "halfline_integrals", counting)
+    stack = CorrectorStack(COS_WALL, nx=16, ny=20)
+    stack.level(0, 1, 1)
+    assert calls == []
+    stack.level(1, 1, 1)
+    assert sorted(calls) == [(k,) for k in range(1, 9)]
 
 
 def test_flat_wall_levels_vanish(flat_stack):
@@ -412,8 +433,7 @@ def _levels(draw):
             n = draw(st.integers(1, 4))
             V = [draw(arrays(complex, n, elements=_COMPLEX)) for _ in range(2)]
             Q = draw(arrays(complex, draw(st.integers(1, 3)), elements=_COMPLEX))
-            c = draw(_COMPLEX)
-            modes[k] = {"V": V, "Q": Q, "c": c}
+            modes[k] = {"V": V, "Q": Q}
         out.append(LevelSolution(
             beta=beta, l=1, comp=draw(st.sampled_from([1, 2])),
             u=draw(arrays(float, (2, nx, ny + 1), elements=_FINITE)),
@@ -452,7 +472,6 @@ def test_stack_json_roundtrip_preserves_level_arrays(levels):
             for c in range(2):
                 assert np.asarray(back["V"][c]).tobytes() == np.asarray(data["V"][c]).tobytes()
             assert np.asarray(back["Q"]).tobytes() == np.asarray(data["Q"]).tobytes()
-            assert back["c"] == data["c"]
         assert got.diagnostics == ref.diagnostics
 
 
@@ -475,10 +494,11 @@ def test_cli_stack_sequence_is_byte_reproducible(tmp_path):
             outs.append([(root / name).read_bytes()
                          for name in ("stack.json", "walllaw.json", "walllaw.csv")])
         data = json.loads(outs[0][0])
-        assert data["schema"] == 3
+        assert data["schema"] == 4
         assert outs[0] == outs[1]
         for lv in data["levels"]:
             for mode in lv["modes"]:
                 V = np.array(mode["V_coeffs"])
+                assert sorted(mode) == ["Q_coeffs", "V_coeffs", "k"]
                 assert 0 < mode["k"] <= 8
                 assert V.ndim == 3 and V.shape[0] == 2 and V.shape[1] >= 1 and V.shape[2] == 2
