@@ -244,8 +244,6 @@ class CellSolution:
     tail: np.ndarray                      # zero Fourier mode of u at the top
     trace_modes: dict                     # k > 0 -> (2,) complex trace at top
     exterior: dict                        # k > 0 -> (qbar, vbar, W) of a transparent top
-    p_top_zero: float
-    multiplier: float
     diagnostics: dict
 
     def pressure_nodes(self) -> np.ndarray:
@@ -552,7 +550,6 @@ def solve_stokes(problem: CellProblem) -> CellSolution:
     nu = nx * (ny + 1)
     u = np.stack([sol[:nu].reshape(ny + 1, nx).T, sol[nu:2 * nu].reshape(ny + 1, nx).T])
     p = sol[2 * nu:2 * nu + nx * ny].reshape(ny, nx).T
-    mult = float(sol[2 * nu + nx * ny])
 
     spec = fourier_modes(g, u[:, :, ny])
     trace_modes = {k: spec[:, k].copy() for k in range(1, nx // 2 + 1)}
@@ -564,7 +561,7 @@ def solve_stokes(problem: CellProblem) -> CellSolution:
     diagnostics = {
         "linear_residual": linear_residual,
         "divergence_residual": float(np.abs(div).max()),
-        "multiplier": mult,
+        "multiplier": float(sol[2 * nu + nx * ny]),
         "trailing_mode_energy": float(tail_band),
         "mode_energy": float(total_band),
         "resolution": (nx, ny),
@@ -576,8 +573,6 @@ def solve_stokes(problem: CellProblem) -> CellSolution:
         tail=np.real(spec[:, 0]),
         trace_modes=trace_modes,
         exterior=problem.top.exterior if isinstance(problem.top, TransparentTop) else {},
-        p_top_zero=float(np.mean(1.5 * p[:, ny - 1] - 0.5 * p[:, ny - 2])),
-        multiplier=mult,
         diagnostics=diagnostics,
     )
 

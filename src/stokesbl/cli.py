@@ -207,7 +207,10 @@ def cmd_corrector(args) -> list[str]:
     from .recursion import CorrectorStack, stack_from_json, stack_to_json
 
     geometry = load_geometry(args.geometry)
-    alpha = [int(v) for v in args.alpha.split(",") if v != ""]
+    try:
+        alpha = [int(v) for v in args.alpha.split(",") if v != ""]
+    except ValueError:
+        raise ConfigError(f"--alpha {args.alpha!r} is not a list of ints") from None
     if len(alpha) != 1:
         raise ConfigError("d = 2 numerics: --alpha takes one entry")
     if alpha[0] < 0 or args.l < 1 or args.i not in (1, 2):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from math import isfinite
 
 import numpy as np
 
@@ -24,6 +25,17 @@ class AliasingError(InputError):
 
 class SolverError(RuntimeError):
     """A solve that failed or missed its residual bound; the CLI exits 3 on it."""
+
+
+def _finite(value, what: str) -> float:
+    """value as a float if it is a finite JSON number (never a bool)."""
+    try:
+        ok = not isinstance(value, bool) and isinstance(value, (int, float)) and isfinite(value)
+    except OverflowError:  # an int beyond float range
+        ok = False
+    if not ok:
+        raise InputError(f"geometry {what} = {value!r} must be a finite number")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -83,13 +95,34 @@ class BoundaryGeometry:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BoundaryGeometry":
+        """From {"fourier": [{"k", "re", "im"?}, ...]} or {"samples": [...]}.
+
+        Raises InputError unless fourier is a list of objects, each with an
+        int k that no other entry repeats and finite numbers re (and im), or
+        samples is a non-empty list of finite numbers.
+        """
         if not isinstance(data, dict):
             raise InputError("geometry JSON must be an object")
         if "fourier" in data:
-            modes = {int(t["k"]): complex(t["re"], t.get("im", 0.0)) for t in data["fourier"]}
+            if not isinstance(data["fourier"], list):
+                raise InputError("geometry fourier must be a list of modes")
+            modes = {}
+            for t in data["fourier"]:
+                if not isinstance(t, dict) or "k" not in t or "re" not in t:
+                    raise InputError(f"geometry mode {t!r} needs k and re")
+                k = t["k"]
+                if type(k) is not int:  # a bool or 1.7 would read as another k
+                    raise InputError(f"geometry mode k = {k!r} must be an int")
+                _finite(k, "k")
+                if k in modes:
+                    raise InputError(f"geometry mode k = {k} repeats")
+                modes[k] = complex(_finite(t["re"], "re"), _finite(t.get("im", 0.0), "im"))
             return cls.from_fourier(modes)
         if "samples" in data:
-            return cls.from_samples(data["samples"])
+            samples = data["samples"]
+            if not isinstance(samples, list) or not samples:
+                raise InputError("geometry samples must be a non-empty list of numbers")
+            return cls.from_samples([_finite(v, "sample") for v in samples])
         raise InputError("geometry JSON needs a 'fourier' or 'samples' key")
 
     # -- evaluation -----------------------------------------------------------

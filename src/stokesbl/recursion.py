@@ -102,15 +102,6 @@ def poly_to_coeff2d(p: ExactPolynomial | VectorPolynomial) -> np.ndarray:
     return out if isinstance(p, VectorPolynomial) else out[0]
 
 
-def _cpoly(arr) -> list[complex]:
-    return [complex(c) for c in np.atleast_1d(arr)]
-
-
-def _polyder_safe(c) -> np.ndarray:
-    out = npoly.polyder(np.atleast_1d(c))
-    return out if out.size else np.zeros(1)
-
-
 # ---------------------------------------------------------------------------
 # level solutions
 # ---------------------------------------------------------------------------
@@ -141,19 +132,28 @@ class LevelSolution:
         return npoly.polyval(y, self.q_poly)
 
 
-def _mode_profile(expansion: ModeExpansion, k: int):
+def _mode_lists(expansion: ModeExpansion, k: int) -> tuple[list, list, list]:
+    """(V_1, V_2, Q) of mode k as complex coefficient lists, [0j] when absent."""
     data = expansion.modes.get(k)
     if data is None:
-        return [np.zeros(1, complex), np.zeros(1, complex)], np.zeros(1, complex)
-    return data["V"], data["Q"]
+        return [0j], [0j], [0j]
+    return tuple([complex(c) for c in a] for a in (*data["V"], data["Q"]))
 
 
-def assemble_source(stack: "CorrectorStack", beta: int, l: int, comp: int) -> dict:
-    """Data (F^beta, G^beta) of level beta from the levels below.
+def level_problem(stack: "CorrectorStack", beta: int, l: int, comp: int):
+    """Cell problem of level beta >= 1, its growth part and Pi^beta_poly.
 
-    Returns grid samples (F at nodes, G at midpoints), the polynomial-in-y
-    parts, and the per-mode source profiles above the lid; out-of-range lower
-    levels contribute zero.
+    Levels beta - 1 and beta - 2 (zero below 0) give the data F^beta at the
+    nodes and G^beta at the midpoints.  The divergence corrector W^beta has
+    polynomial part W_poly(y) = -C(beta,1) int_0^y (V^{beta-1}_poly)_1 e_2 and,
+    for k > 0, mode part W_k = -C(beta,1) (V^{beta-1}_k)_1 / (ik) e_1.  The
+    polynomial corrector (Lambda^beta e_1, Pi^beta) solves
+    -Lap Lambda_poly + grad Pi_poly = F_poly + d_y^2 W_poly exactly in y;
+    constants are omitted.  Returns (problem, growth, pi_poly), where growth
+    (2, n) holds P = Lambda_poly e_1 + W_poly e_2, whose slope at the lid is
+    the zero mode's Neumann data.  Each mode k = 1..nx/2 of the top carries
+    (F_k + W_k'' - 2k W_k', W_k); the wall-region remainder of W is left to
+    the discrete solve as divergence data.
     """
     if beta < 1:
         raise ValueError("level 0 has no source")
@@ -170,71 +170,37 @@ def assemble_source(stack: "CorrectorStack", beta: int, l: int, comp: int) -> di
         F += 2 * c2 * low2.u
     G = -c1 * 0.5 * (low1.u[0][:, 1:] + low1.u[0][:, :-1])
 
-    F_poly = [-c1 * low1.q_poly, np.zeros(1)]
-    if low2 is not None:
-        F_poly[0] = npoly.polyadd(F_poly[0], 2 * c2 * low2.v_poly[0])
-        F_poly[1] = npoly.polyadd(F_poly[1], 2 * c2 * low2.v_poly[1])
-    G_poly = -c1 * low1.v_poly[0]
-
-    mode_sources = {}
-    for k in range(1, g.nx // 2 + 1):
-        V1, Q1 = _mode_profile(low1.modes, k)
-        Fk = [
-            poly_add(poly_scale(2j * c1 * k, _cpoly(V1[0])), poly_scale(-c1, _cpoly(Q1))),
-            poly_scale(2j * c1 * k, _cpoly(V1[1])),
-        ]
-        if low2 is not None:
-            V2, _ = _mode_profile(low2.modes, k)
-            Fk = [poly_add(Fk[i], poly_scale(2 * c2, _cpoly(V2[i]))) for i in range(2)]
-        mode_sources[k] = Fk
-    return {
-        "F": F,
-        "G": G,
-        "F_poly": pad_stack(F_poly),
-        "G_poly": np.atleast_1d(G_poly),
-        "modes": mode_sources,
-    }
-
-
-def divergence_corrector(stack: "CorrectorStack", beta: int, l: int, comp: int) -> dict:
-    """Corrector W^beta with div W^beta = G^beta away from the wall region.
-
-    Polynomial part: W_poly(y) = -C(beta,1) (int_0^y (V^{beta-1}_poly)_1) e_2
-    (constants are irrelevant downstream and omitted).  Mode part for k > 0:
-    W_k = -C(beta,1) (V^{beta-1}_k)_1 / (ik) e_1.  The wall-region remainder is
-    not formed here; the discrete solve absorbs it as divergence data.
-    """
-    if beta < 1:
-        raise ValueError("level 0 needs no corrector")
-    c1 = comb(beta, 1)
-    low1 = stack.level(beta - 1, l, comp)
-    w_poly_e2 = npoly.polyint(-c1 * low1.v_poly[0])
-    wmodes = {}
-    for k in low1.modes.wavenumbers():
-        V1, _ = _mode_profile(low1.modes, k)
-        wmodes[k] = [poly_scale(-c1 / (1j * k), _cpoly(V1[0])), []]
-    return {"poly_e2": np.atleast_1d(w_poly_e2), "modes": wmodes}
-
-
-def source_corrector(stack: "CorrectorStack", beta: int, l: int, comp: int) -> dict:
-    """Polynomial corrector (Lambda^beta, Pi^beta) for the remaining source.
-
-    -Lap Lambda_poly + grad Pi_poly = F_poly + d_y^2 W_poly holds exactly in y.
-    Lambda_poly is horizontal, Pi_poly scalar; constants are omitted.
-    """
-    if beta < 1:
-        raise ValueError("level 0 needs no corrector")
-    c1 = comb(beta, 1)
-    c2 = comb(beta, 2)
-    low1 = stack.level(beta - 1, l, comp)
+    # G's polynomial part -C(beta,1) (V^{beta-1}_poly)_1 integrates to W_poly
+    div_poly = -c1 * low1.v_poly[0]
     integrand = c1 * low1.q_poly
-    pi_poly = -c1 * low1.v_poly[0]
-    if beta >= 2:
-        low2 = stack.level(beta - 2, l, comp)
+    pi_poly = div_poly
+    if low2 is not None:
         integrand = npoly.polyadd(integrand, -2 * c2 * low2.v_poly[0])
         pi_poly = npoly.polyadd(pi_poly, npoly.polyint(2 * c2 * low2.v_poly[1]))
-    lam1 = npoly.polyint(npoly.polyint(integrand))
-    return {"lambda_poly": pad_stack([lam1, np.zeros(1)]), "pi_poly": np.atleast_1d(pi_poly)}
+    growth = pad_stack([npoly.polyint(npoly.polyint(integrand)), npoly.polyint(div_poly)])
+
+    sources = {}
+    for k in range(1, g.nx // 2 + 1):
+        V1, V2, Q1 = _mode_lists(low1.modes, k)
+        Fk = [poly_add(poly_scale(2j * c1 * k, V1), poly_scale(-c1, Q1)),
+              poly_scale(2j * c1 * k, V2)]
+        if low2 is not None:
+            Fk = [poly_add(f, poly_scale(2 * c2, v))
+                  for f, v in zip(Fk, _mode_lists(low2.modes, k))]
+        w = poly_scale(-c1 / (1j * k), V1)  # W_k = w e_1
+        dw = poly_derive(w)
+        reduced = poly_add(Fk[0], poly_add(poly_derive(dw), poly_scale(-2.0 * k, dw)))
+        sources[k] = ([reduced, Fk[1]], [w, []])
+
+    problem = CellProblem(
+        grid=g,
+        bottom=np.zeros((2, g.nx)),
+        top=TransparentTop(sources=sources,
+                           neumann0=npoly.polyval(g.height, npoly.polyder(growth.T))),
+        source=F,
+        div_data=G,
+    )
+    return problem, growth, pi_poly
 
 
 # ---------------------------------------------------------------------------
@@ -265,73 +231,37 @@ class CorrectorStack:
     def _solve_level(self, beta: int, l: int, comp: int) -> LevelSolution:
         g = self.grid
         if beta == 0:
-            problem = CellProblem(
+            sol = solve_stokes(CellProblem(
                 grid=g,
                 bottom=boundary_trace(g, monomial_data(l, comp)),
                 top=TransparentTop(),
-            )
-            sol = solve_stokes(problem)
-            v_poly = pad_stack([np.array([sol.tail[0]]), np.array([sol.tail[1]])])
+            ))
+            v_poly = sol.tail[:, None].copy()
             q_poly = np.zeros(1)
         else:
-            src = assemble_source(self, beta, l, comp)
-            wcorr = divergence_corrector(self, beta, l, comp)
-            lcorr = source_corrector(self, beta, l, comp)
-
-            # growth part P(y) = Lambda_poly + W_poly; top Neumann = P'(height)
-            growth = pad_stack([lcorr["lambda_poly"][0], wcorr["poly_e2"]])
-            neumann0 = np.array([
-                npoly.polyval(g.height, _polyder_safe(growth[0])),
-                npoly.polyval(g.height, _polyder_safe(growth[1])),
-            ])
-
-            sources = {}  # k -> (reduced source F, divergence corrector W)
-            for k, Fk in src["modes"].items():
-                wk = wcorr["modes"].get(k, [[], []])
-                kn = float(abs(k))
-                # reduced source: F + Lap-of-W mode contribution
-                gk = []
-                for i in range(2):
-                    dd = poly_derive(poly_derive(wk[i]))
-                    gk.append(poly_add(dd, poly_scale(-2 * kn, poly_derive(wk[i]))))
-                sources[k] = ([poly_add(Fk[i], gk[i]) for i in range(2)], wk)
-
-            problem = CellProblem(
-                grid=g,
-                bottom=np.zeros((2, g.nx)),
-                top=TransparentTop(sources=sources, neumann0=neumann0),
-                source=src["F"],
-                div_data=src["G"],
-            )
+            problem, growth, q_poly = level_problem(self, beta, l, comp)
             sol = solve_stokes(problem)
-            # anchor: poly part matches the top zero mode, V_per zero mode (L)=0
-            shift = sol.tail - np.array([
-                npoly.polyval(g.height, growth[0]),
-                npoly.polyval(g.height, growth[1]),
-            ])
-            v_poly = pad_stack([
-                npoly.polyadd(growth[0], np.array([shift[0]])),
-                npoly.polyadd(growth[1], np.array([shift[1]])),
-            ])
-            q_poly = np.atleast_1d(lcorr["pi_poly"])
+            # anchor: the growth part meets the top zero mode, so V_per's
+            # zero mode vanishes at the lid
+            shift = sol.tail - npoly.polyval(g.height, growth.T)
+            v_poly = pad_stack([npoly.polyadd(p, [s]) for p, s in zip(growth, shift)])
 
         if v_poly.shape[1] > beta + 1:
             raise AssertionError(f"deg V_poly {v_poly.shape[1] - 1} exceeds {beta}")
         if len(np.trim_zeros(q_poly, "b")) > max(beta, 1):
             raise AssertionError("deg Q_poly exceeds beta - 1")
 
-        # pressure normalization: zero mode of Q_per vanishes at the lid
-        p_shift = float(npoly.polyval(g.height, q_poly)) - sol.p_top_zero
-        p = sol.p + p_shift
-        sol.p = p
-        sol.p_top_zero += p_shift
+        # pressure normalization: Q_per's zero mode, extrapolated from the
+        # two top pressure rows, vanishes at the lid
+        p_lid = float(np.mean(1.5 * sol.p[:, -1] - 0.5 * sol.p[:, -2]))
+        p_shift = float(npoly.polyval(g.height, q_poly)) - p_lid
 
         modes = trace_expansion(sol)
         if max((m["V"].shape[1] for m in modes.modes.values()), default=1) > 2 * beta + 2:
             raise AssertionError("mode profile degree exceeds 2|beta| + 1")
         return LevelSolution(
             beta=beta, l=l, comp=comp,
-            u=sol.u, p_nodes=sol.pressure_nodes(),
+            u=sol.u, p_nodes=g.pressure_at_nodes(sol.p + p_shift),
             v_poly=v_poly, q_poly=q_poly,
             modes=modes,
             diagnostics=dict(sol.diagnostics),

@@ -132,7 +132,7 @@ def test_manufactured_dirichlet_with_divergence():
     assert errs[1][0] < errs[0][0] / 3.0
     assert errs[1][0] < 5e-3
     assert errs[1][1] < errs[0][1] / 2.5
-    assert abs(sol.multiplier) < 1e-3  # discrete compatibility defect, O(h^2)
+    assert abs(sol.diagnostics["multiplier"]) < 1e-3  # discrete compatibility defect, O(h^2)
 
 
 def test_divergence_residual_is_tiny():
@@ -311,7 +311,7 @@ def test_dirichlet_border_matches_bordered_lu(geometry, stretch, div):
     assert np.abs(sol.u - u_ref).max() <= 1e-10 * np.abs(u_ref).max()
     assert np.abs(sol.p - p_ref).max() <= 1e-10 * np.abs(p_ref).max()
     assert abs(mu_ref) > 1e-3
-    assert abs(sol.multiplier - mu_ref) <= 1e-10 * abs(mu_ref)
+    assert abs(sol.diagnostics["multiplier"] - mu_ref) <= 1e-10 * abs(mu_ref)
     assert np.abs(full @ ref - rhs).max() < 1e-10 * max(1.0, np.abs(rhs).max())
 
 
@@ -470,7 +470,7 @@ def test_factor_is_cached_per_grid_and_top_kind(monkeypatch):
     assert len(calls) == 2
     assert np.array_equal(again.u, second.u)
     assert np.array_equal(again.p, second.p)
-    assert again.multiplier == second.multiplier
+    assert again.diagnostics["multiplier"] == second.diagnostics["multiplier"]
 
     # a Dirichlet top on the same grid is a second factor, then reused too
     for seed in (1, 2):

@@ -75,7 +75,22 @@ def test_cell_rejects_odd_nx(tmp_path, geometry_file, capsys):
 @pytest.mark.parametrize("payload", [
     {"fourier": [{"k": 0, "re": 0.5}]},
     {"modes": []},
-], ids=["gamma-above-zero", "no-geometry-key"])
+    {"fourier": [{"re": -0.5}]},
+    {"fourier": [{"k": 0}]},
+    {"fourier": 5},
+    {"fourier": [{"k": 0, "re": "a"}]},
+    {"fourier": [{"k": 0, "re": -10 ** 400}]},
+    {"samples": "abc"},
+    {"samples": []},
+    {"samples": [[-0.5, -0.4], [-0.5]]},
+    # each would read as a different wall than the file describes
+    {"fourier": [{"k": 0, "re": -0.5}, {"k": 1, "re": -0.2}, {"k": 1, "re": -0.1}]},
+    {"fourier": [{"k": 0, "re": -0.5}, {"k": 1.7, "re": -0.2}]},
+    {"fourier": [{"k": 0, "re": -0.5}, {"k": True, "re": -0.2}]},
+    {"fourier": [{"k": 0, "re": -0.5}, {"k": 10 ** 400, "re": -0.2}]},
+], ids=["gamma-above-zero", "no-geometry-key", "no-k", "no-re", "fourier-not-a-list",
+        "re-a-string", "re-beyond-float", "samples-a-string", "samples-empty", "samples-ragged",
+        "repeated-k", "fractional-k", "bool-k", "k-beyond-float"])
 def test_cell_rejects_unrepresentable_geometry(tmp_path, payload, capsys):
     wall = tmp_path / "wall.json"
     wall.write_text(json.dumps(payload))
@@ -95,6 +110,8 @@ def test_cell_rejects_unrepresentable_geometry(tmp_path, payload, capsys):
     ["regularity", "--stretch", "1e6"],  # the mapped nodes overflow
     ["cell", "--height", "1e300"],  # the inverse metric squares to zero
     ["regularity", "--seed", "-1"],
+    ["corrector", "--alpha", "x"],
+    ["corrector", "--alpha", "1.5"],
 ], ids=lambda argv: " ".join(argv))
 def test_unrepresentable_sizes_exit_2(tmp_path, geometry_file, argv, capsys):
     out = ["--out-prefix", str(tmp_path / "run")] if argv[0] == "cell" \

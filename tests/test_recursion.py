@@ -1,6 +1,7 @@
 """Corrector hierarchy: recursion identities, assembly, route equivalence."""
 
 import json
+from math import comb
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -21,13 +22,11 @@ from stokesbl.recursion import (
     LevelSampler,
     LevelSolution,
     assemble_alpha,
-    assemble_source,
-    divergence_corrector,
     heterogeneous_basis,
+    level_problem,
     monomial_coefficients,
     not_a_knot_coefficients,
     script_S,
-    source_corrector,
     stack_from_json,
     stack_to_json,
 )
@@ -115,9 +114,14 @@ def test_level_one_degree_and_coefficient(stack):
     assert lv1.q_poly == pytest.approx([-lv0.const[0]], rel=1e-12)
 
 
+def _padded(c, n):
+    return np.concatenate([c, np.zeros(n - len(c))])
+
+
 def test_fast_path_matches_general_correctors(stack):
-    # plant random lower levels and compare the generic Step 1/Step 2 output
-    # with the explicit 2-D closed form
+    # plant random lower levels and compare level_problem's growth part
+    # P = Lambda_poly e_1 + W_poly e_2 and Pi_poly with the explicit 2-D
+    # closed form
     rng = np.random.default_rng(5)
     work = CorrectorStack(COS_WALL, nx=16, ny=20)
     v0 = rng.standard_normal((2, 1))
@@ -127,40 +131,45 @@ def test_fast_path_matches_general_correctors(stack):
     _plant_fake_level(work, 1, 1, 1, v1, q1, rng)
     beta = 2
     c1, c2 = 2, 1  # C(2,1), C(2,2)
-    wcorr = divergence_corrector(work, beta, 1, 1)
+    problem, growth, pi_poly = level_problem(work, beta, 1, 1)
+    n = growth.shape[1]
     expected_w = npoly.polyint(-c1 * v1[0])
-    assert np.allclose(wcorr["poly_e2"], expected_w)
-    lcorr = source_corrector(work, beta, 1, 1)
+    assert np.allclose(growth[1], _padded(expected_w, n))
     expected_lam = npoly.polyint(npoly.polyint(
         npoly.polyadd(-2 * c2 * v0[0], c1 * q1)))
-    assert np.allclose(lcorr["lambda_poly"][0, : len(expected_lam)], expected_lam)
+    assert np.allclose(growth[0], _padded(expected_lam, n))
     expected_pi = npoly.polyadd(npoly.polyint(2 * c2 * v0[1]), -c1 * v1[0])
-    assert np.allclose(lcorr["pi_poly"][: len(expected_pi)], expected_pi)
+    assert np.allclose(pi_poly, expected_pi)
+    # the zero mode's Neumann data at the lid is P'(height)
+    slope = [npoly.polyval(work.height, npoly.polyder(p)) for p in growth]
+    assert np.array_equal(problem.top.neumann0, slope)
 
 
 def test_source_corrector_identity(stack):
-    # -Lap Lambda_poly + grad Pi_poly = F_poly + d_y^2 W_poly, exactly in y
+    # -Lap Lambda_poly + grad Pi_poly = F_poly + d_y^2 W_poly, exactly in y,
+    # with F_poly, the polynomial part of the source, formed from the
+    # planted levels: (-C(beta,1) Q^{beta-1}_poly + 2 C(beta,2) (V^{beta-2}_poly)_1,
+    # 2 C(beta,2) (V^{beta-2}_poly)_2)
     rng = np.random.default_rng(11)
     work = CorrectorStack(COS_WALL, nx=16, ny=20)
     _plant_fake_level(work, 0, 1, 1, rng.standard_normal((2, 1)), np.zeros(1), rng)
     _plant_fake_level(work, 1, 1, 1, rng.standard_normal((2, 2)),
                       rng.standard_normal(1), rng)
     for beta in (1, 2):
-        src = assemble_source(work, beta, 1, 1)
-        wcorr = divergence_corrector(work, beta, 1, 1)
-        lcorr = source_corrector(work, beta, 1, 1)
-        lam1 = lcorr["lambda_poly"][0]
+        c1, c2 = comb(beta, 1), comb(beta, 2)
+        low1 = work.level(beta - 1, 1, 1)
+        F_poly = [-c1 * low1.q_poly, np.zeros(1)]
+        if beta >= 2:
+            low2 = work.level(beta - 2, 1, 1)
+            F_poly = [npoly.polyadd(F_poly[i], 2 * c2 * low2.v_poly[i]) for i in range(2)]
+        _, growth, pi_poly = level_problem(work, beta, 1, 1)
+        lam1, wpoly = growth
         lhs1 = -npoly.polyder(npoly.polyder(lam1)) if len(lam1) > 2 else np.zeros(1)
-        rhs1 = src["F_poly"][0]
-        assert np.allclose(npoly.polysub(np.atleast_1d(lhs1), rhs1), 0.0, atol=1e-12)
-        lhs2 = npoly.polyder(lcorr["pi_poly"]) if len(lcorr["pi_poly"]) > 1 else np.zeros(1)
-        wpoly = wcorr["poly_e2"]
+        assert np.allclose(npoly.polysub(np.atleast_1d(lhs1), F_poly[0]), 0.0, atol=1e-12)
+        lhs2 = npoly.polyder(pi_poly) if len(pi_poly) > 1 else np.zeros(1)
         d2w = npoly.polyder(npoly.polyder(wpoly)) if len(wpoly) > 2 else np.zeros(1)
-        rhs2 = npoly.polyadd(src["F_poly"][1], np.atleast_1d(d2w))
+        rhs2 = npoly.polyadd(F_poly[1], np.atleast_1d(d2w))
         assert np.allclose(npoly.polysub(np.atleast_1d(lhs2), rhs2), 0.0, atol=1e-12)
-        if beta == 2:
-            _plant_fake_level(work, 2, 1, 1, rng.standard_normal((2, 3)),
-                              rng.standard_normal(2), rng)
 
 
 def test_mode_divergence_identity(stack):
