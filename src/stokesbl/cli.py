@@ -295,7 +295,7 @@ def cmd_regularity(args) -> list[str]:
             "fitted_exponent": rep.fitted_exponent,
             "floored": rep.floored,
             "grad_norm": rep.grad_norm,
-            "pressure_residuals": rep.meta.get("pressure"),
+            "pressure_residuals": rep.pressure_residuals,
             "pointwise": pointwise_check(ws, solution, coeffs, args.order),
         }
     payload = {

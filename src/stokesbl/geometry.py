@@ -80,10 +80,16 @@ class BoundaryGeometry:
 
     @classmethod
     def from_samples(cls, samples, max_mode: int | None = None) -> "BoundaryGeometry":
-        """Fit Fourier modes to equispaced samples over one period."""
+        """Fit Fourier modes to equispaced samples over one period.
+
+        For an even count n the Nyquist bin stands for both k = +-n/2, and
+        gamma adds c_k and its conjugate, so c_{n/2} is half of it.
+        """
         samples = np.asarray(samples, dtype=float)
         n = samples.size
         spec = np.fft.rfft(samples) / n
+        if n % 2 == 0:
+            spec[n // 2] *= 0.5
         kmax = n // 2 if max_mode is None else min(max_mode, n // 2)
         modes = {}
         if abs(spec[0]) > 1e-14:

@@ -181,19 +181,6 @@ class StokesPair:
     def dim(self) -> int:
         return self.pressure.dim
 
-    def to_json_dict(self) -> dict:
-        return {
-            "velocity": self.velocity.to_json_dict(),
-            "pressure": self.pressure.to_json_dict(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "StokesPair":
-        return cls(
-            VectorPolynomial.from_json_dict(data["velocity"]),
-            ExactPolynomial.from_json_dict(data["pressure"]),
-        )
-
 
 @dataclass
 class StokesResidualReport:

@@ -132,9 +132,6 @@ class ExactPolynomial:
             return NEG_INF
         return max(sum(e) for e in self._terms)
 
-    def coefficient(self, exp: Sequence[int]) -> Fraction:
-        return self._terms.get(tuple(exp), Fraction(0))
-
     def homogeneous_degrees(self) -> list[int]:
         return sorted({sum(e) for e in self._terms})
 
@@ -238,9 +235,6 @@ class ExactPolynomial:
                 for e, c in self._terms.items() if e[axis] >= 2
             ))
         return ExactPolynomial._trusted(self.dim, out)
-
-    def gradient(self) -> "VectorPolynomial":
-        return VectorPolynomial([self.derive(axis) for axis in range(self.dim)])
 
     # -- evaluation / substitution -------------------------------------------
 

@@ -269,38 +269,32 @@ class CorrectorStack:
 
 
 # ---------------------------------------------------------------------------
-# assembled correctors (v^alpha, q^alpha) and S[P]
+# assembled correctors v^alpha and S[P]
 # ---------------------------------------------------------------------------
 
 @dataclass
 class CorrectorField:
-    """Assembled corrector for one driving monomial x^alpha y^l e_comp."""
+    """A corrector as one flat sum: sum of coef * x^power * V^level over terms.
 
-    stack: CorrectorStack
-    alpha: int
-    l: int
-    comp: int
-    terms: list  # (binomial coefficient, x-power alpha-beta, LevelSolution)
-    v_poly_xy: np.ndarray  # (2, alpha+1, deg_y+1), c[comp, i, j] x^i y^j
-    q_poly_xy: np.ndarray  # (alpha+1, deg_y+1)
+    v^alpha and S[P] are both of this form; v_poly_xy holds the summed
+    polynomial parts, c[comp, i, j] the coefficient of x^i y^j.
+    """
 
-    @property
-    def tail(self) -> np.ndarray:
-        return self.stack.level(self.alpha, self.l, self.comp).const
+    terms: list  # (coefficient, x-power, LevelSolution)
+    v_poly_xy: np.ndarray  # (2, deg_x+1, deg_y+1)
 
 
 def assemble_alpha(stack: CorrectorStack, alpha: int, l: int, comp: int) -> CorrectorField:
     """Corrector field v^alpha = sum_beta C(alpha,beta) x^{alpha-beta} V^beta."""
     if alpha < 0 or l < 1:
         raise ValueError("need alpha >= 0 and l >= 1")
-    terms, v_terms, q_terms = [], [], []
+    terms, v_terms = [], []
     for beta in range(alpha + 1):
         coef, level = float(comb(alpha, beta)), stack.level(beta, l, comp)
         terms.append((coef, alpha - beta, level))
         x_power = np.eye(alpha + 1)[alpha - beta]  # x-coefficients of x^(alpha-beta)
         v_terms.append((coef, np.einsum("i,cj->cij", x_power, level.v_poly)))
-        q_terms.append((coef, np.outer(x_power, level.q_poly)))
-    return CorrectorField(stack, alpha, l, comp, terms, padded_sum(v_terms), padded_sum(q_terms))
+    return CorrectorField(terms, padded_sum(v_terms))
 
 
 def monomial_coefficients(P: VectorPolynomial) -> list[tuple[int, int, int, float]]:
@@ -319,22 +313,13 @@ def monomial_coefficients(P: VectorPolynomial) -> list[tuple[int, int, int, floa
     return sorted(out)
 
 
-@dataclass
-class BoundaryCorrector:
-    """S[P]: combination of monomial correctors for P in P_{m,0}."""
-
-    parts: list  # (coefficient, CorrectorField)
-    v_poly_xy: np.ndarray
-    q_poly_xy: np.ndarray
-
-
-def script_S(stack: CorrectorStack, P: VectorPolynomial) -> BoundaryCorrector:
-    """The corrector pair for boundary data P (linear in P)."""
+def script_S(stack: CorrectorStack, P: VectorPolynomial) -> CorrectorField:
+    """S[P] (linear in P): each monomial's v^alpha terms, scaled by its coefficient."""
     parts = [(coeff, assemble_alpha(stack, alpha, l, comp))
              for alpha, l, comp, coeff in monomial_coefficients(P)]
+    terms = [(coeff * c, power, level) for coeff, fld in parts for c, power, level in fld.terms]
     v = padded_sum([(coeff, fld.v_poly_xy) for coeff, fld in parts], shape=(2, 1, 1))
-    q = padded_sum([(coeff, fld.q_poly_xy) for coeff, fld in parts], shape=(1, 1))
-    return BoundaryCorrector(parts, v, q)
+    return CorrectorField(terms, v)
 
 
 # ---------------------------------------------------------------------------
@@ -345,27 +330,22 @@ def script_S(stack: CorrectorStack, P: VectorPolynomial) -> BoundaryCorrector:
 class HeterogeneousElement:
     """(w_P, pi_P) = (P, Q) + S[P]: a Stokes solution on the rough domain."""
 
-    pair_index: int
     P: VectorPolynomial
     Q: ExactPolynomial
-    corrector: BoundaryCorrector
+    corrector: CorrectorField
     w_poly_xy: np.ndarray   # effective polynomial part (2, nx_pow, ny_pow)
-    pi_poly_xy: np.ndarray
 
 
 def heterogeneous_basis(stack: CorrectorStack, order: int) -> list[HeterogeneousElement]:
     """Basis of the heterogeneous space: flat-space pairs plus correctors."""
     from .halfspace import stokes_basis
 
-    basis = stokes_basis(order, 2)
     out = []
-    for idx, pair in enumerate(basis.elements):
+    for pair in stokes_basis(order, 2).elements:
         corr = script_S(stack, pair.velocity)
         w = padded_sum([(1.0, poly_to_coeff2d(pair.velocity)), (1.0, corr.v_poly_xy)],
                        shape=(2, order + 1, order + 1))
-        pi = padded_sum([(1.0, poly_to_coeff2d(pair.pressure)), (1.0, corr.q_poly_xy)],
-                        shape=w.shape[1:])
-        out.append(HeterogeneousElement(idx, pair.velocity, pair.pressure, corr, w, pi))
+        out.append(HeterogeneousElement(pair.velocity, pair.pressure, corr, w))
     return out
 
 

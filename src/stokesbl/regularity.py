@@ -21,7 +21,7 @@ field as an extra QR column, so the outer data share their windows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -70,11 +70,10 @@ class RegularityWorkspace:
         self.elements = heterogeneous_basis(stack, order)
         self._samplers: dict = {}
         for el in self.elements:
-            for _, fld in el.corrector.parts:
-                for _, _, level in fld.terms:
-                    key = (level.beta, level.l, level.comp)
-                    if key not in self._samplers:
-                        self._samplers[key] = LevelSampler(level, stack, grid)
+            for _, _, level in el.corrector.terms:
+                key = (level.beta, level.l, level.comp)
+                if key not in self._samplers:
+                    self._samplers[key] = LevelSampler(level, stack, grid)
         # velocity columns: drop elements with identically zero velocity
         self.column_indices = [i for i, el in enumerate(self.elements)
                                if not el.P.is_zero()]
@@ -82,9 +81,8 @@ class RegularityWorkspace:
         self._column_norms: dict = {}
 
     def _flat_terms(self, el: HeterogeneousElement):
-        for a, fld in el.corrector.parts:
-            for c, p, level in fld.terms:
-                yield a * c, p, self._samplers[(level.beta, level.l, level.comp)]
+        for c, p, level in el.corrector.terms:
+            yield c, p, self._samplers[(level.beta, level.l, level.comp)]
 
     def _x_series(self) -> dict:
         """X-power coefficient arrays of every column.
@@ -288,18 +286,17 @@ def fit_exponent(radii, values, drop: int = 2, floor: float = 0.0) -> dict:
     """Log-log slope of values vs radii, dropping the smallest `drop` radii.
 
     Values at or below `floor` mark the field as in-space: the exponent is
-    +inf and the fit residual zero (the power bound holds trivially).
+    +inf (the power bound holds trivially).
     """
     radii = np.asarray(radii, dtype=float)
     values = np.asarray(values, dtype=float)
     keep = slice(drop, None)
     r, v = radii[keep], values[keep]
     if np.all(v <= max(floor, 0.0)):
-        return {"exponent": float("inf"), "residual": 0.0, "floored": True}
+        return {"exponent": float("inf"), "floored": True}
     v = np.maximum(v, 1e-300)
-    coef, diag = np.polyfit(np.log(r), np.log(v), 1, full=True)[:2]
-    resid = float(np.sqrt(diag[0] / len(r))) if len(diag) else 0.0
-    return {"exponent": float(coef[0]), "residual": resid, "floored": False}
+    coef = np.polyfit(np.log(r), np.log(v), 1)
+    return {"exponent": float(coef[0]), "floored": False}
 
 
 # ---------------------------------------------------------------------------
@@ -311,11 +308,10 @@ class ExcessReport:
     radii: list[float]
     H_values: list[float]
     fitted_exponent: float
-    fit_residual: float
     floored: bool
     coefficients: list[np.ndarray]
     grad_norm: float
-    meta: dict = field(default_factory=dict)
+    pressure_residuals: list[float]
 
 
 def outer_data(kind: str, grid: StripGrid, seed: int = 0) -> np.ndarray:
@@ -395,8 +391,6 @@ class OuterSolution:
     lift_ws: RegularityWorkspace
     lift: np.ndarray
     remainder: CellSolution
-    kind: str
-    seed: int
     trace_defect: float
 
     @property
@@ -450,7 +444,6 @@ def build_outer_solution(lift_ws: RegularityWorkspace, kind: str,
     remainder = solve_stokes(problem)
     return OuterSolution(
         lift_ws=lift_ws, lift=coeffs, remainder=remainder,
-        kind=kind, seed=seed,
         trace_defect=float(np.abs(lift[:, :, 0]).max()),
     )
 
@@ -488,12 +481,11 @@ def decay_experiments(workspace: RegularityWorkspace, solutions: list[OuterSolut
         coefs = [res[t]["coefficients"] for res in per_radius]
         grad_norm_R = grad_norms[t]
         fit = fit_exponent(radii, H, drop=2, floor=floor_rel * grad_norm_R)
-        pressure = pressure_decay(workspace, solution, coefs[-1], radii)
         reports.append(ExcessReport(
             radii=radii, H_values=H,
-            fitted_exponent=fit["exponent"], fit_residual=fit["residual"],
-            floored=fit["floored"], coefficients=coefs, grad_norm=grad_norm_R,
-            meta={"R": R, "order": workspace.order, "pressure": pressure},
+            fitted_exponent=fit["exponent"], floored=fit["floored"],
+            coefficients=coefs, grad_norm=grad_norm_R,
+            pressure_residuals=pressure_decay(workspace, solution, coefs[-1], radii),
         ))
     return reports
 

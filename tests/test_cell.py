@@ -244,6 +244,16 @@ def test_geometry_validation():
         solve_cell(COS_WALL, l=0, comp=1)
 
 
+@pytest.mark.parametrize("n, smooth, nyquist", [
+    (8, 0.0, 0.1),  # samples alternating -0.4, -0.6
+    (8, 1.0, 0.1), (16, 1.0, -0.05), (8, 1.0, 0.0), (9, 1.0, 0.0), (15, 1.0, 0.0),
+])
+def test_from_samples_interpolates_its_samples(n, smooth, nyquist):
+    x = 2 * np.pi * np.arange(n) / n
+    s = -0.5 + smooth * (0.2 * np.cos(x) + 0.1 * np.sin(2 * x)) + nyquist * (-1.0) ** np.arange(n)
+    assert np.abs(BoundaryGeometry.from_samples(s).gamma(x) - s).max() < 1e-14
+
+
 def test_grid_rejects_aliased_geometry():
     aliased = BoundaryGeometry.from_fourier({0: -0.5, 13: -0.2})
     with pytest.raises(ValueError, match="aliases"):

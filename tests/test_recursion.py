@@ -188,20 +188,20 @@ def test_mode_divergence_identity(stack):
         assert max((abs(c) for c in diff), default=0.0) < 1e-10
 
 
-def corrector_trace_residual(field: CorrectorField, refine: int = 4) -> float:
+def corrector_trace_residual(stack: CorrectorStack, alpha: int, l: int, comp: int,
+                             refine: int = 4) -> float:
     """sup over the wall of |v^alpha + x^alpha y^l e_comp|, trig-interpolated.
 
     At collocation points the Dirichlet rows make this exactly zero; the
     refined evaluation probes between them.
     """
-    g = field.stack.grid
-    nfine = refine * g.nx
+    nfine = refine * stack.grid.nx
     xf = -np.pi + 2 * np.pi * np.arange(nfine) / nfine
-    gf = field.stack.geometry.gamma(xf)
+    gf = stack.geometry.gamma(xf)
     total = np.zeros((2, nfine))
-    for coef, power, level in field.terms:
+    for coef, power, level in assemble_alpha(stack, alpha, l, comp).terms:
         total += coef * xf ** power * _trig_interpolate(level.u[:, :, 0], nfine)
-    total[field.comp - 1] += xf ** field.alpha * gf ** field.l
+    total[comp - 1] += xf ** alpha * gf ** l
     return float(np.abs(total).max())
 
 
@@ -218,7 +218,7 @@ def _trig_interpolate(samples: np.ndarray, n: int) -> np.ndarray:
     return np.fft.irfft(spec / (m / n), n=n)
 
 
-def corrector_divergence_residual(field: CorrectorField, x_shift: float = 0.0,
+def corrector_divergence_residual(g: StripGrid, field: CorrectorField, x_shift: float = 0.0,
                                   remove_defect: bool = False) -> float:
     """Discrete divergence of the assembled v^alpha at the pressure cells.
 
@@ -227,9 +227,8 @@ def corrector_divergence_residual(field: CorrectorField, x_shift: float = 0.0,
     to -sum C(alpha,beta) x^{alpha-beta} mu^beta.  With remove_defect=True
     that known uniform defect is subtracted, isolating the recursion algebra,
     which must cancel to solver precision.  x_shift moves the evaluation
-    window across periods.
+    window across periods; g is the stack grid the levels were solved on.
     """
-    g = field.stack.grid
     X = g.x[:, None] + x_shift
     res = np.zeros((g.nx, g.ny))
     scale = 0.0
@@ -246,26 +245,26 @@ def corrector_divergence_residual(field: CorrectorField, x_shift: float = 0.0,
 
 
 def test_assembled_trace_and_divergence(stack):
+    g = stack.grid
     fld = assemble_alpha(stack, 1, 1, 1)
-    assert corrector_trace_residual(fld) < 1e-9
+    assert corrector_trace_residual(stack, 1, 1, 1) < 1e-9
     # recursion algebra telescopes exactly once the reported per-level
     # compatibility defect (the multiplier) is accounted for
-    assert corrector_divergence_residual(fld, remove_defect=True) < 1e-9
-    assert corrector_divergence_residual(fld, x_shift=6 * np.pi, remove_defect=True) < 1e-8
+    assert corrector_divergence_residual(g, fld, remove_defect=True) < 1e-9
+    assert corrector_divergence_residual(g, fld, x_shift=6 * np.pi, remove_defect=True) < 1e-8
     fld2 = assemble_alpha(stack, 2, 1, 1)
-    assert corrector_trace_residual(fld2) < 1e-8
-    assert corrector_divergence_residual(fld2, remove_defect=True) < 1e-8
+    assert corrector_trace_residual(stack, 2, 1, 1) < 1e-8
+    assert corrector_divergence_residual(g, fld2, remove_defect=True) < 1e-8
     # raw residual equals the uniform defect, small and O(h^2)
     mus = [abs(lv.diagnostics.get("multiplier", 0.0)) for _, _, lv in fld2.terms]
-    assert corrector_divergence_residual(fld2) <= 10 * max(sum(mus), 1e-12)
+    assert corrector_divergence_residual(g, fld2) <= 10 * max(sum(mus), 1e-12)
 
 
 def test_divergence_defect_shrinks_under_refinement():
     vals = []
     for nx, ny in ((16, 20), (32, 40)):
         st = CorrectorStack(COS_WALL, nx=nx, ny=ny)
-        fld = assemble_alpha(st, 1, 1, 1)
-        vals.append(corrector_divergence_residual(fld))
+        vals.append(corrector_divergence_residual(st.grid, assemble_alpha(st, 1, 1, 1)))
     assert vals[1] < vals[0] / 2.5
 
 
@@ -291,7 +290,20 @@ def test_script_S_monomial_and_linearity(stack):
     corr2 = script_S(stack, P2)
     assert np.allclose(corr2.v_poly_xy, -3 * corr.v_poly_xy)
     zero = script_S(stack, VectorPolynomial.zero(2, 2))
-    assert np.abs(zero.v_poly_xy).max() == 0.0
+    assert np.abs(zero.v_poly_xy).max() == 0.0 and zero.terms == []
+    # S[P]'s terms are each monomial's v^alpha terms, in monomial order, with
+    # coefficients scaled by the monomial's; regularity's samplers and
+    # columns follow this order
+    P3 = (VectorPolynomial.unit_monomial((0, 2), 1, 2, coeff=-3)
+          + VectorPolynomial.unit_monomial((2, 1), 0, 2, coeff=0.5)
+          + VectorPolynomial.unit_monomial((1, 1), 0, 2, coeff=2))
+    expect = [(coeff * c, power, level)
+              for alpha, l, comp, coeff in monomial_coefficients(P3)
+              for c, power, level in assemble_alpha(stack, alpha, l, comp).terms]
+    got = script_S(stack, P3).terms
+    assert len(got) == len(expect) == 1 + 3 + 2
+    for (c, power, level), (c_want, power_want, level_want) in zip(got, expect):
+        assert c == c_want and power == power_want and level is level_want
 
 
 def test_script_S_rejects_nonzero_trace():

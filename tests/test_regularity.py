@@ -357,8 +357,8 @@ def test_decay_experiment_quadratic_order1(tall_ws, tall_solution):
     assert len(rep.radii) == len(rep.H_values)
     assert all(h >= 0 for h in rep.H_values)
     # pressure counterpart reported per window
-    assert len(rep.meta["pressure"]) == len(rep.radii)
-    assert all(np.isfinite(v) for v in rep.meta["pressure"])
+    assert len(rep.pressure_residuals) == len(rep.radii)
+    assert all(np.isfinite(v) for v in rep.pressure_residuals)
 
 
 def test_decay_experiment_shear_is_in_space(tall_ws, outer_solutions):

@@ -5,14 +5,11 @@ import pytest
 
 from stokesbl.geometry import BoundaryGeometry
 from stokesbl.recursion import (
-    BoundaryCorrector,
-    CorrectorField,
     CorrectorStack,
     HeterogeneousElement,
     heterogeneous_basis,
     padded_sum,
     poly_to_coeff2d,
-    script_S,
 )
 from stokesbl.walllaw import (
     WallLawAccuracyError,
@@ -97,8 +94,8 @@ def basis_identity_residuals(stack: CorrectorStack, order: int,
             if abs(np.linalg.det(A)) > 0.5:
                 break
         elements = [
-            HeterogeneousElement(-1, elements[0].P, elements[0].Q, None,
-                                 padded_sum(zip(row, (el.w_poly_xy for el in elements))), None)
+            HeterogeneousElement(elements[0].P, elements[0].Q, None,
+                                 padded_sum(zip(row, (el.w_poly_xy for el in elements))))
             for row in A
         ]
     return [wall_law_identity_residual(table, el) for el in elements]
@@ -118,18 +115,12 @@ def test_second_order_flat_is_zero():
 def het_part_velocity(corr, x, y, comp: int) -> np.ndarray:
     """Decaying remainder of a corrector above the lid (mode expansions).
 
-    Accepts a CorrectorField or a BoundaryCorrector; valid for y >= lid only.
+    Valid for y >= lid only.
     """
-    if isinstance(corr, CorrectorField):
-        flat_terms = [(c, p, lv) for c, p, lv in corr.terms]
-    elif isinstance(corr, BoundaryCorrector):
-        flat_terms = [(a * c, p, lv) for a, fld in corr.parts for c, p, lv in fld.terms]
-    else:
-        raise TypeError("expected CorrectorField or BoundaryCorrector")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     out = np.zeros(np.broadcast(x, y).shape)
-    for coef, power, level in flat_terms:
+    for coef, power, level in corr.terms:
         if np.any(y < level.modes.L - 1e-9):
             raise ValueError("het evaluation is mode-based: needs y >= lid height")
         out = out + coef * x ** power * level.modes.fields(x, y)[comp]
