@@ -36,14 +36,18 @@ from .polynomials import VectorPolynomial
 # grid
 # ---------------------------------------------------------------------------
 
+#: The default cell grid: lid height, x nodes and xi intervals.
+DEFAULT_HEIGHT, DEFAULT_NX, DEFAULT_NY = 3.0, 32, 40
+
+
 class StripGrid:
     """Boundary-fitted tensor grid with metric coefficients precomputed."""
 
     # float64 cannot hold every grid of finite size; the metric of one that
     # overflows is rejected by _check_representable, without numpy warnings
     @np.errstate(all="ignore")
-    def __init__(self, geometry: BoundaryGeometry, height: float = 3.0,
-                 nx: int = 32, ny: int = 40, stretch: float = 0.0):
+    def __init__(self, geometry: BoundaryGeometry, height: float, *,
+                 nx: int, ny: int, stretch: float = 0.0):
         if nx < 8 or ny < 16:
             raise InputError("resolution must be at least (8, 16)")
         if nx % 2 != 0:
@@ -586,7 +590,7 @@ def fourier_modes(g: StripGrid, row_values: np.ndarray) -> np.ndarray:
     return np.fft.fft(row_values, axis=-1) / g.nx * ((-1.0) ** kv)
 
 
-def divergence_residual(g: StripGrid, u: np.ndarray, div_data=None) -> np.ndarray:
+def divergence_residual(g: StripGrid, u: np.ndarray, div_data) -> np.ndarray:
     """Discrete divergence minus prescribed data at the pressure cells."""
     dxi = g.dxi
     u1m = 0.5 * (u[0][:, 1:] + u[0][:, :-1])
@@ -618,8 +622,8 @@ def monomial_data(l: int, comp: int) -> VectorPolynomial:
     return VectorPolynomial.unit_monomial((0, l), comp - 1, 2)
 
 
-def solve_cell(geometry: BoundaryGeometry, l: int, comp: int, height: float = 3.0,
-               nx: int = 32, ny: int = 40) -> CellSolution:
+def solve_cell(geometry: BoundaryGeometry, l: int, comp: int,
+               height: float = DEFAULT_HEIGHT, *, nx: int, ny: int) -> CellSolution:
     """Bounded cell corrector with data v = -y^l e_comp on the wall."""
     grid = StripGrid(geometry, height=height, nx=nx, ny=ny)
     problem = CellProblem(

@@ -183,7 +183,7 @@ def cmd_cell(args) -> list[str]:
                      height=args.height, nx=args.nx, ny=args.ny)
     grid = sol.grid
     p_nodes = sol.pressure_nodes()
-    csv_path = write_csv(args.out_prefix + ".csv", "x,y,u1,u2,p", (
+    csv_path = write_csv(os.path.splitext(args.out)[0] + ".csv", "x,y,u1,u2,p", (
         (grid.x[i], grid.y_nodes[i, j], sol.u[0][i, j], sol.u[1][i, j], p_nodes[i, j])
         for i in range(grid.nx) for j in range(grid.ny + 1)))
     # wall-clock stays out of the result payload so artifacts are
@@ -198,7 +198,7 @@ def cmd_cell(args) -> list[str]:
         "resolution": [grid.nx, grid.ny],
         "geometry_hash": geometry.digest(),
     }
-    json_path = write_atomic(args.out_prefix + ".json", dump_json(summary))
+    json_path = write_atomic(args.out, dump_json(summary))
     print(f"cell: tail = ({sol.tail[0]:.6g}, {sol.tail[1]:.6g}) -> {json_path}, {csv_path}")
     return [csv_path, json_path]
 
@@ -208,12 +208,10 @@ def cmd_corrector(args) -> list[str]:
 
     geometry = load_geometry(args.geometry)
     try:
-        alpha = [int(v) for v in args.alpha.split(",") if v != ""]
+        alpha = int(args.alpha)
     except ValueError:
-        raise ConfigError(f"--alpha {args.alpha!r} is not a list of ints") from None
-    if len(alpha) != 1:
-        raise ConfigError("d = 2 numerics: --alpha takes one entry")
-    if alpha[0] < 0 or args.l < 1 or args.i not in (1, 2):
+        raise ConfigError(f"--alpha {args.alpha!r} is not an int") from None
+    if alpha < 0 or args.l < 1 or args.i not in (1, 2):
         raise ConfigError("need alpha >= 0, --l >= 1 and --i in {1, 2}")
     out_path = _out_root(args.out)
     if os.path.exists(out_path):
@@ -226,10 +224,10 @@ def cmd_corrector(args) -> list[str]:
             raise ConfigError("existing stack has a different resolution")
     else:
         stack = CorrectorStack(geometry, height=args.height, nx=args.nx, ny=args.ny)
-    for beta in range(alpha[0] + 1):
+    for beta in range(alpha + 1):
         stack.level(beta, args.l, args.i)
     out = write_atomic(args.out, dump_json(stack_to_json(stack)))
-    tail = stack.level(alpha[0], args.l, args.i).const
+    tail = stack.level(alpha, args.l, args.i).const
     print(f"corrector: {len(stack.levels)} levels, top tail = "
           f"({tail[0]:.6g}, {tail[1]:.6g}) -> {out}")
     return [out]
@@ -289,15 +287,7 @@ def cmd_regularity(args) -> list[str]:
     fits = projected_fits(ws, lift_ws, [s.grad for s in solutions], 4 * np.pi)
     results = {}
     for kind, solution, rep, coeffs in zip(kinds, solutions, reports, fits):
-        results[kind] = {
-            "radii": rep.radii,
-            "H": rep.H_values,
-            "fitted_exponent": rep.fitted_exponent,
-            "floored": rep.floored,
-            "grad_norm": rep.grad_norm,
-            "pressure_residuals": rep.pressure_residuals,
-            "pointwise": pointwise_check(ws, solution, coeffs, args.order),
-        }
+        results[kind] = dict(rep, pointwise=pointwise_check(ws, solution, coeffs, args.order))
     payload = {
         "order": args.order,
         "R": args.R,
@@ -330,47 +320,54 @@ def cmd_verify(args) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    from .cell import DEFAULT_HEIGHT, DEFAULT_NX, DEFAULT_NY
+
+    # no parser accepts an abbreviated option: `cell --out` must not match
+    # some other option that starts with it
     parser = argparse.ArgumentParser(
         prog="stokesbl",
         description="Boundary-layer correctors, wall laws and regularity "
                     "diagnostics for Stokes flow over rough periodic walls.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("basis", help="exact Stokes polynomial basis")
+    def command(name: str, func, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        p.set_defaults(func=func)
+        return p
+
+    def cell_grid(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--height", type=float, default=DEFAULT_HEIGHT)
+        p.add_argument("--nx", type=int, default=DEFAULT_NX)
+        p.add_argument("--ny", type=int, default=DEFAULT_NY)
+
+    p = command("basis", cmd_basis, "exact Stokes polynomial basis")
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--out", default="basis.json")
-    p.set_defaults(func=cmd_basis)
 
-    p = sub.add_parser("cell", help="solve one cell corrector problem")
+    p = command("cell", cmd_cell, "solve one cell corrector problem")
     p.add_argument("--geometry", required=True)
     p.add_argument("--l", type=int, default=1)
     p.add_argument("--i", type=int, default=1)
-    p.add_argument("--height", type=float, default=3.0)
-    p.add_argument("--nx", type=int, default=32)
-    p.add_argument("--ny", type=int, default=40)
-    p.add_argument("--out-prefix", default="cell")
-    p.set_defaults(func=cmd_cell)
+    cell_grid(p)
+    p.add_argument("--out", default="cell.json", help="the CSV and manifest go beside it")
 
-    p = sub.add_parser("corrector", help="build the corrector stack")
+    p = command("corrector", cmd_corrector, "build the corrector stack")
     p.add_argument("--geometry", required=True)
-    p.add_argument("--alpha", default="0", help="horizontal multi-index (one entry for d=2)")
+    p.add_argument("--alpha", default="0", help="horizontal degree (one int for d = 2)")
     p.add_argument("--l", type=int, default=1)
     p.add_argument("--i", type=int, default=1)
-    p.add_argument("--height", type=float, default=3.0)
-    p.add_argument("--nx", type=int, default=32)
-    p.add_argument("--ny", type=int, default=40)
+    cell_grid(p)
     p.add_argument("--out", default="stack.json")
-    p.set_defaults(func=cmd_corrector)
 
-    p = sub.add_parser("wall-law", help="wall-law coefficient table from a stack")
+    p = command("wall-law", cmd_wall_law, "wall-law coefficient table from a stack")
     p.add_argument("--stack", required=True)
     p.add_argument("--order", type=int, default=2)
     p.add_argument("--out", default="walllaw.json")
-    p.set_defaults(func=cmd_wall_law)
 
-    p = sub.add_parser("regularity", help="excess decay and pointwise checks")
+    p = command("regularity", cmd_regularity, "excess decay and pointwise checks")
     p.add_argument("--geometry", required=True)
     p.add_argument("--order", type=int, default=1)
     p.add_argument("--R", type=float, default=64 * np.pi)
@@ -380,11 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stretch", type=float, default=5.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="report.json")
-    p.set_defaults(func=cmd_regularity)
 
-    p = sub.add_parser("verify", help="run the acceptance criteria")
+    p = command("verify", cmd_verify, "run the acceptance criteria")
     p.add_argument("--suite", choices=("symbolic", "numeric", "all"), default="all")
-    p.set_defaults(func=cmd_verify)
     return parser
 
 
@@ -406,8 +401,7 @@ def main(argv=None) -> int:
         return EXIT_VERIFY
     if written:
         # write_atomic puts the manifest under STOKESBL_OUTPUT_ROOT, as it did the artifacts
-        base = args.out_prefix if args.command == "cell" else args.out
-        write_manifest(os.path.splitext(base)[0], config, written, started)
+        write_manifest(os.path.splitext(args.out)[0], config, written, started)
     return 0
 
 

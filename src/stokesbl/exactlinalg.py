@@ -44,14 +44,6 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     return mat, pivots
 
 
-def exact_rank(rows: list[list[Fraction]]) -> int:
-    """Rank over Q by exact elimination."""
-    if not rows:
-        return 0
-    _, pivots = rref(rows)
-    return len(pivots)
-
-
 def nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
     """Deterministic basis of the kernel of the matrix (rows act on R^ncols)."""
     if not rows:
@@ -68,8 +60,8 @@ def nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
     return basis
 
 
-def sparse_rank_mod_p(entries, shape: tuple[int, int], p: int = RANK_PRIME) -> int:
-    """Rank mod p of the matrix with these (row, col, Fraction) entries, 0 elsewhere.
+def sparse_rank_mod_p(entries, shape: tuple[int, int]) -> int:
+    """Rank mod p = RANK_PRIME of the matrix with these (row, col, Fraction) entries.
 
     Fills an int64 matrix with one modular inverse per distinct denominator;
     every prime factor of a denominator must be < p (true here: they come
@@ -78,6 +70,7 @@ def sparse_rank_mod_p(entries, shape: tuple[int, int], p: int = RANK_PRIME) -> i
     the rows with a nonzero entry in the pivot column, and only the columns
     from the pivot column on.
     """
+    p = RANK_PRIME
     mat = np.zeros(shape, dtype=np.int64)
     inverses: dict[int, int] = {}
     for i, j, v in entries:

@@ -79,7 +79,7 @@ class BoundaryGeometry:
         return cls(items)
 
     @classmethod
-    def from_samples(cls, samples, max_mode: int | None = None) -> "BoundaryGeometry":
+    def from_samples(cls, samples) -> "BoundaryGeometry":
         """Fit Fourier modes to equispaced samples over one period.
 
         For an even count n the Nyquist bin stands for both k = +-n/2, and
@@ -90,11 +90,10 @@ class BoundaryGeometry:
         spec = np.fft.rfft(samples) / n
         if n % 2 == 0:
             spec[n // 2] *= 0.5
-        kmax = n // 2 if max_mode is None else min(max_mode, n // 2)
         modes = {}
         if abs(spec[0]) > 1e-14:
             modes[0] = complex(spec[0].real, 0.0)
-        for k in range(1, kmax + 1):
+        for k in range(1, n // 2 + 1):
             if abs(spec[k]) > 1e-14:
                 modes[k] = complex(spec[k])
         return cls.from_fourier(modes)
@@ -154,8 +153,8 @@ class BoundaryGeometry:
     def d2gamma(self, x) -> np.ndarray:
         return self._eval(x, 2)
 
-    def range(self, nsample: int = 4096) -> tuple[float, float]:
-        vals = self.gamma(np.linspace(0.0, 2.0 * np.pi, nsample, endpoint=False))
+    def range(self) -> tuple[float, float]:
+        vals = self.gamma(np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False))
         return float(vals.min()), float(vals.max())
 
     @property

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
 
-from .exactlinalg import exact_rank, nullspace, sparse_rank_mod_p
+from .exactlinalg import nullspace, sparse_rank_mod_p
 from .polynomials import (
     ExactPolynomial,
     VectorPolynomial,
@@ -269,31 +269,15 @@ class SpaceBasis:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def _slots(self) -> list:
-        """Monomial slots of each component: exponents of degree <= order, graded-lex."""
-        return [e for deg in range(self.order + 1) for e in monomial_exponents(self.dim, deg)]
-
-    def coefficient_matrix(self) -> list[list[Fraction]]:
-        """Rows = elements, columns = all velocity/pressure monomial slots."""
-        slots = self._slots()
-        zero = Fraction(0)
-        return [
-            [poly._terms.get(exp, zero)
-             for poly in (*el.velocity.components, el.pressure) for exp in slots]
-            for el in self.elements
-        ]
-
-    def certify_rank(self, exact: bool = False) -> bool:
+    def certify_rank(self) -> bool:
         """True iff the elements are linearly independent over Q.
 
-        Full rank mod p certifies full rank over Q.  The mod-p matrix is
-        filled straight from the term maps; `exact=True` builds the dense
-        Fraction matrix and eliminates over Q instead (slow for large bases).
+        Full rank mod p certifies full rank over Q.  The columns are the
+        monomial slots (exponents of degree <= order, graded-lex) of every
+        velocity component and of the pressure, and the mod-p matrix is
+        filled straight from the term maps.
         """
-        if exact:
-            rows = self.coefficient_matrix()
-            return exact_rank(rows) == len(rows)
-        slots = self._slots()
+        slots = [e for deg in range(self.order + 1) for e in monomial_exponents(self.dim, deg)]
         index = {exp: j for j, exp in enumerate(slots)}
         entries = (
             (i, comp * len(slots) + index[exp], c)

@@ -199,9 +199,6 @@ class SqrtExt:
             return hash(Fraction(self._ar, self._den))  # as the equal int or Fraction
         return hash((self._ar, self._ai, self._br, self._bi, self._den, self.n))
 
-    def conjugate(self) -> "SqrtExt":
-        return _new(self._ar, -self._ai, self._br, -self._bi, self._den, self.n)
-
     def is_zero(self) -> bool:
         return not (self._ar or self._ai or self._br or self._bi)
 
@@ -337,22 +334,20 @@ class ModeData:
 
 @dataclass
 class ModeSolution:
-    """Profiles (V_k, Q_k) of the decaying solution above L, plus c_k."""
+    """Profiles (V_k, Q_k) of the decaying solution above L."""
 
     k: tuple[int, ...]
     V: list[list]
     Q: list
-    c: object
     knorm: object
 
 
-def halfline_integrals(k: tuple[int, ...], F_poly: list[list], knorm=None):
-    """The two closed-form half-line integrals (Qbar, Vbar) driven by F."""
+def halfline_integrals(k: tuple[int, ...], F_poly: list[list], knorm):
+    """The two closed-form half-line integrals (Qbar, Vbar) driven by F,
+    over the scalar type of knorm = |k| (knorm_exact(k) or a float)."""
     k = tuple(int(v) for v in k)
     if all(v == 0 for v in k):
         raise ValueError("k must be nonzero")
-    if knorm is None:
-        knorm = knorm_exact(k)
     d = len(k) + 1
     a = _symbol_vector(k, knorm)
     one = knorm / knorm
@@ -379,7 +374,7 @@ def halfline_integrals(k: tuple[int, ...], F_poly: list[list], knorm=None):
 
 
 def _closed_form(k: tuple[int, ...], qbar: list, vbar: list[list], b_hat: list, knorm):
-    """(V, Q, c) of the decaying mode solution, over knorm's scalar type.
+    """(V, Q) of the decaying mode solution, over knorm's scalar type.
 
     (qbar, vbar) are the half-line integrals of the mode's source, and
     V_j(z) = b_j + (c/|k|) a_j z + vbar_j(z) - vbar_j(0) and
@@ -400,15 +395,15 @@ def _closed_form(k: tuple[int, ...], qbar: list, vbar: list[list], b_hat: list, 
         head = [b_hat[j] - poly_eval0(vbar[j], zero), c_over_k * a[j]]
         V.append(poly_add(head, vbar[j]))
     Q = poly_add([-2 * c], qbar)
-    return V, Q, c
+    return V, Q
 
 
 def solve_mode(data: ModeData) -> ModeSolution:
     """Decaying mode solution with trace b_hat, per the closed formulas."""
     knorm = knorm_exact(data.k)
     qbar, vbar = halfline_integrals(data.k, data.F_poly, knorm)
-    V, Q, c = _closed_form(data.k, qbar, vbar, data.b_hat, knorm)
-    return ModeSolution(data.k, V, Q, c, knorm)
+    V, Q = _closed_form(data.k, qbar, vbar, data.b_hat, knorm)
+    return ModeSolution(data.k, V, Q, knorm)
 
 
 @dataclass
@@ -429,7 +424,7 @@ class ModeResiduals:
 
 
 def residual_check(k: tuple[int, ...], F_poly: list[list], sol: ModeSolution,
-                   b_hat: list | None = None) -> ModeResiduals:
+                   b_hat: list) -> ModeResiduals:
     """Momentum, divergence and trace residuals of a mode solution.
 
     Mode-wise operators: Lap -> d_z^2 - 2|k| d_z and grad -> a (.) + e_d d_z
@@ -460,10 +455,7 @@ def residual_check(k: tuple[int, ...], F_poly: list[list], sol: ModeSolution,
         div = poly_add(div, poly_scale(a[j], sol.V[j]))
     div = poly_add(div, poly_derive(sol.V[d - 1]))
 
-    trace = []
-    if b_hat is not None:
-        for j in range(d):
-            trace.append(poly_eval0(sol.V[j], zero) - b_hat[j])
+    trace = [poly_eval0(sol.V[j], zero) - b_hat[j] for j in range(d)]
     return ModeResiduals(momentum, div, trace)
 
 
@@ -518,8 +510,7 @@ def solve_mode_numeric(k: tuple[int, ...], integrals, b_hat):
     knorm = float(np.sqrt(sum(v * v for v in k)))
     if knorm == 0:
         raise ValueError("k must be nonzero")
-    V, Q, _ = _closed_form(k, *integrals, [complex(v) for v in b_hat], knorm)
-    return V, Q
+    return _closed_form(k, *integrals, [complex(v) for v in b_hat], knorm)
 
 
 # ---------------------------------------------------------------------------

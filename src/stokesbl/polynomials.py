@@ -236,21 +236,7 @@ class ExactPolynomial:
             ))
         return ExactPolynomial._trusted(self.dim, out)
 
-    # -- evaluation / substitution -------------------------------------------
-
-    def eval(self, point: Sequence) -> Fraction:
-        """Exact evaluation at a point of length dim."""
-        if len(point) != self.dim:
-            raise ValueError(f"point length {len(point)} != dim {self.dim}")
-        pt = [Fraction(v) for v in point]
-        total = Fraction(0)
-        for e, c in self._terms.items():
-            term = c
-            for v, k in zip(pt, e):
-                if k:
-                    term *= v ** k
-            total += term
-        return total
+    # -- substitution ----------------------------------------------------------
 
     def trace_at_zero(self) -> "ExactPolynomial":
         """Substitute y = 0 (keep only terms with zero y-exponent)."""
@@ -327,11 +313,11 @@ class VectorPolynomial:
         return cls([ExactPolynomial.zero(dim) for _ in range(ncomp)])
 
     @classmethod
-    def unit_monomial(cls, exp: Sequence[int], comp: int, ncomp: int, coeff=1) -> "VectorPolynomial":
-        """coeff * x^exp e_comp (comp 0-based)."""
+    def unit_monomial(cls, exp: Sequence[int], comp: int, ncomp: int) -> "VectorPolynomial":
+        """x^exp e_comp (comp 0-based)."""
         dim = len(exp)
         comps = [ExactPolynomial.zero(dim) for _ in range(ncomp)]
-        comps[comp] = ExactPolynomial.monomial(exp, coeff)
+        comps[comp] = ExactPolynomial.monomial(exp)
         return cls(comps)
 
     @property
@@ -379,9 +365,6 @@ class VectorPolynomial:
 
     def derive(self, axis: int) -> "VectorPolynomial":
         return VectorPolynomial([c.derive(axis) for c in self.components])
-
-    def eval(self, point: Sequence) -> tuple[Fraction, ...]:
-        return tuple(c.eval(point) for c in self.components)
 
     def trace_at_zero(self) -> "VectorPolynomial":
         return VectorPolynomial([c.trace_at_zero() for c in self.components])

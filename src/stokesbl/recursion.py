@@ -23,6 +23,7 @@ from scipy.linalg import solve_banded
 
 from . import __version__
 from .cell import (
+    DEFAULT_HEIGHT,
     CellProblem,
     StripGrid,
     TransparentTop,
@@ -210,8 +211,8 @@ def level_problem(stack: "CorrectorStack", beta: int, l: int, comp: int):
 class CorrectorStack:
     """Memoized hierarchy of level solutions over one geometry and grid."""
 
-    def __init__(self, geometry: BoundaryGeometry, height: float = 3.0,
-                 nx: int = 32, ny: int = 40):
+    def __init__(self, geometry: BoundaryGeometry, height: float = DEFAULT_HEIGHT, *,
+                 nx: int, ny: int):
         self.geometry = geometry
         self.grid = StripGrid(geometry, height=height, nx=nx, ny=ny)
         self.levels: dict[tuple[int, int, int], LevelSolution] = {}

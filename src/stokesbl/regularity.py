@@ -216,9 +216,8 @@ class RegularityWorkspace:
         Each sampler maps shift -> (4, nx, ny+1) gradient samples (constant
         in shift for periodic fields).  Returns one dict per sampler, all
         from the same pass over the window: the normalized excess H, the
-        minimizer coefficients (indexed like self.elements, zero-velocity
-        elements excluded), the Gram condition estimate and the windowed
-        gradient norm of u.
+        minimizer coefficients (one per column of column_indices) and the
+        windowed gradient norm of u.
 
         The basis columns are scaled by their windowed norms, which depend
         only on the workspace and r and are stored per radius
@@ -244,7 +243,6 @@ class RegularityWorkspace:
         R11 = R[:ncols, :ncols]
         diag = np.abs(np.diag(R11))
         rank_ok = bool(diag.min() > 1e-13 * diag.max())
-        cond = float(diag.max() / max(diag.min(), 1e-300))
         results = []
         for t in range(len(samplers)):
             rb = R[:ncols, ncols + t]
@@ -255,11 +253,7 @@ class RegularityWorkspace:
             results.append({
                 "H": rho / np.sqrt(total_w),
                 "coefficients": coef_scaled / norms,
-                "column_indices": list(self.column_indices),
-                "cond": cond,
                 "grad_norm": np.sqrt(unorm2[t] / total_w),
-                "weight": total_w,
-                "rank_ok": rank_ok,
             })
         return results
 
@@ -282,7 +276,7 @@ class RegularityWorkspace:
 # exponent fits
 # ---------------------------------------------------------------------------
 
-def fit_exponent(radii, values, drop: int = 2, floor: float = 0.0) -> dict:
+def fit_exponent(radii, values, drop: int, floor: float = 0.0) -> dict:
     """Log-log slope of values vs radii, dropping the smallest `drop` radii.
 
     Values at or below `floor` mark the field as in-space: the exponent is
@@ -303,18 +297,7 @@ def fit_exponent(radii, values, drop: int = 2, floor: float = 0.0) -> dict:
 # experiments
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ExcessReport:
-    radii: list[float]
-    H_values: list[float]
-    fitted_exponent: float
-    floored: bool
-    coefficients: list[np.ndarray]
-    grad_norm: float
-    pressure_residuals: list[float]
-
-
-def outer_data(kind: str, grid: StripGrid, seed: int = 0) -> np.ndarray:
+def outer_data(kind: str, grid: StripGrid, seed: int) -> np.ndarray:
     """Canonical outer Dirichlet traces at the strip top (net-flux free)."""
     x = grid.x
     Y = grid.height
@@ -335,7 +318,7 @@ def outer_data(kind: str, grid: StripGrid, seed: int = 0) -> np.ndarray:
     raise ValueError(f"unknown outer data kind {kind!r}")
 
 
-def lift_coefficients(ws: RegularityWorkspace, kind: str, seed: int = 0) -> np.ndarray:
+def lift_coefficients(ws: RegularityWorkspace, kind: str, seed: int) -> np.ndarray:
     """Heterogeneous-lift coefficients matching the outer data's content.
 
     A periodic solve cannot host super-linear large-scale content (pressures
@@ -391,7 +374,6 @@ class OuterSolution:
     lift_ws: RegularityWorkspace
     lift: np.ndarray
     remainder: CellSolution
-    trace_defect: float
 
     @property
     def grid(self) -> StripGrid:
@@ -427,7 +409,7 @@ class OuterSolution:
 
 
 def build_outer_solution(lift_ws: RegularityWorkspace, kind: str,
-                         seed: int = 0) -> OuterSolution:
+                         seed: int) -> OuterSolution:
     """Solve the outer-data problem on the lift workspace's tall grid."""
     grid = lift_ws.grid
     target = outer_data(kind, grid, seed=seed)
@@ -442,10 +424,7 @@ def build_outer_solution(lift_ws: RegularityWorkspace, kind: str,
         top=DirichletTop(target - lift[:, :, 1]),
     )
     remainder = solve_stokes(problem)
-    return OuterSolution(
-        lift_ws=lift_ws, lift=coeffs, remainder=remainder,
-        trace_defect=float(np.abs(lift[:, :, 0]).max()),
-    )
+    return OuterSolution(lift_ws=lift_ws, lift=coeffs, remainder=remainder)
 
 
 def dyadic_radii(r0: float, rmax: float) -> list[float]:
@@ -455,38 +434,42 @@ def dyadic_radii(r0: float, rmax: float) -> list[float]:
     return out
 
 
-def decay_experiments(workspace: RegularityWorkspace, solutions: list[OuterSolution],
-                      r0: float = np.pi / 2, floor_rel: float = 1e-3) -> list[ExcessReport]:
-    """Excess decay of genuine solves over dyadic windows up to R/4.
+#: Smallest decay window, and the in-space floor relative to ||grad u||_R.
+DECAY_R0, FLOOR_REL = np.pi / 2, 1e-3
+
+
+def decay_experiments(workspace: RegularityWorkspace,
+                      solutions: list[OuterSolution]) -> list[dict]:
+    """Excess decay of genuine solves over dyadic windows DECAY_R0..R/4.
 
     The solves share one strip height R, and every radius is one excess
-    pass with each solve as a target.  floor_rel is the pipeline
-    consistency tolerance: when every fitted H sits below floor_rel *
-    ||grad u||_R the field is classified as in-space (the decay bound holds
-    with a negligible constant) and the exponent is +inf.
+    pass with each solve as a target.  Returns per solve a dict of the
+    radii, H at each, the fitted exponent, whether it floored, the windowed
+    gradient norm and the pressure residuals.  A solve whose every H sits
+    below FLOOR_REL * ||grad u||_R is classified as in-space (the decay
+    bound holds with a negligible constant): its exponent is +inf.
     """
     heights = {solution.grid.height for solution in solutions}
     if len(heights) != 1:
         raise ValueError("decay experiments need solves on one strip height")
     R = heights.pop()
-    radii = dyadic_radii(r0, R / 4)
+    radii = dyadic_radii(DECAY_R0, R / 4)
     if radii[-1] / radii[0] < 16:
-        raise ValueError("insufficient scale separation: need R/(4 r0) >= 16")
+        raise ValueError("insufficient scale separation: need R/(4 DECAY_R0) >= 16")
     u_grads = [solution.grad for solution in solutions]
     per_radius = [workspace.excess(u_grads, r) for r in radii]
     grad_norms = workspace.grad_norms(u_grads, min(R / 2, radii[-1] * 2))
     reports = []
     for t, solution in enumerate(solutions):
         H = [res[t]["H"] for res in per_radius]
-        coefs = [res[t]["coefficients"] for res in per_radius]
-        grad_norm_R = grad_norms[t]
-        fit = fit_exponent(radii, H, drop=2, floor=floor_rel * grad_norm_R)
-        reports.append(ExcessReport(
-            radii=radii, H_values=H,
-            fitted_exponent=fit["exponent"], floored=fit["floored"],
-            coefficients=coefs, grad_norm=grad_norm_R,
-            pressure_residuals=pressure_decay(workspace, solution, coefs[-1], radii),
-        ))
+        fit = fit_exponent(radii, H, drop=2, floor=FLOOR_REL * grad_norms[t])
+        reports.append({
+            "radii": radii, "H": H,
+            "fitted_exponent": fit["exponent"], "floored": fit["floored"],
+            "grad_norm": grad_norms[t],
+            "pressure_residuals": pressure_decay(workspace, solution,
+                                                 per_radius[-1][t]["coefficients"], radii),
+        })
     return reports
 
 
@@ -524,9 +507,9 @@ def pressure_decay(workspace: RegularityWorkspace, solution: OuterSolution,
 
 def projected_fits(ws_low: RegularityWorkspace, ws_high: RegularityWorkspace,
                    u_grads, r: float) -> list[np.ndarray]:
-    """Order-m coefficients via the order-(m+1) fit projected into S_m.
+    """Order-m coefficients via a higher-order fit projected into S_m.
 
-    Fitting one order higher gives the top-degree content its own columns
+    Fitting at a higher order gives the top-degree content its own columns
     instead of letting it bias the low-order coefficients; dropping those
     columns afterwards gives a fixed approximant free of that bias.  The graded
     bases share their leading columns, so the projection is a truncation.
@@ -557,16 +540,19 @@ def nnls_2col(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return min(fits, key=lambda fit: float(np.linalg.norm(A @ fit - b)))
 
 
+#: Lowest sample height and constant inflation of the pointwise envelope.
+ENVELOPE_Y_MIN, ENVELOPE_FACTOR = 4.0, 3.0
+
+
 def pointwise_check(workspace: RegularityWorkspace, solution: OuterSolution,
-                    coefficients: np.ndarray, order: int,
-                    y_min: float = 4.0, factor: float = 3.0) -> dict:
+                    coefficients: np.ndarray, order: int) -> dict:
     """Pointwise |grad u - grad w_poly| against the two-term envelope.
 
     The envelope shapes are (|(x,y)|/R)^m and (1+|x|)^{m-1} e^{-y/2}; their
     constants are fitted by nonnegative least squares and inflated by
-    `factor`.  Reports the fraction of samples dominated plus the crossover
-    shape fact (e^{-y/2} <= (r/R)^m once y >= 2 m ln R).  Samples cover
-    {y_min <= y <= R/2, |x| <= R/2}.
+    ENVELOPE_FACTOR.  Reports the fraction of samples dominated plus the
+    crossover shape fact (e^{-y/2} <= (r/R)^m once y >= 2 m ln R).  Samples
+    cover {ENVELOPE_Y_MIN <= y <= R/2, |x| <= R/2}.
     """
     g = solution.grid
     R = g.height
@@ -577,7 +563,7 @@ def pointwise_check(workspace: RegularityWorkspace, solution: OuterSolution,
 
     Xs, Ys, grads, vals = [], [], [], []
     for shift in workspace.window_shifts(R / 2):
-        mask = (g.y_nodes >= y_min) & (g.y_nodes <= R / 2) \
+        mask = (g.y_nodes >= ENVELOPE_Y_MIN) & (g.y_nodes <= R / 2) \
             & (np.abs(g.x[:, None] + shift) <= R / 2)
         nodes = np.flatnonzero(mask)
         if not nodes.size:
@@ -608,7 +594,7 @@ def pointwise_check(workspace: RegularityWorkspace, solution: OuterSolution,
     # count as much as the bulk, then inflate by the fixed factor
     wrow = 1.0 / (term_power + term_exp)
     C = nnls_2col(A * wrow[:, None], err * wrow)
-    envelope = factor * (A @ C)
+    envelope = ENVELOPE_FACTOR * (A @ C)
     dominated = float(np.mean(err <= envelope + 1e-300))
 
     cross = (Y >= 2 * order * np.log(R)) & (rr >= 1)
@@ -618,7 +604,7 @@ def pointwise_check(workspace: RegularityWorkspace, solution: OuterSolution,
     return {
         "fraction_dominated": dominated,
         "constants": [float(C[0]), float(C[1])],
-        "factor": factor,
+        "factor": ENVELOPE_FACTOR,
         "n_samples": int(err.size),
         "max_error": float(err.max()),
         "max_value_error": float(err_val.max()),

@@ -168,7 +168,7 @@ def growth_experiment(workspace: RegularityWorkspace, probe_workspace: Regularit
 
 
 def liouville_fit(workspace: RegularityWorkspace, u_grad, radii: list[float],
-                  tol: float = 1e-6) -> dict:
+                  tol: float) -> dict:
     """Coefficients of a subpolynomial-growth solution in the basis span.
 
     Fits on every window and checks the residuals stay below tol relative to
@@ -381,8 +381,8 @@ def excess_decay(shared: Shared):
     for kind, entry in runs.items():
         for m in (1, 2):
             rep = entry["reports"][m]
-            ok &= rep.fitted_exponent >= m - 0.3
-            tag = "inf" if rep.floored else f"{rep.fitted_exponent:.2f}"
+            ok &= rep["fitted_exponent"] >= m - 0.3
+            tag = "inf" if rep["floored"] else f"{rep['fitted_exponent']:.2f}"
             details.append(f"{kind}/m={m}: {tag}")
     return ok, ", ".join(details)
 

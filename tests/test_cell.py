@@ -239,9 +239,9 @@ def test_geometry_validation():
     with pytest.raises(ValueError):
         BoundaryGeometry.from_fourier({0: 0.3})  # above 0
     with pytest.raises(ValueError):
-        StripGrid(COS_WALL, nx=6, ny=20)  # resolution too small
+        StripGrid(COS_WALL, 3.0, nx=6, ny=20)  # resolution too small
     with pytest.raises(ValueError):
-        solve_cell(COS_WALL, l=0, comp=1)
+        solve_cell(COS_WALL, l=0, comp=1, nx=16, ny=20)
 
 
 @pytest.mark.parametrize("n, smooth, nyquist", [
@@ -257,15 +257,15 @@ def test_from_samples_interpolates_its_samples(n, smooth, nyquist):
 def test_grid_rejects_aliased_geometry():
     aliased = BoundaryGeometry.from_fourier({0: -0.5, 13: -0.2})
     with pytest.raises(ValueError, match="aliases"):
-        StripGrid(aliased, nx=24, ny=20)
+        StripGrid(aliased, 3.0, nx=24, ny=20)
     with pytest.raises(AliasingError):
-        StripGrid(BoundaryGeometry.from_fourier({0: -0.5, 12: -0.2}), nx=24, ny=20)
-    StripGrid(BoundaryGeometry.from_fourier({0: -0.5, 11: -0.2}), nx=24, ny=20)
-    StripGrid(aliased, nx=28, ny=20)
+        StripGrid(BoundaryGeometry.from_fourier({0: -0.5, 12: -0.2}), 3.0, nx=24, ny=20)
+    StripGrid(BoundaryGeometry.from_fourier({0: -0.5, 11: -0.2}), 3.0, nx=24, ny=20)
+    StripGrid(aliased, 3.0, nx=28, ny=20)
 
 
 def test_boundary_trace_monomial():
-    grid = StripGrid(COS_WALL, nx=16, ny=20)
+    grid = StripGrid(COS_WALL, 3.0, nx=16, ny=20)
     vals = boundary_trace(grid, monomial_data(2, 1))
     assert np.allclose(vals[0], -grid.gamma ** 2)
     assert np.allclose(vals[1], 0.0)
@@ -326,7 +326,7 @@ def test_dirichlet_border_matches_bordered_lu(geometry, stretch, div):
 
 
 def test_transparent_border_is_empty():
-    grid = StripGrid(COS_WALL, nx=16, ny=20)
+    grid = StripGrid(COS_WALL, 3.0, nx=16, ny=20)
     core, U, V = assemble(grid, TransparentTop)
     assert core.shape == (2 * 16 * 21 + 16 * 20 + 1,) * 2
     assert U.shape == V.shape == (core.shape[0], 0)

@@ -42,9 +42,8 @@ def test_basis_rejects_bad_config(tmp_path):
 def test_cell_subcommand_flat_tail(tmp_path, geometry_file):
     flat = tmp_path / "flat.json"
     flat.write_text(json.dumps({"fourier": []}))
-    prefix = str(tmp_path / "cellrun")
     assert main(["cell", "--geometry", str(flat), "--l", "1", "--i", "1",
-                 "--nx", "16", "--ny", "20", "--out-prefix", prefix]) == 0
+                 "--nx", "16", "--ny", "20", "--out", str(tmp_path / "cellrun.json")]) == 0
     summary = json.loads((tmp_path / "cellrun.json").read_text())
     assert np.allclose(summary["tail"], [0.0, 0.0], atol=1e-12)
     header = (tmp_path / "cellrun.csv").read_text().splitlines()[0]
@@ -61,14 +60,14 @@ def test_cell_rejects_aliased_geometry(tmp_path, capsys):
         {"fourier": [{"k": 0, "re": -0.5, "im": 0.0}, {"k": 13, "re": -0.2, "im": 0.0}]}
     ))
     assert main(["cell", "--geometry", str(wall), "--nx", "24",
-                 "--out-prefix", str(tmp_path / "cellrun")]) == 2
+                 "--out", str(tmp_path / "cellrun.json")]) == 2
     assert "invalid configuration" in capsys.readouterr().err
     assert not (tmp_path / "cellrun.json").exists()
 
 
 def test_cell_rejects_odd_nx(tmp_path, geometry_file, capsys):
     assert main(["cell", "--geometry", geometry_file, "--nx", "9",
-                 "--out-prefix", str(tmp_path / "cellrun")]) == 2
+                 "--out", str(tmp_path / "cellrun.json")]) == 2
     assert "nx must be even" in capsys.readouterr().err
 
 
@@ -95,7 +94,7 @@ def test_cell_rejects_unrepresentable_geometry(tmp_path, payload, capsys):
     wall = tmp_path / "wall.json"
     wall.write_text(json.dumps(payload))
     assert main(["cell", "--geometry", str(wall),
-                 "--out-prefix", str(tmp_path / "cellrun")]) == 2
+                 "--out", str(tmp_path / "cellrun.json")]) == 2
     assert "invalid configuration" in capsys.readouterr().err
 
 
@@ -112,10 +111,10 @@ def test_cell_rejects_unrepresentable_geometry(tmp_path, payload, capsys):
     ["regularity", "--seed", "-1"],
     ["corrector", "--alpha", "x"],
     ["corrector", "--alpha", "1.5"],
+    ["corrector", "--alpha", "1,2"],
 ], ids=lambda argv: " ".join(argv))
 def test_unrepresentable_sizes_exit_2(tmp_path, geometry_file, argv, capsys):
-    out = ["--out-prefix", str(tmp_path / "run")] if argv[0] == "cell" \
-        else ["--out", str(tmp_path / "run.json")]
+    out = ["--out", str(tmp_path / "run.json")]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the message comes without a numpy warning first
         assert main(argv[:1] + ["--geometry", geometry_file] + argv[1:] + out) == 2
@@ -283,10 +282,10 @@ def test_stack_without_schema_4_asks_for_a_rebuild(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["cell", "--geometry", "{dir}/text.json", "--out-prefix", "{dir}/c"],
+    ["cell", "--geometry", "{dir}/text.json", "--out", "{dir}/c.json"],
     ["corrector", "--geometry", "{dir}/text.json", "--out", "{dir}/stack.json"],
     ["regularity", "--geometry", "{dir}/text.json", "--out", "{dir}/report.json"],
-    ["cell", "--geometry", "{dir}/folder", "--out-prefix", "{dir}/c"],
+    ["cell", "--geometry", "{dir}/folder", "--out", "{dir}/c.json"],
     ["wall-law", "--stack", "{dir}/folder", "--out", "{dir}/law.json"],
     ["wall-law", "--stack", "{dir}/text.json", "--out", "{dir}/law.json"],
     ["corrector", "--geometry", "{dir}/wall.json", "--out", "{dir}/folder"],
@@ -302,7 +301,7 @@ def test_unreadable_json_input_exits_2(tmp_path, geometry_file, argv, capsys):
 
 def test_csv_artifacts_hold_plain_numbers(tmp_path, geometry_file):
     assert main(["cell", "--geometry", geometry_file, "--nx", "16", "--ny", "20",
-                 "--out-prefix", str(tmp_path / "c")]) == 0
+                 "--out", str(tmp_path / "c.json")]) == 0
     assert main(["corrector", "--geometry", geometry_file, "--alpha", "1", "--nx", "16",
                  "--ny", "20", "--out", str(tmp_path / "stack.json")]) == 0
     assert main(["wall-law", "--stack", str(tmp_path / "stack.json"), "--order", "2",
@@ -341,7 +340,7 @@ def test_manifest_lists_exactly_the_written_artifacts(tmp_path, geometry_file):
                  "--out", str(tmp_path / "law.json")]) == 0
     assert _manifest_artifacts(tmp_path / "law.manifest.json") == ["law.csv", "law.json"]
     assert main(["cell", "--geometry", geometry_file, "--nx", "16", "--ny", "20",
-                 "--out-prefix", str(tmp_path / "c")]) == 0
+                 "--out", str(tmp_path / "c.json")]) == 0
     assert _manifest_artifacts(tmp_path / "c.manifest.json") == ["c.csv", "c.json"]
 
 
@@ -357,9 +356,25 @@ def test_manifest_lands_beside_its_artifacts_under_a_relative_output_root(tmp_pa
 def test_cell_beside_a_directory_named_like_its_prefix(tmp_path, geometry_file):
     (tmp_path / "cell").mkdir()
     assert main(["cell", "--geometry", geometry_file, "--nx", "16", "--ny", "20",
-                 "--out-prefix", str(tmp_path / "cell")]) == 0
+                 "--out", str(tmp_path / "cell.json")]) == 0
     assert _manifest_artifacts(tmp_path / "cell.manifest.json") == ["cell.csv", "cell.json"]
     assert os.listdir(tmp_path / "cell") == []
+
+
+def test_cell_writes_beside_its_out_and_takes_no_abbreviation(tmp_path, geometry_file):
+    assert main(["cell", "--geometry", geometry_file, "--nx", "16", "--ny", "20",
+                 "--out", str(tmp_path / "x.json")]) == 0
+    written = ["wall.json", "x.csv", "x.json", "x.manifest.json"]
+    assert sorted(os.listdir(tmp_path)) == written
+    # an abbreviation of an option is an unknown option, not the option
+    for argv in (["cell", "--geom", geometry_file],
+                 ["cell", "--geometry", geometry_file, "--out-prefix", str(tmp_path / "c")],
+                 ["corrector", "--geometry", geometry_file, "--alph", "1"],
+                 ["regularity", "--geometry", geometry_file, "--stack", "16"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--nx", "16", "--ny", "20", "--out", str(tmp_path / "y.json")])
+        assert exc.value.code == 2, argv
+    assert sorted(os.listdir(tmp_path)) == written
 
 
 def test_cli_import_leaves_regularity_only_scipy_unloaded():
@@ -487,7 +502,7 @@ def test_reproducible_artifacts(tmp_path, geometry_file):
     for run in ("a", "b"):
         prefix = str(tmp_path / f"run_{run}")
         assert main(["cell", "--geometry", geometry_file, "--l", "1", "--i", "1",
-                     "--nx", "16", "--ny", "20", "--out-prefix", prefix]) == 0
+                     "--nx", "16", "--ny", "20", "--out", prefix + ".json"]) == 0
         outs.append((Path(prefix + ".json").read_bytes(),
                      Path(prefix + ".csv").read_bytes()))
     assert outs[0][0] == outs[1][0]
@@ -573,7 +588,7 @@ def test_solver_failure_exits_3_without_artifacts(tmp_path, geometry_file, monke
     monkeypatch.setattr(stokesbl.cell, "RESIDUAL_BOUND", -1.0)  # every solve misses it
     runs = {
         "cell": ["cell", "--geometry", geometry_file, "--nx", "16", "--ny", "20",
-                 "--out-prefix", str(tmp_path / "c")],
+                 "--out", str(tmp_path / "c.json")],
         "corrector": ["corrector", "--geometry", geometry_file, "--nx", "16", "--ny", "20",
                       "--out", str(tmp_path / "s2.json")],
         "corrector (extending)": ["corrector", "--geometry", geometry_file, "--alpha", "1",

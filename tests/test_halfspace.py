@@ -7,7 +7,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings
 
-from stokesbl.exactlinalg import RANK_PRIME, exact_rank, sparse_rank_mod_p
+from stokesbl.exactlinalg import rref, sparse_rank_mod_p
 from stokesbl.halfspace import (
     SpaceBasis,
     StokesPair,
@@ -22,7 +22,7 @@ from stokesbl.halfspace import (
     verify_stokes_pair,
     zero_pressure_basis,
 )
-from stokesbl.polynomials import ExactPolynomial, VectorPolynomial
+from stokesbl.polynomials import ExactPolynomial, VectorPolynomial, monomial_exponents
 
 from test_polynomials import (
     assert_canonical,
@@ -290,10 +290,29 @@ def test_pressure_from_velocity():
         pressure_from_velocity(VectorPolynomial([mono(2, 2, 0), ExactPolynomial.zero(2)]))
 
 
-def rank_mod_p(rows: list[list[Fraction]], p: int = RANK_PRIME) -> int:
-    """Rank mod p of a matrix of Fraction rows; see `sparse_rank_mod_p`."""
+def exact_rank(rows: list[list[Fraction]]) -> int:
+    """Rank over Q by exact elimination."""
+    return len(rref(rows)[1]) if rows else 0
+
+
+def coefficient_matrix(basis: SpaceBasis) -> list[list[Fraction]]:
+    """Rows = elements, columns = every velocity/pressure monomial slot of degree <= order."""
+    slots = [e for deg in range(basis.order + 1) for e in monomial_exponents(basis.dim, deg)]
+    return [[poly._terms.get(exp, Fraction(0))
+             for poly in (*el.velocity.components, el.pressure) for exp in slots]
+            for el in basis.elements]
+
+
+def certify_rank_exactly(basis: SpaceBasis) -> bool:
+    """certify_rank's oracle: full rank of the dense Fraction matrix over Q."""
+    rows = coefficient_matrix(basis)
+    return exact_rank(rows) == len(rows)
+
+
+def rank_mod_p(rows: list[list[Fraction]]) -> int:
+    """Rank mod the prime of `sparse_rank_mod_p` of a matrix of Fraction rows."""
     entries = ((i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row) if v)
-    return sparse_rank_mod_p(entries, (len(rows), len(rows[0]) if rows else 0), p)
+    return sparse_rank_mod_p(entries, (len(rows), len(rows[0]) if rows else 0))
 
 
 def test_rank_mod_p_matches_exact_rank():
@@ -307,15 +326,14 @@ def test_rank_mod_p_matches_exact_rank():
         assert exact_rank(rows) == rank_mod_p(rows)
     for d, m in ((2, 3), (3, 2)):
         basis = stokes_basis(m, d)
-        rows = basis.coefficient_matrix()
+        rows = coefficient_matrix(basis)
         assert exact_rank(rows) == rank_mod_p(rows) == len(basis)
 
 
 def test_certify_rank_agrees_with_exact_rank():
     for d, m in ((2, 4), (3, 3), (4, 2)):
         basis = stokes_basis(m, d)
-        full = exact_rank(basis.coefficient_matrix()) == len(basis)
-        assert full and basis.certify_rank() == full == basis.certify_rank(exact=True)
+        assert basis.certify_rank() and certify_rank_exactly(basis)
 
 
 @pytest.mark.parametrize("d, m", [(2, 4), (3, 3), (4, 2)])
@@ -328,7 +346,7 @@ def test_certify_rank_rejects_dependent_elements(d, m):
         dependent = SpaceBasis(els + [extra], m, d, basis.tags + ["V1"],
                                basis.grades + [m])
         assert not dependent.certify_rank()
-        assert not dependent.certify_rank(exact=True)
+        assert not certify_rank_exactly(dependent)
 
 
 # ---------------------------------------------------------------------------

@@ -65,14 +65,10 @@ def test_laplacian_div_horizontal():
     assert q.horizontal_laplacian() == ExactPolynomial.constant(2, 2)
 
 
-def test_eval_and_trace():
-    p = ExactPolynomial(2, {(1, 1): 1, (0, 0): 1})  # x1 y + 1
-    assert p.eval((2, 3)) == 7
+def test_trace_at_zero():
     assert ExactPolynomial(2, {(1, 2): 1}).trace_at_zero().is_zero()
     q = ExactPolynomial(2, {(2, 0): 1, (0, 1): 1})  # x1^2 + y
     assert q.trace_at_zero() == ExactPolynomial(2, {(2, 0): 1})
-    with pytest.raises(ValueError):
-        p.eval((1,))
 
 
 def test_derivatives_commute():

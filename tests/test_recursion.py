@@ -233,7 +233,7 @@ def corrector_divergence_residual(g: StripGrid, field: CorrectorField, x_shift: 
     res = np.zeros((g.nx, g.ny))
     scale = 0.0
     for coef, power, level in field.terms:
-        div = divergence_residual(g, level.u)
+        div = divergence_residual(g, level.u, None)
         if remove_defect:
             div = div + level.diagnostics.get("multiplier", 0.0)
         mid1 = 0.5 * (level.u[0][:, 1:] + level.u[0][:, :-1])
@@ -294,9 +294,9 @@ def test_script_S_monomial_and_linearity(stack):
     # S[P]'s terms are each monomial's v^alpha terms, in monomial order, with
     # coefficients scaled by the monomial's; regularity's samplers and
     # columns follow this order
-    P3 = (VectorPolynomial.unit_monomial((0, 2), 1, 2, coeff=-3)
-          + VectorPolynomial.unit_monomial((2, 1), 0, 2, coeff=0.5)
-          + VectorPolynomial.unit_monomial((1, 1), 0, 2, coeff=2))
+    P3 = (VectorPolynomial.unit_monomial((0, 2), 1, 2).scale(-3)
+          + VectorPolynomial.unit_monomial((2, 1), 0, 2).scale(0.5)
+          + VectorPolynomial.unit_monomial((1, 1), 0, 2).scale(2))
     expect = [(coeff * c, power, level)
               for alpha, l, comp, coeff in monomial_coefficients(P3)
               for c, power, level in assemble_alpha(stack, alpha, l, comp).terms]

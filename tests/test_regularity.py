@@ -179,11 +179,7 @@ def _two_pass_excess(ws, u_grad, r):
     return {
         "H": rho / np.sqrt(total_w),
         "coefficients": coef_scaled / norms,
-        "column_indices": list(ws.column_indices),
-        "cond": float(diag.max() / max(diag.min(), 1e-300)),
         "grad_norm": np.sqrt(unorm2 / total_w),
-        "weight": total_w,
-        "rank_ok": rank_ok,
     }
 
 
@@ -259,7 +255,7 @@ def lift_ws(stack, tall_grid):
 
 @pytest.fixture(scope="module")
 def tall_solution(lift_ws):
-    return build_outer_solution(lift_ws, "quadratic")
+    return build_outer_solution(lift_ws, "quadratic", seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -270,19 +266,18 @@ def tall_ws(stack, tall_grid):
 def test_outer_solution_satisfies_data(tall_solution):
     grid = tall_solution.grid
     vals = tall_solution.values(0.0)
-    target = outer_data("quadratic", grid)
+    target = outer_data("quadratic", grid, seed=0)
     scale = np.abs(target).max()
     assert np.abs(vals[:, :, -1] - target).max() / scale < 1e-12
     # no-slip on the wall up to stack tolerance
     assert np.abs(vals[:, :, 0]).max() / scale < 1e-5
-    assert tall_solution.trace_defect / scale < 1e-5
 
 
 @pytest.fixture(scope="module")
 def outer_solutions(lift_ws, tall_solution):
-    return {"shear": build_outer_solution(lift_ws, "shear"),
+    return {"shear": build_outer_solution(lift_ws, "shear", seed=0),
             "quadratic": tall_solution,
-            "random": build_outer_solution(lift_ws, "random")}
+            "random": build_outer_solution(lift_ws, "random", seed=0)}
 
 
 def test_outer_solution_fields_are_lift_plus_remainder(outer_solutions, lift_ws):
@@ -329,8 +324,6 @@ def test_multi_target_excess_matches_one_target_calls(tall_ws, lift_ws, outer_so
             coef_scale = np.abs(want["coefficients"]).max()
             assert np.abs(got["coefficients"] - want["coefficients"]).max() \
                 <= 1e-12 * coef_scale, what
-            assert got["column_indices"] == want["column_indices"]
-            assert got["rank_ok"] == want["rank_ok"] and got["weight"] == want["weight"]
 
 
 def test_shared_passes_match_single_datum_entry_points(tall_ws, lift_ws, outer_solutions):
@@ -340,37 +333,42 @@ def test_shared_passes_match_single_datum_entry_points(tall_ws, lift_ws, outer_s
     fits = projected_fits(tall_ws, lift_ws, grads, 4 * np.pi)
     for sol, u_grad, rep, fit in zip(sols, grads, reports, fits):
         alone = decay_experiments(tall_ws, [sol])[0]
-        assert rep.radii == alone.radii and rep.floored == alone.floored
-        assert rep.grad_norm == pytest.approx(alone.grad_norm, rel=1e-12)
-        assert np.allclose(rep.H_values, alone.H_values, rtol=1e-12, atol=1e-12 * rep.grad_norm)
-        if not rep.floored:
-            assert rep.fitted_exponent == pytest.approx(alone.fitted_exponent, rel=1e-12)
+        assert rep.keys() == alone.keys()
+        assert rep["radii"] == alone["radii"] and rep["floored"] == alone["floored"]
+        assert rep["grad_norm"] == pytest.approx(alone["grad_norm"], rel=1e-12)
+        assert np.allclose(rep["H"], alone["H"], rtol=1e-12, atol=1e-12 * rep["grad_norm"])
+        if not rep["floored"]:
+            assert rep["fitted_exponent"] == pytest.approx(alone["fitted_exponent"], rel=1e-12)
         one = projected_fits(tall_ws, lift_ws, [u_grad], 4 * np.pi)[0]
         assert np.abs(fit - one).max() <= 1e-12 * np.abs(one).max()
 
 
 def test_decay_experiment_quadratic_order1(tall_ws, tall_solution):
-    rep = decay_experiments(tall_ws, [tall_solution], r0=np.pi / 2)[0]
+    rep = decay_experiments(tall_ws, [tall_solution])[0]
     # degree-2 content decays against the order-1 space with exponent ~ 1
-    assert not rep.floored
-    assert rep.fitted_exponent >= 0.7
-    assert len(rep.radii) == len(rep.H_values)
-    assert all(h >= 0 for h in rep.H_values)
+    assert not rep["floored"]
+    assert rep["fitted_exponent"] >= 0.7
+    assert rep["radii"][0] == np.pi / 2
+    assert len(rep["radii"]) == len(rep["H"])
+    assert all(h >= 0 for h in rep["H"])
     # pressure counterpart reported per window
-    assert len(rep.pressure_residuals) == len(rep.radii)
-    assert all(np.isfinite(v) for v in rep.pressure_residuals)
+    assert len(rep["pressure_residuals"]) == len(rep["radii"])
+    assert all(np.isfinite(v) for v in rep["pressure_residuals"])
 
 
 def test_decay_experiment_shear_is_in_space(tall_ws, outer_solutions):
-    rep = decay_experiments(tall_ws, [outer_solutions["shear"]], r0=np.pi / 2)[0]
+    rep = decay_experiments(tall_ws, [outer_solutions["shear"]])[0]
     # shear data reproduces the first-order element: excess sits at the
     # consistency floor at every radius
-    assert rep.floored and rep.fitted_exponent == float("inf")
+    assert rep["floored"] and rep["fitted_exponent"] == float("inf")
 
 
-def test_decay_requires_scale_separation(tall_ws, tall_solution):
-    with pytest.raises(ValueError):
-        decay_experiments(tall_ws, [tall_solution], r0=8 * np.pi)
+def test_decay_requires_scale_separation(stack):
+    # R < 32 pi: the dyadic radii pi/2 .. R/4 span less than a factor 16
+    grid = StripGrid(COS_WALL, height=20.0, nx=24, ny=64, stretch=2.0)
+    ws = RegularityWorkspace(stack, 1, grid)
+    with pytest.raises(ValueError, match="scale separation"):
+        decay_experiments(ws, [build_outer_solution(ws, "shear", seed=0)])
 
 
 def test_liouville_recovery_and_flagging(ws2, ws3):
@@ -398,8 +396,9 @@ def test_liouville_recovery_and_flagging(ws2, ws3):
 
 
 def test_pointwise_check_envelope(tall_ws, tall_solution):
-    rep = decay_experiments(tall_ws, [tall_solution], r0=np.pi / 2)[0]
-    out = pointwise_check(tall_ws, tall_solution, rep.coefficients[-1], order=1)
+    # the fit on the decay experiments' largest window, R/4
+    coeffs = tall_ws.excess([tall_solution.grad], 8 * np.pi)[0]["coefficients"]
+    out = pointwise_check(tall_ws, tall_solution, coeffs, order=1)
     assert out["fraction_dominated"] >= 0.99
     assert out["crossover_ok"]
     assert out["n_samples"] > 1000
@@ -433,7 +432,7 @@ def test_outer_data_flux_free():
 
 def test_lift_coefficients_load_orders(lift_ws):
     degrees = [int(lift_ws.elements[i].P.degree) for i in lift_ws.column_indices]
-    shear = lift_coefficients(lift_ws, "shear")
+    shear = lift_coefficients(lift_ws, "shear", seed=0)
     assert np.count_nonzero(shear) == 1
     rand = lift_coefficients(lift_ws, "random", seed=2)
     assert all(rand[j] != 0 for j, d in enumerate(degrees) if d == 3)
