@@ -8,9 +8,11 @@ collocation in x, second-order finite differences on a staggered grid in xi
 solved directly with a pressure-mean Lagrange multiplier (plus a Nyquist one
 under a Dirichlet top).  Its matrix depends only on the grid and the kind of
 top, so each grid keeps one sparse LU per kind and later solves only build
-the right-hand side.  Under a Dirichlet top the dense multiplier rows and
-columns stay out of the LU: the factored core pins them at single cells, and
-a rank-4 Sherman-Morrison-Woodbury correction restores the bordered system.
+the right-hand side.  The matrix is written block by block straight into
+its CSC arrays, in an order that leaves it canonical without sorting.
+Under a Dirichlet top the dense multiplier rows and columns stay out of the
+LU: the factored core pins them at single cells, and a rank-4
+Sherman-Morrison-Woodbury correction restores the bordered system.
 
 The top boundary is either Dirichlet (tall strips for regularity runs) or a
 transparent condition built from the per-mode Dirichlet-to-Neumann map of the
@@ -21,6 +23,7 @@ trace row per Fourier mode, with the zero mode closed by Neumann data.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
+from itertools import groupby
 
 import numpy as np
 import scipy.sparse as sp
@@ -257,28 +260,78 @@ class CellSolution:
 def _diags(vals: np.ndarray) -> np.ndarray:
     """np.diag of each row of vals: (levels, nx) -> (levels, nx, nx)."""
     out = np.zeros(vals.shape + vals.shape[-1:])
-    out[:, np.arange(vals.shape[1]), np.arange(vals.shape[1])] = vals
+    out.reshape(len(vals), -1)[:, ::vals.shape[1] + 1] = vals
     return out
 
 
-def _diag(rows_idx, cols_idx, vals, acc):
-    acc.append((rows_idx[:, None], [(cols_idx[:, None], np.asarray(vals, dtype=float)[:, None])]))
+def _csc(n: int, parts) -> sp.csc_matrix:
+    """Canonical n x n CSC matrix of (rows, cols, values) parts, written in place.
+
+    rows has shape (..., nr, 1) and cols one of
+      (..., 1, nc)  every row of a block meets every column of its block,
+      (..., nr, 1)  one entry per row,
+      (nr, nc)      row r meets the columns cols[r], which may recur in
+                    other rows of the part;
+    no column repeats within a row, nor within a part of the first two
+    kinds.  values is an array broadcasting to the entries, or a function
+    making one, called only when its part is written.  Pass 1 counts each
+    column's entries from the patterns; pass 2 writes each part's rows and
+    values straight to their CSC positions, advancing one cursor per column,
+    and drops them before the next part.  Parts must reach every column in
+    ascending row order, which makes the result canonical with no sorting
+    pass.
+    """
+    counts = np.zeros(n, np.intp)
+    for rows, cols, _ in parts:
+        _advance(counts, rows, cols)
+    indptr = np.zeros(n + 1, np.int32)  # scipy's index type at these sizes
+    np.cumsum(counts, out=indptr[1:])
+    indices, data = np.empty(indptr[-1], np.int32), np.empty(indptr[-1])
+    cursor = indptr[:-1].astype(np.intp)
+    for part in parts:
+        _write_part(part, cursor, indices, data)
+    return sp.csc_matrix((data, indices, indptr), shape=(n, n))
 
 
-def _entries(acc):
-    """Row and column (int32, scipy's index type at these sizes) and value arrays
-    of the queued (rows, parts) blocks; a row's entries are its parts' side by side."""
-    sizes = [rows.size * sum(v.shape[-1] for _, v in parts) for rows, parts in acc]
-    out = (np.empty(sum(sizes), np.int32), np.empty(sum(sizes), np.int32), np.empty(sum(sizes)))
-    start = 0
-    for (rows, parts), n in zip(acc, sizes):
-        r, c, v = (a[start:start + n].reshape(rows.shape[:-1] + (-1,)) for a in out)
-        r[...] = rows
-        edges = np.cumsum([0] + [vals.shape[-1] for _, vals in parts])
-        for (cols, vals), lo, hi in zip(parts, edges, edges[1:]):
-            c[..., lo:hi], v[..., lo:hi] = cols, vals
-        start += n
-    return out
+def _write_part(part, cursor, indices, data):
+    """Write one part of `_csc` at its columns' cursors and advance them; its
+    positions and values are freed on return, before the next part's exist."""
+    rows, cols, values = part
+    pos = cursor[cols] + _ranks(rows, cols)
+    indices[pos] = rows
+    data[pos] = values() if callable(values) else values
+    _advance(cursor, rows, cols)
+
+
+def _advance(counts, rows, cols):
+    """Add each column's entry count in a `_csc` part to counts."""
+    if cols.shape[-2] == 1:
+        counts[cols] += rows.shape[-2]
+    elif cols.shape[-1] == 1:
+        counts[cols] += 1
+    else:
+        np.add.at(counts, cols, 1)
+
+
+def _ranks(rows, cols):
+    """Each entry's place, in row order, among its column's entries in a `_csc` part."""
+    if cols.shape[-2] == 1:
+        return np.arange(rows.shape[-2])[:, None]
+    if cols.shape[-1] == 1:
+        return 0
+    # rows with their own columns: count each column's occurrences in earlier rows
+    flat = cols.ravel()
+    order = np.argsort(flat, kind="stable")
+    sorted_cols, place = flat[order], np.arange(flat.size)
+    run_start = np.where(np.concatenate(([True], sorted_cols[1:] != sorted_cols[:-1])), place, 0)
+    ranks = np.empty_like(flat)
+    ranks[order] = place - np.maximum.accumulate(run_start)
+    return ranks.reshape(cols.shape)
+
+
+def _row(row: int, cols, vals):
+    """`_csc` part of one row meeting the given columns."""
+    return np.array([[row]]), np.reshape(cols, (1, -1)), vals
 
 
 def _unknowns(g: StripGrid):
@@ -322,10 +375,14 @@ def assemble(grid: StripGrid, top_kind: type):
     with the border's own value, and the rest forms the rank-4 border.
     Returns (A0 in CSC form, U, V) with U, V of shape (n, 0) or (n, 4).
 
-    One pass broadcasts the blocks over all xi-levels and queues rows in
-    ascending order with no repeated entry, so the CSC conversion neither
-    sorts nor sums; A0 (explicit zeros included), U and V are bit-identical
-    to the per-level loop kept in the tests as the oracle.
+    `_csc` writes A0 straight into its CSC arrays: the only arrays that grow
+    with the nonzero count are the returned ones.  The invariant is the
+    order of the parts: blocks of rows go in ascending row order and, within
+    a block, parts go in descending column-level offset (column level j+1,
+    then j, then j-1 for a row at level j), so every column receives its rows
+    in ascending order and the matrix is canonical as written.  A0 (explicit
+    zeros included), U and V are bit-identical to the per-level loop kept in
+    the tests as the oracle.
     """
     if top_kind not in (DirichletTop, TransparentTop):
         raise TypeError(f"unsupported top condition {top_kind!r}")
@@ -336,45 +393,55 @@ def assemble(grid: StripGrid, top_kind: type):
     dirichlet = top_kind is DirichletTop
     imu = 2 * nu + npr
     ntot = imu + (2 if dirichlet else 1)
-    acc = []
+    parts = []
 
-    # queued (rows, [(cols, vals), ...]) blocks; in xi-level t a dense block
-    # has columns t nx + (0..nx-1), a diagonal one column t nx + i in row i
+    # (rows, cols, values) parts; in xi-level t a dense block has columns
+    # t nx + (0..nx-1), a diagonal one column t nx + i in row i
     lev = nx * np.arange(ny)[:, None, None]
     dense, diagonal = lev + np.arange(nx), lev + np.arange(nx)[:, None]
 
-    # interior momentum rows of levels j = 1..ny-1
+    # interior momentum rows of levels j = 1..ny-1: velocity levels j+1, j,
+    # j-1, then pressure levels j and j-1 (d_x p in u1 rows, d_y p in u2 rows)
     Dx, Dxx = g.Dx, g.Dxx
     cxixi, cxi, a, ih = (f[:, 1:ny].T for f in (g.cxixi, g.cxi, g.a_nodes, g.invHsp_nodes))
-    B0 = -Dxx + _diags(2.0 * cxixi / dxi ** 2)
-    Bp = -_diags(cxixi) / dxi ** 2 - a[..., None] * Dx / dxi - _diags(cxi) / (2 * dxi)
-    Bm = -_diags(cxixi) / dxi ** 2 + a[..., None] * Dx / dxi + _diags(cxi) / (2 * dxi)
-    # pressure gradient: d_x p in u1 rows, d_y p in u2 rows
-    grad_p = ([(2 * nu + dense[:-1], Dx / 2 - _diags(a) / dxi),
-               (2 * nu + nx + dense[:-1], Dx / 2 + _diags(a) / dxi)],
-              [(2 * nu + diagonal[:-1], -ih[..., None] / dxi),
-               (2 * nu + nx + diagonal[:-1], ih[..., None] / dxi)])
+    velocity = (
+        (2, lambda: -_diags(cxixi) / dxi ** 2 - a[..., None] * Dx / dxi
+         - _diags(cxi) / (2 * dxi)),
+        (1, lambda: -Dxx + _diags(2.0 * cxixi / dxi ** 2)),
+        (0, lambda: -_diags(cxixi) / dxi ** 2 + a[..., None] * Dx / dxi
+         + _diags(cxi) / (2 * dxi)),
+    )
+    grad_p = ([(2 * nu + nx + dense[:-1], lambda: Dx / 2 + _diags(a) / dxi),
+               (2 * nu + dense[:-1], lambda: Dx / 2 - _diags(a) / dxi)],
+              [(2 * nu + nx + diagonal[:-1], ih[..., None] / dxi),
+               (2 * nu + diagonal[:-1], -ih[..., None] / dxi)])
     top_rows = None if dirichlet else _transparent_rows(g, iu, ipr)
     for c in range(2):
         # bottom Dirichlet, interior momentum rows, top rows
-        _diag(iu(c, 0), iu(c, 0), np.ones(nx), acc)
-        acc.append((c * nu + nx + diagonal[:-1], [(c * nu + t * nx + dense[:-1], B)
-                    for t, B in enumerate((Bm, B0, Bp))] + grad_p[c]))
+        parts.append((iu(c, 0)[:, None], iu(c, 0)[:, None], 1.0))
+        rows = c * nu + nx + diagonal[:-1]
+        parts += [(rows, c * nu + t * nx + dense[:-1], B) for t, B in velocity]
+        parts += [(rows, cols, vals) for cols, vals in grad_p[c]]
         if dirichlet:
-            _diag(iu(c, ny), iu(c, ny), np.ones(nx), acc)
+            parts.append((iu(c, ny)[:, None], iu(c, ny)[:, None], 1.0))
         else:
-            for slot, (cols, vals) in zip(iu(c, ny), top_rows[c * nx:(c + 1) * nx]):
-                _diag(np.full(cols.shape[0], slot), cols, vals, acc)
+            # one part per run of top rows with equally many entries
+            slots = iu(c, ny)[:, None]
+            for _, run in groupby(top_rows[c * nx:(c + 1) * nx], key=lambda row: row[0].size):
+                cols, vals = map(np.array, zip(*run))
+                parts.append((slots[:len(cols)], cols, vals))
+                slots = slots[len(cols):]
 
-    # continuity rows at each pressure cell
+    # continuity rows at each pressure cell, velocity level t+1 then t
     vols = g.mid_volumes()
-    a, ih = g.a_mids.T, g.invHsp_mids.T[..., None]
-    parts = [(dense, Dx / 2 - _diags(a) / dxi), (nx + dense, Dx / 2 + _diags(a) / dxi),
-             (nu + diagonal, -ih / dxi), (nu + nx + diagonal, ih / dxi)]
+    a_mid, ih_mid = g.a_mids.T, g.invHsp_mids.T[..., None]
+    rows = 2 * nu + diagonal
+    parts += [(rows, nx + dense, lambda: Dx / 2 + _diags(a_mid) / dxi),
+              (rows, dense, lambda: Dx / 2 - _diags(a_mid) / dxi),
+              (rows, nu + nx + diagonal, ih_mid / dxi), (rows, nu + diagonal, -ih_mid / dxi)]
     if not dirichlet:
         # uniform multiplier column: mu reads as compatibility defect density
-        parts.append((imu, np.ones((ny, nx, 1))))
-    acc.append((2 * nu + diagonal, parts))
+        parts.append((2 * nu + np.arange(npr)[:, None], np.array([[imu]]), 1.0))
 
     # pressure constraint rows
     U = np.zeros((ntot, 4 if dirichlet else 0))
@@ -389,9 +456,8 @@ def assemble(grid: StripGrid, top_kind: type):
         for m in range(2):
             # A0 keeps the entries at the pin cell (m, ny-1); U V^T adds the rest
             pin = (ny - 1) * nx + m
-            _diag(np.array([2 * nu + pin]), np.array([imu + m]), columns[m][pin:pin + 1], acc)
-            _diag(np.array([imu + m]), np.array([2 * nu + pin]),
-                  constraints[m][pin:pin + 1], acc)
+            parts.append(_row(2 * nu + pin, imu + m, columns[m][pin]))
+            parts.append(_row(imu + m, 2 * nu + pin, constraints[m][pin]))
             U[2 * nu:imu, m] = columns[m]
             U[2 * nu + pin, m] = 0.0
             V[imu + m, m] = 1.0
@@ -399,11 +465,9 @@ def assemble(grid: StripGrid, top_kind: type):
             V[2 * nu:imu, 2 + m] = constraints[m]
             V[2 * nu + pin, 2 + m] = 0.0
     else:
-        _diag(np.full(npr, imu), 2 * nu + np.arange(npr), vols.T.ravel(), acc)
+        parts.append(_row(imu, 2 * nu + np.arange(npr), vols.T.ravel()))
 
-    rows, cols, vals = _entries(acc)
-    A0 = sp.coo_matrix((vals, (rows, cols)), shape=(ntot, ntot)).tocsc()
-    return A0, U, V
+    return _csc(ntot, parts), U, V
 
 
 def _transparent_rows(g: StripGrid, iu, ipr) -> list:
@@ -544,9 +608,13 @@ def solve_stokes(problem: CellProblem) -> CellSolution:
         if float(np.abs(resid).max()) <= 1e-12 * scale:
             break
         sol = sol + factor.solve(resid)
+    else:
+        # the last pass moved sol: its residual is still to be taken
+        resid = rhs - factor.matvec(sol)
     if not np.all(np.isfinite(sol)):
         raise SolverError("solver returned non-finite values")
-    linear_residual = float(np.abs(factor.matvec(sol) - rhs).max() / scale)
+    # |b - A x| is bit-equal to |A x - b|
+    linear_residual = float(np.abs(resid).max() / scale)
     if not linear_residual <= RESIDUAL_BOUND:
         raise SolverError(f"linear residual {linear_residual:.3e} exceeds "
                           f"the bound {RESIDUAL_BOUND:.0e}")

@@ -336,7 +336,6 @@ class ModeData:
 class ModeSolution:
     """Profiles (V_k, Q_k) of the decaying solution above L."""
 
-    k: tuple[int, ...]
     V: list[list]
     Q: list
     knorm: object
@@ -403,7 +402,7 @@ def solve_mode(data: ModeData) -> ModeSolution:
     knorm = knorm_exact(data.k)
     qbar, vbar = halfline_integrals(data.k, data.F_poly, knorm)
     V, Q = _closed_form(data.k, qbar, vbar, data.b_hat, knorm)
-    return ModeSolution(data.k, V, Q, knorm)
+    return ModeSolution(V, Q, knorm)
 
 
 @dataclass

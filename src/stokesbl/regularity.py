@@ -143,8 +143,8 @@ class RegularityWorkspace:
         """(4, nx, ny+1) gradient samples of element idx; equals grads(shift)[j]."""
         return horner(self.series["grad"][:, self._column_of[idx]], self.abscissa(shift))
 
-    def boundary_velocity(self) -> np.ndarray:
-        """(ncols, 2, nx, 2) column velocities on the wall and top rows at shift 0.
+    def top_velocity(self) -> np.ndarray:
+        """(ncols, 2, nx) column velocities on the top row at shift 0.
 
         Evaluated directly, polynomial part plus corrector samples, without
         building the coefficient arrays: the lift traces are taken while the
@@ -154,9 +154,8 @@ class RegularityWorkspace:
         one the recorded reports were made with.
         """
         g = self.grid
-        X = np.broadcast_to(g.x[:, None], (g.nx, 2))
-        Y = g.y_nodes[:, [0, -1]]
-        out = np.zeros((len(self.column_indices), 2, g.nx, 2))
+        X, Y = g.x, g.y_nodes[:, -1]
+        out = np.zeros((len(self.column_indices), 2, g.nx))
         for j, idx in enumerate(self.column_indices):
             el = self.elements[idx]
             for c in range(2):
@@ -164,7 +163,7 @@ class RegularityWorkspace:
             for coef, power, smp in self._flat_terms(el):
                 xp = X ** power
                 for c in range(2):
-                    out[j, c] += coef * xp * smp.values[c][:, [0, -1]]
+                    out[j, c] += coef * xp * smp.values[c][:, -1]
         return out
 
     # -- window machinery ----------------------------------------------------
@@ -349,7 +348,7 @@ def lift_coefficients(ws: RegularityWorkspace, kind: str, seed: int) -> np.ndarr
             coeffs[j] = draw * R * (R / 4.0) ** (1 - deg)
     else:
         raise ValueError(f"unknown outer data kind {kind!r}")
-    fluxes = np.array([float(np.mean(v[1, :, 1])) for v in ws.boundary_velocity()])
+    fluxes = np.array([float(np.mean(v[1])) for v in ws.top_velocity()])
     net = float(coeffs @ fluxes)
     if abs(net) > 1e-12 * max(1.0, np.abs(coeffs).max()):
         pivot = int(np.argmax(np.abs(fluxes)))
@@ -414,14 +413,14 @@ def build_outer_solution(lift_ws: RegularityWorkspace, kind: str,
     grid = lift_ws.grid
     target = outer_data(kind, grid, seed=seed)
     coeffs = lift_coefficients(lift_ws, kind, seed=seed)
-    lift = np.zeros((2, grid.nx, 2))  # wall and top rows
-    for c_val, vals in zip(coeffs, lift_ws.boundary_velocity()):
+    lift = np.zeros((2, grid.nx))  # top row
+    for c_val, vals in zip(coeffs, lift_ws.top_velocity()):
         if c_val != 0.0:
             lift += c_val * vals
     problem = CellProblem(
         grid=grid,
         bottom=np.zeros((2, grid.nx)),
-        top=DirichletTop(target - lift[:, :, 1]),
+        top=DirichletTop(target - lift),
     )
     remainder = solve_stokes(problem)
     return OuterSolution(lift_ws=lift_ws, lift=coeffs, remainder=remainder)

@@ -1,5 +1,7 @@
 """Cell solver: manufactured solutions, flat-wall structure, convergence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -449,11 +451,32 @@ def test_assemble_is_bit_identical_to_loop_oracle(wall, height, nx, ny, stretch)
         core, U, V = assemble(grid, top_kind)
         ref, U_ref, V_ref = _loop_assemble(grid, top_kind)
         assert core.format == "csc" and core.shape == ref.shape
+        assert core.has_canonical_format
         for name in ("indptr", "indices", "data"):
             got, want = getattr(core, name), getattr(ref, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
         assert U.tobytes() == U_ref.tobytes() and V.tobytes() == V_ref.tobytes()
         assert U.shape == U_ref.shape and V.shape == V_ref.shape
+
+
+@pytest.mark.parametrize("height, nx, ny, stretch, top_kind", [
+    (3.0, 48, 64, 0.0, TransparentTop),
+    (64 * np.pi, 24, 320, 5.0, DirichletTop),
+], ids=["48x64-transparent", "24x320-stretch5-dirichlet"])
+def test_assemble_peak_memory_is_close_to_its_result(height, nx, ny, stretch, top_kind):
+    # the CSC arrays are written in place: no COO copy, no per-level value
+    # blocks kept alive, only one part's values and positions at a time
+    grid = StripGrid(COS_WALL, height=height, nx=nx, ny=ny, stretch=stretch)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        core, _, _ = assemble(grid, top_kind)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    result = core.data.nbytes + core.indices.nbytes + core.indptr.nbytes
+    assert peak <= 1.6 * result, peak / result
 
 
 def test_factor_is_cached_per_grid_and_top_kind(monkeypatch):
@@ -488,6 +511,41 @@ def test_factor_is_cached_per_grid_and_top_kind(monkeypatch):
         solve_stokes(CellProblem(grid, bottom, DirichletTop(values)))
     assert len(calls) == 3
     assert set(grid.factors) == {TransparentTop, DirichletTop}
+
+
+@pytest.mark.parametrize("top, noise", [
+    (TransparentTop(), 0.0),
+    (DirichletTop(np.random.default_rng(3).standard_normal((2, 16))), 0.0),
+    (TransparentTop(), 1e-13),
+], ids=["transparent", "dirichlet", "unconverged"])
+def test_linear_residual_is_that_of_the_returned_solution(monkeypatch, top, noise):
+    grid = StripGrid(COS_WALL, height=3.0, nx=16, ny=20)
+    problem = CellProblem(grid, boundary_trace(grid, monomial_data(1, 1)), top)
+    solve_stokes(problem)
+    factor = grid.factors[type(top)]
+    if noise:
+        # a fixed error in every solve: refinement runs all its passes
+        exact, err = factor.solve, noise * np.random.default_rng(0).standard_normal(
+            factor.core.shape[0])
+        factor.solve = lambda b: exact(b) + err
+    seen = []
+    matvec = cell.SaddleFactor.matvec
+    monkeypatch.setattr(cell.SaddleFactor, "matvec",
+                        lambda self, x: seen.append(x) or matvec(self, x))
+    sol = solve_stokes(problem)
+
+    # the solution vector: the returned fields, then the multipliers
+    fields = np.concatenate([sol.u[0].T.ravel(), sol.u[1].T.ravel(), sol.p.T.ravel()])
+    x = np.concatenate([fields, seen[-1][fields.size:]])
+    assert np.array_equal(seen[-1], x)
+    assert x[fields.size] == sol.diagnostics["multiplier"]
+    rhs = assemble_rhs(problem)
+    want = float(np.abs(matvec(factor, x) - rhs).max() / max(1.0, float(np.abs(rhs).max())))
+    assert sol.diagnostics["linear_residual"] == want
+    if noise:
+        assert 1e-12 < want <= cell.RESIDUAL_BOUND
+    else:
+        assert len(seen) <= 3  # one matvec per refinement pass, none after convergence
 
 
 @pytest.mark.parametrize("top", [TransparentTop(), DirichletTop(np.zeros((2, 16)))],

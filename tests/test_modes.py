@@ -112,13 +112,13 @@ def test_residuals_vanish_on_random_cases():
 def test_residuals_detect_perturbations():
     data = ModeData((1,), [[], []], [S(1), S(2, 1)])
     sol = solve_mode(data)
-    sol_bad_q = type(sol)(sol.k, sol.V, poly_add(sol.Q, [S(1)]), sol.knorm)
+    sol_bad_q = type(sol)(sol.V, poly_add(sol.Q, [S(1)]), sol.knorm)
     res = residual_check(data.k, data.F_poly, sol_bad_q, data.b_hat)
     # momentum residual picks up exactly [ik, -|k|] * 1
     assert res.momentum[0] == [I]
     assert res.momentum[1] == [S(-1), S(0)] or res.momentum[1] == [S(-1)]
     vbad = [sol.V[0], poly_add(sol.V[1], [S(1)])]
-    sol_bad_v = type(sol)(sol.k, vbad, sol.Q, sol.knorm)
+    sol_bad_v = type(sol)(vbad, sol.Q, sol.knorm)
     res2 = residual_check(data.k, data.F_poly, sol_bad_v, data.b_hat)
     assert res2.divergence[0] == S(-1)  # -|k| * 1 at order zero
 
