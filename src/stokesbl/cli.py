@@ -226,6 +226,7 @@ def cmd_corrector(args) -> list[str]:
         stack = CorrectorStack(geometry, height=args.height, nx=args.nx, ny=args.ny)
     for beta in range(alpha + 1):
         stack.level(beta, args.l, args.i)
+    stack.grid.factors.clear()  # every level is solved: free the LU before the JSON text
     out = write_atomic(args.out, dump_json(stack_to_json(stack)))
     tail = stack.level(alpha, args.l, args.i).const
     print(f"corrector: {len(stack.levels)} levels, top tail = "
@@ -241,6 +242,7 @@ def cmd_wall_law(args) -> list[str]:
     if args.order < 1:
         raise ConfigError("--order must be >= 1")
     table = phi_table(stack, args.order)
+    stack.grid.factors.clear()  # phi_table may have solved levels: free the LU
     out = write_atomic(args.out, dump_json(table.to_json_dict()))
     csv_path = write_csv(os.path.splitext(args.out)[0] + ".csv",
                          "order,alpha,l,row,col,x_power,value", (
@@ -272,19 +274,18 @@ def cmd_regularity(args) -> list[str]:
     stack = CorrectorStack(geometry, nx=args.nx, ny=args.stack_ny)
     grid = StripGrid(geometry, height=args.R, nx=args.nx, ny=args.ny,
                      stretch=args.stretch)
-    # phase 1, every solve: the workspaces solve the stack levels they
-    # sample, and each outer datum is one tall-strip solve
-    lift_ws = RegularityWorkspace(stack, max(args.order + 1, 3), grid)
-    ws = RegularityWorkspace(stack, args.order, grid)
+    # phase 1, every solve: the workspace, at the lift's order, solves the stack
+    # levels it samples, and each outer datum is one tall-strip solve
+    ws = RegularityWorkspace(stack, max(args.order + 1, 3), grid)
     kinds = ("shear", "quadratic", "random")
-    solutions = [build_outer_solution(lift_ws, kind, seed=args.seed) for kind in kinds]
+    solutions = [build_outer_solution(ws, kind, seed=args.seed) for kind in kinds]
     # phase 2 only samples the solutions, so the factors can go before it;
-    # the workspaces build their coefficient arrays only now, and each
-    # window pass fits all three data at once
+    # the workspace builds its coefficient arrays only now, and each window
+    # pass fits all three data at once on the order-m leading columns
     stack.grid.factors.clear()
     grid.factors.clear()
-    reports = decay_experiments(ws, solutions)
-    fits = projected_fits(ws, lift_ws, [s.grad for s in solutions], 4 * np.pi)
+    reports = decay_experiments(ws, solutions, args.order)
+    fits = projected_fits(ws, [s.grad for s in solutions], 4 * np.pi, args.order, ws.order)
     results = {}
     for kind, solution, rep, coeffs in zip(kinds, solutions, reports, fits):
         results[kind] = dict(rep, pointwise=pointwise_check(ws, solution, coeffs, args.order))

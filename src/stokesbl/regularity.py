@@ -61,6 +61,10 @@ class RegularityWorkspace:
     of the corrector terms, times samples that repeat in every period.  The
     coefficient arrays of all columns are built together on first use and
     every period is then one Horner evaluation.
+
+    The graded bases nest, so one workspace serves every order m <= order:
+    prefixes[m] = (n_m, D_m), and an order-m fit reads the first n_m columns
+    and the X-powers up to D_m, which equal an order-m workspace's arrays.
     """
 
     def __init__(self, stack: CorrectorStack, order: int, grid: StripGrid):
@@ -78,6 +82,12 @@ class RegularityWorkspace:
         self.column_indices = [i for i, el in enumerate(self.elements)
                                if not el.P.is_zero()]
         self._column_of = {idx: j for j, idx in enumerate(self.column_indices)}
+        # order-m columns: velocity degree <= m; D_m: their highest X-power
+        cols = [self.elements[idx] for idx in self.column_indices]
+        x_degrees = [max([poly_to_coeff2d(el.P).shape[1] - 1, poly_to_coeff2d(el.Q).shape[0] - 1]
+                         + [power for _, power, _ in el.corrector.terms]) for el in cols]
+        n = [sum(int(el.P.degree) <= m for el in cols) for m in range(order + 1)]
+        self.prefixes = {m: (n[m], max(x_degrees[:n[m]])) for m in range(1, order + 1)}
         self._column_norms: dict = {}
 
     def _flat_terms(self, el: HeterogeneousElement):
@@ -99,8 +109,7 @@ class RegularityWorkspace:
         P = [poly_to_coeff2d(el.P) for el in cols]
         Q = [poly_to_coeff2d(el.Q) for el in cols]
         terms = [list(self._flat_terms(el)) for el in cols]
-        D = max([p.shape[1] - 1 for p in P] + [q.shape[0] - 1 for q in Q]
-                + [power for t in terms for _, power, _ in t])
+        D = self.prefixes[self.order][1]
         vel = np.zeros((D + 1, len(cols), 2) + Y.shape)
         grad = np.zeros((D + 1, len(cols), 4) + Y.shape)
         pres = np.zeros((D + 1, len(cols)) + Y.shape)
@@ -131,16 +140,14 @@ class RegularityWorkspace:
         """The shifted abscissa x + shift as an (nx, 1) column."""
         return self.grid.x[:, None] + shift
 
-    def grads(self, shift: float) -> np.ndarray:
-        """(ncols, 4, nx, ny+1) gradient samples [d1u1, d2u1, d1u2, d2u2] at x+shift."""
-        return horner(self.series["grad"], self.abscissa(shift))
-
-    def pressures(self, shift: float) -> np.ndarray:
-        """(ncols, nx, ny+1) pressure samples of every column at x+shift."""
-        return horner(self.series["pressure"], self.abscissa(shift))
+    def samples(self, name: str, shift: float, order: int) -> np.ndarray:
+        """Order-m columns' `name` samples at x + shift from series[name][:D_m + 1, :n_m];
+        gradients are (n_m, 4, nx, ny+1), [d1u1, d2u1, d1u2, d2u2] per column."""
+        n, D = self.prefixes[order]
+        return horner(self.series[name][:D + 1, :n], self.abscissa(shift))
 
     def element_grad(self, idx: int, shift: float) -> np.ndarray:
-        """(4, nx, ny+1) gradient samples of element idx; equals grads(shift)[j]."""
+        """(4, nx, ny+1) gradient samples of element idx; equals samples("grad", ...)[j]."""
         return horner(self.series["grad"][:, self._column_of[idx]], self.abscissa(shift))
 
     def top_velocity(self) -> np.ndarray:
@@ -198,28 +205,29 @@ class RegularityWorkspace:
         flat = grad.reshape(grad.shape[:-2] + (-1,))
         return (np.take(flat, nodes, axis=-1) * sw).T.reshape((-1,) + grad.shape[:-3])
 
-    def column_norms(self, r: float) -> np.ndarray:
-        """Windowed gradient norms of the basis columns, stored per radius."""
-        norms = self._column_norms.get(r)
+    def column_norms(self, r: float, order: int) -> np.ndarray:
+        """Windowed gradient norms of the order-m columns, stored per (radius, order)."""
+        norms = self._column_norms.get((r, order))
         if norms is None:
-            norms = np.zeros(len(self.column_indices))
+            norms = np.zeros(self.prefixes[order][0])
             for shift, nodes, w in self.window_pieces(r):
-                norms += np.sum(self._rows(self.grads(shift), nodes, np.sqrt(w)) ** 2, axis=0)
+                rows = self._rows(self.samples("grad", shift, order), nodes, np.sqrt(w))
+                norms += np.sum(rows ** 2, axis=0)
             norms = np.sqrt(np.maximum(norms, 1e-300))
-            self._column_norms[r] = norms
+            self._column_norms[(r, order)] = norms
         return norms
 
-    def excess(self, samplers, r: float) -> list[dict]:
-        """Least-squares distance of each grad u from the basis span over B_{r,+}.
+    def excess(self, samplers, r: float, order: int) -> list[dict]:
+        """Least-squares distance of each grad u from the order-m span over B_{r,+}.
 
         Each sampler maps shift -> (4, nx, ny+1) gradient samples (constant
         in shift for periodic fields).  Returns one dict per sampler, all
         from the same pass over the window: the normalized excess H, the
-        minimizer coefficients (one per column of column_indices) and the
-        windowed gradient norm of u.
+        minimizer coefficients (one per order-m column, the first n_m of
+        column_indices) and the windowed gradient norm of u.
 
         The basis columns are scaled by their windowed norms, which depend
-        only on the workspace and r and are stored per radius
+        only on the workspace, r and m and are stored per radius and order
         (column_norms).  Each period's basis rows are built once and
         streamed through one QR with every target as an extra column,
         accumulating the targets' norms and the window weight on the way.
@@ -227,8 +235,8 @@ class RegularityWorkspace:
         for the first (or only) target that is the single diagonal entry, so
         a one-target call does the arithmetic of the one-target stream.
         """
-        ncols = len(self.column_indices)
-        norms = self.column_norms(r)
+        ncols = self.prefixes[order][0]
+        norms = self.column_norms(r, order)
         total_w = 0.0
         unorm2 = np.zeros(len(samplers))
         R = np.zeros((0, ncols + len(samplers)))
@@ -237,7 +245,8 @@ class RegularityWorkspace:
             targets = [self._rows(fn(shift), nodes, sw) for fn in samplers]
             unorm2 += [float(np.sum(t ** 2)) for t in targets]
             total_w += float(np.sum(w))
-            block = np.column_stack([self._rows(self.grads(shift), nodes, sw) / norms] + targets)
+            block = np.column_stack(
+                [self._rows(self.samples("grad", shift, order), nodes, sw) / norms] + targets)
             R = np.linalg.qr(np.vstack([R, block]), mode="r")
         R11 = R[:ncols, :ncols]
         diag = np.abs(np.diag(R11))
@@ -437,9 +446,9 @@ def dyadic_radii(r0: float, rmax: float) -> list[float]:
 DECAY_R0, FLOOR_REL = np.pi / 2, 1e-3
 
 
-def decay_experiments(workspace: RegularityWorkspace,
-                      solutions: list[OuterSolution]) -> list[dict]:
-    """Excess decay of genuine solves over dyadic windows DECAY_R0..R/4.
+def decay_experiments(workspace: RegularityWorkspace, solutions: list[OuterSolution],
+                      order: int) -> list[dict]:
+    """Excess decay of genuine solves against the order-m basis over DECAY_R0..R/4.
 
     The solves share one strip height R, and every radius is one excess
     pass with each solve as a target.  Returns per solve a dict of the
@@ -456,7 +465,7 @@ def decay_experiments(workspace: RegularityWorkspace,
     if radii[-1] / radii[0] < 16:
         raise ValueError("insufficient scale separation: need R/(4 DECAY_R0) >= 16")
     u_grads = [solution.grad for solution in solutions]
-    per_radius = [workspace.excess(u_grads, r) for r in radii]
+    per_radius = [workspace.excess(u_grads, r, order) for r in radii]
     grad_norms = workspace.grad_norms(u_grads, min(R / 2, radii[-1] * 2))
     reports = []
     for t, solution in enumerate(solutions):
@@ -466,17 +475,17 @@ def decay_experiments(workspace: RegularityWorkspace,
             "radii": radii, "H": H,
             "fitted_exponent": fit["exponent"], "floored": fit["floored"],
             "grad_norm": grad_norms[t],
-            "pressure_residuals": pressure_decay(workspace, solution,
-                                                 per_radius[-1][t]["coefficients"], radii),
+            "pressure_residuals": pressure_decay(
+                workspace, solution, per_radius[-1][t]["coefficients"], radii, order),
         })
     return reports
 
 
 def pressure_decay(workspace: RegularityWorkspace, solution: OuterSolution,
-                   coefficients: np.ndarray, radii: list[float]) -> list[float]:
+                   coefficients: np.ndarray, radii: list[float], order: int) -> list[float]:
     """Windowed pressure residuals ||p - pi - c_p|| with c_p the B_1 mean.
 
-    pi is the pressure of the fitted combination; the constant is the mean of
+    pi is the pressure of the fitted order-m combination; the constant is the mean of
     p - pi over the unit window, mirroring the fixed-constant normalization
     of the regularity estimate.  Reported alongside the velocity excess.
     """
@@ -487,7 +496,7 @@ def pressure_decay(workspace: RegularityWorkspace, solution: OuterSolution,
     def residual_field(shift):
         if shift not in fields:
             fields[shift] = solution.pressure(shift) - np.tensordot(
-                coefficients, workspace.pressures(shift), axes=1)
+                coefficients, workspace.samples("pressure", shift, order), axes=1)
         return fields[shift]
 
     mask1 = workspace.window_mask(1.0, 0.0)
@@ -504,21 +513,18 @@ def pressure_decay(workspace: RegularityWorkspace, solution: OuterSolution,
     return values
 
 
-def projected_fits(ws_low: RegularityWorkspace, ws_high: RegularityWorkspace,
-                   u_grads, r: float) -> list[np.ndarray]:
-    """Order-m coefficients via a higher-order fit projected into S_m.
+def projected_fits(workspace: RegularityWorkspace, u_grads, r: float, order: int,
+                   fit_order: int) -> list[np.ndarray]:
+    """Order-m coefficients via an order-`fit_order` fit projected into S_m.
 
     Fitting at a higher order gives the top-degree content its own columns
     instead of letting it bias the low-order coefficients; dropping those
-    columns afterwards gives a fixed approximant free of that bias.  The graded
-    bases share their leading columns, so the projection is a truncation.
-    All fields are fitted in one excess pass.
+    columns afterwards gives a fixed approximant free of that bias.  The
+    order-m columns lead the higher order's, so the projection is a
+    truncation.  All fields are fitted in one excess pass.
     """
-    for i_low, i_high in zip(ws_low.column_indices, ws_high.column_indices):
-        if not (ws_low.elements[i_low].P == ws_high.elements[i_high].P):
-            raise AssertionError("graded bases do not share leading columns")
-    n_low = len(ws_low.column_indices)
-    return [res["coefficients"][:n_low] for res in ws_high.excess(list(u_grads), r)]
+    n = workspace.prefixes[order][0]
+    return [res["coefficients"][:n] for res in workspace.excess(list(u_grads), r, fit_order)]
 
 
 def nnls_2col(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -545,7 +551,7 @@ ENVELOPE_Y_MIN, ENVELOPE_FACTOR = 4.0, 3.0
 
 def pointwise_check(workspace: RegularityWorkspace, solution: OuterSolution,
                     coefficients: np.ndarray, order: int) -> dict:
-    """Pointwise |grad u - grad w_poly| against the two-term envelope.
+    """Pointwise |grad u - grad w_poly| of an order-m fit against the two-term envelope.
 
     The envelope shapes are (|(x,y)|/R)^m and (1+|x|)^{m-1} e^{-y/2}; their
     constants are fitted by nonnegative least squares and inflated by

@@ -81,30 +81,26 @@ class Shared:
         return st
 
     @cached_property
-    def growth_ws(self) -> dict[int, RegularityWorkspace]:
-        """Order-1 to -3 workspaces on the height-40 growth strip."""
+    def growth_ws(self) -> RegularityWorkspace:
+        """Order-3 workspace on the height-40 growth strip, for every order's fits."""
         grid = StripGrid(COS_WALL, height=40.0, nx=24, ny=220, stretch=4.0)
-        return {m: RegularityWorkspace(self.stack, m, grid) for m in (1, 2, 3)}
+        return RegularityWorkspace(self.stack, 3, grid)
 
     @cached_property
-    def tall_grid(self) -> StripGrid:
-        return StripGrid(COS_WALL, height=64 * np.pi, nx=24, ny=340, stretch=5.5)
+    def tall_ws(self) -> RegularityWorkspace:
+        """Order-3 workspace on the R = 64 pi strip: the outer data's lift and fits."""
+        grid = StripGrid(COS_WALL, height=64 * np.pi, nx=24, ny=340, stretch=5.5)
+        return RegularityWorkspace(self.stack, 3, grid)
 
     @cached_property
-    def lift_ws(self) -> RegularityWorkspace:
-        return RegularityWorkspace(self.stack, 3, self.tall_grid)
-
-    @cached_property
-    def decay_runs(self) -> tuple[dict, dict]:
-        """Order-1 and -2 tall workspaces, and per outer datum its solution
-        and excess-decay report for each order (one pass per order)."""
-        workspaces = {m: RegularityWorkspace(self.stack, m, self.tall_grid) for m in (1, 2)}
+    def decay_runs(self) -> dict:
+        """Per outer datum its solution and excess-decay report for orders 1
+        and 2 (one pass per order)."""
         kinds = ("shear", "quadratic", "random")
-        solutions = [build_outer_solution(self.lift_ws, kind, seed=0) for kind in kinds]
-        reports = {m: decay_experiments(workspaces[m], solutions) for m in (1, 2)}
-        runs = {kind: {"solution": solution, "reports": {m: reports[m][t] for m in (1, 2)}}
+        solutions = [build_outer_solution(self.tall_ws, kind, seed=0) for kind in kinds]
+        reports = {m: decay_experiments(self.tall_ws, solutions, m) for m in (1, 2)}
+        return {kind: {"solution": solution, "reports": {m: reports[m][t] for m in (1, 2)}}
                 for t, (kind, solution) in enumerate(zip(kinds, solutions))}
-        return workspaces, runs
 
 
 def run(suite: str) -> int:
@@ -155,26 +151,25 @@ def script_S_via_trace_formula(stack: CorrectorStack, P: VectorPolynomial,
     return padded_sum(blocks, shape=(2, order + 1, order + 1))
 
 
-def growth_experiment(workspace: RegularityWorkspace, probe_workspace: RegularityWorkspace,
-                      probe_idx: int, radii: list[float]) -> float:
+def growth_experiment(workspace: RegularityWorkspace, order: int, probe_idx: int,
+                      radii: list[float]) -> float:
     """Excess growth exponent of a degree-(order+1) element against the order-m basis.
 
-    `workspace` carries the order-m basis; `probe_workspace` (order m+1, same
-    evaluation grid) supplies the probe element's gradient samples.
+    The workspace's order is above m, and the probe is one of its elements.
     """
-    u_grad = lambda shift: probe_workspace.element_grad(probe_idx, shift)
-    H = [workspace.excess([u_grad], r)[0]["H"] for r in radii]
+    u_grad = lambda shift: workspace.element_grad(probe_idx, shift)
+    H = [workspace.excess([u_grad], r, order)[0]["H"] for r in radii]
     return fit_exponent(radii, H, drop=0)["exponent"]
 
 
 def liouville_fit(workspace: RegularityWorkspace, u_grad, radii: list[float],
-                  tol: float) -> dict:
-    """Coefficients of a subpolynomial-growth solution in the basis span.
+                  tol: float, order: int) -> dict:
+    """Coefficients of a subpolynomial-growth solution in the order-m basis span.
 
     Fits on every window and checks the residuals stay below tol relative to
     the windowed gradient norm; otherwise flags non-membership.
     """
-    results = [workspace.excess([u_grad], r)[0] for r in radii]
+    results = [workspace.excess([u_grad], r, order)[0] for r in radii]
     return {
         "member": all(res["H"] / max(res["grad_norm"], 1e-300) <= tol for res in results),
         "coefficients": results[-1]["coefficients"],
@@ -362,12 +357,11 @@ def excess_growth(shared: Shared):
     ok = True
     details = []
     radii = dyadic_radii(2.0, 32.0)
-    workspaces = shared.growth_ws
+    ws = shared.growth_ws
+    degrees = [int(ws.elements[i].P.degree) for i in ws.column_indices]
     for m in (1, 2):
-        probe_ws = workspaces[m + 1]
-        degrees = [int(probe_ws.elements[i].P.degree) for i in probe_ws.column_indices]
-        probe = probe_ws.column_indices[degrees.index(m + 1)]
-        exponent = growth_experiment(workspaces[m], probe_ws, probe, radii)
+        probe = ws.column_indices[degrees.index(m + 1)]
+        exponent = growth_experiment(ws, m, probe, radii)
         ok &= abs(exponent - m) <= 0.3
         details.append(f"m={m}: {exponent:.2f}")
     return ok, ", ".join(details)
@@ -375,7 +369,7 @@ def excess_growth(shared: Shared):
 
 @check(11, "excess_decay", "numeric", "excess decay exponent >= m - 0.3 on R = 64pi strips")
 def excess_decay(shared: Shared):
-    _, runs = shared.decay_runs
+    runs = shared.decay_runs
     ok = True
     details = []
     for kind, entry in runs.items():
@@ -390,14 +384,13 @@ def excess_decay(shared: Shared):
 @check(12, "pointwise_envelope", "numeric",
        "pointwise error dominated by the two-term envelope (>= 99%)")
 def pointwise_envelope(shared: Shared):
-    workspaces, runs = shared.decay_runs
+    runs = shared.decay_runs
     ok = True
     details = []
     for kind, m in (("quadratic", 1), ("random", 2)):
         solution = runs[kind]["solution"]
-        ws_high = workspaces[2] if m == 1 else shared.lift_ws
-        coeffs = projected_fits(workspaces[m], ws_high, [solution.grad], 4 * np.pi)[0]
-        out = pointwise_check(workspaces[m], solution, coeffs, order=m)
+        coeffs = projected_fits(shared.tall_ws, [solution.grad], 4 * np.pi, m, m + 1)[0]
+        out = pointwise_check(shared.tall_ws, solution, coeffs, order=m)
         ok &= out["fraction_dominated"] >= 0.99
         ok &= out["crossover_ok"]
         details.append(f"{kind}/m={m}: {100 * out['fraction_dominated']:.1f}%")
@@ -406,19 +399,18 @@ def pointwise_envelope(shared: Shared):
 
 @check(13, "liouville_fit", "numeric", "Liouville fit: exact recovery and flagged contamination")
 def liouville_recovery(shared: Shared):
-    ws2, ws3 = shared.growth_ws[2], shared.growth_ws[3]
+    ws = shared.growth_ws
     radii = [4.0, 8.0, 16.0, 32.0]
-    idx = ws2.column_indices[1]
-    fit = liouville_fit(ws2, lambda s: ws2.element_grad(idx, s), radii, tol=1e-8)
-    expect = np.zeros(len(ws2.column_indices))
+    idx = ws.column_indices[1]
+    fit = liouville_fit(ws, lambda s: ws.element_grad(idx, s), radii, tol=1e-8, order=2)
+    expect = np.zeros(ws.prefixes[2][0])
     expect[1] = 1.0
     error = np.abs(fit["coefficients"] - expect).max()
     ok = fit["member"] and error <= 1e-8
-    degrees = [int(ws3.elements[i].P.degree) for i in ws3.column_indices]
-    probe = ws3.column_indices[degrees.index(3)]
-    contaminated = lambda s: (ws2.element_grad(idx, s)
-                              + 1e-2 * ws3.element_grad(probe, s))
-    ok &= not liouville_fit(ws2, contaminated, radii, tol=1e-5)["member"]
+    degrees = [int(ws.elements[i].P.degree) for i in ws.column_indices]
+    probe = ws.column_indices[degrees.index(3)]
+    contaminated = lambda s: ws.element_grad(idx, s) + 1e-2 * ws.element_grad(probe, s)
+    ok &= not liouville_fit(ws, contaminated, radii, tol=1e-5, order=2)["member"]
     return ok, f"max coefficient error {error:.1e}"
 
 

@@ -426,7 +426,7 @@ def test_regularity_builds_coefficient_arrays_after_freeing_factors(tmp_path, ge
     monkeypatch.setattr(RegularityWorkspace, "_x_series", recording_x_series)
     assert main(SMALL_REGULARITY + ["--geometry", geometry_file,
                                     "--out", str(tmp_path / "report.json")]) == 0
-    assert alive == [False, False]  # once per workspace, after the factors went
+    assert alive == [False]  # one workspace, after the factors went
 
 
 def test_regularity_run_leaves_interpolate_and_optimize_unloaded(tmp_path, geometry_file):

@@ -36,12 +36,8 @@ def eval_grid(stack):
 
 
 @pytest.fixture(scope="module")
-def ws2(stack, eval_grid):
-    return RegularityWorkspace(stack, 2, eval_grid)
-
-
-@pytest.fixture(scope="module")
-def ws3(stack, eval_grid):
+def ws(stack, eval_grid):
+    """Order 3: the order-1 and -2 fits use its leading columns."""
     return RegularityWorkspace(stack, 3, eval_grid)
 
 
@@ -118,34 +114,72 @@ def test_shift_polynomials_match_direct_evaluation(stack):
                 _assert_fields_close(element_series(ws, name, idx, shift),
                                      direct(ws, idx, shift), 1e-13, (idx, k, name))
             # the all-column evaluations are the same arithmetic, column by column
-            assert np.array_equal(ws.grads(shift)[j], ws.element_grad(idx, shift))
-            assert np.array_equal(ws.pressures(shift)[j],
+            assert np.array_equal(ws.samples("grad", shift, 3)[j], ws.element_grad(idx, shift))
+            assert np.array_equal(ws.samples("pressure", shift, 3)[j],
                                   element_series(ws, "pressure", idx, shift))
     traces = ws.top_velocity()
     for j, idx in enumerate(ws.column_indices):
         assert np.array_equal(traces[j], direct_velocity(ws, idx, 0.0)[:, :, -1])
 
 
-def test_excess_of_basis_element_is_zero(ws2):
-    for pos, idx in enumerate(ws2.column_indices):
-        u_grad = lambda shift: ws2.element_grad(idx, shift)
-        res = ws2.excess([u_grad], 4.0)[0]
+def _bits(value):
+    """The exact bits of a result: arrays and numbers as bytes, containers entry by entry."""
+    if isinstance(value, dict):
+        return {key: _bits(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    return np.asarray(value).tobytes()
+
+
+def test_lower_orders_fit_on_a_column_prefix(stack):
+    """An order-M workspace at order m < M is the order-m workspace, bit for bit."""
+    grid = StripGrid(COS_WALL, height=32 * np.pi, nx=24, ny=96, stretch=5.0)
+    workspaces = {m: RegularityWorkspace(stack, m, grid) for m in (1, 2, 3, 4)}
+    top = workspaces[4]
+    sols = [build_outer_solution(top, kind, seed=0) for kind in ("quadratic", "random")]
+    grads = [sol.grad for sol in sols] + [
+        lambda shift: top.element_grad(top.column_indices[-1], shift)]
+    for M, big in workspaces.items():
+        for m in range(1, M):
+            small = workspaces[m]
+            n, D = big.prefixes[m]
+            assert (n, D) == small.prefixes[m] and n == len(small.column_indices)
+            assert big.column_indices[:n] == small.column_indices
+            for name, arrays in small.series.items():
+                view = big.series[name][:D + 1, :n]
+                assert view.shape == arrays.shape
+                assert view.tobytes() == arrays.tobytes(), (M, m, name)
+            what = (M, m)
+            assert _bits(big.excess(grads, 3 * np.pi, m)) \
+                == _bits(small.excess(grads, 3 * np.pi, m)), what
+            assert _bits(decay_experiments(big, sols, m)) \
+                == _bits(decay_experiments(small, sols, m)), what
+            if m > 1:
+                assert _bits(projected_fits(big, grads, 4 * np.pi, m - 1, m)) \
+                    == _bits(projected_fits(small, grads, 4 * np.pi, m - 1, m)), what
+
+
+def test_excess_of_basis_element_is_zero(ws):
+    n2 = ws.prefixes[2][0]
+    for pos, idx in enumerate(ws.column_indices[:n2]):
+        u_grad = lambda shift: ws.element_grad(idx, shift)
+        res = ws.excess([u_grad], 4.0, 2)[0]
         assert res["H"] <= 1e-10 * max(res["grad_norm"], 1e-30)
         # the minimizer is the unit coefficient vector
-        expect = np.zeros(len(ws2.column_indices))
+        expect = np.zeros(n2)
         expect[pos] = 1.0
         assert np.allclose(res["coefficients"], expect, atol=1e-9)
 
 
-def test_excess_zero_field(ws2):
-    zero = lambda shift: np.zeros((4, ws2.grid.nx, ws2.grid.ny + 1))
-    assert ws2.excess([zero], 4.0)[0]["H"] == 0.0
+def test_excess_zero_field(ws):
+    zero = lambda shift: np.zeros((4, ws.grid.nx, ws.grid.ny + 1))
+    assert ws.excess([zero], 4.0, 2)[0]["H"] == 0.0
 
 
-def _two_pass_excess(ws, u_grad, r):
-    """Excess with the column norms and the QR each in their own window pass."""
+def _two_pass_excess(ws, u_grad, r, order):
+    """Order-m excess with the column norms and the QR each in their own window pass."""
     wq = ws.grid.node_quad_weights()
-    ncols = len(ws.column_indices)
+    ncols = ws.prefixes[order][0]
 
     def blocks(scale):
         for shift in ws.window_shifts(r):
@@ -154,7 +188,7 @@ def _two_pass_excess(ws, u_grad, r):
                 continue
             sw = np.sqrt(wq[mask])
             cols = [(ws.element_grad(idx, shift)[:, mask] * sw).reshape(4, -1).T.reshape(-1)
-                    / scale[j] for j, idx in enumerate(ws.column_indices)]
+                    / scale[j] for j, idx in enumerate(ws.column_indices[:ncols])]
             target = (u_grad(shift)[:, mask] * sw).reshape(4, -1).T.reshape(-1)
             yield np.column_stack(cols + [target]), float(np.sum(wq[mask]))
 
@@ -192,48 +226,47 @@ def _assert_same_excess(got, want):
             assert got[key] == value, key
 
 
-def test_excess_matches_two_pass_oracle(ws2, ws3):
+def test_excess_matches_two_pass_oracle(ws):
     r = 5.0
-    assert r not in ws2._column_norms
+    assert (r, 2) not in ws._column_norms
     fields = {
-        "basis element": lambda shift: ws2.element_grad(ws2.column_indices[1], shift),
-        "zero": lambda shift: np.zeros((4, ws2.grid.nx, ws2.grid.ny + 1)),
-        "growth probe": lambda shift: ws3.element_grad(ws3.column_indices[-1], shift),
+        "basis element": lambda shift: ws.element_grad(ws.column_indices[1], shift),
+        "zero": lambda shift: np.zeros((4, ws.grid.nx, ws.grid.ny + 1)),
+        "growth probe": lambda shift: ws.element_grad(ws.column_indices[-1], shift),
     }
     for name, u_grad in fields.items():
-        _assert_same_excess(ws2.excess([u_grad], r)[0], _two_pass_excess(ws2, u_grad, r))
+        _assert_same_excess(ws.excess([u_grad], r, 2)[0], _two_pass_excess(ws, u_grad, r, 2))
     # the norms at r were formed by the first call and reused since
-    norms = ws2._column_norms[r]
-    again = ws2.excess([fields["growth probe"]], r)[0]
-    assert ws2._column_norms[r] is norms
-    _assert_same_excess(again, _two_pass_excess(ws2, fields["growth probe"], r))
+    norms = ws._column_norms[(r, 2)]
+    again = ws.excess([fields["growth probe"]], r, 2)[0]
+    assert ws._column_norms[(r, 2)] is norms
+    _assert_same_excess(again, _two_pass_excess(ws, fields["growth probe"], r, 2))
 
 
-def test_excess_scales_linearly(ws2, ws3):
-    idx = ws3.column_indices[-1]
-    base = lambda shift: ws3.element_grad(idx, shift)
-    scaled = lambda shift: 2.5 * ws3.element_grad(idx, shift)
-    h1 = ws2.excess([base], 6.0)[0]["H"]
-    h2 = ws2.excess([scaled], 6.0)[0]["H"]
+def test_excess_scales_linearly(ws):
+    idx = ws.column_indices[-1]
+    base = lambda shift: ws.element_grad(idx, shift)
+    scaled = lambda shift: 2.5 * ws.element_grad(idx, shift)
+    h1 = ws.excess([base], 6.0, 2)[0]["H"]
+    h2 = ws.excess([scaled], 6.0, 2)[0]["H"]
     assert h2 == pytest.approx(2.5 * h1, rel=1e-10)
     assert h1 > 0
 
 
-def test_excess_monotone_in_order(ws2, ws3, stack, eval_grid):
-    ws1 = RegularityWorkspace(stack, 1, eval_grid)
-    idx = ws3.column_indices[-1]
-    u_grad = lambda shift: ws3.element_grad(idx, shift)
-    h1 = ws1.excess([u_grad], 6.0)[0]["H"]
-    h2 = ws2.excess([u_grad], 6.0)[0]["H"]
+def test_excess_monotone_in_order(ws):
+    idx = ws.column_indices[-1]
+    u_grad = lambda shift: ws.element_grad(idx, shift)
+    h1 = ws.excess([u_grad], 6.0, 1)[0]["H"]
+    h2 = ws.excess([u_grad], 6.0, 2)[0]["H"]
     assert h2 <= h1 * (1 + 1e-12)
 
 
-def test_growth_exponent_first_order(ws2, stack, eval_grid):
+def test_growth_exponent_first_order(ws):
     # degree-2 heterogeneous probe against the order-1 basis: exponent ~ 1
-    ws1 = RegularityWorkspace(stack, 1, eval_grid)
-    probe = ws2.column_indices[-1]
+    probe = ws.column_indices[ws.prefixes[2][0] - 1]
+    assert int(ws.elements[probe].P.degree) == 2
     radii = dyadic_radii(2.0, 32.0)
-    assert growth_experiment(ws1, ws2, probe, radii) == pytest.approx(1.0, abs=0.3)
+    assert growth_experiment(ws, 1, probe, radii) == pytest.approx(1.0, abs=0.3)
 
 
 def test_fit_exponent_floor():
@@ -249,18 +282,14 @@ def tall_grid():
 
 
 @pytest.fixture(scope="module")
-def lift_ws(stack, tall_grid):
+def tall_ws(stack, tall_grid):
+    """Order 3, the lift order: the order-1 fits use its leading columns."""
     return RegularityWorkspace(stack, 3, tall_grid)
 
 
 @pytest.fixture(scope="module")
-def tall_solution(lift_ws):
-    return build_outer_solution(lift_ws, "quadratic", seed=0)
-
-
-@pytest.fixture(scope="module")
-def tall_ws(stack, tall_grid):
-    return RegularityWorkspace(stack, 1, tall_grid)
+def tall_solution(tall_ws):
+    return build_outer_solution(tall_ws, "quadratic", seed=0)
 
 
 def test_outer_solution_satisfies_data(tall_solution):
@@ -274,13 +303,13 @@ def test_outer_solution_satisfies_data(tall_solution):
 
 
 @pytest.fixture(scope="module")
-def outer_solutions(lift_ws, tall_solution):
-    return {"shear": build_outer_solution(lift_ws, "shear", seed=0),
+def outer_solutions(tall_ws, tall_solution):
+    return {"shear": build_outer_solution(tall_ws, "shear", seed=0),
             "quadratic": tall_solution,
-            "random": build_outer_solution(lift_ws, "random", seed=0)}
+            "random": build_outer_solution(tall_ws, "random", seed=0)}
 
 
-def test_outer_solution_fields_are_lift_plus_remainder(outer_solutions, lift_ws):
+def test_outer_solution_fields_are_lift_plus_remainder(outer_solutions, tall_ws):
     for kind, sol in outer_solutions.items():
         g, u = sol.grid, sol.remainder.u
         periodic = {
@@ -293,29 +322,28 @@ def test_outer_solution_fields_are_lift_plus_remainder(outer_solutions, lift_ws)
         for k in (-17, -4, 0, 1, 9):
             shift = 2 * np.pi * k
             for name, direct in DIRECT.items():
-                want = periodic[name] + sum(c * direct(lift_ws, idx, shift)
-                                            for c, idx in zip(sol.lift, lift_ws.column_indices))
+                want = periodic[name] + sum(c * direct(tall_ws, idx, shift)
+                                            for c, idx in zip(sol.lift, tall_ws.column_indices))
                 _assert_fields_close(fields[name](shift), want, 1e-13, (kind, k, name))
 
 
-def test_multi_target_excess_matches_one_target_calls(tall_ws, lift_ws, outer_solutions):
-    grid = tall_ws.grid
+def test_multi_target_excess_matches_one_target_calls(tall_ws, outer_solutions):
+    ws, grid = tall_ws, tall_ws.grid
     targets = {
-        "basis element": lambda shift: tall_ws.element_grad(tall_ws.column_indices[0], shift),
+        "basis element": lambda shift: ws.element_grad(ws.column_indices[0], shift),
         "zero": lambda shift: np.zeros((4, grid.nx, grid.ny + 1)),
-        "growth probe": lambda shift: lift_ws.element_grad(lift_ws.column_indices[-1], shift),
+        "growth probe": lambda shift: ws.element_grad(ws.column_indices[-1], shift),
     }
     targets.update({kind: sol.grad for kind, sol in outer_solutions.items()})
-    for ws, r in [(tall_ws, np.pi / 2), (tall_ws, 4 * np.pi), (tall_ws, 16 * np.pi),
-                  (lift_ws, 4 * np.pi)]:
-        together = ws.excess(list(targets.values()), r)
+    for order, r in [(1, np.pi / 2), (1, 4 * np.pi), (1, 16 * np.pi), (3, 4 * np.pi)]:
+        together = ws.excess(list(targets.values()), r, order)
         assert len(together) == len(targets)
         # grad_norms is the same arithmetic without the basis rows and the QR
         norms = ws.grad_norms(list(targets.values()), r)
         assert norms.tobytes() == np.array([res["grad_norm"] for res in together]).tobytes()
         for (name, u_grad), got in zip(targets.items(), together):
-            want = ws.excess([u_grad], r)[0]
-            what = (ws.order, r, name)
+            want = ws.excess([u_grad], r, order)[0]
+            what = (order, r, name)
             assert got["grad_norm"] == pytest.approx(want["grad_norm"], rel=1e-12), what
             # H of a field in the span is rounding noise: below the pipeline's
             # in-space floor it is compared on the scale of the field itself
@@ -326,25 +354,25 @@ def test_multi_target_excess_matches_one_target_calls(tall_ws, lift_ws, outer_so
                 <= 1e-12 * coef_scale, what
 
 
-def test_shared_passes_match_single_datum_entry_points(tall_ws, lift_ws, outer_solutions):
+def test_shared_passes_match_single_datum_entry_points(tall_ws, outer_solutions):
     sols = list(outer_solutions.values())
-    reports = decay_experiments(tall_ws, sols)
+    reports = decay_experiments(tall_ws, sols, 1)
     grads = [sol.grad for sol in sols]
-    fits = projected_fits(tall_ws, lift_ws, grads, 4 * np.pi)
+    fits = projected_fits(tall_ws, grads, 4 * np.pi, 1, 3)
     for sol, u_grad, rep, fit in zip(sols, grads, reports, fits):
-        alone = decay_experiments(tall_ws, [sol])[0]
+        alone = decay_experiments(tall_ws, [sol], 1)[0]
         assert rep.keys() == alone.keys()
         assert rep["radii"] == alone["radii"] and rep["floored"] == alone["floored"]
         assert rep["grad_norm"] == pytest.approx(alone["grad_norm"], rel=1e-12)
         assert np.allclose(rep["H"], alone["H"], rtol=1e-12, atol=1e-12 * rep["grad_norm"])
         if not rep["floored"]:
             assert rep["fitted_exponent"] == pytest.approx(alone["fitted_exponent"], rel=1e-12)
-        one = projected_fits(tall_ws, lift_ws, [u_grad], 4 * np.pi)[0]
+        one = projected_fits(tall_ws, [u_grad], 4 * np.pi, 1, 3)[0]
         assert np.abs(fit - one).max() <= 1e-12 * np.abs(one).max()
 
 
 def test_decay_experiment_quadratic_order1(tall_ws, tall_solution):
-    rep = decay_experiments(tall_ws, [tall_solution])[0]
+    rep = decay_experiments(tall_ws, [tall_solution], 1)[0]
     # degree-2 content decays against the order-1 space with exponent ~ 1
     assert not rep["floored"]
     assert rep["fitted_exponent"] >= 0.7
@@ -357,7 +385,7 @@ def test_decay_experiment_quadratic_order1(tall_ws, tall_solution):
 
 
 def test_decay_experiment_shear_is_in_space(tall_ws, outer_solutions):
-    rep = decay_experiments(tall_ws, [outer_solutions["shear"]])[0]
+    rep = decay_experiments(tall_ws, [outer_solutions["shear"]], 1)[0]
     # shear data reproduces the first-order element: excess sits at the
     # consistency floor at every radius
     assert rep["floored"] and rep["fitted_exponent"] == float("inf")
@@ -368,36 +396,36 @@ def test_decay_requires_scale_separation(stack):
     grid = StripGrid(COS_WALL, height=20.0, nx=24, ny=64, stretch=2.0)
     ws = RegularityWorkspace(stack, 1, grid)
     with pytest.raises(ValueError, match="scale separation"):
-        decay_experiments(ws, [build_outer_solution(ws, "shear", seed=0)])
+        decay_experiments(ws, [build_outer_solution(ws, "shear", seed=0)], 1)
 
 
-def test_liouville_recovery_and_flagging(ws2, ws3):
-    idx = ws2.column_indices[1]
-    u_grad = lambda shift: ws2.element_grad(idx, shift)
+def test_liouville_recovery_and_flagging(ws):
+    idx = ws.column_indices[1]
+    u_grad = lambda shift: ws.element_grad(idx, shift)
     radii = [4.0, 8.0, 16.0]
-    fit = liouville_fit(ws2, u_grad, radii, tol=1e-8)
+    fit = liouville_fit(ws, u_grad, radii, tol=1e-8, order=2)
     assert fit["member"]
-    expect = np.zeros(len(ws2.column_indices))
+    expect = np.zeros(ws.prefixes[2][0])
     expect[1] = 1.0
     assert np.abs(fit["coefficients"] - expect).max() < 1e-8
 
     rng = np.random.default_rng(3)
-    noise_dir = rng.standard_normal((4, ws2.grid.nx, ws2.grid.ny + 1))
-    scale = np.abs(ws2.element_grad(idx, 0.0)).max()
-    noisy = lambda shift: ws2.element_grad(idx, shift) + 1e-6 * scale * noise_dir
-    fit_noisy = liouville_fit(ws2, noisy, radii, tol=1e-4)
+    noise_dir = rng.standard_normal((4, ws.grid.nx, ws.grid.ny + 1))
+    scale = np.abs(ws.element_grad(idx, 0.0)).max()
+    noisy = lambda shift: ws.element_grad(idx, shift) + 1e-6 * scale * noise_dir
+    fit_noisy = liouville_fit(ws, noisy, radii, tol=1e-4, order=2)
     assert np.abs(fit_noisy["coefficients"] - expect).max() < 1e-4
 
-    probe = ws3.column_indices[-1]
-    contaminated = lambda shift: (ws2.element_grad(idx, shift)
-                                  + 1e-2 * ws3.element_grad(probe, shift))
-    fit_bad = liouville_fit(ws2, contaminated, radii, tol=1e-5)
+    probe = ws.column_indices[-1]
+    contaminated = lambda shift: (ws.element_grad(idx, shift)
+                                  + 1e-2 * ws.element_grad(probe, shift))
+    fit_bad = liouville_fit(ws, contaminated, radii, tol=1e-5, order=2)
     assert not fit_bad["member"]
 
 
 def test_pointwise_check_envelope(tall_ws, tall_solution):
     # the fit on the decay experiments' largest window, R/4
-    coeffs = tall_ws.excess([tall_solution.grad], 8 * np.pi)[0]["coefficients"]
+    coeffs = tall_ws.excess([tall_solution.grad], 8 * np.pi, 1)[0]["coefficients"]
     out = pointwise_check(tall_ws, tall_solution, coeffs, order=1)
     assert out["fraction_dominated"] >= 0.99
     assert out["crossover_ok"]
@@ -430,17 +458,17 @@ def test_outer_data_flux_free():
         assert abs(np.mean(vals[1])) < 1e-12
 
 
-def test_lift_coefficients_load_orders(lift_ws):
-    degrees = [int(lift_ws.elements[i].P.degree) for i in lift_ws.column_indices]
-    shear = lift_coefficients(lift_ws, "shear", seed=0)
+def test_lift_coefficients_load_orders(tall_ws):
+    degrees = [int(tall_ws.elements[i].P.degree) for i in tall_ws.column_indices]
+    shear = lift_coefficients(tall_ws, "shear", seed=0)
     assert np.count_nonzero(shear) == 1
-    rand = lift_coefficients(lift_ws, "random", seed=2)
+    rand = lift_coefficients(tall_ws, "random", seed=2)
     assert all(rand[j] != 0 for j, d in enumerate(degrees) if d == 3)
 
 
-def test_solution_grad_sampler_shift_independent(tall_solution, lift_ws):
+def test_solution_grad_sampler_shift_independent(tall_solution, tall_ws):
     # the quadratic load has x-independent velocity: gradient stays periodic
     assert np.allclose(tall_solution.grad(0.0), tall_solution.grad(2 * np.pi))
     # a degree-3 load makes the velocity genuinely non-periodic
-    rand = build_outer_solution(lift_ws, "random", seed=2)
+    rand = build_outer_solution(tall_ws, "random", seed=2)
     assert not np.allclose(rand.grad(0.0), rand.grad(2 * np.pi))
