@@ -23,7 +23,6 @@ trace row per Fourier mode, with the zero mode closed by Neumann data.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
-from itertools import groupby
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,7 +31,6 @@ import scipy.sparse.linalg as spla
 from .geometry import AliasingError, BoundaryGeometry, InputError, SolverError
 from .modes import (ModeExpansion, dtn_matrix, halfline_integrals, poly_add, poly_derive,
                     poly_eval0, solve_mode_numeric)
-from .polynomials import VectorPolynomial
 
 
 # ---------------------------------------------------------------------------
@@ -269,17 +267,14 @@ def _csc(n: int, parts) -> sp.csc_matrix:
 
     rows has shape (..., nr, 1) and cols one of
       (..., 1, nc)  every row of a block meets every column of its block,
-      (..., nr, 1)  one entry per row,
-      (nr, nc)      row r meets the columns cols[r], which may recur in
-                    other rows of the part;
-    no column repeats within a row, nor within a part of the first two
-    kinds.  values is an array broadcasting to the entries, or a function
-    making one, called only when its part is written.  Pass 1 counts each
-    column's entries from the patterns; pass 2 writes each part's rows and
-    values straight to their CSC positions, advancing one cursor per column,
-    and drops them before the next part.  Parts must reach every column in
-    ascending row order, which makes the result canonical with no sorting
-    pass.
+      (..., nr, 1)  one entry per row;
+    no column repeats within a part.  values is an array broadcasting to the
+    entries, or a function making one, called only when its part is written.
+    Pass 1 counts each column's entries from the patterns; pass 2 writes each
+    part's rows and values straight to their CSC positions, advancing one
+    cursor per column, and drops them before the next part.  Parts must reach
+    every column in ascending row order, which makes the result canonical
+    with no sorting pass.
     """
     counts = np.zeros(n, np.intp)
     for rows, cols, _ in parts:
@@ -305,28 +300,12 @@ def _write_part(part, cursor, indices, data):
 
 def _advance(counts, rows, cols):
     """Add each column's entry count in a `_csc` part to counts."""
-    if cols.shape[-2] == 1:
-        counts[cols] += rows.shape[-2]
-    elif cols.shape[-1] == 1:
-        counts[cols] += 1
-    else:
-        np.add.at(counts, cols, 1)
+    counts[cols] += rows.shape[-2] if cols.shape[-2] == 1 else 1
 
 
 def _ranks(rows, cols):
     """Each entry's place, in row order, among its column's entries in a `_csc` part."""
-    if cols.shape[-2] == 1:
-        return np.arange(rows.shape[-2])[:, None]
-    if cols.shape[-1] == 1:
-        return 0
-    # rows with their own columns: count each column's occurrences in earlier rows
-    flat = cols.ravel()
-    order = np.argsort(flat, kind="stable")
-    sorted_cols, place = flat[order], np.arange(flat.size)
-    run_start = np.where(np.concatenate(([True], sorted_cols[1:] != sorted_cols[:-1])), place, 0)
-    ranks = np.empty_like(flat)
-    ranks[order] = place - np.maximum.accumulate(run_start)
-    return ranks.reshape(cols.shape)
+    return np.arange(rows.shape[-2])[:, None] if cols.shape[-2] == 1 else 0
 
 
 def _row(row: int, cols, vals):
@@ -425,12 +404,8 @@ def assemble(grid: StripGrid, top_kind: type):
         if dirichlet:
             parts.append((iu(c, ny)[:, None], iu(c, ny)[:, None], 1.0))
         else:
-            # one part per run of top rows with equally many entries
-            slots = iu(c, ny)[:, None]
-            for _, run in groupby(top_rows[c * nx:(c + 1) * nx], key=lambda row: row[0].size):
-                cols, vals = map(np.array, zip(*run))
-                parts.append((slots[:len(cols)], cols, vals))
-                slots = slots[len(cols):]
+            parts += [_row(slot, cols, vals) for slot, (cols, vals)
+                      in zip(iu(c, ny), top_rows[c * nx:(c + 1) * nx])]
 
     # continuity rows at each pressure cell, velocity level t+1 then t
     vols = g.mid_volumes()
@@ -671,35 +646,23 @@ def divergence_residual(g: StripGrid, u: np.ndarray, div_data) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# cell problems driven by polynomial boundary data
+# the wall problem: level 0 of the corrector hierarchy
 # ---------------------------------------------------------------------------
 
-def boundary_trace(grid: StripGrid, P: VectorPolynomial) -> np.ndarray:
-    """Values of -P(x, gamma(x)) along the wall."""
-    vals = np.zeros((2, grid.nx))
-    for c in range(2):
-        for exp, coeff in P[c].terms.items():
-            vals[c] -= float(coeff) * grid.x ** exp[0] * grid.gamma ** exp[1]
-    return vals
-
-
-def monomial_data(l: int, comp: int) -> VectorPolynomial:
-    """P = y^l e_comp (comp is 1-based to match the driving index i)."""
+def wall_problem(grid: StripGrid, l: int, comp: int) -> CellProblem:
+    """Bounded cell problem with wall data -gamma(x)^l e_comp (comp 1-based,
+    the driving index i) and a homogeneous transparent top."""
     if l < 1 or comp not in (1, 2):
-        raise ValueError("need l >= 1 and comp in {1, 2}")
-    return VectorPolynomial.unit_monomial((0, l), comp - 1, 2)
+        raise InputError("need l >= 1 and comp in {1, 2}")
+    bottom = np.zeros((2, grid.nx))
+    bottom[comp - 1] -= grid.gamma ** l
+    return CellProblem(grid=grid, bottom=bottom, top=TransparentTop())
 
 
 def solve_cell(geometry: BoundaryGeometry, l: int, comp: int,
                height: float = DEFAULT_HEIGHT, *, nx: int, ny: int) -> CellSolution:
     """Bounded cell corrector with data v = -y^l e_comp on the wall."""
-    grid = StripGrid(geometry, height=height, nx=nx, ny=ny)
-    problem = CellProblem(
-        grid=grid,
-        bottom=boundary_trace(grid, monomial_data(l, comp)),
-        top=TransparentTop(),
-    )
-    return solve_stokes(problem)
+    return solve_stokes(wall_problem(StripGrid(geometry, height=height, nx=nx, ny=ny), l, comp))
 
 
 def _transparent_values(k: int, qbar, vbar, W_coeffs) -> tuple[complex, complex]:

@@ -140,6 +140,14 @@ def load_geometry(path: str):
     return BoundaryGeometry.from_json_dict(load_json(path))
 
 
+def load_cell_geometry(args):
+    """The wall of `cell` or `corrector`, whose shared lid `--height` must be >= 1."""
+    geometry = load_geometry(args.geometry)
+    if args.height < 1:
+        raise ConfigError("--height must be >= 1")
+    return geometry
+
+
 # ---------------------------------------------------------------------------
 # subcommands: each returns the paths of the artifacts it wrote
 # ---------------------------------------------------------------------------
@@ -174,11 +182,7 @@ def cmd_basis(args) -> list[str]:
 def cmd_cell(args) -> list[str]:
     from .cell import solve_cell
 
-    geometry = load_geometry(args.geometry)
-    if args.l < 1 or args.i not in (1, 2):
-        raise ConfigError("need --l >= 1 and --i in {1, 2}")
-    if args.height < 1:
-        raise ConfigError("--height must be >= 1")
+    geometry = load_cell_geometry(args)
     sol = solve_cell(geometry, l=args.l, comp=args.i,
                      height=args.height, nx=args.nx, ny=args.ny)
     grid = sol.grid
@@ -206,7 +210,7 @@ def cmd_cell(args) -> list[str]:
 def cmd_corrector(args) -> list[str]:
     from .recursion import CorrectorStack, stack_from_json, stack_to_json
 
-    geometry = load_geometry(args.geometry)
+    geometry = load_cell_geometry(args)
     try:
         alpha = int(args.alpha)
     except ValueError:
@@ -257,6 +261,7 @@ def cmd_regularity(args) -> list[str]:
     from .cell import StripGrid
     from .recursion import CorrectorStack
     from .regularity import (
+        KINDS,
         RegularityWorkspace,
         build_outer_solution,
         decay_experiments,
@@ -277,8 +282,7 @@ def cmd_regularity(args) -> list[str]:
     # phase 1, every solve: the workspace, at the lift's order, solves the stack
     # levels it samples, and each outer datum is one tall-strip solve
     ws = RegularityWorkspace(stack, max(args.order + 1, 3), grid)
-    kinds = ("shear", "quadratic", "random")
-    solutions = [build_outer_solution(ws, kind, seed=args.seed) for kind in kinds]
+    solutions = [build_outer_solution(ws, kind, seed=args.seed) for kind in KINDS]
     # phase 2 only samples the solutions, so the factors can go before it;
     # the workspace builds its coefficient arrays only now, and each window
     # pass fits all three data at once on the order-m leading columns
@@ -287,7 +291,7 @@ def cmd_regularity(args) -> list[str]:
     reports = decay_experiments(ws, solutions, args.order)
     fits = projected_fits(ws, [s.grad for s in solutions], 4 * np.pi, args.order, ws.order)
     results = {}
-    for kind, solution, rep, coeffs in zip(kinds, solutions, reports, fits):
+    for kind, solution, rep, coeffs in zip(KINDS, solutions, reports, fits):
         results[kind] = dict(rep, pointwise=pointwise_check(ws, solution, coeffs, args.order))
     payload = {
         "order": args.order,

@@ -27,10 +27,9 @@ from .cell import (
     CellProblem,
     StripGrid,
     TransparentTop,
-    boundary_trace,
-    monomial_data,
     solve_stokes,
     trace_expansion,
+    wall_problem,
 )
 from .geometry import BoundaryGeometry, InputError
 from .modes import (
@@ -142,9 +141,11 @@ def _mode_lists(expansion: ModeExpansion, k: int) -> tuple[list, list, list]:
 
 
 def level_problem(stack: "CorrectorStack", beta: int, l: int, comp: int):
-    """Cell problem of level beta >= 1, its growth part and Pi^beta_poly.
+    """Cell problem of level beta, its growth part and Pi^beta_poly.
 
-    Levels beta - 1 and beta - 2 (zero below 0) give the data F^beta at the
+    Level 0 is the wall problem: data -gamma^l e_comp on the wall, a
+    homogeneous top, and zero growth part and Pi.  For beta >= 1, levels
+    beta - 1 and beta - 2 (zero below 0) give the data F^beta at the
     nodes and G^beta at the midpoints.  The divergence corrector W^beta has
     polynomial part W_poly(y) = -C(beta,1) int_0^y (V^{beta-1}_poly)_1 e_2 and,
     for k > 0, mode part W_k = -C(beta,1) (V^{beta-1}_k)_1 / (ik) e_1.  The
@@ -156,9 +157,9 @@ def level_problem(stack: "CorrectorStack", beta: int, l: int, comp: int):
     (F_k + W_k'' - 2k W_k', W_k); the wall-region remainder of W is left to
     the discrete solve as divergence data.
     """
-    if beta < 1:
-        raise ValueError("level 0 has no source")
     g = stack.grid
+    if beta == 0:
+        return wall_problem(g, l, comp), np.zeros((2, 1)), np.zeros(1)
     c1 = comb(beta, 1)
     c2 = comb(beta, 2)
     low1 = stack.level(beta - 1, l, comp)
@@ -231,21 +232,12 @@ class CorrectorStack:
 
     def _solve_level(self, beta: int, l: int, comp: int) -> LevelSolution:
         g = self.grid
-        if beta == 0:
-            sol = solve_stokes(CellProblem(
-                grid=g,
-                bottom=boundary_trace(g, monomial_data(l, comp)),
-                top=TransparentTop(),
-            ))
-            v_poly = sol.tail[:, None].copy()
-            q_poly = np.zeros(1)
-        else:
-            problem, growth, q_poly = level_problem(self, beta, l, comp)
-            sol = solve_stokes(problem)
-            # anchor: the growth part meets the top zero mode, so V_per's
-            # zero mode vanishes at the lid
-            shift = sol.tail - npoly.polyval(g.height, growth.T)
-            v_poly = pad_stack([npoly.polyadd(p, [s]) for p, s in zip(growth, shift)])
+        problem, growth, q_poly = level_problem(self, beta, l, comp)
+        sol = solve_stokes(problem)
+        # anchor: the growth part meets the top zero mode, so V_per's zero
+        # mode vanishes at the lid
+        shift = sol.tail - npoly.polyval(g.height, growth.T)
+        v_poly = pad_stack([npoly.polyadd(p, [s]) for p, s in zip(growth, shift)])
 
         if v_poly.shape[1] > beta + 1:
             raise AssertionError(f"deg V_poly {v_poly.shape[1] - 1} exceeds {beta}")

@@ -63,8 +63,9 @@ class RegularityWorkspace:
     every period is then one Horner evaluation.
 
     The graded bases nest, so one workspace serves every order m <= order:
-    prefixes[m] = (n_m, D_m), and an order-m fit reads the first n_m columns
-    and the X-powers up to D_m, which equal an order-m workspace's arrays.
+    degrees[j] is column j's velocity degree, prefixes[m] = (n_m, D_m), and
+    an order-m fit reads the first n_m columns and the X-powers up to D_m,
+    which equal an order-m workspace's arrays.
     """
 
     def __init__(self, stack: CorrectorStack, order: int, grid: StripGrid):
@@ -84,9 +85,10 @@ class RegularityWorkspace:
         self._column_of = {idx: j for j, idx in enumerate(self.column_indices)}
         # order-m columns: velocity degree <= m; D_m: their highest X-power
         cols = [self.elements[idx] for idx in self.column_indices]
+        self.degrees = [int(el.P.degree) for el in cols]
         x_degrees = [max([poly_to_coeff2d(el.P).shape[1] - 1, poly_to_coeff2d(el.Q).shape[0] - 1]
                          + [power for _, power, _ in el.corrector.terms]) for el in cols]
-        n = [sum(int(el.P.degree) <= m for el in cols) for m in range(order + 1)]
+        n = [sum(deg <= m for deg in self.degrees) for m in range(order + 1)]
         self.prefixes = {m: (n[m], max(x_degrees[:n[m]])) for m in range(1, order + 1)}
         self._column_norms: dict = {}
 
@@ -305,6 +307,10 @@ def fit_exponent(radii, values, drop: int, floor: float = 0.0) -> dict:
 # experiments
 # ---------------------------------------------------------------------------
 
+#: The outer data of the regularity experiments, in report order.
+KINDS = ("shear", "quadratic", "random")
+
+
 def outer_data(kind: str, grid: StripGrid, seed: int) -> np.ndarray:
     """Canonical outer Dirichlet traces at the strip top (net-flux free)."""
     x = grid.x
@@ -342,16 +348,15 @@ def lift_coefficients(ws: RegularityWorkspace, kind: str, seed: int) -> np.ndarr
     would force a spurious uniform mass source.
     """
     R = ws.grid.height
-    degrees = [int(ws.elements[i].P.degree) for i in ws.column_indices]
     coeffs = np.zeros(len(ws.column_indices))
     if kind == "shear":
-        coeffs[degrees.index(1)] = 1.0
+        coeffs[ws.degrees.index(1)] = 1.0
     elif kind == "quadratic":
-        coeffs[degrees.index(1)] = 1.0
-        coeffs[degrees.index(2)] = 2.0
+        coeffs[ws.degrees.index(1)] = 1.0
+        coeffs[ws.degrees.index(2)] = 2.0
     elif kind == "random":
         rng = np.random.default_rng(seed)
-        for j, deg in enumerate(degrees):
+        for j, deg in enumerate(ws.degrees):
             draw = rng.standard_normal()
             draw = np.sign(draw) * max(abs(draw), 0.4)
             coeffs[j] = draw * R * (R / 4.0) ** (1 - deg)

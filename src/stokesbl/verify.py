@@ -27,7 +27,7 @@ from .halfspace import (delta_D_inv, dim_homogeneous_stokes, dim_stokes_space,
 from .modes import ModeData, SqrtExt, residual_check, solve_mode
 from .polynomials import ExactPolynomial, VectorPolynomial
 from .recursion import CorrectorStack, heterogeneous_basis, padded_sum, script_S
-from .regularity import (RegularityWorkspace, build_outer_solution, decay_experiments,
+from .regularity import (KINDS, RegularityWorkspace, build_outer_solution, decay_experiments,
                          dyadic_radii, fit_exponent, pointwise_check, projected_fits)
 from .walllaw import phi_table, second_order_2d, wall_law_identity_residual
 
@@ -96,11 +96,10 @@ class Shared:
     def decay_runs(self) -> dict:
         """Per outer datum its solution and excess-decay report for orders 1
         and 2 (one pass per order)."""
-        kinds = ("shear", "quadratic", "random")
-        solutions = [build_outer_solution(self.tall_ws, kind, seed=0) for kind in kinds]
+        solutions = [build_outer_solution(self.tall_ws, kind, seed=0) for kind in KINDS]
         reports = {m: decay_experiments(self.tall_ws, solutions, m) for m in (1, 2)}
         return {kind: {"solution": solution, "reports": {m: reports[m][t] for m in (1, 2)}}
-                for t, (kind, solution) in enumerate(zip(kinds, solutions))}
+                for t, (kind, solution) in enumerate(zip(KINDS, solutions))}
 
 
 def run(suite: str) -> int:
@@ -358,9 +357,8 @@ def excess_growth(shared: Shared):
     details = []
     radii = dyadic_radii(2.0, 32.0)
     ws = shared.growth_ws
-    degrees = [int(ws.elements[i].P.degree) for i in ws.column_indices]
     for m in (1, 2):
-        probe = ws.column_indices[degrees.index(m + 1)]
+        probe = ws.column_indices[ws.degrees.index(m + 1)]
         exponent = growth_experiment(ws, m, probe, radii)
         ok &= abs(exponent - m) <= 0.3
         details.append(f"m={m}: {exponent:.2f}")
@@ -407,8 +405,7 @@ def liouville_recovery(shared: Shared):
     expect[1] = 1.0
     error = np.abs(fit["coefficients"] - expect).max()
     ok = fit["member"] and error <= 1e-8
-    degrees = [int(ws.elements[i].P.degree) for i in ws.column_indices]
-    probe = ws.column_indices[degrees.index(3)]
+    probe = ws.column_indices[ws.degrees.index(3)]
     contaminated = lambda s: ws.element_grad(idx, s) + 1e-2 * ws.element_grad(probe, s)
     ok &= not liouville_fit(ws, contaminated, radii, tol=1e-5, order=2)["member"]
     return ok, f"max coefficient error {error:.1e}"

@@ -17,14 +17,13 @@ from stokesbl.cell import (
     TransparentTop,
     assemble,
     assemble_rhs,
-    boundary_trace,
     divergence_residual,
-    monomial_data,
     solve_cell,
     solve_stokes,
     trace_expansion,
+    wall_problem,
 )
-from stokesbl.geometry import AliasingError, BoundaryGeometry
+from stokesbl.geometry import AliasingError, BoundaryGeometry, InputError
 from stokesbl.modes import ModeExpansion, solve_mode_numeric
 
 COS_WALL = BoundaryGeometry.from_fourier({0: -0.5, 1: -0.25})
@@ -266,11 +265,19 @@ def test_grid_rejects_aliased_geometry():
     StripGrid(aliased, 3.0, nx=28, ny=20)
 
 
-def test_boundary_trace_monomial():
+def test_wall_problem_data():
     grid = StripGrid(COS_WALL, 3.0, nx=16, ny=20)
-    vals = boundary_trace(grid, monomial_data(2, 1))
-    assert np.allclose(vals[0], -grid.gamma ** 2)
-    assert np.allclose(vals[1], 0.0)
+    for l, comp in [(1, 1), (2, 1), (3, 2)]:
+        problem = wall_problem(grid, l, comp)
+        assert problem.grid is grid
+        assert np.array_equal(problem.bottom[comp - 1], -grid.gamma ** l)
+        assert not np.any(problem.bottom[2 - comp])
+        assert isinstance(problem.top, TransparentTop) and not problem.top.exterior
+        assert not problem.top.neumann0.any()
+        assert problem.source is None and problem.div_data is None
+    for l, comp in [(0, 1), (1, 3)]:
+        with pytest.raises(InputError, match="need l >= 1"):
+            wall_problem(grid, l, comp)
 
 
 def _dirichlet_problem(geometry, stretch=0.0, div=False, seed=0):
@@ -489,9 +496,8 @@ def test_factor_is_cached_per_grid_and_top_kind(monkeypatch):
 
     monkeypatch.setattr(spla, "splu", counting_splu)
     grid = StripGrid(COS_WALL, height=3.0, nx=16, ny=20)
-    first = solve_stokes(CellProblem(grid, boundary_trace(grid, monomial_data(1, 1)),
-                                     TransparentTop()))
-    bottom = boundary_trace(grid, monomial_data(2, 2))
+    first = solve_stokes(wall_problem(grid, 1, 1))
+    bottom = wall_problem(grid, 2, 2).bottom
     top = TransparentTop(sources={1: ([[0.3 + 0.1j], [0.2j]], NO_SOURCE)},
                          neumann0=np.array([0.1, -0.2]))
     second = solve_stokes(CellProblem(grid, bottom, top))
@@ -520,7 +526,7 @@ def test_factor_is_cached_per_grid_and_top_kind(monkeypatch):
 ], ids=["transparent", "dirichlet", "unconverged"])
 def test_linear_residual_is_that_of_the_returned_solution(monkeypatch, top, noise):
     grid = StripGrid(COS_WALL, height=3.0, nx=16, ny=20)
-    problem = CellProblem(grid, boundary_trace(grid, monomial_data(1, 1)), top)
+    problem = CellProblem(grid, wall_problem(grid, 1, 1).bottom, top)
     solve_stokes(problem)
     factor = grid.factors[type(top)]
     if noise:
@@ -552,7 +558,7 @@ def test_linear_residual_is_that_of_the_returned_solution(monkeypatch, top, nois
                          ids=["transparent", "dirichlet"])
 def test_wrong_solve_raises_solver_error(top):
     grid = StripGrid(COS_WALL, height=3.0, nx=16, ny=20)
-    problem = CellProblem(grid, boundary_trace(grid, monomial_data(1, 1)), top)
+    problem = CellProblem(grid, wall_problem(grid, 1, 1).bottom, top)
     assert solve_stokes(problem).diagnostics["linear_residual"] < 1e-10
     factor = grid.factors[type(top)]
     exact = factor.solve

@@ -108,6 +108,11 @@ def test_cell_rejects_unrepresentable_geometry(tmp_path, payload, capsys):
     ["regularity", "--stretch", "nan"],
     ["regularity", "--stretch", "1e6"],  # the mapped nodes overflow
     ["cell", "--height", "1e300"],  # the inverse metric squares to zero
+    # one lid rule for cell and corrector; cell takes its index rule from wall_problem
+    ["cell", "--height", "0.8"],
+    ["corrector", "--height", "0.8"],
+    ["cell", "--l", "0"],
+    ["cell", "--i", "3"],
     ["regularity", "--seed", "-1"],
     ["corrector", "--alpha", "x"],
     ["corrector", "--alpha", "1.5"],

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.interpolate import CubicSpline
 
-from stokesbl.cell import StripGrid, divergence_residual
+from stokesbl.cell import (StripGrid, TransparentTop, divergence_residual, solve_cell,
+                           wall_problem)
 from stokesbl.cli import dump_json, main
 from stokesbl.geometry import BoundaryGeometry
 from stokesbl.modes import ModeExpansion, poly_add, poly_derive, poly_scale
@@ -102,6 +103,29 @@ def test_level_zero_structure(stack):
     assert lv.const[0] > 0          # slip length is positive
     assert abs(lv.const[1]) < 5e-3  # no vertical tail
     assert np.abs(lv.q_poly).max() == 0.0
+
+
+@pytest.mark.parametrize("wall", [COS_WALL, BoundaryGeometry.flat()], ids=["cosine", "flat"])
+def test_level_zero_is_the_cell_corrector(wall):
+    # `stokesbl cell` and the stack's level 0 solve one wall problem
+    stack = CorrectorStack(wall, nx=16, ny=20)
+    for l in (1, 2, 3):
+        for comp in (1, 2):
+            tail = solve_cell(wall, l, comp, nx=16, ny=20).tail
+            assert tail.tobytes() == stack.level(0, l, comp).const.tobytes()
+
+
+def test_level_problem_of_level_zero_is_the_wall_problem(stack):
+    for l, comp in [(1, 1), (2, 2)]:
+        problem, growth, pi_poly = level_problem(stack, 0, l, comp)
+        want = wall_problem(stack.grid, l, comp)
+        assert problem.grid is stack.grid
+        assert np.array_equal(problem.bottom, want.bottom)
+        assert isinstance(problem.top, TransparentTop) and not problem.top.exterior
+        assert not problem.top.neumann0.any()
+        assert problem.source is None and problem.div_data is None
+        assert np.array_equal(growth, np.zeros((2, 1)))
+        assert np.array_equal(pi_poly, np.zeros(1))
 
 
 def test_level_one_degree_and_coefficient(stack):

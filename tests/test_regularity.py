@@ -8,6 +8,7 @@ from stokesbl.cell import StripGrid
 from stokesbl.geometry import BoundaryGeometry
 from stokesbl.recursion import CorrectorStack, coeff_derivative, poly_to_coeff2d
 from stokesbl.regularity import (
+    KINDS,
     RegularityWorkspace,
     build_outer_solution,
     decay_experiments,
@@ -453,13 +454,14 @@ def test_nnls_2col_matches_scipy_nnls():
 
 def test_outer_data_flux_free():
     grid = StripGrid(COS_WALL, height=20.0, nx=24, ny=64, stretch=2.0)
-    for kind in ("shear", "quadratic", "random"):
+    for kind in KINDS:
         vals = outer_data(kind, grid, seed=5)
         assert abs(np.mean(vals[1])) < 1e-12
 
 
 def test_lift_coefficients_load_orders(tall_ws):
     degrees = [int(tall_ws.elements[i].P.degree) for i in tall_ws.column_indices]
+    assert tall_ws.degrees == degrees
     shear = lift_coefficients(tall_ws, "shear", seed=0)
     assert np.count_nonzero(shear) == 1
     rand = lift_coefficients(tall_ws, "random", seed=2)
