@@ -142,28 +142,21 @@ def delta_D_inv(f: ExactPolynomial) -> ExactPolynomial:
     return ExactPolynomial._trusted(f.dim, out)
 
 
-def _pressure_lift_any(p: ExactPolynomial) -> VectorPolynomial:
-    """S[p] = Delta_D^{-1} grad p + odd extension correction; p harmonic."""
+def pressure_lift(p: ExactPolynomial) -> VectorPolynomial:
+    """Velocity S[p] so that (S[p], p) is a no-slip Stokes pair.
+
+    S[p] = Delta_D^{-1} grad p plus the odd extension of
+    c(x) = -int_0^{x_1} d_y p(z, x_2, ..., 0) dz in the first component.
+    Precondition, not checked: p is harmonic.  For any other p the result
+    is not a Stokes pair.
+    """
     d = p.dim
     u_comps = [delta_D_inv(p.derive(axis)) for axis in range(d)]
-    # c(x) = -int_0^{x_1} d_y p(z, x_2, ..., 0) dz, then the odd extension of c
     g = p.derive(d - 1).trace_at_zero()
     c = -g.antiderive(0)
     v1 = harmonic_extension(ExactPolynomial.zero(d), c)
     u_comps[0] = u_comps[0] + v1
     return VectorPolynomial(u_comps)
-
-
-def pressure_lift(p: ExactPolynomial) -> VectorPolynomial:
-    """Velocity S[p] so that (S[p], p) is a no-slip Stokes pair.
-
-    Requires p homogeneous harmonic of degree >= 1.
-    """
-    if not p.laplacian().is_zero():
-        raise ValueError("pressure must be harmonic")
-    if not p.is_homogeneous() or p.is_zero() or p.degree < 1:
-        raise ValueError("pressure must be homogeneous of degree >= 1")
-    return _pressure_lift_any(p)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +289,7 @@ def homogeneous_stokes_basis(m: int, d: int) -> tuple[list[StokesPair], list[str
     elements: list[StokesPair] = []
     tags: list[str] = []
     for p in harmonic_basis(m - 1, d):
-        elements.append(StokesPair(_pressure_lift_any(p), p))
+        elements.append(StokesPair(pressure_lift(p), p))
         tags.append("V1")
     for pair in zero_pressure_basis(m, d):
         elements.append(pair)

@@ -132,12 +132,6 @@ class ExactPolynomial:
             return NEG_INF
         return max(sum(e) for e in self._terms)
 
-    def homogeneous_degrees(self) -> list[int]:
-        return sorted({sum(e) for e in self._terms})
-
-    def is_homogeneous(self) -> bool:
-        return len(self.homogeneous_degrees()) <= 1
-
     # -- ring operations ----------------------------------------------------
 
     def _check_dim(self, other: "ExactPolynomial") -> None:
@@ -173,14 +167,6 @@ class ExactPolynomial:
         if f == 0:
             return ExactPolynomial.zero(self.dim)
         return ExactPolynomial._trusted(self.dim, {e: f * c for e, c in self._terms.items()})
-
-    def __pow__(self, n: int) -> "ExactPolynomial":
-        if n < 0:
-            raise ValueError("negative power")
-        out = ExactPolynomial.constant(1, self.dim)
-        for _ in range(n):
-            out = out * self
-        return out
 
     def __eq__(self, other) -> bool:
         return (
@@ -255,14 +241,6 @@ class ExactPolynomial:
                 {"exp": list(exp), "num": str(c.numerator), "den": str(c.denominator)}
             )
         return {"dim": self.dim, "terms": terms}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ExactPolynomial":
-        terms = {
-            tuple(t["exp"]): Fraction(int(t["num"]), int(t["den"]))
-            for t in data["terms"]
-        }
-        return cls(int(data["dim"]), terms)
 
     # -- misc -------------------------------------------------------------------
 
@@ -371,10 +349,6 @@ class VectorPolynomial:
 
     def to_json_dict(self) -> dict:
         return {"components": [c.to_json_dict() for c in self.components]}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "VectorPolynomial":
-        return cls([ExactPolynomial.from_json_dict(c) for c in data["components"]])
 
     def __repr__(self) -> str:
         return "(" + ", ".join(repr(c) for c in self.components) + ")"

@@ -139,44 +139,25 @@ def wall_law_identity_residual(table: WallLawTable, element: HeterogeneousElemen
     return float(np.abs(resid).max() / scale)
 
 
-def second_order_2d(stack: CorrectorStack) -> dict:
-    """The explicit second-order wall law for 2-D flows.
+def second_order_2d(table: WallLawTable) -> dict:
+    """The explicit second-order wall law for 2-D flows, read off an order >= 2
+    table: the slip length lambda, the d_y^2 coefficient c_yy and the
+    mixed-derivative coefficient vector.
 
-    Reports the slip length, the d_y^2 coefficient, the mixed-derivative
-    coefficient vector, and the epsilon-rescaled symbolic form; raises
-    WallLawAccuracyError if the slip length fails to be positive.
+    Raises WallLawAccuracyError if the slip length fails to be positive.
     """
-    table = phi_table(stack, 2)
+    if table.order < 2:
+        raise ValueError("the second-order law needs a table of order >= 2")
     lam = table.slip_length
     if lam <= 0:
         raise WallLawAccuracyError(
             f"slip length {lam} is not positive: refine the cell solve"
         )
     phi02 = table.phi[(0, 2)]
-    phi11 = table.phi[(1, 1)]
-    c_yy = float(phi02[0, 0, 0])
     # e1-coefficient of d_y d_x w1 groups Phi^{1,1} col 1 with -Phi^{0,2} col 2
-    c_xy_vector = phi11[:, 0, 0] - phi02[:, 1, 0]
-    v02_2 = stack.level(0, 2, 2).const
-    report = {
+    c_xy_vector = table.phi[(1, 1)][:, 0, 0] - phi02[:, 1, 0]
+    return {
         "lambda": lam,
-        "c_yy": c_yy,
+        "c_yy": float(phi02[0, 0, 0]),
         "c_xy_vector": [float(v) for v in c_xy_vector],
-        "sign_c_yy": float(np.sign(c_yy)),  # reported, not asserted
-        "x_dependence_max": float(
-            max(np.abs(phi11[:, :, 1:]).max() if phi11.shape[-1] > 1 else 0.0,
-                np.abs(phi02[:, :, 1:]).max() if phi02.shape[-1] > 1 else 0.0)
-        ),
-        "epsilon_scaled_form": {
-            "eps^1": {"e1 * dy w1": lam},
-            "eps^2": {
-                "e1 * dy2 w1": c_yy,
-                "vector * dydx w1": [float(v) for v in c_xy_vector],
-            },
-            "principal_part": {"w1(x,0)": "eps * lambda * dy w1(x,0)", "w2(x,0)": 0.0},
-        },
-        "first_order_tails": {c: [float(v) for v in t] for c, t in table.tails.items()},
-        "v02_2_const": [float(v) for v in v02_2],
     }
-    return report
-

@@ -61,13 +61,17 @@ def test_second_order_closed_form(stack, table):
     lv02_1 = stack.level(0, 2, 1)
     lv02_2 = stack.level(0, 2, 2)
     lv11 = stack.level(1, 1, 1)
-    report = second_order_2d(stack)
+    report = second_order_2d(table)
+    assert set(report) == {"lambda", "c_yy", "c_xy_vector"}
     assert report["lambda"] == pytest.approx(lv01.const[0], rel=1e-12)
     assert report["c_yy"] == pytest.approx(lv02_1.const[0] / 2.0, rel=1e-10)
     expected_vec = -0.5 * (-2.0 * lv11.const + lv02_2.const)
     assert np.allclose(report["c_xy_vector"], expected_vec, rtol=1e-8, atol=1e-12)
-    assert "eps^2" in report["epsilon_scaled_form"]
-    assert report["epsilon_scaled_form"]["principal_part"]["w2(x,0)"] == 0.0
+
+
+def test_second_order_needs_order_two(stack):
+    with pytest.raises(ValueError):
+        second_order_2d(phi_table(stack, 1))
 
 
 def test_phi11_x_dependence_cancels_in_first_column(table):
@@ -108,8 +112,9 @@ def test_identity_on_recombined_basis(stack):
 
 def test_second_order_flat_is_zero():
     flat = CorrectorStack(BoundaryGeometry.flat(), nx=16, ny=20)
+    table = phi_table(flat, 2)
     with pytest.raises(WallLawAccuracyError):
-        second_order_2d(flat)  # lambda == 0 must be flagged, not accepted
+        second_order_2d(table)  # lambda == 0 must be flagged, not accepted
 
 
 def het_part_velocity(corr, x, y, comp: int) -> np.ndarray:
