@@ -242,10 +242,12 @@ def cmd_wall_law(args) -> list[str]:
     from .recursion import stack_from_json
     from .walllaw import phi_table
 
-    stack = stack_from_json(load_json(args.stack))
     if args.order < 1:
         raise ConfigError("--order must be >= 1")
+    stack = stack_from_json(load_json(args.stack))
+    stored = set(stack.levels)
     table = phi_table(stack, args.order)
+    solved = sorted(set(stack.levels) - stored)
     stack.grid.factors.clear()  # phi_table may have solved levels: free the LU
     out = write_atomic(args.out, dump_json(table.to_json_dict()))
     csv_path = write_csv(os.path.splitext(args.out)[0] + ".csv",
@@ -253,6 +255,7 @@ def cmd_wall_law(args) -> list[str]:
         (alpha + l, alpha, l, r + 1, c + 1, p, v)
         for (alpha, l), mat in sorted(table.phi.items())
         for r in range(2) for c in range(2) for p, v in enumerate(mat[r, c])))
+    print(f"wall-law: levels solved in-process: {len(solved)}, (beta, l, comp) = {solved}")
     print(f"wall-law: slip length = {table.slip_length:.6g} -> {out}, {csv_path}")
     return [out, csv_path]
 

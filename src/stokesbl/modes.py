@@ -27,8 +27,6 @@ from math import gcd, isqrt, lcm, sqrt
 
 import numpy as np
 
-from .geometry import InputError
-
 
 # ---------------------------------------------------------------------------
 # exact scalars: (a) + (b) sqrt(n) with Gaussian-rational a, b
@@ -533,9 +531,6 @@ class ModeExpansion:
     nyquist: int
     modes: dict
 
-    def wavenumbers(self) -> list[int]:
-        return sorted(self.modes)
-
     def fields(self, x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Real (u1, u2, p) at (x, y) in one sweep over the modes.
 
@@ -553,40 +548,3 @@ class ModeExpansion:
             for out, poly in zip(outs, (*data["V"], data["Q"])):
                 out += weight * (np.polynomial.polynomial.polyval(z, poly) * decay * wave)
         return tuple(outs.real)
-
-    def to_json_list(self) -> list:
-        out = []
-        for k in self.wavenumbers():
-            data = self.modes[k]
-            out.append(
-                {
-                    "k": int(k),
-                    "V_coeffs": [[[float(c.real), float(c.imag)] for c in comp] for comp in data["V"]],
-                    "Q_coeffs": [[float(c.real), float(c.imag)] for c in data["Q"]],
-                }
-            )
-        return out
-
-    @classmethod
-    def from_json_list(cls, items: list, L: float, nyquist: int) -> "ModeExpansion":
-        """Inverse of to_json_list, bit for bit.
-
-        InputError on a malformed or repeated entry, or a wavenumber outside
-        0 < k <= nyquist.
-        """
-        modes = {}
-        try:
-            for item in items:
-                k, V, Q = item["k"], *(np.array(item[key], dtype=float)
-                                       for key in ("V_coeffs", "Q_coeffs"))
-                if type(k) is not int or not 0 < k <= nyquist:
-                    raise ValueError(f"k = {k!r} is not an int in 1..{nyquist}")
-                if V.ndim != 3 or V.shape[::2] != (2, 2) or Q.ndim != 2 or Q.shape[1] != 2:
-                    raise ValueError(f"k = {k} needs V_coeffs (2, n, 2), Q_coeffs (m, 2)")
-                if k in modes:
-                    raise ValueError(f"k = {k} repeats")
-                # (re, im) pairs viewed as complex128
-                modes[k] = {"V": V.view(complex)[..., 0], "Q": Q.view(complex)[:, 0]}
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"malformed mode entry: {exc!r}") from exc
-        return cls(float(L), nyquist, modes)

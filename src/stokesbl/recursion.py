@@ -346,23 +346,27 @@ def heterogeneous_basis(stack: CorrectorStack, order: int) -> list[Heterogeneous
 # persistence
 # ---------------------------------------------------------------------------
 
+def _f8(arr: np.ndarray) -> dict:
+    """{shape, f8}: the shape and the base64 of the little-endian float64 bytes;
+    a complex array is stored with a trailing (re, im) axis."""
+    if np.iscomplexobj(arr):
+        arr = np.asarray(arr, dtype="<c16").view("<f8").reshape(np.shape(arr) + (2,))
+    arr = np.asarray(arr, dtype="<f8")
+    return {"shape": list(arr.shape), "f8": base64.b64encode(arr.tobytes()).decode()}
+
+
 def stack_to_json(stack: CorrectorStack) -> dict:
     levels = []
     for (beta, l, comp), lv in sorted(stack.levels.items()):
         levels.append({
             "beta": beta, "l": l, "comp": comp,
-            # shape plus base64 of the little-endian float64 bytes
-            **{key: {"shape": list(arr.shape),
-                     "f8": base64.b64encode(np.asarray(arr, dtype="<f8").tobytes()).decode()}
-               for key, arr in (("u", lv.u), ("p_nodes", lv.p_nodes))},
-            "v_poly": lv.v_poly.tolist(),
-            "q_poly": np.atleast_1d(lv.q_poly).tolist(),
-            "modes": lv.modes.to_json_list(),
-            "diagnostics": {k: (list(v) if isinstance(v, tuple) else v)
-                            for k, v in lv.diagnostics.items()},
+            **{key: _f8(getattr(lv, key)) for key in ("u", "p_nodes", "v_poly", "q_poly")},
+            "modes": [{"k": k, **{key: _f8(mode[key]) for key in ("V", "Q")}}
+                      for k, mode in sorted(lv.modes.modes.items())],
+            "diagnostics": lv.diagnostics,  # json writes a tuple as a list
         })
     return {
-        "schema": 4,
+        "schema": 5,
         "stokesbl": __version__,
         "geometry": stack.geometry.to_json_dict(),
         "geometry_hash": stack.geometry.digest(),
@@ -386,20 +390,18 @@ def _missing(data, keys, where: str) -> None:
         raise InputError(f"{where} lacks {', '.join(missing)}")
 
 
-def _level_array(lv: dict, key: str, shape: tuple, where: str, f8=False) -> np.ndarray:
-    """lv[key] as a float array of the given shape; None matches any length.
-    With f8, lv[key] is a {shape, f8} object from stack_to_json, else nested lists."""
+def _level_array(lv: dict, key: str, shape: tuple, where: str) -> np.ndarray:
+    """lv[key], a {shape, f8} object from _f8, as a float array of the given
+    shape; None matches any length >= 1."""
     try:
-        if f8:
-            n, raw = lv[key]["shape"], base64.b64decode(lv[key]["f8"], validate=True)
-            if type(n) is not list or not all(type(m) is int for m in n) or len(raw) != 8 * prod(n):
-                raise ValueError(f"{len(raw)} bytes do not fill the int shape {n!r}")
-            arr = np.frombuffer(raw, dtype="<f8").astype(float).reshape(n)
-        else:
-            arr = np.array(lv[key], dtype=float)
+        n, raw = lv[key]["shape"], base64.b64decode(lv[key]["f8"], validate=True)
+        if type(n) is not list or not all(type(m) is int for m in n) or len(raw) != 8 * prod(n):
+            raise ValueError(f"{len(raw)} bytes do not fill the int shape {n!r}")
+        arr = np.frombuffer(raw, dtype="<f8").astype(float).reshape(n)
     except (KeyError, TypeError, ValueError) as exc:  # binascii.Error is a ValueError
-        raise InputError(f"{where}: {key} is not a valid numeric array: {exc}") from exc
-    if arr.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, arr.shape)):
+        raise InputError(f"{where}: {key} is not a valid {{shape, f8}} array: {exc}") from exc
+    if arr.ndim != len(shape) or any(m < 1 or n not in (None, m)
+                                     for n, m in zip(shape, arr.shape)):
         expected = "(" + ", ".join("n" if n is None else str(n) for n in shape) + ")"
         raise InputError(f"{where}: {key} has shape {arr.shape}, expected {expected}")
     return arr
@@ -413,17 +415,32 @@ def _field(data: dict, key: str, where: str, kind, valid, need: str):
     return value
 
 
+def _mode_expansion(lv: dict, height: float, nyquist: int, where: str) -> ModeExpansion:
+    """lv's mode entries {k, V (2, n, 2), Q (m, 2)} as an expansion, each
+    profile's trailing (re, im) axis viewed as complex128."""
+    modes, at = {}, f"{where} mode"
+    for item in _field(lv, "modes", where, list, lambda v: True, "a list"):
+        _missing(item, ("k", "V", "Q"), at)
+        k = _field(item, "k", at, int, lambda v: 0 < v <= nyquist, f"an int in 1..{nyquist}")
+        if k in modes:
+            raise InputError(f"{at} k = {k} repeats")
+        modes[k] = {key: _level_array(item, key, shape, f"{at} {k}").view(complex)[..., 0]
+                    for key, shape in (("V", (2, None, 2)), ("Q", (None, 2)))}
+    return ModeExpansion(float(height), nyquist, modes)
+
+
 def stack_from_json(data: dict) -> CorrectorStack:
     """Rebuild a stack written by stack_to_json, checking it on the way.
 
-    Raises InputError when the file is not schema 4, a key is missing, the
+    Raises InputError when the file is not schema 5, a key is missing, the
     grid fields or a level's (beta, l, comp) are not in range ints (height a
-    finite number), a level array, mode entry or diagnostics is malformed or
-    misfits the grid, a level repeats, or geometry_hash is not the stored
-    geometry's digest.
+    finite number), a level or mode array is not a {shape, f8} object that
+    fits the grid, a mode's k is not an int in 1..nx/2 or repeats, the
+    diagnostics are not an object, a level repeats, or geometry_hash is not
+    the stored geometry's digest.
     """
-    if not isinstance(data, dict) or data.get("schema") != 4:
-        raise InputError("stack is not schema 4: remove it and rebuild with stokesbl corrector")
+    if not isinstance(data, dict) or data.get("schema") != 5:
+        raise InputError("stack is not schema 5: remove it and rebuild with stokesbl corrector")
     _missing(data, _STACK_KEYS, "stack")
     geometry = BoundaryGeometry.from_json_dict(data["geometry"])
     if data["geometry_hash"] != geometry.digest():
@@ -431,10 +448,8 @@ def stack_from_json(data: dict) -> CorrectorStack:
     height = _field(data, "height", "stack", (int, float), isfinite, "a finite number")
     nx, ny = (_field(data, key, "stack", int, lambda v: v > 0, "a positive int")
               for key in ("nx", "ny"))
-    if not isinstance(data["levels"], list):
-        raise InputError("stack levels must be a list")
     stack = CorrectorStack(geometry, height=height, nx=nx, ny=ny)
-    for index, lv in enumerate(data["levels"]):
+    for index, lv in enumerate(_field(data, "levels", "stack", list, lambda v: True, "a list")):
         where = f"stack level {index}"
         _missing(lv, _LEVEL_KEYS, where)
         if not isinstance(lv["diagnostics"], dict):
@@ -446,11 +461,11 @@ def stack_from_json(data: dict) -> CorrectorStack:
             raise InputError(f"{where} repeats level {key}")
         stack.levels[key] = LevelSolution(
             *key,
-            u=_level_array(lv, "u", (2, nx, ny + 1), where, f8=True),
-            p_nodes=_level_array(lv, "p_nodes", (nx, ny + 1), where, f8=True),
+            u=_level_array(lv, "u", (2, nx, ny + 1), where),
+            p_nodes=_level_array(lv, "p_nodes", (nx, ny + 1), where),
             v_poly=_level_array(lv, "v_poly", (2, None), where),
             q_poly=_level_array(lv, "q_poly", (None,), where),
-            modes=ModeExpansion.from_json_list(lv["modes"], height, nx // 2),
+            modes=_mode_expansion(lv, height, nx // 2, where),
             diagnostics=dict(lv["diagnostics"]),
         )
     return stack

@@ -152,15 +152,16 @@ class RegularityWorkspace:
         """(4, nx, ny+1) gradient samples of element idx; equals samples("grad", ...)[j]."""
         return horner(self.series["grad"][:, self._column_of[idx]], self.abscissa(shift))
 
+    @cached_property
     def top_velocity(self) -> np.ndarray:
         """(ncols, 2, nx) column velocities on the top row at shift 0.
 
-        Evaluated directly, polynomial part plus corrector samples, without
-        building the coefficient arrays: the lift traces are taken while the
-        solves' factors are still alive.  The outer solves' top data are the
-        outer trace minus a lift trace orders of magnitude larger, so they
-        amplify any change in how these traces round; this arithmetic is the
-        one the recorded reports were made with.
+        Evaluated once per workspace, directly, polynomial part plus
+        corrector samples, without building the coefficient arrays: the lift
+        traces are taken while the solves' factors are still alive.  The
+        outer solves' top data are the outer trace minus a lift trace orders
+        of magnitude larger, so they amplify any change in how these traces
+        round; this arithmetic is the one the recorded reports were made with.
         """
         g = self.grid
         X, Y = g.x, g.y_nodes[:, -1]
@@ -362,7 +363,7 @@ def lift_coefficients(ws: RegularityWorkspace, kind: str, seed: int) -> np.ndarr
             coeffs[j] = draw * R * (R / 4.0) ** (1 - deg)
     else:
         raise ValueError(f"unknown outer data kind {kind!r}")
-    fluxes = np.array([float(np.mean(v[1])) for v in ws.top_velocity()])
+    fluxes = np.array([float(np.mean(v[1])) for v in ws.top_velocity])
     net = float(coeffs @ fluxes)
     if abs(net) > 1e-12 * max(1.0, np.abs(coeffs).max()):
         pivot = int(np.argmax(np.abs(fluxes)))
@@ -428,7 +429,7 @@ def build_outer_solution(lift_ws: RegularityWorkspace, kind: str,
     target = outer_data(kind, grid, seed=seed)
     coeffs = lift_coefficients(lift_ws, kind, seed=seed)
     lift = np.zeros((2, grid.nx))  # top row
-    for c_val, vals in zip(coeffs, lift_ws.top_velocity()):
+    for c_val, vals in zip(coeffs, lift_ws.top_velocity):
         if c_val != 0.0:
             lift += c_val * vals
     problem = CellProblem(

@@ -127,6 +127,11 @@ def test_unrepresentable_sizes_exit_2(tmp_path, geometry_file, argv, capsys):
     assert sorted(os.listdir(tmp_path)) == ["wall.json"]
 
 
+def _decoded(array):
+    """The float array of a {shape, f8} object."""
+    return np.frombuffer(base64.b64decode(array["f8"]), "<f8").reshape(array["shape"])
+
+
 def _break_first_level(data):
     # a 1-element u
     data["levels"][0]["u"] = {"shape": [1],
@@ -144,7 +149,20 @@ def _flatten_p_nodes(data):
 
 
 def _three_row_v_poly(data):
-    data["levels"][0]["v_poly"].append(data["levels"][0]["v_poly"][0])
+    # a third row of the same width, its bytes filling the shape
+    v_poly = data["levels"][0]["v_poly"]
+    raw = base64.b64decode(v_poly["f8"])
+    v_poly["shape"][0] = 3
+    v_poly["f8"] = base64.b64encode(raw + raw[: len(raw) // 2]).decode()
+
+
+def _empty_v_poly(data):
+    data["levels"][0]["v_poly"] = {"shape": [2, 0], "f8": ""}
+
+
+def _list_v_poly(data):
+    # the schema-4 layout of v_poly, under schema 5
+    data["levels"][0]["v_poly"] = _decoded(data["levels"][0]["v_poly"]).tolist()
 
 
 def _wrong_hash(data):
@@ -190,13 +208,37 @@ def _schema_3(data):
             mode["c"] = [0.0, 0.0]
 
 
+def _schema_4(data):
+    # the layout before schema 5: polynomials as float lists, mode profiles as
+    # nested (re, im) lists under V_coeffs and Q_coeffs
+    data["schema"] = 4
+    for lv in data["levels"]:
+        for key in ("v_poly", "q_poly"):
+            lv[key] = _decoded(lv[key]).tolist()
+        for mode in lv["modes"]:
+            mode["V_coeffs"], mode["Q_coeffs"] = (_decoded(mode.pop(key)).tolist()
+                                                  for key in ("V", "Q"))
+
+
 def _truncated(data):
     # not JSON at all: the file is cut short
     return json.dumps(data)[:-100]
 
 
 def _text_mode_coeffs(data):
-    data["levels"][0]["modes"][0]["V_coeffs"] = "x"
+    data["levels"][0]["modes"][0]["V"] = "x"
+
+
+def _short_mode_profile(data):
+    # f8 bytes that do not fill the profile's shape
+    V = data["levels"][0]["modes"][0]["V"]
+    V["f8"] = base64.b64encode(base64.b64decode(V["f8"])[:-8]).decode()
+
+
+def _mode_profile_without_re_im_axis(data):
+    # the same bytes with a last axis of 1, not (re, im)
+    V = data["levels"][0]["modes"][0]["V"]
+    V["shape"] = [2, V["shape"][1] * 2, 1]
 
 
 def _mode_without_k(data):
@@ -248,6 +290,10 @@ def _float_nx(data):
     data["nx"] = float(data["nx"])
 
 
+def _modes_not_a_list(data):
+    data["levels"][0]["modes"] = {"k": 1}
+
+
 def _repeated_wavenumber(data):
     modes = data["levels"][0]["modes"]
     modes.append(dict(modes[0]))
@@ -259,6 +305,8 @@ def _repeated_wavenumber(data):
     _schema_3, _truncated, _text_mode_coeffs, _mode_without_k, _diagnostics_list,
     _duplicate_level, _text_beta, _negative_beta, _fractional_beta, _zero_l, _comp_3,
     _bool_comp, _levels_not_a_list, _text_height, _float_nx, _repeated_wavenumber,
+    _empty_v_poly, _list_v_poly, _schema_4, _short_mode_profile,
+    _mode_profile_without_re_im_axis, _modes_not_a_list,
 ])
 def test_malformed_stack_exits_2(tmp_path, geometry_file, corrupt, capsys):
     stack_out = tmp_path / "stack.json"
@@ -278,12 +326,33 @@ def test_malformed_stack_exits_2(tmp_path, geometry_file, corrupt, capsys):
     assert stack_out.read_bytes() == written  # the failed extension left it alone
 
 
-def test_stack_without_schema_4_asks_for_a_rebuild(tmp_path, capsys):
+def test_stack_without_schema_5_asks_for_a_rebuild(tmp_path, capsys):
     stack = tmp_path / "stack.json"
-    stack.write_text(json.dumps({"geometry": {"fourier": []}, "levels": []}))
-    assert main(["wall-law", "--stack", str(stack), "--out", str(tmp_path / "law.json")]) == 2
+    for schema in ({}, {"schema": 4}):
+        stack.write_text(json.dumps({**schema, "geometry": {"fourier": []}, "levels": []}))
+        assert main(["wall-law", "--stack", str(stack), "--out", str(tmp_path / "law.json")]) == 2
+        err = capsys.readouterr().err
+        assert "not schema 5" in err and "rebuild" in err, schema
+
+
+def test_wall_law_checks_order_before_reading_the_stack(tmp_path, capsys):
+    assert main(["wall-law", "--stack", str(tmp_path / "missing.json"), "--order", "0",
+                 "--out", str(tmp_path / "law.json")]) == 2
     err = capsys.readouterr().err
-    assert "not schema 4" in err and "rebuild" in err
+    assert "--order" in err and "missing.json" not in err
+
+
+def test_wall_law_reports_levels_solved_in_process(tmp_path, geometry_file, capsys):
+    stack = str(tmp_path / "stack.json")
+    law = ["wall-law", "--stack", stack, "--order", "1", "--out", str(tmp_path / "law.json")]
+    for comp, solved in (("1", "1, (beta, l, comp) = [(0, 1, 2)]"),
+                         ("2", "0, (beta, l, comp) = []")):
+        # the order-1 table reads levels (0, 1, 1) and (0, 1, 2)
+        assert main(["corrector", "--geometry", geometry_file, "--i", comp,
+                     "--nx", "16", "--ny", "20", "--out", stack]) == 0
+        capsys.readouterr()
+        assert main(law) == 0
+        assert f"wall-law: levels solved in-process: {solved}" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [

@@ -11,7 +11,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stokesbl import modes
-from stokesbl.geometry import InputError
 from stokesbl.modes import (
     ModeData,
     ModeExpansion,
@@ -215,7 +214,7 @@ def test_zero_mode_rejected():
         dtn_map((0, 0))
 
 
-def test_mode_expansion_eval_and_json():
+def test_mode_expansion_eval():
     # a stored mode k < nyquist stands for itself and its conjugate at -k;
     # the Nyquist mode counts once
     exp = ModeExpansion(3.0, 4, {
@@ -229,17 +228,6 @@ def test_mode_expansion_eval_and_json():
     assert np.allclose(p, 4 * np.cos(x))
     u1, _, _ = exp.fields(x, 4.2)
     assert np.allclose(u1, 2 * 1.6 * np.exp(-1.2) * np.cos(x) + np.exp(-4.8) * np.cos(4 * x))
-    assert all(sorted(item) == ["Q_coeffs", "V_coeffs", "k"] for item in exp.to_json_list())
-    rebuilt = ModeExpansion.from_json_list(exp.to_json_list(), 3.0, 4)
-    assert np.array_equal(rebuilt.fields(x, 4.2), exp.fields(x, 4.2))
-
-
-@pytest.mark.parametrize("k", [0, -1, 5])
-def test_mode_list_rejects_wavenumbers_outside_one_to_nyquist(k):
-    item = {"k": k, "V_coeffs": [[[1.0, 0.0]], [[0.0, 0.0]]], "Q_coeffs": [[0.0, 0.0]]}
-    assert ModeExpansion.from_json_list([dict(item, k=4)], 3.0, 4).wavenumbers() == [4]
-    with pytest.raises(InputError, match="not an int in 1..4"):
-        ModeExpansion.from_json_list([item], 3.0, 4)
 
 
 def test_dtn_matrix_is_memoized_read_only():

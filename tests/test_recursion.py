@@ -14,7 +14,7 @@ from scipy.interpolate import CubicSpline
 from stokesbl.cell import (StripGrid, TransparentTop, divergence_residual, solve_cell,
                            wall_problem)
 from stokesbl.cli import dump_json, main
-from stokesbl.geometry import BoundaryGeometry
+from stokesbl.geometry import BoundaryGeometry, InputError
 from stokesbl.modes import ModeExpansion, poly_add, poly_derive, poly_scale
 from stokesbl.polynomials import ExactPolynomial, VectorPolynomial
 from stokesbl.recursion import (
@@ -379,21 +379,14 @@ def test_heterogeneous_basis_counts(stack, flat_stack):
 
 
 def test_stack_roundtrip(stack, flat_stack):
+    # every array of a solved level comes back bit for bit through the JSON
+    # text, the flat wall's all-zero mode profiles too
     for work in (stack, flat_stack):
         work.level(1, 1, 1)
-        data = stack_to_json(work)
-        rebuilt = stack_from_json(data)
-        lv = rebuilt.levels[(1, 1, 1)]
-        ref = work.level(1, 1, 1)
-        for mode in [*lv.modes.modes.values(), *ref.modes.modes.values()]:
-            assert isinstance(mode["V"], np.ndarray)
-            assert mode["V"].ndim == 2 and mode["V"].shape[0] == 2 and mode["V"].shape[1] >= 1
-        assert np.allclose(lv.u, ref.u)
-        assert np.allclose(lv.v_poly, ref.v_poly)
-        ks = sorted(lv.modes.modes)
-        assert ks == sorted(ref.modes.modes)
-        x = np.linspace(-np.pi, np.pi, 7)
-        assert np.allclose(lv.modes.fields(x, 4.0), ref.modes.fields(x, 4.0))
+        rebuilt = stack_from_json(json.loads(dump_json(stack_to_json(work))))
+        assert sorted(rebuilt.levels) == sorted(work.levels)
+        for key, ref in work.levels.items():
+            _assert_same_level_arrays(rebuilt.levels[key], ref)
 
 
 # -- LevelSampler against the per-column construction ------------------------
@@ -507,17 +500,41 @@ def test_stack_json_roundtrip_preserves_level_arrays(levels):
     assert sorted(rebuilt.levels) == sorted(stack.levels)
     for key, ref in stack.levels.items():
         got = rebuilt.levels[key]
-        for name in ("u", "p_nodes", "v_poly", "q_poly"):
-            assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
-            assert getattr(got, name).flags.writeable, name
+        _assert_same_level_arrays(got, ref)
         assert np.signbit(got.u[0, 0, 0]) and np.signbit(got.p_nodes[-1, -1])
-        assert sorted(got.modes.modes) == sorted(ref.modes.modes)
-        for k, data in ref.modes.modes.items():
-            back = got.modes.modes[k]
-            for c in range(2):
-                assert np.asarray(back["V"][c]).tobytes() == np.asarray(data["V"][c]).tobytes()
-            assert np.asarray(back["Q"]).tobytes() == np.asarray(data["Q"]).tobytes()
         assert got.diagnostics == ref.diagnostics
+
+
+def _assert_same_level_arrays(got, ref):
+    """u, p_nodes, v_poly, q_poly and every mode's V and Q equal bit for bit."""
+    for name in ("u", "p_nodes", "v_poly", "q_poly"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        assert a.flags.writeable, name
+    assert sorted(got.modes.modes) == sorted(ref.modes.modes)
+    assert got.modes.L == ref.modes.L and got.modes.nyquist == ref.modes.nyquist
+    for k, mode in ref.modes.modes.items():
+        for name in ("V", "Q"):
+            a, b = got.modes.modes[k][name], np.asarray(mode[name])
+            assert a.dtype == complex and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("k", [0, -1, 5])
+def test_stack_rejects_wavenumbers_outside_one_to_nyquist(k):
+    # nx = 8 stores modes 1..4; the Nyquist mode 4 counts once
+    stack = CorrectorStack(COS_WALL, nx=8, ny=16)
+    modes = {1: {"V": np.array([[1.0 + 0j, 0.5 + 0j], [0.5j, 0j]]), "Q": np.array([2.0 + 0j])},
+             4: {"V": np.array([[1.0 + 0j], [0j]]), "Q": np.array([0j])}}
+    stack.levels[(0, 1, 1)] = LevelSolution(
+        0, 1, 1, u=np.zeros((2, 8, 17)), p_nodes=np.zeros((8, 17)), v_poly=np.zeros((2, 1)),
+        q_poly=np.zeros(1), modes=ModeExpansion(stack.height, 4, modes), diagnostics={})
+    data = json.loads(dump_json(stack_to_json(stack)))
+    x = np.linspace(-np.pi, np.pi, 9)
+    back = stack_from_json(data).levels[(0, 1, 1)].modes
+    assert np.array_equal(back.fields(x, 4.2), stack.levels[(0, 1, 1)].modes.fields(x, 4.2))
+    data["levels"][0]["modes"][1]["k"] = k
+    with pytest.raises(InputError, match="must be an int in 1..4"):
+        stack_from_json(data)
 
 
 def test_cli_stack_sequence_is_byte_reproducible(tmp_path):
@@ -539,11 +556,14 @@ def test_cli_stack_sequence_is_byte_reproducible(tmp_path):
             outs.append([(root / name).read_bytes()
                          for name in ("stack.json", "walllaw.json", "walllaw.csv")])
         data = json.loads(outs[0][0])
-        assert data["schema"] == 4
+        assert data["schema"] == 5
         assert outs[0] == outs[1]
         for lv in data["levels"]:
+            for key in ("u", "p_nodes", "v_poly", "q_poly"):
+                assert sorted(lv[key]) == ["f8", "shape"], key
             for mode in lv["modes"]:
-                V = np.array(mode["V_coeffs"])
-                assert sorted(mode) == ["Q_coeffs", "V_coeffs", "k"]
+                assert sorted(mode) == ["Q", "V", "k"]
                 assert 0 < mode["k"] <= 8
-                assert V.ndim == 3 and V.shape[0] == 2 and V.shape[1] >= 1 and V.shape[2] == 2
+                assert sorted(mode["Q"]) == ["f8", "shape"] and mode["Q"]["shape"][1] == 2
+                n = mode["V"]["shape"]
+                assert len(n) == 3 and n[0] == 2 and n[1] >= 1 and n[2] == 2

@@ -118,7 +118,7 @@ def test_shift_polynomials_match_direct_evaluation(stack):
             assert np.array_equal(ws.samples("grad", shift, 3)[j], ws.element_grad(idx, shift))
             assert np.array_equal(ws.samples("pressure", shift, 3)[j],
                                   element_series(ws, "pressure", idx, shift))
-    traces = ws.top_velocity()
+    traces = ws.top_velocity
     for j, idx in enumerate(ws.column_indices):
         assert np.array_equal(traces[j], direct_velocity(ws, idx, 0.0)[:, :, -1])
 
