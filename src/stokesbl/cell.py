@@ -22,15 +22,15 @@ trace row per Fourier mode, with the zero mode closed by Neumann data.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .geometry import AliasingError, BoundaryGeometry, InputError, SolverError
-from .modes import (ModeExpansion, dtn_matrix, halfline_integrals, poly_add, poly_derive,
-                    poly_eval0, solve_mode_numeric)
+from .modes import (ModeExpansion, dtn_matrix, poly_add, poly_derive, poly_eval0,
+                    solve_mode_numeric)
 
 
 # ---------------------------------------------------------------------------
@@ -58,9 +58,8 @@ class StripGrid:
                                 f" need nx > {2 * geometry.max_mode}")
         if not (np.isfinite(height) and np.isfinite(stretch)):
             raise InputError(f"height and stretch must be finite (got {height}, {stretch})")
-        lo, hi = geometry.range()
-        if height <= hi:
-            raise InputError("height must sit above the boundary")
+        if height < 1:  # walls lie in [-1, 0], so the lid clears every one
+            raise InputError(f"lid height must be >= 1 (got {height})")
         self.geometry = geometry
         self.height = float(height)
         self.nx, self.ny = int(nx), int(ny)
@@ -205,27 +204,18 @@ class DirichletTop:
 class TransparentTop:
     """Per-mode transparent condition at y = height.
 
-    sources maps 0 < k <= nx/2 to (F, W), two coefficient lists each: the
-    reduced (divergence-free) exterior source profile of mode k and the mode
-    profile of the divergence corrector, zero for solenoidal problems.  A
-    missing mode is homogeneous.  Each mode k < nx/2 sets the real and
-    imaginary parts of its rows; the Nyquist mode k = nx/2, a real mode on
-    the grid, only the real parts, so it counts once.  neumann0 holds the d_y
-    value of the zero mode.  exterior keeps (qbar, vbar, W) per sourced mode,
-    with F's half-line integrals computed once for the top rows and for
-    trace_expansion.
+    exterior maps 0 < k <= nx/2 to (qbar, vbar, W): the half-line integrals
+    of the reduced (divergence-free) exterior source profile of mode k and
+    the mode profile of the divergence corrector, coefficient lists, W zero
+    for solenoidal problems.  A missing mode is homogeneous.  Each mode
+    k < nx/2 sets the real and imaginary parts of its rows; the Nyquist mode
+    k = nx/2, a real mode on the grid, only the real parts, so it counts
+    once.  neumann0 holds the d_y value of the zero mode.  The top rows and
+    trace_expansion both read exterior.
     """
 
-    sources: InitVar[dict | None] = None
+    exterior: dict = field(default_factory=dict)
     neumann0: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    exterior: dict = field(init=False)
-
-    def __post_init__(self, sources):
-        self.exterior = {
-            k: (*halfline_integrals((k,), [list(map(complex, comp)) for comp in F],
-                                    knorm=float(k)), W)
-            for k, (F, W) in (sources or {}).items()
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +238,6 @@ class CellSolution:
     p: np.ndarray                         # (nx, ny)
     tail: np.ndarray                      # zero Fourier mode of u at the top
     trace_modes: dict                     # k > 0 -> (2,) complex trace at top
-    exterior: dict                        # k > 0 -> (qbar, vbar, W) of a transparent top
     diagnostics: dict
 
     def pressure_nodes(self) -> np.ndarray:
@@ -619,7 +608,6 @@ def solve_stokes(problem: CellProblem) -> CellSolution:
         p=p,
         tail=np.real(spec[:, 0]),
         trace_modes=trace_modes,
-        exterior=problem.top.exterior if isinstance(problem.top, TransparentTop) else {},
         diagnostics=diagnostics,
     )
 
@@ -690,18 +678,18 @@ def _transparent_values(k: int, qbar, vbar, W_coeffs) -> tuple[complex, complex]
     return r1 - (dtn_matrix((k,)) @ w0)[0], rp + 2 * (a_k @ w0)
 
 
-def trace_expansion(solution: CellSolution) -> ModeExpansion:
+def trace_expansion(solution: CellSolution, top: TransparentTop) -> ModeExpansion:
     """Mode expansion of the decaying part above the top of the grid.
 
     Each mode k of the top trace closes the exterior problem with trace
     - W(0) from the half-line integrals and divergence corrector W that the
-    solution's transparent top holds for that mode, zero for a homogeneous
-    one, and stores V + W as one (2, n >= 1) array.  Modes 0 < k <= nx/2 are
-    stored once each; ModeExpansion weights them.
+    transparent top the solution was solved with holds for that mode, zero
+    for a homogeneous one, and stores V + W as one (2, n >= 1) array.  Modes
+    0 < k <= nx/2 are stored once each; ModeExpansion weights them.
     """
     modes = {}
     for k, trace in solution.trace_modes.items():
-        qbar, vbar, W = solution.exterior.get(k, ([], [[], []], [[], []]))
+        qbar, vbar, W = top.exterior.get(k, ([], [[], []], [[], []]))
         w0 = np.array([poly_eval0(w, 0j) for w in W], dtype=complex)
         V, Q = solve_mode_numeric((k,), (qbar, vbar), trace - w0)
         rows = [poly_add(v or [0j], w) or [0j] for v, w in zip(V, W)]

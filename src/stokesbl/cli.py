@@ -140,14 +140,6 @@ def load_geometry(path: str):
     return BoundaryGeometry.from_json_dict(load_json(path))
 
 
-def load_cell_geometry(args):
-    """The wall of `cell` or `corrector`, whose shared lid `--height` must be >= 1."""
-    geometry = load_geometry(args.geometry)
-    if args.height < 1:
-        raise ConfigError("--height must be >= 1")
-    return geometry
-
-
 # ---------------------------------------------------------------------------
 # subcommands: each returns the paths of the artifacts it wrote
 # ---------------------------------------------------------------------------
@@ -182,7 +174,7 @@ def cmd_basis(args) -> list[str]:
 def cmd_cell(args) -> list[str]:
     from .cell import solve_cell
 
-    geometry = load_cell_geometry(args)
+    geometry = load_geometry(args.geometry)
     sol = solve_cell(geometry, l=args.l, comp=args.i,
                      height=args.height, nx=args.nx, ny=args.ny)
     grid = sol.grid
@@ -210,7 +202,7 @@ def cmd_cell(args) -> list[str]:
 def cmd_corrector(args) -> list[str]:
     from .recursion import CorrectorStack, stack_from_json, stack_to_json
 
-    geometry = load_cell_geometry(args)
+    geometry = load_geometry(args.geometry)
     try:
         alpha = int(args.alpha)
     except ValueError:

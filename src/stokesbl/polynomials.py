@@ -338,12 +338,6 @@ class VectorPolynomial:
             add_terms(out, comp.derive(axis)._terms.items())
         return ExactPolynomial._trusted(self.dim, out)
 
-    def laplacian(self) -> "VectorPolynomial":
-        return VectorPolynomial([c.laplacian() for c in self.components])
-
-    def derive(self, axis: int) -> "VectorPolynomial":
-        return VectorPolynomial([c.derive(axis) for c in self.components])
-
     def trace_at_zero(self) -> "VectorPolynomial":
         return VectorPolynomial([c.trace_at_zero() for c in self.components])
 

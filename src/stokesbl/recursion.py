@@ -34,6 +34,7 @@ from .cell import (
 from .geometry import BoundaryGeometry, InputError
 from .modes import (
     ModeExpansion,
+    halfline_integrals,
     poly_add,
     poly_derive,
     poly_scale,
@@ -154,8 +155,9 @@ def level_problem(stack: "CorrectorStack", beta: int, l: int, comp: int):
     constants are omitted.  Returns (problem, growth, pi_poly), where growth
     (2, n) holds P = Lambda_poly e_1 + W_poly e_2, whose slope at the lid is
     the zero mode's Neumann data.  Each mode k = 1..nx/2 of the top carries
-    (F_k + W_k'' - 2k W_k', W_k); the wall-region remainder of W is left to
-    the discrete solve as divergence data.
+    the half-line integrals of F_k + W_k'' - 2k W_k', and W_k; the
+    wall-region remainder of W is left to the discrete solve as divergence
+    data.
     """
     g = stack.grid
     if beta == 0:
@@ -181,7 +183,7 @@ def level_problem(stack: "CorrectorStack", beta: int, l: int, comp: int):
         pi_poly = npoly.polyadd(pi_poly, npoly.polyint(2 * c2 * low2.v_poly[1]))
     growth = pad_stack([npoly.polyint(npoly.polyint(integrand)), npoly.polyint(div_poly)])
 
-    sources = {}
+    exterior = {}
     for k in range(1, g.nx // 2 + 1):
         V1, V2, Q1 = _mode_lists(low1.modes, k)
         Fk = [poly_add(poly_scale(2j * c1 * k, V1), poly_scale(-c1, Q1)),
@@ -192,13 +194,12 @@ def level_problem(stack: "CorrectorStack", beta: int, l: int, comp: int):
         w = poly_scale(-c1 / (1j * k), V1)  # W_k = w e_1
         dw = poly_derive(w)
         reduced = poly_add(Fk[0], poly_add(poly_derive(dw), poly_scale(-2.0 * k, dw)))
-        sources[k] = ([reduced, Fk[1]], [w, []])
+        exterior[k] = (*halfline_integrals((k,), [reduced, Fk[1]], knorm=float(k)), [w, []])
 
     problem = CellProblem(
         grid=g,
         bottom=np.zeros((2, g.nx)),
-        top=TransparentTop(sources=sources,
-                           neumann0=npoly.polyval(g.height, npoly.polyder(growth.T))),
+        top=TransparentTop(exterior, npoly.polyval(g.height, npoly.polyder(growth.T))),
         source=F,
         div_data=G,
     )
@@ -249,7 +250,7 @@ class CorrectorStack:
         p_lid = float(np.mean(1.5 * sol.p[:, -1] - 0.5 * sol.p[:, -2]))
         p_shift = float(npoly.polyval(g.height, q_poly)) - p_lid
 
-        modes = trace_expansion(sol)
+        modes = trace_expansion(sol, problem.top)
         if max((m["V"].shape[1] for m in modes.modes.values()), default=1) > 2 * beta + 2:
             raise AssertionError("mode profile degree exceeds 2|beta| + 1")
         return LevelSolution(
@@ -329,17 +330,21 @@ class HeterogeneousElement:
     w_poly_xy: np.ndarray   # effective polynomial part (2, nx_pow, ny_pow)
 
 
+def effective_part(stack: CorrectorStack, P: VectorPolynomial,
+                   shape: tuple) -> tuple[CorrectorField, np.ndarray]:
+    """S[P] and the coefficients of P + S[P]'s polynomial part, at least `shape`."""
+    corr = script_S(stack, P)
+    return corr, padded_sum([(1.0, poly_to_coeff2d(P)), (1.0, corr.v_poly_xy)], shape=shape)
+
+
 def heterogeneous_basis(stack: CorrectorStack, order: int) -> list[HeterogeneousElement]:
     """Basis of the heterogeneous space: flat-space pairs plus correctors."""
     from .halfspace import stokes_basis
 
-    out = []
-    for pair in stokes_basis(order, 2).elements:
-        corr = script_S(stack, pair.velocity)
-        w = padded_sum([(1.0, poly_to_coeff2d(pair.velocity)), (1.0, corr.v_poly_xy)],
-                       shape=(2, order + 1, order + 1))
-        out.append(HeterogeneousElement(pair.velocity, pair.pressure, corr, w))
-    return out
+    return [HeterogeneousElement(pair.velocity, pair.pressure,
+                                 *effective_part(stack, pair.velocity,
+                                                 (2, order + 1, order + 1)))
+            for pair in stokes_basis(order, 2).elements]
 
 
 # ---------------------------------------------------------------------------

@@ -55,12 +55,14 @@ def horner(coeffs: np.ndarray, X) -> np.ndarray:
 class RegularityWorkspace:
     """Heterogeneous basis sampled on an evaluation grid for window fits.
 
-    Each basis column's velocity, gradient and pressure at x + s is a
-    polynomial in the shifted abscissa X = x + s whose coefficients are
-    periodic arrays over the grid: the x-powers of the flat-space pair and
-    of the corrector terms, times samples that repeat in every period.  The
-    coefficient arrays of all columns are built together on first use and
-    every period is then one Horner evaluation.
+    columns are the basis elements with nonzero velocity, in basis order;
+    every other index into the workspace is a position in columns.  Each
+    column's velocity, gradient and pressure at x + s is a polynomial in the
+    shifted abscissa X = x + s whose coefficients are periodic arrays over
+    the grid: the x-powers of the flat-space pair and of the corrector
+    terms, times samples that repeat in every period.  The coefficient
+    arrays of all columns are built together on first use and every period
+    is then one Horner evaluation.
 
     The graded bases nest, so one workspace serves every order m <= order:
     degrees[j] is column j's velocity degree, prefixes[m] = (n_m, D_m), and
@@ -72,22 +74,20 @@ class RegularityWorkspace:
         self.stack = stack
         self.order = order
         self.grid = grid
-        self.elements = heterogeneous_basis(stack, order)
+        self.columns = [el for el in heterogeneous_basis(stack, order) if not el.P.is_zero()]
         self._samplers: dict = {}
-        for el in self.elements:
+        for el in self.columns:
             for _, _, level in el.corrector.terms:
                 key = (level.beta, level.l, level.comp)
                 if key not in self._samplers:
                     self._samplers[key] = LevelSampler(level, stack, grid)
-        # velocity columns: drop elements with identically zero velocity
-        self.column_indices = [i for i, el in enumerate(self.elements)
-                               if not el.P.is_zero()]
-        self._column_of = {idx: j for j, idx in enumerate(self.column_indices)}
+        # dense coefficients (2, x, y) of P and (x, y) of Q, per column
+        self._coeffs = [(poly_to_coeff2d(el.P), poly_to_coeff2d(el.Q)) for el in self.columns]
         # order-m columns: velocity degree <= m; D_m: their highest X-power
-        cols = [self.elements[idx] for idx in self.column_indices]
-        self.degrees = [int(el.P.degree) for el in cols]
-        x_degrees = [max([poly_to_coeff2d(el.P).shape[1] - 1, poly_to_coeff2d(el.Q).shape[0] - 1]
-                         + [power for _, power, _ in el.corrector.terms]) for el in cols]
+        self.degrees = [int(el.P.degree) for el in self.columns]
+        x_degrees = [max([pc.shape[1] - 1, qc.shape[0] - 1]
+                         + [power for _, power, _ in el.corrector.terms])
+                     for el, (pc, qc) in zip(self.columns, self._coeffs)]
         n = [sum(deg <= m for deg in self.degrees) for m in range(order + 1)]
         self.prefixes = {m: (n[m], max(x_degrees[:n[m]])) for m in range(1, order + 1)}
         self._column_norms: dict = {}
@@ -107,25 +107,23 @@ class RegularityWorkspace:
         next velocity coefficient plus the samples' own x-derivative.
         """
         Y = self.grid.y_nodes
-        cols = [self.elements[idx] for idx in self.column_indices]
-        P = [poly_to_coeff2d(el.P) for el in cols]
-        Q = [poly_to_coeff2d(el.Q) for el in cols]
-        terms = [list(self._flat_terms(el)) for el in cols]
+
+        def at_nodes(c):
+            # the y-polynomials c[..., i, :] at the nodes, x-power i first
+            return np.moveaxis(npoly.polyval(Y, np.moveaxis(c, -1, 0)), c.ndim - 2, 0)
+
         D = self.prefixes[self.order][1]
-        vel = np.zeros((D + 1, len(cols), 2) + Y.shape)
-        grad = np.zeros((D + 1, len(cols), 4) + Y.shape)
-        pres = np.zeros((D + 1, len(cols)) + Y.shape)
+        ncols = len(self.columns)
+        vel = np.zeros((D + 1, ncols, 2) + Y.shape)
+        grad = np.zeros((D + 1, ncols, 4) + Y.shape)
+        pres = np.zeros((D + 1, ncols) + Y.shape)
         dx, dy = grad[:, :, 0::2], grad[:, :, 1::2]  # views, one entry per component
-        for j, (pc, qc) in enumerate(zip(P, Q)):
+        for j, (el, (pc, qc)) in enumerate(zip(self.columns, self._coeffs)):
             dyc = coeff_derivative(pc, 0, 1)
-            for c in range(2):
-                for i in range(pc.shape[1]):
-                    vel[i, j, c] = npoly.polyval(Y, pc[c, i])
-                for i in range(dyc.shape[1]):
-                    dy[i, j, c] = npoly.polyval(Y, dyc[c, i])
-            for i in range(qc.shape[0]):
-                pres[i, j] = npoly.polyval(Y, qc[i])
-            for coef, power, smp in terms[j]:
+            vel[:pc.shape[1], j] = at_nodes(pc)
+            dy[:dyc.shape[1], j] = at_nodes(dyc)
+            pres[:qc.shape[0], j] = at_nodes(qc)
+            for coef, power, smp in self._flat_terms(el):
                 vel[power, j] += coef * smp.values
                 dx[power, j] += coef * smp.dx
                 dy[power, j] += coef * smp.dy
@@ -148,9 +146,9 @@ class RegularityWorkspace:
         n, D = self.prefixes[order]
         return horner(self.series[name][:D + 1, :n], self.abscissa(shift))
 
-    def element_grad(self, idx: int, shift: float) -> np.ndarray:
-        """(4, nx, ny+1) gradient samples of element idx; equals samples("grad", ...)[j]."""
-        return horner(self.series["grad"][:, self._column_of[idx]], self.abscissa(shift))
+    def column_grad(self, j: int, shift: float) -> np.ndarray:
+        """(4, nx, ny+1) gradient samples of column j; equals samples("grad", ...)[j]."""
+        return horner(self.series["grad"][:, j], self.abscissa(shift))
 
     @cached_property
     def top_velocity(self) -> np.ndarray:
@@ -165,11 +163,10 @@ class RegularityWorkspace:
         """
         g = self.grid
         X, Y = g.x, g.y_nodes[:, -1]
-        out = np.zeros((len(self.column_indices), 2, g.nx))
-        for j, idx in enumerate(self.column_indices):
-            el = self.elements[idx]
+        out = np.zeros((len(self.columns), 2, g.nx))
+        for j, (el, (pc, _)) in enumerate(zip(self.columns, self._coeffs)):
             for c in range(2):
-                out[j, c] = npoly.polyval2d(X, Y, poly_to_coeff2d(el.P[c]))
+                out[j, c] = npoly.polyval2d(X, Y, pc[c])
             for coef, power, smp in self._flat_terms(el):
                 xp = X ** power
                 for c in range(2):
@@ -227,7 +224,7 @@ class RegularityWorkspace:
         in shift for periodic fields).  Returns one dict per sampler, all
         from the same pass over the window: the normalized excess H, the
         minimizer coefficients (one per order-m column, the first n_m of
-        column_indices) and the windowed gradient norm of u.
+        columns) and the windowed gradient norm of u.
 
         The basis columns are scaled by their windowed norms, which depend
         only on the workspace, r and m and are stored per radius and order
@@ -349,7 +346,7 @@ def lift_coefficients(ws: RegularityWorkspace, kind: str, seed: int) -> np.ndarr
     would force a spurious uniform mass source.
     """
     R = ws.grid.height
-    coeffs = np.zeros(len(ws.column_indices))
+    coeffs = np.zeros(len(ws.columns))
     if kind == "shear":
         coeffs[ws.degrees.index(1)] = 1.0
     elif kind == "quadratic":
@@ -393,33 +390,26 @@ class OuterSolution:
     def grid(self) -> StripGrid:
         return self.remainder.grid
 
-    def _series(self, name: str, periodic: np.ndarray) -> np.ndarray:
-        out = np.tensordot(self.lift, self.lift_ws.series[name], axes=([0], [1]))
-        out[0] += periodic
+    @cached_property
+    def series(self) -> dict:
+        """X-power coefficient arrays of "grad", "velocity" and "pressure"."""
+        g, u = self.grid, self.remainder.u
+        periodic = {"grad": np.stack([g.dx_nodes(u[0]), g.dy_nodes(u[0]),
+                                      g.dx_nodes(u[1]), g.dy_nodes(u[1])]),
+                    "velocity": u, "pressure": self.remainder.pressure_nodes()}
+        out = {}
+        for name, rest in periodic.items():
+            out[name] = np.tensordot(self.lift, self.lift_ws.series[name], axes=([0], [1]))
+            out[name][0] += rest
         return out
 
-    @cached_property
-    def _grad_series(self) -> np.ndarray:
-        g, u = self.grid, self.remainder.u
-        return self._series("grad", np.stack([g.dx_nodes(u[0]), g.dy_nodes(u[0]),
-                                              g.dx_nodes(u[1]), g.dy_nodes(u[1])]))
-
-    @cached_property
-    def _velocity_series(self) -> np.ndarray:
-        return self._series("velocity", self.remainder.u)
-
-    @cached_property
-    def _pressure_series(self) -> np.ndarray:
-        return self._series("pressure", self.remainder.pressure_nodes())
+    def at(self, name: str, shift: float) -> np.ndarray:
+        """The `name` samples at x + shift."""
+        return horner(self.series[name], self.lift_ws.abscissa(shift))
 
     def grad(self, shift: float) -> np.ndarray:
-        return horner(self._grad_series, self.lift_ws.abscissa(shift))
-
-    def values(self, shift: float) -> np.ndarray:
-        return horner(self._velocity_series, self.lift_ws.abscissa(shift))
-
-    def pressure(self, shift: float) -> np.ndarray:
-        return horner(self._pressure_series, self.lift_ws.abscissa(shift))
+        """Gradient samples at x + shift: the sampler `excess` takes."""
+        return self.at("grad", shift)
 
 
 def build_outer_solution(lift_ws: RegularityWorkspace, kind: str,
@@ -501,7 +491,7 @@ def pressure_decay(workspace: RegularityWorkspace, solution: OuterSolution,
 
     def residual_field(shift):
         if shift not in fields:
-            fields[shift] = solution.pressure(shift) - np.tensordot(
+            fields[shift] = solution.at("pressure", shift) - np.tensordot(
                 coefficients, workspace.samples("pressure", shift, order), axes=1)
         return fields[shift]
 
@@ -568,8 +558,7 @@ def pointwise_check(workspace: RegularityWorkspace, solution: OuterSolution,
     g = solution.grid
     R = g.height
     # effective polynomial of the fitted combination
-    wpoly = padded_sum((c_val, workspace.elements[idx].w_poly_xy)
-                       for c_val, idx in zip(coefficients, workspace.column_indices))
+    wpoly = padded_sum((c_val, el.w_poly_xy) for c_val, el in zip(coefficients, workspace.columns))
     dx_wpoly, dy_wpoly = coeff_derivative(wpoly, 1, 0), coeff_derivative(wpoly, 0, 1)
 
     Xs, Ys, grads, vals = [], [], [], []
@@ -581,8 +570,8 @@ def pointwise_check(workspace: RegularityWorkspace, solution: OuterSolution,
             continue
         Xs.append(g.x[nodes // (g.ny + 1)] + shift)
         Ys.append(np.take(g.y_nodes, nodes))
-        grads.append(np.take(solution.grad(shift).reshape(4, -1), nodes, axis=1))
-        vals.append(np.take(solution.values(shift).reshape(2, -1), nodes, axis=1))
+        grads.append(np.take(solution.at("grad", shift).reshape(4, -1), nodes, axis=1))
+        vals.append(np.take(solution.at("velocity", shift).reshape(2, -1), nodes, axis=1))
     X = np.concatenate(Xs)
     Y = np.concatenate(Ys)
     ugrad = np.concatenate(grads, axis=1)

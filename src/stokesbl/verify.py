@@ -26,7 +26,8 @@ from .halfspace import (delta_D_inv, dim_homogeneous_stokes, dim_stokes_space,
                         homogeneous_stokes_basis, stokes_basis, verify_stokes_pair)
 from .modes import ModeData, SqrtExt, residual_check, solve_mode
 from .polynomials import ExactPolynomial, VectorPolynomial
-from .recursion import CorrectorStack, heterogeneous_basis, padded_sum, script_S
+from .recursion import (CorrectorStack, heterogeneous_basis, padded_sum, poly_to_coeff2d,
+                        script_S)
 from .regularity import (KINDS, RegularityWorkspace, build_outer_solution, decay_experiments,
                          dyadic_radii, fit_exponent, pointwise_check, projected_fits)
 from .walllaw import phi_table, second_order_2d, wall_law_identity_residual
@@ -153,22 +154,20 @@ def script_S_via_trace_formula(stack: CorrectorStack, P: VectorPolynomial,
                 tr = dP.trace_at_zero()
                 if tr.is_zero():
                     continue
-                xcoef = np.zeros(order + 1)
-                for exp, c in tr.terms.items():
-                    xcoef[exp[0]] = float(c)
+                xcoef = poly_to_coeff2d(tr)[:, 0]
                 level = stack.level(beta, k, i + 1)
                 scale = 1.0 / (factorial(beta) * factorial(k))
                 blocks.append((1.0, scale * np.einsum("i,cj->cij", xcoef, level.v_poly)))
     return padded_sum(blocks, shape=(2, order + 1, order + 1))
 
 
-def growth_experiment(workspace: RegularityWorkspace, order: int, probe_idx: int,
+def growth_experiment(workspace: RegularityWorkspace, order: int, probe: int,
                       radii: list[float]) -> float:
-    """Excess growth exponent of a degree-(order+1) element against the order-m basis.
+    """Excess growth exponent of a degree-(order+1) column against the order-m basis.
 
-    The workspace's order is above m, and the probe is one of its elements.
+    The workspace's order is above m, and probe indexes one of its columns.
     """
-    u_grad = lambda shift: workspace.element_grad(probe_idx, shift)
+    u_grad = lambda shift: workspace.column_grad(probe, shift)
     H = [workspace.excess([u_grad], r, order)[0]["H"] for r in radii]
     return fit_exponent(radii, H, drop=0)["exponent"]
 
@@ -364,8 +363,7 @@ def excess_growth(shared: Shared):
     radii = dyadic_radii(2.0, 32.0)
     ws = shared.growth_ws
     for m in (1, 2):
-        probe = ws.column_indices[ws.degrees.index(m + 1)]
-        exponent = growth_experiment(ws, m, probe, radii)
+        exponent = growth_experiment(ws, m, ws.degrees.index(m + 1), radii)
         ok &= abs(exponent - m) <= 0.3
         details.append(f"m={m}: {exponent:.2f}")
     return ok, ", ".join(details)
@@ -405,14 +403,13 @@ def pointwise_envelope(shared: Shared):
 def liouville_recovery(shared: Shared):
     ws = shared.growth_ws
     radii = [4.0, 8.0, 16.0, 32.0]
-    idx = ws.column_indices[1]
-    fit = liouville_fit(ws, lambda s: ws.element_grad(idx, s), radii, tol=1e-8, order=2)
+    fit = liouville_fit(ws, lambda s: ws.column_grad(1, s), radii, tol=1e-8, order=2)
     expect = np.zeros(ws.prefixes[2][0])
     expect[1] = 1.0
     error = np.abs(fit["coefficients"] - expect).max()
     ok = fit["member"] and error <= 1e-8
-    probe = ws.column_indices[ws.degrees.index(3)]
-    contaminated = lambda s: ws.element_grad(idx, s) + 1e-2 * ws.element_grad(probe, s)
+    probe = ws.degrees.index(3)
+    contaminated = lambda s: ws.column_grad(1, s) + 1e-2 * ws.column_grad(probe, s)
     ok &= not liouville_fit(ws, contaminated, radii, tol=1e-5, order=2)["member"]
     return ok, f"max coefficient error {error:.1e}"
 

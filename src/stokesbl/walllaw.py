@@ -20,13 +20,13 @@ from math import factorial
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
+from .polynomials import VectorPolynomial
 from .recursion import (
     CorrectorStack,
     HeterogeneousElement,
-    assemble_alpha,
     coeff_derivative,
+    effective_part,
     pad_stack,
-    padded_sum,
 )
 
 
@@ -78,13 +78,8 @@ def monomial_effective(stack: CorrectorStack, alpha: int, l: int) -> np.ndarray:
     Returned as (2 columns i, 2 components, nx_pow, ny_pow) coefficient
     arrays.
     """
-    cols = []
-    for comp in (1, 2):
-        fld = assemble_alpha(stack, alpha, l, comp)
-        w = padded_sum([(1.0, fld.v_poly_xy)], shape=(2, alpha + 1, l + 1))
-        w[comp - 1, alpha, l] += 1.0
-        cols.append(w)
-    return pad_stack(cols)
+    return pad_stack([effective_part(stack, VectorPolynomial.unit_monomial((alpha, l), i, 2),
+                                     (2, alpha + 1, l + 1))[1] for i in range(2)])
 
 
 def phi_table(stack: CorrectorStack, order: int) -> WallLawTable:

@@ -6,6 +6,10 @@ do not count, and neither do tests (the benchmark's self-tests included):
 code that only a test reads belongs in the test.  Names with a leading underscore (dunders included) are private, and
 acceptance criteria registered with `@check` are called through the
 registry.
+
+The check goes by name, so a method shares its callers with every method of
+that name.  VectorPolynomial once had a laplacian and a derive that nothing
+called; they passed only because ExactPolynomial has methods of those names.
 """
 
 import ast

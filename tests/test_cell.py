@@ -24,7 +24,7 @@ from stokesbl.cell import (
     wall_problem,
 )
 from stokesbl.geometry import AliasingError, BoundaryGeometry, InputError
-from stokesbl.modes import ModeExpansion, solve_mode_numeric
+from stokesbl.modes import ModeExpansion, halfline_integrals, solve_mode_numeric
 
 COS_WALL = BoundaryGeometry.from_fourier({0: -0.5, 1: -0.25})
 NO_SOURCE = [[], []]
@@ -78,10 +78,10 @@ def test_manufactured_transparent_homogeneous():
 def test_manufactured_transparent_with_mode_source():
     # polynomial-times-exponential source both below the lid and in the DtN data
     k = 1
-    F = [np.array([0.8 + 0.2j, -0.3j]), np.array([0.1 - 0.4j])]
+    F = [[0.8 + 0.2j, -0.3j], [0.1 - 0.4j]]
     b = np.array([0.25 - 0.1j, 0.05 + 0.3j])
-    top = TransparentTop(sources={k: (F, NO_SOURCE)})
-    qbar, vbar, _ = top.exterior[k]
+    qbar, vbar = halfline_integrals((k,), F, knorm=float(k))
+    top = TransparentTop({k: (qbar, vbar, NO_SOURCE)})
     V, Q = solve_mode_numeric((k,), (qbar, vbar), b)
     errs = []
     for nx, ny in ((16, 20), (32, 40)):
@@ -170,7 +170,7 @@ def test_trace_expansion_matches_taller_solve():
     geo = COS_WALL
     low = solve_cell(geo, l=1, comp=1, height=3.0, nx=24, ny=36)
     tall = solve_cell(geo, l=1, comp=1, height=5.0, nx=24, ny=60)
-    expansion = trace_expansion(low)
+    expansion = trace_expansion(low, TransparentTop())
     probe_y = 4.0
     vals = expansion.fields(tall.grid.x, probe_y)[0] + low.tail[0]
     cols = [int(np.argmin(np.abs(tall.grid.y_nodes[i] - probe_y))) for i in range(tall.grid.nx)]
@@ -185,7 +185,8 @@ def test_trace_expansion_reproduces_the_top_row():
     # the Nyquist mode k = nx/2 is real on the grid: the expansion counts it once
     wall = BoundaryGeometry.from_fourier({0: -0.5, 1: -0.2, 3: 0.1 - 0.05j})
     sol = solve_cell(wall, l=1, comp=1, nx=16, ny=20)
-    top = velocity(trace_expansion(sol), sol.grid.x, sol.grid.height) + sol.tail[:, None]
+    expansion = trace_expansion(sol, TransparentTop())
+    top = velocity(expansion, sol.grid.x, sol.grid.height) + sol.tail[:, None]
     assert np.abs(top - sol.u[:, :, -1]).max() < 1e-13
 
 
@@ -220,7 +221,7 @@ def test_mode_amplitude_decay_slope():
     # [L, L+4], steepening toward the lowest-mode rate -1 further out (the
     # linear-in-z profile keeps the near-field fit above -1)
     sol = solve_cell(COS_WALL, l=1, comp=1, nx=24, ny=36)
-    expansion = trace_expansion(sol)
+    expansion = trace_expansion(sol, TransparentTop())
 
     def slope(lo, hi):
         ys = np.linspace(lo, hi, 9)
@@ -498,8 +499,8 @@ def test_factor_is_cached_per_grid_and_top_kind(monkeypatch):
     grid = StripGrid(COS_WALL, height=3.0, nx=16, ny=20)
     first = solve_stokes(wall_problem(grid, 1, 1))
     bottom = wall_problem(grid, 2, 2).bottom
-    top = TransparentTop(sources={1: ([[0.3 + 0.1j], [0.2j]], NO_SOURCE)},
-                         neumann0=np.array([0.1, -0.2]))
+    top = TransparentTop({1: (*halfline_integrals((1,), [[0.3 + 0.1j], [0.2j]], knorm=1.0),
+                              NO_SOURCE)}, np.array([0.1, -0.2]))
     second = solve_stokes(CellProblem(grid, bottom, top))
     assert len(calls) == 1
     assert not np.allclose(first.u, second.u)

@@ -108,7 +108,8 @@ def test_cell_rejects_unrepresentable_geometry(tmp_path, payload, capsys):
     ["regularity", "--stretch", "nan"],
     ["regularity", "--stretch", "1e6"],  # the mapped nodes overflow
     ["cell", "--height", "1e300"],  # the inverse metric squares to zero
-    # one lid rule for cell and corrector; cell takes its index rule from wall_problem
+    # one lid rule, StripGrid's, for cell, corrector and stack files; cell takes its
+    # index rule from wall_problem
     ["cell", "--height", "0.8"],
     ["corrector", "--height", "0.8"],
     ["cell", "--l", "0"],
@@ -286,6 +287,11 @@ def _text_height(data):
     data["height"] = "x"
 
 
+def _low_lid(data):
+    # the lid rule of `cell` and `corrector --height` holds for stack files too
+    data["height"] = 0.8
+
+
 def _float_nx(data):
     data["nx"] = float(data["nx"])
 
@@ -304,7 +310,7 @@ def _repeated_wavenumber(data):
     _invalid_base64, _short_byte_count, _text_arrays_without_schema, _schema_1, _schema_2,
     _schema_3, _truncated, _text_mode_coeffs, _mode_without_k, _diagnostics_list,
     _duplicate_level, _text_beta, _negative_beta, _fractional_beta, _zero_l, _comp_3,
-    _bool_comp, _levels_not_a_list, _text_height, _float_nx, _repeated_wavenumber,
+    _bool_comp, _levels_not_a_list, _text_height, _low_lid, _float_nx, _repeated_wavenumber,
     _empty_v_poly, _list_v_poly, _schema_4, _short_mode_profile,
     _mode_profile_without_re_im_axis, _modes_not_a_list,
 ])

@@ -70,7 +70,7 @@ def _plant_fake_level(stack, beta, l, comp, v_poly, q_poly, rng):
 def test_transparent_level_integrates_each_sourced_mode_once(monkeypatch):
     # the top rows' right-hand side and the trace expansion share one set
     # of half-line integrals per sourced mode; homogeneous modes need none
-    from stokesbl import cell, modes
+    from stokesbl import modes, recursion
 
     calls = []
     integrals = modes.halfline_integrals
@@ -79,7 +79,7 @@ def test_transparent_level_integrates_each_sourced_mode_once(monkeypatch):
         calls.append(k)
         return integrals(k, *args, **kwargs)
 
-    monkeypatch.setattr(cell, "halfline_integrals", counting)
+    monkeypatch.setattr(recursion, "halfline_integrals", counting)
     monkeypatch.setattr(modes, "halfline_integrals", counting)
     stack = CorrectorStack(COS_WALL, nx=16, ny=20)
     stack.level(0, 1, 1)

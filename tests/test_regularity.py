@@ -6,7 +6,8 @@ import pytest
 
 from stokesbl.cell import StripGrid
 from stokesbl.geometry import BoundaryGeometry
-from stokesbl.recursion import CorrectorStack, coeff_derivative, poly_to_coeff2d
+from stokesbl.recursion import (CorrectorStack, coeff_derivative, heterogeneous_basis,
+                                poly_to_coeff2d)
 from stokesbl.regularity import (
     KINDS,
     RegularityWorkspace,
@@ -52,10 +53,10 @@ def _grid_points(ws, shift):
     return np.broadcast_to(g.x[:, None] + shift, g.y_nodes.shape), g.y_nodes
 
 
-def direct_grad(ws, idx, shift):
-    """(4, nx, ny+1) samples [d1u1, d2u1, d1u2, d2u2] of element idx at x + shift."""
+def direct_grad(ws, j, shift):
+    """(4, nx, ny+1) samples [d1u1, d2u1, d1u2, d2u2] of column j at x + shift."""
     X, Y = _grid_points(ws, shift)
-    el = ws.elements[idx]
+    el = ws.columns[j]
     out = np.zeros((4,) + X.shape)
     for c in range(2):
         pc = poly_to_coeff2d(el.P[c])
@@ -70,9 +71,9 @@ def direct_grad(ws, idx, shift):
     return out
 
 
-def direct_velocity(ws, idx, shift):
+def direct_velocity(ws, j, shift):
     X, Y = _grid_points(ws, shift)
-    el = ws.elements[idx]
+    el = ws.columns[j]
     out = np.zeros((2,) + X.shape)
     for c in range(2):
         out[c] = npoly.polyval2d(X, Y, poly_to_coeff2d(el.P[c]))
@@ -82,9 +83,9 @@ def direct_velocity(ws, idx, shift):
     return out
 
 
-def direct_pressure(ws, idx, shift):
+def direct_pressure(ws, j, shift):
     X, Y = _grid_points(ws, shift)
-    el = ws.elements[idx]
+    el = ws.columns[j]
     out = npoly.polyval2d(X, Y, poly_to_coeff2d(el.Q))
     for coef, power, smp in ws._flat_terms(el):
         out += coef * X ** power * smp.pressure
@@ -94,9 +95,9 @@ def direct_pressure(ws, idx, shift):
 DIRECT = {"grad": direct_grad, "velocity": direct_velocity, "pressure": direct_pressure}
 
 
-def element_series(ws, name, idx, shift):
-    """Samples of one column's `name` series at x + shift, as element_grad has them."""
-    return horner(ws.series[name][:, ws._column_of[idx]], ws.abscissa(shift))
+def column_series(ws, name, j, shift):
+    """Samples of column j's `name` series at x + shift, as column_grad has them."""
+    return horner(ws.series[name][:, j], ws.abscissa(shift))
 
 
 def _assert_fields_close(got, want, rel, what):
@@ -108,19 +109,19 @@ def test_shift_polynomials_match_direct_evaluation(stack):
     # the regularity command's default tall strip and lift order
     grid = StripGrid(COS_WALL, height=64 * np.pi, nx=24, ny=320, stretch=5.0)
     ws = RegularityWorkspace(stack, 3, grid)
-    for j, idx in enumerate(ws.column_indices):
+    for j in range(len(ws.columns)):
         for k in range(-17, 18):
             shift = 2 * np.pi * k
             for name, direct in DIRECT.items():
-                _assert_fields_close(element_series(ws, name, idx, shift),
-                                     direct(ws, idx, shift), 1e-13, (idx, k, name))
+                _assert_fields_close(column_series(ws, name, j, shift),
+                                     direct(ws, j, shift), 1e-13, (j, k, name))
             # the all-column evaluations are the same arithmetic, column by column
-            assert np.array_equal(ws.samples("grad", shift, 3)[j], ws.element_grad(idx, shift))
+            assert np.array_equal(ws.samples("grad", shift, 3)[j], ws.column_grad(j, shift))
             assert np.array_equal(ws.samples("pressure", shift, 3)[j],
-                                  element_series(ws, "pressure", idx, shift))
+                                  column_series(ws, "pressure", j, shift))
     traces = ws.top_velocity
-    for j, idx in enumerate(ws.column_indices):
-        assert np.array_equal(traces[j], direct_velocity(ws, idx, 0.0)[:, :, -1])
+    for j in range(len(ws.columns)):
+        assert np.array_equal(traces[j], direct_velocity(ws, j, 0.0)[:, :, -1])
 
 
 def _bits(value):
@@ -138,14 +139,14 @@ def test_lower_orders_fit_on_a_column_prefix(stack):
     workspaces = {m: RegularityWorkspace(stack, m, grid) for m in (1, 2, 3, 4)}
     top = workspaces[4]
     sols = [build_outer_solution(top, kind, seed=0) for kind in ("quadratic", "random")]
-    grads = [sol.grad for sol in sols] + [
-        lambda shift: top.element_grad(top.column_indices[-1], shift)]
+    grads = [sol.grad for sol in sols] + [lambda shift: top.column_grad(-1, shift)]
     for M, big in workspaces.items():
         for m in range(1, M):
             small = workspaces[m]
             n, D = big.prefixes[m]
-            assert (n, D) == small.prefixes[m] and n == len(small.column_indices)
-            assert big.column_indices[:n] == small.column_indices
+            assert (n, D) == small.prefixes[m] and n == len(small.columns)
+            assert [(el.P, el.Q) for el in big.columns[:n]] \
+                == [(el.P, el.Q) for el in small.columns]
             for name, arrays in small.series.items():
                 view = big.series[name][:D + 1, :n]
                 assert view.shape == arrays.shape
@@ -162,8 +163,8 @@ def test_lower_orders_fit_on_a_column_prefix(stack):
 
 def test_excess_of_basis_element_is_zero(ws):
     n2 = ws.prefixes[2][0]
-    for pos, idx in enumerate(ws.column_indices[:n2]):
-        u_grad = lambda shift: ws.element_grad(idx, shift)
+    for pos in range(n2):
+        u_grad = lambda shift: ws.column_grad(pos, shift)
         res = ws.excess([u_grad], 4.0, 2)[0]
         assert res["H"] <= 1e-10 * max(res["grad_norm"], 1e-30)
         # the minimizer is the unit coefficient vector
@@ -188,8 +189,8 @@ def _two_pass_excess(ws, u_grad, r, order):
             if not mask.any():
                 continue
             sw = np.sqrt(wq[mask])
-            cols = [(ws.element_grad(idx, shift)[:, mask] * sw).reshape(4, -1).T.reshape(-1)
-                    / scale[j] for j, idx in enumerate(ws.column_indices[:ncols])]
+            cols = [(ws.column_grad(j, shift)[:, mask] * sw).reshape(4, -1).T.reshape(-1)
+                    / scale[j] for j in range(ncols)]
             target = (u_grad(shift)[:, mask] * sw).reshape(4, -1).T.reshape(-1)
             yield np.column_stack(cols + [target]), float(np.sum(wq[mask]))
 
@@ -231,9 +232,9 @@ def test_excess_matches_two_pass_oracle(ws):
     r = 5.0
     assert (r, 2) not in ws._column_norms
     fields = {
-        "basis element": lambda shift: ws.element_grad(ws.column_indices[1], shift),
+        "basis element": lambda shift: ws.column_grad(1, shift),
         "zero": lambda shift: np.zeros((4, ws.grid.nx, ws.grid.ny + 1)),
-        "growth probe": lambda shift: ws.element_grad(ws.column_indices[-1], shift),
+        "growth probe": lambda shift: ws.column_grad(-1, shift),
     }
     for name, u_grad in fields.items():
         _assert_same_excess(ws.excess([u_grad], r, 2)[0], _two_pass_excess(ws, u_grad, r, 2))
@@ -245,9 +246,8 @@ def test_excess_matches_two_pass_oracle(ws):
 
 
 def test_excess_scales_linearly(ws):
-    idx = ws.column_indices[-1]
-    base = lambda shift: ws.element_grad(idx, shift)
-    scaled = lambda shift: 2.5 * ws.element_grad(idx, shift)
+    base = lambda shift: ws.column_grad(-1, shift)
+    scaled = lambda shift: 2.5 * ws.column_grad(-1, shift)
     h1 = ws.excess([base], 6.0, 2)[0]["H"]
     h2 = ws.excess([scaled], 6.0, 2)[0]["H"]
     assert h2 == pytest.approx(2.5 * h1, rel=1e-10)
@@ -255,8 +255,7 @@ def test_excess_scales_linearly(ws):
 
 
 def test_excess_monotone_in_order(ws):
-    idx = ws.column_indices[-1]
-    u_grad = lambda shift: ws.element_grad(idx, shift)
+    u_grad = lambda shift: ws.column_grad(-1, shift)
     h1 = ws.excess([u_grad], 6.0, 1)[0]["H"]
     h2 = ws.excess([u_grad], 6.0, 2)[0]["H"]
     assert h2 <= h1 * (1 + 1e-12)
@@ -264,8 +263,8 @@ def test_excess_monotone_in_order(ws):
 
 def test_growth_exponent_first_order(ws):
     # degree-2 heterogeneous probe against the order-1 basis: exponent ~ 1
-    probe = ws.column_indices[ws.prefixes[2][0] - 1]
-    assert int(ws.elements[probe].P.degree) == 2
+    probe = ws.prefixes[2][0] - 1
+    assert int(ws.columns[probe].P.degree) == 2
     radii = dyadic_radii(2.0, 32.0)
     assert growth_experiment(ws, 1, probe, radii) == pytest.approx(1.0, abs=0.3)
 
@@ -295,7 +294,7 @@ def tall_solution(tall_ws):
 
 def test_outer_solution_satisfies_data(tall_solution):
     grid = tall_solution.grid
-    vals = tall_solution.values(0.0)
+    vals = tall_solution.at("velocity", 0.0)
     target = outer_data("quadratic", grid, seed=0)
     scale = np.abs(target).max()
     assert np.abs(vals[:, :, -1] - target).max() / scale < 1e-12
@@ -319,21 +318,22 @@ def test_outer_solution_fields_are_lift_plus_remainder(outer_solutions, tall_ws)
             "velocity": u,
             "pressure": sol.remainder.pressure_nodes(),
         }
-        fields = {"grad": sol.grad, "velocity": sol.values, "pressure": sol.pressure}
         for k in (-17, -4, 0, 1, 9):
             shift = 2 * np.pi * k
             for name, direct in DIRECT.items():
-                want = periodic[name] + sum(c * direct(tall_ws, idx, shift)
-                                            for c, idx in zip(sol.lift, tall_ws.column_indices))
-                _assert_fields_close(fields[name](shift), want, 1e-13, (kind, k, name))
+                want = periodic[name] + sum(c * direct(tall_ws, j, shift)
+                                            for j, c in enumerate(sol.lift))
+                _assert_fields_close(sol.at(name, shift), want, 1e-13, (kind, k, name))
+            # the sampler excess takes is the "grad" evaluation
+            assert np.array_equal(sol.grad(shift), sol.at("grad", shift))
 
 
 def test_multi_target_excess_matches_one_target_calls(tall_ws, outer_solutions):
     ws, grid = tall_ws, tall_ws.grid
     targets = {
-        "basis element": lambda shift: ws.element_grad(ws.column_indices[0], shift),
+        "basis element": lambda shift: ws.column_grad(0, shift),
         "zero": lambda shift: np.zeros((4, grid.nx, grid.ny + 1)),
-        "growth probe": lambda shift: ws.element_grad(ws.column_indices[-1], shift),
+        "growth probe": lambda shift: ws.column_grad(-1, shift),
     }
     targets.update({kind: sol.grad for kind, sol in outer_solutions.items()})
     for order, r in [(1, np.pi / 2), (1, 4 * np.pi), (1, 16 * np.pi), (3, 4 * np.pi)]:
@@ -401,8 +401,7 @@ def test_decay_requires_scale_separation(stack):
 
 
 def test_liouville_recovery_and_flagging(ws):
-    idx = ws.column_indices[1]
-    u_grad = lambda shift: ws.element_grad(idx, shift)
+    u_grad = lambda shift: ws.column_grad(1, shift)
     radii = [4.0, 8.0, 16.0]
     fit = liouville_fit(ws, u_grad, radii, tol=1e-8, order=2)
     assert fit["member"]
@@ -412,14 +411,12 @@ def test_liouville_recovery_and_flagging(ws):
 
     rng = np.random.default_rng(3)
     noise_dir = rng.standard_normal((4, ws.grid.nx, ws.grid.ny + 1))
-    scale = np.abs(ws.element_grad(idx, 0.0)).max()
-    noisy = lambda shift: ws.element_grad(idx, shift) + 1e-6 * scale * noise_dir
+    scale = np.abs(ws.column_grad(1, 0.0)).max()
+    noisy = lambda shift: ws.column_grad(1, shift) + 1e-6 * scale * noise_dir
     fit_noisy = liouville_fit(ws, noisy, radii, tol=1e-4, order=2)
     assert np.abs(fit_noisy["coefficients"] - expect).max() < 1e-4
 
-    probe = ws.column_indices[-1]
-    contaminated = lambda shift: (ws.element_grad(idx, shift)
-                                  + 1e-2 * ws.element_grad(probe, shift))
+    contaminated = lambda shift: ws.column_grad(1, shift) + 1e-2 * ws.column_grad(-1, shift)
     fit_bad = liouville_fit(ws, contaminated, radii, tol=1e-5, order=2)
     assert not fit_bad["member"]
 
@@ -460,7 +457,14 @@ def test_outer_data_flux_free():
 
 
 def test_lift_coefficients_load_orders(tall_ws):
-    degrees = [int(tall_ws.elements[i].P.degree) for i in tall_ws.column_indices]
+    # the columns are the basis elements with nonzero velocity, in basis order
+    basis = heterogeneous_basis(tall_ws.stack, tall_ws.order)
+    kept = [el for el in basis if not el.P.is_zero()]
+    assert len(tall_ws.columns) == len(kept) < len(basis)
+    for col, el in zip(tall_ws.columns, kept):
+        assert (col.P, col.Q) == (el.P, el.Q)
+        assert col.w_poly_xy.tobytes() == el.w_poly_xy.tobytes()
+    degrees = [int(el.P.degree) for el in tall_ws.columns]
     assert tall_ws.degrees == degrees
     shear = lift_coefficients(tall_ws, "shear", seed=0)
     assert np.count_nonzero(shear) == 1
