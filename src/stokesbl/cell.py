@@ -302,22 +302,35 @@ def _row(row: int, cols, vals):
     return np.array([[row]]), np.reshape(cols, (1, -1)), vals
 
 
-def _unknowns(g: StripGrid):
-    """Velocity and pressure counts and the index maps of the unknowns.
+class Layout:
+    """The numbering of the saddle-point unknowns on a grid under a kind of top.
 
-    Unknowns are ordered u1, u2 (nodes, xi-level major), p (midpoints), then
-    the multipliers; iu(c, j) and ipr(j) index one xi-level.
+    Unknowns are numbered u1 then u2 at the nodes, xi-level major, then p at
+    the midpoints, then the multipliers: u[c, j, i] is component c at node
+    (x_i, xi_j), p[j, i] the pressure cell (x_i, xi_{j+1/2}), and mu the
+    pressure-mean multiplier, followed by the Nyquist one under a Dirichlet
+    top.  n counts them all.
     """
-    nx, ny = g.nx, g.ny
-    nu = nx * (ny + 1)
 
-    def iu(c, j):
-        return c * nu + j * nx + np.arange(nx)
+    def __init__(self, grid: StripGrid, top_kind: type):
+        if top_kind not in (DirichletTop, TransparentTop):
+            raise TypeError(f"unsupported top condition {top_kind!r}")
+        nx, ny = grid.nx, grid.ny
+        nvel, npr = 2 * (ny + 1) * nx, ny * nx
+        self.n = nvel + npr + (2 if top_kind is DirichletTop else 1)
+        index = np.arange(self.n)
+        self.u = index[:nvel].reshape(2, ny + 1, nx)
+        self.p = index[nvel:nvel + npr].reshape(ny, nx)
+        self.mu = index[nvel + npr:]
 
-    def ipr(j):
-        return 2 * nu + j * nx + np.arange(nx)
+    def fields(self, sol: np.ndarray):
+        """(u, p, mu) of a solution vector, u of shape (2, nx, ny+1) and p (nx, ny).
 
-    return nu, nx * ny, iu, ipr
+        Both are transposed views of C-contiguous (level, x) arrays: the
+        matmul in `divergence_residual` rounds by that layout, so the pinned
+        outputs depend on it.
+        """
+        return sol[self.u].transpose(0, 2, 1), sol[self.p].T, sol[self.mu]
 
 
 def _mode_parts(k: int, nx: int):
@@ -345,30 +358,24 @@ def assemble(grid: StripGrid, top_kind: type):
 
     `_csc` writes A0 straight into its CSC arrays: the only arrays that grow
     with the nonzero count are the returned ones.  The invariant is the
-    order of the parts: blocks of rows go in ascending row order and, within
-    a block, parts go in descending column-level offset (column level j+1,
-    then j, then j-1 for a row at level j), so every column receives its rows
-    in ascending order and the matrix is canonical as written.  A0 (explicit
-    zeros included), U and V are bit-identical to the per-level loop kept in
-    the tests as the oracle.
+    order of the parts: blocks of rows go in ascending `Layout` number and,
+    within a block, parts go in descending column-level offset (column level
+    j+1, then j, then j-1 for a row at level j), so every column receives
+    its rows in ascending order and the matrix is canonical as written.  A0
+    (explicit zeros included), U and V are bit-identical to the per-level
+    loop kept in the tests as the oracle.
     """
-    if top_kind not in (DirichletTop, TransparentTop):
-        raise TypeError(f"unsupported top condition {top_kind!r}")
+    L = Layout(grid, top_kind)
     g = grid
     nx, ny = g.nx, g.ny
     dxi = g.dxi
-    nu, npr, iu, ipr = _unknowns(g)
+    u, p, mu = L.u, L.p, L.mu
     dirichlet = top_kind is DirichletTop
-    imu = 2 * nu + npr
-    ntot = imu + (2 if dirichlet else 1)
     parts = []
 
-    # (rows, cols, values) parts; in xi-level t a dense block has columns
-    # t nx + (0..nx-1), a diagonal one column t nx + i in row i
-    lev = nx * np.arange(ny)[:, None, None]
-    dense, diagonal = lev + np.arange(nx), lev + np.arange(nx)[:, None]
-
-    # interior momentum rows of levels j = 1..ny-1: velocity levels j+1, j,
+    # (rows, cols, values) parts: rows (levels, nx, 1) meet dense columns
+    # (levels, 1, nx) block by block, diagonal columns (levels, nx, 1) one each.
+    # Interior momentum rows of levels j = 1..ny-1: velocity levels j+1, j,
     # j-1, then pressure levels j and j-1 (d_x p in u1 rows, d_y p in u2 rows)
     Dx, Dxx = g.Dx, g.Dxx
     cxixi, cxi, a, ih = (f[:, 1:ny].T for f in (g.cxixi, g.cxi, g.a_nodes, g.invHsp_nodes))
@@ -379,62 +386,61 @@ def assemble(grid: StripGrid, top_kind: type):
         (0, lambda: -_diags(cxixi) / dxi ** 2 + a[..., None] * Dx / dxi
          + _diags(cxi) / (2 * dxi)),
     )
-    grad_p = ([(2 * nu + nx + dense[:-1], lambda: Dx / 2 + _diags(a) / dxi),
-               (2 * nu + dense[:-1], lambda: Dx / 2 - _diags(a) / dxi)],
-              [(2 * nu + nx + diagonal[:-1], ih[..., None] / dxi),
-               (2 * nu + diagonal[:-1], -ih[..., None] / dxi)])
-    top_rows = None if dirichlet else _transparent_rows(g, iu, ipr)
+    grad_p = ([(p[1:ny, None, :], lambda: Dx / 2 + _diags(a) / dxi),
+               (p[:ny - 1, None, :], lambda: Dx / 2 - _diags(a) / dxi)],
+              [(p[1:ny, :, None], ih[..., None] / dxi),
+               (p[:ny - 1, :, None], -ih[..., None] / dxi)])
+    top_rows = None if dirichlet else _transparent_rows(g, L)
     for c in range(2):
         # bottom Dirichlet, interior momentum rows, top rows
-        parts.append((iu(c, 0)[:, None], iu(c, 0)[:, None], 1.0))
-        rows = c * nu + nx + diagonal[:-1]
-        parts += [(rows, c * nu + t * nx + dense[:-1], B) for t, B in velocity]
+        parts.append((u[c, 0, :, None], u[c, 0, :, None], 1.0))
+        rows = u[c, 1:ny, :, None]
+        parts += [(rows, u[c, t:t + ny - 1, None, :], B) for t, B in velocity]
         parts += [(rows, cols, vals) for cols, vals in grad_p[c]]
         if dirichlet:
-            parts.append((iu(c, ny)[:, None], iu(c, ny)[:, None], 1.0))
+            parts.append((u[c, ny, :, None], u[c, ny, :, None], 1.0))
         else:
             parts += [_row(slot, cols, vals) for slot, (cols, vals)
-                      in zip(iu(c, ny), top_rows[c * nx:(c + 1) * nx])]
+                      in zip(u[c, ny], top_rows[c * nx:(c + 1) * nx])]
 
     # continuity rows at each pressure cell, velocity level t+1 then t
     vols = g.mid_volumes()
     a_mid, ih_mid = g.a_mids.T, g.invHsp_mids.T[..., None]
-    rows = 2 * nu + diagonal
-    parts += [(rows, nx + dense, lambda: Dx / 2 + _diags(a_mid) / dxi),
-              (rows, dense, lambda: Dx / 2 - _diags(a_mid) / dxi),
-              (rows, nu + nx + diagonal, ih_mid / dxi), (rows, nu + diagonal, -ih_mid / dxi)]
+    rows = p[:, :, None]
+    parts += [(rows, u[0, 1:, None, :], lambda: Dx / 2 + _diags(a_mid) / dxi),
+              (rows, u[0, :ny, None, :], lambda: Dx / 2 - _diags(a_mid) / dxi),
+              (rows, u[1, 1:, :, None], ih_mid / dxi), (rows, u[1, :ny, :, None], -ih_mid / dxi)]
     if not dirichlet:
         # uniform multiplier column: mu reads as compatibility defect density
-        parts.append((2 * nu + np.arange(npr)[:, None], np.array([[imu]]), 1.0))
+        parts.append((p.reshape(-1, 1), mu[None], 1.0))
 
     # pressure constraint rows
-    U = np.zeros((ntot, 4 if dirichlet else 0))
+    U = np.zeros((L.n, 4 if dirichlet else 0))
     V = np.zeros_like(U)
     if dirichlet:
         # multiplier m's column on the continuity rows and constraint row on
         # the pressure unknowns: m = 0 the mean, m = 1 the Nyquist pattern
-        nyq = np.tile((-1.0) ** np.arange(nx), ny)
-        weights = vols.T.ravel()
-        columns = (np.ones(npr), nyq)
-        constraints = (weights, nyq * weights)
+        nyq = np.tile((-1.0) ** np.arange(nx), (ny, 1))
+        columns = (np.ones((ny, nx)), nyq)
+        constraints = (vols.T, nyq * vols.T)
         for m in range(2):
             # A0 keeps the entries at the pin cell (m, ny-1); U V^T adds the rest
-            pin = (ny - 1) * nx + m
-            parts.append(_row(2 * nu + pin, imu + m, columns[m][pin]))
-            parts.append(_row(imu + m, 2 * nu + pin, constraints[m][pin]))
-            U[2 * nu:imu, m] = columns[m]
-            U[2 * nu + pin, m] = 0.0
-            V[imu + m, m] = 1.0
-            U[imu + m, 2 + m] = 1.0
-            V[2 * nu:imu, 2 + m] = constraints[m]
-            V[2 * nu + pin, 2 + m] = 0.0
+            pin = p[ny - 1, m]
+            parts.append(_row(pin, mu[m], columns[m][ny - 1, m]))
+            parts.append(_row(mu[m], pin, constraints[m][ny - 1, m]))
+            U[p, m] = columns[m]
+            U[pin, m] = 0.0
+            V[mu[m], m] = 1.0
+            U[mu[m], 2 + m] = 1.0
+            V[p, 2 + m] = constraints[m]
+            V[pin, 2 + m] = 0.0
     else:
-        parts.append(_row(imu, 2 * nu + np.arange(npr), vols.T.ravel()))
+        parts.append(_row(mu[0], p, vols.T.ravel()))
 
-    return _csc(ntot, parts), U, V
+    return _csc(L.n, parts), U, V
 
 
-def _transparent_rows(g: StripGrid, iu, ipr) -> list:
+def _transparent_rows(g: StripGrid, L: Layout) -> list:
     """(cols, vals) of the transparent condition's 2 nx top rows, mode by mode.
 
     Row order: the zero mode's two Neumann rows, then per mode k > 0 the
@@ -445,7 +451,7 @@ def _transparent_rows(g: StripGrid, iu, ipr) -> list:
     dcoef = g.invHsp_nodes[:, ny] / (2 * dxi)
 
     def dy_cols_vals(c, weight):
-        cols = np.concatenate([iu(c, ny), iu(c, ny - 1), iu(c, ny - 2)])
+        cols = np.concatenate([L.u[c, ny], L.u[c, ny - 1], L.u[c, ny - 2]])
         vals = np.concatenate([3.0 * weight * dcoef, -4.0 * weight * dcoef,
                                weight * dcoef])
         return cols, vals
@@ -454,7 +460,7 @@ def _transparent_rows(g: StripGrid, iu, ipr) -> list:
     w0vec = np.full(nx, 1.0 / nx)
     rows = [dy_cols_vals(c, w0vec) for c in range(2)]
 
-    trace_cols = [iu(0, ny), iu(1, ny)]
+    trace_cols = L.u[:, ny]
     for k in range(1, nx // 2 + 1):
         wk = np.exp(-1j * k * g.x) / nx
         M = dtn_matrix((k,))
@@ -465,7 +471,7 @@ def _transparent_rows(g: StripGrid, iu, ipr) -> list:
                  np.concatenate([vals_d[:nx] + -M[0, 0] * wk, vals_d[nx:], -M[0, 1] * wk]))
         # pressure trace: FFT_k[p(top)] + 2 a_k . uhat = rp + 2 a_k . w0
         a_k = np.array([1j * k, -abs(k)], dtype=complex)
-        row_p = (np.concatenate([ipr(ny - 1), ipr(ny - 2), trace_cols[0], trace_cols[1]]),
+        row_p = (np.concatenate([L.p[ny - 1], L.p[ny - 2], trace_cols[0], trace_cols[1]]),
                  np.concatenate([1.5 * wk, -0.5 * wk, 2 * a_k[0] * wk, 2 * a_k[1] * wk]))
         for part in _mode_parts(k, nx):
             for cols, vals in (row_h, row_p):
@@ -475,23 +481,20 @@ def _transparent_rows(g: StripGrid, iu, ipr) -> list:
 
 def assemble_rhs(problem: CellProblem) -> np.ndarray:
     """Right-hand side of the saddle-point system that `assemble` builds."""
-    g = problem.grid
+    g, top = problem.grid, problem.top
     nx, ny = g.nx, g.ny
-    nu, npr, iu, ipr = _unknowns(g)
-    top = problem.top
-    rhs = np.zeros(2 * nu + npr + (2 if isinstance(top, DirichletTop) else 1))
-    for c in range(2):
-        rhs[iu(c, 0)] = problem.bottom[c]
-        if problem.source is not None:
-            rhs[c * nu + nx:c * nu + ny * nx] = problem.source[c, :, 1:ny].T.ravel()
+    L = Layout(g, type(top))
+    rhs = np.zeros(L.n)
+    rhs[L.u[:, 0]] = problem.bottom
+    if problem.source is not None:
+        rhs[L.u[:, 1:ny]] = problem.source[:, :, 1:ny].transpose(0, 2, 1)
     if problem.div_data is not None:
-        rhs[2 * nu:2 * nu + npr] = problem.div_data.T.ravel()
+        rhs[L.p] = problem.div_data.T
 
     if isinstance(top, DirichletTop):
-        for c in range(2):
-            rhs[iu(c, ny)] = top.values[c]
-    elif isinstance(top, TransparentTop):
-        slots = np.concatenate([iu(0, ny), iu(1, ny)])
+        rhs[L.u[:, ny]] = top.values
+    else:
+        slots = L.u[:, ny].ravel()
         rhs[slots[:2]] = [float(top.neumann0[0]), float(top.neumann0[1])]
         for k in range(1, nx // 2 + 1):
             if k not in top.exterior:
@@ -502,8 +505,6 @@ def assemble_rhs(problem: CellProblem) -> np.ndarray:
                 for value in values:
                     rhs[slots[slot]] = float(part(np.complex128(value)))
                     slot += 1
-    else:
-        raise TypeError(f"unsupported top condition {type(top)!r}")
     return rhs
 
 
@@ -583,23 +584,14 @@ def solve_stokes(problem: CellProblem) -> CellSolution:
         raise SolverError(f"linear residual {linear_residual:.3e} exceeds "
                           f"the bound {RESIDUAL_BOUND:.0e}")
 
-    nu = nx * (ny + 1)
-    u = np.stack([sol[:nu].reshape(ny + 1, nx).T, sol[nu:2 * nu].reshape(ny + 1, nx).T])
-    p = sol[2 * nu:2 * nu + nx * ny].reshape(ny, nx).T
-
+    u, p, mu = Layout(g, kind).fields(sol)
     spec = fourier_modes(g, u[:, :, ny])
     trace_modes = {k: spec[:, k].copy() for k in range(1, nx // 2 + 1)}
-    third = max(1, nx // 6)
-    tail_band = np.sum(np.abs(spec[:, nx // 2 - third + 1: nx // 2 + 1]) ** 2)
-    total_band = np.sum(np.abs(spec[:, 1: nx // 2 + 1]) ** 2)
-
     div = divergence_residual(g, u, problem.div_data)
     diagnostics = {
         "linear_residual": linear_residual,
         "divergence_residual": float(np.abs(div).max()),
-        "multiplier": float(sol[2 * nu + nx * ny]),
-        "trailing_mode_energy": float(tail_band),
-        "mode_energy": float(total_band),
+        "multiplier": float(mu[0]),
         "resolution": (nx, ny),
     }
     return CellSolution(

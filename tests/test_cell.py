@@ -12,6 +12,7 @@ from stokesbl.cell import (
     CellProblem,
     CellSolution,
     DirichletTop,
+    Layout,
     SolverError,
     StripGrid,
     TransparentTop,
@@ -309,25 +310,22 @@ def test_dirichlet_border_matches_bordered_lu(geometry, stretch, div):
     full = (core + sp.csc_matrix(U) @ sp.csc_matrix(V.T)).tocsc()
     # the bordered matrix carries the dense mean and Nyquist multiplier pairs
     grid = problem.grid
-    nu, npr = grid.nx * (grid.ny + 1), grid.nx * grid.ny
+    L = Layout(grid, DirichletTop)
+    npr = L.p.size
     nyq = np.tile((-1.0) ** np.arange(grid.nx), grid.ny)
     vols = grid.mid_volumes().T.ravel()
-    border_cols = full[:, -2:].toarray()
-    border_rows = full[-2:, :].toarray()
-    assert np.array_equal(border_cols[2 * nu:2 * nu + npr], np.stack([np.ones(npr), nyq], 1))
-    assert not border_cols[:2 * nu].any() and not border_cols[-2:].any()
-    assert np.allclose(border_rows[:, 2 * nu:2 * nu + npr], np.stack([vols, nyq * vols]),
+    border_cols = full[:, L.mu].toarray()
+    border_rows = full[L.mu, :].toarray()
+    assert np.array_equal(border_cols[L.p.ravel()], np.stack([np.ones(npr), nyq], 1))
+    assert not border_cols[L.u.ravel()].any() and not border_cols[L.mu].any()
+    assert np.allclose(border_rows[:, L.p.ravel()], np.stack([vols, nyq * vols]),
                        rtol=1e-15, atol=0)
-    assert not border_rows[:, :2 * nu].any() and not border_rows[:, -2:].any()
+    assert not border_rows[:, L.u.ravel()].any() and not border_rows[:, L.mu].any()
     rhs = assemble_rhs(problem)
     ref = spla.splu(full).solve(rhs)
     sol = solve_stokes(problem)
 
-    nx, ny = problem.grid.nx, problem.grid.ny
-    nu = nx * (ny + 1)
-    u_ref = np.stack([ref[:nu].reshape(ny + 1, nx).T, ref[nu:2 * nu].reshape(ny + 1, nx).T])
-    p_ref = ref[2 * nu:2 * nu + nx * ny].reshape(ny, nx).T
-    mu_ref = ref[2 * nu + nx * ny]
+    u_ref, p_ref, (mu_ref, _) = L.fields(ref)
     assert np.abs(sol.u - u_ref).max() <= 1e-10 * np.abs(u_ref).max()
     assert np.abs(sol.p - p_ref).max() <= 1e-10 * np.abs(p_ref).max()
     assert abs(mu_ref) > 1e-3
@@ -342,6 +340,41 @@ def test_transparent_border_is_empty():
     assert U.shape == V.shape == (core.shape[0], 0)
     with pytest.raises(TypeError):
         assemble(grid, object)
+
+
+@pytest.mark.parametrize("nx, ny", [(12, 16), (16, 20)])
+@pytest.mark.parametrize("top_kind", [DirichletTop, TransparentTop])
+def test_layout_numbers_every_unknown_once(nx, ny, top_kind):
+    grid = StripGrid(COS_WALL, 3.0, nx=nx, ny=ny)
+    L = Layout(grid, top_kind)
+    assert L.u.shape == (2, ny + 1, nx) and L.p.shape == (ny, nx)
+    assert L.mu.shape == ((2,) if top_kind is DirichletTop else (1,))
+    numbers = np.concatenate([L.u.ravel(), L.p.ravel(), L.mu])
+    assert np.array_equal(numbers, np.arange(L.n))
+    assert assemble(grid, top_kind)[0].shape == (L.n, L.n)
+    # fields inverts a scatter of fields given in the solver's shapes
+    rng = np.random.default_rng(nx)
+    u, p, mu = rng.standard_normal((2, nx, ny + 1)), rng.standard_normal((nx, ny)), \
+        rng.standard_normal(L.mu.size)
+    sol = np.full(L.n, np.nan)
+    sol[L.u] = u.transpose(0, 2, 1)
+    sol[L.p] = p.T
+    sol[L.mu] = mu
+    got = L.fields(sol)
+    for have, want in zip(got, (u, p, mu)):
+        assert have.shape == want.shape and np.array_equal(have, want)
+    # the solver's memory layouts, which later reductions round by
+    assert got[0].transpose(0, 2, 1).flags.c_contiguous and got[1].T.flags.c_contiguous
+
+
+@pytest.mark.parametrize("top", [TransparentTop(), DirichletTop(np.zeros((2, 16)))],
+                         ids=["transparent", "dirichlet"])
+def test_solver_diagnostics_hold_exactly_the_solve_statistics(top):
+    # a field added here must also join CI's stack diagnostics check
+    grid = StripGrid(COS_WALL, height=3.0, nx=16, ny=20)
+    sol = solve_stokes(CellProblem(grid, wall_problem(grid, 1, 1).bottom, top))
+    assert sorted(sol.diagnostics) == ["divergence_residual", "linear_residual",
+                                       "multiplier", "resolution"]
 
 
 # -- assembly ------------------------------------------------------------------
@@ -365,74 +398,70 @@ def _loop_assemble(grid, top_kind):
     g = grid
     nx, ny = g.nx, g.ny
     dxi = g.dxi
-    nu, npr, iu, ipr = cell._unknowns(g)
+    L = Layout(g, top_kind)
     dirichlet = top_kind is DirichletTop
-    imu = 2 * nu + npr
-    ntot = imu + (2 if dirichlet else 1)
     acc = ([], [], [])
 
     for c in range(2):
-        _loop_diag(iu(c, 0), iu(c, 0), np.ones(nx), acc)
+        _loop_diag(L.u[c, 0], L.u[c, 0], np.ones(nx), acc)
 
     Dx, Dxx = g.Dx, g.Dxx
     for j in range(1, ny):
-        rowj = {0: iu(0, j), 1: iu(1, j)}
+        rowj = {0: L.u[0, j], 1: L.u[1, j]}
         B0 = -Dxx + np.diag(2.0 * g.cxixi[:, j] / dxi ** 2)
         Bp = -np.diag(g.cxixi[:, j]) / dxi ** 2 - g.a_nodes[:, j, None] * Dx / dxi \
             - np.diag(g.cxi[:, j]) / (2 * dxi)
         Bm = -np.diag(g.cxixi[:, j]) / dxi ** 2 + g.a_nodes[:, j, None] * Dx / dxi \
             + np.diag(g.cxi[:, j]) / (2 * dxi)
         for c in range(2):
-            _loop_block(rowj[c], iu(c, j), B0, acc)
-            _loop_block(rowj[c], iu(c, j + 1), Bp, acc)
-            _loop_block(rowj[c], iu(c, j - 1), Bm, acc)
-        _loop_block(rowj[0], ipr(j), Dx / 2 + np.diag(g.a_nodes[:, j]) / dxi, acc)
-        _loop_block(rowj[0], ipr(j - 1), Dx / 2 - np.diag(g.a_nodes[:, j]) / dxi, acc)
-        _loop_diag(rowj[1], ipr(j), g.invHsp_nodes[:, j] / dxi, acc)
-        _loop_diag(rowj[1], ipr(j - 1), -g.invHsp_nodes[:, j] / dxi, acc)
+            _loop_block(rowj[c], L.u[c, j], B0, acc)
+            _loop_block(rowj[c], L.u[c, j + 1], Bp, acc)
+            _loop_block(rowj[c], L.u[c, j - 1], Bm, acc)
+        _loop_block(rowj[0], L.p[j], Dx / 2 + np.diag(g.a_nodes[:, j]) / dxi, acc)
+        _loop_block(rowj[0], L.p[j - 1], Dx / 2 - np.diag(g.a_nodes[:, j]) / dxi, acc)
+        _loop_diag(rowj[1], L.p[j], g.invHsp_nodes[:, j] / dxi, acc)
+        _loop_diag(rowj[1], L.p[j - 1], -g.invHsp_nodes[:, j] / dxi, acc)
 
     vols = g.mid_volumes()
     for j in range(ny):
-        row = ipr(j)
-        _loop_block(row, iu(0, j), Dx / 2 - np.diag(g.a_mids[:, j]) / dxi, acc)
-        _loop_block(row, iu(0, j + 1), Dx / 2 + np.diag(g.a_mids[:, j]) / dxi, acc)
-        _loop_diag(row, iu(1, j), -g.invHsp_mids[:, j] / dxi, acc)
-        _loop_diag(row, iu(1, j + 1), g.invHsp_mids[:, j] / dxi, acc)
+        row = L.p[j]
+        _loop_block(row, L.u[0, j], Dx / 2 - np.diag(g.a_mids[:, j]) / dxi, acc)
+        _loop_block(row, L.u[0, j + 1], Dx / 2 + np.diag(g.a_mids[:, j]) / dxi, acc)
+        _loop_diag(row, L.u[1, j], -g.invHsp_mids[:, j] / dxi, acc)
+        _loop_diag(row, L.u[1, j + 1], g.invHsp_mids[:, j] / dxi, acc)
         if not dirichlet:
-            _loop_diag(row, np.full(nx, imu), np.ones(nx), acc)
+            _loop_diag(row, np.full(nx, L.mu[0]), np.ones(nx), acc)
 
-    U = np.zeros((ntot, 4 if dirichlet else 0))
+    U = np.zeros((L.n, 4 if dirichlet else 0))
     V = np.zeros_like(U)
     if dirichlet:
+        cells = L.p.ravel()
         nyq = np.tile((-1.0) ** np.arange(nx), ny)
         weights = vols.T.ravel()
-        columns = (np.ones(npr), nyq)
+        columns = (np.ones(cells.size), nyq)
         constraints = (weights, nyq * weights)
         for m in range(2):
             pin = (ny - 1) * nx + m
-            _loop_diag(np.array([2 * nu + pin]), np.array([imu + m]),
-                       columns[m][pin:pin + 1], acc)
-            _loop_diag(np.array([imu + m]), np.array([2 * nu + pin]),
-                       constraints[m][pin:pin + 1], acc)
-            U[2 * nu:imu, m] = columns[m]
-            U[2 * nu + pin, m] = 0.0
-            V[imu + m, m] = 1.0
-            U[imu + m, 2 + m] = 1.0
-            V[2 * nu:imu, 2 + m] = constraints[m]
-            V[2 * nu + pin, 2 + m] = 0.0
+            _loop_diag(cells[pin:pin + 1], L.mu[m:m + 1], columns[m][pin:pin + 1], acc)
+            _loop_diag(L.mu[m:m + 1], cells[pin:pin + 1], constraints[m][pin:pin + 1], acc)
+            U[cells, m] = columns[m]
+            U[cells[pin], m] = 0.0
+            V[L.mu[m], m] = 1.0
+            U[L.mu[m], 2 + m] = 1.0
+            V[cells, 2 + m] = constraints[m]
+            V[cells[pin], 2 + m] = 0.0
         for c in range(2):
-            _loop_diag(iu(c, ny), iu(c, ny), np.ones(nx), acc)
+            _loop_diag(L.u[c, ny], L.u[c, ny], np.ones(nx), acc)
     else:
         for j in range(ny):
-            _loop_diag(np.full(nx, imu), ipr(j), vols[:, j], acc)
-        slots = np.concatenate([iu(0, ny), iu(1, ny)])
-        for slot, (cols, vals) in zip(slots, cell._transparent_rows(g, iu, ipr)):
+            _loop_diag(np.full(nx, L.mu[0]), L.p[j], vols[:, j], acc)
+        for slot, (cols, vals) in zip(L.u[:, ny].ravel(), cell._transparent_rows(g, L)):
             acc[0].append(np.full(cols.shape[0], slot))
             acc[1].append(cols)
             acc[2].append(np.asarray(vals, dtype=float))
 
     rows, cols, vals = (np.concatenate(a) for a in acc)
-    return sp.coo_matrix((vals, (rows, cols)), shape=(ntot, ntot)).tocsc(), U, V
+    return sp.coo_matrix((vals, (rows, cols)), shape=(L.n, L.n)).tocsc(), U, V
 
 
 # the five walls of the acceptance suite, which seed 0 of the benchmark uses
