@@ -40,6 +40,10 @@ from .modes import (ModeExpansion, dtn_matrix, poly_add, poly_derive, poly_eval0
 #: The default cell grid: lid height, x nodes and xi intervals.
 DEFAULT_HEIGHT, DEFAULT_NX, DEFAULT_NY = 3.0, 32, 40
 
+#: One-sided lid closures, mirrored at the wall and read by the top rows:
+#: d/dxi f(ny) = sum_m XI_CLOSURE[m] f[ny-m] / (2 dxi), p(ny) = sum_m P_CLOSURE[m] p[ny-1-m].
+XI_CLOSURE, P_CLOSURE = (3.0, -4.0, 1.0), (1.5, -0.5)
+
 
 class StripGrid:
     """Boundary-fitted tensor grid with metric coefficients precomputed."""
@@ -155,10 +159,11 @@ class StripGrid:
 
     def xi_derivative_nodes(self, f: np.ndarray) -> np.ndarray:
         """Second-order d/dxi of a node field (nx, ny+1)."""
+        a, b, c = XI_CLOSURE
         out = np.empty_like(f)
         out[:, 1:-1] = (f[:, 2:] - f[:, :-2]) / (2 * self.dxi)
-        out[:, 0] = (-3 * f[:, 0] + 4 * f[:, 1] - f[:, 2]) / (2 * self.dxi)
-        out[:, -1] = (3 * f[:, -1] - 4 * f[:, -2] + f[:, -3]) / (2 * self.dxi)
+        out[:, 0] = (-a * f[:, 0] + -b * f[:, 1] + -c * f[:, 2]) / (2 * self.dxi)
+        out[:, -1] = (a * f[:, -1] + b * f[:, -2] + c * f[:, -3]) / (2 * self.dxi)
         return out
 
     def dx_nodes(self, f: np.ndarray) -> np.ndarray:
@@ -182,10 +187,11 @@ class StripGrid:
 
     def pressure_at_nodes(self, p: np.ndarray) -> np.ndarray:
         """Interpolate the midpoint pressure to nodes (second order)."""
+        a, b = P_CLOSURE
         out = np.empty((self.nx, self.ny + 1))
         out[:, 1:-1] = 0.5 * (p[:, 1:] + p[:, :-1])
-        out[:, 0] = 1.5 * p[:, 0] - 0.5 * p[:, 1]
-        out[:, -1] = 1.5 * p[:, -1] - 0.5 * p[:, -2]
+        out[:, 0] = a * p[:, 0] + b * p[:, 1]
+        out[:, -1] = a * p[:, -1] + b * p[:, -2]
         return out
 
 
@@ -309,7 +315,9 @@ class Layout:
     the midpoints, then the multipliers: u[c, j, i] is component c at node
     (x_i, xi_j), p[j, i] the pressure cell (x_i, xi_{j+1/2}), and mu the
     pressure-mean multiplier, followed by the Nyquist one under a Dirichlet
-    top.  n counts them all.
+    top.  n counts them all.  Under a transparent top, top_rows maps mode k to
+    its rows of u[:, ny], ascending: the zero mode's two Neumann rows, then per
+    k > 0 and `_mode_parts` part a Robin and a pressure trace row (else None).
     """
 
     def __init__(self, grid: StripGrid, top_kind: type):
@@ -322,13 +330,15 @@ class Layout:
         self.u = index[:nvel].reshape(2, ny + 1, nx)
         self.p = index[nvel:nvel + npr].reshape(ny, nx)
         self.mu = index[nvel + npr:]
+        sizes = [2] + [2 * len(_mode_parts(k, nx)) for k in range(1, nx // 2 + 1)]
+        self.top_rows = (dict(enumerate(np.split(self.u[:, ny].ravel(), np.cumsum(sizes)[:-1])))
+                         if top_kind is TransparentTop else None)
 
     def fields(self, sol: np.ndarray):
         """(u, p, mu) of a solution vector, u of shape (2, nx, ny+1) and p (nx, ny).
 
-        Both are transposed views of C-contiguous (level, x) arrays: the
-        matmul in `divergence_residual` rounds by that layout, so the pinned
-        outputs depend on it.
+        Both are transposed views of C-contiguous (level, x) arrays: the pinned
+        outputs were made so, and `Dx @ f` in `StripGrid.dx_nodes` rounds by layout.
         """
         return sol[self.u].transpose(0, 2, 1), sol[self.p].T, sol[self.mu]
 
@@ -400,8 +410,7 @@ def assemble(grid: StripGrid, top_kind: type):
         if dirichlet:
             parts.append((u[c, ny, :, None], u[c, ny, :, None], 1.0))
         else:
-            parts += [_row(slot, cols, vals) for slot, (cols, vals)
-                      in zip(u[c, ny], top_rows[c * nx:(c + 1) * nx])]
+            parts += [_row(slot, *top_rows[slot]) for slot in u[c, ny]]
 
     # continuity rows at each pressure cell, velocity level t+1 then t
     vols = g.mid_volumes()
@@ -440,27 +449,24 @@ def assemble(grid: StripGrid, top_kind: type):
     return _csc(L.n, parts), U, V
 
 
-def _transparent_rows(g: StripGrid, L: Layout) -> list:
-    """(cols, vals) of the transparent condition's 2 nx top rows, mode by mode.
-
-    Row order: the zero mode's two Neumann rows, then per mode k > 0 the
-    horizontal Robin row and the pressure trace row, real parts first.
-    """
+def _transparent_rows(g: StripGrid, L: Layout) -> dict:
+    """(cols, vals) of the transparent condition's 2 nx top rows, keyed by
+    their rows `L.top_rows`; d_y and the pressure trace use the lid closures."""
     nx, ny = g.nx, g.ny
-    dxi = g.dxi
-    dcoef = g.invHsp_nodes[:, ny] / (2 * dxi)
+    dcoef = g.invHsp_nodes[:, ny] / (2 * g.dxi)
 
     def dy_cols_vals(c, weight):
-        cols = np.concatenate([L.u[c, ny], L.u[c, ny - 1], L.u[c, ny - 2]])
-        vals = np.concatenate([3.0 * weight * dcoef, -4.0 * weight * dcoef,
-                               weight * dcoef])
+        # a unit weight is left out: 1.0 * weight can flip a complex zero's sign
+        cols = L.u[c, ny - np.arange(len(XI_CLOSURE))].ravel()
+        vals = np.concatenate([(weight if w == 1.0 else w * weight) * dcoef
+                               for w in XI_CLOSURE])
         return cols, vals
 
     # zero mode: d_y of both components equals the prescribed Neumann data
     w0vec = np.full(nx, 1.0 / nx)
-    rows = [dy_cols_vals(c, w0vec) for c in range(2)]
+    rows = dict(zip(L.top_rows[0], [dy_cols_vals(c, w0vec) for c in range(2)]))
 
-    trace_cols = L.u[:, ny]
+    trace_cols, lid_p = L.u[:, ny], L.p[ny - 1 - np.arange(len(P_CLOSURE))]
     for k in range(1, nx // 2 + 1):
         wk = np.exp(-1j * k * g.x) / nx
         M = dtn_matrix((k,))
@@ -471,11 +477,10 @@ def _transparent_rows(g: StripGrid, L: Layout) -> list:
                  np.concatenate([vals_d[:nx] + -M[0, 0] * wk, vals_d[nx:], -M[0, 1] * wk]))
         # pressure trace: FFT_k[p(top)] + 2 a_k . uhat = rp + 2 a_k . w0
         a_k = np.array([1j * k, -abs(k)], dtype=complex)
-        row_p = (np.concatenate([L.p[ny - 1], L.p[ny - 2], trace_cols[0], trace_cols[1]]),
-                 np.concatenate([1.5 * wk, -0.5 * wk, 2 * a_k[0] * wk, 2 * a_k[1] * wk]))
-        for part in _mode_parts(k, nx):
-            for cols, vals in (row_h, row_p):
-                rows.append((cols, part(vals)))
+        row_p = (np.concatenate([*lid_p, trace_cols[0], trace_cols[1]]),
+                 np.concatenate([*(w * wk for w in P_CLOSURE), 2 * a_k[0] * wk, 2 * a_k[1] * wk]))
+        rows.update(zip(L.top_rows[k], [(cols, part(vals)) for part in _mode_parts(k, nx)
+                                        for cols, vals in (row_h, row_p)]))
     return rows
 
 
@@ -494,17 +499,13 @@ def assemble_rhs(problem: CellProblem) -> np.ndarray:
     if isinstance(top, DirichletTop):
         rhs[L.u[:, ny]] = top.values
     else:
-        slots = L.u[:, ny].ravel()
-        rhs[slots[:2]] = [float(top.neumann0[0]), float(top.neumann0[1])]
+        rhs[L.top_rows[0]] = [float(top.neumann0[0]), float(top.neumann0[1])]
         for k in range(1, nx // 2 + 1):
             if k not in top.exterior:
                 continue  # a homogeneous mode's rows keep a zero right-hand side
             values = _transparent_values(k, *top.exterior[k])
-            slot = 2 + 4 * (k - 1)
-            for part in _mode_parts(k, nx):
-                for value in values:
-                    rhs[slots[slot]] = float(part(np.complex128(value)))
-                    slot += 1
+            rhs[L.top_rows[k]] = [float(part(np.complex128(value)))
+                                  for part in _mode_parts(k, nx) for value in values]
     return rhs
 
 
@@ -616,7 +617,8 @@ def fourier_modes(g: StripGrid, row_values: np.ndarray) -> np.ndarray:
 def divergence_residual(g: StripGrid, u: np.ndarray, div_data) -> np.ndarray:
     """Discrete divergence minus prescribed data at the pressure cells."""
     dxi = g.dxi
-    u1m = 0.5 * (u[0][:, 1:] + u[0][:, :-1])
+    # the matmul rounds by its operand's layout: fix it, whatever u's is
+    u1m = np.asfortranarray(0.5 * (u[0][:, 1:] + u[0][:, :-1]))
     du1 = (u[0][:, 1:] - u[0][:, :-1]) / dxi
     du2 = (u[1][:, 1:] - u[1][:, :-1]) / dxi
     div = g.Dx @ u1m + g.a_mids * du1 + g.invHsp_mids * du2

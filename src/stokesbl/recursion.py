@@ -245,9 +245,9 @@ class CorrectorStack:
         if len(np.trim_zeros(q_poly, "b")) > max(beta, 1):
             raise AssertionError("deg Q_poly exceeds beta - 1")
 
-        # pressure normalization: Q_per's zero mode, extrapolated from the
-        # two top pressure rows, vanishes at the lid
-        p_lid = float(np.mean(1.5 * sol.p[:, -1] - 0.5 * sol.p[:, -2]))
+        # pressure normalization: Q_per's zero mode, extrapolated to the lid
+        # by the pressure closure, vanishes there
+        p_lid = float(np.mean(g.pressure_at_nodes(sol.p)[:, -1]))
         p_shift = float(npoly.polyval(g.height, q_poly)) - p_lid
 
         modes = trace_expansion(sol, problem.top)

@@ -143,6 +143,16 @@ def test_divergence_residual_is_tiny():
     assert sol.diagnostics["linear_residual"] < 1e-10
 
 
+def test_divergence_residual_does_not_depend_on_memory_layout():
+    # the solver's u is a transposed view; a C-contiguous copy holds the same
+    # values and must give the same bytes, though the matmul rounds by layout
+    sol = solve_cell(COS_WALL, l=2, comp=2, nx=16, ny=20)
+    copy = np.ascontiguousarray(sol.u)
+    assert copy.flags.c_contiguous and not sol.u.flags.c_contiguous
+    want = divergence_residual(sol.grid, sol.u, None)
+    assert divergence_residual(sol.grid, copy, None).tobytes() == want.tobytes()
+
+
 def test_tail_convergence_and_positivity():
     # slip length for the cosine wall: refinement-converged and positive
     tails = []
@@ -377,6 +387,68 @@ def test_solver_diagnostics_hold_exactly_the_solve_statistics(top):
                                        "multiplier", "resolution"]
 
 
+# -- the lid closures ----------------------------------------------------------
+
+def _lid_fields(g, seed=1):
+    """A velocity quadratic and a pressure linear in xi, random per x column."""
+    rng = np.random.default_rng(seed)
+    c0, c1, c2 = rng.standard_normal((3, 2, g.nx, 1))
+    b0, b1 = rng.standard_normal((2, g.nx, 1))
+    xi = g.xi_nodes
+    return c0 + c1 * xi + c2 * xi ** 2, c1 + 2 * c2 * xi, b0 + b1 * g.xi_mids, b0 + b1
+
+
+@pytest.mark.parametrize("stretch", [0.0, 2.0])
+def test_xi_derivative_is_exact_at_wall_and_lid_for_a_quadratic(stretch):
+    g = StripGrid(COS_WALL, 3.0, nx=16, ny=20, stretch=stretch)
+    u, du, _, _ = _lid_fields(g)
+    for c in range(2):
+        # every node, the one-sided wall and lid columns included
+        assert np.abs(g.xi_derivative_nodes(u[c]) - du[c]).max() < 1e-12
+
+
+@pytest.mark.parametrize("stretch", [0.0, 2.0])
+def test_neumann_rows_are_the_lid_mean_of_dy(stretch):
+    g = StripGrid(COS_WALL, 3.0, nx=16, ny=20, stretch=stretch)
+    L = Layout(g, TransparentTop)
+    u, _, _, _ = _lid_fields(g)
+    x = np.zeros(L.n)
+    x[L.u] = u.transpose(0, 2, 1)
+    got = (assemble(g, TransparentTop)[0] @ x)[L.top_rows[0]]
+    want = [np.mean(g.dy_nodes(u[c])[:, -1]) for c in range(2)]
+    assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("stretch", [0.0, 2.0])
+def test_pressure_trace_rows_read_the_extrapolated_lid_pressure(stretch):
+    g = StripGrid(COS_WALL, 3.0, nx=16, ny=20, stretch=stretch)
+    L = Layout(g, TransparentTop)
+    _, _, p, p_lid = _lid_fields(g)
+    lid = g.pressure_at_nodes(p)[:, -1]
+    assert np.abs(lid - p_lid[:, 0]).max() < 1e-13  # exact for p linear in xi
+    x = np.zeros(L.n)
+    x[L.p] = p.T
+    Ax = assemble(g, TransparentTop)[0] @ x
+    spec = cell.fourier_modes(g, lid)
+    for k in range(1, g.nx // 2 + 1):
+        # per part: the Robin row reads no pressure, the trace row mode k of the lid's
+        robin, trace = L.top_rows[k][0::2], L.top_rows[k][1::2]
+        parts = (np.real, np.imag)[:len(trace)]
+        assert not Ax[robin].any()
+        assert np.allclose(Ax[trace], [part(spec[k]) for part in parts], rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("nx", [8, 12, 16])
+def test_top_rows_cover_the_lid_rows_once(nx):
+    g = StripGrid(COS_WALL, 3.0, nx=nx, ny=16)
+    L = Layout(g, TransparentTop)
+    assert list(L.top_rows) == list(range(nx // 2 + 1))
+    assert [len(rows) for rows in L.top_rows.values()] == [2] + [4] * (nx // 2 - 1) + [2]
+    assert np.array_equal(np.concatenate(list(L.top_rows.values())), L.u[:, 16].ravel())
+    assert sorted(cell._transparent_rows(g, L)) == sorted(L.u[:, 16].ravel())
+    assert Layout(g, DirichletTop).top_rows is None
+
+
 # -- assembly ------------------------------------------------------------------
 
 def _loop_block(rows_idx, cols_idx, mat, acc):
@@ -455,7 +527,7 @@ def _loop_assemble(grid, top_kind):
     else:
         for j in range(ny):
             _loop_diag(np.full(nx, L.mu[0]), L.p[j], vols[:, j], acc)
-        for slot, (cols, vals) in zip(L.u[:, ny].ravel(), cell._transparent_rows(g, L)):
+        for slot, (cols, vals) in cell._transparent_rows(g, L).items():
             acc[0].append(np.full(cols.shape[0], slot))
             acc[1].append(cols)
             acc[2].append(np.asarray(vals, dtype=float))

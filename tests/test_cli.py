@@ -545,6 +545,18 @@ def test_corrector_and_wall_law(tmp_path, geometry_file):
     assert (tmp_path / "law.csv").exists()
 
 
+def test_stack_bytes_do_not_depend_on_how_its_runs_were_split(tmp_path, geometry_file):
+    # one --alpha 3 run, and an --alpha 1 run extended by --alpha 3, write one file
+    base = ["corrector", "--geometry", geometry_file, "--l", "1", "--i", "1",
+            "--nx", "24", "--ny", "32"]
+    whole, split = tmp_path / "whole.json", tmp_path / "split.json"
+    assert main(base + ["--alpha", "3", "--out", str(whole)]) == 0
+    for alpha in ("1", "3"):
+        assert main(base + ["--alpha", alpha, "--out", str(split)]) == 0
+    assert len(json.loads(whole.read_text())["levels"]) == 4
+    assert whole.read_bytes() == split.read_bytes()
+
+
 def test_corrector_rejects_mismatched_stack(tmp_path, geometry_file):
     stack_out = tmp_path / "stack.json"
     assert main(["corrector", "--geometry", geometry_file, "--alpha", "0",
