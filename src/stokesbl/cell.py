@@ -246,9 +246,6 @@ class CellSolution:
     trace_modes: dict                     # k > 0 -> (2,) complex trace at top
     diagnostics: dict
 
-    def pressure_nodes(self) -> np.ndarray:
-        return self.grid.pressure_at_nodes(self.p)
-
 
 def _diags(vals: np.ndarray) -> np.ndarray:
     """np.diag of each row of vals: (levels, nx) -> (levels, nx, nx)."""

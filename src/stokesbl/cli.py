@@ -37,10 +37,6 @@ THREADS_IN_EFFECT = {
 }
 
 
-class ConfigError(InputError):
-    """An invalid command-line setting."""
-
-
 class VerificationFailed(Exception):
     """Acceptance checks failed."""
 
@@ -148,9 +144,9 @@ def cmd_basis(args) -> list[str]:
     from .halfspace import stokes_basis
 
     if args.dim < 2:
-        raise ConfigError("--dim must be >= 2")
+        raise InputError("--dim must be >= 2")
     if args.order < 1:
-        raise ConfigError("--order must be >= 1")
+        raise InputError("--order must be >= 1")
     basis = stokes_basis(args.order, args.dim)
     payload = {
         "dim": args.dim,
@@ -178,7 +174,7 @@ def cmd_cell(args) -> list[str]:
     sol = solve_cell(geometry, l=args.l, comp=args.i,
                      height=args.height, nx=args.nx, ny=args.ny)
     grid = sol.grid
-    p_nodes = sol.pressure_nodes()
+    p_nodes = grid.pressure_at_nodes(sol.p)
     csv_path = write_csv(os.path.splitext(args.out)[0] + ".csv", "x,y,u1,u2,p", (
         (grid.x[i], grid.y_nodes[i, j], sol.u[0][i, j], sol.u[1][i, j], p_nodes[i, j])
         for i in range(grid.nx) for j in range(grid.ny + 1)))
@@ -206,25 +202,24 @@ def cmd_corrector(args) -> list[str]:
     try:
         alpha = int(args.alpha)
     except ValueError:
-        raise ConfigError(f"--alpha {args.alpha!r} is not an int") from None
-    if alpha < 0 or args.l < 1 or args.i not in (1, 2):
-        raise ConfigError("need alpha >= 0, --l >= 1 and --i in {1, 2}")
+        raise InputError(f"--alpha {args.alpha!r} is not an int") from None
     out_path = _out_root(args.out)
     if os.path.exists(out_path):
         # extend an existing stack so successive runs share one artifact
         stack = stack_from_json(load_json(out_path))
         if stack.geometry.digest() != geometry.digest():
-            raise ConfigError("existing stack was built for another geometry")
+            raise InputError("existing stack was built for another geometry")
         if (stack.grid.nx, stack.grid.ny) != (args.nx, args.ny) \
                 or stack.height != args.height:
-            raise ConfigError("existing stack has a different resolution")
+            raise InputError("existing stack has a different resolution")
     else:
         stack = CorrectorStack(geometry, height=args.height, nx=args.nx, ny=args.ny)
+    # the library checks (alpha, --l, --i): a rejected run writes nothing
     for beta in range(alpha + 1):
         stack.level(beta, args.l, args.i)
+    tail = stack.level(alpha, args.l, args.i).const
     stack.grid.factors.clear()  # every level is solved: free the LU before the JSON text
     out = write_atomic(args.out, dump_json(stack_to_json(stack)))
-    tail = stack.level(alpha, args.l, args.i).const
     print(f"corrector: {len(stack.levels)} levels, top tail = "
           f"({tail[0]:.6g}, {tail[1]:.6g}) -> {out}")
     return [out]
@@ -235,7 +230,7 @@ def cmd_wall_law(args) -> list[str]:
     from .walllaw import phi_table
 
     if args.order < 1:
-        raise ConfigError("--order must be >= 1")
+        raise InputError("--order must be >= 1")
     stack = stack_from_json(load_json(args.stack))
     stored = set(stack.levels)
     table = phi_table(stack, args.order)
@@ -257,6 +252,7 @@ def cmd_regularity(args) -> list[str]:
     from .recursion import CorrectorStack
     from .regularity import (
         KINDS,
+        MIN_R,
         RegularityWorkspace,
         build_outer_solution,
         decay_experiments,
@@ -266,11 +262,11 @@ def cmd_regularity(args) -> list[str]:
 
     geometry = load_geometry(args.geometry)
     if args.order < 1:
-        raise ConfigError("--order must be >= 1")
-    if args.R < 32 * np.pi:
-        raise ConfigError("--R must be >= 32*pi so dyadic windows span a factor 16")
+        raise InputError("--order must be >= 1")
+    if args.R < MIN_R:
+        raise InputError("--R must be >= 32*pi so dyadic windows span a factor 16")
     if args.seed < 0:
-        raise ConfigError("--seed must be >= 0")
+        raise InputError("--seed must be >= 0")
     stack = CorrectorStack(geometry, nx=args.nx, ny=args.stack_ny)
     grid = StripGrid(geometry, height=args.R, nx=args.nx, ny=args.ny,
                      stretch=args.stretch)

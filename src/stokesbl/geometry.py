@@ -27,15 +27,28 @@ class SolverError(RuntimeError):
     """A solve that failed or missed its residual bound; the CLI exits 3 on it."""
 
 
-def _finite(value, what: str) -> float:
-    """value as a float if it is a finite JSON number (never a bool)."""
+def json_object(data, keys, where: str) -> dict:
+    """data if it is a JSON object that holds every key in keys."""
+    if not isinstance(data, dict):
+        raise InputError(f"{where} must be a JSON object")
+    missing = [k for k in keys if k not in data]
+    if missing:
+        raise InputError(f"{where} lacks {', '.join(missing)}")
+    return data
+
+
+def json_value(data, key, where: str, kind, valid, need: str):
+    """data[key] if it is a `kind` that passes `valid`.  A bool never
+    passes, nor does an int beyond float range."""
+    value = data[key]
     try:
-        ok = not isinstance(value, bool) and isinstance(value, (int, float)) and isfinite(value)
+        ok = (not isinstance(value, bool) and isinstance(value, kind)
+              and (type(value) is not int or isfinite(value)) and valid(value))
     except OverflowError:  # an int beyond float range
         ok = False
     if not ok:
-        raise InputError(f"geometry {what} = {value!r} must be a finite number")
-    return float(value)
+        raise InputError(f"{where}: {key} = {value!r} must be {need}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -106,28 +119,24 @@ class BoundaryGeometry:
         int k that no other entry repeats and finite numbers re (and im), or
         samples is a non-empty list of finite numbers.
         """
-        if not isinstance(data, dict):
-            raise InputError("geometry JSON must be an object")
+        def number(entry, key, where: str) -> float:
+            return float(json_value(entry, key, where, (int, float), isfinite, "a finite number"))
+
+        json_object(data, (), "geometry")
         if "fourier" in data:
-            if not isinstance(data["fourier"], list):
-                raise InputError("geometry fourier must be a list of modes")
             modes = {}
-            for t in data["fourier"]:
-                if not isinstance(t, dict) or "k" not in t or "re" not in t:
-                    raise InputError(f"geometry mode {t!r} needs k and re")
-                k = t["k"]
-                if type(k) is not int:  # a bool or 1.7 would read as another k
-                    raise InputError(f"geometry mode k = {k!r} must be an int")
-                _finite(k, "k")
-                if k in modes:
-                    raise InputError(f"geometry mode k = {k} repeats")
-                modes[k] = complex(_finite(t["re"], "re"), _finite(t.get("im", 0.0), "im"))
+            for t in json_value(data, "fourier", "geometry", list, lambda v: True, "a list"):
+                json_object(t, ("k", "re"), "geometry mode")
+                # a bool or 1.7 would read as another k
+                k = json_value(t, "k", "geometry mode", int, lambda v: v not in modes,
+                               "an int that no other mode repeats")
+                modes[k] = complex(number(t, "re", "geometry mode"),
+                                   number(t, "im", "geometry mode") if "im" in t else 0.0)
             return cls.from_fourier(modes)
         if "samples" in data:
-            samples = data["samples"]
-            if not isinstance(samples, list) or not samples:
-                raise InputError("geometry samples must be a non-empty list of numbers")
-            return cls.from_samples([_finite(v, "sample") for v in samples])
+            samples = json_value(data, "samples", "geometry", list, bool, "a non-empty list")
+            return cls.from_samples([number(samples, i, "geometry samples")
+                                     for i in range(len(samples))])
         raise InputError("geometry JSON needs a 'fourier' or 'samples' key")
 
     # -- evaluation -----------------------------------------------------------

@@ -481,16 +481,12 @@ def dtn_map(k: tuple[int, ...]):
     return rows
 
 
+@functools.lru_cache(maxsize=None)
 def dtn_matrix(k: tuple[int, ...]) -> np.ndarray:
     """Floating DtN matrix (complex) for the cell solver.
 
-    Memoized per k; the returned array is read-only and shared.
+    Memoized per k, a tuple; the returned array is read-only and shared.
     """
-    return _dtn_matrix_memo(tuple(int(v) for v in k))
-
-
-@functools.lru_cache(maxsize=None)
-def _dtn_matrix_memo(k: tuple[int, ...]) -> np.ndarray:
     M = np.array([[e.as_complex() for e in row] for row in dtn_map(k)])
     M.setflags(write=False)
     return M

@@ -31,7 +31,7 @@ from .cell import (
     trace_expansion,
     wall_problem,
 )
-from .geometry import BoundaryGeometry, InputError
+from .geometry import BoundaryGeometry, InputError, json_object, json_value
 from .modes import (
     ModeExpansion,
     halfline_integrals,
@@ -126,12 +126,6 @@ class LevelSolution:
         """V^beta_const = V^beta_poly(0), the gathered constant."""
         return self.v_poly[:, 0].copy()
 
-    def v_poly_at(self, y) -> np.ndarray:
-        return np.stack([npoly.polyval(y, self.v_poly[c]) for c in range(2)])
-
-    def q_poly_at(self, y):
-        return npoly.polyval(y, self.q_poly)
-
 
 def _mode_lists(expansion: ModeExpansion, k: int) -> tuple[list, list, list]:
     """(V_1, V_2, Q) of mode k as complex coefficient lists, [0j] when absent."""
@@ -225,7 +219,7 @@ class CorrectorStack:
 
     def level(self, beta: int, l: int, comp: int) -> LevelSolution:
         if beta < 0:
-            raise ValueError("negative level")
+            raise InputError(f"level beta = {beta} must be >= 0")
         key = (beta, l, comp)
         if key not in self.levels:
             self.levels[key] = self._solve_level(beta, l, comp)
@@ -387,17 +381,9 @@ _LEVEL_KEYS = ("beta", "l", "comp", "u", "p_nodes", "v_poly", "q_poly", "modes",
                "diagnostics")
 
 
-def _missing(data, keys, where: str) -> None:
-    if not isinstance(data, dict):
-        raise InputError(f"{where} must be a JSON object")
-    missing = [k for k in keys if k not in data]
-    if missing:
-        raise InputError(f"{where} lacks {', '.join(missing)}")
-
-
 def _level_array(lv: dict, key: str, shape: tuple, where: str) -> np.ndarray:
     """lv[key], a {shape, f8} object from _f8, as a float array of the given
-    shape; None matches any length >= 1."""
+    shape and with finite entries; None matches any length >= 1."""
     try:
         n, raw = lv[key]["shape"], base64.b64decode(lv[key]["f8"], validate=True)
         if type(n) is not list or not all(type(m) is int for m in n) or len(raw) != 8 * prod(n):
@@ -409,26 +395,19 @@ def _level_array(lv: dict, key: str, shape: tuple, where: str) -> np.ndarray:
                                      for n, m in zip(shape, arr.shape)):
         expected = "(" + ", ".join("n" if n is None else str(n) for n in shape) + ")"
         raise InputError(f"{where}: {key} has shape {arr.shape}, expected {expected}")
+    if not np.isfinite(arr).all():
+        raise InputError(f"{where}: {key} holds NaN or inf")
     return arr
-
-
-def _field(data: dict, key: str, where: str, kind, valid, need: str):
-    """data[key] if it is a `kind` (never a bool) that passes `valid`."""
-    value = data[key]
-    if isinstance(value, bool) or not isinstance(value, kind) or not valid(value):
-        raise InputError(f"{where}: {key} = {value!r} must be {need}")
-    return value
 
 
 def _mode_expansion(lv: dict, height: float, nyquist: int, where: str) -> ModeExpansion:
     """lv's mode entries {k, V (2, n, 2), Q (m, 2)} as an expansion, each
     profile's trailing (re, im) axis viewed as complex128."""
     modes, at = {}, f"{where} mode"
-    for item in _field(lv, "modes", where, list, lambda v: True, "a list"):
-        _missing(item, ("k", "V", "Q"), at)
-        k = _field(item, "k", at, int, lambda v: 0 < v <= nyquist, f"an int in 1..{nyquist}")
-        if k in modes:
-            raise InputError(f"{at} k = {k} repeats")
+    for item in json_value(lv, "modes", where, list, lambda v: True, "a list"):
+        json_object(item, ("k", "V", "Q"), at)
+        k = json_value(item, "k", at, int, lambda v: 0 < v <= nyquist and v not in modes,
+                       f"an int in 1..{nyquist} that no other mode repeats")
         modes[k] = {key: _level_array(item, key, shape, f"{at} {k}").view(complex)[..., 0]
                     for key, shape in (("V", (2, None, 2)), ("Q", (None, 2)))}
     return ModeExpansion(float(height), nyquist, modes)
@@ -439,32 +418,34 @@ def stack_from_json(data: dict) -> CorrectorStack:
 
     Raises InputError when the file is not schema 5, a key is missing, the
     grid fields or a level's (beta, l, comp) are not in range ints (height a
-    finite number), a level or mode array is not a {shape, f8} object that
-    fits the grid, a mode's k is not an int in 1..nx/2 or repeats, the
-    diagnostics are not an object, a level repeats, or geometry_hash is not
-    the stored geometry's digest.
+    finite number), a level or mode array is not a {shape, f8} object of
+    finite numbers that fits the grid, a mode's k is not an int in 1..nx/2
+    or repeats, the diagnostics are not an object, a level repeats, or
+    geometry_hash is not the stored geometry's digest.  Every level is read
+    against the header before the grid is built, so a header that no level
+    fits allocates nothing.
     """
     if not isinstance(data, dict) or data.get("schema") != 5:
         raise InputError("stack is not schema 5: remove it and rebuild with stokesbl corrector")
-    _missing(data, _STACK_KEYS, "stack")
+    json_object(data, _STACK_KEYS, "stack")
     geometry = BoundaryGeometry.from_json_dict(data["geometry"])
     if data["geometry_hash"] != geometry.digest():
         raise InputError("stack geometry_hash does not match its geometry")
-    height = _field(data, "height", "stack", (int, float), isfinite, "a finite number")
-    nx, ny = (_field(data, key, "stack", int, lambda v: v > 0, "a positive int")
+    height = json_value(data, "height", "stack", (int, float), isfinite, "a finite number")
+    nx, ny = (json_value(data, key, "stack", int, lambda v: v > 0, "a positive int")
               for key in ("nx", "ny"))
-    stack = CorrectorStack(geometry, height=height, nx=nx, ny=ny)
-    for index, lv in enumerate(_field(data, "levels", "stack", list, lambda v: True, "a list")):
+    levels = {}
+    for index, lv in enumerate(json_value(data, "levels", "stack", list, lambda v: True,
+                                          "a list")):
         where = f"stack level {index}"
-        _missing(lv, _LEVEL_KEYS, where)
-        if not isinstance(lv["diagnostics"], dict):
-            raise InputError(f"{where}: diagnostics must be a JSON object")
-        key = (_field(lv, "beta", where, int, lambda v: v >= 0, "an int >= 0"),
-               _field(lv, "l", where, int, lambda v: v >= 1, "an int >= 1"),
-               _field(lv, "comp", where, int, lambda v: v in (1, 2), "1 or 2"))
-        if key in stack.levels:
+        json_object(lv, _LEVEL_KEYS, where)
+        json_value(lv, "diagnostics", where, dict, lambda v: True, "a JSON object")
+        key = (json_value(lv, "beta", where, int, lambda v: v >= 0, "an int >= 0"),
+               json_value(lv, "l", where, int, lambda v: v >= 1, "an int >= 1"),
+               json_value(lv, "comp", where, int, lambda v: v in (1, 2), "1 or 2"))
+        if key in levels:
             raise InputError(f"{where} repeats level {key}")
-        stack.levels[key] = LevelSolution(
+        levels[key] = LevelSolution(
             *key,
             u=_level_array(lv, "u", (2, nx, ny + 1), where),
             p_nodes=_level_array(lv, "p_nodes", (nx, ny + 1), where),
@@ -473,6 +454,8 @@ def stack_from_json(data: dict) -> CorrectorStack:
             modes=_mode_expansion(lv, height, nx // 2, where),
             diagnostics=dict(lv["diagnostics"]),
         )
+    stack = CorrectorStack(geometry, height=height, nx=nx, ny=ny)
+    stack.levels = levels
     return stack
 
 
@@ -526,7 +509,6 @@ class LevelSampler:
     def __init__(self, level: LevelSolution, stack: CorrectorStack, grid: StripGrid):
         if grid.nx != stack.grid.nx:
             raise ValueError("evaluation grid must share the x collocation points")
-        self.level = level
         sg = stack.grid
         fields = np.zeros((3, grid.nx, grid.ny + 1))
         columns = np.broadcast_to(np.arange(grid.nx)[:, None], grid.y_nodes.shape)
@@ -554,11 +536,10 @@ class LevelSampler:
         if np.any(above):
             xa = grid.x[columns[above]]
             ya = grid.y_nodes[above]
-            vp = level.v_poly_at(ya)
             u1, u2, p = level.modes.fields(xa, ya)
-            fields[0, above] = vp[0] + u1
-            fields[1, above] = vp[1] + u2
-            fields[2, above] = level.q_poly_at(ya) + p
+            fields[0, above] = npoly.polyval(ya, level.v_poly[0]) + u1
+            fields[1, above] = npoly.polyval(ya, level.v_poly[1]) + u2
+            fields[2, above] = npoly.polyval(ya, level.q_poly) + p
         self.values = fields[:2]
         self.pressure = fields[2]
         self.dx = np.stack([grid.dx_nodes(self.values[c]) for c in range(2)])

@@ -28,6 +28,7 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 from .cell import CellProblem, CellSolution, DirichletTop, StripGrid, solve_stokes
+from .geometry import InputError
 from .recursion import (
     CorrectorStack,
     HeterogeneousElement,
@@ -396,7 +397,7 @@ class OuterSolution:
         g, u = self.grid, self.remainder.u
         periodic = {"grad": np.stack([g.dx_nodes(u[0]), g.dy_nodes(u[0]),
                                       g.dx_nodes(u[1]), g.dy_nodes(u[1])]),
-                    "velocity": u, "pressure": self.remainder.pressure_nodes()}
+                    "velocity": u, "pressure": g.pressure_at_nodes(self.remainder.p)}
         out = {}
         for name, rest in periodic.items():
             out[name] = np.tensordot(self.lift, self.lift_ws.series[name], axes=([0], [1]))
@@ -440,6 +441,8 @@ def dyadic_radii(r0: float, rmax: float) -> list[float]:
 
 #: Smallest decay window, and the in-space floor relative to ||grad u||_R.
 DECAY_R0, FLOOR_REL = np.pi / 2, 1e-3
+#: Smallest strip height R (32 pi): the dyadic radii DECAY_R0..R/4 span a factor 16.
+MIN_R = 64 * DECAY_R0
 
 
 def decay_experiments(workspace: RegularityWorkspace, solutions: list[OuterSolution],
@@ -457,9 +460,9 @@ def decay_experiments(workspace: RegularityWorkspace, solutions: list[OuterSolut
     if len(heights) != 1:
         raise ValueError("decay experiments need solves on one strip height")
     R = heights.pop()
+    if R < MIN_R:
+        raise InputError("insufficient scale separation: need R >= 64 DECAY_R0 = 32 pi")
     radii = dyadic_radii(DECAY_R0, R / 4)
-    if radii[-1] / radii[0] < 16:
-        raise ValueError("insufficient scale separation: need R/(4 DECAY_R0) >= 16")
     u_grads = [solution.grad for solution in solutions]
     per_radius = [workspace.excess(u_grads, r, order) for r in radii]
     grad_norms = workspace.grad_norms(u_grads, min(R / 2, radii[-1] * 2))

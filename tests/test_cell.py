@@ -211,7 +211,7 @@ def energy_norms(solution: CellSolution, window: float | None = None) -> dict:
     grad_sq = np.zeros_like(w)
     for c in range(2):
         grad_sq += g.dx_nodes(solution.u[c]) ** 2 + g.dy_nodes(solution.u[c]) ** 2
-    p_nodes = solution.pressure_nodes()
+    p_nodes = g.pressure_at_nodes(solution.p)
     return {
         "grad_velocity": float(np.sqrt((w * grad_sq).sum())),
         "pressure": float(np.sqrt((w * p_nodes ** 2).sum())),

@@ -37,6 +37,9 @@ def test_basis_subcommand(tmp_path, capsys):
 def test_basis_rejects_bad_config(tmp_path):
     assert main(["basis", "--dim", "1", "--order", "2",
                  "--out", str(tmp_path / "b.json")]) == 2
+    assert main(["basis", "--dim", "2", "--order", "0",
+                 "--out", str(tmp_path / "b.json")]) == 2
+    assert not (tmp_path / "b.json").exists()
 
 
 def test_cell_subcommand_flat_tail(tmp_path, geometry_file):
@@ -118,6 +121,13 @@ def test_cell_rejects_unrepresentable_geometry(tmp_path, payload, capsys):
     ["corrector", "--alpha", "x"],
     ["corrector", "--alpha", "1.5"],
     ["corrector", "--alpha", "1,2"],
+    # the library's index rule (CorrectorStack.level, wall_problem) rejects these
+    ["corrector", "--alpha", "-1"],
+    ["corrector", "--l", "0"],
+    ["corrector", "--i", "3"],
+    # the CLI's own rules, checked before any solve
+    ["regularity", "--order", "0"],
+    ["regularity", "--R", "100"],  # below 32 pi
 ], ids=lambda argv: " ".join(argv))
 def test_unrepresentable_sizes_exit_2(tmp_path, geometry_file, argv, capsys):
     out = ["--out", str(tmp_path / "run.json")]
@@ -305,6 +315,37 @@ def _repeated_wavenumber(data):
     modes.append(dict(modes[0]))
 
 
+def _set_first_float(array, value):
+    raw = np.frombuffer(base64.b64decode(array["f8"]), "<f8").copy()
+    raw[0] = value
+    array["f8"] = base64.b64encode(raw.tobytes()).decode()
+
+
+def _nan_in_u(data):
+    _set_first_float(data["levels"][0]["u"], np.nan)
+
+
+def _inf_in_q_poly(data):
+    _set_first_float(data["levels"][0]["q_poly"], np.inf)
+
+
+def _nan_in_mode_profile(data):
+    _set_first_float(data["levels"][0]["modes"][0]["V"], np.nan)
+
+
+def _height_beyond_float(data):
+    data["height"] = 10 ** 400
+
+
+def _huge_nx(data):
+    # an int float can hold, but no level's arrays fit it
+    data["nx"] = 10 ** 300
+
+
+def _ny_beyond_float(data):
+    data["ny"] = 10 ** 400
+
+
 @pytest.mark.parametrize("corrupt", [
     _break_first_level, _drop_p_nodes, _flatten_p_nodes, _three_row_v_poly, _wrong_hash,
     _invalid_base64, _short_byte_count, _text_arrays_without_schema, _schema_1, _schema_2,
@@ -312,7 +353,8 @@ def _repeated_wavenumber(data):
     _duplicate_level, _text_beta, _negative_beta, _fractional_beta, _zero_l, _comp_3,
     _bool_comp, _levels_not_a_list, _text_height, _low_lid, _float_nx, _repeated_wavenumber,
     _empty_v_poly, _list_v_poly, _schema_4, _short_mode_profile,
-    _mode_profile_without_re_im_axis, _modes_not_a_list,
+    _mode_profile_without_re_im_axis, _modes_not_a_list, _nan_in_u, _inf_in_q_poly,
+    _nan_in_mode_profile, _height_beyond_float, _huge_nx, _ny_beyond_float,
 ])
 def test_malformed_stack_exits_2(tmp_path, geometry_file, corrupt, capsys):
     stack_out = tmp_path / "stack.json"
@@ -565,6 +607,13 @@ def test_corrector_rejects_mismatched_stack(tmp_path, geometry_file):
     assert main(["corrector", "--geometry", geometry_file, "--alpha", "0",
                  "--l", "1", "--i", "1", "--nx", "24", "--ny", "20",
                  "--out", str(stack_out)]) == 2
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({"fourier": [{"k": 0, "re": -0.5}, {"k": 2, "re": -0.1}]}))
+    written = stack_out.read_bytes()
+    assert main(["corrector", "--geometry", str(other), "--alpha", "0",
+                 "--l", "1", "--i", "1", "--nx", "16", "--ny", "20",
+                 "--out", str(stack_out)]) == 2
+    assert stack_out.read_bytes() == written
 
 
 def test_verify_symbolic_suite(capsys):

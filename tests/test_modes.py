@@ -232,7 +232,7 @@ def test_mode_expansion_eval():
 
 def test_dtn_matrix_is_memoized_read_only():
     M = dtn_matrix((2,))
-    assert dtn_matrix([2]) is M
+    assert dtn_matrix((2,)) is M
     assert np.array_equal(M, np.array([[e.as_complex() for e in row]
                                        for row in dtn_map((2,))]))
     with pytest.raises(ValueError):

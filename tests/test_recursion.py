@@ -1,5 +1,6 @@
 """Corrector hierarchy: recursion identities, assembly, route equivalence."""
 
+import base64
 import json
 from math import comb
 
@@ -406,10 +407,10 @@ def _column_sampler_oracle(level, stack, grid):
         above = ~below
         if np.any(above):
             ya = y_col[above]
-            vp = level.v_poly_at(ya)
+            vp = np.stack([npoly.polyval(ya, level.v_poly[c]) for c in range(2)])
             u1, u2, p = level.modes.fields(grid.x[i], ya)
             values[:, i, above] = vp + np.stack([u1, u2])
-            pressure[i, above] = level.q_poly_at(ya) + p
+            pressure[i, above] = npoly.polyval(ya, level.q_poly) + p
     return values, pressure
 
 
@@ -535,6 +536,55 @@ def test_stack_rejects_wavenumbers_outside_one_to_nyquist(k):
     data["levels"][0]["modes"][1]["k"] = k
     with pytest.raises(InputError, match="must be an int in 1..4"):
         stack_from_json(data)
+
+
+@pytest.fixture(scope="module")
+def stack_text():
+    """A solved 16x20 stack on the cosine wall: levels 0 and 1 of (l, comp) = (1, 1)."""
+    stack = CorrectorStack(COS_WALL, nx=16, ny=20)
+    stack.level(1, 1, 1)
+    return dump_json(stack_to_json(stack))
+
+
+# no int between 1024 and 2**63: a header nx or ny that a reader trusted would
+# size the grid
+_JSON_VALUES = st.one_of(
+    st.integers(-3, 1024), st.sampled_from([2 ** 63, 10 ** 300, 10 ** 400]), st.floats(),
+    st.booleans(), st.none(), st.text(max_size=4), st.just([]), st.just({}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_stack_reader_rejects_or_returns_finite_levels(stack_text, data):
+    # one corrupted field: a header key, a level key, a mode's k, or one float
+    # of one array set to NaN or +-inf
+    stack = json.loads(stack_text)
+    levels = stack["levels"]
+    modes = [mode for lv in levels for mode in lv["modes"]]
+    place = data.draw(st.sampled_from(["header", "level", "mode k", "array"]))
+    if place == "header":
+        stack[data.draw(st.sampled_from(sorted(stack)))] = data.draw(_JSON_VALUES)
+    elif place == "level":
+        lv = data.draw(st.sampled_from(levels))
+        lv[data.draw(st.sampled_from(sorted(lv)))] = data.draw(_JSON_VALUES)
+    elif place == "mode k":
+        data.draw(st.sampled_from(modes))["k"] = data.draw(_JSON_VALUES)
+    else:
+        array = data.draw(st.sampled_from(
+            [lv[key] for lv in levels for key in ("u", "p_nodes", "v_poly", "q_poly")]
+            + [mode[key] for mode in modes for key in ("V", "Q")]))
+        raw = np.frombuffer(base64.b64decode(array["f8"]), "<f8").copy()
+        raw[data.draw(st.integers(0, raw.size - 1))] = data.draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+        array["f8"] = base64.b64encode(raw.tobytes()).decode()
+    try:
+        rebuilt = stack_from_json(stack)
+    except InputError:
+        return
+    for level in rebuilt.levels.values():
+        arrays = [level.u, level.p_nodes, level.v_poly, level.q_poly]
+        arrays += [mode[key] for mode in level.modes.modes.values() for key in ("V", "Q")]
+        assert all(np.isfinite(a).all() for a in arrays)
 
 
 def test_cli_stack_sequence_is_byte_reproducible(tmp_path):
