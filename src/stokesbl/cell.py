@@ -57,6 +57,8 @@ class StripGrid:
             raise InputError("resolution must be at least (8, 16)")
         if nx % 2 != 0:
             raise InputError("nx must be even")
+        if a0_size_bound(nx, ny) > np.iinfo(np.int32).max:  # `_csc`'s index type
+            raise InputError(f"grid nx = {nx}, ny = {ny} is too large for int32 matrix indices")
         if 2 * geometry.max_mode >= nx:
             raise AliasingError(f"geometry mode k = {geometry.max_mode} aliases on nx = {nx};"
                                 f" need nx > {2 * geometry.max_mode}")
@@ -252,6 +254,12 @@ def _diags(vals: np.ndarray) -> np.ndarray:
     out = np.zeros(vals.shape + vals.shape[-1:])
     out.reshape(len(vals), -1)[:, ::vals.shape[1] + 1] = vals
     return out
+
+
+def a0_size_bound(nx: int, ny: int) -> int:
+    """An upper bound on A0's stored entries under either top, and so on its
+    order `Layout.n`: the transparent count 10 nx^2 ny + (6 ny - 2) nx, plus 2 nx."""
+    return nx * ny * (10 * nx + 6)
 
 
 def _csc(n: int, parts) -> sp.csc_matrix:

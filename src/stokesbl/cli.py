@@ -1,10 +1,12 @@
 """Command-line pipeline: basis, cell, corrector, wall-law, regularity, verify.
 
 Artifacts are JSON (structured results) and CSV (grids and tables of plain
-numbers), written atomically; every run also writes a manifest listing the
-artifacts it wrote and recording the input hash, package versions, wall
-clock and thread settings.  Identical configuration produces byte-identical
-result artifacts (the manifest carries the volatile runtime metadata).
+numbers).  Commands return them as text; `main` alone places them (the JSON
+at --out, the CSV and the manifest beside it), writes each atomically and
+lists them in the manifest, which records the input hash, package versions,
+wall clock and thread settings.  Identical configuration produces
+byte-identical result artifacts (the manifest carries the volatile runtime
+metadata).
 
 Exit codes: 0 success, 2 invalid configuration, 3 solver failure, 4 failed
 verification.
@@ -45,20 +47,12 @@ class VerificationFailed(Exception):
 # artifact plumbing
 # ---------------------------------------------------------------------------
 
-def _out_root(path: str) -> str:
-    root = os.environ.get("STOKESBL_OUTPUT_ROOT")
-    if root and not os.path.isabs(path):
-        return os.path.join(root, path)
-    return path
-
-
 def write_atomic(path: str, text: str) -> str:
     """Write text to a unique temp file beside path, then move it into place.
 
     Concurrent writers never share a temp file, so each write lands whole;
     the temp file is removed if writing or moving it fails.
     """
-    path = _out_root(path)
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=os.path.basename(path) + ".",
@@ -82,12 +76,12 @@ def dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=1) + "\n"
 
 
-def write_csv(path: str, header: str, rows) -> str:
-    """Write a header and rows atomically; a cell that is no str or int is
+def csv_text(header: str, rows) -> str:
+    """A header and rows as CSV text; a cell that is no str or int is
     written as repr(float(v)), a number that round-trips."""
     lines = [header] + [",".join(str(v) if isinstance(v, (str, int)) else repr(float(v))
                                  for v in row) for row in rows]
-    return write_atomic(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def load_json(path: str):
@@ -99,14 +93,8 @@ def load_json(path: str):
         raise InputError(f"cannot read {path} as JSON: {exc}") from exc
 
 
-def file_digest(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
-
-
-def write_manifest(base: str, config: dict, artifacts: list[str], started: float) -> str:
+def write_manifest(path: str, config: dict, artifacts: dict[str, str], started: float) -> str:
+    """Write to path the manifest of a run; artifacts maps each path it wrote to the text."""
     import scipy
 
     from . import __version__
@@ -116,7 +104,8 @@ def write_manifest(base: str, config: dict, artifacts: list[str], started: float
         "inputs_hash": hashlib.sha256(
             json.dumps(config, sort_keys=True).encode()
         ).hexdigest(),
-        "artifacts": {os.path.basename(p): file_digest(p) for p in artifacts},
+        "artifacts": {os.path.basename(p): hashlib.sha256(text.encode()).hexdigest()
+                      for p, text in artifacts.items()},
         "versions": {
             "stokesbl": __version__,
             "numpy": np.__version__,
@@ -127,7 +116,7 @@ def write_manifest(base: str, config: dict, artifacts: list[str], started: float
         "threads": THREADS_IN_EFFECT,
         "affinity": sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
     }
-    return write_atomic(base + ".manifest.json", dump_json(manifest))
+    return write_atomic(path, dump_json(manifest))
 
 
 def load_geometry(path: str):
@@ -137,10 +126,11 @@ def load_geometry(path: str):
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns the paths of the artifacts it wrote
+# subcommands: each returns its summary line, its JSON text and, if it has one,
+# its CSV text; it writes nothing
 # ---------------------------------------------------------------------------
 
-def cmd_basis(args) -> list[str]:
+def cmd_basis(args) -> tuple[str, ...]:
     from .halfspace import stokes_basis
 
     if args.dim < 2:
@@ -162,12 +152,10 @@ def cmd_basis(args) -> list[str]:
             for pair, tag, grade in zip(basis.elements, basis.tags, basis.grades)
         ],
     }
-    out = write_atomic(args.out, dump_json(payload))
-    print(f"basis: {len(basis)} elements -> {out}")
-    return [out]
+    return f"basis: {len(basis)} elements", dump_json(payload)
 
 
-def cmd_cell(args) -> list[str]:
+def cmd_cell(args) -> tuple[str, ...]:
     from .cell import solve_cell
 
     geometry = load_geometry(args.geometry)
@@ -175,12 +163,9 @@ def cmd_cell(args) -> list[str]:
                      height=args.height, nx=args.nx, ny=args.ny)
     grid = sol.grid
     p_nodes = grid.pressure_at_nodes(sol.p)
-    csv_path = write_csv(os.path.splitext(args.out)[0] + ".csv", "x,y,u1,u2,p", (
-        (grid.x[i], grid.y_nodes[i, j], sol.u[0][i, j], sol.u[1][i, j], p_nodes[i, j])
-        for i in range(grid.nx) for j in range(grid.ny + 1)))
     # wall-clock stays out of the result payload so artifacts are
     # byte-reproducible; the manifest records it
-    summary = {
+    payload = {
         "tail": [float(v) for v in sol.tail],
         "trace_modes": {
             str(k): [[float(v.real), float(v.imag)] for v in sol.trace_modes[k]]
@@ -190,23 +175,19 @@ def cmd_cell(args) -> list[str]:
         "resolution": [grid.nx, grid.ny],
         "geometry_hash": geometry.digest(),
     }
-    json_path = write_atomic(args.out, dump_json(summary))
-    print(f"cell: tail = ({sol.tail[0]:.6g}, {sol.tail[1]:.6g}) -> {json_path}, {csv_path}")
-    return [csv_path, json_path]
+    return (f"cell: tail = ({sol.tail[0]:.6g}, {sol.tail[1]:.6g})", dump_json(payload),
+            csv_text("x,y,u1,u2,p", (
+                (grid.x[i], grid.y_nodes[i, j], sol.u[0][i, j], sol.u[1][i, j], p_nodes[i, j])
+                for i in range(grid.nx) for j in range(grid.ny + 1))))
 
 
-def cmd_corrector(args) -> list[str]:
+def cmd_corrector(args) -> tuple[str, ...]:
     from .recursion import CorrectorStack, stack_from_json, stack_to_json
 
     geometry = load_geometry(args.geometry)
-    try:
-        alpha = int(args.alpha)
-    except ValueError:
-        raise InputError(f"--alpha {args.alpha!r} is not an int") from None
-    out_path = _out_root(args.out)
-    if os.path.exists(out_path):
+    if os.path.exists(args.out):
         # extend an existing stack so successive runs share one artifact
-        stack = stack_from_json(load_json(out_path))
+        stack = stack_from_json(load_json(args.out))
         if stack.geometry.digest() != geometry.digest():
             raise InputError("existing stack was built for another geometry")
         if (stack.grid.nx, stack.grid.ny) != (args.nx, args.ny) \
@@ -215,17 +196,15 @@ def cmd_corrector(args) -> list[str]:
     else:
         stack = CorrectorStack(geometry, height=args.height, nx=args.nx, ny=args.ny)
     # the library checks (alpha, --l, --i): a rejected run writes nothing
-    for beta in range(alpha + 1):
+    for beta in range(args.alpha + 1):
         stack.level(beta, args.l, args.i)
-    tail = stack.level(alpha, args.l, args.i).const
+    tail = stack.level(args.alpha, args.l, args.i).const
     stack.grid.factors.clear()  # every level is solved: free the LU before the JSON text
-    out = write_atomic(args.out, dump_json(stack_to_json(stack)))
-    print(f"corrector: {len(stack.levels)} levels, top tail = "
-          f"({tail[0]:.6g}, {tail[1]:.6g}) -> {out}")
-    return [out]
+    return (f"corrector: {len(stack.levels)} levels, top tail = ({tail[0]:.6g}, {tail[1]:.6g})",
+            dump_json(stack_to_json(stack)))
 
 
-def cmd_wall_law(args) -> list[str]:
+def cmd_wall_law(args) -> tuple[str, ...]:
     from .recursion import stack_from_json
     from .walllaw import phi_table
 
@@ -236,18 +215,15 @@ def cmd_wall_law(args) -> list[str]:
     table = phi_table(stack, args.order)
     solved = sorted(set(stack.levels) - stored)
     stack.grid.factors.clear()  # phi_table may have solved levels: free the LU
-    out = write_atomic(args.out, dump_json(table.to_json_dict()))
-    csv_path = write_csv(os.path.splitext(args.out)[0] + ".csv",
-                         "order,alpha,l,row,col,x_power,value", (
-        (alpha + l, alpha, l, r + 1, c + 1, p, v)
-        for (alpha, l), mat in sorted(table.phi.items())
-        for r in range(2) for c in range(2) for p, v in enumerate(mat[r, c])))
-    print(f"wall-law: levels solved in-process: {len(solved)}, (beta, l, comp) = {solved}")
-    print(f"wall-law: slip length = {table.slip_length:.6g} -> {out}, {csv_path}")
-    return [out, csv_path]
+    return (f"wall-law: levels solved in-process: {len(solved)}, (beta, l, comp) = {solved}\n"
+            f"wall-law: slip length = {table.slip_length:.6g}", dump_json(table.to_json_dict()),
+            csv_text("order,alpha,l,row,col,x_power,value", (
+                (alpha + l, alpha, l, r + 1, c + 1, p, v)
+                for (alpha, l), mat in sorted(table.phi.items())
+                for r in range(2) for c in range(2) for p, v in enumerate(mat[r, c]))))
 
 
-def cmd_regularity(args) -> list[str]:
+def cmd_regularity(args) -> tuple[str, ...]:
     from .cell import StripGrid
     from .recursion import CorrectorStack
     from .regularity import (
@@ -291,24 +267,20 @@ def cmd_regularity(args) -> list[str]:
         "geometry_hash": geometry.digest(),
         "data": results,
     }
-    out = write_atomic(args.out, dump_json(payload))
-    csv_path = write_csv(os.path.splitext(args.out)[0] + ".csv", "data,r,H,fitted_exponent", (
+    summary = "\n".join(f"regularity[{kind}]: exponent = {res['fitted_exponent']}"
+                        f"{' (in-space)' if res['floored'] else ''}"
+                        for kind, res in results.items())
+    return summary, dump_json(payload), csv_text("data,r,H,fitted_exponent", (
         (kind, r, h, res["fitted_exponent"])
         for kind, res in results.items() for r, h in zip(res["radii"], res["H"])))
-    for kind, res in results.items():
-        print(f"regularity[{kind}]: exponent = {res['fitted_exponent']}"
-              f"{' (in-space)' if res['floored'] else ''}")
-    print(f"-> {out}, {csv_path}")
-    return [out, csv_path]
 
 
-def cmd_verify(args) -> list[str]:
+def cmd_verify(args) -> None:
     from . import verify
 
     failed = verify.run(args.suite)
     if failed:
         raise VerificationFailed(f"{failed} verification check(s) failed")
-    return []
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("corrector", cmd_corrector, "build the corrector stack")
     p.add_argument("--geometry", required=True)
-    p.add_argument("--alpha", default="0", help="horizontal degree (one int for d = 2)")
+    p.add_argument("--alpha", type=int, default=0, help="horizontal degree")
     p.add_argument("--l", type=int, default=1)
     p.add_argument("--i", type=int, default=1)
     cell_grid(p)
@@ -385,7 +357,27 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     config = {k: v for k, v in vars(args).items() if k != "func" and not callable(v)}
     try:
-        written = args.func(args)
+        result = args.func(args)
+        if result is None:  # verify prints its checks and writes nothing
+            return 0
+        summary, *texts = result
+        base = os.path.splitext(args.out)[0]
+        # the JSON goes to --out; the CSV and the manifest go beside it
+        artifacts = dict(zip((args.out, base + ".csv"), texts))
+        manifest = base + ".manifest.json"
+        if len(artifacts) < len(texts):
+            raise InputError(f"--out {args.out} would write the JSON and the CSV to one path")
+        for path in [*artifacts, manifest]:  # a directory in the way fails before any write
+            if os.path.isdir(path):
+                raise InputError(f"cannot write {path}: it is a directory")
+        try:
+            for path, text in artifacts.items():
+                write_atomic(path, text)
+            print(f"{summary} -> {', '.join(artifacts)}")
+            path = manifest
+            write_manifest(path, config, artifacts, started)
+        except OSError as exc:
+            raise InputError(f"cannot write {path}: {exc}") from exc
     except InputError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
@@ -395,9 +387,6 @@ def main(argv=None) -> int:
     except VerificationFailed as exc:
         print(exc, file=sys.stderr)
         return EXIT_VERIFY
-    if written:
-        # write_atomic puts the manifest under STOKESBL_OUTPUT_ROOT, as it did the artifacts
-        write_manifest(os.path.splitext(args.out)[0], config, written, started)
     return 0
 
 

@@ -377,6 +377,16 @@ def test_layout_numbers_every_unknown_once(nx, ny, top_kind):
     assert got[0].transpose(0, 2, 1).flags.c_contiguous and got[1].T.flags.c_contiguous
 
 
+@pytest.mark.parametrize("nx, ny, stretch", [(8, 16, 0.0), (10, 17, 0.0), (16, 20, 0.0),
+                                              (12, 40, 5.0)])
+@pytest.mark.parametrize("top_kind", [DirichletTop, TransparentTop])
+def test_size_bound_covers_a0_and_its_order(nx, ny, stretch, top_kind):
+    # StripGrid rejects a grid whose bound exceeds _csc's int32 indices
+    grid = StripGrid(COS_WALL, 3.0, nx=nx, ny=ny, stretch=stretch)
+    A0 = assemble(grid, top_kind)[0]
+    assert cell.a0_size_bound(nx, ny) >= max(A0.nnz, Layout(grid, top_kind).n)
+
+
 @pytest.mark.parametrize("top", [TransparentTop(), DirichletTop(np.zeros((2, 16)))],
                          ids=["transparent", "dirichlet"])
 def test_solver_diagnostics_hold_exactly_the_solve_statistics(top):

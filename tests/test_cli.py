@@ -3,6 +3,7 @@
 import base64
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -118,9 +119,10 @@ def test_cell_rejects_unrepresentable_geometry(tmp_path, payload, capsys):
     ["cell", "--l", "0"],
     ["cell", "--i", "3"],
     ["regularity", "--seed", "-1"],
-    ["corrector", "--alpha", "x"],
-    ["corrector", "--alpha", "1.5"],
-    ["corrector", "--alpha", "1,2"],
+    # StripGrid's int32 index rule, checked before any array of that size exists
+    ["cell", "--nx", str(2 ** 62)],
+    ["cell", "--ny", str(2 ** 62)],
+    ["cell", "--nx", str(10 ** 300)],
     # the library's index rule (CorrectorStack.level, wall_problem) rejects these
     ["corrector", "--alpha", "-1"],
     ["corrector", "--l", "0"],
@@ -128,7 +130,7 @@ def test_cell_rejects_unrepresentable_geometry(tmp_path, payload, capsys):
     # the CLI's own rules, checked before any solve
     ["regularity", "--order", "0"],
     ["regularity", "--R", "100"],  # below 32 pi
-], ids=lambda argv: " ".join(argv))
+], ids=lambda argv: " ".join(a if len(a) < 12 else f"<{len(a)}-digit int>" for a in argv))
 def test_unrepresentable_sizes_exit_2(tmp_path, geometry_file, argv, capsys):
     out = ["--out", str(tmp_path / "run.json")]
     with warnings.catch_warnings():
@@ -346,6 +348,12 @@ def _ny_beyond_float(data):
     data["ny"] = 10 ** 400
 
 
+def _no_levels_huge_nx(data):
+    # no level to check nx against: StripGrid's index rule rejects it
+    data["levels"] = []
+    data["nx"] = 2 ** 62
+
+
 @pytest.mark.parametrize("corrupt", [
     _break_first_level, _drop_p_nodes, _flatten_p_nodes, _three_row_v_poly, _wrong_hash,
     _invalid_base64, _short_byte_count, _text_arrays_without_schema, _schema_1, _schema_2,
@@ -354,7 +362,7 @@ def _ny_beyond_float(data):
     _bool_comp, _levels_not_a_list, _text_height, _low_lid, _float_nx, _repeated_wavenumber,
     _empty_v_poly, _list_v_poly, _schema_4, _short_mode_profile,
     _mode_profile_without_re_im_axis, _modes_not_a_list, _nan_in_u, _inf_in_q_poly,
-    _nan_in_mode_profile, _height_beyond_float, _huge_nx, _ny_beyond_float,
+    _nan_in_mode_profile, _height_beyond_float, _huge_nx, _ny_beyond_float, _no_levels_huge_nx,
 ])
 def test_malformed_stack_exits_2(tmp_path, geometry_file, corrupt, capsys):
     stack_out = tmp_path / "stack.json"
@@ -448,13 +456,19 @@ def test_csv_artifacts_hold_plain_numbers(tmp_path, geometry_file):
 
 
 def _manifest_artifacts(path):
-    return sorted(json.loads(path.read_text())["artifacts"])
+    """The names a manifest lists, each checked against the bytes beside it."""
+    artifacts = json.loads(path.read_text())["artifacts"]
+    for name, digest in artifacts.items():
+        assert hashlib.sha256((path.parent / name).read_bytes()).hexdigest() == digest, name
+    return sorted(artifacts)
 
 
 def test_manifest_lists_exactly_the_written_artifacts(tmp_path, geometry_file):
     # stale siblings that a run does not write stay out of its manifest
-    for stale in ("stack.csv", "c", "law"):
+    for stale in ("stack.csv", "c", "law", "b.csv", "r"):
         (tmp_path / stale).write_text("stale\n")
+    assert main(["basis", "--order", "1", "--out", str(tmp_path / "b.json")]) == 0
+    assert _manifest_artifacts(tmp_path / "b.manifest.json") == ["b.json"]
     assert main(["corrector", "--geometry", geometry_file, "--nx", "16", "--ny", "20",
                  "--out", str(tmp_path / "stack.json")]) == 0
     assert _manifest_artifacts(tmp_path / "stack.manifest.json") == ["stack.json"]
@@ -464,13 +478,14 @@ def test_manifest_lists_exactly_the_written_artifacts(tmp_path, geometry_file):
     assert main(["cell", "--geometry", geometry_file, "--nx", "16", "--ny", "20",
                  "--out", str(tmp_path / "c.json")]) == 0
     assert _manifest_artifacts(tmp_path / "c.manifest.json") == ["c.csv", "c.json"]
+    assert main(SMALL_REGULARITY + ["--geometry", geometry_file,
+                                    "--out", str(tmp_path / "r.json")]) == 0
+    assert _manifest_artifacts(tmp_path / "r.manifest.json") == ["r.csv", "r.json"]
 
 
-def test_manifest_lands_beside_its_artifacts_under_a_relative_output_root(tmp_path,
-                                                                         monkeypatch):
+def test_manifest_lands_beside_its_artifacts_under_a_relative_out(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("STOKESBL_OUTPUT_ROOT", "runs")
-    assert main(["basis", "--order", "1", "--out", "b.json"]) == 0
+    assert main(["basis", "--order", "1", "--out", os.path.join("runs", "b.json")]) == 0
     assert sorted(os.listdir(tmp_path / "runs")) == ["b.json", "b.manifest.json"]
     assert _manifest_artifacts(tmp_path / "runs" / "b.manifest.json") == ["b.json"]
 
@@ -492,6 +507,10 @@ def test_cell_writes_beside_its_out_and_takes_no_abbreviation(tmp_path, geometry
     for argv in (["cell", "--geom", geometry_file],
                  ["cell", "--geometry", geometry_file, "--out-prefix", str(tmp_path / "c")],
                  ["corrector", "--geometry", geometry_file, "--alph", "1"],
+                 # one int, as the numerics are 2-D
+                 ["corrector", "--geometry", geometry_file, "--alpha", "x"],
+                 ["corrector", "--geometry", geometry_file, "--alpha", "1.5"],
+                 ["corrector", "--geometry", geometry_file, "--alpha", "1,2"],
                  ["regularity", "--geometry", geometry_file, "--stack", "16"]):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--nx", "16", "--ny", "20", "--out", str(tmp_path / "y.json")])
@@ -514,6 +533,36 @@ def test_cli_import_leaves_regularity_only_scipy_unloaded():
 
 SMALL_REGULARITY = ["regularity", "--nx", "12", "--ny", "160", "--stack-ny", "16",
                     "--R", "101"]
+
+CELL_16X20 = ["cell", "--geometry", "{dir}/wall.json", "--nx", "16", "--ny", "20"]
+WALL_LAW = ["wall-law", "--stack", "{dir}/stack.json", "--order", "1"]
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["basis", "--order", "1"], "folder"),
+    (CELL_16X20, "folder"),
+    (WALL_LAW, "folder"),
+    (["corrector", "--geometry", "{dir}/wall.json", "--nx", "16", "--ny", "20"], "folder"),
+    (SMALL_REGULARITY + ["--geometry", "{dir}/wall.json"], "folder"),
+    (["basis", "--order", "1"], "afile/b.json"),
+    (CELL_16X20, "afile/b.json"),
+    (CELL_16X20, "x.csv"),  # the JSON and the CSV would share x.csv
+    (WALL_LAW, "x.csv"),
+    (CELL_16X20, "sib.json"),  # its CSV path is a directory: not even the JSON is written
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_unwritable_out_exits_2_and_writes_nothing(tmp_path, geometry_file, argv, out, capsys):
+    assert main(["corrector", "--geometry", geometry_file, "--nx", "16", "--ny", "20",
+                 "--out", str(tmp_path / "stack.json")]) == 0
+    (tmp_path / "folder").mkdir()
+    (tmp_path / "sib.csv").mkdir()
+    (tmp_path / "afile").write_text("a file, not a directory\n")
+    (tmp_path / "x.csv").write_text("stale\n")
+    before = {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
+    capsys.readouterr()
+    assert main([arg.format(dir=tmp_path) for arg in argv] + ["--out", str(tmp_path / out)]) == 2
+    assert "invalid configuration" in capsys.readouterr().err
+    # no artifact, no manifest, no temp file, and every file as it was
+    assert {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")} == before
 
 
 def test_regularity_factors_each_grid_once_and_frees_it(tmp_path, geometry_file, monkeypatch):
