@@ -431,7 +431,9 @@ def stack_from_json(data: dict) -> CorrectorStack:
     geometry = BoundaryGeometry.from_json_dict(data["geometry"])
     if data["geometry_hash"] != geometry.digest():
         raise InputError("stack geometry_hash does not match its geometry")
-    height = json_value(data, "height", "stack", (int, float), isfinite, "a finite number")
+    # a float, so that an int header such as 10**300 meets the grid's float checks
+    height = float(json_value(data, "height", "stack", (int, float), isfinite,
+                              "a finite number"))
     nx, ny = (json_value(data, key, "stack", int, lambda v: v > 0, "a positive int")
               for key in ("nx", "ny"))
     levels = {}

@@ -102,6 +102,11 @@ def test_cell_rejects_unrepresentable_geometry(tmp_path, payload, capsys):
     assert "invalid configuration" in capsys.readouterr().err
 
 
+# --alpha is one int, as the numerics are 2-D: argparse rejects these before any command
+NOT_AN_INT = (["corrector", "--alpha", "x"], ["corrector", "--alpha", "1.5"],
+              ["corrector", "--alpha", "1,2"])
+
+
 @pytest.mark.parametrize("argv", [
     ["cell", "--height", "nan"],
     ["cell", "--height", "inf"],
@@ -119,6 +124,7 @@ def test_cell_rejects_unrepresentable_geometry(tmp_path, payload, capsys):
     ["cell", "--l", "0"],
     ["cell", "--i", "3"],
     ["regularity", "--seed", "-1"],
+    *NOT_AN_INT,
     # StripGrid's int32 index rule, checked before any array of that size exists
     ["cell", "--nx", str(2 ** 62)],
     ["cell", "--ny", str(2 ** 62)],
@@ -133,10 +139,17 @@ def test_cell_rejects_unrepresentable_geometry(tmp_path, payload, capsys):
 ], ids=lambda argv: " ".join(a if len(a) < 12 else f"<{len(a)}-digit int>" for a in argv))
 def test_unrepresentable_sizes_exit_2(tmp_path, geometry_file, argv, capsys):
     out = ["--out", str(tmp_path / "run.json")]
+    full = argv[:1] + ["--geometry", geometry_file] + argv[1:] + out
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the message comes without a numpy warning first
-        assert main(argv[:1] + ["--geometry", geometry_file] + argv[1:] + out) == 2
-    assert "invalid configuration" in capsys.readouterr().err
+        if argv in NOT_AN_INT:
+            with pytest.raises(SystemExit) as exc:
+                main(full)
+            assert exc.value.code == 2
+            assert "--alpha: invalid int value" in capsys.readouterr().err
+        else:
+            assert main(full) == 2
+            assert "invalid configuration" in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path)) == ["wall.json"]
 
 
@@ -339,6 +352,11 @@ def _height_beyond_float(data):
     data["height"] = 10 ** 400
 
 
+def _huge_int_height(data):
+    # an int float can hold: the grid's lid rule, not a numpy TypeError, rejects it
+    data["height"] = 10 ** 300
+
+
 def _huge_nx(data):
     # an int float can hold, but no level's arrays fit it
     data["nx"] = 10 ** 300
@@ -363,6 +381,7 @@ def _no_levels_huge_nx(data):
     _empty_v_poly, _list_v_poly, _schema_4, _short_mode_profile,
     _mode_profile_without_re_im_axis, _modes_not_a_list, _nan_in_u, _inf_in_q_poly,
     _nan_in_mode_profile, _height_beyond_float, _huge_nx, _ny_beyond_float, _no_levels_huge_nx,
+    _huge_int_height,
 ])
 def test_malformed_stack_exits_2(tmp_path, geometry_file, corrupt, capsys):
     stack_out = tmp_path / "stack.json"
@@ -507,10 +526,6 @@ def test_cell_writes_beside_its_out_and_takes_no_abbreviation(tmp_path, geometry
     for argv in (["cell", "--geom", geometry_file],
                  ["cell", "--geometry", geometry_file, "--out-prefix", str(tmp_path / "c")],
                  ["corrector", "--geometry", geometry_file, "--alph", "1"],
-                 # one int, as the numerics are 2-D
-                 ["corrector", "--geometry", geometry_file, "--alpha", "x"],
-                 ["corrector", "--geometry", geometry_file, "--alpha", "1.5"],
-                 ["corrector", "--geometry", geometry_file, "--alpha", "1,2"],
                  ["regularity", "--geometry", geometry_file, "--stack", "16"]):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--nx", "16", "--ny", "20", "--out", str(tmp_path / "y.json")])
