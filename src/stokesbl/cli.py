@@ -195,9 +195,8 @@ def cmd_corrector(args) -> tuple[str, ...]:
             raise InputError("existing stack has a different resolution")
     else:
         stack = CorrectorStack(geometry, height=args.height, nx=args.nx, ny=args.ny)
-    # the library checks (alpha, --l, --i): a rejected run writes nothing
-    for beta in range(args.alpha + 1):
-        stack.level(beta, args.l, args.i)
+    # the library checks (alpha, --l, --i): a rejected run writes nothing;
+    # the recursion solves the levels below alpha first
     tail = stack.level(args.alpha, args.l, args.i).const
     stack.grid.factors.clear()  # every level is solved: free the LU before the JSON text
     return (f"corrector: {len(stack.levels)} levels, top tail = ({tail[0]:.6g}, {tail[1]:.6g})",

@@ -75,26 +75,31 @@ def _x_poly(exp_x: tuple[int, ...], dim: int, coeff=1) -> ExactPolynomial:
     return ExactPolynomial.monomial(exp_x + (0,), coeff, dim)
 
 
+def _laplacian_series(out: dict, q: ExactPolynomial, power: int, scale: int) -> None:
+    """Add sum_j (-1)^j scale/(power+2j)! (Lap'^j q) y^{power+2j} into the term map out.
+
+    The series terminates because the horizontal Laplacian is nilpotent.
+    """
+    j = 0
+    while not q.is_zero():
+        factor = Fraction((-1) ** j * scale, factorial(power + 2 * j))
+        add_terms(out, ((e[:-1] + (e[-1] + power + 2 * j,), factor * c)
+                        for e, c in q._terms.items()))
+        q = q.horizontal_laplacian()
+        j += 1
+
+
 def harmonic_extension(q1: ExactPolynomial, q2: ExactPolynomial) -> ExactPolynomial:
     """Harmonic polynomial with trace q1 and normal-derivative trace q2.
 
     q(x,y) = sum_j (-1)^j/(2j)! (Lap'^j q1) y^{2j}
-           + sum_j (-1)^j/(2j+1)! (Lap'^j q2) y^{2j+1};
-    the series terminates because the horizontal Laplacian is nilpotent.
+           + sum_j (-1)^j/(2j+1)! (Lap'^j q2) y^{2j+1}.
     """
     if q1.dim != q2.dim:
         raise ValueError("dimension mismatch")
     out: dict = {}
     for parity, seed in ((0, q1), (1, q2)):
-        term = seed
-        j = 0
-        while not term.is_zero():
-            power = 2 * j + parity
-            factor = Fraction((-1) ** j, factorial(power))
-            add_terms(out, ((e[:-1] + (e[-1] + power,), factor * c)
-                            for e, c in term._terms.items()))
-            term = term.horizontal_laplacian()
-            j += 1
+        _laplacian_series(out, seed, parity, 1)
     return ExactPolynomial._trusted(q1.dim, out)
 
 
@@ -130,15 +135,7 @@ def delta_D_inv(f: ExactPolynomial) -> ExactPolynomial:
     for exp, coeff in f._terms.items():
         l = exp[-1]
         term = ExactPolynomial._trusted(f.dim, {exp[:-1] + (0,): coeff})
-        j = 0
-        while not term.is_zero():
-            power = l + 2 * j + 2
-            factor = Fraction((-1) ** j * factorial(l), factorial(power))
-            # term has y-degree 0, so the shift by y^power sets the last slot
-            add_terms(out, ((e[:-1] + (power,), factor * c)
-                            for e, c in term._terms.items()))
-            term = term.horizontal_laplacian()
-            j += 1
+        _laplacian_series(out, term, l + 2, factorial(l))
     return ExactPolynomial._trusted(f.dim, out)
 
 
@@ -213,20 +210,15 @@ def zero_pressure_basis(m: int, d: int) -> list[StokesPair]:
     ncols = (d - 1) * len(exps)
     if ncols == 0:
         return []
-    # columns: (component i, monomial exp) -> constraint rows over degree m-2 monomials
-    target = monomial_exponents(d - 1, m - 2)
-    rows = []
-    for texp in target:
-        row = []
-        for i in range(d - 1):
-            for exp in exps:
-                if exp[i] >= 1 and tuple(
-                    e - (1 if j == i else 0) for j, e in enumerate(exp)
-                ) == texp:
-                    row.append(Fraction(exp[i]))
-                else:
-                    row.append(Fraction(0))
-        rows.append(row)
+    # columns: (component i, monomial exp); d_i of x^exp, exp[i] x^(exp - e_i),
+    # lands on the constraint row of its degree m-2 monomial
+    row_of = {texp: r for r, texp in enumerate(monomial_exponents(d - 1, m - 2))}
+    rows = [[Fraction(0)] * ncols for _ in row_of]
+    for i in range(d - 1):
+        for j, exp in enumerate(exps):
+            if exp[i] >= 1:
+                lower = exp[:i] + (exp[i] - 1,) + exp[i + 1:]
+                rows[row_of[lower]][i * len(exps) + j] = Fraction(exp[i])
     kernel = nullspace(rows, ncols)
     zero_x = ExactPolynomial.zero(d)
     out = []

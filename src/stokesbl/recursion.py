@@ -218,12 +218,19 @@ class CorrectorStack:
         return self.grid.height
 
     def level(self, beta: int, l: int, comp: int) -> LevelSolution:
+        """Level (beta, l, comp), solved on first use.
+
+        Level beta reads levels beta - 1 and beta - 2, so a missing level is
+        solved after each missing level below it, lowest first: no solve
+        nests another, whatever beta is.
+        """
         if beta < 0:
             raise InputError(f"level beta = {beta} must be >= 0")
-        key = (beta, l, comp)
-        if key not in self.levels:
-            self.levels[key] = self._solve_level(beta, l, comp)
-        return self.levels[key]
+        if (beta, l, comp) not in self.levels:
+            for b in range(beta + 1):
+                if (b, l, comp) not in self.levels:
+                    self.levels[b, l, comp] = self._solve_level(b, l, comp)
+        return self.levels[beta, l, comp]
 
     def _solve_level(self, beta: int, l: int, comp: int) -> LevelSolution:
         g = self.grid

@@ -566,9 +566,7 @@ def pointwise_check(workspace: RegularityWorkspace, solution: OuterSolution,
 
     Xs, Ys, grads, vals = [], [], [], []
     for shift in workspace.window_shifts(R / 2):
-        mask = (g.y_nodes >= ENVELOPE_Y_MIN) & (g.y_nodes <= R / 2) \
-            & (np.abs(g.x[:, None] + shift) <= R / 2)
-        nodes = np.flatnonzero(mask)
+        nodes = np.flatnonzero(workspace.window_mask(R / 2, shift) & (g.y_nodes >= ENVELOPE_Y_MIN))
         if not nodes.size:
             continue
         Xs.append(g.x[nodes // (g.ny + 1)] + shift)

@@ -89,12 +89,8 @@ class Shared:
 
     @cached_property
     def stack(self) -> CorrectorStack:
-        st = CorrectorStack(COS_WALL, nx=24, ny=32)
-        for l in (1, 2, 3):
-            for comp in (1, 2):
-                for beta in range(4 - l):
-                    st.level(beta, l, comp)
-        return st
+        """The cosine-wall stack the criteria share; each level is solved on first use."""
+        return CorrectorStack(COS_WALL, nx=24, ny=32)
 
     @cached_property
     def growth_ws(self) -> RegularityWorkspace:

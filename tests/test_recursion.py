@@ -1,7 +1,9 @@
 """Corrector hierarchy: recursion identities, assembly, route equivalence."""
 
 import base64
+import inspect
 import json
+import sys
 from math import comb
 
 import numpy as np
@@ -388,6 +390,31 @@ def test_stack_roundtrip(stack, flat_stack):
         assert sorted(rebuilt.levels) == sorted(work.levels)
         for key, ref in work.levels.items():
             _assert_same_level_arrays(rebuilt.levels[key], ref)
+
+
+def test_one_level_call_solves_the_levels_below_it():
+    # level(3) alone solves beta = 0..3 through the recursion, and its stack
+    # writes the same JSON as a stack driven one level at a time
+    whole = CorrectorStack(COS_WALL, nx=16, ny=20)
+    whole.level(3, 1, 1)
+    assert sorted(whole.levels) == [(beta, 1, 1) for beta in range(4)]
+    stepwise = CorrectorStack(COS_WALL, nx=16, ny=20)
+    for beta in range(4):
+        stepwise.level(beta, 1, 1)
+    assert dump_json(stack_to_json(whole)) == dump_json(stack_to_json(stepwise))
+
+
+def test_deep_level_solves_without_nesting():
+    # level 30 reads 30 levels below it; solved lowest first, it needs no
+    # more call depth than level 0 does
+    stack = CorrectorStack(COS_WALL, nx=8, ny=16)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 40)
+    try:
+        stack.level(30, 1, 1)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert sorted(stack.levels) == [(beta, 1, 1) for beta in range(31)]
 
 
 # -- LevelSampler against the per-column construction ------------------------

@@ -9,6 +9,7 @@ from stokesbl.geometry import BoundaryGeometry
 from stokesbl.recursion import (CorrectorStack, coeff_derivative, heterogeneous_basis,
                                 poly_to_coeff2d)
 from stokesbl.regularity import (
+    ENVELOPE_Y_MIN,
     KINDS,
     RegularityWorkspace,
     build_outer_solution,
@@ -428,6 +429,17 @@ def test_pointwise_check_envelope(tall_ws, tall_solution):
     assert out["fraction_dominated"] >= 0.99
     assert out["crossover_ok"]
     assert out["n_samples"] > 1000
+
+
+def test_pointwise_samples_are_the_half_window_above_the_wall_layer(tall_ws, tall_solution):
+    # the samples are the decay fits' R/2 window, cut below at ENVELOPE_Y_MIN
+    g = tall_solution.grid
+    R = g.height
+    coeffs = tall_ws.excess([tall_solution.grad], 8 * np.pi, 1)[0]["coefficients"]
+    out = pointwise_check(tall_ws, tall_solution, coeffs, order=1)
+    want = sum(int(np.count_nonzero(tall_ws.window_mask(R / 2, s) & (g.y_nodes >= ENVELOPE_Y_MIN)))
+               for s in tall_ws.window_shifts(R / 2))
+    assert out["n_samples"] == want
 
 
 def test_nnls_2col_matches_scipy_nnls():
