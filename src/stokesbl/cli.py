@@ -196,7 +196,7 @@ def cmd_corrector(args) -> tuple[str, ...]:
     else:
         stack = CorrectorStack(geometry, height=args.height, nx=args.nx, ny=args.ny)
     # the library checks (alpha, --l, --i): a rejected run writes nothing;
-    # the recursion solves the levels below alpha first
+    # the stack solves any missing level below alpha first
     tail = stack.level(args.alpha, args.l, args.i).const
     stack.grid.factors.clear()  # every level is solved: free the LU before the JSON text
     return (f"corrector: {len(stack.levels)} levels, top tail = ({tail[0]:.6g}, {tail[1]:.6g})",

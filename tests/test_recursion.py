@@ -393,7 +393,7 @@ def test_stack_roundtrip(stack, flat_stack):
 
 
 def test_one_level_call_solves_the_levels_below_it():
-    # level(3) alone solves beta = 0..3 through the recursion, and its stack
+    # level(3) alone solves beta = 0..3, lowest first, and its stack
     # writes the same JSON as a stack driven one level at a time
     whole = CorrectorStack(COS_WALL, nx=16, ny=20)
     whole.level(3, 1, 1)
