@@ -30,7 +30,7 @@ import scipy.sparse.linalg as spla
 
 from .geometry import AliasingError, BoundaryGeometry, InputError, SolverError
 from .modes import (ModeExpansion, dtn_matrix, poly_add, poly_derive, poly_eval0,
-                    solve_mode_numeric)
+                    solve_mode_numeric, symbol_vector)
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +481,7 @@ def _transparent_rows(g: StripGrid, L: Layout) -> dict:
         row_h = (np.concatenate([cols_d, trace_cols[1]]),
                  np.concatenate([vals_d[:nx] + -M[0, 0] * wk, vals_d[nx:], -M[0, 1] * wk]))
         # pressure trace: FFT_k[p(top)] + 2 a_k . uhat = rp + 2 a_k . w0
-        a_k = np.array([1j * k, -abs(k)], dtype=complex)
+        a_k = np.array(symbol_vector((k,), float(k)))
         row_p = (np.concatenate([*lid_p, trace_cols[0], trace_cols[1]]),
                  np.concatenate([*(w * wk for w in P_CLOSURE), 2 * a_k[0] * wk, 2 * a_k[1] * wk]))
         rows.update(zip(L.top_rows[k], [(cols, part(vals)) for part in _mode_parts(k, nx)
@@ -668,7 +668,7 @@ def _transparent_values(k: int, qbar, vbar, W_coeffs) -> tuple[complex, complex]
     """
     kn = float(k)
     dv0 = [poly_eval0(poly_derive(vb), 0j) for vb in vbar]
-    a_k = np.array([1j * k, -kn], dtype=complex)
+    a_k = np.array(symbol_vector((k,), kn))
     g = (a_k / kn) * dv0[1] + np.array(dv0)
     w0 = np.array([poly_eval0(w, 0j) for w in W_coeffs], dtype=complex)
     w0p = np.array([poly_eval0(poly_derive(w), 0j) for w in W_coeffs], dtype=complex)

@@ -46,8 +46,6 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
 
 def nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
     """Deterministic basis of the kernel of the matrix (rows act on R^ncols)."""
-    if not rows:
-        return [[Fraction(i == j) for j in range(ncols)] for i in range(ncols)]
     red, pivots = rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []

@@ -8,8 +8,8 @@ Everything here is exact.  The building blocks are:
   monomials;
 * the pressure lift ``pressure_lift`` producing the velocity S[p] so that
   (S[p], p) solves the no-slip Stokes system;
-* bases of the homogeneous spaces (degree-graded, with a pressure-lift block
-  and a zero-pressure block) and of the full space up to a given degree.
+* the degree-graded basis of the Stokes pair space up to a given degree,
+  each degree a pressure-lift block followed by a zero-pressure block.
 
 Dimension claims are certified by exact rank computations.
 """
@@ -241,8 +241,9 @@ def zero_pressure_basis(m: int, d: int) -> list[StokesPair]:
 class SpaceBasis:
     """Basis of the Stokes pair space up to order m, with block tags.
 
-    tags[i] is "V1" (pressure-lift block) or "V2" (zero-pressure block);
-    grades[i] is the homogeneous degree of element i.
+    grades[i] is the homogeneous degree of element i and ascends; tags[i] is
+    "V1" (pressure-lift block) or "V2" (zero-pressure block), and within a
+    degree the V1 elements come first.
     """
 
     elements: list[StokesPair]
@@ -274,37 +275,26 @@ class SpaceBasis:
         return sparse_rank_mod_p(entries, shape) == len(self.elements)
 
 
-def homogeneous_stokes_basis(m: int, d: int) -> tuple[list[StokesPair], list[str]]:
-    """Basis of the homogeneous degree-m block, with V1/V2 tags."""
-    if m < 1 or d < 2:
-        raise ValueError("need m >= 1 and d >= 2")
-    elements: list[StokesPair] = []
-    tags: list[str] = []
-    for p in harmonic_basis(m - 1, d):
-        elements.append(StokesPair(pressure_lift(p), p))
-        tags.append("V1")
-    for pair in zero_pressure_basis(m, d):
-        elements.append(pair)
-        tags.append("V2")
-    expected = dim_homogeneous_stokes(m, d)
-    if len(elements) != expected:
-        raise AssertionError(
-            f"degree-{m} block has {len(elements)} elements, expected {expected}"
-        )
-    return elements, tags
-
-
 def stokes_basis(m: int, d: int) -> SpaceBasis:
-    """Degree-graded basis of the Stokes pair space up to order m."""
+    """Degree-graded basis of the Stokes pair space up to order m.
+
+    Degree j holds the pressure lifts (S[p], p) of the degree j-1 harmonic
+    basis ("V1"), then the zero-pressure block of degree j ("V2"):
+    dim_homogeneous_stokes(j, d) elements in all.
+    """
     if m < 1 or d < 2:
         raise ValueError("need m >= 1 and d >= 2")
     elements: list[StokesPair] = []
     tags: list[str] = []
     grades: list[int] = []
     for j in range(1, m + 1):
-        block, btags = homogeneous_stokes_basis(j, d)
+        lifts = [StokesPair(pressure_lift(p), p) for p in harmonic_basis(j - 1, d)]
+        block = lifts + zero_pressure_basis(j, d)
+        if len(block) != dim_homogeneous_stokes(j, d):
+            raise AssertionError(f"degree-{j} block has {len(block)} elements, "
+                                 f"expected {dim_homogeneous_stokes(j, d)}")
         elements.extend(block)
-        tags.extend(btags)
+        tags.extend(["V1"] * len(lifts) + ["V2"] * (len(block) - len(lifts)))
         grades.extend([j] * len(block))
     basis = SpaceBasis(elements, m, d, tags, grades)
     expected = dim_stokes_space(m, d)

@@ -294,15 +294,20 @@ def poly_is_zero(p: list) -> bool:
 # exact mode data and solutions
 # ---------------------------------------------------------------------------
 
+def _wavevector(k) -> tuple[int, ...]:
+    """k as a tuple of ints, refusing k = 0: the recursion handles the zero mode."""
+    k = tuple(int(v) for v in k)
+    if not any(k):
+        raise ValueError("k must be nonzero: the zero mode is handled by the recursion")
+    return k
+
+
 def knorm_exact(k: tuple[int, ...]) -> SqrtExt:
     """|k| as an exact scalar (integer when k.k is a perfect square)."""
-    n = sum(int(v) ** 2 for v in k)
-    if n == 0:
-        raise ValueError("k must be nonzero")
-    return SqrtExt.sqrt_of(n)
+    return SqrtExt.sqrt_of(sum(v * v for v in _wavevector(k)))
 
 
-def _symbol_vector(k: tuple[int, ...], knorm) -> list:
+def symbol_vector(k: tuple[int, ...], knorm) -> list:
     """a = [i k_1, ..., i k_{d-1}, -|k|] as scalars matching knorm's type."""
     if isinstance(knorm, SqrtExt):
         return [SqrtExt(0, int(v)) for v in k] + [-knorm]
@@ -322,9 +327,7 @@ class ModeData:
     b_hat: list
 
     def __post_init__(self):
-        self.k = tuple(int(v) for v in self.k)
-        if all(v == 0 for v in self.k):
-            raise ValueError("zero mode is handled by the recursion, not here")
+        self.k = _wavevector(self.k)
         d = len(self.k) + 1
         if len(self.F_poly) != d or len(self.b_hat) != d:
             raise ValueError(f"need {d} components for k={self.k}")
@@ -342,11 +345,9 @@ class ModeSolution:
 def halfline_integrals(k: tuple[int, ...], F_poly: list[list], knorm):
     """The two closed-form half-line integrals (Qbar, Vbar) driven by F,
     over the scalar type of knorm = |k| (knorm_exact(k) or a float)."""
-    k = tuple(int(v) for v in k)
-    if all(v == 0 for v in k):
-        raise ValueError("k must be nonzero")
+    k = _wavevector(k)
     d = len(k) + 1
-    a = _symbol_vector(k, knorm)
+    a = symbol_vector(k, knorm)
     one = knorm / knorm
     inv2k = one / (knorm + knorm)
     minus_inv2k = -inv2k
@@ -378,7 +379,7 @@ def _closed_form(k: tuple[int, ...], qbar: list, vbar: list[list], b_hat: list, 
     Q(z) = -2c + qbar(z), with c = a . b + (vbar_d)'(0).
     """
     d = len(k) + 1
-    a = _symbol_vector(k, knorm)
+    a = symbol_vector(k, knorm)
     zero = knorm - knorm
 
     c = zero
@@ -430,7 +431,7 @@ def residual_check(k: tuple[int, ...], F_poly: list[list], sol: ModeSolution,
     """
     knorm = sol.knorm
     d = len(k) + 1
-    a = _symbol_vector(tuple(int(v) for v in k), knorm)
+    a = symbol_vector(k, knorm)
     zero = knorm - knorm
     two_k = knorm + knorm
 
@@ -462,12 +463,9 @@ def dtn_map(k: tuple[int, ...]):
     M_k = -|k| I + (1/|k|) a a^T with a = [ik, -|k|]; the associated pressure
     trace is Q_k(0) = -2 c_k = -2 a . b.
     """
-    k = tuple(int(v) for v in k)
-    if all(v == 0 for v in k):
-        raise ValueError("k must be nonzero")
     knorm = knorm_exact(k)
-    d = len(k) + 1
-    a = _symbol_vector(k, knorm)
+    a = symbol_vector(k, knorm)
+    d = len(a)
     inv_k = (knorm / knorm) / knorm
     rows = []
     for i in range(d):
@@ -499,10 +497,8 @@ def dtn_matrix(k: tuple[int, ...]) -> np.ndarray:
 def solve_mode_numeric(k: tuple[int, ...], integrals, b_hat):
     """solve_mode over complex floats from the integrals (qbar, vbar) that
     halfline_integrals gives for the float knorm |k|; returns lists (V, Q)."""
-    k = tuple(int(v) for v in k)
+    k = _wavevector(k)
     knorm = float(np.sqrt(sum(v * v for v in k)))
-    if knorm == 0:
-        raise ValueError("k must be nonzero")
     return _closed_form(k, *integrals, [complex(v) for v in b_hat], knorm)
 
 

@@ -15,6 +15,7 @@ that are canonical by construction and return them through the private
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from typing import Iterable, Mapping, Sequence
 
 Exponent = tuple[int, ...]
@@ -28,12 +29,19 @@ NEG_INF = float("-inf")
 # ---------------------------------------------------------------------------
 
 def monomial_exponents(nvars: int, degree: int) -> list[Exponent]:
-    """All exponent tuples in nvars variables of total degree == degree, graded-lex."""
-    if nvars == 0:
-        return [()] if degree == 0 else []
+    """All exponent tuples in nvars variables of total degree == degree, graded-lex.
+
+    Each multiset of `degree` variable indices is one monomial; no recursion
+    over the variables, so any number of them works.
+    """
+    if degree < 0:
+        return []
     out = []
-    for lead in range(degree + 1):
-        out.extend((lead,) + rest for rest in monomial_exponents(nvars - 1, degree - lead))
+    for variables in combinations_with_replacement(range(nvars), degree):
+        exp = [0] * nvars
+        for v in variables:
+            exp[v] += 1
+        out.append(tuple(exp))
     return sorted(out, key=grlex_key)
 
 

@@ -91,7 +91,6 @@ class RegularityWorkspace:
                      for el, (pc, qc) in zip(self.columns, self._coeffs)]
         n = [sum(deg <= m for deg in self.degrees) for m in range(order + 1)]
         self.prefixes = {m: (n[m], max(x_degrees[:n[m]])) for m in range(1, order + 1)}
-        self._column_norms: dict = {}
 
     def _flat_terms(self, el: HeterogeneousElement):
         for c, p, level in el.corrector.terms:
@@ -207,16 +206,13 @@ class RegularityWorkspace:
         return (np.take(flat, nodes, axis=-1) * sw).T.reshape((-1,) + grad.shape[:-3])
 
     def column_norms(self, r: float, order: int) -> np.ndarray:
-        """Windowed gradient norms of the order-m columns, stored per (radius, order)."""
-        norms = self._column_norms.get((r, order))
-        if norms is None:
-            norms = np.zeros(self.prefixes[order][0])
-            for shift, nodes, w in self.window_pieces(r):
-                rows = self._rows(self.samples("grad", shift, order), nodes, np.sqrt(w))
-                norms += np.sum(rows ** 2, axis=0)
-            norms = np.sqrt(np.maximum(norms, 1e-300))
-            self._column_norms[(r, order)] = norms
-        return norms
+        """Windowed gradient norms of the order-m columns over B_{r,+}, one pass
+        over the window per call."""
+        norms = np.zeros(self.prefixes[order][0])
+        for shift, nodes, w in self.window_pieces(r):
+            rows = self._rows(self.samples("grad", shift, order), nodes, np.sqrt(w))
+            norms += np.sum(rows ** 2, axis=0)
+        return np.sqrt(np.maximum(norms, 1e-300))
 
     def excess(self, samplers, r: float, order: int) -> list[dict]:
         """Least-squares distance of each grad u from the order-m span over B_{r,+}.
@@ -227,14 +223,15 @@ class RegularityWorkspace:
         minimizer coefficients (one per order-m column, the first n_m of
         columns) and the windowed gradient norm of u.
 
-        The basis columns are scaled by their windowed norms, which depend
-        only on the workspace, r and m and are stored per radius and order
-        (column_norms).  Each period's basis rows are built once and
-        streamed through one QR with every target as an extra column,
-        accumulating the targets' norms and the window weight on the way.
-        Target t's residual is rows ncols..ncols+t of R's column ncols+t;
-        for the first (or only) target that is the single diagonal entry, so
-        a one-target call does the arithmetic of the one-target stream.
+        The basis columns are scaled by their windowed norms (column_norms,
+        one pass over the window before the QR pass).  Each period's basis
+        rows are built once and streamed through one QR with every target
+        as an extra column, accumulating the targets' norms and the window
+        weight on the way.  Target t's residual is the 2-norm of rows
+        ncols..ncols+t of R's column ncols+t; for the first (or only) target
+        that is the single diagonal entry, whose 2-norm is its absolute
+        value bit for bit, so a one-target call does the arithmetic of the
+        one-target stream.
         """
         ncols = self.prefixes[order][0]
         norms = self.column_norms(r, order)
@@ -256,7 +253,7 @@ class RegularityWorkspace:
         for t in range(len(samplers)):
             rb = R[:ncols, ncols + t]
             below = R[ncols:ncols + t + 1, ncols + t]
-            rho = abs(float(below[0])) if below.size == 1 else float(np.linalg.norm(below))
+            rho = float(np.linalg.norm(below))
             coef_scaled = np.linalg.solve(R11, rb) if rank_ok \
                 else np.linalg.lstsq(R11, rb, rcond=None)[0]
             results.append({

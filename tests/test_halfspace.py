@@ -200,6 +200,21 @@ def test_stokes_basis_dimensions_small():
         assert verify_stokes_pair(pair).ok
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_stokes_basis_block_layout(d):
+    # grades ascend; grade j holds dim_homogeneous_stokes(j, d) elements, its
+    # dim_harmonic(j - 1, d) pressure lifts ("V1") before its zero-pressure
+    # block ("V2")
+    for m in range(1, 6):
+        basis = stokes_basis(m, d)
+        assert basis.grades == sorted(basis.grades)
+        for j in range(1, m + 1):
+            n_lift = dim_harmonic(j - 1, d)
+            n_block = dim_homogeneous_stokes(j, d)
+            tags = [t for t, g in zip(basis.tags, basis.grades) if g == j]
+            assert tags == ["V1"] * n_lift + ["V2"] * (n_block - n_lift)
+
+
 def test_stokes_basis_reproduces_listed_degree2_pairs():
     basis = stokes_basis(2, 2)
     listed = [

@@ -212,6 +212,12 @@ def test_zero_mode_rejected():
         ModeData((0,), [[], []], [S(0), S(0)])
     with pytest.raises(ValueError):
         dtn_map((0, 0))
+    with pytest.raises(ValueError):
+        knorm_exact((0,))
+    with pytest.raises(ValueError):
+        halfline_integrals((0,), [[1.0], [0.0]], 1.0)
+    with pytest.raises(ValueError):
+        solve_mode_numeric((0,), ([], [[], []]), [0j, 0j])
 
 
 def test_mode_expansion_eval():

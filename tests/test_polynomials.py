@@ -133,11 +133,23 @@ def test_vector_polynomial_basics():
 
 
 def test_monomial_exponents_counts():
+    from itertools import product
     from math import comb
 
     for nvars in (1, 2, 3):
         for deg in range(5):
             assert len(monomial_exponents(nvars, deg)) == comb(deg + nvars - 1, nvars - 1)
+    # one degree is graded-lex in plain tuple order: check it against every
+    # exponent tuple of that degree, sorted
+    for nvars in range(5):
+        for deg in range(-1, 6):
+            want = sorted(e for e in product(range(max(deg, 0) + 1), repeat=nvars)
+                          if sum(e) == deg)
+            assert monomial_exponents(nvars, deg) == want, (nvars, deg)
+    # many variables at degree 1: the unit exponents, x_n first
+    n = 1200
+    assert monomial_exponents(n, 1) == [tuple(int(i == j) for i in range(n))
+                                        for j in reversed(range(n))]
 
 
 # ---------------------------------------------------------------------------
