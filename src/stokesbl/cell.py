@@ -187,11 +187,17 @@ class StripGrid:
     def mid_volumes(self) -> np.ndarray:
         return self.dx * self.dxi * self.H[:, None] * self.sp_mids[None, :]
 
+    @staticmethod
+    def xi_mean(f: np.ndarray) -> np.ndarray:
+        """Mean of xi-neighbours: a node field (nx, ny+1) at the midpoints,
+        or a midpoint field (nx, ny) at the interior nodes."""
+        return 0.5 * (f[:, 1:] + f[:, :-1])
+
     def pressure_at_nodes(self, p: np.ndarray) -> np.ndarray:
         """Interpolate the midpoint pressure to nodes (second order)."""
         a, b = P_CLOSURE
         out = np.empty((self.nx, self.ny + 1))
-        out[:, 1:-1] = 0.5 * (p[:, 1:] + p[:, :-1])
+        out[:, 1:-1] = self.xi_mean(p)
         out[:, 0] = a * p[:, 0] + b * p[:, 1]
         out[:, -1] = a * p[:, -1] + b * p[:, -2]
         return out
@@ -623,7 +629,7 @@ def divergence_residual(g: StripGrid, u: np.ndarray, div_data) -> np.ndarray:
     """Discrete divergence minus prescribed data at the pressure cells."""
     dxi = g.dxi
     # the matmul rounds by its operand's layout: fix it, whatever u's is
-    u1m = np.asfortranarray(0.5 * (u[0][:, 1:] + u[0][:, :-1]))
+    u1m = np.asfortranarray(g.xi_mean(u[0]))
     du1 = (u[0][:, 1:] - u[0][:, :-1]) / dxi
     du2 = (u[1][:, 1:] - u[1][:, :-1]) / dxi
     div = g.Dx @ u1m + g.a_mids * du1 + g.invHsp_mids * du2

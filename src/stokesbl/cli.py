@@ -351,6 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; return its exit code.  The artifacts, then the
+    manifest, are written before the summary is printed, so a stdout that
+    cannot be written raises its own OSError, not exit 2."""
     started = time.time()
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -372,11 +375,11 @@ def main(argv=None) -> int:
         try:
             for path, text in artifacts.items():
                 write_atomic(path, text)
-            print(f"{summary} -> {', '.join(artifacts)}")
             path = manifest
             write_manifest(path, config, artifacts, started)
         except OSError as exc:
             raise InputError(f"cannot write {path}: {exc}") from exc
+        print(f"{summary} -> {', '.join(artifacts)}")
     except InputError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

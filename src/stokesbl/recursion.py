@@ -166,7 +166,7 @@ def level_problem(stack: "CorrectorStack", beta: int, l: int, comp: int):
     F[1] = 2 * c1 * g.dx_nodes(low1.u[1])
     if low2 is not None:
         F += 2 * c2 * low2.u
-    G = -c1 * 0.5 * (low1.u[0][:, 1:] + low1.u[0][:, :-1])
+    G = -c1 * g.xi_mean(low1.u[0])
 
     # G's polynomial part -C(beta,1) (V^{beta-1}_poly)_1 integrates to W_poly
     div_poly = -c1 * low1.v_poly[0]

@@ -219,29 +219,26 @@ class RegularityWorkspace:
 
         Each sampler maps shift -> (4, nx, ny+1) gradient samples (constant
         in shift for periodic fields).  Returns one dict per sampler, all
-        from the same pass over the window: the normalized excess H, the
+        from the same pass over the window: the normalized excess H and the
         minimizer coefficients (one per order-m column, the first n_m of
-        columns) and the windowed gradient norm of u.
+        columns).  grad_norms gives the windowed gradient norms of u.
 
         The basis columns are scaled by their windowed norms (column_norms,
         one pass over the window before the QR pass).  Each period's basis
         rows are built once and streamed through one QR with every target
-        as an extra column, accumulating the targets' norms and the window
-        weight on the way.  Target t's residual is the 2-norm of rows
-        ncols..ncols+t of R's column ncols+t; for the first (or only) target
-        that is the single diagonal entry, whose 2-norm is its absolute
-        value bit for bit, so a one-target call does the arithmetic of the
-        one-target stream.
+        as an extra column, accumulating the window weight on the way.
+        Target t's residual is the 2-norm of rows ncols..ncols+t of R's
+        column ncols+t; for the first (or only) target that is the single
+        diagonal entry, whose 2-norm is its absolute value bit for bit, so
+        a one-target call does the arithmetic of the one-target stream.
         """
         ncols = self.prefixes[order][0]
         norms = self.column_norms(r, order)
         total_w = 0.0
-        unorm2 = np.zeros(len(samplers))
         R = np.zeros((0, ncols + len(samplers)))
         for shift, nodes, w in self.window_pieces(r):
             sw = np.sqrt(w)
             targets = [self._rows(fn(shift), nodes, sw) for fn in samplers]
-            unorm2 += [float(np.sum(t ** 2)) for t in targets]
             total_w += float(np.sum(w))
             block = np.column_stack(
                 [self._rows(self.samples("grad", shift, order), nodes, sw) / norms] + targets)
@@ -256,19 +253,13 @@ class RegularityWorkspace:
             rho = float(np.linalg.norm(below))
             coef_scaled = np.linalg.solve(R11, rb) if rank_ok \
                 else np.linalg.lstsq(R11, rb, rcond=None)[0]
-            results.append({
-                "H": rho / np.sqrt(total_w),
-                "coefficients": coef_scaled / norms,
-                "grad_norm": np.sqrt(unorm2[t] / total_w),
-            })
+            results.append({"H": rho / np.sqrt(total_w), "coefficients": coef_scaled / norms})
         return results
 
     def grad_norms(self, samplers, r: float) -> np.ndarray:
-        """Windowed gradient norms of the samplers over B_{r,+}.
-
-        The arithmetic of excess's "grad_norm", without the basis rows or
-        the QR, so the two agree bit for bit.
-        """
+        """Windowed gradient norms of the samplers over B_{r,+}, one per sampler:
+        sqrt of the weighted sum of squares of grad u over the window weight,
+        the scale that excess's H is read against."""
         total_w = 0.0
         unorm2 = np.zeros(len(samplers))
         for shift, nodes, w in self.window_pieces(r):
@@ -485,8 +476,6 @@ def pressure_decay(workspace: RegularityWorkspace, solution: OuterSolution,
     p - pi over the unit window, mirroring the fixed-constant normalization
     of the regularity estimate.  Reported alongside the velocity excess.
     """
-    g = workspace.grid
-    wq = g.node_quad_weights()
     fields = {}  # shift -> residual field; the radii meet the same periods again
 
     def residual_field(shift):
@@ -495,9 +484,8 @@ def pressure_decay(workspace: RegularityWorkspace, solution: OuterSolution,
                 coefficients, workspace.samples("pressure", shift, order), axes=1)
         return fields[shift]
 
-    mask1 = workspace.window_mask(1.0, 0.0)
-    base = residual_field(0.0)
-    c_p = float(np.sum((wq * base)[mask1]) / np.sum(wq[mask1]))
+    (shift, nodes, w), = workspace.window_pieces(1.0)  # B_1 meets one period
+    c_p = float(np.sum(w * np.take(residual_field(shift), nodes)) / np.sum(w))
     values = []
     for r in radii:
         total, weight = 0.0, 0.0

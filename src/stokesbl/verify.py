@@ -179,8 +179,9 @@ def liouville_fit(workspace: RegularityWorkspace, u_grad, radii: list[float],
     the windowed gradient norm; otherwise flags non-membership.
     """
     results = [workspace.excess([u_grad], r, order)[0] for r in radii]
+    norms = [workspace.grad_norms([u_grad], r)[0] for r in radii]
     return {
-        "member": all(res["H"] / max(res["grad_norm"], 1e-300) <= tol for res in results),
+        "member": all(res["H"] / max(norm, 1e-300) <= tol for res, norm in zip(results, norms)),
         "coefficients": results[-1]["coefficients"],
     }
 
@@ -341,10 +342,8 @@ def route_equivalence(shared: Shared):
                 P = VectorPolynomial.unit_monomial((alpha, l), comp - 1, 2)
                 direct = script_S(shared.stack, P)
                 formula = script_S_via_trace_formula(shared.stack, P, alpha + l)
-                a = np.zeros_like(formula)
-                v = direct.v_poly_xy
-                a[:, : v.shape[1], : v.shape[2]] = v
-                worst = max(worst, float(np.abs(a - formula).max()))
+                gap = padded_sum([(1.0, direct.v_poly_xy), (-1.0, formula)])
+                worst = max(worst, float(np.abs(gap).max()))
     return worst <= 1e-10, f"max coefficient gap {worst:.2e}"
 
 

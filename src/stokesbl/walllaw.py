@@ -83,7 +83,9 @@ def monomial_effective(stack: CorrectorStack, alpha: int, l: int) -> np.ndarray:
 
 
 def phi_table(stack: CorrectorStack, order: int) -> WallLawTable:
-    """Wall-law coefficient polynomials Phi^{alpha,l} for |alpha| + l <= order."""
+    """Wall-law coefficient polynomials Phi^{alpha,l} for |alpha| + l <= order;
+    they read the levels (beta, l, i) with beta + l <= order, so order 1 reads
+    only the Navier seed, level (0, 1, 1)."""
     if order < 1:
         raise ValueError("order must be >= 1")
     # Navier tails come from horizontal drivers only; the vertical driver has
@@ -95,17 +97,12 @@ def phi_table(stack: CorrectorStack, order: int) -> WallLawTable:
     seed[:, 0, 0] = tails[1]
     phi[(0, 1)] = seed
 
-    effective = {}
-    for mu in range(1, order + 1):
-        for l in range(1, mu + 1):
-            effective[(mu - l, l)] = monomial_effective(stack, mu - l, l)
-
     for mu in range(2, order + 1):
         # all entries of level mu are built from the table below level mu
         lower = dict(phi)
         for l in range(1, mu + 1):
             alpha = mu - l
-            W = effective[(alpha, l)]
+            W = monomial_effective(stack, alpha, l)
             cols = []
             for i in range(2):
                 # x-polynomials d^b d^k W(x, 0) are the y^0 coefficients

@@ -419,15 +419,17 @@ def test_wall_law_checks_order_before_reading_the_stack(tmp_path, capsys):
 
 def test_wall_law_reports_levels_solved_in_process(tmp_path, geometry_file, capsys):
     stack = str(tmp_path / "stack.json")
-    law = ["wall-law", "--stack", stack, "--order", "1", "--out", str(tmp_path / "law.json")]
-    for comp, solved in (("1", "1, (beta, l, comp) = [(0, 1, 2)]"),
-                         ("2", "0, (beta, l, comp) = []")):
-        # the order-1 table reads levels (0, 1, 1) and (0, 1, 2)
-        assert main(["corrector", "--geometry", geometry_file, "--i", comp,
-                     "--nx", "16", "--ny", "20", "--out", stack]) == 0
+    assert main(["corrector", "--geometry", geometry_file,
+                 "--nx", "16", "--ny", "20", "--out", stack]) == 0
+    # the one-level stack holds the Navier seed (0, 1, 1), all the order-1
+    # table reads; order 2 solves the other levels with beta + l <= 2
+    for order, solved in (("1", "0, (beta, l, comp) = []"),
+                          ("2", "5, (beta, l, comp) = [(0, 1, 2), (0, 2, 1), (0, 2, 2), "
+                                "(1, 1, 1), (1, 1, 2)]")):
         capsys.readouterr()
-        assert main(law) == 0
-        assert f"wall-law: levels solved in-process: {solved}" in capsys.readouterr().out
+        assert main(["wall-law", "--stack", stack, "--order", order,
+                     "--out", str(tmp_path / "law.json")]) == 0
+        assert f"wall-law: levels solved in-process: {solved}\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [
@@ -578,6 +580,24 @@ def test_unwritable_out_exits_2_and_writes_nothing(tmp_path, geometry_file, argv
     assert "invalid configuration" in capsys.readouterr().err
     # no artifact, no manifest, no temp file, and every file as it was
     assert {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")} == before
+
+
+class _UnwritableStdout:
+    """A stdout whose every write fails, as on a full disk or a closed pipe."""
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+    def flush(self):
+        pass
+
+
+def test_unwritable_stdout_raises_after_the_artifacts_and_manifest(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _UnwritableStdout())
+    # the stdout's own error, not an artifact write reported as exit 2
+    with pytest.raises(OSError, match="No space left"):
+        main(["basis", "--order", "1", "--out", str(tmp_path / "b.json")])
+    assert _manifest_artifacts(tmp_path / "b.manifest.json") == ["b.json"]
 
 
 def test_regularity_factors_each_grid_once_and_frees_it(tmp_path, geometry_file, monkeypatch):

@@ -167,7 +167,7 @@ def test_excess_of_basis_element_is_zero(ws):
     for pos in range(n2):
         u_grad = lambda shift: ws.column_grad(pos, shift)
         res = ws.excess([u_grad], 4.0, 2)[0]
-        assert res["H"] <= 1e-10 * max(res["grad_norm"], 1e-30)
+        assert res["H"] <= 1e-10 * max(ws.grad_norms([u_grad], 4.0)[0], 1e-30)
         # the minimizer is the unit coefficient vector
         expect = np.zeros(n2)
         expect[pos] = 1.0
@@ -180,7 +180,8 @@ def test_excess_zero_field(ws):
 
 
 def _two_pass_excess(ws, u_grad, r, order):
-    """Order-m excess with the column norms and the QR each in their own window pass."""
+    """Order-m excess with the column norms and the QR each in their own window pass,
+    and the windowed gradient norm of u."""
     wq = ws.grid.node_quad_weights()
     ncols = ws.prefixes[order][0]
 
@@ -237,9 +238,14 @@ def test_excess_matches_two_pass_oracle(ws):
         "growth probe": lambda shift: ws.column_grad(-1, shift),
     }
     for name, u_grad in fields.items():
-        _assert_same_excess(ws.excess([u_grad], r, 2)[0], _two_pass_excess(ws, u_grad, r, 2))
+        want = _two_pass_excess(ws, u_grad, r, 2)
+        norm = want.pop("grad_norm")
+        _assert_same_excess(ws.excess([u_grad], r, 2)[0], want)
+        assert ws.grad_norms([u_grad], r).tobytes() == np.array([norm]).tobytes(), name
     again = ws.excess([fields["growth probe"]], r, 2)[0]
-    _assert_same_excess(again, _two_pass_excess(ws, fields["growth probe"], r, 2))
+    want = _two_pass_excess(ws, fields["growth probe"], r, 2)
+    del want["grad_norm"]
+    _assert_same_excess(again, want)
 
 
 def test_excess_scales_linearly(ws):
@@ -336,16 +342,14 @@ def test_multi_target_excess_matches_one_target_calls(tall_ws, outer_solutions):
     for order, r in [(1, np.pi / 2), (1, 4 * np.pi), (1, 16 * np.pi), (3, 4 * np.pi)]:
         together = ws.excess(list(targets.values()), r, order)
         assert len(together) == len(targets)
-        # grad_norms is the same arithmetic without the basis rows and the QR
         norms = ws.grad_norms(list(targets.values()), r)
-        assert norms.tobytes() == np.array([res["grad_norm"] for res in together]).tobytes()
-        for (name, u_grad), got in zip(targets.items(), together):
+        for (name, u_grad), got, norm in zip(targets.items(), together, norms):
             want = ws.excess([u_grad], r, order)[0]
             what = (order, r, name)
-            assert got["grad_norm"] == pytest.approx(want["grad_norm"], rel=1e-12), what
+            assert norm.tobytes() == ws.grad_norms([u_grad], r)[0].tobytes(), what
             # H of a field in the span is rounding noise: below the pipeline's
             # in-space floor it is compared on the scale of the field itself
-            scale = want["H"] if want["H"] > 1e-3 * want["grad_norm"] else want["grad_norm"]
+            scale = want["H"] if want["H"] > 1e-3 * norm else norm
             assert abs(got["H"] - want["H"]) <= 1e-12 * scale, what
             coef_scale = np.abs(want["coefficients"]).max()
             assert np.abs(got["coefficients"] - want["coefficients"]).max() \

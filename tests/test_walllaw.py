@@ -39,6 +39,16 @@ def test_flat_wall_phi_vanishes():
         assert np.abs(mat).max() < 1e-9
 
 
+def test_table_reads_only_the_levels_of_its_order():
+    # order 1 is the Navier seed alone; order N reads (beta, l, i), beta + l <= N
+    fresh = CorrectorStack(COS_WALL, nx=16, ny=20)
+    phi_table(fresh, 1)
+    assert set(fresh.levels) == {(0, 1, 1)}
+    phi_table(fresh, 2)
+    assert set(fresh.levels) == {(beta, l, i) for beta in range(2) for l in range(1, 3)
+                                 for i in (1, 2) if beta + l <= 2}
+
+
 def test_navier_matrix_structure(stack, table):
     seed = table.phi[(0, 1)]
     assert np.abs(seed[:, 1]).max() == 0.0  # last column identically zero
