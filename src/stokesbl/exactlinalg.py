@@ -1,61 +1,20 @@
-"""Small exact linear algebra helpers over the rationals.
+"""Exact rank certificate for the basis dimension claims.
 
-Used for basis generation (nullspaces of divergence/Laplace coefficient maps)
-and for certifying the dimension formulas.  The exact routines take lists of
-rows of Fraction; the rank certificate works on an int64 matrix mod a prime,
-filled from sparse (row, col, Fraction) entries, which need no dense Fraction
-rows.  Everything is deterministic (no pivoting heuristics beyond first
-nonzero column, so bases come out in a reproducible order).
+The basis itself is built in closed form (``halfspace``), so no nullspace
+is computed here.  ``sparse_rank_mod_p`` works on an int64 matrix mod a
+prime, filled from sparse (row, col, Fraction) entries, which need no dense
+Fraction rows.  It is deterministic: each pivot is the first nonzero entry
+of its column.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 import numpy as np
 
 #: prime for the fast rank certificate; (P-1)^2 fits in int64 products
 RANK_PRIME = 2147483647
-
-
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rref rows, pivot column indices)."""
-    mat = [list(r) for r in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return mat, pivots
-
-
-def nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Deterministic basis of the kernel of the matrix (rows act on R^ncols)."""
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][fc]
-        basis.append(vec)
-    return basis
 
 
 def sparse_rank_mod_p(entries, shape: tuple[int, int]) -> int:

@@ -115,14 +115,17 @@ class BoundaryGeometry:
     def from_json_dict(cls, data: dict) -> "BoundaryGeometry":
         """From {"fourier": [{"k", "re", "im"?}, ...]} or {"samples": [...]}.
 
-        Raises InputError unless fourier is a list of objects, each with an
-        int k that no other entry repeats and finite numbers re (and im), or
-        samples is a non-empty list of finite numbers.
+        Raises InputError unless exactly one of the two keys is present, and
+        fourier is a list of objects, each with an int k that no other entry
+        repeats and finite numbers re (and im), or samples is a non-empty list
+        of finite numbers.
         """
         def number(entry, key, where: str) -> float:
             return float(json_value(entry, key, where, (int, float), isfinite, "a finite number"))
 
         json_object(data, (), "geometry")
+        if ("fourier" in data) == ("samples" in data):
+            raise InputError("geometry JSON needs exactly one of 'fourier' and 'samples'")
         if "fourier" in data:
             modes = {}
             for t in json_value(data, "fourier", "geometry", list, lambda v: True, "a list"):
@@ -133,11 +136,9 @@ class BoundaryGeometry:
                 modes[k] = complex(number(t, "re", "geometry mode"),
                                    number(t, "im", "geometry mode") if "im" in t else 0.0)
             return cls.from_fourier(modes)
-        if "samples" in data:
-            samples = json_value(data, "samples", "geometry", list, bool, "a non-empty list")
-            return cls.from_samples([number(samples, i, "geometry samples")
-                                     for i in range(len(samples))])
-        raise InputError("geometry JSON needs a 'fourier' or 'samples' key")
+        samples = json_value(data, "samples", "geometry", list, bool, "a non-empty list")
+        return cls.from_samples([number(samples, i, "geometry samples")
+                                 for i in range(len(samples))])
 
     # -- evaluation -----------------------------------------------------------
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
 
-from .exactlinalg import nullspace, sparse_rank_mod_p
+from .exactlinalg import sparse_rank_mod_p
 from .polynomials import (
     ExactPolynomial,
     VectorPolynomial,
@@ -202,37 +202,35 @@ def zero_pressure_basis(m: int, d: int) -> list[StokesPair]:
     """Basis of the degree-m zero-pressure block.
 
     Elements are odd harmonic extensions of divergence-free horizontal
-    polynomial fields of degree m-1, with vanishing last component.
+    polynomial fields of degree m-1, with vanishing last component.  The
+    fields are the kernel of the horizontal divergence, in closed form.
+    Write a for a multi-index of degree m-1 and e_i (1-based) for the
+    horizontal unit vectors.  The divergence sends x^a e_i to a_i x^(a-e_i),
+    one monomial, so each constraint row x^b (b of degree m-2) has exactly
+    one component-1 column, x^(b+e_1) e_1, and no two rows share it.  With
+    the columns ordered by component, then graded-lex, the reduced row
+    echelon form therefore pivots on x^a e_1 for every a with a_1 >= 1, and
+    its free columns give the kernel basis in this order: x^a e_1 with
+    a_1 = 0; then, for i >= 2 and each a, x^a e_i - a_i/(a_1+1) x^(a-e_i+e_1) e_1.
     """
     if m < 1:
         raise ValueError("need m >= 1")
-    exps = monomial_exponents(d - 1, m - 1)
-    ncols = (d - 1) * len(exps)
-    if ncols == 0:
+    if d < 2:  # no horizontal variable, no field
         return []
-    # columns: (component i, monomial exp); d_i of x^exp, exp[i] x^(exp - e_i),
-    # lands on the constraint row of its degree m-2 monomial
-    row_of = {texp: r for r, texp in enumerate(monomial_exponents(d - 1, m - 2))}
-    rows = [[Fraction(0)] * ncols for _ in row_of]
-    for i in range(d - 1):
-        for j, exp in enumerate(exps):
-            if exp[i] >= 1:
-                lower = exp[:i] + (exp[i] - 1,) + exp[i + 1:]
-                rows[row_of[lower]][i * len(exps) + j] = Fraction(exp[i])
-    kernel = nullspace(rows, ncols)
     zero_x = ExactPolynomial.zero(d)
     out = []
-    for vec in kernel:
-        comps = []
-        for i in range(d - 1):
-            a_i = ExactPolynomial.zero(d)
-            for j, exp in enumerate(exps):
-                c = vec[i * len(exps) + j]
-                if c:
-                    a_i = a_i + _x_poly(exp, d, c)
-            comps.append(harmonic_extension(zero_x, a_i))
-        comps.append(ExactPolynomial.zero(d))
-        out.append(StokesPair(VectorPolynomial(comps), ExactPolynomial.zero(d)))
+    for i in range(d - 1):
+        for a in monomial_exponents(d - 1, m - 1):
+            if i == 0 and a[0]:
+                continue  # a pivot column
+            fields = [zero_x] * (d - 1)
+            fields[i] = _x_poly(a, d)
+            if i and a[i]:
+                pivot = (a[0] + 1,) + a[1:i] + (a[i] - 1,) + a[i + 1:]
+                fields[0] = _x_poly(pivot, d, Fraction(-a[i], a[0] + 1))
+            comps = [harmonic_extension(zero_x, f) for f in fields]
+            comps.append(ExactPolynomial.zero(d))
+            out.append(StokesPair(VectorPolynomial(comps), ExactPolynomial.zero(d)))
     assert len(out) == dim_zero_pressure(m, d)
     return out
 

@@ -91,9 +91,11 @@ def test_cell_rejects_odd_nx(tmp_path, geometry_file, capsys):
     {"fourier": [{"k": 0, "re": -0.5}, {"k": 1.7, "re": -0.2}]},
     {"fourier": [{"k": 0, "re": -0.5}, {"k": True, "re": -0.2}]},
     {"fourier": [{"k": 0, "re": -0.5}, {"k": 10 ** 400, "re": -0.2}]},
+    {"fourier": [{"k": 0, "re": -0.5}, {"k": 1, "re": -0.25}],
+     "samples": [-0.1, -0.9, -0.1, -0.9]},
 ], ids=["gamma-above-zero", "no-geometry-key", "no-k", "no-re", "fourier-not-a-list",
         "re-a-string", "re-beyond-float", "samples-a-string", "samples-empty", "samples-ragged",
-        "repeated-k", "fractional-k", "bool-k", "k-beyond-float"])
+        "repeated-k", "fractional-k", "bool-k", "k-beyond-float", "fourier-and-samples"])
 def test_cell_rejects_unrepresentable_geometry(tmp_path, payload, capsys):
     wall = tmp_path / "wall.json"
     wall.write_text(json.dumps(payload))

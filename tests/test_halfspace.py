@@ -7,7 +7,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings
 
-from stokesbl.exactlinalg import rref, sparse_rank_mod_p
+from stokesbl.exactlinalg import sparse_rank_mod_p
 from stokesbl.halfspace import (
     SpaceBasis,
     StokesPair,
@@ -298,6 +298,79 @@ def test_pressure_from_velocity():
     assert pressure_from_velocity(u) == mono(2, 0, 1).scale(2)
     with pytest.raises(ValueError):
         pressure_from_velocity(VectorPolynomial([mono(2, 2, 0), ExactPolynomial.zero(2)]))
+
+
+def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns (rref rows, pivot column indices)."""
+    mat = [list(r) for r in rows]
+    nrows = len(mat)
+    ncols = len(mat[0]) if nrows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if mat[i][c] != 0), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [v * inv for v in mat[r]]
+        for i in range(nrows):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return mat, pivots
+
+
+def nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
+    """Kernel basis of the matrix (rows act on Q^ncols), one vector per free column."""
+    red, pivots = rref(rows)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -red[r][fc]
+        basis.append(vec)
+    return basis
+
+
+def zero_pressure_by_elimination(m: int, d: int) -> list[StokesPair]:
+    """zero_pressure_basis's oracle: the RREF kernel of the horizontal divergence.
+
+    Columns are (component i, degree m-1 monomial) in component-then-grlex
+    order; the column of x^a e_i holds a_i in the row of x^(a-e_i).
+    """
+    exps = monomial_exponents(d - 1, m - 1)
+    row_of = {b: r for r, b in enumerate(monomial_exponents(d - 1, m - 2))}
+    rows = [[Fraction(0)] * ((d - 1) * len(exps)) for _ in row_of]
+    for i in range(d - 1):
+        for j, a in enumerate(exps):
+            if a[i]:
+                rows[row_of[a[:i] + (a[i] - 1,) + a[i + 1:]]][i * len(exps) + j] = Fraction(a[i])
+    zero = ExactPolynomial.zero(d)
+    out = []
+    for vec in nullspace(rows, (d - 1) * len(exps)):
+        comps = []
+        for i in range(d - 1):
+            field = ExactPolynomial(d, {a + (0,): c for j, a in enumerate(exps)
+                                        if (c := vec[i * len(exps) + j])})
+            comps.append(harmonic_extension(zero, field))
+        out.append(StokesPair(VectorPolynomial(comps + [zero]), zero))
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_zero_pressure_basis_is_the_rref_kernel(d):
+    for m in range(1, 8):
+        basis = zero_pressure_basis(m, d)
+        assert basis == zero_pressure_by_elimination(m, d)
+        for pair in basis:
+            assert pair.velocity.divergence().is_zero()
+            assert pair.velocity[d - 1].is_zero() and pair.pressure.is_zero()
 
 
 def exact_rank(rows: list[list[Fraction]]) -> int:
