@@ -227,9 +227,9 @@ def cmd_regularity(args) -> tuple[str, ...]:
     from .recursion import CorrectorStack
     from .regularity import (
         KINDS,
-        MIN_R,
         RegularityWorkspace,
         build_outer_solution,
+        check_strip_height,
         decay_experiments,
         pointwise_check,
         projected_fits,
@@ -238,8 +238,7 @@ def cmd_regularity(args) -> tuple[str, ...]:
     geometry = load_geometry(args.geometry)
     if args.order < 1:
         raise InputError("--order must be >= 1")
-    if args.R < MIN_R:
-        raise InputError("--R must be >= 32*pi so dyadic windows span a factor 16")
+    check_strip_height(args.R)
     if args.seed < 0:
         raise InputError("--seed must be >= 0")
     stack = CorrectorStack(geometry, nx=args.nx, ny=args.stack_ny)

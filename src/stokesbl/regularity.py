@@ -15,8 +15,9 @@ Each basis field, and each outer solution, is a polynomial in the period
 shift: at x + s it is sum_i (x + s)^i f_i with coefficient arrays f_i that
 repeat in every period.  The arrays are built once, after the solves, and
 any period is one Horner evaluation.  The excess takes several fields at
-once: one pass per radius builds the basis rows once and carries every
-field as an extra QR column, so the outer data share their windows.
+once: each radius reads its window once, building the basis rows once and
+carrying every field as an extra QR column, so the outer data share their
+windows; the basis columns' scaling is read off the R factor.
 """
 
 from __future__ import annotations
@@ -205,15 +206,6 @@ class RegularityWorkspace:
         flat = grad.reshape(grad.shape[:-2] + (-1,))
         return (np.take(flat, nodes, axis=-1) * sw).T.reshape((-1,) + grad.shape[:-3])
 
-    def column_norms(self, r: float, order: int) -> np.ndarray:
-        """Windowed gradient norms of the order-m columns over B_{r,+}, one pass
-        over the window per call."""
-        norms = np.zeros(self.prefixes[order][0])
-        for shift, nodes, w in self.window_pieces(r):
-            rows = self._rows(self.samples("grad", shift, order), nodes, np.sqrt(w))
-            norms += np.sum(rows ** 2, axis=0)
-        return np.sqrt(np.maximum(norms, 1e-300))
-
     def excess(self, samplers, r: float, order: int) -> list[dict]:
         """Least-squares distance of each grad u from the order-m span over B_{r,+}.
 
@@ -223,27 +215,28 @@ class RegularityWorkspace:
         minimizer coefficients (one per order-m column, the first n_m of
         columns).  grad_norms gives the windowed gradient norms of u.
 
-        The basis columns are scaled by their windowed norms (column_norms,
-        one pass over the window before the QR pass).  Each period's basis
-        rows are built once and streamed through one QR with every target
-        as an extra column, accumulating the window weight on the way.
-        Target t's residual is the 2-norm of rows ncols..ncols+t of R's
-        column ncols+t; for the first (or only) target that is the single
+        Each period's basis rows are built once and streamed, unscaled,
+        through one QR with every target as an extra column, accumulating the
+        window weight on the way: each radius reads its window once.  The
+        basis columns' windowed norms are the column norms of R11 = R[:n_m,
+        :n_m] (R^T R = A^T A), and the triangular solve runs on R11 scaled by
+        them.  Target t's residual is the 2-norm of rows ncols..ncols+t of
+        R's column ncols+t; for the first (or only) target that is the single
         diagonal entry, whose 2-norm is its absolute value bit for bit, so
         a one-target call does the arithmetic of the one-target stream.
         """
         ncols = self.prefixes[order][0]
-        norms = self.column_norms(r, order)
         total_w = 0.0
         R = np.zeros((0, ncols + len(samplers)))
         for shift, nodes, w in self.window_pieces(r):
             sw = np.sqrt(w)
-            targets = [self._rows(fn(shift), nodes, sw) for fn in samplers]
             total_w += float(np.sum(w))
-            block = np.column_stack(
-                [self._rows(self.samples("grad", shift, order), nodes, sw) / norms] + targets)
+            block = np.column_stack([self._rows(self.samples("grad", shift, order), nodes, sw)]
+                                    + [self._rows(fn(shift), nodes, sw) for fn in samplers])
             R = np.linalg.qr(np.vstack([R, block]), mode="r")
         R11 = R[:ncols, :ncols]
+        norms = np.sqrt(np.maximum(np.sum(R11 ** 2, axis=0), 1e-300))
+        R11 = R11 / norms
         diag = np.abs(np.diag(R11))
         rank_ok = bool(diag.min() > 1e-13 * diag.max())
         results = []
@@ -429,8 +422,14 @@ def dyadic_radii(r0: float, rmax: float) -> list[float]:
 
 #: Smallest decay window, and the in-space floor relative to ||grad u||_R.
 DECAY_R0, FLOOR_REL = np.pi / 2, 1e-3
-#: Smallest strip height R (32 pi): the dyadic radii DECAY_R0..R/4 span a factor 16.
-MIN_R = 64 * DECAY_R0
+
+
+def check_strip_height(R: float) -> None:
+    """Raise InputError unless the strip height R is at least 64 DECAY_R0 = 32 pi,
+    so that the dyadic radii DECAY_R0..R/4 span a factor 16."""
+    if R < 64 * DECAY_R0:
+        raise InputError("insufficient scale separation: need R >= 32 pi so the "
+                         "dyadic windows pi/2..R/4 span a factor 16")
 
 
 def decay_experiments(workspace: RegularityWorkspace, solutions: list[OuterSolution],
@@ -448,8 +447,7 @@ def decay_experiments(workspace: RegularityWorkspace, solutions: list[OuterSolut
     if len(heights) != 1:
         raise ValueError("decay experiments need solves on one strip height")
     R = heights.pop()
-    if R < MIN_R:
-        raise InputError("insufficient scale separation: need R >= 64 DECAY_R0 = 32 pi")
+    check_strip_height(R)
     radii = dyadic_radii(DECAY_R0, R / 4)
     u_grads = [solution.grad for solution in solutions]
     per_radius = [workspace.excess(u_grads, r, order) for r in radii]

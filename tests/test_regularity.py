@@ -179,46 +179,63 @@ def test_excess_zero_field(ws):
     assert ws.excess([zero], 4.0, 2)[0]["H"] == 0.0
 
 
-def _two_pass_excess(ws, u_grad, r, order):
-    """Order-m excess with the column norms and the QR each in their own window pass,
-    and the windowed gradient norm of u."""
+def _oracle_blocks(ws, u_grad, r, scale):
+    """Each window piece's quadrature rows, the leading len(scale) columns divided by
+    scale and then u, with the piece's weight."""
     wq = ws.grid.node_quad_weights()
-    ncols = ws.prefixes[order][0]
+    for shift in ws.window_shifts(r):
+        mask = ws.window_mask(r, shift)
+        if not mask.any():
+            continue
+        sw = np.sqrt(wq[mask])
+        cols = [(ws.column_grad(j, shift)[:, mask] * sw).reshape(4, -1).T.reshape(-1)
+                / scale[j] for j in range(len(scale))]
+        target = (u_grad(shift)[:, mask] * sw).reshape(4, -1).T.reshape(-1)
+        yield np.column_stack(cols + [target]), float(np.sum(wq[mask]))
 
-    def blocks(scale):
-        for shift in ws.window_shifts(r):
-            mask = ws.window_mask(r, shift)
-            if not mask.any():
-                continue
-            sw = np.sqrt(wq[mask])
-            cols = [(ws.column_grad(j, shift)[:, mask] * sw).reshape(4, -1).T.reshape(-1)
-                    / scale[j] for j in range(ncols)]
-            target = (u_grad(shift)[:, mask] * sw).reshape(4, -1).T.reshape(-1)
-            yield np.column_stack(cols + [target]), float(np.sum(wq[mask]))
 
-    norms = np.zeros(ncols)
-    total_w = 0.0
-    unorm2 = 0.0
-    for blk, wsum in blocks(np.ones(ncols)):
-        norms += np.sum(blk[:, :ncols] ** 2, axis=0)
-        unorm2 += float(np.sum(blk[:, -1] ** 2))
-        total_w += wsum
-    norms = np.sqrt(np.maximum(norms, 1e-300))
-    R = np.zeros((0, ncols + 1))
-    for blk, _ in blocks(norms):
-        R = np.linalg.qr(np.vstack([R, blk]), mode="r")
-    R11 = R[:ncols, :ncols]
+def _oracle_read(R, R11, norms, total_w):
+    """H and the coefficients from a streamed R, with R11 its scaled basis block."""
+    ncols = len(norms)
     rb = R[:ncols, -1]
     rho = abs(float(R[ncols, ncols])) if R.shape[0] > ncols else 0.0
     diag = np.abs(np.diag(R11))
     rank_ok = bool(diag.min() > 1e-13 * diag.max())
     coef_scaled = np.linalg.solve(R11, rb) if rank_ok \
         else np.linalg.lstsq(R11, rb, rcond=None)[0]
-    return {
-        "H": rho / np.sqrt(total_w),
-        "coefficients": coef_scaled / norms,
-        "grad_norm": np.sqrt(unorm2 / total_w),
-    }
+    return {"H": rho / np.sqrt(total_w), "coefficients": coef_scaled / norms}
+
+
+def _one_pass_excess(ws, u_grad, r, order):
+    """Order-m excess from one QR pass over unscaled rows; the column norms are R11's."""
+    ncols = ws.prefixes[order][0]
+    total_w = 0.0
+    R = np.zeros((0, ncols + 1))
+    for blk, wsum in _oracle_blocks(ws, u_grad, r, np.ones(ncols)):
+        R = np.linalg.qr(np.vstack([R, blk]), mode="r")
+        total_w += wsum
+    R11 = R[:ncols, :ncols]
+    norms = np.sqrt(np.maximum(np.sum(R11 ** 2, axis=0), 1e-300))
+    return _oracle_read(R, R11 / norms, norms, total_w)
+
+
+def _two_pass_excess(ws, u_grad, r, order):
+    """Order-m excess with the column norms and the QR of pre-scaled rows each in
+    their own window pass, and the windowed gradient norm of u."""
+    ncols = ws.prefixes[order][0]
+    norms = np.zeros(ncols)
+    total_w = 0.0
+    unorm2 = 0.0
+    for blk, wsum in _oracle_blocks(ws, u_grad, r, np.ones(ncols)):
+        norms += np.sum(blk[:, :ncols] ** 2, axis=0)
+        unorm2 += float(np.sum(blk[:, -1] ** 2))
+        total_w += wsum
+    norms = np.sqrt(np.maximum(norms, 1e-300))
+    R = np.zeros((0, ncols + 1))
+    for blk, _ in _oracle_blocks(ws, u_grad, r, norms):
+        R = np.linalg.qr(np.vstack([R, blk]), mode="r")
+    return dict(_oracle_read(R, R[:ncols, :ncols], norms, total_w),
+                grad_norm=np.sqrt(unorm2 / total_w))
 
 
 def _assert_same_excess(got, want):
@@ -231,6 +248,8 @@ def _assert_same_excess(got, want):
 
 
 def test_excess_matches_two_pass_oracle(ws):
+    """excess is the one-pass oracle bit for bit; against the two-pass arithmetic,
+    which scales the rows before the QR, only rounding moves."""
     r = 5.0
     fields = {
         "basis element": lambda shift: ws.column_grad(1, shift),
@@ -238,14 +257,58 @@ def test_excess_matches_two_pass_oracle(ws):
         "growth probe": lambda shift: ws.column_grad(-1, shift),
     }
     for name, u_grad in fields.items():
-        want = _two_pass_excess(ws, u_grad, r, 2)
-        norm = want.pop("grad_norm")
-        _assert_same_excess(ws.excess([u_grad], r, 2)[0], want)
+        got = ws.excess([u_grad], r, 2)[0]
+        _assert_same_excess(got, _one_pass_excess(ws, u_grad, r, 2))
+        old = _two_pass_excess(ws, u_grad, r, 2)
+        norm = old.pop("grad_norm")
         assert ws.grad_norms([u_grad], r).tobytes() == np.array([norm]).tobytes(), name
+        assert abs(got["H"] - old["H"]) <= 1e-12 * norm, name
+        coef_scale = np.abs(old["coefficients"]).max()
+        assert np.abs(got["coefficients"] - old["coefficients"]).max() \
+            <= 1e-10 * coef_scale, name
     again = ws.excess([fields["growth probe"]], r, 2)[0]
-    want = _two_pass_excess(ws, fields["growth probe"], r, 2)
-    del want["grad_norm"]
-    _assert_same_excess(again, want)
+    _assert_same_excess(again, _one_pass_excess(ws, fields["growth probe"], r, 2))
+
+
+def test_excess_reads_each_window_piece_once(ws, monkeypatch):
+    """One excess call evaluates the basis gradients once per window piece, for one
+    target or several, and scales the basis columns by their windowed norms."""
+    r, order = 5.0, 2
+    ncols = ws.prefixes[order][0]
+    pieces = list(ws.window_pieces(r))
+    calls, seen = [], {}
+    samples, qr, solve = ws.samples, np.linalg.qr, np.linalg.solve
+
+    def counted_samples(name, shift, m):
+        calls.append((name, shift))
+        return samples(name, shift, m)
+
+    def last_qr(a, mode):
+        seen["R"] = qr(a, mode=mode)
+        return seen["R"]
+
+    def scaled_solve(a, b):
+        seen["scaled R11"] = a
+        return solve(a, b)
+
+    monkeypatch.setattr(ws, "samples", counted_samples)
+    monkeypatch.setattr(np.linalg, "qr", last_qr)
+    monkeypatch.setattr(np.linalg, "solve", scaled_solve)
+    targets = [lambda shift: ws.column_grad(1, shift),
+               lambda shift: np.zeros((4, ws.grid.nx, ws.grid.ny + 1)),
+               lambda shift: ws.column_grad(-1, shift)]
+    direct = np.sqrt([sum(float(np.sum(w * np.take(ws.column_grad(j, shift).reshape(4, -1),
+                                                   nodes, axis=1) ** 2))
+                          for shift, nodes, w in pieces) for j in range(ncols)])
+    for k in (1, 3):
+        calls.clear()
+        seen.clear()
+        ws.excess(targets[:k], r, order)
+        assert calls == [("grad", shift) for shift, _, _ in pieces], k
+        # the scaled block's columns are R11's divided by the norms excess used
+        used = np.linalg.norm(seen["R"][:ncols, :ncols], axis=0) \
+            / np.linalg.norm(seen["scaled R11"], axis=0)
+        assert used == pytest.approx(direct, rel=1e-12), k
 
 
 def test_excess_scales_linearly(ws):
