@@ -254,7 +254,7 @@ def cmd_regularity(args) -> tuple[str, ...]:
     stack.grid.factors.clear()
     grid.factors.clear()
     reports = decay_experiments(ws, solutions, args.order)
-    fits = projected_fits(ws, [s.grad for s in solutions], 4 * np.pi, args.order, ws.order)
+    fits = projected_fits(ws, [s.grad for s in solutions], args.order, ws.order)
     results = {}
     for kind, solution, rep, coeffs in zip(KINDS, solutions, reports, fits):
         results[kind] = dict(rep, pointwise=pointwise_check(ws, solution, coeffs, args.order))

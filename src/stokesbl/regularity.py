@@ -13,11 +13,14 @@ exact up to rounding rather than discretization.
 
 Each basis field, and each outer solution, is a polynomial in the period
 shift: at x + s it is sum_i (x + s)^i f_i with coefficient arrays f_i that
-repeat in every period.  The arrays are built once, after the solves, and
-any period is one Horner evaluation.  The excess takes several fields at
-once: each radius reads its window once, building the basis rows once and
-carrying every field as an extra QR column, so the outer data share their
-windows; the basis columns' scaling is read off the R factor.
+repeat in every period.  The arrays are built once, after the solves (the
+lift traces read the top row's alone before them), and every sampled field
+is one Horner evaluation per period: the excess rows, the pressure
+residuals and the pointwise errors u - w_poly alike.  The excess takes
+several fields at once: each radius reads its window once, building the
+basis rows once and carrying every field as an extra QR column, so the
+outer data share their windows; the basis columns' scaling is read off the
+R factor.
 """
 
 from __future__ import annotations
@@ -52,6 +55,12 @@ def horner(coeffs: np.ndarray, X) -> np.ndarray:
         out *= X
         out += c
     return out
+
+
+def at_nodes(c: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The y-polynomials c[..., i, :] of (..., nx_pow, ny_pow) coefficients at
+    the node heights Y, x-power i first: (nx_pow, ..., *Y.shape), an X-power series."""
+    return np.moveaxis(npoly.polyval(Y, np.moveaxis(c, -1, 0)), c.ndim - 2, 0)
 
 
 class RegularityWorkspace:
@@ -97,22 +106,17 @@ class RegularityWorkspace:
         for c, p, level in el.corrector.terms:
             yield c, p, self._samplers[(level.beta, level.l, level.comp)]
 
-    def _x_series(self) -> dict:
-        """X-power coefficient arrays of every column.
+    def _x_series(self, rows=slice(None)) -> dict:
+        """X-power coefficient arrays of every column on the grid rows `rows`.
 
-        Returns {"velocity": (D+1, ncols, 2, nx, ny+1), "grad": (D+1, ncols,
-        4, nx, ny+1), "pressure": (D+1, ncols, nx, ny+1)}, entry i the
+        Returns {"velocity": (D+1, ncols, 2, nx, nrows), "grad": (D+1, ncols,
+        4, nx, nrows), "pressure": (D+1, ncols, nx, nrows)}, entry i the
         coefficient of X**i.  The flat-space pair contributes its
         y-polynomials at the nodes, a corrector term coef * X**power * V its
         samples at i = power.  The x-derivative at fixed y is (i+1) times the
         next velocity coefficient plus the samples' own x-derivative.
         """
-        Y = self.grid.y_nodes
-
-        def at_nodes(c):
-            # the y-polynomials c[..., i, :] at the nodes, x-power i first
-            return np.moveaxis(npoly.polyval(Y, np.moveaxis(c, -1, 0)), c.ndim - 2, 0)
-
+        Y = self.grid.y_nodes[:, rows]
         D = self.prefixes[self.order][1]
         ncols = len(self.columns)
         vel = np.zeros((D + 1, ncols, 2) + Y.shape)
@@ -121,14 +125,14 @@ class RegularityWorkspace:
         dx, dy = grad[:, :, 0::2], grad[:, :, 1::2]  # views, one entry per component
         for j, (el, (pc, qc)) in enumerate(zip(self.columns, self._coeffs)):
             dyc = coeff_derivative(pc, 0, 1)
-            vel[:pc.shape[1], j] = at_nodes(pc)
-            dy[:dyc.shape[1], j] = at_nodes(dyc)
-            pres[:qc.shape[0], j] = at_nodes(qc)
+            vel[:pc.shape[1], j] = at_nodes(pc, Y)
+            dy[:dyc.shape[1], j] = at_nodes(dyc, Y)
+            pres[:qc.shape[0], j] = at_nodes(qc, Y)
             for coef, power, smp in self._flat_terms(el):
-                vel[power, j] += coef * smp.values
-                dx[power, j] += coef * smp.dx
-                dy[power, j] += coef * smp.dy
-                pres[power, j] += coef * smp.pressure
+                vel[power, j] += coef * smp.values[..., rows]
+                dx[power, j] += coef * smp.dx[..., rows]
+                dy[power, j] += coef * smp.dy[..., rows]
+                pres[power, j] += coef * smp.pressure[..., rows]
         dx[:-1] += np.arange(1, D + 1)[:, None, None, None, None] * vel[1:]
         return {"velocity": vel, "grad": grad, "pressure": pres}
 
@@ -155,24 +159,11 @@ class RegularityWorkspace:
     def top_velocity(self) -> np.ndarray:
         """(ncols, 2, nx) column velocities on the top row at shift 0.
 
-        Evaluated once per workspace, directly, polynomial part plus
-        corrector samples, without building the coefficient arrays: the lift
-        traces are taken while the solves' factors are still alive.  The
-        outer solves' top data are the outer trace minus a lift trace orders
-        of magnitude larger, so they amplify any change in how these traces
-        round; this arithmetic is the one the recorded reports were made with.
+        The top row of samples("velocity", 0.0, order), from series built for
+        that row only: the lift traces are taken while the solves' factors are
+        still alive, and the full coefficient arrays wait until they are gone.
         """
-        g = self.grid
-        X, Y = g.x, g.y_nodes[:, -1]
-        out = np.zeros((len(self.columns), 2, g.nx))
-        for j, (el, (pc, _)) in enumerate(zip(self.columns, self._coeffs)):
-            for c in range(2):
-                out[j, c] = npoly.polyval2d(X, Y, pc[c])
-            for coef, power, smp in self._flat_terms(el):
-                xp = X ** power
-                for c in range(2):
-                    out[j, c] += coef * xp * smp.values[c][:, -1]
-        return out
+        return horner(self._x_series(np.s_[-1:])["velocity"], self.abscissa(0.0))[..., -1]
 
     # -- window machinery ----------------------------------------------------
 
@@ -400,10 +391,7 @@ def build_outer_solution(lift_ws: RegularityWorkspace, kind: str,
     grid = lift_ws.grid
     target = outer_data(kind, grid, seed=seed)
     coeffs = lift_coefficients(lift_ws, kind, seed=seed)
-    lift = np.zeros((2, grid.nx))  # top row
-    for c_val, vals in zip(coeffs, lift_ws.top_velocity):
-        if c_val != 0.0:
-            lift += c_val * vals
+    lift = padded_sum(zip(coeffs, lift_ws.top_velocity), (2, grid.nx))  # top row
     problem = CellProblem(
         grid=grid,
         bottom=np.zeros((2, grid.nx)),
@@ -422,6 +410,8 @@ def dyadic_radii(r0: float, rmax: float) -> list[float]:
 
 #: Smallest decay window, and the in-space floor relative to ||grad u||_R.
 DECAY_R0, FLOOR_REL = np.pi / 2, 1e-3
+#: The window radius of the projected fits that pointwise_check reads.
+FIT_RADIUS = 4 * np.pi
 
 
 def check_strip_height(R: float) -> None:
@@ -495,9 +485,10 @@ def pressure_decay(workspace: RegularityWorkspace, solution: OuterSolution,
     return values
 
 
-def projected_fits(workspace: RegularityWorkspace, u_grads, r: float, order: int,
+def projected_fits(workspace: RegularityWorkspace, u_grads, order: int,
                    fit_order: int) -> list[np.ndarray]:
-    """Order-m coefficients via an order-`fit_order` fit projected into S_m.
+    """Order-m coefficients via an order-`fit_order` fit over B_{FIT_RADIUS,+},
+    projected into S_m.
 
     Fitting at a higher order gives the top-degree content its own columns
     instead of letting it bias the low-order coefficients; dropping those
@@ -506,7 +497,8 @@ def projected_fits(workspace: RegularityWorkspace, u_grads, r: float, order: int
     truncation.  All fields are fitted in one excess pass.
     """
     n = workspace.prefixes[order][0]
-    return [res["coefficients"][:n] for res in workspace.excess(list(u_grads), r, fit_order)]
+    return [res["coefficients"][:n]
+            for res in workspace.excess(list(u_grads), FIT_RADIUS, fit_order)]
 
 
 def nnls_2col(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -543,32 +535,22 @@ def pointwise_check(workspace: RegularityWorkspace, solution: OuterSolution,
     """
     g = solution.grid
     R = g.height
-    # effective polynomial of the fitted combination
+    # u - w_poly of the fitted combination as one X-power series: the gradient's
+    # four components, then the velocity's two
     wpoly = padded_sum((c_val, el.w_poly_xy) for c_val, el in zip(coefficients, workspace.columns))
-    dx_wpoly, dy_wpoly = coeff_derivative(wpoly, 1, 0), coeff_derivative(wpoly, 0, 1)
+    parts = [coeff_derivative(wpoly[c], bx, by) for c in range(2) for bx, by in ((1, 0), (0, 1))]
+    w = np.stack([padded_sum([(1.0, part)], wpoly.shape[1:]) for part in parts + list(wpoly)])
+    u = np.concatenate([solution.series["grad"], solution.series["velocity"]], axis=1)
+    series = padded_sum([(1.0, u), (-1.0, at_nodes(w, g.y_nodes))])
 
-    Xs, Ys, grads, vals = [], [], [], []
-    for shift in workspace.window_shifts(R / 2):
-        nodes = np.flatnonzero(workspace.window_mask(R / 2, shift) & (g.y_nodes >= ENVELOPE_Y_MIN))
-        if not nodes.size:
-            continue
-        Xs.append(g.x[nodes // (g.ny + 1)] + shift)
-        Ys.append(np.take(g.y_nodes, nodes))
-        grads.append(np.take(solution.at("grad", shift).reshape(4, -1), nodes, axis=1))
-        vals.append(np.take(solution.at("velocity", shift).reshape(2, -1), nodes, axis=1))
-    X = np.concatenate(Xs)
-    Y = np.concatenate(Ys)
-    ugrad = np.concatenate(grads, axis=1)
-    uval = np.concatenate(vals, axis=1)
-    err = np.zeros_like(X)
-    err_val = np.zeros_like(X)
-    for c in range(2):
-        dxw = npoly.polyval2d(X, Y, dx_wpoly[c])
-        dyw = npoly.polyval2d(X, Y, dy_wpoly[c])
-        err += (ugrad[2 * c] - dxw) ** 2 + (ugrad[2 * c + 1] - dyw) ** 2
-        err_val += (uval[c] - npoly.polyval2d(X, Y, wpoly[c])) ** 2
-    err = np.sqrt(err)
-    err_val = np.sqrt(err_val)
+    pieces = []
+    for shift, nodes, _ in workspace.window_pieces(R / 2):
+        nodes = nodes[np.take(g.y_nodes, nodes) >= ENVELOPE_Y_MIN]
+        pieces.append((g.x[nodes // (g.ny + 1)] + shift, np.take(g.y_nodes, nodes),
+                       np.take(horner(series, workspace.abscissa(shift)).reshape(6, -1), nodes,
+                               axis=1)))
+    X, Y, diff = (np.concatenate(part, axis=-1) for part in zip(*pieces))
+    err, err_val = np.linalg.norm(diff[:4], axis=0), np.linalg.norm(diff[4:], axis=0)
 
     rr = np.hypot(X, Y)
     term_power = (rr / R) ** order

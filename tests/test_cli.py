@@ -624,17 +624,19 @@ def test_regularity_builds_coefficient_arrays_after_freeing_factors(tmp_path, ge
                                                                    monkeypatch):
     from stokesbl.regularity import RegularityWorkspace
 
-    alive = []  # factors alive at each coefficient-array build?
+    builds = []  # (rows, factors alive?) of each coefficient-array build
     x_series = RegularityWorkspace._x_series
 
-    def recording_x_series(self):
-        alive.append(bool(self.grid.factors) or bool(self.stack.grid.factors))
-        return x_series(self)
+    def recording_x_series(self, rows=slice(None)):
+        builds.append((rows, bool(self.grid.factors) or bool(self.stack.grid.factors)))
+        return x_series(self, rows)
 
     monkeypatch.setattr(RegularityWorkspace, "_x_series", recording_x_series)
     assert main(SMALL_REGULARITY + ["--geometry", geometry_file,
                                     "--out", str(tmp_path / "report.json")]) == 0
-    assert alive == [False]  # one workspace, after the factors went
+    # one workspace: the lift traces' top row while the factors live, the full
+    # arrays only after they went
+    assert builds == [(np.s_[-1:], True), (slice(None), False)]
 
 
 def test_regularity_run_leaves_interpolate_and_optimize_unloaded(tmp_path, geometry_file):

@@ -7,8 +7,9 @@ import pytest
 from stokesbl.cell import StripGrid
 from stokesbl.geometry import BoundaryGeometry
 from stokesbl.recursion import (CorrectorStack, coeff_derivative, heterogeneous_basis,
-                                poly_to_coeff2d)
+                                padded_sum, poly_to_coeff2d)
 from stokesbl.regularity import (
+    ENVELOPE_FACTOR,
     ENVELOPE_Y_MIN,
     KINDS,
     RegularityWorkspace,
@@ -120,9 +121,8 @@ def test_shift_polynomials_match_direct_evaluation(stack):
             assert np.array_equal(ws.samples("grad", shift, 3)[j], ws.column_grad(j, shift))
             assert np.array_equal(ws.samples("pressure", shift, 3)[j],
                                   column_series(ws, "pressure", j, shift))
-    traces = ws.top_velocity
-    for j in range(len(ws.columns)):
-        assert np.array_equal(traces[j], direct_velocity(ws, j, 0.0)[:, :, -1])
+    # the lift traces are the top row of the velocity series, bit for bit
+    assert ws.top_velocity.tobytes() == ws.samples("velocity", 0.0, ws.order)[..., -1].tobytes()
 
 
 def _bits(value):
@@ -158,8 +158,8 @@ def test_lower_orders_fit_on_a_column_prefix(stack):
             assert _bits(decay_experiments(big, sols, m)) \
                 == _bits(decay_experiments(small, sols, m)), what
             if m > 1:
-                assert _bits(projected_fits(big, grads, 4 * np.pi, m - 1, m)) \
-                    == _bits(projected_fits(small, grads, 4 * np.pi, m - 1, m)), what
+                assert _bits(projected_fits(big, grads, m - 1, m)) \
+                    == _bits(projected_fits(small, grads, m - 1, m)), what
 
 
 def test_excess_of_basis_element_is_zero(ws):
@@ -423,7 +423,7 @@ def test_shared_passes_match_single_datum_entry_points(tall_ws, outer_solutions)
     sols = list(outer_solutions.values())
     reports = decay_experiments(tall_ws, sols, 1)
     grads = [sol.grad for sol in sols]
-    fits = projected_fits(tall_ws, grads, 4 * np.pi, 1, 3)
+    fits = projected_fits(tall_ws, grads, 1, 3)
     for sol, u_grad, rep, fit in zip(sols, grads, reports, fits):
         alone = decay_experiments(tall_ws, [sol], 1)[0]
         assert rep.keys() == alone.keys()
@@ -432,7 +432,7 @@ def test_shared_passes_match_single_datum_entry_points(tall_ws, outer_solutions)
         assert np.allclose(rep["H"], alone["H"], rtol=1e-12, atol=1e-12 * rep["grad_norm"])
         if not rep["floored"]:
             assert rep["fitted_exponent"] == pytest.approx(alone["fitted_exponent"], rel=1e-12)
-        one = projected_fits(tall_ws, [u_grad], 4 * np.pi, 1, 3)[0]
+        one = projected_fits(tall_ws, [u_grad], 1, 3)[0]
         assert np.abs(fit - one).max() <= 1e-12 * np.abs(one).max()
 
 
@@ -492,6 +492,64 @@ def test_pointwise_check_envelope(tall_ws, tall_solution):
     assert out["fraction_dominated"] >= 0.99
     assert out["crossover_ok"]
     assert out["n_samples"] > 1000
+
+
+def _polyval2d_pointwise_check(workspace, solution, coefficients, order):
+    """pointwise_check as it evaluated u - w_poly before the difference series:
+    the solution's samples at the scattered window nodes minus polyval2d of the
+    fitted polynomial and its derivatives there."""
+    g = solution.grid
+    R = g.height
+    wpoly = padded_sum((c_val, el.w_poly_xy) for c_val, el in zip(coefficients, workspace.columns))
+    dx_wpoly, dy_wpoly = coeff_derivative(wpoly, 1, 0), coeff_derivative(wpoly, 0, 1)
+    Xs, Ys, grads, vals = [], [], [], []
+    for shift in workspace.window_shifts(R / 2):
+        nodes = np.flatnonzero(workspace.window_mask(R / 2, shift) & (g.y_nodes >= ENVELOPE_Y_MIN))
+        if not nodes.size:
+            continue
+        Xs.append(g.x[nodes // (g.ny + 1)] + shift)
+        Ys.append(np.take(g.y_nodes, nodes))
+        grads.append(np.take(solution.at("grad", shift).reshape(4, -1), nodes, axis=1))
+        vals.append(np.take(solution.at("velocity", shift).reshape(2, -1), nodes, axis=1))
+    X, Y = np.concatenate(Xs), np.concatenate(Ys)
+    ugrad, uval = np.concatenate(grads, axis=1), np.concatenate(vals, axis=1)
+    err, err_val = np.zeros_like(X), np.zeros_like(X)
+    for c in range(2):
+        dxw = npoly.polyval2d(X, Y, dx_wpoly[c])
+        dyw = npoly.polyval2d(X, Y, dy_wpoly[c])
+        err += (ugrad[2 * c] - dxw) ** 2 + (ugrad[2 * c + 1] - dyw) ** 2
+        err_val += (uval[c] - npoly.polyval2d(X, Y, wpoly[c])) ** 2
+    err, err_val = np.sqrt(err), np.sqrt(err_val)
+    rr = np.hypot(X, Y)
+    term_power = (rr / R) ** order
+    term_exp = (1.0 + np.abs(X)) ** (order - 1) * np.exp(-Y / 2.0)
+    A = np.column_stack([term_power, term_exp])
+    wrow = 1.0 / (term_power + term_exp)
+    C = nnls_2col(A * wrow[:, None], err * wrow)
+    cross = (Y >= 2 * order * np.log(R)) & (rr >= 1)
+    return {
+        "fraction_dominated": float(np.mean(err <= ENVELOPE_FACTOR * (A @ C) + 1e-300)),
+        "constants": [float(C[0]), float(C[1])],
+        "n_samples": int(err.size),
+        "max_error": float(err.max()),
+        "max_value_error": float(err_val.max()),
+        "crossover_ok": bool(np.all(term_exp[cross] <= (rr[cross] / R) ** order
+                                    * (1 + np.abs(X[cross])) ** (order - 1))),
+    }
+
+
+def test_pointwise_check_matches_polyval2d_oracle(tall_ws, outer_solutions):
+    sols = list(outer_solutions.values())
+    for order in (1, 2):
+        fits = projected_fits(tall_ws, [sol.grad for sol in sols], order, tall_ws.order)
+        for (kind, sol), coeffs in zip(outer_solutions.items(), fits):
+            got = pointwise_check(tall_ws, sol, coeffs, order)
+            want = _polyval2d_pointwise_check(tall_ws, sol, coeffs, order)
+            what = (order, kind)
+            for key in ("n_samples", "crossover_ok", "fraction_dominated"):
+                assert got[key] == want[key], (what, key)
+            for key in ("constants", "max_error", "max_value_error"):
+                assert np.allclose(got[key], want[key], rtol=1e-12, atol=0.0), (what, key)
 
 
 def test_pointwise_samples_are_the_half_window_above_the_wall_layer(tall_ws, tall_solution):

@@ -11,6 +11,7 @@ from stokesbl.recursion import (
     padded_sum,
     poly_to_coeff2d,
 )
+from stokesbl.verify import flat_twin_gap, flat_wall_phi
 from stokesbl.walllaw import (
     WallLawAccuracyError,
     phi_table,
@@ -42,32 +43,11 @@ def test_flat_wall_phi_vanishes():
 @pytest.mark.parametrize("nx, ny", [(8, 20), (16, 32)])
 @pytest.mark.parametrize("h", [0.25, 0.5])
 def test_flat_wall_table_is_the_no_slip_taylor_expansion(h, nx, ny):
-    """gamma = -h: no-slip at y = -h, Taylor-expanded about y = 0, is the table.
-
-    w(0) = sum_l (-1)^(l+1) h^l / l! d_y^l w(0) for each component; the vertical
-    h d_y w_2 is carried, through d_y w_2 = -d_x w_1, by the x^0 terms -h^2 and
-    h^3 / 2 of Phi^{1,1} and Phi^{1,2}.  The x-dependent entries of Phi^{1,1} and
-    Phi^{2,1} combine to zero on every divergence-free cubic that vanishes at
-    y = -h.  Second-order differences are exact on cubics, so the solver meets
-    orders <= 3 to rounding.
-    """
+    """gamma = -h: the table is verify's closed form, the no-slip condition at
+    y = -h Taylor-expanded about y = 0, to rounding at orders <= 3."""
     table = phi_table(CorrectorStack(BoundaryGeometry.flat(h), nx=nx, ny=ny), 3)
-    # (alpha, l) -> {(row, col, x_power): value}; every other coefficient is 0
-    closed_form = {
-        (0, 1): {(0, 0, 0): h},
-        (0, 2): {(0, 0, 0): -h ** 2 / 2, (1, 1, 0): -h ** 2 / 2},
-        (0, 3): {(0, 0, 0): h ** 3 / 6, (1, 1, 0): h ** 3 / 6},
-        (1, 1): {(1, 0, 0): -h ** 2, (1, 1, 1): h},
-        (1, 2): {(1, 0, 0): h ** 3 / 2},
-        (2, 1): {(1, 0, 1): h ** 2, (1, 1, 2): -h / 2},
-    }
-    assert table.phi.keys() == closed_form.keys()
-    scale = max(abs(v) for entries in closed_form.values() for v in entries.values())
-    for key, entries in closed_form.items():
-        want = np.zeros_like(table.phi[key])
-        for index, value in entries.items():
-            want[index] = value
-        assert np.abs(table.phi[key] - want).max() <= 1e-10 * scale, key
+    assert table.phi.keys() == flat_wall_phi(h).keys()
+    assert flat_twin_gap(table, h) <= 1e-10
 
 
 def test_table_reads_only_the_levels_of_its_order():
