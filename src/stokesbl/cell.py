@@ -247,12 +247,20 @@ class CellProblem:
 
 @dataclass
 class CellSolution:
+    """A cell solve's fields; the tail and trace modes are read off u's top row,
+    so a solution rebuilt from stored (u, p) equals the solved one."""
+
     grid: StripGrid
     u: np.ndarray                         # (2, nx, ny+1)
     p: np.ndarray                         # (nx, ny)
-    tail: np.ndarray                      # zero Fourier mode of u at the top
-    trace_modes: dict                     # k > 0 -> (2,) complex trace at top
     diagnostics: dict
+    tail: np.ndarray = field(init=False)  # zero Fourier mode of u at the top
+    trace_modes: dict = field(init=False)  # k > 0 -> (2,) complex trace at top
+
+    def __post_init__(self):
+        spec = fourier_modes(self.grid, self.u[:, :, self.grid.ny])
+        self.tail = np.real(spec[:, 0])
+        self.trace_modes = {k: spec[:, k].copy() for k in range(1, self.grid.nx // 2 + 1)}
 
 
 def _diags(vals: np.ndarray) -> np.ndarray:
@@ -570,7 +578,6 @@ def solve_stokes(problem: CellProblem) -> CellSolution:
     relative residual exceeds RESIDUAL_BOUND.
     """
     g = problem.grid
-    nx, ny = g.nx, g.ny
     kind = type(problem.top)
     rhs = assemble_rhs(problem)
     factor = g.factors.get(kind)
@@ -597,23 +604,13 @@ def solve_stokes(problem: CellProblem) -> CellSolution:
                           f"the bound {RESIDUAL_BOUND:.0e}")
 
     u, p, mu = Layout(g, kind).fields(sol)
-    spec = fourier_modes(g, u[:, :, ny])
-    trace_modes = {k: spec[:, k].copy() for k in range(1, nx // 2 + 1)}
     div = divergence_residual(g, u, problem.div_data)
-    diagnostics = {
+    return CellSolution(g, u, p, {
         "linear_residual": linear_residual,
         "divergence_residual": float(np.abs(div).max()),
         "multiplier": float(mu[0]),
-        "resolution": (nx, ny),
-    }
-    return CellSolution(
-        grid=g,
-        u=u,
-        p=p,
-        tail=np.real(spec[:, 0]),
-        trace_modes=trace_modes,
-        diagnostics=diagnostics,
-    )
+        "resolution": (g.nx, g.ny),
+    })
 
 
 def fourier_modes(g: StripGrid, row_values: np.ndarray) -> np.ndarray:

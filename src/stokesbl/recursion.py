@@ -25,6 +25,7 @@ from . import __version__
 from .cell import (
     DEFAULT_HEIGHT,
     CellProblem,
+    CellSolution,
     StripGrid,
     TransparentTop,
     solve_stokes,
@@ -109,12 +110,17 @@ def poly_to_coeff2d(p: ExactPolynomial | VectorPolynomial) -> np.ndarray:
 
 @dataclass
 class LevelSolution:
-    """One block (V^beta, Q^beta) of the corrector hierarchy."""
+    """One block (V^beta, Q^beta) of the corrector hierarchy.
+
+    u, p and the diagnostics are what the level's solve produced, and all a
+    stack file stores; level_solution derives the other fields from them.
+    """
 
     beta: int
     l: int
     comp: int
     u: np.ndarray           # (2, nx, ny+1) total velocity on the stack grid
+    p: np.ndarray           # (nx, ny) the solve's midpoint pressure
     p_nodes: np.ndarray     # total pressure at nodes, normalization fixed
     v_poly: np.ndarray      # (2, deg+1) coefficients of V^beta_poly(y)
     q_poly: np.ndarray      # coefficients of Q^beta_poly(y)
@@ -233,34 +239,43 @@ class CorrectorStack:
         return self.levels[beta, l, comp]
 
     def _solve_level(self, beta: int, l: int, comp: int) -> LevelSolution:
-        g = self.grid
         problem, growth, q_poly = level_problem(self, beta, l, comp)
-        sol = solve_stokes(problem)
-        # anchor: the growth part meets the top zero mode, so V_per's zero
-        # mode vanishes at the lid
-        shift = sol.tail - npoly.polyval(g.height, growth.T)
-        v_poly = pad_stack([npoly.polyadd(p, [s]) for p, s in zip(growth, shift)])
+        return level_solution(beta, l, comp, problem, growth, q_poly, solve_stokes(problem))
 
-        if v_poly.shape[1] > beta + 1:
-            raise AssertionError(f"deg V_poly {v_poly.shape[1] - 1} exceeds {beta}")
-        if len(np.trim_zeros(q_poly, "b")) > max(beta, 1):
-            raise AssertionError("deg Q_poly exceeds beta - 1")
 
-        # pressure normalization: Q_per's zero mode, extrapolated to the lid
-        # by the pressure closure, vanishes there
-        p_lid = float(np.mean(g.pressure_at_nodes(sol.p)[:, -1]))
-        p_shift = float(npoly.polyval(g.height, q_poly)) - p_lid
+def level_solution(beta: int, l: int, comp: int, problem: CellProblem, growth: np.ndarray,
+                   q_poly: np.ndarray, sol: CellSolution) -> LevelSolution:
+    """Level beta from its level_problem parts and its cell solution.
 
-        modes = trace_expansion(sol, problem.top)
-        if max((m["V"].shape[1] for m in modes.modes.values()), default=1) > 2 * beta + 2:
-            raise AssertionError("mode profile degree exceeds 2|beta| + 1")
-        return LevelSolution(
-            beta=beta, l=l, comp=comp,
-            u=sol.u, p_nodes=g.pressure_at_nodes(sol.p + p_shift),
-            v_poly=v_poly, q_poly=q_poly,
-            modes=modes,
-            diagnostics=dict(sol.diagnostics),
-        )
+    Everything but u, p and the diagnostics follows from them, so a solve
+    and a stack file's (u, p) go through this one function.
+    """
+    g = problem.grid
+    # anchor: the growth part meets the top zero mode, so V_per's zero
+    # mode vanishes at the lid
+    shift = sol.tail - npoly.polyval(g.height, growth.T)
+    v_poly = pad_stack([npoly.polyadd(p, [s]) for p, s in zip(growth, shift)])
+
+    if v_poly.shape[1] > beta + 1:
+        raise AssertionError(f"deg V_poly {v_poly.shape[1] - 1} exceeds {beta}")
+    if len(np.trim_zeros(q_poly, "b")) > max(beta, 1):
+        raise AssertionError("deg Q_poly exceeds beta - 1")
+
+    # pressure normalization: Q_per's zero mode, extrapolated to the lid
+    # by the pressure closure, vanishes there
+    p_lid = float(np.mean(g.pressure_at_nodes(sol.p)[:, -1]))
+    p_shift = float(npoly.polyval(g.height, q_poly)) - p_lid
+
+    modes = trace_expansion(sol, problem.top)
+    if max((m["V"].shape[1] for m in modes.modes.values()), default=1) > 2 * beta + 2:
+        raise AssertionError("mode profile degree exceeds 2|beta| + 1")
+    return LevelSolution(
+        beta=beta, l=l, comp=comp,
+        u=sol.u, p=sol.p, p_nodes=g.pressure_at_nodes(sol.p + p_shift),
+        v_poly=v_poly, q_poly=q_poly,
+        modes=modes,
+        diagnostics=dict(sol.diagnostics),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -353,87 +368,64 @@ def heterogeneous_basis(stack: CorrectorStack, order: int) -> list[Heterogeneous
 # ---------------------------------------------------------------------------
 
 def _f8(arr: np.ndarray) -> dict:
-    """{shape, f8}: the shape and the base64 of the little-endian float64 bytes;
-    a complex array is stored with a trailing (re, im) axis."""
-    if np.iscomplexobj(arr):
-        arr = np.asarray(arr, dtype="<c16").view("<f8").reshape(np.shape(arr) + (2,))
+    """{shape, f8}: the shape and the base64 of the little-endian float64 bytes."""
     arr = np.asarray(arr, dtype="<f8")
     return {"shape": list(arr.shape), "f8": base64.b64encode(arr.tobytes()).decode()}
 
 
 def stack_to_json(stack: CorrectorStack) -> dict:
-    levels = []
-    for (beta, l, comp), lv in sorted(stack.levels.items()):
-        levels.append({
-            "beta": beta, "l": l, "comp": comp,
-            **{key: _f8(getattr(lv, key)) for key in ("u", "p_nodes", "v_poly", "q_poly")},
-            "modes": [{"k": k, **{key: _f8(mode[key]) for key in ("V", "Q")}}
-                      for k, mode in sorted(lv.modes.modes.items())],
-            "diagnostics": lv.diagnostics,  # json writes a tuple as a list
-        })
+    """The stack file: each level's solve output; stack_from_json derives the rest."""
     return {
-        "schema": 5,
+        "schema": 6,
         "stokesbl": __version__,
         "geometry": stack.geometry.to_json_dict(),
         "geometry_hash": stack.geometry.digest(),
         "height": stack.height,
         "nx": stack.grid.nx,
         "ny": stack.grid.ny,
-        "levels": levels,
+        "levels": [{"beta": beta, "l": l, "comp": comp, "u": _f8(lv.u), "p": _f8(lv.p),
+                    "diagnostics": lv.diagnostics}  # json writes a tuple as a list
+                   for (beta, l, comp), lv in sorted(stack.levels.items())],
     }
 
 
 _STACK_KEYS = ("geometry", "geometry_hash", "height", "nx", "ny", "levels")
-_LEVEL_KEYS = ("beta", "l", "comp", "u", "p_nodes", "v_poly", "q_poly", "modes",
-               "diagnostics")
+_LEVEL_KEYS = ("beta", "l", "comp", "u", "p", "diagnostics")
 
 
 def _level_array(lv: dict, key: str, shape: tuple, where: str) -> np.ndarray:
     """lv[key], a {shape, f8} object from _f8, as a float array of the given
-    shape and with finite entries; None matches any length >= 1."""
+    shape and with finite entries."""
     try:
         n, raw = lv[key]["shape"], base64.b64decode(lv[key]["f8"], validate=True)
-        if type(n) is not list or not all(type(m) is int for m in n) or len(raw) != 8 * prod(n):
-            raise ValueError(f"{len(raw)} bytes do not fill the int shape {n!r}")
-        arr = np.frombuffer(raw, dtype="<f8").astype(float).reshape(n)
     except (KeyError, TypeError, ValueError) as exc:  # binascii.Error is a ValueError
         raise InputError(f"{where}: {key} is not a valid {{shape, f8}} array: {exc}") from exc
-    if arr.ndim != len(shape) or any(m < 1 or n not in (None, m)
-                                     for n, m in zip(shape, arr.shape)):
-        expected = "(" + ", ".join("n" if n is None else str(n) for n in shape) + ")"
-        raise InputError(f"{where}: {key} has shape {arr.shape}, expected {expected}")
+    if type(n) is not list or any(type(m) is not int for m in n) or tuple(n) != shape:
+        raise InputError(f"{where}: {key} has shape {n!r}, expected {list(shape)}")
+    if len(raw) != 8 * prod(shape):
+        raise InputError(f"{where}: {key} has {len(raw)} bytes, not the {8 * prod(shape)} "
+                         f"of its shape")
+    arr = np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
     if not np.isfinite(arr).all():
         raise InputError(f"{where}: {key} holds NaN or inf")
     return arr
 
 
-def _mode_expansion(lv: dict, height: float, nyquist: int, where: str) -> ModeExpansion:
-    """lv's mode entries {k, V (2, n, 2), Q (m, 2)} as an expansion, each
-    profile's trailing (re, im) axis viewed as complex128."""
-    modes, at = {}, f"{where} mode"
-    for item in json_value(lv, "modes", where, list, lambda v: True, "a list"):
-        json_object(item, ("k", "V", "Q"), at)
-        k = json_value(item, "k", at, int, lambda v: 0 < v <= nyquist and v not in modes,
-                       f"an int in 1..{nyquist} that no other mode repeats")
-        modes[k] = {key: _level_array(item, key, shape, f"{at} {k}").view(complex)[..., 0]
-                    for key, shape in (("V", (2, None, 2)), ("Q", (None, 2)))}
-    return ModeExpansion(float(height), nyquist, modes)
-
-
 def stack_from_json(data: dict) -> CorrectorStack:
     """Rebuild a stack written by stack_to_json, checking it on the way.
 
-    Raises InputError when the file is not schema 5, a key is missing, the
+    Raises InputError when the file is not schema 6, a key is missing, the
     grid fields or a level's (beta, l, comp) are not in range ints (height a
-    finite number), a level or mode array is not a {shape, f8} object of
-    finite numbers that fits the grid, a mode's k is not an int in 1..nx/2
-    or repeats, the diagnostics are not an object, a level repeats, or
-    geometry_hash is not the stored geometry's digest.  Every level is read
-    against the header before the grid is built, so a header that no level
-    fits allocates nothing.
+    finite number), u or p is not a {shape, f8} object of finite numbers
+    that fits the grid, the diagnostics are not an object, a level repeats,
+    a level beta >= 1 lacks level beta - 1, or geometry_hash is not the
+    stored geometry's digest.  Every level is read against the header before
+    the grid is built, so a header that no level fits allocates nothing.
+    Each level's other fields are then derived by level_solution, lowest
+    beta first, exactly as after a solve; no level is solved.
     """
-    if not isinstance(data, dict) or data.get("schema") != 5:
-        raise InputError("stack is not schema 5: remove it and rebuild with stokesbl corrector")
+    if not isinstance(data, dict) or data.get("schema") != 6:
+        raise InputError("stack is not schema 6: remove it and rebuild with stokesbl corrector")
     json_object(data, _STACK_KEYS, "stack")
     geometry = BoundaryGeometry.from_json_dict(data["geometry"])
     if data["geometry_hash"] != geometry.digest():
@@ -443,7 +435,7 @@ def stack_from_json(data: dict) -> CorrectorStack:
                               "a finite number"))
     nx, ny = (json_value(data, key, "stack", int, lambda v: v > 0, "a positive int")
               for key in ("nx", "ny"))
-    levels = {}
+    stored = {}
     for index, lv in enumerate(json_value(data, "levels", "stack", list, lambda v: True,
                                           "a list")):
         where = f"stack level {index}"
@@ -452,19 +444,18 @@ def stack_from_json(data: dict) -> CorrectorStack:
         key = (json_value(lv, "beta", where, int, lambda v: v >= 0, "an int >= 0"),
                json_value(lv, "l", where, int, lambda v: v >= 1, "an int >= 1"),
                json_value(lv, "comp", where, int, lambda v: v in (1, 2), "1 or 2"))
-        if key in levels:
+        if key in stored:
             raise InputError(f"{where} repeats level {key}")
-        levels[key] = LevelSolution(
-            *key,
-            u=_level_array(lv, "u", (2, nx, ny + 1), where),
-            p_nodes=_level_array(lv, "p_nodes", (nx, ny + 1), where),
-            v_poly=_level_array(lv, "v_poly", (2, None), where),
-            q_poly=_level_array(lv, "q_poly", (None,), where),
-            modes=_mode_expansion(lv, height, nx // 2, where),
-            diagnostics=dict(lv["diagnostics"]),
-        )
+        stored[key] = (_level_array(lv, "u", (2, nx, ny + 1), where),
+                       _level_array(lv, "p", (nx, ny), where), dict(lv["diagnostics"]))
+    for beta, l, comp in stored:
+        if beta >= 1 and (beta - 1, l, comp) not in stored:
+            raise InputError(f"stack holds level {(beta, l, comp)} "
+                             f"but not level {(beta - 1, l, comp)} below it")
     stack = CorrectorStack(geometry, height=height, nx=nx, ny=ny)
-    stack.levels = levels
+    for key in sorted(stored):  # the levels a level_problem reads come first
+        stack.levels[key] = level_solution(*key, *level_problem(stack, *key),
+                                           CellSolution(stack.grid, *stored[key]))
     return stack
 
 

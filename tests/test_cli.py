@@ -166,31 +166,21 @@ def _break_first_level(data):
                               "f8": base64.b64encode(np.ones(1).tobytes()).decode()}
 
 
-def _drop_p_nodes(data):
-    del data["levels"][0]["p_nodes"]
+def _drop_p(data):
+    del data["levels"][0]["p"]
 
 
-def _flatten_p_nodes(data):
-    # 1-D over the same bytes
-    p_nodes = data["levels"][0]["p_nodes"]
-    p_nodes["shape"] = [int(np.prod(p_nodes["shape"]))]
+def _p_at_nodes(data):
+    # the shape of a node field, (nx, ny+1), its bytes filling the shape
+    p = data["levels"][0]["p"]
+    raw = base64.b64decode(p["f8"])
+    p["shape"][1] += 1
+    p["f8"] = base64.b64encode(raw + raw[: 8 * p["shape"][0]]).decode()
 
 
-def _three_row_v_poly(data):
-    # a third row of the same width, its bytes filling the shape
-    v_poly = data["levels"][0]["v_poly"]
-    raw = base64.b64decode(v_poly["f8"])
-    v_poly["shape"][0] = 3
-    v_poly["f8"] = base64.b64encode(raw + raw[: len(raw) // 2]).decode()
-
-
-def _empty_v_poly(data):
-    data["levels"][0]["v_poly"] = {"shape": [2, 0], "f8": ""}
-
-
-def _list_v_poly(data):
-    # the schema-4 layout of v_poly, under schema 5
-    data["levels"][0]["v_poly"] = _decoded(data["levels"][0]["v_poly"]).tolist()
+def _chain_gap(data):
+    # level (1, 1, 2) reads level (0, 1, 2), which the stack lacks
+    data["levels"].append(dict(data["levels"][0], beta=1, comp=2))
 
 
 def _wrong_hash(data):
@@ -212,10 +202,12 @@ def _text_arrays_without_schema(data):
     # the layout of the earlier text stacks: no schema, arrays as float lists
     del data["schema"], data["stokesbl"]
     for lv in data["levels"]:
-        for key in ("u", "p_nodes"):
-            raw = base64.b64decode(lv[key]["f8"])
-            lv[key] = np.frombuffer(raw, "<f8").reshape(lv[key]["shape"]).tolist()
+        for key in ("u", "p"):
+            lv[key] = _decoded(lv[key]).tolist()
 
+
+# a stack of an earlier schema also stored arrays that a schema-6 load derives
+# (p_nodes, v_poly, q_poly, the mode entries); its schema number alone rejects it
 
 def _schema_1(data):
     data["schema"] = 1
@@ -224,53 +216,26 @@ def _schema_1(data):
 def _schema_2(data):
     # the layout before schema 3: each mode also stored at -k
     data["schema"] = 2
-    for lv in data["levels"]:
-        lv["modes"] += [dict(mode, k=-mode["k"]) for mode in lv["modes"]]
 
 
 def _schema_3(data):
     # the layout before schema 4: each mode also stored its closing scalar c
     data["schema"] = 3
-    for lv in data["levels"]:
-        for mode in lv["modes"]:
-            mode["c"] = [0.0, 0.0]
 
 
 def _schema_4(data):
-    # the layout before schema 5: polynomials as float lists, mode profiles as
-    # nested (re, im) lists under V_coeffs and Q_coeffs
+    # the layout before schema 5: polynomials and mode profiles as float lists
     data["schema"] = 4
-    for lv in data["levels"]:
-        for key in ("v_poly", "q_poly"):
-            lv[key] = _decoded(lv[key]).tolist()
-        for mode in lv["modes"]:
-            mode["V_coeffs"], mode["Q_coeffs"] = (_decoded(mode.pop(key)).tolist()
-                                                  for key in ("V", "Q"))
+
+
+def _schema_5(data):
+    # the layout before schema 6: p_nodes, v_poly, q_poly and the modes stored
+    data["schema"] = 5
 
 
 def _truncated(data):
     # not JSON at all: the file is cut short
     return json.dumps(data)[:-100]
-
-
-def _text_mode_coeffs(data):
-    data["levels"][0]["modes"][0]["V"] = "x"
-
-
-def _short_mode_profile(data):
-    # f8 bytes that do not fill the profile's shape
-    V = data["levels"][0]["modes"][0]["V"]
-    V["f8"] = base64.b64encode(base64.b64decode(V["f8"])[:-8]).decode()
-
-
-def _mode_profile_without_re_im_axis(data):
-    # the same bytes with a last axis of 1, not (re, im)
-    V = data["levels"][0]["modes"][0]["V"]
-    V["shape"] = [2, V["shape"][1] * 2, 1]
-
-
-def _mode_without_k(data):
-    del data["levels"][0]["modes"][0]["k"]
 
 
 def _diagnostics_list(data):
@@ -323,15 +288,6 @@ def _float_nx(data):
     data["nx"] = float(data["nx"])
 
 
-def _modes_not_a_list(data):
-    data["levels"][0]["modes"] = {"k": 1}
-
-
-def _repeated_wavenumber(data):
-    modes = data["levels"][0]["modes"]
-    modes.append(dict(modes[0]))
-
-
 def _set_first_float(array, value):
     raw = np.frombuffer(base64.b64decode(array["f8"]), "<f8").copy()
     raw[0] = value
@@ -342,12 +298,8 @@ def _nan_in_u(data):
     _set_first_float(data["levels"][0]["u"], np.nan)
 
 
-def _inf_in_q_poly(data):
-    _set_first_float(data["levels"][0]["q_poly"], np.inf)
-
-
-def _nan_in_mode_profile(data):
-    _set_first_float(data["levels"][0]["modes"][0]["V"], np.nan)
+def _nan_in_p(data):
+    _set_first_float(data["levels"][0]["p"], np.nan)
 
 
 def _height_beyond_float(data):
@@ -375,15 +327,12 @@ def _no_levels_huge_nx(data):
 
 
 @pytest.mark.parametrize("corrupt", [
-    _break_first_level, _drop_p_nodes, _flatten_p_nodes, _three_row_v_poly, _wrong_hash,
-    _invalid_base64, _short_byte_count, _text_arrays_without_schema, _schema_1, _schema_2,
-    _schema_3, _truncated, _text_mode_coeffs, _mode_without_k, _diagnostics_list,
-    _duplicate_level, _text_beta, _negative_beta, _fractional_beta, _zero_l, _comp_3,
-    _bool_comp, _levels_not_a_list, _text_height, _low_lid, _float_nx, _repeated_wavenumber,
-    _empty_v_poly, _list_v_poly, _schema_4, _short_mode_profile,
-    _mode_profile_without_re_im_axis, _modes_not_a_list, _nan_in_u, _inf_in_q_poly,
-    _nan_in_mode_profile, _height_beyond_float, _huge_nx, _ny_beyond_float, _no_levels_huge_nx,
-    _huge_int_height,
+    _break_first_level, _drop_p, _p_at_nodes, _chain_gap, _wrong_hash, _invalid_base64,
+    _short_byte_count, _text_arrays_without_schema, _schema_1, _schema_2, _schema_3,
+    _schema_4, _schema_5, _truncated, _diagnostics_list, _duplicate_level, _text_beta,
+    _negative_beta, _fractional_beta, _zero_l, _comp_3, _bool_comp, _levels_not_a_list,
+    _text_height, _low_lid, _float_nx, _nan_in_u, _nan_in_p, _height_beyond_float, _huge_nx,
+    _ny_beyond_float, _no_levels_huge_nx, _huge_int_height,
 ])
 def test_malformed_stack_exits_2(tmp_path, geometry_file, corrupt, capsys):
     stack_out = tmp_path / "stack.json"
@@ -403,13 +352,13 @@ def test_malformed_stack_exits_2(tmp_path, geometry_file, corrupt, capsys):
     assert stack_out.read_bytes() == written  # the failed extension left it alone
 
 
-def test_stack_without_schema_5_asks_for_a_rebuild(tmp_path, capsys):
+def test_stack_without_schema_6_asks_for_a_rebuild(tmp_path, capsys):
     stack = tmp_path / "stack.json"
-    for schema in ({}, {"schema": 4}):
+    for schema in ({}, {"schema": 4}, {"schema": 5}):
         stack.write_text(json.dumps({**schema, "geometry": {"fourier": []}, "levels": []}))
         assert main(["wall-law", "--stack", str(stack), "--out", str(tmp_path / "law.json")]) == 2
         err = capsys.readouterr().err
-        assert "not schema 5" in err and "rebuild" in err, schema
+        assert "not schema 6" in err and "rebuild" in err, schema
 
 
 def test_wall_law_checks_order_before_reading_the_stack(tmp_path, capsys):

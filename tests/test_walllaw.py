@@ -50,6 +50,37 @@ def test_flat_wall_table_is_the_no_slip_taylor_expansion(h, nx, ny):
     assert flat_twin_gap(table, h) <= 1e-10
 
 
+# Phi^{alpha,l}[row, col, x-power] of the cosine wall's order-3 table at 16x20,
+# lid 3, rounded to 12 decimals; unlisted entries are rounding noise below 1e-13
+COS_ORDER3_PHI = {
+    (0, 1): {(0, 0, 0): 0.286066867097},
+    (0, 2): {(0, 0, 0): -0.081489211055, (1, 1, 0): -0.187432876084},
+    (0, 3): {(0, 0, 0): 0.019140747663, (1, 1, 0): 0.052062582796},
+    (1, 1): {(0, 1, 0): -0.101116813271, (1, 0, 0): -0.269804933756,
+             (1, 1, 1): 0.499864565677},
+    (1, 2): {(0, 1, 0): 0.04452308398, (1, 0, 0): 0.09634550333},
+    (2, 1): {(0, 0, 0): 0.021472236785, (1, 0, 1): 0.142994690276,
+             (1, 1, 0): 0.05502370019, (1, 1, 2): -0.249932282838},
+}
+
+
+def test_cosine_order_3_table_is_pinned():
+    """A pin, not an oracle: the cosine wall's order-3 table against recorded
+    values, to 1e-9 of the largest entry.  Orders <= 3 hold the C(beta, 2)
+    terms of level_problem (levels beta = 2), which the flat twin does not
+    see; dropping them moves an entry by up to 4.2e-2.  A change that moves
+    an order-3 entry on purpose, such as lifting the growth polynomial out of
+    the level solve, re-records these values and says why."""
+    table = phi_table(CorrectorStack(COS_WALL, nx=16, ny=20), 3)
+    assert table.phi.keys() == COS_ORDER3_PHI.keys()
+    scale = max(abs(v) for entries in COS_ORDER3_PHI.values() for v in entries.values())
+    for key, entries in COS_ORDER3_PHI.items():
+        want = np.zeros(table.phi[key].shape)
+        for index, value in entries.items():
+            want[index] = value
+        assert np.abs(table.phi[key] - want).max() <= 1e-9 * scale, key
+
+
 def test_table_reads_only_the_levels_of_its_order():
     # order 1 is the Navier seed alone; order N reads (beta, l, i), beta + l <= N
     fresh = CorrectorStack(COS_WALL, nx=16, ny=20)
