@@ -29,8 +29,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .geometry import AliasingError, BoundaryGeometry, InputError, SolverError
-from .modes import (ModeExpansion, dtn_matrix, poly_add, poly_derive, poly_eval0,
-                    solve_mode_numeric, symbol_vector)
+from .modes import (dtn_matrix, poly_add, poly_derive, poly_eval0, solve_mode_numeric,
+                    symbol_vector)
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +87,6 @@ class StripGrid:
 
         # y and metric terms; arrays are (nx, ny+1) nodes or (nx, ny) mids
         self.y_nodes = self.gamma[:, None] + self.H[:, None] * self.s_nodes[None, :]
-        self.y_mids = self.gamma[:, None] + self.H[:, None] * self.s_mids[None, :]
         self.a_nodes = self._metric_a(self.s_nodes, self.sp_nodes)
         self.a_mids = self._metric_a(self.s_mids, self.sp_mids)
         self.invHsp_nodes = 1.0 / (self.H[:, None] * self.sp_nodes[None, :])
@@ -137,7 +136,7 @@ class StripGrid:
         huge height squares the inverse metric to zero); the solve would
         then fail on a singular or non-finite system.
         """
-        names = ("y_nodes", "y_mids", "a_nodes", "a_mids", "invHsp_nodes", "invHsp_mids",
+        names = ("y_nodes", "a_nodes", "a_mids", "invHsp_nodes", "invHsp_mids",
                  "cxixi", "cxi")
         bad = [f"{name} not finite" for name in names
                if not np.all(np.isfinite(getattr(self, name)))]
@@ -680,23 +679,20 @@ def _transparent_values(k: int, qbar, vbar, W_coeffs) -> tuple[complex, complex]
     return r1 - (dtn_matrix((k,)) @ w0)[0], rp + 2 * (a_k @ w0)
 
 
-def trace_expansion(solution: CellSolution, top: TransparentTop) -> ModeExpansion:
-    """Mode expansion of the decaying part above the top of the grid.
+def trace_expansion(solution: CellSolution, top: TransparentTop) -> dict:
+    """Profiles of the decaying modes above the top of the grid.
 
     Each mode k of the top trace closes the exterior problem with trace
     - W(0) from the half-line integrals and divergence corrector W that the
     transparent top the solution was solved with holds for that mode, zero
-    for a homogeneous one, and stores V + W as one (2, n >= 1) array.  Modes
-    0 < k <= nx/2 are stored once each; ModeExpansion weights them.
+    for a homogeneous one.  Returns {k: (V1, V2, Q)} for k = 1..nx/2, the
+    coefficient lists of V + W and Q, each of length >= 1, that
+    modes.mode_fields evaluates.
     """
     modes = {}
     for k, trace in solution.trace_modes.items():
         qbar, vbar, W = top.exterior.get(k, ([], [[], []], [[], []]))
         w0 = np.array([poly_eval0(w, 0j) for w in W], dtype=complex)
         V, Q = solve_mode_numeric((k,), (qbar, vbar), trace - w0)
-        rows = [poly_add(v or [0j], w) or [0j] for v, w in zip(V, W)]
-        Vk = np.zeros((2, max(map(len, rows))), dtype=complex)
-        for i, row in enumerate(rows):
-            Vk[i, : len(row)] = row
-        modes[k] = {"V": Vk, "Q": np.array(Q or [0j], dtype=complex)}
-    return ModeExpansion(solution.grid.height, solution.grid.nx // 2, modes)
+        modes[k] = (*(poly_add(v or [0j], w) or [0j] for v, w in zip(V, W)), Q or [0j])
+    return modes

@@ -503,40 +503,30 @@ def solve_mode_numeric(k: tuple[int, ...], integrals, b_hat):
 
 
 # ---------------------------------------------------------------------------
-# mode expansions of periodic fields above the reference height
+# sums of decaying modes above the reference height
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ModeExpansion:
-    """Finite sum of decaying Fourier modes above y = L (d = 2 layout).
+def mode_fields(modes: dict, L: float, nyquist: int,
+                x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Real (u1, u2, p) at (x, y) of a finite sum of decaying modes above y = L.
 
-    modes maps each wavenumber 0 < k <= nyquist to dict(V=(2, n) complex
-    coefficient array, Q=(nq,) array), n >= 1, and the real field
-    is the sum over the stored modes of w_k Re[P_k(y - L) e^{-k(y-L)} e^{ikx}].
+    modes maps each wavenumber 0 < k <= nyquist to the coefficient lists
+    (V1, V2, Q) of its profiles (d = 2), each of length >= 1, and the real
+    field is the sum over the modes of w_k Re[P_k(y - L) e^{-k(y-L)} e^{ikx}].
     Each real mode is stored once: w_k = 2 stands for the conjugate mode at
     -k, and the Nyquist mode k = nyquist (nx/2 of the grid it came from) has
     w_k = 1, since on the grid it is its own conjugate, as in the cell
-    solver's top rows.
+    solver's top rows.  e^{-kz} and e^{ikx} are formed once per mode and
+    shared by the three profiles.
     """
-
-    L: float
-    nyquist: int
-    modes: dict
-
-    def fields(self, x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Real (u1, u2, p) at (x, y) in one sweep over the modes.
-
-        e^{-kz} and e^{ikx} are formed once per mode and shared by the three
-        profiles.
-        """
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        z = y - self.L
-        outs = np.zeros((3,) + np.broadcast(x, y).shape, dtype=complex)
-        for k, data in self.modes.items():
-            weight = 2.0 if k < self.nyquist else 1.0
-            decay = np.exp(-k * z)
-            wave = np.exp(1j * k * x)
-            for out, poly in zip(outs, (*data["V"], data["Q"])):
-                out += weight * (np.polynomial.polynomial.polyval(z, poly) * decay * wave)
-        return tuple(outs.real)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    z = y - L
+    outs = np.zeros((3,) + np.broadcast(x, y).shape, dtype=complex)
+    for k, profiles in modes.items():
+        weight = 2.0 if k < nyquist else 1.0
+        decay = np.exp(-k * z)
+        wave = np.exp(1j * k * x)
+        for out, poly in zip(outs, profiles):
+            out += weight * (np.polynomial.polynomial.polyval(z, poly) * decay * wave)
+    return tuple(outs.real)

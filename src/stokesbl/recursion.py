@@ -6,7 +6,7 @@ periodic-in-x building blocks (V^beta, Q^beta) solve a Stokes hierarchy whose
 data comes from the levels beta - e_i and beta - 2 e_i.  Levels are solved on
 one periodicity cell with the transparent top condition; the polynomial-in-y
 parts are propagated in closed form (integrals of lower-level polynomials),
-and the periodic parts above the lid as mode expansions.
+and the periodic parts above the lid as sums of decaying modes.
 
 Numerics are two-dimensional, so multi-indices are plain integers here.
 """
@@ -33,13 +33,7 @@ from .cell import (
     wall_problem,
 )
 from .geometry import BoundaryGeometry, InputError, json_object, json_value
-from .modes import (
-    ModeExpansion,
-    halfline_integrals,
-    poly_add,
-    poly_derive,
-    poly_scale,
-)
+from .modes import halfline_integrals, mode_fields, poly_add, poly_derive, poly_scale
 from .polynomials import ExactPolynomial, VectorPolynomial
 
 
@@ -114,6 +108,9 @@ class LevelSolution:
 
     u, p and the diagnostics are what the level's solve produced, and all a
     stack file stores; level_solution derives the other fields from them.
+    modes is trace_expansion's {k: (V1, V2, Q)}, the coefficient lists of
+    every mode k = 1..nx/2 above the lid; modes.mode_fields evaluates it
+    with the stack grid's height and nx/2.
     """
 
     beta: int
@@ -124,21 +121,13 @@ class LevelSolution:
     p_nodes: np.ndarray     # total pressure at nodes, normalization fixed
     v_poly: np.ndarray      # (2, deg+1) coefficients of V^beta_poly(y)
     q_poly: np.ndarray      # coefficients of Q^beta_poly(y)
-    modes: ModeExpansion    # periodic part above the lid
+    modes: dict             # k -> (V1, V2, Q): the periodic part above the lid
     diagnostics: dict
 
     @property
     def const(self) -> np.ndarray:
         """V^beta_const = V^beta_poly(0), the gathered constant."""
         return self.v_poly[:, 0].copy()
-
-
-def _mode_lists(expansion: ModeExpansion, k: int) -> tuple[list, list, list]:
-    """(V_1, V_2, Q) of mode k as complex coefficient lists, [0j] when absent."""
-    data = expansion.modes.get(k)
-    if data is None:
-        return [0j], [0j], [0j]
-    return tuple([complex(c) for c in a] for a in (*data["V"], data["Q"]))
 
 
 def level_problem(stack: "CorrectorStack", beta: int, l: int, comp: int):
@@ -185,12 +174,12 @@ def level_problem(stack: "CorrectorStack", beta: int, l: int, comp: int):
 
     exterior = {}
     for k in range(1, g.nx // 2 + 1):
-        V1, V2, Q1 = _mode_lists(low1.modes, k)
+        V1, V2, Q1 = low1.modes[k]
         Fk = [poly_add(poly_scale(2j * c1 * k, V1), poly_scale(-c1, Q1)),
               poly_scale(2j * c1 * k, V2)]
         if low2 is not None:
             Fk = [poly_add(f, poly_scale(2 * c2, v))
-                  for f, v in zip(Fk, _mode_lists(low2.modes, k))]
+                  for f, v in zip(Fk, low2.modes[k])]
         w = poly_scale(-c1 / (1j * k), V1)  # W_k = w e_1
         dw = poly_derive(w)
         reduced = poly_add(Fk[0], poly_add(poly_derive(dw), poly_scale(-2.0 * k, dw)))
@@ -267,7 +256,7 @@ def level_solution(beta: int, l: int, comp: int, problem: CellProblem, growth: n
     p_shift = float(npoly.polyval(g.height, q_poly)) - p_lid
 
     modes = trace_expansion(sol, problem.top)
-    if max((m["V"].shape[1] for m in modes.modes.values()), default=1) > 2 * beta + 2:
+    if max((len(v) for m in modes.values() for v in m[:2]), default=1) > 2 * beta + 2:
         raise AssertionError("mode profile degree exceeds 2|beta| + 1")
     return LevelSolution(
         beta=beta, l=l, comp=comp,
@@ -500,16 +489,17 @@ class LevelSampler:
     cubic spline in xi per level, fitted through every column of u1, u2 and
     p at once, and each column's piecewise cubic is evaluated at that
     column's own xi points.  Above the lid they are the polynomial part plus
-    one sweep of the mode expansion over all the above-lid nodes.
+    one sweep of mode_fields over all the above-lid nodes.
     Derivatives are formed with the evaluation grid's own discrete
     operators, so comparisons against fields solved on that grid carry
     matching discretization bias.
     """
 
     def __init__(self, level: LevelSolution, stack: CorrectorStack, grid: StripGrid):
-        if grid.nx != stack.grid.nx:
-            raise ValueError("evaluation grid must share the x collocation points")
         sg = stack.grid
+        if grid.nx != sg.nx or grid.geometry != sg.geometry:
+            raise ValueError("evaluation grid must share the stack's x collocation points "
+                             "and geometry")
         fields = np.zeros((3, grid.nx, grid.ny + 1))
         columns = np.broadcast_to(np.arange(grid.nx)[:, None], grid.y_nodes.shape)
         below = grid.y_nodes <= sg.height + 1e-12
@@ -536,7 +526,7 @@ class LevelSampler:
         if np.any(above):
             xa = grid.x[columns[above]]
             ya = grid.y_nodes[above]
-            u1, u2, p = level.modes.fields(xa, ya)
+            u1, u2, p = mode_fields(level.modes, sg.height, sg.nx // 2, xa, ya)
             fields[0, above] = npoly.polyval(ya, level.v_poly[0]) + u1
             fields[1, above] = npoly.polyval(ya, level.v_poly[1]) + u2
             fields[2, above] = npoly.polyval(ya, level.q_poly) + p

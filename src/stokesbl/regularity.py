@@ -422,21 +422,28 @@ def check_strip_height(R: float) -> None:
                          "dyadic windows pi/2..R/4 span a factor 16")
 
 
+def _check_nodes(workspace: RegularityWorkspace, solution: OuterSolution) -> None:
+    """Raise ValueError unless the solution lies on the workspace grid's nodes:
+    a window reads the solution's and the workspace's arrays at one set of
+    node indices."""
+    if not np.array_equal(solution.grid.y_nodes, workspace.grid.y_nodes):
+        raise ValueError("the solution's grid does not have the workspace grid's nodes")
+
+
 def decay_experiments(workspace: RegularityWorkspace, solutions: list[OuterSolution],
                       order: int) -> list[dict]:
     """Excess decay of genuine solves against the order-m basis over DECAY_R0..R/4.
 
-    The solves share one strip height R, and every radius is one excess
-    pass with each solve as a target.  Returns per solve a dict of the
-    radii, H at each, the fitted exponent, whether it floored, the windowed
-    gradient norm and the pressure residuals.  A solve whose every H sits
+    The solves lie on the workspace grid's nodes, of strip height R, and
+    every radius is one excess pass with each solve as a target.  Returns
+    per solve a dict of the radii, H at each, the fitted exponent, whether
+    it floored, the windowed gradient norm and the pressure residuals.  A solve whose every H sits
     below FLOOR_REL * ||grad u||_R is classified as in-space (the decay
     bound holds with a negligible constant): its exponent is +inf.
     """
-    heights = {solution.grid.height for solution in solutions}
-    if len(heights) != 1:
-        raise ValueError("decay experiments need solves on one strip height")
-    R = heights.pop()
+    for solution in solutions:
+        _check_nodes(workspace, solution)
+    R = workspace.grid.height
     check_strip_height(R)
     radii = dyadic_radii(DECAY_R0, R / 4)
     u_grads = [solution.grad for solution in solutions]
@@ -533,6 +540,7 @@ def pointwise_check(workspace: RegularityWorkspace, solution: OuterSolution,
     crossover shape fact (e^{-y/2} <= (r/R)^m once y >= 2 m ln R).  Samples
     cover {ENVELOPE_Y_MIN <= y <= R/2, |x| <= R/2}.
     """
+    _check_nodes(workspace, solution)
     g = solution.grid
     R = g.height
     # u - w_poly of the fitted combination as one X-power series: the gradient's

@@ -25,22 +25,20 @@ from stokesbl.cell import (
     wall_problem,
 )
 from stokesbl.geometry import AliasingError, BoundaryGeometry, InputError
-from stokesbl.modes import ModeExpansion, halfline_integrals, solve_mode_numeric
+from stokesbl.modes import halfline_integrals, mode_fields, solve_mode_numeric
 
 COS_WALL = BoundaryGeometry.from_fourier({0: -0.5, 1: -0.25})
 NO_SOURCE = [[], []]
 
 
-def mode_field(k, V, Q, L, nx):
-    """The real field of one decaying mode 0 < k < nx/2 above y = L."""
-    return ModeExpansion(L, nx // 2, {
-        k: {"V": [np.array(list(v) or [0j]) for v in V], "Q": np.array(list(Q) or [0j])},
-    })
+def mode_field(k, V, Q):
+    """One decaying mode k, in the {k: (V1, V2, Q)} form of mode_fields."""
+    return {k: (*(list(v) or [0j] for v in V), list(Q) or [0j])}
 
 
-def velocity(expansion, x, y):
-    """(2, ...) velocity of a mode expansion at (x, y)."""
-    return np.stack(expansion.fields(x, y)[:2])
+def velocity(modes, grid, x, y):
+    """(2, ...) velocity at (x, y) of decaying modes above the lid of grid."""
+    return np.stack(mode_fields(modes, grid.height, grid.nx // 2, x, y)[:2])
 
 
 def test_flat_wall_zero_data_gives_zero():
@@ -67,10 +65,10 @@ def test_manufactured_transparent_homogeneous():
     errs = []
     for nx, ny in ((16, 20), (32, 40)):
         grid = StripGrid(COS_WALL, height=3.0, nx=nx, ny=ny)
-        exact = mode_field(k, V, Q, 3.0, nx)
-        bottom = velocity(exact, grid.x, grid.gamma)
+        exact = mode_field(k, V, Q)
+        bottom = velocity(exact, grid, grid.x, grid.gamma)
         sol = solve_stokes(CellProblem(grid, bottom, TransparentTop()))
-        u_exact = velocity(exact, grid.x[:, None], grid.y_nodes)
+        u_exact = velocity(exact, grid, grid.x[:, None], grid.y_nodes)
         errs.append(np.abs(sol.u - u_exact).max() / np.abs(u_exact).max())
     assert errs[1] < errs[0] / 3.0  # near second order
     assert errs[1] < 2e-3
@@ -87,12 +85,12 @@ def test_manufactured_transparent_with_mode_source():
     errs = []
     for nx, ny in ((16, 20), (32, 40)):
         grid = StripGrid(COS_WALL, height=3.0, nx=nx, ny=ny)
-        exact = mode_field(k, V, Q, 3.0, nx)
-        fsrc = mode_field(k, F, [0j], 3.0, nx)
-        bottom = velocity(exact, grid.x, grid.gamma)
-        source = velocity(fsrc, grid.x[:, None], grid.y_nodes)
+        exact = mode_field(k, V, Q)
+        fsrc = mode_field(k, F, [0j])
+        bottom = velocity(exact, grid, grid.x, grid.gamma)
+        source = velocity(fsrc, grid, grid.x[:, None], grid.y_nodes)
         sol = solve_stokes(CellProblem(grid, bottom, top, source=source))
-        u_exact = velocity(exact, grid.x[:, None], grid.y_nodes)
+        u_exact = velocity(exact, grid, grid.x[:, None], grid.y_nodes)
         errs.append(np.abs(sol.u - u_exact).max() / np.abs(u_exact).max())
     assert errs[1] < errs[0] / 3.0
     assert errs[1] < 5e-3
@@ -114,7 +112,8 @@ def test_manufactured_dirichlet_with_divergence():
             np.sin(X) * (Y ** 2 - 2.0 - Y),
             np.cos(X) * (Y ** 3 / 3.0 - 2.0 * Y + 1.0),
         ])
-        Xm, Ym = grid.x[:, None], grid.y_mids
+        Xm = grid.x[:, None]
+        Ym = grid.gamma[:, None] + grid.H[:, None] * grid.s_mids[None, :]
         gdata = 2.0 * Ym ** 2 * np.cos(Xm)
         u1b, u2b, _ = fields(grid.x, grid.gamma)
         u1t, u2t, _ = fields(grid.x, grid.height * np.ones_like(grid.x))
@@ -181,9 +180,9 @@ def test_trace_expansion_matches_taller_solve():
     geo = COS_WALL
     low = solve_cell(geo, l=1, comp=1, height=3.0, nx=24, ny=36)
     tall = solve_cell(geo, l=1, comp=1, height=5.0, nx=24, ny=60)
-    expansion = trace_expansion(low, TransparentTop())
+    modes = trace_expansion(low, TransparentTop())
     probe_y = 4.0
-    vals = expansion.fields(tall.grid.x, probe_y)[0] + low.tail[0]
+    vals = velocity(modes, low.grid, tall.grid.x, probe_y)[0] + low.tail[0]
     cols = [int(np.argmin(np.abs(tall.grid.y_nodes[i] - probe_y))) for i in range(tall.grid.nx)]
     tall_vals = np.array([
         np.interp(probe_y, tall.grid.y_nodes[i], tall.u[0][i]) for i in range(tall.grid.nx)
@@ -196,8 +195,12 @@ def test_trace_expansion_reproduces_the_top_row():
     # the Nyquist mode k = nx/2 is real on the grid: the expansion counts it once
     wall = BoundaryGeometry.from_fourier({0: -0.5, 1: -0.2, 3: 0.1 - 0.05j})
     sol = solve_cell(wall, l=1, comp=1, nx=16, ny=20)
-    expansion = trace_expansion(sol, TransparentTop())
-    top = velocity(expansion, sol.grid.x, sol.grid.height) + sol.tail[:, None]
+    modes = trace_expansion(sol, TransparentTop())
+    # every mode k = 1..nx/2, as the mode solver's own lists of complex
+    assert list(modes) == list(range(1, sol.grid.nx // 2 + 1))
+    assert all(type(v) is list and v and all(type(c) is complex for c in v)
+               for profiles in modes.values() for v in profiles)
+    top = velocity(modes, sol.grid, sol.grid.x, sol.grid.height) + sol.tail[:, None]
     assert np.abs(top - sol.u[:, :, -1]).max() < 1e-13
 
 
@@ -232,13 +235,13 @@ def test_mode_amplitude_decay_slope():
     # [L, L+4], steepening toward the lowest-mode rate -1 further out (the
     # linear-in-z profile keeps the near-field fit above -1)
     sol = solve_cell(COS_WALL, l=1, comp=1, nx=24, ny=36)
-    expansion = trace_expansion(sol, TransparentTop())
+    modes = trace_expansion(sol, TransparentTop())
 
     def slope(lo, hi):
         ys = np.linspace(lo, hi, 9)
         amps = []
         for y in ys:
-            v = velocity(expansion, sol.grid.x, y)
+            v = velocity(modes, sol.grid, sol.grid.x, y)
             amps.append(np.sqrt(np.mean(v ** 2)))
         return np.polyfit(ys, np.log(np.maximum(amps, 1e-300)), 1)[0]
 

@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 from stokesbl import modes
 from stokesbl.modes import (
     ModeData,
-    ModeExpansion,
     SqrtExt,
     dtn_map,
     dtn_matrix,
     halfline_integrals,
     knorm_exact,
+    mode_fields,
     poly_add,
     poly_is_zero,
     residual_check,
@@ -223,16 +223,13 @@ def test_zero_mode_rejected():
 def test_mode_expansion_eval():
     # a stored mode k < nyquist stands for itself and its conjugate at -k;
     # the Nyquist mode counts once
-    exp = ModeExpansion(3.0, 4, {
-        1: {"V": np.array([[1.0 + 0j, 0.5 + 0j], [0.5j, 0j]]), "Q": np.array([2.0 + 0j])},
-        4: {"V": np.array([[1.0 + 0j], [0j]]), "Q": np.array([0j])},
-    })
+    modes = {1: ([1.0 + 0j, 0.5 + 0j], [0.5j], [2.0 + 0j]), 4: ([1.0 + 0j], [0j], [0j])}
     x = np.linspace(-np.pi, np.pi, 9)
-    u1, u2, p = exp.fields(x, 3.0)
+    u1, u2, p = mode_fields(modes, 3.0, 4, x, 3.0)
     assert np.allclose(u1, 2 * np.cos(x) + np.cos(4 * x))
     assert np.allclose(u2, -np.sin(x))
     assert np.allclose(p, 4 * np.cos(x))
-    u1, _, _ = exp.fields(x, 4.2)
+    u1, _, _ = mode_fields(modes, 3.0, 4, x, 4.2)
     assert np.allclose(u1, 2 * 1.6 * np.exp(-1.2) * np.cos(x) + np.exp(-4.8) * np.cos(4 * x))
 
 

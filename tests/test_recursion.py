@@ -17,7 +17,7 @@ from stokesbl.cell import (StripGrid, TransparentTop, divergence_residual, solve
                            wall_problem)
 from stokesbl.cli import dump_json, main
 from stokesbl.geometry import BoundaryGeometry, InputError
-from stokesbl.modes import ModeExpansion, poly_add, poly_derive, poly_scale
+from stokesbl.modes import mode_fields, poly_add, poly_derive, poly_scale
 from stokesbl.polynomials import ExactPolynomial, VectorPolynomial
 from stokesbl.recursion import (
     CorrectorField,
@@ -49,13 +49,14 @@ def flat_stack():
 
 
 def _plant_fake_level(stack, beta, l, comp, v_poly, q_poly, rng):
-    """Insert a synthetic level with random poly data and one random mode."""
+    """Insert a synthetic level with random poly data, random modes 1 and 2
+    and zero profiles for the other modes."""
     nx, ny = stack.grid.nx, stack.grid.ny
-    modes = {}
+    modes = {k: ([0j], [0j], [0j]) for k in range(1, nx // 2 + 1)}
     for k in (1, 2):
         V = [rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(2)]
         Q = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        modes[k] = {"V": V, "Q": Q}
+        modes[k] = tuple([complex(c) for c in a] for a in (*V, Q))
     level = LevelSolution(
         beta=beta, l=l, comp=comp,
         u=rng.standard_normal((2, nx, ny + 1)),
@@ -63,7 +64,7 @@ def _plant_fake_level(stack, beta, l, comp, v_poly, q_poly, rng):
         p_nodes=rng.standard_normal((nx, ny + 1)),
         v_poly=np.array(v_poly, dtype=float),
         q_poly=np.array(q_poly, dtype=float),
-        modes=ModeExpansion(stack.height, nx // 2, modes),
+        modes=modes,
         diagnostics={},
     )
     stack.levels[(beta, l, comp)] = level
@@ -204,8 +205,8 @@ def test_mode_divergence_identity(stack):
     lv0 = stack.level(0, 1, 1)
     lv1 = stack.level(1, 1, 1)
     for k in (1, 2, 3):
-        V1 = lv1.modes.modes[k]["V"]
-        V0 = lv0.modes.modes[k]["V"]
+        V1 = lv1.modes[k][:2]
+        V0 = lv0.modes[k][:2]
         div = poly_add(
             poly_add(poly_scale(1j * k, list(V1[0])), poly_scale(-abs(k), list(V1[1]))),
             poly_derive(list(V1[1])),
@@ -435,7 +436,7 @@ def _column_sampler_oracle(level, stack, grid):
         if np.any(above):
             ya = y_col[above]
             vp = np.stack([npoly.polyval(ya, level.v_poly[c]) for c in range(2)])
-            u1, u2, p = level.modes.fields(grid.x[i], ya)
+            u1, u2, p = mode_fields(level.modes, sg.height, sg.nx // 2, grid.x[i], ya)
             values[:, i, above] = vp + np.stack([u1, u2])
             pressure[i, above] = npoly.polyval(ya, level.q_poly) + p
     return values, pressure
@@ -455,6 +456,15 @@ def test_level_sampler_matches_column_oracle(stack, height, ny, stretch):
         assert smp.pressure.tobytes() == pressure.tobytes(), key
         assert np.array_equal(smp.dx, np.stack([grid.dx_nodes(v) for v in values]))
         assert np.array_equal(smp.dy, np.stack([grid.dy_nodes(v) for v in values]))
+
+
+@pytest.mark.parametrize("wall, nx", [(COS_WALL, 16), (GEOMETRIES[2], 24)],
+                         ids=["other-nx", "other-geometry"])
+def test_level_sampler_refuses_a_grid_off_the_stack(stack, wall, nx):
+    # the samples below the lid are the stack's columns, x for x
+    grid = StripGrid(wall, height=6.0, nx=nx, ny=48)
+    with pytest.raises(ValueError, match="collocation points and geometry"):
+        LevelSampler(stack.level(0, 1, 1), stack, grid)
 
 
 @pytest.mark.parametrize("wall", [COS_WALL, BoundaryGeometry.from_fourier({0: -0.4, 2: -0.125})],
@@ -514,17 +524,16 @@ def test_stack_json_roundtrip_preserves_level_arrays(monkeypatch):
 
 
 def _assert_same_level_arrays(got, ref):
-    """u, p, p_nodes, v_poly, q_poly and every mode's V and Q equal bit for bit."""
+    """u, p, p_nodes, v_poly, q_poly and every mode's V1, V2 and Q equal bit for bit."""
     for name in ("u", "p", "p_nodes", "v_poly", "q_poly"):
         a, b = getattr(got, name), getattr(ref, name)
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
         assert a.flags.writeable, name
-    assert sorted(got.modes.modes) == sorted(ref.modes.modes)
-    assert got.modes.L == ref.modes.L and got.modes.nyquist == ref.modes.nyquist
-    for k, mode in ref.modes.modes.items():
-        for name in ("V", "Q"):
-            a, b = got.modes.modes[k][name], np.asarray(mode[name])
-            assert a.dtype == complex and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert list(got.modes) == list(ref.modes)
+    for k, mode in ref.modes.items():
+        for a, b in zip(got.modes[k], mode, strict=True):
+            assert all(type(c) is complex for c in a)
+            assert len(a) == len(b) and np.array(a).tobytes() == np.array(b).tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -567,7 +576,7 @@ def test_stack_reader_rejects_or_returns_finite_levels(stack_text, data):
         return
     for level in rebuilt.levels.values():
         arrays = [level.u, level.p, level.p_nodes, level.v_poly, level.q_poly]
-        arrays += [mode[key] for mode in level.modes.modes.values() for key in ("V", "Q")]
+        arrays += [np.array(v) for mode in level.modes.values() for v in mode]
         assert all(np.isfinite(a).all() for a in arrays)
 
 

@@ -464,6 +464,21 @@ def test_decay_requires_scale_separation(stack):
         decay_experiments(ws, [build_outer_solution(ws, "shear", seed=0)], 1)
 
 
+@pytest.mark.parametrize("height, ny", [(20.0, 80), (24.0, 64)],
+                         ids=["other-ny", "other-height"])
+def test_a_solve_off_the_workspace_nodes_is_refused(stack, height, ny):
+    # a solve on another 24-column grid, read against the 24x64 lift
+    # workspace: each window sample would take another node's value
+    grid = StripGrid(COS_WALL, height=20.0, nx=24, ny=64, stretch=2.0)
+    other = StripGrid(COS_WALL, height=height, nx=24, ny=ny, stretch=2.0)
+    ws = RegularityWorkspace(stack, 1, grid)
+    solution = build_outer_solution(RegularityWorkspace(stack, 1, other), "shear", seed=0)
+    with pytest.raises(ValueError, match="workspace grid's nodes"):
+        decay_experiments(ws, [solution], 1)
+    with pytest.raises(ValueError, match="workspace grid's nodes"):
+        pointwise_check(ws, solution, np.zeros(len(ws.columns)), 1)
+
+
 def test_liouville_recovery_and_flagging(ws):
     u_grad = lambda shift: ws.column_grad(1, shift)
     radii = [4.0, 8.0, 16.0]

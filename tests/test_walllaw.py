@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stokesbl.geometry import BoundaryGeometry
+from stokesbl.modes import mode_fields
 from stokesbl.recursion import (
     CorrectorStack,
     HeterogeneousElement,
@@ -11,7 +12,7 @@ from stokesbl.recursion import (
     padded_sum,
     poly_to_coeff2d,
 )
-from stokesbl.verify import flat_twin_gap, flat_wall_phi
+from stokesbl.verify import GEOMETRIES, flat_twin_gap, flat_wall_phi
 from stokesbl.walllaw import (
     WallLawAccuracyError,
     phi_table,
@@ -79,6 +80,40 @@ def test_cosine_order_3_table_is_pinned():
         for index, value in entries.items():
             want[index] = value
         assert np.abs(table.phi[key] - want).max() <= 1e-9 * scale, key
+
+
+def test_mirror_wall_maps_the_table_by_parity():
+    """The mirror wall gamma(-x), with c_k -> conj(c_k), has the table
+    (-1)^alpha S Phi^{alpha,l}(-x) S, S = diag(-1, 1).
+
+    Reflecting x maps a Stokes solution (u1, u2, p)(x, y) to
+    (-u1, u2, p)(-x, y), so with r, c 1-based and p the x-power, entry
+    Phi_rc[p] picks up (-1)^(alpha + p + [r = 1] + [c = 1]).  On a wall even
+    in x the mirror is the wall itself, and the entries whose sign is -1
+    vanish.  The discrete solver keeps this symmetry, so the check sees a
+    defect that breaks it in the recursion's data, such as a non-derivative
+    term in the source F or a lost phase in the mode part W_k, but not one
+    that the mirror wall shares, such as a sign flip of the wall slope.
+    """
+    odd_share = []
+    for index, geo in enumerate(GEOMETRIES):
+        mirror = BoundaryGeometry.from_fourier({k: complex(re, -im) for k, re, im in geo.coeffs})
+        phi, phi_mirror = (phi_table(CorrectorStack(g, nx=16, ny=20), 3).phi
+                           for g in (geo, mirror))
+        scale = max(np.abs(m).max() for m in phi.values())
+        gap = odd = 0.0
+        for (alpha, l), a in phi.items():
+            b = phi_mirror[alpha, l]
+            n = max(a.shape[-1], b.shape[-1])
+            a, b = (np.pad(m, ((0, 0), (0, 0), (0, n - m.shape[-1]))) for m in (a, b))
+            r, c, p = np.indices(a.shape)
+            sign = (-1.0) ** (alpha + p + (r == 0) + (c == 0))
+            gap = max(gap, np.abs(b - sign * a).max())
+            odd = max(odd, np.abs(a[sign < 0]).max(initial=0.0))
+        assert gap <= 1e-10 * scale, (index, gap / scale)
+        odd_share.append(odd / scale)
+    assert max(odd_share[:3]) <= 1e-10  # the three walls with real c_k
+    assert odd_share[3] > 1e-6  # a wall not even in x: the relation is not vacuous
 
 
 def test_table_reads_only_the_levels_of_its_order():
@@ -169,18 +204,19 @@ def test_second_order_flat_is_zero():
         second_order_2d(table)  # lambda == 0 must be flagged, not accepted
 
 
-def het_part_velocity(corr, x, y, comp: int) -> np.ndarray:
-    """Decaying remainder of a corrector above the lid (mode expansions).
+def het_part_velocity(stack, corr, x, y, comp: int) -> np.ndarray:
+    """Decaying remainder above the lid of a corrector of stack (its modes).
 
     Valid for y >= lid only.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if np.any(y < stack.height - 1e-9):
+        raise ValueError("het evaluation is mode-based: needs y >= lid height")
     out = np.zeros(np.broadcast(x, y).shape)
     for coef, power, level in corr.terms:
-        if np.any(y < level.modes.L - 1e-9):
-            raise ValueError("het evaluation is mode-based: needs y >= lid height")
-        out = out + coef * x ** power * level.modes.fields(x, y)[comp]
+        fields = mode_fields(level.modes, stack.height, stack.grid.nx // 2, x, y)
+        out = out + coef * x ** power * fields[comp]
     return out
 
 
@@ -202,13 +238,13 @@ def test_effective_part_and_het_decay(stack):
     xs = np.linspace(-np.pi, np.pi, 65)
 
     def amp(y):
-        return np.hypot(het_part_velocity(el.corrector, xs, y, 0),
-                        het_part_velocity(el.corrector, xs, y, 1)).max()
+        return np.hypot(het_part_velocity(stack, el.corrector, xs, y, 0),
+                        het_part_velocity(stack, el.corrector, xs, y, 1)).max()
 
     assert amp(8.0) <= 1.4 * np.exp(-2.0) * amp(6.0)
     assert amp(12.0) <= 1.2 * np.exp(-2.0) * amp(10.0)
     with pytest.raises(ValueError):
-        het_part_velocity(el.corrector, 0.0, 1.0, 0)  # below the lid
+        het_part_velocity(stack, el.corrector, 0.0, 1.0, 0)  # below the lid
 
 
 def test_first_order_effective_shape(stack):
