@@ -188,7 +188,7 @@ def cmd_corrector(args) -> tuple[str, ...]:
     if os.path.exists(args.out):
         # extend an existing stack so successive runs share one artifact
         stack = stack_from_json(load_json(args.out))
-        if stack.geometry.digest() != geometry.digest():
+        if stack.geometry != geometry:
             raise InputError("existing stack was built for another geometry")
         if (stack.grid.nx, stack.grid.ny) != (args.nx, args.ny) \
                 or stack.height != args.height:

@@ -57,7 +57,9 @@ class BoundaryGeometry:
 
     `coeffs[k]` for k >= 0 holds c_k with gamma(x) = c_0 + 2 Re sum_{k>0} c_k e^{ikx};
     c_0 must be real.  The thickness constraint -1 <= gamma <= 0 is enforced at
-    construction on a fine sample grid.
+    construction on a fine sample grid.  Only the nonzero modes are kept, in
+    ascending k, so one wall is one geometry however its modes were spelled:
+    `==`, `digest()` and `to_json_dict()` describe the wall.
     """
 
     coeffs: tuple = field(default_factory=tuple)  # ((k, re, im), ...) with k >= 0
@@ -70,6 +72,10 @@ class BoundaryGeometry:
             seen.add(k)
             if k == 0 and im != 0.0:
                 raise InputError("mean mode must be real")
+        # + 0.0 turns -0.0 into 0.0 and an int into a float, so that equal
+        # walls also serialize, and hash, alike
+        object.__setattr__(self, "coeffs", tuple(sorted(
+            (k, re + 0.0, im + 0.0) for k, re, im in self.coeffs if re or im)))
         lo, hi = self.range()
         if lo < -1.0 - 1e-12 or hi > 1e-12:
             raise InputError(f"gamma range [{lo:.3g}, {hi:.3g}] violates -1 <= gamma <= 0")
@@ -79,8 +85,6 @@ class BoundaryGeometry:
     @classmethod
     def flat(cls, depth: float = 0.0) -> "BoundaryGeometry":
         """gamma == -depth."""
-        if depth == 0.0:
-            return cls(())
         return cls(((0, -float(depth), 0.0),))
 
     @classmethod
@@ -169,8 +173,7 @@ class BoundaryGeometry:
 
     @property
     def max_mode(self) -> int:
-        active = [k for k, re, im in self.coeffs if re or im]
-        return max(active, default=0)
+        return max((k for k, re, im in self.coeffs), default=0)
 
     # -- serialization ---------------------------------------------------------
 
@@ -178,6 +181,9 @@ class BoundaryGeometry:
         return {"fourier": [{"k": k, "re": re, "im": im} for k, re, im in self.coeffs]}
 
     def digest(self) -> str:
-        return hashlib.sha256(
-            json.dumps(self.to_json_dict(), sort_keys=True).encode()
-        ).hexdigest()[:16]
+        return json_digest(self.to_json_dict())
+
+
+def json_digest(data) -> str:
+    """The first 16 hex digits of the SHA-256 of data as sorted-key JSON."""
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()[:16]

@@ -32,7 +32,7 @@ from .cell import (
     trace_expansion,
     wall_problem,
 )
-from .geometry import BoundaryGeometry, InputError, json_object, json_value
+from .geometry import BoundaryGeometry, InputError, json_digest, json_object, json_value
 from .modes import halfline_integrals, mode_fields, poly_add, poly_derive, poly_scale
 from .polynomials import ExactPolynomial, VectorPolynomial
 
@@ -408,8 +408,9 @@ def stack_from_json(data: dict) -> CorrectorStack:
     finite number), u or p is not a {shape, f8} object of finite numbers
     that fits the grid, the diagnostics are not an object, a level repeats,
     a level beta >= 1 lacks level beta - 1, or geometry_hash is not the
-    stored geometry's digest.  Every level is read against the header before
-    the grid is built, so a header that no level fits allocates nothing.
+    digest of the geometry as stored.  Every level is read against the
+    header before the grid is built, so a header that no level fits
+    allocates nothing.
     Each level's other fields are then derived by level_solution, lowest
     beta first, exactly as after a solve; no level is solved.
     """
@@ -417,7 +418,9 @@ def stack_from_json(data: dict) -> CorrectorStack:
         raise InputError("stack is not schema 6: remove it and rebuild with stokesbl corrector")
     json_object(data, _STACK_KEYS, "stack")
     geometry = BoundaryGeometry.from_json_dict(data["geometry"])
-    if data["geometry_hash"] != geometry.digest():
+    # hash the header as stored: a stack written before geometries dropped
+    # zero modes holds the hash of the wall's spelling, not of the wall
+    if data["geometry_hash"] != json_digest(data["geometry"]):
         raise InputError("stack geometry_hash does not match its geometry")
     # a float, so that an int header such as 10**300 meets the grid's float checks
     height = float(json_value(data, "height", "stack", (int, float), isfinite,

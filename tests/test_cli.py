@@ -486,17 +486,46 @@ def test_cell_writes_beside_its_out_and_takes_no_abbreviation(tmp_path, geometry
     assert sorted(os.listdir(tmp_path)) == written
 
 
-def test_cli_import_leaves_regularity_only_scipy_unloaded():
-    # nor the regularity and verify modules, which their commands import
-    code = ("import sys, stokesbl.cli; "
-            "print(sorted(m for m in ('scipy.interpolate', 'scipy.optimize', "
-            "'stokesbl.regularity', 'stokesbl.verify') if m in sys.modules))")
+def _python(code: str, *args: str, timeout: int = 120) -> str:
+    """stdout of a fresh interpreter running code, with this tree's src first
+    on its path."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, check=True, timeout=timeout).stdout
+
+
+# one module that each of numpy.f2py, numpy.testing and numpy.ma imports when
+# it executes, and unittest, which numpy.testing pulls in
+NUMPY_DEFERRED = ("numpy.f2py.f2py2e", "numpy.testing._private.utils", "unittest",
+                  "numpy.ma.core")
+
+
+def test_cli_import_leaves_regularity_only_scipy_unloaded():
+    # nor the regularity and verify modules, which their commands import, nor
+    # the numpy submodules that scipy.sparse's array-API shim touches
+    names = ("scipy.interpolate", "scipy.optimize", "stokesbl.regularity",
+             "stokesbl.verify") + NUMPY_DEFERRED
+    out = _python(f"import sys, numpy, stokesbl.cli; "
+                  f"print(sorted(m for m in {names!r} if m in sys.modules)); "
+                  # a deferred submodule still works on first use
+                  f"numpy.testing.assert_equal(1, 1); "
+                  f"print(numpy.ma.masked_array([1, 2]).sum())")
+    assert out.split() == ["[]", "3"]
+    # a host that imported numpy.testing first keeps the real module
+    out = _python("import sys, types, numpy, numpy.testing as real, stokesbl; "
+                  "print(sys.modules['numpy.testing'] is real is numpy.testing, "
+                  "type(real) is types.ModuleType)")
+    assert out.split() == ["True", "True"]
+    # and a numpy without one of the three still imports stokesbl, which
+    # defers the other two
+    out = _python(f"import sys, importlib.util; find_spec = importlib.util.find_spec; "
+                  f"importlib.util.find_spec = lambda name, *a: "
+                  f"None if name == 'numpy.f2py' else find_spec(name, *a); "
+                  f"import stokesbl.cli; "
+                  f"print(sorted(m for m in {NUMPY_DEFERRED!r} if m in sys.modules))")
+    assert out.strip() == "['numpy.f2py.f2py2e']"
 
 
 SMALL_REGULARITY = ["regularity", "--nx", "12", "--ny", "160", "--stack-ny", "16",
@@ -593,12 +622,8 @@ def test_regularity_run_leaves_interpolate_and_optimize_unloaded(tmp_path, geome
             f"assert main({SMALL_REGULARITY + ['--geometry', geometry_file]!r} + sys.argv[1:]) == 0; "
             "print(sorted(m for m in ('scipy.interpolate', 'scipy.optimize') "
             "if m in sys.modules))")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run([sys.executable, "-c", code, "--out", str(tmp_path / "report.json")],
-                         env=env, capture_output=True, text=True, check=True, timeout=300)
-    assert out.stdout.strip().splitlines()[-1] == "[]"
+    out = _python(code, "--out", str(tmp_path / "report.json"), timeout=300)
+    assert out.strip().splitlines()[-1] == "[]"
 
 
 def test_corrector_and_wall_law(tmp_path, geometry_file):
@@ -622,6 +647,16 @@ def test_corrector_and_wall_law(tmp_path, geometry_file):
     law = json.loads(law_out.read_text())
     assert law["slip_length"] > 0
     assert (tmp_path / "law.csv").exists()
+    # a corrector and a wall-law run in one process leave the numpy
+    # submodules that scipy.sparse's array-API shim touches unexecuted
+    corrector = ["corrector", "--geometry", geometry_file, "--alpha", "1", "--l", "2",
+                 "--i", "1", "--nx", "16", "--ny", "20", "--out", str(stack_out)]
+    wall_law = ["wall-law", "--stack", str(stack_out), "--order", "2", "--out", str(law_out)]
+    out = _python(f"import sys; from stokesbl.cli import main; "
+                  f"assert main({corrector!r}) == 0; assert main({wall_law!r}) == 0; "
+                  f"print(sorted(m for m in {NUMPY_DEFERRED!r} if m in sys.modules))",
+                  timeout=300)
+    assert out.strip().splitlines()[-1] == "[]"
 
 
 def test_stack_bytes_do_not_depend_on_how_its_runs_were_split(tmp_path, geometry_file):
@@ -651,6 +686,46 @@ def test_corrector_rejects_mismatched_stack(tmp_path, geometry_file):
                  "--l", "1", "--i", "1", "--nx", "16", "--ny", "20",
                  "--out", str(stack_out)]) == 2
     assert stack_out.read_bytes() == written
+
+
+def test_one_wall_is_one_geometry_however_its_modes_are_spelled(tmp_path, geometry_file):
+    from stokesbl.geometry import BoundaryGeometry
+
+    flat = BoundaryGeometry.from_fourier({0: 0.0, 3: 0j})
+    assert flat == BoundaryGeometry.flat() and flat.digest() == BoundaryGeometry.flat().digest()
+    assert flat.to_json_dict() == {"fourier": []}
+    # nor does a signed zero or an int spell another wall
+    tilted = BoundaryGeometry(((1, -0.0, 0.125), (0, -0.5, 0)))
+    assert tilted.digest() == BoundaryGeometry.from_fourier({0: -0.5, 1: 0.125j}).digest()
+    grid = ["--l", "1", "--i", "1", "--nx", "16", "--ny", "20"]
+    stack_out = tmp_path / "stack.json"
+    assert main(["corrector", "--geometry", geometry_file, "--alpha", "0", *grid,
+                 "--out", str(stack_out)]) == 0
+    # the stack's wall with an explicit zero mode extends the stack
+    spelled = tmp_path / "spelled.json"
+    spelled.write_text(json.dumps({"fourier": [{"k": 0, "re": -0.5}, {"k": 1, "re": -0.25},
+                                               {"k": 2, "re": 0.0, "im": 0.0}]}))
+    assert main(["corrector", "--geometry", str(spelled), "--alpha", "1", *grid,
+                 "--out", str(stack_out)]) == 0
+    assert len(json.loads(stack_out.read_text())["levels"]) == 2
+    # a stack whose header keeps a zero-mode spelling, hashed as spelled (as
+    # stacks were written before geometries dropped zero modes), still loads
+    # and is extended by the same wall
+    wall = {"fourier": [{"k": 0, "re": 0.0, "im": 0.0}]}
+    (tmp_path / "flat.json").write_text(json.dumps(wall))
+    flat_out = tmp_path / "flat_stack.json"
+    assert main(["corrector", "--geometry", str(tmp_path / "flat.json"), "--alpha", "0", *grid,
+                 "--out", str(flat_out)]) == 0
+    data = json.loads(flat_out.read_text())
+    assert data["geometry"] == {"fourier": []}
+    data["geometry"] = wall
+    data["geometry_hash"] = hashlib.sha256(
+        json.dumps(wall, sort_keys=True).encode()).hexdigest()[:16]
+    flat_out.write_text(json.dumps(data))
+    assert main(["corrector", "--geometry", str(tmp_path / "flat.json"), "--alpha", "1", *grid,
+                 "--out", str(flat_out)]) == 0
+    data = json.loads(flat_out.read_text())
+    assert data["geometry"] == {"fourier": []} and len(data["levels"]) == 2
 
 
 def test_verify_symbolic_suite(capsys):
