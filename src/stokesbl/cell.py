@@ -608,7 +608,7 @@ def solve_stokes(problem: CellProblem) -> CellSolution:
         "linear_residual": linear_residual,
         "divergence_residual": float(np.abs(div).max()),
         "multiplier": float(mu[0]),
-        "resolution": (g.nx, g.ny),
+        "resolution": [g.nx, g.ny],
     })
 
 

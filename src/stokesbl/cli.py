@@ -254,7 +254,7 @@ def cmd_regularity(args) -> tuple[str, ...]:
     stack.grid.factors.clear()
     grid.factors.clear()
     reports = decay_experiments(ws, solutions, args.order)
-    fits = projected_fits(ws, [s.grad for s in solutions], args.order, ws.order)
+    fits = projected_fits(ws, [s.series["grad"] for s in solutions], args.order, ws.order)
     results = {}
     for kind, solution, rep, coeffs in zip(KINDS, solutions, reports, fits):
         results[kind] = dict(rep, pointwise=pointwise_check(ws, solution, coeffs, args.order))
@@ -368,9 +368,14 @@ def main(argv=None) -> int:
         manifest = base + ".manifest.json"
         if len(artifacts) < len(texts):
             raise InputError(f"--out {args.out} would write the JSON and the CSV to one path")
-        for path in [*artifacts, manifest]:  # a directory in the way fails before any write
+        # a directory or an input file in the way fails before any write
+        inputs = {opt: getattr(args, opt) for opt in ("geometry", "stack") if hasattr(args, opt)}
+        for path in [*artifacts, manifest]:
             if os.path.isdir(path):
                 raise InputError(f"cannot write {path}: it is a directory")
+            for opt, src in inputs.items():
+                if os.path.exists(path) and os.path.exists(src) and os.path.samefile(path, src):
+                    raise InputError(f"cannot write {path}: it is the --{opt} input")
         try:
             for path, text in artifacts.items():
                 write_atomic(path, text)

@@ -16,11 +16,11 @@ shift: at x + s it is sum_i (x + s)^i f_i with coefficient arrays f_i that
 repeat in every period.  The arrays are built once, after the solves (the
 lift traces read the top row's alone before them), and every sampled field
 is one Horner evaluation per period: the excess rows, the pressure
-residuals and the pointwise errors u - w_poly alike.  The excess takes
-several fields at once: each radius reads its window once, building the
-basis rows once and carrying every field as an extra QR column, so the
-outer data share their windows; the basis columns' scaling is read off the
-R factor.
+residuals and the pointwise errors u - w_poly alike.  The analyses take
+each field as its gradient's X-power series.  The excess takes several at
+once: each radius reads its window once, building the basis rows once and
+carrying every field as an extra QR column, so the outer data share their
+windows; the basis columns' scaling is read off the R factor.
 """
 
 from __future__ import annotations
@@ -151,10 +151,6 @@ class RegularityWorkspace:
         n, D = self.prefixes[order]
         return horner(self.series[name][:D + 1, :n], self.abscissa(shift))
 
-    def column_grad(self, j: int, shift: float) -> np.ndarray:
-        """(4, nx, ny+1) gradient samples of column j; equals samples("grad", ...)[j]."""
-        return horner(self.series["grad"][:, j], self.abscissa(shift))
-
     @cached_property
     def top_velocity(self) -> np.ndarray:
         """(ncols, 2, nx) column velocities on the top row at shift 0.
@@ -189,26 +185,28 @@ class RegularityWorkspace:
 
     @staticmethod
     def _rows(grad: np.ndarray, nodes: np.ndarray, sw: np.ndarray) -> np.ndarray:
-        """Quadrature-weighted least-squares rows of (..., 4, nx, ny+1) gradient samples.
+        """Quadrature-weighted least-squares rows of (n, 4, nx, ny+1) gradient samples.
 
-        Rows run sample-major, component-minor; a leading axis (one entry per
-        basis column) becomes the columns of the result.
+        Rows run sample-major, component-minor; the leading axis (one entry
+        per basis column or target) becomes the columns of the result.
         """
         flat = grad.reshape(grad.shape[:-2] + (-1,))
         return (np.take(flat, nodes, axis=-1) * sw).T.reshape((-1,) + grad.shape[:-3])
 
-    def excess(self, samplers, r: float, order: int) -> list[dict]:
+    def excess(self, targets, r: float, order: int) -> list[dict]:
         """Least-squares distance of each grad u from the order-m span over B_{r,+}.
 
-        Each sampler maps shift -> (4, nx, ny+1) gradient samples (constant
-        in shift for periodic fields).  Returns one dict per sampler, all
-        from the same pass over the window: the normalized excess H and the
-        minimizer coefficients (one per order-m column, the first n_m of
-        columns).  grad_norms gives the windowed gradient norms of u.
+        Each target is the X-power series (P+1, 4, nx, ny+1) of a gradient,
+        all of one length, such as an outer solution's series["grad"].
+        Returns one dict per target, all from the same pass over the window:
+        the normalized excess H and the minimizer coefficients (one per
+        order-m column, the first n_m of columns).  grad_norms gives the
+        windowed gradient norms of u.
 
         Each period's basis rows are built once and streamed, unscaled,
         through one QR with every target as an extra column, accumulating the
-        window weight on the way: each radius reads its window once.  The
+        window weight on the way: each radius reads its window once, and the
+        targets are stacked and read by one horner per period.  The
         basis columns' windowed norms are the column norms of R11 = R[:n_m,
         :n_m] (R^T R = A^T A), and the triangular solve runs on R11 scaled by
         them.  Target t's residual is the 2-norm of rows ncols..ncols+t of
@@ -217,13 +215,14 @@ class RegularityWorkspace:
         a one-target call does the arithmetic of the one-target stream.
         """
         ncols = self.prefixes[order][0]
+        stacked = np.stack(targets, axis=1)
         total_w = 0.0
-        R = np.zeros((0, ncols + len(samplers)))
+        R = np.zeros((0, ncols + len(targets)))
         for shift, nodes, w in self.window_pieces(r):
             sw = np.sqrt(w)
             total_w += float(np.sum(w))
-            block = np.column_stack([self._rows(self.samples("grad", shift, order), nodes, sw)]
-                                    + [self._rows(fn(shift), nodes, sw) for fn in samplers])
+            block = np.column_stack([self._rows(self.samples("grad", shift, order), nodes, sw),
+                                     self._rows(horner(stacked, self.abscissa(shift)), nodes, sw)])
             R = np.linalg.qr(np.vstack([R, block]), mode="r")
         R11 = R[:ncols, :ncols]
         norms = np.sqrt(np.maximum(np.sum(R11 ** 2, axis=0), 1e-300))
@@ -231,7 +230,7 @@ class RegularityWorkspace:
         diag = np.abs(np.diag(R11))
         rank_ok = bool(diag.min() > 1e-13 * diag.max())
         results = []
-        for t in range(len(samplers)):
+        for t in range(len(targets)):
             rb = R[:ncols, ncols + t]
             below = R[ncols:ncols + t + 1, ncols + t]
             rho = float(np.linalg.norm(below))
@@ -240,15 +239,16 @@ class RegularityWorkspace:
             results.append({"H": rho / np.sqrt(total_w), "coefficients": coef_scaled / norms})
         return results
 
-    def grad_norms(self, samplers, r: float) -> np.ndarray:
-        """Windowed gradient norms of the samplers over B_{r,+}, one per sampler:
-        sqrt of the weighted sum of squares of grad u over the window weight,
-        the scale that excess's H is read against."""
+    def grad_norms(self, targets, r: float) -> np.ndarray:
+        """Windowed gradient norms of the target series over B_{r,+}, one per
+        target: sqrt of the weighted sum of squares of grad u over the window
+        weight, the scale that excess's H is read against."""
+        stacked = np.stack(targets, axis=1)
         total_w = 0.0
-        unorm2 = np.zeros(len(samplers))
+        unorm2 = np.zeros(len(targets))
         for shift, nodes, w in self.window_pieces(r):
-            sw = np.sqrt(w)
-            unorm2 += [float(np.sum(self._rows(fn(shift), nodes, sw) ** 2)) for fn in samplers]
+            rows = self._rows(horner(stacked, self.abscissa(shift)), nodes, np.sqrt(w))
+            unorm2 += [float(np.sum(col ** 2)) for col in rows.T]
             total_w += float(np.sum(w))
         return np.sqrt(unorm2 / total_w)
 
@@ -376,14 +376,6 @@ class OuterSolution:
             out[name][0] += rest
         return out
 
-    def at(self, name: str, shift: float) -> np.ndarray:
-        """The `name` samples at x + shift."""
-        return horner(self.series[name], self.lift_ws.abscissa(shift))
-
-    def grad(self, shift: float) -> np.ndarray:
-        """Gradient samples at x + shift: the sampler `excess` takes."""
-        return self.at("grad", shift)
-
 
 def build_outer_solution(lift_ws: RegularityWorkspace, kind: str,
                          seed: int) -> OuterSolution:
@@ -446,7 +438,7 @@ def decay_experiments(workspace: RegularityWorkspace, solutions: list[OuterSolut
     R = workspace.grid.height
     check_strip_height(R)
     radii = dyadic_radii(DECAY_R0, R / 4)
-    u_grads = [solution.grad for solution in solutions]
+    u_grads = [solution.series["grad"] for solution in solutions]
     per_radius = [workspace.excess(u_grads, r, order) for r in radii]
     grad_norms = workspace.grad_norms(u_grads, min(R / 2, radii[-1] * 2))
     reports = []
@@ -470,29 +462,27 @@ def pressure_decay(workspace: RegularityWorkspace, solution: OuterSolution,
     pi is the pressure of the fitted order-m combination; the constant is the mean of
     p - pi over the unit window, mirroring the fixed-constant normalization
     of the regularity estimate.  Reported alongside the velocity excess.
+    p - pi is one X-power series, read by one horner per period.
     """
-    fields = {}  # shift -> residual field; the radii meet the same periods again
-
-    def residual_field(shift):
-        if shift not in fields:
-            fields[shift] = solution.at("pressure", shift) - np.tensordot(
-                coefficients, workspace.samples("pressure", shift, order), axes=1)
-        return fields[shift]
+    n, D = workspace.prefixes[order]
+    fitted = np.tensordot(coefficients, workspace.series["pressure"][:D + 1, :n], axes=([0], [1]))
+    series = padded_sum([(1.0, solution.series["pressure"]), (-1.0, fitted)])
 
     (shift, nodes, w), = workspace.window_pieces(1.0)  # B_1 meets one period
-    c_p = float(np.sum(w * np.take(residual_field(shift), nodes)) / np.sum(w))
+    residual = horner(series, workspace.abscissa(shift))
+    c_p = float(np.sum(w * np.take(residual, nodes)) / np.sum(w))
     values = []
     for r in radii:
         total, weight = 0.0, 0.0
         for shift, nodes, w in workspace.window_pieces(r):
-            res = residual_field(shift)
-            total += float(np.sum(w * (np.take(res, nodes) - c_p) ** 2))
+            residual = horner(series, workspace.abscissa(shift))
+            total += float(np.sum(w * (np.take(residual, nodes) - c_p) ** 2))
             weight += float(np.sum(w))
         values.append(float(np.sqrt(total / weight)))
     return values
 
 
-def projected_fits(workspace: RegularityWorkspace, u_grads, order: int,
+def projected_fits(workspace: RegularityWorkspace, targets, order: int,
                    fit_order: int) -> list[np.ndarray]:
     """Order-m coefficients via an order-`fit_order` fit over B_{FIT_RADIUS,+},
     projected into S_m.
@@ -501,11 +491,10 @@ def projected_fits(workspace: RegularityWorkspace, u_grads, order: int,
     instead of letting it bias the low-order coefficients; dropping those
     columns afterwards gives a fixed approximant free of that bias.  The
     order-m columns lead the higher order's, so the projection is a
-    truncation.  All fields are fitted in one excess pass.
+    truncation.  All target gradient series are fitted in one excess pass.
     """
     n = workspace.prefixes[order][0]
-    return [res["coefficients"][:n]
-            for res in workspace.excess(list(u_grads), FIT_RADIUS, fit_order)]
+    return [res["coefficients"][:n] for res in workspace.excess(targets, FIT_RADIUS, fit_order)]
 
 
 def nnls_2col(A: np.ndarray, b: np.ndarray) -> np.ndarray:

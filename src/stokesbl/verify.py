@@ -166,7 +166,7 @@ def growth_experiment(workspace: RegularityWorkspace, order: int, probe: int,
 
     The workspace's order is above m, and probe indexes one of its columns.
     """
-    u_grad = lambda shift: workspace.column_grad(probe, shift)
+    u_grad = workspace.series["grad"][:, probe]
     H = [workspace.excess([u_grad], r, order)[0]["H"] for r in radii]
     return fit_exponent(radii, H, drop=0)["exponent"]
 
@@ -175,8 +175,9 @@ def liouville_fit(workspace: RegularityWorkspace, u_grad, radii: list[float],
                   tol: float, order: int) -> dict:
     """Coefficients of a subpolynomial-growth solution in the order-m basis span.
 
-    Fits on every window and checks the residuals stay below tol relative to
-    the windowed gradient norm; otherwise flags non-membership.
+    Fits the gradient series u_grad on every window and checks the residuals
+    stay below tol relative to the windowed gradient norm; otherwise flags
+    non-membership.
     """
     results = [workspace.excess([u_grad], r, order)[0] for r in radii]
     norms = [workspace.grad_norms([u_grad], r)[0] for r in radii]
@@ -383,7 +384,7 @@ def pointwise_envelope(shared: Shared):
     details = []
     for kind, m in (("quadratic", 1), ("random", 2)):
         solution = runs[kind]["solution"]
-        coeffs = projected_fits(shared.tall_ws, [solution.grad], m, m + 1)[0]
+        coeffs = projected_fits(shared.tall_ws, [solution.series["grad"]], m, m + 1)[0]
         out = pointwise_check(shared.tall_ws, solution, coeffs, order=m)
         ok &= out["fraction_dominated"] >= 0.99
         ok &= out["crossover_ok"]
@@ -395,13 +396,13 @@ def pointwise_envelope(shared: Shared):
 def liouville_recovery(shared: Shared):
     ws = shared.growth_ws
     radii = [4.0, 8.0, 16.0, 32.0]
-    fit = liouville_fit(ws, lambda s: ws.column_grad(1, s), radii, tol=1e-8, order=2)
+    fit = liouville_fit(ws, ws.series["grad"][:, 1], radii, tol=1e-8, order=2)
     expect = np.zeros(ws.prefixes[2][0])
     expect[1] = 1.0
     error = np.abs(fit["coefficients"] - expect).max()
     ok = fit["member"] and error <= 1e-8
     probe = ws.degrees.index(3)
-    contaminated = lambda s: ws.column_grad(1, s) + 1e-2 * ws.column_grad(probe, s)
+    contaminated = ws.series["grad"][:, 1] + 1e-2 * ws.series["grad"][:, probe]
     ok &= not liouville_fit(ws, contaminated, radii, tol=1e-5, order=2)["member"]
     return ok, f"max coefficient error {error:.1e}"
 

@@ -546,6 +546,10 @@ WALL_LAW = ["wall-law", "--stack", "{dir}/stack.json", "--order", "1"]
     (CELL_16X20, "x.csv"),  # the JSON and the CSV would share x.csv
     (WALL_LAW, "x.csv"),
     (CELL_16X20, "sib.json"),  # its CSV path is a directory: not even the JSON is written
+    # an output that is an input: the stack, the geometry, or a geometry at the CSV's path
+    (WALL_LAW, "stack.json"),
+    (CELL_16X20, "wall.json"),
+    (["cell", "--geometry", "{dir}/geo.csv", "--nx", "16", "--ny", "20"], "geo.json"),
 ], ids=lambda v: v if isinstance(v, str) else v[0])
 def test_unwritable_out_exits_2_and_writes_nothing(tmp_path, geometry_file, argv, out, capsys):
     assert main(["corrector", "--geometry", geometry_file, "--nx", "16", "--ny", "20",
@@ -554,6 +558,7 @@ def test_unwritable_out_exits_2_and_writes_nothing(tmp_path, geometry_file, argv
     (tmp_path / "sib.csv").mkdir()
     (tmp_path / "afile").write_text("a file, not a directory\n")
     (tmp_path / "x.csv").write_text("stale\n")
+    (tmp_path / "geo.csv").write_text(Path(geometry_file).read_text())
     before = {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
     capsys.readouterr()
     assert main([arg.format(dir=tmp_path) for arg in argv] + ["--out", str(tmp_path / out)]) == 2

@@ -98,8 +98,13 @@ DIRECT = {"grad": direct_grad, "velocity": direct_velocity, "pressure": direct_p
 
 
 def column_series(ws, name, j, shift):
-    """Samples of column j's `name` series at x + shift, as column_grad has them."""
+    """Samples of column j's `name` series at x + shift."""
     return horner(ws.series[name][:, j], ws.abscissa(shift))
+
+
+def at(solution, name, shift):
+    """Samples of an outer solution's `name` series at x + shift."""
+    return horner(solution.series[name], solution.lift_ws.abscissa(shift))
 
 
 def _assert_fields_close(got, want, rel, what):
@@ -118,7 +123,8 @@ def test_shift_polynomials_match_direct_evaluation(stack):
                 _assert_fields_close(column_series(ws, name, j, shift),
                                      direct(ws, j, shift), 1e-13, (j, k, name))
             # the all-column evaluations are the same arithmetic, column by column
-            assert np.array_equal(ws.samples("grad", shift, 3)[j], ws.column_grad(j, shift))
+            assert np.array_equal(ws.samples("grad", shift, 3)[j],
+                                  column_series(ws, "grad", j, shift))
             assert np.array_equal(ws.samples("pressure", shift, 3)[j],
                                   column_series(ws, "pressure", j, shift))
     # the lift traces are the top row of the velocity series, bit for bit
@@ -140,7 +146,7 @@ def test_lower_orders_fit_on_a_column_prefix(stack):
     workspaces = {m: RegularityWorkspace(stack, m, grid) for m in (1, 2, 3, 4)}
     top = workspaces[4]
     sols = [build_outer_solution(top, kind, seed=0) for kind in ("quadratic", "random")]
-    grads = [sol.grad for sol in sols] + [lambda shift: top.column_grad(-1, shift)]
+    grads = [sol.series["grad"] for sol in sols] + [top.series["grad"][:, -1]]
     for M, big in workspaces.items():
         for m in range(1, M):
             small = workspaces[m]
@@ -165,7 +171,7 @@ def test_lower_orders_fit_on_a_column_prefix(stack):
 def test_excess_of_basis_element_is_zero(ws):
     n2 = ws.prefixes[2][0]
     for pos in range(n2):
-        u_grad = lambda shift: ws.column_grad(pos, shift)
+        u_grad = ws.series["grad"][:, pos]
         res = ws.excess([u_grad], 4.0, 2)[0]
         assert res["H"] <= 1e-10 * max(ws.grad_norms([u_grad], 4.0)[0], 1e-30)
         # the minimizer is the unit coefficient vector
@@ -175,7 +181,7 @@ def test_excess_of_basis_element_is_zero(ws):
 
 
 def test_excess_zero_field(ws):
-    zero = lambda shift: np.zeros((4, ws.grid.nx, ws.grid.ny + 1))
+    zero = np.zeros_like(ws.series["grad"][:, 0])
     assert ws.excess([zero], 4.0, 2)[0]["H"] == 0.0
 
 
@@ -188,9 +194,9 @@ def _oracle_blocks(ws, u_grad, r, scale):
         if not mask.any():
             continue
         sw = np.sqrt(wq[mask])
-        cols = [(ws.column_grad(j, shift)[:, mask] * sw).reshape(4, -1).T.reshape(-1)
+        cols = [(column_series(ws, "grad", j, shift)[:, mask] * sw).reshape(4, -1).T.reshape(-1)
                 / scale[j] for j in range(len(scale))]
-        target = (u_grad(shift)[:, mask] * sw).reshape(4, -1).T.reshape(-1)
+        target = (horner(u_grad, ws.abscissa(shift))[:, mask] * sw).reshape(4, -1).T.reshape(-1)
         yield np.column_stack(cols + [target]), float(np.sum(wq[mask]))
 
 
@@ -252,9 +258,9 @@ def test_excess_matches_two_pass_oracle(ws):
     which scales the rows before the QR, only rounding moves."""
     r = 5.0
     fields = {
-        "basis element": lambda shift: ws.column_grad(1, shift),
-        "zero": lambda shift: np.zeros((4, ws.grid.nx, ws.grid.ny + 1)),
-        "growth probe": lambda shift: ws.column_grad(-1, shift),
+        "basis element": ws.series["grad"][:, 1],
+        "zero": np.zeros_like(ws.series["grad"][:, 0]),
+        "growth probe": ws.series["grad"][:, -1],
     }
     for name, u_grad in fields.items():
         got = ws.excess([u_grad], r, 2)[0]
@@ -294,11 +300,10 @@ def test_excess_reads_each_window_piece_once(ws, monkeypatch):
     monkeypatch.setattr(ws, "samples", counted_samples)
     monkeypatch.setattr(np.linalg, "qr", last_qr)
     monkeypatch.setattr(np.linalg, "solve", scaled_solve)
-    targets = [lambda shift: ws.column_grad(1, shift),
-               lambda shift: np.zeros((4, ws.grid.nx, ws.grid.ny + 1)),
-               lambda shift: ws.column_grad(-1, shift)]
-    direct = np.sqrt([sum(float(np.sum(w * np.take(ws.column_grad(j, shift).reshape(4, -1),
-                                                   nodes, axis=1) ** 2))
+    targets = [ws.series["grad"][:, 1], np.zeros_like(ws.series["grad"][:, 0]),
+               ws.series["grad"][:, -1]]
+    direct = np.sqrt([sum(float(np.sum(w * np.take(column_series(ws, "grad", j, shift)
+                                                   .reshape(4, -1), nodes, axis=1) ** 2))
                           for shift, nodes, w in pieces) for j in range(ncols)])
     for k in (1, 3):
         calls.clear()
@@ -312,8 +317,8 @@ def test_excess_reads_each_window_piece_once(ws, monkeypatch):
 
 
 def test_excess_scales_linearly(ws):
-    base = lambda shift: ws.column_grad(-1, shift)
-    scaled = lambda shift: 2.5 * ws.column_grad(-1, shift)
+    base = ws.series["grad"][:, -1]
+    scaled = 2.5 * base
     h1 = ws.excess([base], 6.0, 2)[0]["H"]
     h2 = ws.excess([scaled], 6.0, 2)[0]["H"]
     assert h2 == pytest.approx(2.5 * h1, rel=1e-10)
@@ -321,7 +326,7 @@ def test_excess_scales_linearly(ws):
 
 
 def test_excess_monotone_in_order(ws):
-    u_grad = lambda shift: ws.column_grad(-1, shift)
+    u_grad = ws.series["grad"][:, -1]
     h1 = ws.excess([u_grad], 6.0, 1)[0]["H"]
     h2 = ws.excess([u_grad], 6.0, 2)[0]["H"]
     assert h2 <= h1 * (1 + 1e-12)
@@ -360,7 +365,7 @@ def tall_solution(tall_ws):
 
 def test_outer_solution_satisfies_data(tall_solution):
     grid = tall_solution.grid
-    vals = tall_solution.at("velocity", 0.0)
+    vals = at(tall_solution, "velocity", 0.0)
     target = outer_data("quadratic", grid, seed=0)
     scale = np.abs(target).max()
     assert np.abs(vals[:, :, -1] - target).max() / scale < 1e-12
@@ -389,19 +394,17 @@ def test_outer_solution_fields_are_lift_plus_remainder(outer_solutions, tall_ws)
             for name, direct in DIRECT.items():
                 want = periodic[name] + sum(c * direct(tall_ws, j, shift)
                                             for j, c in enumerate(sol.lift))
-                _assert_fields_close(sol.at(name, shift), want, 1e-13, (kind, k, name))
-            # the sampler excess takes is the "grad" evaluation
-            assert np.array_equal(sol.grad(shift), sol.at("grad", shift))
+                _assert_fields_close(at(sol, name, shift), want, 1e-13, (kind, k, name))
 
 
 def test_multi_target_excess_matches_one_target_calls(tall_ws, outer_solutions):
-    ws, grid = tall_ws, tall_ws.grid
+    ws = tall_ws
     targets = {
-        "basis element": lambda shift: ws.column_grad(0, shift),
-        "zero": lambda shift: np.zeros((4, grid.nx, grid.ny + 1)),
-        "growth probe": lambda shift: ws.column_grad(-1, shift),
+        "basis element": ws.series["grad"][:, 0],
+        "zero": np.zeros_like(ws.series["grad"][:, 0]),
+        "growth probe": ws.series["grad"][:, -1],
     }
-    targets.update({kind: sol.grad for kind, sol in outer_solutions.items()})
+    targets.update({kind: sol.series["grad"] for kind, sol in outer_solutions.items()})
     for order, r in [(1, np.pi / 2), (1, 4 * np.pi), (1, 16 * np.pi), (3, 4 * np.pi)]:
         together = ws.excess(list(targets.values()), r, order)
         assert len(together) == len(targets)
@@ -422,7 +425,7 @@ def test_multi_target_excess_matches_one_target_calls(tall_ws, outer_solutions):
 def test_shared_passes_match_single_datum_entry_points(tall_ws, outer_solutions):
     sols = list(outer_solutions.values())
     reports = decay_experiments(tall_ws, sols, 1)
-    grads = [sol.grad for sol in sols]
+    grads = [sol.series["grad"] for sol in sols]
     fits = projected_fits(tall_ws, grads, 1, 3)
     for sol, u_grad, rep, fit in zip(sols, grads, reports, fits):
         alone = decay_experiments(tall_ws, [sol], 1)[0]
@@ -480,7 +483,7 @@ def test_a_solve_off_the_workspace_nodes_is_refused(stack, height, ny):
 
 
 def test_liouville_recovery_and_flagging(ws):
-    u_grad = lambda shift: ws.column_grad(1, shift)
+    u_grad = ws.series["grad"][:, 1]
     radii = [4.0, 8.0, 16.0]
     fit = liouville_fit(ws, u_grad, radii, tol=1e-8, order=2)
     assert fit["member"]
@@ -490,19 +493,20 @@ def test_liouville_recovery_and_flagging(ws):
 
     rng = np.random.default_rng(3)
     noise_dir = rng.standard_normal((4, ws.grid.nx, ws.grid.ny + 1))
-    scale = np.abs(ws.column_grad(1, 0.0)).max()
-    noisy = lambda shift: ws.column_grad(1, shift) + 1e-6 * scale * noise_dir
+    scale = np.abs(column_series(ws, "grad", 1, 0.0)).max()
+    noisy = u_grad.copy()
+    noisy[0] += 1e-6 * scale * noise_dir  # periodic noise: the X**0 coefficient
     fit_noisy = liouville_fit(ws, noisy, radii, tol=1e-4, order=2)
     assert np.abs(fit_noisy["coefficients"] - expect).max() < 1e-4
 
-    contaminated = lambda shift: ws.column_grad(1, shift) + 1e-2 * ws.column_grad(-1, shift)
+    contaminated = u_grad + 1e-2 * ws.series["grad"][:, -1]
     fit_bad = liouville_fit(ws, contaminated, radii, tol=1e-5, order=2)
     assert not fit_bad["member"]
 
 
 def test_pointwise_check_envelope(tall_ws, tall_solution):
     # the fit on the decay experiments' largest window, R/4
-    coeffs = tall_ws.excess([tall_solution.grad], 8 * np.pi, 1)[0]["coefficients"]
+    coeffs = tall_ws.excess([tall_solution.series["grad"]], 8 * np.pi, 1)[0]["coefficients"]
     out = pointwise_check(tall_ws, tall_solution, coeffs, order=1)
     assert out["fraction_dominated"] >= 0.99
     assert out["crossover_ok"]
@@ -524,8 +528,8 @@ def _polyval2d_pointwise_check(workspace, solution, coefficients, order):
             continue
         Xs.append(g.x[nodes // (g.ny + 1)] + shift)
         Ys.append(np.take(g.y_nodes, nodes))
-        grads.append(np.take(solution.at("grad", shift).reshape(4, -1), nodes, axis=1))
-        vals.append(np.take(solution.at("velocity", shift).reshape(2, -1), nodes, axis=1))
+        grads.append(np.take(at(solution, "grad", shift).reshape(4, -1), nodes, axis=1))
+        vals.append(np.take(at(solution, "velocity", shift).reshape(2, -1), nodes, axis=1))
     X, Y = np.concatenate(Xs), np.concatenate(Ys)
     ugrad, uval = np.concatenate(grads, axis=1), np.concatenate(vals, axis=1)
     err, err_val = np.zeros_like(X), np.zeros_like(X)
@@ -556,7 +560,7 @@ def _polyval2d_pointwise_check(workspace, solution, coefficients, order):
 def test_pointwise_check_matches_polyval2d_oracle(tall_ws, outer_solutions):
     sols = list(outer_solutions.values())
     for order in (1, 2):
-        fits = projected_fits(tall_ws, [sol.grad for sol in sols], order, tall_ws.order)
+        fits = projected_fits(tall_ws, [sol.series["grad"] for sol in sols], order, tall_ws.order)
         for (kind, sol), coeffs in zip(outer_solutions.items(), fits):
             got = pointwise_check(tall_ws, sol, coeffs, order)
             want = _polyval2d_pointwise_check(tall_ws, sol, coeffs, order)
@@ -571,7 +575,7 @@ def test_pointwise_samples_are_the_half_window_above_the_wall_layer(tall_ws, tal
     # the samples are the decay fits' R/2 window, cut below at ENVELOPE_Y_MIN
     g = tall_solution.grid
     R = g.height
-    coeffs = tall_ws.excess([tall_solution.grad], 8 * np.pi, 1)[0]["coefficients"]
+    coeffs = tall_ws.excess([tall_solution.series["grad"]], 8 * np.pi, 1)[0]["coefficients"]
     out = pointwise_check(tall_ws, tall_solution, coeffs, order=1)
     want = sum(int(np.count_nonzero(tall_ws.window_mask(R / 2, s) & (g.y_nodes >= ENVELOPE_Y_MIN)))
                for s in tall_ws.window_shifts(R / 2))
@@ -622,7 +626,7 @@ def test_lift_coefficients_load_orders(tall_ws):
 
 def test_solution_grad_sampler_shift_independent(tall_solution, tall_ws):
     # the quadratic load has x-independent velocity: gradient stays periodic
-    assert np.allclose(tall_solution.grad(0.0), tall_solution.grad(2 * np.pi))
+    assert np.allclose(at(tall_solution, "grad", 0.0), at(tall_solution, "grad", 2 * np.pi))
     # a degree-3 load makes the velocity genuinely non-periodic
     rand = build_outer_solution(tall_ws, "random", seed=2)
-    assert not np.allclose(rand.grad(0.0), rand.grad(2 * np.pi))
+    assert not np.allclose(at(rand, "grad", 0.0), at(rand, "grad", 2 * np.pi))

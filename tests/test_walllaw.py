@@ -1,5 +1,7 @@
 """Wall-law table: identity, closed-form coefficients, effective parts."""
 
+from math import factorial
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,25 @@ def stack():
 @pytest.fixture(scope="module")
 def table(stack):
     return phi_table(stack, 2)
+
+
+def test_vertical_moment_entries_converge_to_their_closed_forms():
+    """Phi^{0,l}_22[x^0] = -<gamma^l>/l! for l = 2, 3, 4, Phi^{1,1}_22[x^1] = -c0 and
+    Phi^{2,1}_22[x^2] = c0/2 on the acceptance walls: the largest gap, relative to
+    the table's largest entry, is second order in xi (or rounding)."""
+    x = -np.pi + 2 * np.pi * np.arange(4096) / 4096
+    for wall in GEOMETRIES:
+        moments = [float(np.mean(wall.gamma(x) ** l)) for l in range(5)]
+        want = {(0, l, 0): -moments[l] / factorial(l) for l in (2, 3, 4)}
+        want.update({(1, 1, 1): -moments[1], (2, 1, 2): moments[1] / 2})
+        gaps = []
+        for ny in (32, 64):
+            phi = phi_table(CorrectorStack(wall, nx=24, ny=ny), 4).phi
+            scale = max(np.abs(mat).max() for mat in phi.values())
+            gaps.append(max(abs(phi[alpha, l][1, 1][power] - value)
+                            for (alpha, l, power), value in want.items()) / scale)
+        assert gaps[0] <= 2e-4 and gaps[1] <= 5e-5, (wall, gaps)
+        assert gaps[1] <= gaps[0] / 3 or gaps[1] <= 1e-12, (wall, gaps)
 
 
 def test_flat_wall_phi_vanishes():
