@@ -517,13 +517,11 @@ class LevelSampler:
         coef = c.transpose(0, 2, 3, 1)[:, :, cols, piece]  # (4, 3, points)
         # PPoly's sum order (constant term first, then rising powers of s),
         # so the values are bit-identical to calling scipy's CubicSpline
-        power = s
-        acc = 0.0 + coef[3]
-        acc = acc + coef[2] * power
-        power = power * s
-        acc = acc + coef[1] * power
-        power = power * s
-        fields[:, below] = acc + coef[0] * power
+        acc, power = 0.0 + coef[3], 1.0
+        for ck in coef[2::-1]:
+            power = power * s
+            acc = acc + ck * power
+        fields[:, below] = acc
 
         above = ~below
         if np.any(above):

@@ -82,7 +82,6 @@ class RegularityWorkspace:
     """
 
     def __init__(self, stack: CorrectorStack, order: int, grid: StripGrid):
-        self.stack = stack
         self.order = order
         self.grid = grid
         self.columns = [el for el in heterogeneous_basis(stack, order) if not el.P.is_zero()]
@@ -141,47 +140,31 @@ class RegularityWorkspace:
         """The X-power coefficient arrays (_x_series), built on first use."""
         return self._x_series()
 
-    def abscissa(self, shift: float) -> np.ndarray:
-        """The shifted abscissa x + shift as an (nx, 1) column."""
-        return self.grid.x[:, None] + shift
-
-    def samples(self, name: str, shift: float, order: int) -> np.ndarray:
-        """Order-m columns' `name` samples at x + shift from series[name][:D_m + 1, :n_m];
-        gradients are (n_m, 4, nx, ny+1), [d1u1, d2u1, d1u2, d2u2] per column."""
-        n, D = self.prefixes[order]
-        return horner(self.series[name][:D + 1, :n], self.abscissa(shift))
-
     @cached_property
     def top_velocity(self) -> np.ndarray:
-        """(ncols, 2, nx) column velocities on the top row at shift 0.
+        """(ncols, 2, nx) column velocities on the top row at X = x.
 
-        The top row of samples("velocity", 0.0, order), from series built for
-        that row only: the lift traces are taken while the solves' factors are
-        still alive, and the full coefficient arrays wait until they are gone.
+        Read from series built for that row only: the lift traces are taken
+        while the solves' factors are still alive, and the full coefficient
+        arrays wait until they are gone.
         """
-        return horner(self._x_series(np.s_[-1:])["velocity"], self.abscissa(0.0))[..., -1]
-
-    # -- window machinery ----------------------------------------------------
-
-    def window_shifts(self, r: float) -> list[float]:
-        n = int(np.ceil((r + np.pi) / (2 * np.pi)))
-        return [2 * np.pi * k for k in range(-n, n + 1)]
-
-    def window_mask(self, r: float, shift: float) -> np.ndarray:
-        g = self.grid
-        X = g.x[:, None] + shift
-        return (np.abs(X) <= r) & (g.y_nodes <= r)
+        return horner(self._x_series(np.s_[-1:])["velocity"], self.grid.x[:, None])[..., -1]
 
     def window_pieces(self, r: float):
-        """(shift, nodes, quadrature weights) of each period the window meets.
+        """(X, nodes, quadrature weights) of each period k the window B_{r,+} meets.
 
-        nodes are the flat (row-major) indices of the window's grid nodes.
+        X = x + 2 pi k is the period's shifted abscissa, an (nx, 1) column at
+        which every X-power series is read; nodes are the flat (row-major)
+        indices of the grid nodes with |X| <= r and y <= r.
         """
-        wq = self.grid.node_quad_weights()
-        for shift in self.window_shifts(r):
-            nodes = np.flatnonzero(self.window_mask(r, shift))
+        g = self.grid
+        wq = g.node_quad_weights()
+        n = int(np.ceil((r + np.pi) / (2 * np.pi)))
+        for k in range(-n, n + 1):
+            X = g.x[:, None] + 2 * np.pi * k
+            nodes = np.flatnonzero((np.abs(X) <= r) & (g.y_nodes <= r))
             if nodes.size:
-                yield shift, nodes, np.take(wq, nodes)
+                yield X, nodes, np.take(wq, nodes)
 
     @staticmethod
     def _rows(grad: np.ndarray, nodes: np.ndarray, sw: np.ndarray) -> np.ndarray:
@@ -205,24 +188,25 @@ class RegularityWorkspace:
 
         Each period's basis rows are built once and streamed, unscaled,
         through one QR with every target as an extra column, accumulating the
-        window weight on the way: each radius reads its window once, and the
-        targets are stacked and read by one horner per period.  The
-        basis columns' windowed norms are the column norms of R11 = R[:n_m,
-        :n_m] (R^T R = A^T A), and the triangular solve runs on R11 scaled by
-        them.  Target t's residual is the 2-norm of rows ncols..ncols+t of
+        window weight on the way: each radius reads its window once, the
+        order-m basis prefix and the stacked targets each by one horner per
+        period.  The basis columns' windowed norms are the column norms of
+        R11 = R[:n_m, :n_m] (R^T R = A^T A), and the triangular solve runs on
+        R11 scaled by them.  Target t's residual is the 2-norm of rows ncols..ncols+t of
         R's column ncols+t; for the first (or only) target that is the single
         diagonal entry, whose 2-norm is its absolute value bit for bit, so
         a one-target call does the arithmetic of the one-target stream.
         """
-        ncols = self.prefixes[order][0]
+        ncols, D = self.prefixes[order]
+        basis = self.series["grad"][:D + 1, :ncols]
         stacked = np.stack(targets, axis=1)
         total_w = 0.0
         R = np.zeros((0, ncols + len(targets)))
-        for shift, nodes, w in self.window_pieces(r):
+        for X, nodes, w in self.window_pieces(r):
             sw = np.sqrt(w)
             total_w += float(np.sum(w))
-            block = np.column_stack([self._rows(self.samples("grad", shift, order), nodes, sw),
-                                     self._rows(horner(stacked, self.abscissa(shift)), nodes, sw)])
+            block = np.column_stack([self._rows(horner(basis, X), nodes, sw),
+                                     self._rows(horner(stacked, X), nodes, sw)])
             R = np.linalg.qr(np.vstack([R, block]), mode="r")
         R11 = R[:ncols, :ncols]
         norms = np.sqrt(np.maximum(np.sum(R11 ** 2, axis=0), 1e-300))
@@ -246,8 +230,8 @@ class RegularityWorkspace:
         stacked = np.stack(targets, axis=1)
         total_w = 0.0
         unorm2 = np.zeros(len(targets))
-        for shift, nodes, w in self.window_pieces(r):
-            rows = self._rows(horner(stacked, self.abscissa(shift)), nodes, np.sqrt(w))
+        for X, nodes, w in self.window_pieces(r):
+            rows = self._rows(horner(stacked, X), nodes, np.sqrt(w))
             unorm2 += [float(np.sum(col ** 2)) for col in rows.T]
             total_w += float(np.sum(w))
         return np.sqrt(unorm2 / total_w)
@@ -468,14 +452,14 @@ def pressure_decay(workspace: RegularityWorkspace, solution: OuterSolution,
     fitted = np.tensordot(coefficients, workspace.series["pressure"][:D + 1, :n], axes=([0], [1]))
     series = padded_sum([(1.0, solution.series["pressure"]), (-1.0, fitted)])
 
-    (shift, nodes, w), = workspace.window_pieces(1.0)  # B_1 meets one period
-    residual = horner(series, workspace.abscissa(shift))
+    (X, nodes, w), = workspace.window_pieces(1.0)  # B_1 meets one period
+    residual = horner(series, X)
     c_p = float(np.sum(w * np.take(residual, nodes)) / np.sum(w))
     values = []
     for r in radii:
         total, weight = 0.0, 0.0
-        for shift, nodes, w in workspace.window_pieces(r):
-            residual = horner(series, workspace.abscissa(shift))
+        for X, nodes, w in workspace.window_pieces(r):
+            residual = horner(series, X)
             total += float(np.sum(w * (np.take(residual, nodes) - c_p) ** 2))
             weight += float(np.sum(w))
         values.append(float(np.sqrt(total / weight)))
@@ -541,11 +525,10 @@ def pointwise_check(workspace: RegularityWorkspace, solution: OuterSolution,
     series = padded_sum([(1.0, u), (-1.0, at_nodes(w, g.y_nodes))])
 
     pieces = []
-    for shift, nodes, _ in workspace.window_pieces(R / 2):
+    for X, nodes, _ in workspace.window_pieces(R / 2):
         nodes = nodes[np.take(g.y_nodes, nodes) >= ENVELOPE_Y_MIN]
-        pieces.append((g.x[nodes // (g.ny + 1)] + shift, np.take(g.y_nodes, nodes),
-                       np.take(horner(series, workspace.abscissa(shift)).reshape(6, -1), nodes,
-                               axis=1)))
+        pieces.append((X[nodes // (g.ny + 1), 0], np.take(g.y_nodes, nodes),
+                       np.take(horner(series, X).reshape(6, -1), nodes, axis=1)))
     X, Y, diff = (np.concatenate(part, axis=-1) for part in zip(*pieces))
     err, err_val = np.linalg.norm(diff[:4], axis=0), np.linalg.norm(diff[4:], axis=0)
 

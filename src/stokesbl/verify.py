@@ -1,11 +1,11 @@
-"""The acceptance suite: the paper's 13 criteria plus three solver checks.
+"""The acceptance suite: the paper's 13 criteria plus four solver checks.
 
 Every check is written here once; `stokesbl verify` and
 `tests/test_acceptance.py` both run this list.  A check has a criterion
-number (None for the three checks no criterion covers), a name, a suite
+number (None for the four checks no criterion covers), a name, a suite
 (`symbolic`: criteria 01-04 and the basis residuals; `numeric`: criteria
-05-13, the flat twin and the divergence residual) and a function of
-the shared objects returning `(ok, detail)`.  The heavy objects several
+05-13, the flat twin, the divergence residual and the mass balance) and a
+function of the shared objects returning `(ok, detail)`.  The heavy objects several
 criteria share are built on first use, once per run.
 """
 
@@ -26,8 +26,8 @@ from .halfspace import (delta_D_inv, dim_homogeneous_stokes, dim_stokes_space, s
                         verify_stokes_pair)
 from .modes import ModeData, SqrtExt, residual_check, solve_mode
 from .polynomials import ExactPolynomial, VectorPolynomial
-from .recursion import (CorrectorStack, heterogeneous_basis, padded_sum, poly_to_coeff2d,
-                        script_S)
+from .recursion import (CorrectorStack, heterogeneous_basis, level_problem, padded_sum,
+                        poly_to_coeff2d, script_S)
 from .regularity import (KINDS, RegularityWorkspace, build_outer_solution, decay_experiments,
                          dyadic_radii, fit_exponent, pointwise_check, projected_fits)
 from .walllaw import phi_table, second_order_2d, wall_law_identity_residual
@@ -468,3 +468,28 @@ def divergence_residual(shared: Shared):
     rough = solve_cell(COS_WALL, l=1, comp=1, nx=24, ny=32)
     residual = rough.diagnostics["divergence_residual"]
     return residual < 1e-9, f"residual {residual:.1e}"
+
+
+def flux_law_gap(stack: CorrectorStack, beta: int, l: int, comp: int) -> float:
+    """Gap in the discrete flux law of level (beta, l, comp), relative to its largest |u|.
+
+    The x-mean of the continuity rows telescopes on an unstretched grid:
+    lid mean u2 - wall mean (u2 - gamma' u1) = sum vol (G - mu) / 2 pi, with G
+    the level's divergence data (none at beta = 0) and mu its multiplier.
+    """
+    g = stack.grid
+    level = stack.level(beta, l, comp)
+    G = level_problem(stack, beta, l, comp)[0].div_data
+    u1, u2 = level.u
+    flux = np.mean(u2[:, -1]) - np.mean(u2[:, 0] - g.dgam * u1[:, 0])
+    source = np.sum(g.mid_volumes() * ((0.0 if G is None else G)
+                                       - level.diagnostics["multiplier"])) / (2 * np.pi)
+    return float(abs(flux - source) / np.abs(level.u).max())
+
+
+@check(None, "mass_balance", "numeric",
+       "discrete flux law (<= 1e-12) on every cosine-wall level with beta + l <= 4")
+def mass_balance(shared: Shared):
+    gap = max(flux_law_gap(shared.stack, beta, l, comp)
+              for l in range(1, 5) for beta in range(5 - l) for comp in (1, 2))
+    return gap <= 1e-12, f"largest gap {gap:.1e}"

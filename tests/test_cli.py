@@ -607,13 +607,19 @@ def test_regularity_builds_coefficient_arrays_after_freeing_factors(tmp_path, ge
                                                                    monkeypatch):
     from stokesbl.regularity import RegularityWorkspace
 
+    stacks = []  # the stack each workspace samples
     builds = []  # (rows, factors alive?) of each coefficient-array build
-    x_series = RegularityWorkspace._x_series
+    init, x_series = RegularityWorkspace.__init__, RegularityWorkspace._x_series
+
+    def recording_init(self, stack, order, grid):
+        stacks.append(stack)
+        init(self, stack, order, grid)
 
     def recording_x_series(self, rows=slice(None)):
-        builds.append((rows, bool(self.grid.factors) or bool(self.stack.grid.factors)))
+        builds.append((rows, bool(self.grid.factors) or bool(stacks[-1].grid.factors)))
         return x_series(self, rows)
 
+    monkeypatch.setattr(RegularityWorkspace, "__init__", recording_init)
     monkeypatch.setattr(RegularityWorkspace, "_x_series", recording_x_series)
     assert main(SMALL_REGULARITY + ["--geometry", geometry_file,
                                     "--out", str(tmp_path / "report.json")]) == 0

@@ -99,12 +99,24 @@ DIRECT = {"grad": direct_grad, "velocity": direct_velocity, "pressure": direct_p
 
 def column_series(ws, name, j, shift):
     """Samples of column j's `name` series at x + shift."""
-    return horner(ws.series[name][:, j], ws.abscissa(shift))
+    return horner(ws.series[name][:, j], ws.grid.x[:, None] + shift)
 
 
 def at(solution, name, shift):
     """Samples of an outer solution's `name` series at x + shift."""
-    return horner(solution.series[name], solution.lift_ws.abscissa(shift))
+    return horner(solution.series[name], solution.lift_ws.grid.x[:, None] + shift)
+
+
+def window_mask(grid, r, k):
+    """The nodes of period k in the window B_{r,+}: |x + 2 pi k| <= r and y <= r,
+    written here apart from the code it checks."""
+    return (np.abs(grid.x[:, None] + 2 * np.pi * k) <= r) & (grid.y_nodes <= r)
+
+
+def window_periods(grid, r):
+    """The periods k whose window mask is nonempty, scanned well past any that can be."""
+    n = int(np.ceil((r + np.pi) / (2 * np.pi)))
+    return [k for k in range(-n - 3, n + 4) if window_mask(grid, r, k).any()]
 
 
 def _assert_fields_close(got, want, rel, what):
@@ -123,12 +135,36 @@ def test_shift_polynomials_match_direct_evaluation(stack):
                 _assert_fields_close(column_series(ws, name, j, shift),
                                      direct(ws, j, shift), 1e-13, (j, k, name))
             # the all-column evaluations are the same arithmetic, column by column
-            assert np.array_equal(ws.samples("grad", shift, 3)[j],
-                                  column_series(ws, "grad", j, shift))
-            assert np.array_equal(ws.samples("pressure", shift, 3)[j],
-                                  column_series(ws, "pressure", j, shift))
+            X = ws.grid.x[:, None] + shift
+            n, D = ws.prefixes[3]
+            for name in ("grad", "pressure"):
+                assert np.array_equal(horner(ws.series[name][:D + 1, :n], X)[j],
+                                      column_series(ws, name, j, shift))
     # the lift traces are the top row of the velocity series, bit for bit
-    assert ws.top_velocity.tobytes() == ws.samples("velocity", 0.0, ws.order)[..., -1].tobytes()
+    assert ws.top_velocity.tobytes() \
+        == horner(ws.series["velocity"], ws.grid.x[:, None])[..., -1].tobytes()
+
+
+def test_window_pieces_are_the_periods_the_window_meets(stack):
+    """window_pieces(r) yields, in order, exactly the periods whose window mask is
+    nonempty, each with its abscissa, nodes and weights; no period outside the
+    -n..n range it scans holds a node."""
+    # the regularity command's default tall strip
+    grid = StripGrid(COS_WALL, height=64 * np.pi, nx=24, ny=320, stretch=5.0)
+    ws = RegularityWorkspace(stack, 1, grid)
+    wq = grid.node_quad_weights()
+    R = grid.height
+    for r in (0.5, 1.0, np.pi / 2, np.pi, 3 * np.pi, 4 * np.pi, 8 * np.pi, R / 4, R / 2):
+        n = int(np.ceil((r + np.pi) / (2 * np.pi)))
+        periods = window_periods(grid, r)
+        assert all(-n <= k <= n for k in periods), r
+        pieces = list(ws.window_pieces(r))
+        assert len(pieces) == len(periods), r
+        for k, (X, nodes, w) in zip(periods, pieces):
+            assert X.tobytes() == (grid.x[:, None] + 2 * np.pi * k).tobytes(), (r, k)
+            want = np.flatnonzero(window_mask(grid, r, k))
+            assert np.array_equal(nodes, want), (r, k)
+            assert np.array_equal(w, wq.reshape(-1)[want]), (r, k)
 
 
 def _bits(value):
@@ -189,14 +225,14 @@ def _oracle_blocks(ws, u_grad, r, scale):
     """Each window piece's quadrature rows, the leading len(scale) columns divided by
     scale and then u, with the piece's weight."""
     wq = ws.grid.node_quad_weights()
-    for shift in ws.window_shifts(r):
-        mask = ws.window_mask(r, shift)
-        if not mask.any():
-            continue
+    for k in window_periods(ws.grid, r):
+        shift = 2 * np.pi * k
+        mask = window_mask(ws.grid, r, k)
         sw = np.sqrt(wq[mask])
         cols = [(column_series(ws, "grad", j, shift)[:, mask] * sw).reshape(4, -1).T.reshape(-1)
                 / scale[j] for j in range(len(scale))]
-        target = (horner(u_grad, ws.abscissa(shift))[:, mask] * sw).reshape(4, -1).T.reshape(-1)
+        target = (horner(u_grad, ws.grid.x[:, None] + shift)[:, mask] * sw) \
+            .reshape(4, -1).T.reshape(-1)
         yield np.column_stack(cols + [target]), float(np.sum(wq[mask]))
 
 
@@ -277,17 +313,20 @@ def test_excess_matches_two_pass_oracle(ws):
 
 
 def test_excess_reads_each_window_piece_once(ws, monkeypatch):
-    """One excess call evaluates the basis gradients once per window piece, for one
-    target or several, and scales the basis columns by their windowed norms."""
+    """One excess call evaluates the basis gradients and the stacked targets once
+    per window piece, for one target or several, and scales the basis columns by
+    their windowed norms."""
+    import stokesbl.regularity as regularity
+
     r, order = 5.0, 2
-    ncols = ws.prefixes[order][0]
+    ncols, D = ws.prefixes[order]
     pieces = list(ws.window_pieces(r))
     calls, seen = [], {}
-    samples, qr, solve = ws.samples, np.linalg.qr, np.linalg.solve
+    qr, solve = np.linalg.qr, np.linalg.solve
 
-    def counted_samples(name, shift, m):
-        calls.append((name, shift))
-        return samples(name, shift, m)
+    def counted_horner(coeffs, X):
+        calls.append((coeffs.shape, X.tobytes()))
+        return horner(coeffs, X)
 
     def last_qr(a, mode):
         seen["R"] = qr(a, mode=mode)
@@ -297,19 +336,22 @@ def test_excess_reads_each_window_piece_once(ws, monkeypatch):
         seen["scaled R11"] = a
         return solve(a, b)
 
-    monkeypatch.setattr(ws, "samples", counted_samples)
+    monkeypatch.setattr(regularity, "horner", counted_horner)
     monkeypatch.setattr(np.linalg, "qr", last_qr)
     monkeypatch.setattr(np.linalg, "solve", scaled_solve)
     targets = [ws.series["grad"][:, 1], np.zeros_like(ws.series["grad"][:, 0]),
                ws.series["grad"][:, -1]]
-    direct = np.sqrt([sum(float(np.sum(w * np.take(column_series(ws, "grad", j, shift)
+    direct = np.sqrt([sum(float(np.sum(w * np.take(horner(ws.series["grad"][:, j], X)
                                                    .reshape(4, -1), nodes, axis=1) ** 2))
-                          for shift, nodes, w in pieces) for j in range(ncols)])
+                          for X, nodes, w in pieces) for j in range(ncols)])
+    basis_shape = ws.series["grad"][:D + 1, :ncols].shape
     for k in (1, 3):
         calls.clear()
         seen.clear()
         ws.excess(targets[:k], r, order)
-        assert calls == [("grad", shift) for shift, _, _ in pieces], k
+        target_shape = (targets[0].shape[0], k) + targets[0].shape[1:]
+        assert calls == [(shape, X.tobytes()) for X, _, _ in pieces
+                         for shape in (basis_shape, target_shape)], k
         # the scaled block's columns are R11's divided by the norms excess used
         used = np.linalg.norm(seen["R"][:ncols, :ncols], axis=0) \
             / np.linalg.norm(seen["scaled R11"], axis=0)
@@ -522,8 +564,9 @@ def _polyval2d_pointwise_check(workspace, solution, coefficients, order):
     wpoly = padded_sum((c_val, el.w_poly_xy) for c_val, el in zip(coefficients, workspace.columns))
     dx_wpoly, dy_wpoly = coeff_derivative(wpoly, 1, 0), coeff_derivative(wpoly, 0, 1)
     Xs, Ys, grads, vals = [], [], [], []
-    for shift in workspace.window_shifts(R / 2):
-        nodes = np.flatnonzero(workspace.window_mask(R / 2, shift) & (g.y_nodes >= ENVELOPE_Y_MIN))
+    for k in window_periods(g, R / 2):
+        shift = 2 * np.pi * k
+        nodes = np.flatnonzero(window_mask(g, R / 2, k) & (g.y_nodes >= ENVELOPE_Y_MIN))
         if not nodes.size:
             continue
         Xs.append(g.x[nodes // (g.ny + 1)] + shift)
@@ -577,8 +620,8 @@ def test_pointwise_samples_are_the_half_window_above_the_wall_layer(tall_ws, tal
     R = g.height
     coeffs = tall_ws.excess([tall_solution.series["grad"]], 8 * np.pi, 1)[0]["coefficients"]
     out = pointwise_check(tall_ws, tall_solution, coeffs, order=1)
-    want = sum(int(np.count_nonzero(tall_ws.window_mask(R / 2, s) & (g.y_nodes >= ENVELOPE_Y_MIN)))
-               for s in tall_ws.window_shifts(R / 2))
+    want = sum(int(np.count_nonzero(window_mask(g, R / 2, k) & (g.y_nodes >= ENVELOPE_Y_MIN)))
+               for k in window_periods(g, R / 2))
     assert out["n_samples"] == want
 
 
@@ -608,9 +651,9 @@ def test_outer_data_flux_free():
         assert abs(np.mean(vals[1])) < 1e-12
 
 
-def test_lift_coefficients_load_orders(tall_ws):
+def test_lift_coefficients_load_orders(stack, tall_ws):
     # the columns are the basis elements with nonzero velocity, in basis order
-    basis = heterogeneous_basis(tall_ws.stack, tall_ws.order)
+    basis = heterogeneous_basis(stack, tall_ws.order)
     kept = [el for el in basis if not el.P.is_zero()]
     assert len(tall_ws.columns) == len(kept) < len(basis)
     for col, el in zip(tall_ws.columns, kept):
